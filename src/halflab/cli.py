@@ -102,8 +102,9 @@ def _o3_marginal_pair(alpha: float):
     kappa = stable[0]
     if abs(kappa.imag) > 1e-12:
         raise ConfigError("scheme.alpha", "stable root at z = 1 not real")
-    kappa = kappa.real
-    return (1.0 + kappa) / kappa, -1.0 / kappa
+    b2 = -1.0 / kappa.real
+    # b1 = 1 - b2 makes B(1, ..., 1) = 1 - b1 - b2 vanish exactly in floats
+    return 1.0 - b2, b2
 
 
 def _load_scheme(cfg: dict):
@@ -205,13 +206,18 @@ def _run_check(scheme, cfg, out_dir, rep1, rep2, verdict):
     svg.line_chart(os.path.join(out_dir, "check_symbol.svg"),
                    [("abs F", t, np.abs(f))], title="symbol modulus",
                    xlabel="t", ylabel="|F(e^{it})|")
-    zs = 1.0 + np.linspace(0.0, 1.0, 51)
-    dets = np.array([abs(lopatinskii(scheme, complex(z)).value) for z in zs])
-    _csv(out_dir, "check_lopatinskii.csv", ("z", "abs_delta"), zip(zs, dets))
-    svg.line_chart(os.path.join(out_dir, "check_lopatinskii.svg"),
-                   [("abs Delta", zs, dets)],
-                   title="Lopatinskii determinant on the real axis",
-                   xlabel="z", ylabel="|Delta(z)|")
+    if rep2 is not None:
+        # the profile starts at z = 1, where the root split presumes the
+        # first hypothesis, as the annulus sweep does
+        zs = 1.0 + np.linspace(0.0, 1.0, 51)
+        dets = np.array([abs(lopatinskii(scheme, complex(z)).value)
+                         for z in zs])
+        _csv(out_dir, "check_lopatinskii.csv", ("z", "abs_delta"),
+             zip(zs, dets))
+        svg.line_chart(os.path.join(out_dir, "check_lopatinskii.svg"),
+                       [("abs Delta", zs, dets)],
+                       title="Lopatinskii determinant on the real axis",
+                       xlabel="z", ylabel="|Delta(z)|")
     return {
         "hypothesis_one": rep1.as_dict(),
         "hypothesis_two": rep2.as_dict() if rep2 is not None else None,
@@ -413,6 +419,7 @@ def _run_oracle(scheme, cfg, out_dir):
         per_r0[repr(r0)] = {
             "max_err_vs_timestep": float(err.max()),
             "nodes": tab.nodes,
+            "solves": tab.solves,
             "max_imag": tab.max_imag,
         }
     _csv(out_dir, "oracle.csv",

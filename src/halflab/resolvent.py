@@ -17,6 +17,16 @@ Temporal kernels are recovered through the Cauchy integral
 
 on the circle of radius e^{r0}, a trapezoid sum that is spectrally accurate
 and serves as an independent oracle for the time-stepping path.
+
+The table form of that sum builds the z-independent band of the half-line
+system once and only writes z onto its diagonal per node, so each node costs
+one banded solve.  The trapezoid nodes nest when the node count doubles
+(node k of N is node 2k of 2N, bitwise), so a refined ring reuses every
+solve of the previous one and solves only its new odd nodes.  Each batch of
+new nodes is guarded at once: when the whole ring clears the sampled symbol
+curve's disk, winding zero is certain and one batched root solve checks the
+r/0/p split, the stable-root gap and the Lopatinskii determinant; otherwise
+every node goes through the pointwise guard.
 """
 
 from __future__ import annotations
@@ -25,10 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.linalg import solve_banded
 
-from .scheme import SchemeDefinition
-from .spectral import MultiplicityError, _symbol_curve, lopatinskii
+from .scheme import SchemeDefinition, boundary_matrix
+from .spectral import (MultiplicityError, RootSolveError, _symbol_curve,
+                       lopatinskii)
 
 __all__ = [
     "NearSpectrumError", "QuadratureError", "ResolventField",
@@ -94,45 +106,125 @@ def _guard_resolvent(scheme: SchemeDefinition, z: complex,
                 "z is an eigenvalue of the half-line operator")
 
 
-def _half_system(scheme: SchemeDefinition, z: complex, J_trunc: int):
-    """Banded matrix (scipy ab layout) for unknowns w_{1-r}, ..., w_{J_trunc}."""
+def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray) -> None:
+    """_guard_resolvent(check_lopatinskii=True) for a batch of nodes at once.
+
+    When min|z| - max|F| over the sampled curve is at least 1e-6, every node
+    is that far from the curve and the curve (inside the disk of radius
+    max|F|) has winding number 0 around it, so the region is "outside" and
+    only the root split, the stable-root gap and Delta remain to check; the
+    roots come from the stacked companion matrices, Newton-polished and held
+    to the residual test of the pointwise root solver.  Otherwise each node
+    takes the pointwise guard, as does a batch holding z = 1, where that
+    guard expects the central root kappa = 1 instead of the r/0/p split.
+    """
+    curve = _symbol_curve(scheme)
+    if float(np.min(np.abs(zs))) - float(np.max(np.abs(curve))) < 1e-6 \
+            or float(np.min(np.abs(zs - 1.0))) <= 1e-12:
+        for z in zs:
+            _guard_resolvent(scheme, complex(z), check_lopatinskii=True)
+        return
+    r, p = scheme.r, scheme.p
+    d = p + r
+    coeffs = np.tile(-scheme.a.astype(complex), (zs.size, 1))
+    coeffs[:, r] += zs
+    comp = np.zeros((zs.size, d, d), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, d - 1::-1] / coeffs[:, d:]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    x = np.linalg.eigvals(comp)
+    # polyval over coefficient rows: (degree, node, 1) against (node, root)
+    c = coeffs.T[:, :, None]
+    dc = npoly.polyder(c)
+    for _ in range(3):
+        Pp = npoly.polyval(x, dc, tensor=False)
+        good = Pp != 0
+        x = np.where(good, x - npoly.polyval(x, c, tensor=False)
+                     / np.where(good, Pp, 1.0), x)
+    scale = npoly.polyval(np.abs(x), np.abs(c), tensor=False)
+    res = np.abs(npoly.polyval(x, c, tensor=False))
+    bad = np.any(res > 1e-13 * np.maximum(scale, 1e-300), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise RootSolveError(
+            f"root residuals {res[i]!r} exceed 1e-13 of coefficient scale "
+            f"{scale[i]!r} after Newton polish at z = {complex(zs[i])!r}")
+
+    mods = np.abs(x)
+    n_stable = np.sum(mods < 1.0 - 1e-8, axis=1)
+    n_unstable = np.sum(mods > 1.0 + 1e-8, axis=1)
+    bad = (n_stable != r) | (n_unstable != p)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NearSpectrumError(
+            f"z = {complex(zs[i])!r} splits the characteristic roots "
+            f"{n_stable[i]} stable / {d - n_stable[i] - n_unstable[i]} "
+            f"central / {n_unstable[i]} unstable (expected {r}/0/{p})")
+    ks = np.take_along_axis(x, np.argsort(mods, axis=1)[:, :r], axis=1)
+    if r >= 2:
+        dist = np.abs(ks[:, :, None] - ks[:, None, :])
+        dist[:, np.arange(r), np.arange(r)] = np.inf
+        gap = dist.min(axis=(1, 2))
+        if np.any(gap <= 1e-8):
+            i = int(np.argmin(gap))
+            raise NearSpectrumError(
+                f"stable roots nearly collide at z = {complex(zs[i])!r}: "
+                f"gap {gap[i]:.3e}")
+    V = ks[:, None, :] ** np.arange(d - 1, -1, -1)[None, :, None]
+    delta = np.abs(np.linalg.det(boundary_matrix(scheme) @ V))
+    if np.any(delta <= 1e-8):
+        i = int(np.argmin(delta))
+        raise NearSpectrumError(
+            f"Lopatinskii determinant is {delta[i]:.2e} at "
+            f"z = {complex(zs[i])!r}; z is an eigenvalue of the half-line "
+            "operator")
+
+
+def _band_template(scheme: SchemeDefinition, J_trunc: int):
+    """The z-independent part of the banded half-line matrix (scipy ab
+    layout) for unknowns w_{1-r}, ..., w_{J_trunc}; adding z to the interior
+    diagonal ab[up, r:] completes it.
+
+    Every entry is accumulated onto zero exactly as an entry-by-entry
+    assembly would, which writes z and then -a_0 on the diagonal (IEEE
+    addition commutes), so the completed matrix is bitwise that assembly's.
+    """
     r, p = scheme.r, scheme.p
     M = J_trunc + r
     lo, up = r, p + r - 1
     ab = np.zeros((lo + up + 1, M), dtype=complex)
-
-    def put(i, j, val):
-        ab[up + i - j, j] += val
-
+    ab[up, :r] += 1.0
+    cols = r - 1 + np.arange(1, scheme.p_b + 1)
     for m in range(r):
-        put(m, m, 1.0)
-        i_b = r - 1 - m
-        for k in range(1, scheme.p_b + 1):
-            put(m, r - 1 + k, -scheme.b[i_b, k - 1])
-    for j in range(1, J_trunc + 1):
-        m = j + r - 1
-        put(m, m, z)
-        for k in range(-r, p + 1):
-            if m + k < M:
-                put(m, m + k, -scheme.coeff(k))
+        ab[up + m - cols, cols] += -scheme.b[r - 1 - m]
+    rows = np.arange(r, M)
+    for k in range(-r, p + 1):
+        keep = rows + k < M
+        ab[up - k, rows[keep] + k] += -scheme.coeff(k)
     return ab, lo, up
+
+
+def _half_system(scheme: SchemeDefinition, z: complex, J_trunc: int):
+    """Banded matrix (scipy ab layout) for unknowns w_{1-r}, ..., w_{J_trunc}."""
+    ab, lo, up = _band_template(scheme, J_trunc)
+    ab[up, scheme.r:] += z
+    return ab, lo, up
+
+
+def _stencil_sums(scheme: SchemeDefinition, w: np.ndarray) -> np.ndarray:
+    """sum_k a_k w[i + k] for every index i of w, zero outside w."""
+    return np.convolve(w, scheme.a[::-1])[scheme.p:scheme.p + w.size]
 
 
 def _interior_residual(scheme: SchemeDefinition, z: complex, w: np.ndarray,
                        rhs_j0: int | None, J_trunc: int) -> float:
     """Defect of the untruncated equations on the inner 80% of the window;
     w is indexed so w[j + r - 1] holds the value at cell j."""
-    r, p = scheme.r, scheme.p
+    r = scheme.r
     top = int(0.8 * J_trunc)
-    worst = 0.0
-    for j in range(1, top + 1):
-        acc = z * w[j + r - 1]
-        for k in range(-r, p + 1):
-            acc -= scheme.coeff(k) * w[j + k + r - 1]
-        if rhs_j0 is not None and j == rhs_j0:
-            acc -= 1.0
-        worst = max(worst, abs(acc))
-    return worst
+    acc = (z * w - _stencil_sums(scheme, w))[r:r + top]
+    if rhs_j0 is not None and 1 <= rhs_j0 <= top:
+        acc[rhs_j0 - 1] -= 1.0
+    return float(np.max(np.abs(acc), initial=0.0))
 
 
 def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
@@ -220,17 +312,10 @@ def _symbol_on(scheme: SchemeDefinition, kappa: np.ndarray) -> np.ndarray:
 
 def _whole_residual(scheme: SchemeDefinition, z: complex, vals: np.ndarray,
                     window: int) -> float:
-    r, p = scheme.r, scheme.p
     top = int(0.8 * window)
-    worst = 0.0
-    for j in range(-top, top + 1):
-        acc = z * vals[j + window]
-        for k in range(-r, p + 1):
-            acc -= scheme.coeff(k) * vals[j + k + window]
-        if j == 0:
-            acc -= 1.0
-        worst = max(worst, abs(acc))
-    return worst
+    acc = (z * vals - _stencil_sums(scheme, vals))[window - top:window + top + 1]
+    acc[top] -= 1.0
+    return float(np.max(np.abs(acc)))
 
 
 def r_function(scheme: SchemeDefinition, z: complex, j0: int, j):
@@ -300,7 +385,9 @@ def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
 @dataclass(frozen=True)
 class ReconstructionTable:
     """Batch contour reconstruction: values[i0, n, i] approximates the
-    temporal Green's function at (n, j0_values[i0], j_values[i])."""
+    temporal Green's function at (n, j0_values[i0], j_values[i]).  nodes is
+    the ring size that settled; solves counts the distinct banded solves,
+    which nested-ring reuse keeps at nodes // 2 + 1."""
 
     r0: float
     n_values: np.ndarray
@@ -309,13 +396,15 @@ class ReconstructionTable:
     values: np.ndarray
     max_imag: float
     nodes: int
+    solves: int
 
 
 def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
                           j_list, r0: float = 0.05,
                           tol: float = 1e-9) -> ReconstructionTable:
     """All reconstructions n <= n_max on a (j0, j) grid, sharing one banded
-    factorization per contour node (conjugate symmetry halves the ring)."""
+    factorization per contour node (conjugate symmetry halves the ring, and
+    each doubled ring reuses the solves of the one before)."""
     if n_max < 0:
         raise ValueError("time horizon must be >= 0")
     if r0 <= 0:
@@ -327,49 +416,62 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     J_trunc = int(max(j0s[-1] + 200, js[-1] + 50))
     r = scheme.r
     rows = js + r - 1
+    template, lo, up = _band_template(scheme, J_trunc)
+    rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
+    rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
+    solves = 0
 
-    N = 64
-    while N < 4 * (n_max + scheme.p + scheme.r):
-        N *= 2
+    def solve(zs: np.ndarray, G: np.ndarray) -> None:
+        """Guard the nodes zs, then write their solves into G."""
+        nonlocal solves
+        _guard_ring(scheme, zs)
+        solves += zs.size
+        for m, z in enumerate(zs):
+            ab = template.copy()
+            ab[up, r:] += z
+            G[m] = solve_banded((lo, up), ab, rhs)[rows, :].T
 
-    def table(N: int):
-        zs = _ring(r0, N)
+    def ring_sum(zs: np.ndarray, G: np.ndarray):
+        """Trapezoid sum over the ring zs from the solves G at its upper
+        half zs[:N/2 + 1]."""
+        N = zs.size
         half_count = N // 2
-        G = np.empty((half_count + 1, j0s.size, js.size), dtype=complex)
-        for m in range(half_count + 1):
-            z = zs[m]
-            _guard_resolvent(scheme, z, check_lopatinskii=True)
-            ab, lo, up = _half_system(scheme, z, J_trunc)
-            rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
-            rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
-            w = solve_banded((lo, up), ab, rhs)
-            G[m] = w[rows, :].T
         powers = zs[:half_count + 1, None] ** (np.arange(n_max + 1)[None, :] + 1)
         # conjugate reflection: m and N - m pair up, so the ring total is
         # 2 Re(sum of the open half) plus the self-conjugate m = 0, N/2 terms
         weights = np.full(half_count + 1, 2.0)
-        weights[0] = 1.0
-        if N % 2 == 0:
-            weights[half_count] = 1.0
+        weights[[0, half_count]] = 1.0
         wp = powers * weights[:, None]
         out = (np.einsum("mn,mij->inj", wp.real, G.real)
                - np.einsum("mn,mij->inj", wp.imag, G.imag)) / N
-        self_rows = [0] + ([half_count] if N % 2 == 0 else [])
         imag = sum(np.einsum("n,ij->inj", powers[m].imag, G[m].real)
                    + np.einsum("n,ij->inj", powers[m].real, G[m].imag)
-                   for m in self_rows) / N
+                   for m in (0, half_count)) / N
         return out, float(np.max(np.abs(imag)))
 
-    prev, _ = table(N)
+    # N stays a power of two, so every ring holds the self-conjugate nodes
+    # m = 0 and m = N/2, and node m of the N ring is node 2m of the 2N ring
+    N = 64
+    while N < 4 * (n_max + scheme.p + scheme.r):
+        N *= 2
+    zs = _ring(r0, N)
+    G = np.empty((N // 2 + 1, j0s.size, js.size), dtype=complex)
+    solve(zs[:N // 2 + 1], G)
+    prev, _ = ring_sum(zs, G)
     while N <= _CONTOUR_CAP:
         N *= 2
-        cur, max_imag = table(N)
+        zs = _ring(r0, N)
+        finer = np.empty((N // 2 + 1, j0s.size, js.size), dtype=complex)
+        finer[0::2] = G
+        G = finer
+        solve(zs[1:N // 2:2], G[1::2])
+        cur, max_imag = ring_sum(zs, G)
         if float(np.max(np.abs(cur - prev))) < tol:
             return ReconstructionTable(r0=r0,
                                        n_values=np.arange(n_max + 1),
                                        j0_values=j0s, j_values=js,
                                        values=cur, max_imag=max_imag,
-                                       nodes=N)
+                                       nodes=N, solves=solves)
         prev = cur
     raise QuadratureError(
         f"table reconstruction did not settle within {_CONTOUR_CAP} nodes")

@@ -83,6 +83,30 @@ def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
     assert os.path.exists(os.path.join(out2, "check_symbol.csv"))
 
 
+@pytest.mark.parametrize("alpha", [-0.2, -0.4, -0.6, -0.8])
+def test_check_o3_marginal_pair_is_exact(tmp_path, capsys, alpha):
+    # B(1, ..., 1) = 0 exactly, so the residue shortcut applies at every alpha
+    code, out = run(tmp_path, "check",
+                    {"scheme": {"builtin": "o3", "alpha": alpha}})
+    assert code == 0
+    assert VERDICT_O3 in capsys.readouterr().out
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["verdict"] == VERDICT_O3
+    assert rep["hypothesis_two"]["boundary_zero"] is True
+
+
+def test_check_inconsistent_scheme_exits_2(tmp_path, capsys):
+    inline = {"r": 1, "p": 1, "a": ["0.3", "0.3", "0.3"], "p_b": 1,
+              "b": [["1"]], "name": "inconsistent"}
+    code, out = run(tmp_path, "check", {"scheme": {"inline": inline}})
+    assert code == 2
+    assert capsys.readouterr().out.startswith(
+        "hypothesis failure: consistency")
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["verdict"].startswith("hypothesis failure: consistency")
+    assert rep["hypothesis_two"] is None
+
+
 def test_check_inline_scheme(tmp_path, capsys):
     inline = {"r": 1, "p": 1, "a": ["1/8", "1/4", "5/8"], "p_b": 1,
               "b": [["5"]], "name": "inline-lfr"}
@@ -160,6 +184,7 @@ def test_oracle_artifacts(tmp_path):
     rep = json.load(open(os.path.join(out, "report.json")))
     for block in rep["per_r0"].values():
         assert block["max_err_vs_timestep"] < 1e-8
+        assert block["solves"] == block["nodes"] // 2 + 1
     assert rep["r0_spread"] < 1e-8
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from halflab import resolvent
 from halflab.evolution import temporal_green, temporal_green_whole
 from halflab.resolvent import (
     NearSpectrumError,
@@ -15,7 +16,8 @@ from halflab.resolvent import (
     spatial_green_half,
     spatial_green_whole,
 )
-from halflab.scheme import builtin_lfr
+from halflab.scheme import SchemeDefinition, builtin_lfr, builtin_o3
+from halflab.spectral import characteristic_roots
 
 KS2 = (14.0 - math.sqrt(176.0)) / 10.0  # stable root of the b = 5 scheme at z = 2
 KU2 = (14.0 + math.sqrt(176.0)) / 10.0
@@ -187,3 +189,147 @@ def test_table_matches_time_stepping(o3):
 def test_table_validation(lfr):
     with pytest.raises(ValueError):
         inverse_laplace_table(lfr, -1, [1], [1])
+
+
+def test_table_solves_each_nested_node_once(lfr):
+    table = inverse_laplace_table(lfr, 6, [2], [1])
+    assert table.solves == table.nodes // 2 + 1
+    # node k of the N ring is node 2k of the 2N ring, bitwise
+    for N in (64, 512, 4096):
+        assert resolvent._ring(0.05, 2 * N)[::2].tobytes() == \
+            resolvent._ring(0.05, N).tobytes()
+
+
+WIDE = SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
+                        p_b=2, b=np.array([[2.0, -1.0], [3.0, -2.0]]))
+
+
+def _half_system_entrywise(scheme, z, J_trunc):
+    """Reference assembly, one entry at a time."""
+    r, p = scheme.r, scheme.p
+    M = J_trunc + r
+    lo, up = r, p + r - 1
+    ab = np.zeros((lo + up + 1, M), dtype=complex)
+
+    def put(i, j, val):
+        ab[up + i - j, j] += val
+
+    for m in range(r):
+        put(m, m, 1.0)
+        for k in range(1, scheme.p_b + 1):
+            put(m, r - 1 + k, -scheme.b[r - 1 - m, k - 1])
+    for j in range(1, J_trunc + 1):
+        m = j + r - 1
+        put(m, m, z)
+        for k in range(-r, p + 1):
+            if m + k < M:
+                put(m, m + k, -scheme.coeff(k))
+    return ab, lo, up
+
+
+@pytest.mark.parametrize("z", [2.0, -0.0 - 0.0j, 0.125 - 0.0j,
+                               1.05 * np.exp(2.5j), complex(-1.2, 1e-300)])
+def test_band_template_bitwise_equal_to_entrywise_assembly(lfr, o3, z):
+    zero_b = builtin_lfr(-0.5, 0.75, 0.0)
+    for scheme in (lfr, o3, WIDE, zero_b):
+        want, lo, up = _half_system_entrywise(scheme, np.complex128(z), 40)
+        got, lo2, up2 = resolvent._half_system(scheme, np.complex128(z), 40)
+        assert (lo2, up2) == (lo, up)
+        assert got.tobytes() == want.tobytes()
+
+
+def _interior_residual_loop(scheme, z, w, rhs_j0, J_trunc):
+    r, p = scheme.r, scheme.p
+    worst = 0.0
+    for j in range(1, int(0.8 * J_trunc) + 1):
+        acc = z * w[j + r - 1]
+        for k in range(-r, p + 1):
+            acc -= scheme.coeff(k) * w[j + k + r - 1]
+        if j == rhs_j0:
+            acc -= 1.0
+        worst = max(worst, abs(acc))
+    return worst
+
+
+def _whole_residual_loop(scheme, z, vals, window):
+    r, p = scheme.r, scheme.p
+    top = int(0.8 * window)
+    worst = 0.0
+    for j in range(-top, top + 1):
+        acc = z * vals[j + window]
+        for k in range(-r, p + 1):
+            acc -= scheme.coeff(k) * vals[j + k + window]
+        if j == 0:
+            acc -= 1.0
+        worst = max(worst, abs(acc))
+    return worst
+
+
+def test_residuals_match_loop_reference(lfr, o3):
+    rng = np.random.default_rng(3)
+    z = 1.1 * np.exp(0.7j)
+    for scheme in (lfr, o3, WIDE):
+        for J_trunc, j0 in ((205, 5), (230, 30), (400, 180)):
+            w = rng.standard_normal(J_trunc + scheme.r) \
+                + 1j * rng.standard_normal(J_trunc + scheme.r)
+            want = _interior_residual_loop(scheme, z, w, j0, J_trunc)
+            got = resolvent._interior_residual(scheme, z, w, j0, J_trunc)
+            assert abs(got - want) <= 1e-15 * want
+        for window in (10, 41, 300):
+            vals = rng.standard_normal(2 * window + 1) \
+                + 1j * rng.standard_normal(2 * window + 1)
+            want = _whole_residual_loop(scheme, z, vals, window)
+            got = resolvent._whole_residual(scheme, z, vals, window)
+            assert abs(got - want) <= 1e-15 * want
+    # on actual solutions both stay at roundoff
+    assert spatial_green_half(WIDE, z, 7).truncation_residual < 1e-12
+    assert spatial_green_whole(WIDE, z, window=30).truncation_residual < 1e-10
+
+
+def _stable_root(scheme, z):
+    return min(characteristic_roots(scheme, z), key=abs)
+
+
+def test_table_guard_lopatinskii_zero_on_first_ring():
+    # b = 1/kappa_s(e^{r0}) puts a Lopatinskii zero on node 0 of every ring
+    r0 = 0.05
+    probe = builtin_lfr(-0.5, 0.75, 5.0)
+    ks = _stable_root(probe, math.exp(r0)).real
+    bad = builtin_lfr(-0.5, 0.75, 1.0 / ks)
+    with pytest.raises(NearSpectrumError, match="Lopatinskii determinant"):
+        inverse_laplace_table(bad, 4, [1], [1], r0=r0)
+
+
+def test_table_guard_zero_on_odd_node_of_second_ring(monkeypatch):
+    # real (b1, b2) with b1 k + b2 k^2 = 1 at k = kappa_s(z*) make Delta
+    # vanish at z*, an odd node of the second (128-node) ring only
+    r0 = 0.05
+    z_star = complex(resolvent._ring(r0, 128)[21])
+    k = _stable_root(builtin_o3(-0.5, 0.0, 0.0), z_star)
+    b1, b2 = np.linalg.solve([[k.real, (k * k).real], [k.imag, (k * k).imag]],
+                             [1.0, 0.0])
+    bad = builtin_o3(-0.5, b1, b2)
+    with pytest.raises(NearSpectrumError):
+        spatial_green_half(bad, z_star, 5)
+
+    batches = []
+    guard = resolvent._guard_ring
+
+    def recording(scheme, zs):
+        batches.append(zs.copy())
+        guard(scheme, zs)
+
+    monkeypatch.setattr(resolvent, "_guard_ring", recording)
+    with pytest.raises(NearSpectrumError, match="Lopatinskii determinant") \
+            as info:
+        inverse_laplace_table(bad, 4, [1], [1], r0=r0)
+    assert repr(z_star) in str(info.value)
+    assert [b.size for b in batches] == [33, 32]
+    assert z_star in batches[1] and z_star not in batches[0]
+
+
+def test_table_guard_curve_distance_fallback(lfr):
+    # the ring e^{1e-9} S^1 passes within 1e-9 of F(1) = 1, so the ring
+    # check cannot accept it and the pointwise guard refuses node 0
+    with pytest.raises(NearSpectrumError, match="of the symbol curve"):
+        inverse_laplace_table(lfr, 4, [1], [1], r0=1e-9)
