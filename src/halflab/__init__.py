@@ -43,6 +43,7 @@ from .spectral import (
     spectral_split,
     stable_basis,
     lopatinskii,
+    lopatinskii_values,
     lopatinskii_derivative_at_one,
     projector_set,
     residue_condition,
@@ -79,8 +80,8 @@ __all__ = [
     "growth_experiment",
     "SpectralSplit", "StableBasis", "ProjectorSet", "LopatinskiiValue",
     "characteristic_roots", "spectral_split", "stable_basis", "lopatinskii",
-    "lopatinskii_derivative_at_one", "projector_set", "residue_condition",
-    "check_hypothesis_two",
+    "lopatinskii_values", "lopatinskii_derivative_at_one", "projector_set",
+    "residue_condition", "check_hypothesis_two",
     "GaussianParams", "gaussian_h", "gaussian_e", "appendix_f",
     "BoundaryLayerProfile", "ErrField", "rc_analytic", "rc_empirical",
     "ru_analytic", "err_field", "err_bound_fit", "whole_line_asymptotic_check",

@@ -264,14 +264,18 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
     ns = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     if ns.size == 0 or ns[0] < 1:
         raise ValueError("n grid must be nonempty and positive")
-    j0s = (np.arange(50, 1001, 50) if j0_list is None
-           else np.asarray(sorted(int(v) for v in j0_list), dtype=int))
+    rep = check_hypothesis_one(scheme)
+    if j0_list is None:
+        # the sup over j0 sits at the activation front n|alpha|; a grid
+        # without those cells makes the comparison across n vacuous
+        j0_list = set(range(50, 1001, 50)) | {
+            math.ceil(n * abs(rep.alpha)) for n in ns}
+    j0s = np.asarray(sorted(int(v) for v in j0_list), dtype=int)
     js = np.asarray(sorted(int(v) for v in j_list), dtype=int)
     if j0s.size == 0 or js.size == 0:
         raise ValueError("j0 and j grids must be nonempty")
     c0s = (np.geomspace(1e-3, 2.0, 40) if c0_list is None
            else np.asarray(c0_list, dtype=float))
-    rep = check_hypothesis_one(scheme)
     mu = rep.mu
     expo = 2.0 * mu / (2.0 * mu - 1.0)
     _, _, _, delta1 = _delta_at_one(scheme)

@@ -23,10 +23,12 @@ system once and only writes z onto its diagonal per node, so each node costs
 one banded solve.  The trapezoid nodes nest when the node count doubles
 (node k of N is node 2k of 2N, bitwise), so a refined ring reuses every
 solve of the previous one and solves only its new odd nodes.  Each batch of
-new nodes is guarded at once: when the whole ring clears the sampled symbol
-curve's disk, winding zero is certain and one batched root solve checks the
-r/0/p split, the stable-root gap and the Lopatinskii determinant; otherwise
-every node goes through the pointwise guard.
+new nodes is guarded at once by the batched Lopatinskii evaluator of
+`spectral`: one root solve for the batch checks the r/0/p split, the
+stable-root gap and Delta at every node, and only the nodes that do not
+clear the sampled symbol curve's disk need its winding computation.  The
+band template and the ring nodes are checked to be finite once, so the
+banded solves skip scipy's per-call input check.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from scipy.linalg import solve_banded
 
-from .scheme import SchemeDefinition, boundary_matrix
-from .spectral import (MultiplicityError, RootSolveError, _symbol_curve,
+from .scheme import SchemeDefinition
+from .spectral import (MultiplicityError, _evaluate, _symbol_curve,
                        lopatinskii)
 
 __all__ = [
@@ -107,76 +108,28 @@ def _guard_resolvent(scheme: SchemeDefinition, z: complex,
 
 
 def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray) -> None:
-    """_guard_resolvent(check_lopatinskii=True) for a batch of nodes at once.
-
-    When min|z| - max|F| over the sampled curve is at least 1e-6, every node
-    is that far from the curve and the curve (inside the disk of radius
-    max|F|) has winding number 0 around it, so the region is "outside" and
-    only the root split, the stable-root gap and Delta remain to check; the
-    roots come from the stacked companion matrices, Newton-polished and held
-    to the residual test of the pointwise root solver.  Otherwise each node
-    takes the pointwise guard, as does a batch holding z = 1, where that
-    guard expects the central root kappa = 1 instead of the r/0/p split.
-    """
-    curve = _symbol_curve(scheme)
-    if float(np.min(np.abs(zs))) - float(np.max(np.abs(curve))) < 1e-6 \
-            or float(np.min(np.abs(zs - 1.0))) <= 1e-12:
-        for z in zs:
-            _guard_resolvent(scheme, complex(z), check_lopatinskii=True)
+    """_guard_resolvent(check_lopatinskii=True) at every node of zs from one
+    batched Lopatinskii evaluation; raises what the pointwise guard raises at
+    the first node that fails it."""
+    nodes = _evaluate(scheme, zs)
+    bad = (nodes.dist < 1e-6) | (np.abs(nodes.delta) <= 1e-8)
+    bad[list(nodes.errors)] = True
+    if not bad.any():
         return
-    r, p = scheme.r, scheme.p
-    d = p + r
-    coeffs = np.tile(-scheme.a.astype(complex), (zs.size, 1))
-    coeffs[:, r] += zs
-    comp = np.zeros((zs.size, d, d), dtype=complex)
-    comp[:, 0, :] = -coeffs[:, d - 1::-1] / coeffs[:, d:]
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    x = np.linalg.eigvals(comp)
-    # polyval over coefficient rows: (degree, node, 1) against (node, root)
-    c = coeffs.T[:, :, None]
-    dc = npoly.polyder(c)
-    for _ in range(3):
-        Pp = npoly.polyval(x, dc, tensor=False)
-        good = Pp != 0
-        x = np.where(good, x - npoly.polyval(x, c, tensor=False)
-                     / np.where(good, Pp, 1.0), x)
-    scale = npoly.polyval(np.abs(x), np.abs(c), tensor=False)
-    res = np.abs(npoly.polyval(x, c, tensor=False))
-    bad = np.any(res > 1e-13 * np.maximum(scale, 1e-300), axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise RootSolveError(
-            f"root residuals {res[i]!r} exceed 1e-13 of coefficient scale "
-            f"{scale[i]!r} after Newton polish at z = {complex(zs[i])!r}")
-
-    mods = np.abs(x)
-    n_stable = np.sum(mods < 1.0 - 1e-8, axis=1)
-    n_unstable = np.sum(mods > 1.0 + 1e-8, axis=1)
-    bad = (n_stable != r) | (n_unstable != p)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    i = int(np.argmax(bad))
+    z = complex(zs[i])
+    if nodes.dist[i] < 1e-6:
         raise NearSpectrumError(
-            f"z = {complex(zs[i])!r} splits the characteristic roots "
-            f"{n_stable[i]} stable / {d - n_stable[i] - n_unstable[i]} "
-            f"central / {n_unstable[i]} unstable (expected {r}/0/{p})")
-    ks = np.take_along_axis(x, np.argsort(mods, axis=1)[:, :r], axis=1)
-    if r >= 2:
-        dist = np.abs(ks[:, :, None] - ks[:, None, :])
-        dist[:, np.arange(r), np.arange(r)] = np.inf
-        gap = dist.min(axis=(1, 2))
-        if np.any(gap <= 1e-8):
-            i = int(np.argmin(gap))
-            raise NearSpectrumError(
-                f"stable roots nearly collide at z = {complex(zs[i])!r}: "
-                f"gap {gap[i]:.3e}")
-    V = ks[:, None, :] ** np.arange(d - 1, -1, -1)[None, :, None]
-    delta = np.abs(np.linalg.det(boundary_matrix(scheme) @ V))
-    if np.any(delta <= 1e-8):
-        i = int(np.argmin(delta))
+            f"z = {z!r} lies within {nodes.dist[i]:.2e} of the symbol curve")
+    exc = nodes.errors.get(i)
+    if isinstance(exc, MultiplicityError):
         raise NearSpectrumError(
-            f"Lopatinskii determinant is {delta[i]:.2e} at "
-            f"z = {complex(zs[i])!r}; z is an eigenvalue of the half-line "
-            "operator")
+            f"z = {z!r} is encircled by the symbol curve") from exc
+    if exc is not None:
+        raise exc
+    raise NearSpectrumError(
+        f"Lopatinskii determinant is {abs(nodes.delta[i]):.2e} at z = {z!r}; "
+        "z is an eigenvalue of the half-line operator")
 
 
 def _band_template(scheme: SchemeDefinition, J_trunc: int):
@@ -201,6 +154,15 @@ def _band_template(scheme: SchemeDefinition, J_trunc: int):
         keep = rows + k < M
         ab[up - k, rows[keep] + k] += -scheme.coeff(k)
     return ab, lo, up
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """The input check solve_banded skips with check_finite=False, made once
+    per band or ring: a non-finite coefficient or node would otherwise come
+    back as a NaN solution instead of an error."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("resolvent system has a non-finite coefficient or "
+                         "contour node")
 
 
 def _half_system(scheme: SchemeDefinition, z: complex, J_trunc: int):
@@ -246,10 +208,11 @@ def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
     r, p = scheme.r, scheme.p
     for _ in range(4):
         ab, lo, up = _half_system(scheme, z, J_trunc)
+        _require_finite(ab)
         rhs = np.zeros(J_trunc + r, dtype=complex)
         rhs[j0 + r - 1] = 1.0
         try:
-            w = solve_banded((lo, up), ab, rhs)
+            w = solve_banded((lo, up), ab, rhs, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NearSpectrumError(
                 f"singular resolvent system at z = {z!r}") from exc
@@ -417,6 +380,7 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     r = scheme.r
     rows = js + r - 1
     template, lo, up = _band_template(scheme, J_trunc)
+    _require_finite(template)
     rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
     rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
     solves = 0
@@ -424,12 +388,14 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     def solve(zs: np.ndarray, G: np.ndarray) -> None:
         """Guard the nodes zs, then write their solves into G."""
         nonlocal solves
+        _require_finite(zs)
         _guard_ring(scheme, zs)
         solves += zs.size
         for m, z in enumerate(zs):
             ab = template.copy()
             ab[up, r:] += z
-            G[m] = solve_banded((lo, up), ab, rhs)[rows, :].T
+            G[m] = solve_banded((lo, up), ab, rhs,
+                                check_finite=False)[rows, :].T
 
     def ring_sum(zs: np.ndarray, G: np.ndarray):
         """Trapezoid sum over the ring zs from the solves G at its upper

@@ -17,16 +17,28 @@ The Lopatinskii determinant Delta(z) = det(B e_1(z), ..., B e_r(z)) pairs the
 boundary matrix B with the stable eigenvectors; its zeros in the resolvent
 region signal instability, a simple zero at z = 1 signals the marginal
 boundary-layer regime.
+
+One evaluator serves a single node and a batch of nodes alike (the annulus
+sweep of check_hypothesis_two, the CLI's real-axis profile, the contour
+guard of `resolvent`).  The roots of all nodes come from one Aberth
+iteration over a (nodes, p+r) array in which every node iterates, stops
+and is polished exactly as it would alone, so a batch gives bitwise the
+one-node results.  The region of a node follows from |z| - max|F| >= 1e-6
+(the node clears the disk that holds the sampled symbol curve) or else
+from the winding number over the curve samples, computed a few nodes at a
+time to bound the temporaries.  Delta is det(B V) on the stacked
+Vandermonde matrices.  A failing node raises the typed error of the
+pointwise functions, for the first failing node of the batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.optimize import linear_sum_assignment
 
 from .scheme import SchemeDefinition, boundary_matrix, symbol_eval
 
@@ -34,7 +46,7 @@ __all__ = [
     "RootSolveError", "MultiplicityError", "EigenConditioningError",
     "SpectralSplit", "StableBasis", "ProjectorSet", "LopatinskiiValue",
     "StabilityReport", "companion_matrix", "characteristic_roots",
-    "spectral_split", "stable_basis", "lopatinskii",
+    "spectral_split", "stable_basis", "lopatinskii", "lopatinskii_values",
     "lopatinskii_derivative_at_one", "projector_set", "residue_condition",
     "check_hypothesis_two",
 ]
@@ -52,10 +64,11 @@ class EigenConditioningError(RuntimeError):
     """Eigenvector basis too ill-conditioned for reliable projectors."""
 
 
-def _char_coeffs(scheme: SchemeDefinition, z: complex) -> np.ndarray:
-    """Ascending coefficients of P(kappa; z) = z kappa^r - kappa^r F(kappa)."""
-    c = -scheme.a.astype(complex)
-    c[scheme.r] += z
+def _char_coeffs(scheme: SchemeDefinition, zs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of P(kappa; z) = z kappa^r - kappa^r F(kappa),
+    one row per node of zs."""
+    c = np.tile(-scheme.a.astype(complex), (zs.size, 1))
+    c[:, scheme.r] += zs
     return c
 
 
@@ -77,64 +90,106 @@ def companion_matrix(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     return M
 
 
-def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
-            max_iter: int = 200) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration, ascending coefficients."""
-    c = np.asarray(coeffs, dtype=complex)
-    d = c.size - 1
-    dc = npoly.polyder(c)
-    radius = abs(c[0] / c[-1]) ** (1.0 / d)
+def _aberth(c: np.ndarray, tol: float = 1e-14, max_iter: int = 200):
+    """Aberth-Ehrlich simultaneous iteration on every row of c (ascending
+    coefficients), then three Newton polish steps and a residual test.
+
+    The rows share their end coefficients (only the z term, strictly inside,
+    differs), hence one starting circle.  Each row runs the iteration of a
+    lone polynomial: it stops when its own step meets the tolerance, and
+    when P' vanishes at one of its estimates that estimate is nudged and the
+    row skips the update.  Every operation is elementwise, so a row's roots
+    do not depend on the other rows.  Returns the roots and
+    {row: RootSolveError} for the rows that did not converge or fail the
+    residual test.
+    """
+    n, d = c.shape[0], c.shape[1] - 1
+    cs = c.T[:, :, None]              # polyval layout: (degree, row, 1)
+    dcs = npoly.polyder(cs)
+    # scalar arithmetic, as for a single polynomial: the array abs and power
+    # loops can differ from it in the last bit
+    radius = abs(c[0, 0] / c[0, -1]) ** (1.0 / d) if n else 1.0
     angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.4 / d
-    x = radius * np.exp(1j * angles)
-    steps = []
+    x = np.tile(radius * np.exp(1j * angles), (n, 1))
+    last = np.zeros((8, n))           # the last eight step sizes of each row
+    steps = np.zeros(n, dtype=int)
+    live = np.ones(n, dtype=bool)
+    off = np.arange(d)
     for _ in range(max_iter):
-        P = npoly.polyval(x, c)
-        Pp = npoly.polyval(x, dc)
-        bad = Pp == 0
-        if np.any(bad):
-            x[bad] *= 1.0 + 1e-8
-            continue
-        newton = P / Pp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=1)
-        w = newton / denom
-        x = x - w
-        step = float(np.max(np.abs(w)))
-        steps.append(step)
-        if step < tol * max(1.0, float(np.max(np.abs(x)))):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-    else:
-        raise RootSolveError(
-            "simultaneous root iteration did not converge; last step sizes "
-            f"{steps[-8:]!r}")
+        xr = x[rows]
+        P = npoly.polyval(xr, cs[:, rows], tensor=False)
+        Pp = npoly.polyval(xr, dcs[:, rows], tensor=False)
+        flat = Pp == 0
+        if flat.any():
+            nudge = flat.any(axis=1)
+            xn = xr[nudge]
+            xn[flat[nudge]] *= 1.0 + 1e-8
+            x[rows[nudge]] = xn
+            rows, xr, P, Pp = (rows[~nudge], xr[~nudge], P[~nudge],
+                               Pp[~nudge])
+        newton = P / Pp
+        diff = xr[:, :, None] - xr[:, None, :]
+        diff[:, off, off] = 1.0
+        inv = 1.0 / diff
+        inv[:, off, off] = 0.0
+        w = newton / (1.0 - newton * inv.sum(axis=2))
+        xr = xr - w
+        x[rows] = xr
+        step = np.abs(w).max(axis=1)
+        last[steps[rows] % 8, rows] = step
+        steps[rows] += 1
+        # not "step >= ...": a NaN step keeps the row iterating, as it
+        # would a lone polynomial, until the iteration limit reports it
+        live[rows] = ~(step < tol * np.maximum(1.0, np.abs(xr).max(axis=1)))
+
+    def trace(i):
+        return [float(last[k % 8, i])
+                for k in range(max(0, steps[i] - 8), steps[i])]
+
+    errors = {int(i): RootSolveError(
+        "simultaneous root iteration did not converge; last step sizes "
+        f"{trace(i)!r}") for i in np.flatnonzero(live)}
+    rows = np.flatnonzero(~live)
+    xr, cr, dcr = x[rows], cs[:, rows], dcs[:, rows]
     for _ in range(3):
-        Pp = npoly.polyval(x, dc)
+        Pp = npoly.polyval(xr, dcr, tensor=False)
         good = Pp != 0
-        x[good] = x[good] - npoly.polyval(x[good], c) / Pp[good]
-    scale = npoly.polyval(np.abs(x), np.abs(c))
-    res = np.abs(npoly.polyval(x, c))
-    if np.any(res > 1e-13 * np.maximum(scale, 1e-300)):
-        raise RootSolveError(
-            f"root residuals {res!r} exceed 1e-13 of coefficient scale "
-            f"{scale!r} after Newton polish; step trace {steps[-8:]!r}")
-    return x
+        xr = np.where(good, xr - npoly.polyval(xr, cr, tensor=False)
+                      / np.where(good, Pp, 1.0), xr)
+    x[rows] = xr
+    scale = npoly.polyval(np.abs(xr), np.abs(cr), tensor=False)
+    res = np.abs(npoly.polyval(xr, cr, tensor=False))
+    bad = np.any(res > 1e-13 * np.maximum(scale, 1e-300), axis=1)
+    for k in np.flatnonzero(bad):
+        i = int(rows[k])
+        errors[i] = RootSolveError(
+            f"root residuals {res[k]!r} exceed 1e-13 of coefficient scale "
+            f"{scale[k]!r} after Newton polish; step trace {trace(i)!r}")
+    return x, errors
 
 
-def _sort_roots(roots: np.ndarray) -> np.ndarray:
-    order = np.lexsort((np.angle(roots), np.abs(roots)))
-    return roots[order]
+def _sort_rows(roots: np.ndarray) -> np.ndarray:
+    """Each row sorted by (|kappa|, arg kappa)."""
+    order = np.lexsort((np.angle(roots), np.abs(roots)), axis=1)
+    return np.take_along_axis(roots, order, axis=1)
 
 
 def characteristic_roots(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     """All p+r roots of P(kappa; z), sorted by (|kappa|, arg kappa)."""
-    return _sort_roots(_aberth(_char_coeffs(scheme, z)))
+    roots, errors = _aberth(_char_coeffs(scheme, np.array([complex(z)])))
+    if errors:
+        raise errors[0]
+    return _sort_rows(roots)[0]
 
 
 _CURVE_SAMPLES = 8192
 _curve_cache: dict = {}
+# nodes per block of the winding computation: 8 x 8192 complex samples keep
+# its temporaries near 4.5 MB
+_WINDING_BLOCK = 8
 
 
 def _symbol_curve(scheme: SchemeDefinition) -> np.ndarray:
@@ -147,15 +202,134 @@ def _symbol_curve(scheme: SchemeDefinition) -> np.ndarray:
     return got
 
 
-def _winding(scheme: SchemeDefinition, z: complex):
+def _windings(scheme: SchemeDefinition, zs: np.ndarray):
+    """Winding number of the sampled symbol curve around each node of zs and
+    the node's distance to the samples, _WINDING_BLOCK nodes at a time."""
     curve = _symbol_curve(scheme)
-    rel = curve - z
-    dist = float(np.min(np.abs(rel)))
-    ang = np.unwrap(np.angle(rel))
-    closing = np.angle(rel[0]) - ang[-1]
-    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    wind = int(round((ang[-1] - ang[0] + closing) / (2.0 * np.pi)))
+    wind = np.empty(zs.size, dtype=int)
+    dist = np.empty(zs.size)
+    for s in range(0, zs.size, _WINDING_BLOCK):
+        rel = curve[None, :] - zs[s:s + _WINDING_BLOCK, None]
+        dist[s:s + _WINDING_BLOCK] = np.min(np.abs(rel), axis=1)
+        ang = np.unwrap(np.angle(rel), axis=1)
+        closing = np.angle(rel[:, 0]) - ang[:, -1]
+        closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
+        wind[s:s + _WINDING_BLOCK] = np.round(
+            (ang[:, -1] - ang[:, 0] + closing) / (2.0 * np.pi))
     return wind, dist
+
+
+def _vandermonde(kappas, dim: int) -> np.ndarray:
+    """Columns kappa^(dim-1), ..., kappa, 1 for the kappas on the last axis
+    (leading axes stack matrices)."""
+    ks = np.asarray(kappas, dtype=complex)
+    powers = np.arange(dim - 1, -1, -1)
+    return ks[..., None, :] ** powers[:, None]
+
+
+def _delta(scheme: SchemeDefinition, kappas) -> np.ndarray:
+    """det(B V) for the stable roots on the last axis of kappas."""
+    V = _vandermonde(kappas, scheme.p + scheme.r)
+    return np.linalg.det(boundary_matrix(scheme) @ V)
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """Roots, split, region and Lopatinskii determinant at a batch of nodes.
+
+    split_errors maps a node to the error spectral_split raises there;
+    errors adds the ones stable_basis and lopatinskii raise.  Only nodes
+    missing from errors carry kappas (the r stable roots) and delta.  dist
+    is the distance to the sampled symbol curve, or, for a node outside the
+    disk |w| <= max|F| holding the curve, its distance to that disk (at
+    least 1e-6).
+    """
+
+    roots: np.ndarray
+    stable: np.ndarray
+    central: np.ndarray
+    unstable: np.ndarray
+    region: np.ndarray
+    winding: np.ndarray
+    dist: np.ndarray
+    kappas: np.ndarray
+    delta: np.ndarray
+    split_errors: dict
+    errors: dict
+
+
+def _raise_first(errors: dict) -> None:
+    if errors:
+        raise errors[min(errors)]
+
+
+def _evaluate(scheme: SchemeDefinition, zs, unit_tol: float = 1e-8) -> _Nodes:
+    """Every pointwise check of spectral_split, stable_basis and lopatinskii
+    at each node of zs, from one batched root solve.
+
+    A node farther than 1e-6 beyond the disk |w| <= max|F| is at least that
+    far from the sampled curve, which the disk holds, and has winding number
+    0 around it, so it lies outside; the other nodes, and z = 1, get the
+    winding computation.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    n, r, p = zs.size, scheme.r, scheme.p
+    raw, errors = _aberth(_char_coeffs(scheme, zs))
+    roots = _sort_rows(raw)
+    mods = np.abs(roots)
+    stable = mods < 1.0 - unit_tol
+    central = np.abs(mods - 1.0) <= unit_tol
+    unstable = mods > 1.0 + unit_tol
+    n_s, n_c, n_u = (m.sum(axis=1) for m in (stable, central, unstable))
+
+    at_one = np.abs(zs - 1.0) <= 1e-12
+    dist = np.abs(zs) - float(np.max(np.abs(_symbol_curve(scheme))))
+    winding = np.zeros(n, dtype=int)
+    slow = np.flatnonzero((dist < 1e-6) | at_one)
+    winding[slow], dist[slow] = _windings(scheme, zs[slow])
+    region = np.where(at_one, "at_one", np.where(
+        dist < 1e-7, "on_curve", np.where(winding == 0, "outside", "inside")))
+
+    def fail(i, exc):
+        errors.setdefault(int(i), exc)
+
+    for i in np.flatnonzero((region == "outside")
+                            & ((n_s != r) | (n_u != p) | (n_c != 0))):
+        fail(i, MultiplicityError(
+            f"z={complex(zs[i])!r} lies outside the symbol curve but the "
+            f"split is {n_s[i]} stable / {n_c[i]} central / {n_u[i]} "
+            f"unstable (expected {r}/0/{p})"))
+    for i in np.flatnonzero(at_one):
+        cen = tuple(roots[i][central[i]])
+        if n_s[i] != r or len(cen) != 1 or abs(cen[0] - 1.0) > 1e-6:
+            fail(i, MultiplicityError(
+                f"at z=1 expected {r} stable roots plus the central root "
+                f"kappa=1, got {n_s[i]} stable, central {cen!r}"))
+    split_errors = dict(errors)
+    for i in np.flatnonzero((region != "outside") & ~at_one):
+        fail(i, MultiplicityError(
+            f"stable basis requested at z={complex(zs[i])!r} in region "
+            f"{str(region[i])!r}; the stable root count is only pinned "
+            "outside the symbol curve"))
+    ok = np.ones(n, dtype=bool)
+    ok[list(errors)] = False
+    kappas = np.full((n, r), np.nan, dtype=complex)
+    kappas[ok] = roots[ok][stable[ok]].reshape(-1, r)
+    if r >= 2:
+        gaps = np.abs(kappas[:, :, None] - kappas[:, None, :])
+        gaps[:, np.arange(r), np.arange(r)] = np.inf
+        gap = gaps.min(axis=(1, 2))
+        for i in np.flatnonzero(ok & (gap <= 1e-8)):
+            fail(i, MultiplicityError(
+                f"stable roots nearly collide at z={complex(zs[i])!r}: "
+                f"gap {gap[i]:.3e}"))
+            ok[i] = False
+    delta = np.full(n, np.nan, dtype=complex)
+    delta[ok] = _delta(scheme, kappas[ok])
+    return _Nodes(roots=roots, stable=stable, central=central,
+                  unstable=unstable, region=region, winding=winding,
+                  dist=dist, kappas=kappas, delta=delta,
+                  split_errors=split_errors, errors=errors)
 
 
 @dataclass(frozen=True)
@@ -182,42 +356,15 @@ def spectral_split(scheme: SchemeDefinition, z: complex,
     and p-1 unstable.
     """
     z = complex(z)
-    roots = characteristic_roots(scheme, z)
-    mods = np.abs(roots)
-    stable = tuple(roots[mods < 1.0 - unit_tol])
-    central = tuple(roots[np.abs(mods - 1.0) <= unit_tol])
-    unstable = tuple(roots[mods > 1.0 + unit_tol])
-    wind, dist = _winding(scheme, z)
-    if abs(z - 1.0) <= 1e-12:
-        region = "at_one"
-    elif dist < 1e-7:
-        region = "on_curve"
-    elif wind == 0:
-        region = "outside"
-    else:
-        region = "inside"
-    r, p = scheme.r, scheme.p
-    if region == "outside":
-        if len(stable) != r or len(unstable) != p or central:
-            raise MultiplicityError(
-                f"z={z!r} lies outside the symbol curve but the split is "
-                f"{len(stable)} stable / {len(central)} central / "
-                f"{len(unstable)} unstable (expected {r}/0/{p})")
-    elif region == "at_one":
-        if len(stable) != r or len(central) != 1 or \
-                abs(central[0] - 1.0) > 1e-6:
-            raise MultiplicityError(
-                f"at z=1 expected {r} stable roots plus the central root "
-                f"kappa=1, got {len(stable)} stable, central {central!r}")
-    return SpectralSplit(z=z, roots=tuple(roots), stable=stable,
-                         central=central, unstable=unstable, region=region,
-                         winding=wind)
-
-
-def _vandermonde(kappas, dim: int) -> np.ndarray:
-    ks = np.asarray(kappas, dtype=complex)
-    powers = np.arange(dim - 1, -1, -1)
-    return ks[None, :] ** powers[:, None]
+    nodes = _evaluate(scheme, [z], unit_tol)
+    _raise_first(nodes.split_errors)
+    roots = nodes.roots[0]
+    return SpectralSplit(z=z, roots=tuple(roots),
+                         stable=tuple(roots[nodes.stable[0]]),
+                         central=tuple(roots[nodes.central[0]]),
+                         unstable=tuple(roots[nodes.unstable[0]]),
+                         region=str(nodes.region[0]),
+                         winding=int(nodes.winding[0]))
 
 
 @dataclass(frozen=True)
@@ -232,18 +379,9 @@ class StableBasis:
 
 def stable_basis(scheme: SchemeDefinition, z: complex,
                  unit_tol: float = 1e-8) -> StableBasis:
-    split = spectral_split(scheme, z, unit_tol)
-    if split.region not in ("outside", "at_one"):
-        raise MultiplicityError(
-            f"stable basis requested at z={z!r} in region {split.region!r}; "
-            "the stable root count is only pinned outside the symbol curve")
-    ks = np.asarray(split.stable)
-    if ks.size >= 2:
-        gap = min(abs(ks[i] - ks[j])
-                  for i in range(ks.size) for j in range(i + 1, ks.size))
-        if gap <= 1e-8:
-            raise MultiplicityError(
-                f"stable roots nearly collide at z={z!r}: gap {gap:.3e}")
+    nodes = _evaluate(scheme, [complex(z)], unit_tol)
+    _raise_first(nodes.errors)
+    ks = nodes.kappas[0]
     return StableBasis(z=complex(z), kappas=tuple(ks),
                        vectors=_vandermonde(ks, scheme.p + scheme.r))
 
@@ -258,26 +396,37 @@ class LopatinskiiValue:
     kappas: tuple
 
 
-def _lopatinskii_from_roots(scheme: SchemeDefinition, kappas) -> complex:
-    B = boundary_matrix(scheme)
-    V = _vandermonde(kappas, scheme.p + scheme.r)
-    return complex(np.linalg.det(B @ V))
-
-
 def lopatinskii(scheme: SchemeDefinition, z: complex) -> LopatinskiiValue:
-    basis = stable_basis(scheme, z)
-    B = boundary_matrix(scheme)
-    val = complex(np.linalg.det(B @ basis.vectors))
-    return LopatinskiiValue(z=complex(z), value=val, kappas=basis.kappas)
+    """Delta at one node: the one-node case of lopatinskii_values."""
+    nodes = _evaluate(scheme, [complex(z)])
+    _raise_first(nodes.errors)
+    return LopatinskiiValue(z=complex(z), value=complex(nodes.delta[0]),
+                            kappas=tuple(nodes.kappas[0]))
+
+
+def lopatinskii_values(scheme: SchemeDefinition, zs) -> np.ndarray:
+    """Delta at every node of zs from one batched evaluation, bitwise equal
+    to lopatinskii(scheme, z).value at each node.  Raises the error
+    lopatinskii raises at the first node of zs where it fails."""
+    nodes = _evaluate(scheme, zs)
+    _raise_first(nodes.errors)
+    return nodes.delta
+
+
+def _nearest_match(cost: np.ndarray) -> tuple:
+    """The permutation perm minimizing sum_i cost[i, perm[i]], by search over
+    all of them (cost is (p+r) x (p+r))."""
+    rows = np.arange(cost.shape[0])
+    return min(itertools.permutations(rows),
+               key=lambda perm: cost[rows, perm].sum())
 
 
 def _track_roots(scheme: SchemeDefinition, z: complex,
                  refs: np.ndarray, gap: float) -> np.ndarray:
     """Match the roots at z to reference roots by nearest assignment."""
     roots = characteristic_roots(scheme, z)
-    cost = np.abs(refs[:, None] - roots[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    matched = roots[cols[np.argsort(rows)]]
+    matched = roots[list(_nearest_match(
+        np.abs(refs[:, None] - roots[None, :])))]
     worst = float(np.max(np.abs(matched - refs)))
     if worst > gap / 3.0:
         raise RootSolveError(
@@ -310,7 +459,7 @@ def lopatinskii_derivative_at_one(scheme: SchemeDefinition,
 
     def tracked_delta(z: complex) -> complex:
         matched = _track_roots(scheme, z, all_refs, gap)
-        return _lopatinskii_from_roots(scheme, matched[stable_idx])
+        return complex(_delta(scheme, matched[stable_idx]))
 
     h = h0
     prev = None
@@ -493,25 +642,25 @@ def check_hypothesis_two(scheme: SchemeDefinition, annulus_samples: int = 64,
     """
     if annulus_samples < 8:
         raise ValueError("need at least 8 samples per radius")
+    # nodes built in Python arithmetic, one per (radius, angle), so each
+    # witness is bitwise the point a pointwise sweep would name
+    zs = [rho * complex(math.cos(th), math.sin(th))
+          for rho in radii
+          for th in np.linspace(0.0, 2.0 * np.pi, annulus_samples,
+                                endpoint=False)
+          if not (abs(rho - 1.0) < 1e-12
+                  and abs(math.remainder(th, 2.0 * math.pi)) < exclusion)]
     min_mod = math.inf
     witness = None
-    for rho in radii:
-        thetas = np.linspace(0.0, 2.0 * np.pi, annulus_samples, endpoint=False)
-        for th in thetas:
-            signed = math.remainder(th, 2.0 * math.pi)
-            if abs(rho - 1.0) < 1e-12 and abs(signed) < exclusion:
-                continue
-            zval = rho * complex(math.cos(th), math.sin(th))
-            val = abs(lopatinskii(scheme, zval).value)
-            if val < min_mod:
-                min_mod = val
-                if val < zero_tol:
-                    witness = zval
+    for zval, delta in zip(zs, lopatinskii_values(scheme, zs)):
+        val = abs(complex(delta))
+        if val < min_mod:
+            min_mod = val
+            if val < zero_tol:
+                witness = zval
     satisfied = witness is None
 
-    one = stable_basis(scheme, 1.0)
-    B = boundary_matrix(scheme)
-    delta1 = complex(np.linalg.det(B @ one.vectors))
+    delta1 = lopatinskii(scheme, 1.0).value
     boundary_zero = abs(delta1) < 1e-8
     residue_ok = residue_condition(scheme) if boundary_zero else None
 

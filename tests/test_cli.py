@@ -154,6 +154,16 @@ def test_err_map_artifacts(tmp_path):
     assert "best_c0" in rep and "bound_holds" in rep
 
 
+def test_err_map_o3_default_grid_bound_holds(tmp_path):
+    # the default j0 grid carries the activation fronts n|alpha| (125 at
+    # n = 250 is off the step-50 grid), where the sup over j0 sits
+    code, out = run(tmp_path, "err-map", {"scheme": {"builtin": "o3"}})
+    assert code == 0
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["bound_holds"] is True
+    assert rep["best_c0"] > 0.0
+
+
 def test_growth_artifacts_and_slope(tmp_path):
     doc = {"scheme": {"builtin": "lfr"}, "q_list": ["inf"], "J_list": [40],
            "n_max": 160, "fit_lo": 40, "fit_hi": 160}

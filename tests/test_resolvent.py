@@ -329,7 +329,23 @@ def test_table_guard_zero_on_odd_node_of_second_ring(monkeypatch):
 
 
 def test_table_guard_curve_distance_fallback(lfr):
-    # the ring e^{1e-9} S^1 passes within 1e-9 of F(1) = 1, so the ring
-    # check cannot accept it and the pointwise guard refuses node 0
+    # the ring e^{1e-9} S^1 passes within 1e-9 of F(1) = 1, so node 0 does
+    # not clear the curve's disk, and its curve distance refuses it
     with pytest.raises(NearSpectrumError, match="of the symbol curve"):
         inverse_laplace_table(lfr, 4, [1], [1], r0=1e-9)
+
+
+def test_non_finite_input_raises():
+    # the banded solves skip scipy's finite check; the one check on the band
+    # template and the ring nodes must refuse a NaN ghost weight (the root
+    # split does not see b, and a NaN Delta passes the |Delta| test) and a
+    # non-finite contour radius
+    bad = builtin_lfr(-0.5, 0.75, float("nan"))
+    with pytest.raises(ValueError, match="non-finite"):
+        inverse_laplace_table(bad, 4, [1], [1])
+    with pytest.raises(ValueError, match="non-finite"):
+        spatial_green_half(bad, 1.1, 3)
+    lfr = builtin_lfr(-0.5, 0.75, 5.0)
+    for r0 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            inverse_laplace_table(lfr, 4, [1], [1], r0=r0)

@@ -1,13 +1,15 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import halflab as hl
+from halflab import spectral
 from halflab.spectral import (EigenConditioningError, MultiplicityError,
-                              companion_matrix, projector_set)
+                              RootSolveError, companion_matrix, projector_set)
 
 from conftest import KAPPA_S_O3, KAPPA_U_O3, o3_marginal_pair
 
@@ -213,3 +215,186 @@ def test_split_counts_outside_property(lfr, rad, ang):
     out = hl.spectral_split(lfr, z)
     assert out.region == "outside"
     assert len(out.stable) == 1 and len(out.unstable) == 1
+
+
+# --- the batched evaluator against the one-node path -------------------------
+
+def _aberth_scalar(c, tol=1e-14, max_iter=200):
+    # the one-polynomial Aberth-Ehrlich iteration the batched solver runs
+    # for each row, kept as the reference
+    d = c.size - 1
+    dc = npoly.polyder(c)
+    radius = abs(c[0] / c[-1]) ** (1.0 / d)
+    angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.4 / d
+    x = radius * np.exp(1j * angles)
+    for _ in range(max_iter):
+        P = npoly.polyval(x, c)
+        Pp = npoly.polyval(x, dc)
+        bad = Pp == 0
+        if np.any(bad):
+            x[bad] *= 1.0 + 1e-8
+            continue
+        newton = P / Pp
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        w = newton / (1.0 - newton * inv.sum(axis=1))
+        x = x - w
+        if float(np.max(np.abs(w))) < tol * max(1.0, float(np.max(np.abs(x)))):
+            break
+    else:
+        raise RootSolveError("no convergence")
+    for _ in range(3):
+        Pp = npoly.polyval(x, dc)
+        good = Pp != 0
+        x[good] = x[good] - npoly.polyval(x[good], c) / Pp[good]
+    return x[np.lexsort((np.angle(x), np.abs(x)))]
+
+
+def _winding_scalar(scheme, z):
+    rel = spectral._symbol_curve(scheme) - z
+    dist = float(np.min(np.abs(rel)))
+    ang = np.unwrap(np.angle(rel))
+    closing = np.angle(rel[0]) - ang[-1]
+    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round((ang[-1] - ang[0] + closing) / (2.0 * np.pi))), dist
+
+
+def _delta_scalar(scheme, z):
+    # Delta one node at a time: scalar roots, the winding over every curve
+    # sample, det(B V); None where the split or the basis is rejected
+    c = -scheme.a.astype(complex)
+    c[scheme.r] += z
+    roots = _aberth_scalar(c)
+    mods = np.abs(roots)
+    ks = roots[mods < 1.0 - 1e-8]
+    wind, dist = _winding_scalar(scheme, z)
+    if abs(z - 1.0) > 1e-12 and (dist < 1e-7 or wind != 0
+                                 or ks.size != scheme.r):
+        return None
+    V = ks[None, :] ** np.arange(scheme.p + scheme.r - 1, -1, -1)[:, None]
+    return complex(np.linalg.det(hl.boundary_matrix(scheme) @ V))
+
+
+def _sweep_nodes(radii, samples, exclusion=0.06):
+    return [rho * complex(math.cos(th), math.sin(th)) for rho in radii
+            for th in np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+            if not (abs(rho - 1.0) < 1e-12
+                    and abs(math.remainder(th, 2.0 * math.pi)) < exclusion)]
+
+
+def _assert_batch_matches_pointwise(scheme, radii=(1.0, 1.05, 1.25, 2.5),
+                                    samples=64):
+    # the sweep nodes of check_hypothesis_two plus the CLI's real-axis
+    # profile, batched against the one-node path and the scalar reference
+    sweep = _sweep_nodes(radii, samples)
+    zs = sweep + list(1.0 + np.linspace(0, 1, 51))
+    got = hl.lopatinskii_values(scheme, zs)
+    want = np.array([_delta_scalar(scheme, z) for z in zs], dtype=complex)
+    one = np.array([hl.lopatinskii(scheme, z).value for z in zs])
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(got.view(float), one.view(float))
+    min_mod, witness = math.inf, None
+    for z, v in zip(sweep, one):
+        if abs(complex(v)) < min_mod:
+            min_mod = abs(complex(v))
+            if min_mod < 1e-6:
+                witness = z
+    rep = hl.check_hypothesis_two(scheme, annulus_samples=samples,
+                                  radii=radii)
+    assert rep.min_modulus == min_mod
+    assert rep.witness_z == witness
+    assert rep.delta_at_one == _delta_scalar(scheme, 1.0)
+    return rep
+
+
+def _lfr_b_zero_at_two():
+    ks = (14 - math.sqrt(176)) / 10
+    return hl.builtin_lfr(-0.5, 0.75, 1.0 / ks)
+
+
+def test_batched_lopatinskii_bitwise_builtins(lfr, o3):
+    for s in (lfr, o3):
+        _assert_batch_matches_pointwise(s)
+
+
+def test_batched_lopatinskii_bitwise_failing_rules():
+    # the violating lfr rule (zero of Delta at z = 2, on the swept circle)
+    # and l1-only o3 rules on the marginal line Delta(1) = 0
+    rep = _assert_batch_matches_pointwise(
+        _lfr_b_zero_at_two(), radii=(1.0, 1.05, 1.25, 2.0, 2.5), samples=32)
+    assert not rep.satisfied
+    k = KAPPA_S_O3
+    for delta in (-0.8, 0.3):
+        b2 = -1.0 / k + delta
+        rep = _assert_batch_matches_pointwise(
+            hl.builtin_o3(-0.5, (1.0 - b2 * k * k) / k, b2), samples=32)
+        assert rep.boundary_zero and rep.residue_ok is False
+
+
+@settings(max_examples=10)
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6),
+       b=st.floats(-6.0, 6.0))
+def test_batched_lopatinskii_bitwise_lfr_family(alpha, slack, b):
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
+    s = hl.builtin_lfr(alpha, D, b)
+    assert hl.check_hypothesis_one(s).satisfied
+    _assert_batch_matches_pointwise(s, samples=16)
+
+
+def test_batched_roots_match_scalar_iteration(o3):
+    # rows differing only in the z term, as the evaluator builds them
+    rng = np.random.default_rng(11)
+    zs = np.concatenate([rng.uniform(0.2, 3.0, 300)
+                         * np.exp(1j * rng.uniform(0, 2 * np.pi, 300)),
+                         [1.0, 2.0, 0.5j]])
+    c = spectral._char_coeffs(o3, zs)
+    roots, errors = spectral._aberth(c)
+    assert not errors
+    got = spectral._sort_rows(roots)
+    for i in range(zs.size):
+        assert np.array_equal(got[i].view(float),
+                              _aberth_scalar(c[i]).view(float))
+
+
+def test_blocked_winding_matches_pointwise(lfr, o3):
+    # 37 nodes: several blocks plus a partial one; unit-circle nodes, z = 1,
+    # nodes inside the curve and far outside it
+    zs = np.array(_sweep_nodes((1.0,), 24)[:21]
+                  + [1.0, 0.25, 0.5 + 0.1j, -0.3, 0.9, 1.5j, 2.0, -2.5,
+                     1.0 + 1e-9, 0.99, 1.05, 0.1 - 0.2j, 3.0 + 1.0j,
+                     1.0j, -1.0, 0.5 - 0.4j])
+    assert zs.size == 37
+    for s in (lfr, o3):
+        wind, dist = spectral._windings(s, zs)
+        for i, z in enumerate(zs):
+            assert (wind[i], dist[i]) == _winding_scalar(s, complex(z))
+        assert np.any(wind != 0) and np.any(wind == 0)
+
+
+def test_sweep_inside_curve_names_first_node(lfr):
+    # the circle of radius 2 lies outside the lfr ellipse, the one of radius
+    # 0.9 enters it; the first node inside is z = 0.9, node 64 of the sweep
+    zs = _sweep_nodes((2.0, 0.9), 64)
+    inside = [i for i, z in enumerate(zs)
+              if hl.spectral_split(lfr, z).region == "inside"]
+    assert inside[0] == 64 and len(inside) > 1
+    with pytest.raises(MultiplicityError) as point:
+        hl.lopatinskii(lfr, zs[64])
+    with pytest.raises(MultiplicityError) as batch:
+        hl.check_hypothesis_two(lfr, radii=(2.0, 0.9))
+    assert str(batch.value) == str(point.value)
+    assert repr(zs[64]) in str(batch.value)
+
+
+def test_nearest_match_agrees_with_scipy():
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(5)
+    for d in range(1, 7):
+        for _ in range(40):
+            cost = rng.uniform(0.0, 1.0, (d, d))
+            rows, cols = linear_sum_assignment(cost)
+            assert list(spectral._nearest_match(cost)) == \
+                list(cols[np.argsort(rows)])
