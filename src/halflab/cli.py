@@ -1,6 +1,6 @@
 """Experiment runner: one entry point over the whole laboratory.
 
-    halflab <subcommand> --config <path> [--out <dir>] [--threads N]
+    halflab <subcommand> --config <path> [--out <dir>]
 
 Subcommands: check, simulate, layers, err-map, growth, oracle.  The config
 is a single JSON document naming a scheme (builtin "lfr"/"o3" with named
@@ -71,8 +71,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (grid cells are independent)")
     return parser
 
 
@@ -462,9 +460,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:   # --help exits 0, usage errors exit 1
         return int(exc.code or 0)
-    if args.threads < 1:
-        sys.stderr.write("halflab: error: --threads must be >= 1\n")
-        return 1
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args.config)
@@ -478,7 +473,6 @@ def main(argv=None) -> int:
                        "a": scheme.a, "p_b": scheme.p_b, "b": scheme.b},
             "verdict": verdict,
             "hypotheses_hold": status == 0,
-            "threads": args.threads,
             "tolerances": {
                 "hyp2_zero_tol": 1e-6,
                 "boundary_zero_tol": 1e-8,

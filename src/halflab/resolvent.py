@@ -18,17 +18,20 @@ Temporal kernels are recovered through the Cauchy integral
 on the circle of radius e^{r0}, a trapezoid sum that is spectrally accurate
 and serves as an independent oracle for the time-stepping path.
 
-The table form of that sum builds the z-independent band of the half-line
-system once and only writes z onto its diagonal per node, so each node costs
-one banded solve.  The trapezoid nodes nest when the node count doubles
-(node k of N is node 2k of 2N, bitwise), so a refined ring reuses every
-solve of the previous one and solves only its new odd nodes.  Each batch of
-new nodes is guarded at once by the batched Lopatinskii evaluator of
-`spectral`: one root solve for the batch checks the r/0/p split, the
-stable-root gap and Delta at every node, and only the nodes that do not
-clear the sampled symbol curve's disk need its winding computation.  The
-band template and the ring nodes are checked to be finite once, so the
-banded solves skip scipy's per-call input check.
+One engine computes that sum: it doubles the ring until two rings agree,
+and since the nodes nest (node k of N is node 2k of 2N, bitwise) a refined
+ring asks only for its new odd nodes.  What varies is how a batch of new
+nodes gets its values.  The half-line table writes z onto the diagonal of a
+z-independent band built once, one banded solve per node, after one batched
+Lopatinskii guard per batch (split, stable-root gap and Delta at every node,
+from `spectral`); a pointwise value is its 1 x 1 case.  The whole-line
+kernel takes the FFT at each node.
+
+The guard also yields rho = max |kappa_s| over the batch.  The solution
+decays through the stable roots, so its tail at the far end of the window
+is about rho^(J_trunc - max j0) of its sup; above 1e-12 the table doubles
+its window and restarts, at most three times.  The band and the nodes are
+checked to be finite once, so the solves skip scipy's input check.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .scheme import SchemeDefinition
+from .scheme import SchemeDefinition, symbol_eval
 from .spectral import (MultiplicityError, _evaluate, _symbol_curve,
                        lopatinskii)
 
@@ -60,6 +63,10 @@ class NearSpectrumError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A quadrature or truncation loop failed to settle."""
+
+
+class _ShortWindow(Exception):
+    """A batch of ring nodes decays too slowly for the table's window."""
 
 
 @dataclass(frozen=True)
@@ -107,15 +114,15 @@ def _guard_resolvent(scheme: SchemeDefinition, z: complex,
                 "z is an eigenvalue of the half-line operator")
 
 
-def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray) -> None:
+def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray) -> float:
     """_guard_resolvent(check_lopatinskii=True) at every node of zs from one
     batched Lopatinskii evaluation; raises what the pointwise guard raises at
-    the first node that fails it."""
+    the first node that fails it, else returns max |kappa_s| over zs."""
     nodes = _evaluate(scheme, zs)
     bad = (nodes.dist < 1e-6) | (np.abs(nodes.delta) <= 1e-8)
     bad[list(nodes.errors)] = True
     if not bad.any():
-        return
+        return float(np.max(np.abs(nodes.kappas)))
     i = int(np.argmax(bad))
     z = complex(zs[i])
     if nodes.dist[i] < 1e-6:
@@ -249,7 +256,7 @@ def spatial_green_whole(scheme: SchemeDefinition, z: complex,
     while N <= _FFT_CAP:
         theta = 2.0 * np.pi * np.arange(N) / N
         kappa = np.exp(1j * theta)
-        frac = 1.0 / (z - _symbol_on(scheme, kappa))
+        frac = 1.0 / (z - symbol_eval(scheme, kappa))
         full = np.fft.ifft(frac)
         idx = np.arange(-window, window + 1) % N
         vals = full[idx]
@@ -264,13 +271,6 @@ def spatial_green_whole(scheme: SchemeDefinition, z: complex,
     res = _whole_residual(scheme, z, vals, window)
     return ResolventField(z=z, j0=None, j_min=-window, values=vals,
                           truncation_residual=res)
-
-
-def _symbol_on(scheme: SchemeDefinition, kappa: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(kappa, dtype=complex)
-    for k in range(-scheme.r, scheme.p + 1):
-        out += scheme.coeff(k) * kappa ** k
-    return out
 
 
 def _whole_residual(scheme: SchemeDefinition, z: complex, vals: np.ndarray,
@@ -300,105 +300,20 @@ def _ring(r0: float, N: int) -> np.ndarray:
     return rho * np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
-                                j: int, r0: float = 0.05,
-                                whole_line: bool = False,
-                                tol: float = 1e-9) -> complex:
-    """(1/2pi i) oint z^n G(z, j0, j) dz on the circle e^{r0} S^1; with
-    whole_line=True reconstructs the convolution kernel at cell j instead
-    (j0 ignored).  Returns the complex trapezoid value; its imaginary part
-    is a sanity diagnostic and stays at roundoff scale."""
-    if n < 0:
-        raise ValueError("time index must be >= 0")
-    if r0 <= 0:
-        raise ValueError("contour exponent r0 must be positive")
-    N = 64
-    while N < 4 * (n + scheme.p + scheme.r):
-        N *= 2
-
-    def total(N: int) -> complex:
-        zs = _ring(r0, N)
-        half_count = N // 2
-        acc = 0.0 + 0.0j
-        for m in range(half_count + 1):
-            z = zs[m]
-            if whole_line:
-                g = spatial_green_whole(scheme, z,
-                                        window=abs(int(j)) + 8).value(int(j))
-            else:
-                g = spatial_green_half(scheme, z, j0).value(int(j))
-            term = g * z ** (n + 1)
-            if m == 0 or (N % 2 == 0 and m == half_count):
-                acc += term
-            else:
-                acc += term + np.conj(term)
-        return acc / N
-
-    prev = total(N)
-    while N < _CONTOUR_CAP:
-        N *= 2
-        cur = total(N)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"contour reconstruction did not settle within {_CONTOUR_CAP} nodes")
-
-
-@dataclass(frozen=True)
-class ReconstructionTable:
-    """Batch contour reconstruction: values[i0, n, i] approximates the
-    temporal Green's function at (n, j0_values[i0], j_values[i]).  nodes is
-    the ring size that settled; solves counts the distinct banded solves,
-    which nested-ring reuse keeps at nodes // 2 + 1."""
-
-    r0: float
-    n_values: np.ndarray
-    j0_values: np.ndarray
-    j_values: np.ndarray
-    values: np.ndarray
-    max_imag: float
-    nodes: int
-    solves: int
-
-
-def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
-                          j_list, r0: float = 0.05,
-                          tol: float = 1e-9) -> ReconstructionTable:
-    """All reconstructions n <= n_max on a (j0, j) grid, sharing one banded
-    factorization per contour node (conjugate symmetry halves the ring, and
-    each doubled ring reuses the solves of the one before)."""
+def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
+                 tol: float, values):
+    """The trapezoid sums (1/N) sum_m z_m^(n+1) g(z_m), n <= n_max, over the
+    ring z_m = e^{r0} e^{2 pi i m/N}, doubled until two rings agree within
+    tol.  values(zs) returns g at the nodes zs, shape (zs.size, a, b); it is
+    only asked for the upper half-ring, since g(conj z) = conj g(z).  Returns
+    the real and imaginary parts, each of shape (a, n_max + 1, b), and N."""
     if n_max < 0:
         raise ValueError("time horizon must be >= 0")
     if r0 <= 0:
         raise ValueError("contour exponent r0 must be positive")
-    j0s = np.asarray(sorted(set(int(v) for v in j0_list)), dtype=int)
-    js = np.asarray(sorted(set(int(v) for v in j_list)), dtype=int)
-    if j0s.size == 0 or js.size == 0 or j0s[0] < 1 or js[0] < 1 - scheme.r:
-        raise ValueError("index grids must be nonempty and on the domain")
-    J_trunc = int(max(j0s[-1] + 200, js[-1] + 50))
-    r = scheme.r
-    rows = js + r - 1
-    template, lo, up = _band_template(scheme, J_trunc)
-    _require_finite(template)
-    rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
-    rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
-    solves = 0
-
-    def solve(zs: np.ndarray, G: np.ndarray) -> None:
-        """Guard the nodes zs, then write their solves into G."""
-        nonlocal solves
-        _require_finite(zs)
-        _guard_ring(scheme, zs)
-        solves += zs.size
-        for m, z in enumerate(zs):
-            ab = template.copy()
-            ab[up, r:] += z
-            G[m] = solve_banded((lo, up), ab, rhs,
-                                check_finite=False)[rows, :].T
 
     def ring_sum(zs: np.ndarray, G: np.ndarray):
-        """Trapezoid sum over the ring zs from the solves G at its upper
+        """Trapezoid sum over the ring zs from the values G at its upper
         half zs[:N/2 + 1]."""
         N = zs.size
         half_count = N // 2
@@ -413,7 +328,7 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
         imag = sum(np.einsum("n,ij->inj", powers[m].imag, G[m].real)
                    + np.einsum("n,ij->inj", powers[m].real, G[m].imag)
                    for m in (0, half_count)) / N
-        return out, float(np.max(np.abs(imag)))
+        return out, imag
 
     # N stays a power of two, so every ring holds the self-conjugate nodes
     # m = 0 and m = N/2, and node m of the N ring is node 2m of the 2N ring
@@ -421,23 +336,110 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     while N < 4 * (n_max + scheme.p + scheme.r):
         N *= 2
     zs = _ring(r0, N)
-    G = np.empty((N // 2 + 1, j0s.size, js.size), dtype=complex)
-    solve(zs[:N // 2 + 1], G)
+    _require_finite(zs)     # the finer rings share its radius
+    G = values(zs[:N // 2 + 1])
     prev, _ = ring_sum(zs, G)
-    while N <= _CONTOUR_CAP:
+    while N < _CONTOUR_CAP:
         N *= 2
         zs = _ring(r0, N)
-        finer = np.empty((N // 2 + 1, j0s.size, js.size), dtype=complex)
+        finer = np.empty((N // 2 + 1,) + G.shape[1:], dtype=complex)
         finer[0::2] = G
+        finer[1::2] = values(zs[1:N // 2:2])
         G = finer
-        solve(zs[1:N // 2:2], G[1::2])
-        cur, max_imag = ring_sum(zs, G)
+        cur, imag = ring_sum(zs, G)
         if float(np.max(np.abs(cur - prev))) < tol:
-            return ReconstructionTable(r0=r0,
-                                       n_values=np.arange(n_max + 1),
-                                       j0_values=j0s, j_values=js,
-                                       values=cur, max_imag=max_imag,
-                                       nodes=N, solves=solves)
+            return cur, imag, N
         prev = cur
     raise QuadratureError(
-        f"table reconstruction did not settle within {_CONTOUR_CAP} nodes")
+        f"contour quadrature did not settle within {_CONTOUR_CAP} nodes")
+
+
+def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
+                                j: int, r0: float = 0.05,
+                                whole_line: bool = False,
+                                tol: float = 1e-9) -> complex:
+    """(1/2pi i) oint z^n G(z, j0, j) dz on the circle e^{r0} S^1; with
+    whole_line=True reconstructs the convolution kernel at cell j instead
+    (j0 ignored).  Returns the complex trapezoid value; its imaginary part
+    is a sanity diagnostic and stays at roundoff scale."""
+    if not whole_line:
+        table = inverse_laplace_table(scheme, n, [j0], [j], r0, tol)
+        return complex(table.values[0, n, 0], table.imag[0, n, 0])
+    j = int(j)
+
+    def values(zs: np.ndarray) -> np.ndarray:
+        return np.array([spatial_green_whole(scheme, z, window=abs(j) + 8)
+                         .value(j) for z in zs]).reshape(-1, 1, 1)
+
+    real, imag, _ = _contour_sum(scheme, n, r0, tol, values)
+    return complex(real[0, n, 0], imag[0, n, 0])
+
+
+@dataclass(frozen=True)
+class ReconstructionTable:
+    """Batch contour reconstruction: values[i0, n, i] approximates the
+    temporal Green's function at (n, j0_values[i0], j_values[i]), and imag
+    holds the imaginary parts of the same trapezoid sums, which only the
+    self-conjugate nodes contribute.  nodes is the ring size that settled;
+    solves counts every banded solve made, which nested-ring reuse keeps at
+    nodes // 2 + 1 unless a window doubling discards some."""
+
+    r0: float
+    n_values: np.ndarray
+    j0_values: np.ndarray
+    j_values: np.ndarray
+    values: np.ndarray
+    imag: np.ndarray
+    nodes: int
+    solves: int
+
+    @property
+    def max_imag(self) -> float:
+        return float(np.max(np.abs(self.imag)))
+
+
+def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
+                          j_list, r0: float = 0.05,
+                          tol: float = 1e-9) -> ReconstructionTable:
+    """All reconstructions n <= n_max on a (j0, j) grid, sharing one banded
+    factorization per contour node (conjugate symmetry halves the ring, and
+    each doubled ring reuses the solves of the one before)."""
+    j0s = np.asarray(sorted(set(int(v) for v in j0_list)), dtype=int)
+    js = np.asarray(sorted(set(int(v) for v in j_list)), dtype=int)
+    if j0s.size == 0 or js.size == 0 or j0s[0] < 1 or js[0] < 1 - scheme.r:
+        raise ValueError("index grids must be nonempty and on the domain")
+    J_trunc = int(max(j0s[-1] + 200, js[-1] + 50))
+    r = scheme.r
+    rows = js + r - 1
+    solves = 0
+    for _ in range(4):
+        template, lo, up = _band_template(scheme, J_trunc)
+        _require_finite(template)
+        rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
+        rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
+
+        def values(zs: np.ndarray) -> np.ndarray:
+            nonlocal solves
+            tail = _guard_ring(scheme, zs) ** (J_trunc - j0s[-1])
+            if tail > 1e-12:
+                raise _ShortWindow(tail)
+            solves += zs.size
+            G = np.empty((zs.size, j0s.size, js.size), dtype=complex)
+            for m, z in enumerate(zs):
+                ab = template.copy()
+                ab[up, r:] += z
+                G[m] = solve_banded((lo, up), ab, rhs,
+                                    check_finite=False)[rows, :].T
+            return G
+
+        try:
+            real, imag, N = _contour_sum(scheme, n_max, r0, tol, values)
+        except _ShortWindow as exc:
+            tail, J_trunc = exc.args[0], 2 * J_trunc
+            continue
+        return ReconstructionTable(r0=r0, n_values=np.arange(n_max + 1),
+                                   j0_values=j0s, j_values=js, values=real,
+                                   imag=imag, nodes=N, solves=solves)
+    raise QuadratureError(
+        f"half-line window still carries a tail of about {tail:.2e} after "
+        f"extensions (r0 = {r0!r})")

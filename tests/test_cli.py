@@ -228,11 +228,13 @@ def test_unknown_builtin(tmp_path, capsys):
 
 
 def test_threads_validation(tmp_path, capsys):
+    # no code path runs in parallel, so there is no --threads flag
     cfg = write_cfg(tmp_path, {"scheme": {"builtin": "lfr"}})
-    code = main(["check", "--config", cfg, "--threads", "0",
+    code = main(["check", "--config", cfg, "--threads", "2",
                  "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "--threads" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_help_exits_zero(capsys):

@@ -10,6 +10,7 @@ from halflab import resolvent
 from halflab.evolution import temporal_green, temporal_green_whole
 from halflab.resolvent import (
     NearSpectrumError,
+    QuadratureError,
     inverse_laplace_reconstruct,
     inverse_laplace_table,
     r_function,
@@ -200,6 +201,75 @@ def test_table_solves_each_nested_node_once(lfr):
             resolvent._ring(0.05, N).tobytes()
 
 
+def test_reconstruct_is_one_table_solve_per_node(lfr, monkeypatch):
+    nodes = inverse_laplace_table(lfr, 5, [2], [4]).nodes
+    calls = []
+    solve = resolvent.solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "solve_banded", counting)
+    inverse_laplace_reconstruct(lfr, 5, 2, 4)
+    assert len(calls) == nodes // 2 + 1
+
+
+def test_table_unsettled_ring_raises(lfr, monkeypatch):
+    # the last ring tried has exactly _CONTOUR_CAP nodes
+    batches = []
+    guard = resolvent._guard_ring
+
+    def recording(scheme, zs):
+        batches.append(zs.size)
+        return guard(scheme, zs)
+
+    monkeypatch.setattr(resolvent, "_guard_ring", recording)
+    monkeypatch.setattr(resolvent, "_CONTOUR_CAP", 256)
+    with pytest.raises(QuadratureError, match="within 256 nodes"):
+        inverse_laplace_table(lfr, 4, [1], [1], tol=0.0)
+    assert batches == [33, 32, 64]
+
+
+def test_table_doubles_short_window(monkeypatch):
+    # kappa_s near -0.9 at z ~ 1: at r0 = 1e-3 the decay over the 200 cells
+    # past the source is rho^200 ~ 1.7e-11 > 1e-12, so the window doubles
+    # once, and the check runs once per batch, before that batch's solves
+    slow = builtin_lfr(-0.05, 0.0026, 0.0)
+    windows, batches = [], []
+    template, guard = resolvent._band_template, resolvent._guard_ring
+
+    def recording_template(scheme, J_trunc):
+        windows.append(J_trunc)
+        return template(scheme, J_trunc)
+
+    def recording_guard(scheme, zs):
+        batches.append(zs.size)
+        return guard(scheme, zs)
+
+    monkeypatch.setattr(resolvent, "_band_template", recording_template)
+    monkeypatch.setattr(resolvent, "_guard_ring", recording_guard)
+    table = inverse_laplace_table(slow, 4, [1], [1, 3], r0=1e-3)
+    assert windows == [201, 402]
+    assert batches[:3] == [33, 33, 32]
+    assert sum(batches[1:]) == table.solves == table.nodes // 2 + 1
+    for n in range(5):
+        g = temporal_green(slow, n, 1)
+        for i, j in enumerate([1, 3]):
+            assert abs(table.values[0, n, i] - g.value(j)) < 1e-12
+    windows.clear()
+    inverse_laplace_table(slow, 4, [1], [1, 3], r0=2e-3)
+    assert windows == [201]
+
+
+def test_table_window_gives_up():
+    # kappa_s(1) = (D + alpha)/(D - alpha) ~ 0.992: even the window doubled
+    # three times keeps a tail of about 1e-8
+    slower = builtin_lfr(-0.002, 0.5, 0.0)
+    with pytest.raises(QuadratureError, match="window still carries"):
+        inverse_laplace_table(slower, 4, [1], [1], r0=1e-5)
+
+
 WIDE = SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
                         p_b=2, b=np.array([[2.0, -1.0], [3.0, -2.0]]))
 
@@ -317,7 +387,7 @@ def test_table_guard_zero_on_odd_node_of_second_ring(monkeypatch):
 
     def recording(scheme, zs):
         batches.append(zs.copy())
-        guard(scheme, zs)
+        return guard(scheme, zs)
 
     monkeypatch.setattr(resolvent, "_guard_ring", recording)
     with pytest.raises(NearSpectrumError, match="Lopatinskii determinant") \
