@@ -1,6 +1,10 @@
-"""Timing comparison of the jitted evolution kernels against the numpy
+"""Timing comparison of the jitted evolution kernel against the numpy
 fallback.  The two paths are bitwise-identical by construction, so the only
 question is speed.
+
+Cell updates count the cells the kernel computes: each step updates the
+rows of its live window (see `halflab._kernels`) in every column.  The
+batched case steps one column per source, as the err-map sweep does.
 
 Run:  python3 benchmarks/bench_kernels.py
 Env:  HALFLAB_DISABLE_NUMBA=1 skips the jit column entirely.
@@ -19,11 +23,12 @@ from halflab._kernels import (
 )
 
 CASES = [
-    # (label, r, p, p_b, b_row, buffer N, steps)
-    ("half r1p1 N=4k n=500", 1, 1, 1, [5.0], 4_000, 500),
-    ("half r1p2 N=4k n=500", 1, 2, 2, [1.2, -0.2], 4_000, 500),
-    ("half r1p1 N=20k n=2000", 1, 1, 1, [5.0], 20_000, 2_000),
-    ("whole r1p2 N=20k n=2000", 1, 2, None, None, 20_000, 2_000),
+    # (label, r, p, p_b, b_row, buffer N, columns, steps)
+    ("half r1p1 N=4k n=500", 1, 1, 1, [5.0], 4_000, 1, 500),
+    ("half r1p2 N=4k n=500", 1, 2, 2, [1.2, -0.2], 4_000, 1, 500),
+    ("half r1p1 N=20k n=2000", 1, 1, 1, [5.0], 20_000, 1, 2_000),
+    ("whole r1p2 N=20k n=2000", 1, 2, None, None, 20_000, 1, 2_000),
+    ("half o3 N=3k m=24 n=2000", 1, 2, 2, [1.2, -0.2], 3_000, 24, 2_000),
 ]
 
 LFR_A = np.array([0.125, 0.25, 0.625])
@@ -39,12 +44,29 @@ def _best_of(fn, repeats=3):
     return best, out
 
 
+def _sources(N, m):
+    # one unit source per column; a lone column sits at N/4, a batch spreads
+    # over rows 50..1000 like the err-map j0 grid
+    u0 = np.zeros((N, m))
+    rows = [N // 4] if m == 1 else np.linspace(50, 1000, m).astype(int)
+    u0[rows, np.arange(m)] = 1.0
+    return u0[:, 0] if m == 1 else u0
+
+
+def _cell_updates(u0, r, p, steps):
+    # rows r .. min(hi + r s, N - p - 1) at step s, in every column
+    N = u0.shape[0]
+    m = u0.size // N
+    hi = int(np.flatnonzero(u0.reshape(N, m).any(axis=1))[-1])
+    tops = np.minimum(hi + r * np.arange(1, steps + 1), N - p - 1)
+    return int(np.maximum(tops - r + 1, 0).sum()) * m
+
+
 def main():
     rows = []
-    for label, r, p, p_b, b_row, N, steps in CASES:
+    for label, r, p, p_b, b_row, N, m, steps in CASES:
         a = LFR_A if p == 1 else O3_A
-        u0 = np.zeros(N)
-        u0[N // 4] = 1.0
+        u0 = _sources(N, m)
         if b_row is None:
             np_fn = lambda: evolve_whole_numpy(u0, a, r, p, steps)
             jit_fn = lambda: evolve_whole(u0, a, r, p, steps)
@@ -52,24 +74,29 @@ def main():
             b = np.array([b_row])
             np_fn = lambda: evolve_half_numpy(u0, a, b, r, p, p_b, steps)
             jit_fn = lambda: evolve_half(u0, a, b, r, p, p_b, steps)
+        cells = _cell_updates(u0, r, p, steps)
         t_np, out_np = _best_of(np_fn)
         if HAVE_NUMBA:
             jit_fn()  # compile outside the timed region
             t_jit, out_jit = _best_of(jit_fn)
             same = np.array_equal(out_np, out_jit)
-            rows.append((label, t_jit * 1e3, t_np * 1e3, t_np / t_jit, same))
+            rows.append((label, t_jit, t_np, cells, same))
         else:
-            rows.append((label, None, t_np * 1e3, None, True))
+            rows.append((label, None, t_np, cells, True))
 
-    header = f"{'case':28s} {'jit ms':>9s} {'numpy ms':>9s} {'speedup':>8s} {'bitwise':>8s}"
+    header = (f"{'case':28s} {'jit ms':>9s} {'numpy ms':>9s} {'speedup':>8s}"
+              f" {'Mcells':>8s} {'jit Mc/s':>9s} {'np Mc/s':>8s} {'bitwise':>8s}")
     print("numba active" if HAVE_NUMBA else
           "numba disabled (HALFLAB_DISABLE_NUMBA or not installed)")
     print(header)
     print("-" * len(header))
-    for label, t_jit, t_np, speed, same in rows:
-        jit_s = f"{t_jit:9.2f}" if t_jit is not None else "        -"
-        spd_s = f"{speed:7.1f}x" if speed is not None else "       -"
-        print(f"{label:28s} {jit_s} {t_np:9.2f} {spd_s} {'yes' if same else 'NO':>8s}")
+    for label, t_jit, t_np, cells, same in rows:
+        mc = cells / 1e6
+        jit_s = f"{t_jit * 1e3:9.2f}" if t_jit is not None else "        -"
+        spd_s = f"{t_np / t_jit:7.1f}x" if t_jit is not None else "       -"
+        jit_r = f"{mc / t_jit:9.1f}" if t_jit is not None else "        -"
+        print(f"{label:28s} {jit_s} {t_np * 1e3:9.2f} {spd_s} {mc:8.2f}"
+              f" {jit_r} {mc / t_np:8.1f} {'yes' if same else 'NO':>8s}")
 
 
 if __name__ == "__main__":

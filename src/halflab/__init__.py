@@ -31,6 +31,8 @@ from .evolution import (
     apply_whole_line,
     temporal_green,
     temporal_green_whole,
+    temporal_green_sweep,
+    temporal_green_whole_sweep,
     hq_norm,
     growth_experiment,
 )
@@ -76,7 +78,8 @@ __all__ = [
     "check_hypothesis_one", "boundary_matrix", "builtin_lfr", "builtin_o3",
     "scheme_to_json", "scheme_from_json",
     "HalfLineField", "WholeLineField", "GreenField", "apply_half_line",
-    "apply_whole_line", "temporal_green", "temporal_green_whole", "hq_norm",
+    "apply_whole_line", "temporal_green", "temporal_green_whole",
+    "temporal_green_sweep", "temporal_green_whole_sweep", "hq_norm",
     "growth_experiment",
     "SpectralSplit", "StableBasis", "ProjectorSet", "LopatinskiiValue",
     "characteristic_roots", "spectral_split", "stable_basis", "lopatinskii",

@@ -364,8 +364,8 @@ def _run_growth(scheme, cfg, out_dir):
     record = sorted(set(np.geomspace(1, n_max, 160).astype(int).tolist())
                     | {n_max})
     slopes, variation = {}, {}
-    for q in q_list:
-        res = growth_experiment(scheme, q, J_list, n_max, record=record)
+    results = growth_experiment(scheme, q_list, J_list, n_max, record=record)
+    for q, res in zip(q_list, results):
         tag = _q_tag(q)
         _csv(out_dir, f"growth_{tag}.csv", ("J", "n", "ratio"), res.rows)
         series = [(f"J={J}", res.ns, res.ratios[J]) for J in sorted(res.ratios)]

@@ -13,6 +13,13 @@ and they carry the exact finite-support bound j - j0 in {-np, ..., nr}
 l^q norms over the interior j >= 1 only; growth probes evolve the flat data
 u_J = sum_{j0 <= J} delta_{j0} and record ||T^n u_J|| / ||u_J||, a lower
 bound for the operator norm of T^n.
+
+Grids of sources are evolved in one sweep: the kernel steps a 2-D buffer
+with one column per source (j0 or J) and is advanced chunk by chunk to each
+recorded time, one kernel call per time.  A cell's value does not depend on
+the buffer size, the other columns or the chunking (see `_kernels`), so
+`temporal_green_sweep`, `temporal_green_whole_sweep` and
+`growth_experiment` are bitwise equal to one run per source and time.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from .scheme import SchemeDefinition
 __all__ = [
     "HalfLineField", "WholeLineField", "GreenField", "GhostConsistencyError",
     "apply_half_line", "apply_whole_line", "temporal_green",
-    "temporal_green_whole", "hq_norm", "growth_experiment", "GrowthResult",
-    "loglog_slope",
+    "temporal_green_whole", "temporal_green_sweep", "temporal_green_whole_sweep",
+    "hq_norm", "growth_experiment", "GrowthResult", "loglog_slope",
 ]
 
 
@@ -213,6 +220,56 @@ def temporal_green_whole(scheme: SchemeDefinition, n: int) -> GreenField:
     return GreenField(n, None, apply_whole_line(scheme, WholeLineField.dirac(0), n))
 
 
+def _recorded(buf, ns, kernel, *args):
+    """Advance buf through the ascending times ns by kernel(buf, *args,
+    nsteps), one call per time, yielding the buffer at each."""
+    done = 0
+    for n in ns:
+        buf = kernel(buf, *args, int(n) - done)
+        done = int(n)
+        yield buf
+
+
+def _check_times(ns) -> list:
+    ns = [int(n) for n in ns]
+    if not ns or ns[0] < 0 or any(b < a for a, b in zip(ns, ns[1:])):
+        raise ValueError("times must be a nonempty ascending list of n >= 0")
+    return ns
+
+
+def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s) -> list:
+    """G(n, j0, .) for every n of the ascending ns and every j0 of j0s, as
+    out[k][i] = temporal_green(scheme, ns[k], j0s[i]) (bitwise), from one
+    sweep with a column per source."""
+    ns = _check_times(ns)
+    j0s = [int(j0) for j0 in j0s]
+    r = scheme.r
+    buf = np.zeros((max(j0s, default=0) + r * ns[-1] + scheme.p + r,
+                    len(j0s)))
+    for i, j0 in enumerate(j0s):
+        vals = HalfLineField.dirac(scheme, j0).values
+        buf[:vals.size, i] = vals
+    snaps = _recorded(buf, ns, _kernels.evolve_half, scheme.a, scheme.b, r,
+                      scheme.p, scheme.p_b)
+    return [[GreenField(n, j0, HalfLineField(r, snap[:, i]).trimmed())
+             for i, j0 in enumerate(j0s)]
+            for n, snap in zip(ns, snaps)]
+
+
+def temporal_green_whole_sweep(scheme: SchemeDefinition, ns) -> list:
+    """Gt(n, .) for every n of the ascending ns, as
+    out[k] = temporal_green_whole(scheme, ns[k]) (bitwise, on a wider
+    window), from one sweep."""
+    ns = _check_times(ns)
+    r, p = scheme.r, scheme.p
+    lo = -p * ns[-1] - r
+    buf = np.zeros(r * ns[-1] + p - lo + 1)
+    buf[-lo] = 1.0
+    snaps = _recorded(buf, ns, _kernels.evolve_whole, scheme.a, r, p)
+    return [GreenField(n, None, WholeLineField(lo, snap))
+            for n, snap in zip(ns, snaps)]
+
+
 def _interior_lq(values: np.ndarray, q: float) -> float:
     if q == math.inf:
         return float(np.max(np.abs(values))) if values.size else 0.0
@@ -254,42 +311,51 @@ class GrowthResult:
         return out
 
 
-def growth_experiment(scheme: SchemeDefinition, q: float, J_list,
-                      n_max: int, record=None) -> GrowthResult:
-    """Evolve u_J = sum_{j0=1}^{J} delta_{j0} and record the norm ratios.
+def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
+                      n_max: int, record=None) -> list:
+    """Evolve u_J = sum_{j0=1}^{J} delta_{j0} and record the norm ratios,
+    one GrowthResult per exponent of q_list.
 
-    The ratios lower-bound the operator norm of T^n on the j >= 1 space;
-    they are never claimed as the exact norm.
+    All J evolve in one sweep (a column each) and every exponent reads the
+    same snapshots.  The ratios lower-bound the operator norm of T^n on the
+    j >= 1 space; they are never claimed as the exact norm.
     """
     if n_max < 1:
         raise ValueError("time horizon must be >= 1")
     if not J_list:
         raise ValueError("J list must be nonempty")
-    if q < 1:
-        raise ValueError("norm exponent must satisfy q >= 1")
+    qs = [float(q) for q in q_list]
+    if not qs or min(qs) < 1:
+        raise ValueError("need at least one norm exponent, each q >= 1")
     ns = np.arange(1, n_max + 1) if record is None else \
         np.asarray(sorted(set(int(n) for n in record)), dtype=int)
     if ns.size == 0 or ns[0] < 1 or ns[-1] > n_max:
         raise ValueError("recording times must lie in 1..n_max")
-    r, p = scheme.r, scheme.p
-    ratios = {}
-    for J in J_list:
-        J = int(J)
-        start = HalfLineField(r, np.concatenate([np.zeros(r), np.ones(J)]))
-        denom = hq_norm(start, q)
-        buf = _half_buffer(scheme, start, n_max)
-        vals = np.empty(ns.size)
-        pos = 0
-        n_done = 0
-        for n_rec in ns:
-            buf = _kernels.evolve_half(buf, scheme.a, scheme.b, r, p,
-                                       scheme.p_b, int(n_rec) - n_done)
-            n_done = int(n_rec)
-            vals[pos] = _interior_lq(buf[r:], q) / denom
-            pos += 1
-        ratios[J] = vals
-    max_ratio = np.max(np.stack([ratios[int(J)] for J in J_list]), axis=0)
-    return GrowthResult(q=q, ns=ns, ratios=ratios, max_ratio=max_ratio)
+    r = scheme.r
+    Js = [int(J) for J in J_list]
+    buf = np.zeros((max(Js) + r * n_max + scheme.p + r, len(Js)))
+    denoms = np.empty((len(qs), len(Js)))
+    for c, J in enumerate(Js):
+        buf[r:r + J, c] = 1.0
+        for a, q in enumerate(qs):
+            denoms[a, c] = _interior_lq(np.ones(J), q)
+    vals = np.empty((len(qs), len(Js), ns.size))
+    snaps = _recorded(buf, ns, _kernels.evolve_half, scheme.a, scheme.b, r,
+                      scheme.p, scheme.p_b)
+    for pos, (n, snap) in enumerate(zip(ns, snaps)):
+        for c, J in enumerate(Js):
+            # the interior up to the support top; zeros above it change
+            # neither the sup nor the exact fsum
+            col = np.ascontiguousarray(snap[r:r + J + r * int(n), c])
+            for a, q in enumerate(qs):
+                vals[a, c, pos] = _interior_lq(col, q) / denoms[a, c]
+    results = []
+    for a, q in enumerate(qs):
+        ratios = {J: vals[a, c] for c, J in enumerate(Js)}
+        max_ratio = np.max(np.stack([ratios[J] for J in Js]), axis=0)
+        results.append(GrowthResult(q=q, ns=ns, ratios=ratios,
+                                    max_ratio=max_ratio))
+    return results
 
 
 def loglog_slope(ns, vals, n_lo: int, n_hi: int) -> float:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import temporal_green, temporal_green_whole
+from .evolution import (temporal_green, temporal_green_sweep,
+                        temporal_green_whole, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
 from .spectral import lopatinskii_derivative_at_one, projector_set, stable_basis
@@ -172,15 +173,11 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int,
     return _profile("transmitted", "analytic", js, vals, j0s=js0)
 
 
-def _green_rows(scheme: SchemeDefinition, n: int, j0: int,
-                js: np.ndarray, gt_field=None):
-    """(G(n,j0,j), Gt(n,j-j0)) on the j grid; gt_field reusable across j0."""
-    G = temporal_green(scheme, n, j0)
-    if gt_field is None:
-        gt_field = temporal_green_whole(scheme, n)
+def _green_rows(G, Gt, j0: int, js: np.ndarray):
+    """(G(n,j0,j), Gt(n,j-j0)) on the j grid from the two snapshots."""
     g = np.array([G.value(int(j)) for j in js])
-    gt = np.array([gt_field.value(int(j) - j0) for j in js])
-    return g, gt, gt_field
+    gt = np.array([Gt.value(int(j) - j0) for j in js])
+    return g, gt
 
 
 def _activation(scheme: SchemeDefinition, rep, n: int, j0: int) -> float:
@@ -215,7 +212,8 @@ def err_field(scheme: SchemeDefinition, n: int, j0: int,
         raise ValueError("need n >= 0, j0 >= 1, window >= 1")
     js = np.arange(1, window + 1)
     rep = check_hypothesis_one(scheme)
-    g, gt, _ = _green_rows(scheme, n, j0, js)
+    g, gt = _green_rows(temporal_green(scheme, n, j0),
+                        temporal_green_whole(scheme, n), j0, js)
     ind = 1 if n * scheme.p >= j0 else 0
     act = _activation(scheme, rep, n, j0)
     _, _, _, delta1 = _delta_at_one(scheme)
@@ -286,13 +284,15 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
     ru_all = (ru_analytic(scheme, int(j0s[-1]), window).values if marginal
               else np.zeros((int(j0s[-1]), window)))
 
+    # one sweep per kernel: a column per j0 on the half line, one source
+    # on the whole line, each recorded at every n
+    greens = temporal_green_sweep(scheme, ns, j0s)
+    wholes = temporal_green_whole_sweep(scheme, ns)
     abs_err = np.empty((ns.size, j0s.size, js.size))
     args = np.empty((ns.size, j0s.size))
     for k, n in enumerate(ns):
-        gt_field = None
         for i, j0 in enumerate(j0s):
-            g, gt, gt_field = _green_rows(scheme, int(n), int(j0), js,
-                                          gt_field)
+            g, gt = _green_rows(greens[k][i], wholes[k], int(j0), js)
             ind = 1 if n * scheme.p >= j0 else 0
             act = _activation(scheme, rep, int(n), int(j0))
             err = g - gt - ind * ru_all[j0 - 1, js - 1] - act * rc[js - 1]
@@ -339,7 +339,8 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, n: int,
             f"activation regime barely reached (n = {n} < 2 j0/|alpha| = "
             f"{2.0 * j0 / abs(rep.alpha):.0f}); extraction is biased",
             stacklevel=2)
-    g, gt, _ = _green_rows(scheme, n, j0, js)
+    g, gt = _green_rows(temporal_green(scheme, n, j0),
+                        temporal_green_whole(scheme, n), j0, js)
     ind = 1 if n * scheme.p >= j0 else 0
     _, _, _, delta1 = _delta_at_one(scheme)
     if abs(delta1) <= 1e-8 and ind:

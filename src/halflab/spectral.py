@@ -99,9 +99,11 @@ def _aberth(c: np.ndarray, tol: float = 1e-14, max_iter: int = 200):
     lone polynomial: it stops when its own step meets the tolerance, and
     when P' vanishes at one of its estimates that estimate is nudged and the
     row skips the update.  Every operation is elementwise, so a row's roots
-    do not depend on the other rows.  Returns the roots and
-    {row: RootSolveError} for the rows that did not converge or fail the
-    residual test.
+    do not depend on the other rows.  A row that reaches max_iter with its
+    last eight steps finite and below 1e-8 of its root scale has stalled on
+    roundoff and is polished like a converged row.  Returns the roots and
+    {row: RootSolveError} for the rows that did not converge or stall, or
+    fail the residual test.
     """
     n, d = c.shape[0], c.shape[1] - 1
     cs = c.T[:, :, None]              # polyval layout: (degree, row, 1)
@@ -149,10 +151,15 @@ def _aberth(c: np.ndarray, tol: float = 1e-14, max_iter: int = 200):
         return [float(last[k % 8, i])
                 for k in range(max(0, steps[i] - 8), steps[i])]
 
+    # close roots near |kappa| = 1 can hold the step a little above tol
+    # (1e-8 is about sqrt(eps)); the residual test below decides
+    stalled = (live & (steps >= 8) & np.all(np.isfinite(x), axis=1)
+               & np.all(last < 1e-8 * np.maximum(1.0, np.abs(x).max(axis=1)),
+                        axis=0))
     errors = {int(i): RootSolveError(
         "simultaneous root iteration did not converge; last step sizes "
-        f"{trace(i)!r}") for i in np.flatnonzero(live)}
-    rows = np.flatnonzero(~live)
+        f"{trace(i)!r}") for i in np.flatnonzero(live & ~stalled)}
+    rows = np.flatnonzero(~live | stalled)
     xr, cr, dcr = x[rows], cs[:, rows], dcs[:, rows]
     for _ in range(3):
         Pp = npoly.polyval(xr, dcr, tensor=False)

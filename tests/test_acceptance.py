@@ -43,10 +43,9 @@ def _record_grid(n_max: int):
 def growth_lfr(lfr):
     rec = _record_grid(2000)
     J = [125, 250, 500, 1000]
-    return {
-        "inf": growth_experiment(lfr, math.inf, J, 2000, record=rec),
-        "2": growth_experiment(lfr, 2.0, J, 2000, record=rec),
-    }
+    res_inf, res_2 = growth_experiment(lfr, [math.inf, 2.0], J, 2000,
+                                       record=rec)
+    return {"inf": res_inf, "2": res_2}
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +54,9 @@ def growth_o3(o3):
     # absorbed at the boundary before n_max, else the l2 ratio tail decays
     rec = _record_grid(2000)
     J = [10000]
-    return {
-        "inf": growth_experiment(o3, math.inf, J, 2000, record=rec),
-        "2": growth_experiment(o3, 2.0, J, 2000, record=rec),
-    }
+    res_inf, res_2 = growth_experiment(o3, [math.inf, 2.0], J, 2000,
+                                       record=rec)
+    return {"inf": res_inf, "2": res_2}
 
 
 # --- criterion 1: characteristic roots and their unit-circle split ----------

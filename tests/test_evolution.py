@@ -118,7 +118,7 @@ def test_hq_norm_ignores_ghosts(lfr):
 
 
 def test_growth_experiment_shapes(lfr):
-    res = hl.growth_experiment(lfr, 2, [8, 16], 40, record=[10, 20, 40])
+    res, = hl.growth_experiment(lfr, [2], [8, 16], 40, record=[10, 20, 40])
     assert set(res.ratios) == {8, 16}
     assert res.ns.tolist() == [10, 20, 40]
     assert res.max_ratio.shape == (3,)
@@ -128,20 +128,62 @@ def test_growth_experiment_shapes(lfr):
 
 
 def test_growth_experiment_record_consistency(lfr):
-    full = hl.growth_experiment(lfr, math.inf, [16], 30)
-    sub = hl.growth_experiment(lfr, math.inf, [16], 30, record=[7, 30])
+    full, = hl.growth_experiment(lfr, [math.inf], [16], 30)
+    sub, = hl.growth_experiment(lfr, [math.inf], [16], 30, record=[7, 30])
     i7 = np.where(full.ns == 7)[0][0]
     assert sub.ratios[16][0] == pytest.approx(full.ratios[16][i7], abs=0)
     assert sub.ratios[16][1] == pytest.approx(full.ratios[16][-1], abs=0)
 
 
+def test_growth_experiment_q_list_bitwise(lfr, o3):
+    # one sweep for all J and both q against one-q runs, one-J runs and the
+    # per-(J, n) evolution of the norm-ratio definition
+    rec = [1, 4, 17, 40]
+    for scheme, Js in ((lfr, [9, 1, 30]), (o3, [12, 3])):
+        both = hl.growth_experiment(scheme, [math.inf, 2], Js, 40, record=rec)
+        assert [res.q for res in both] == [math.inf, 2]
+        for q, res in zip([math.inf, 2], both):
+            one_q, = hl.growth_experiment(scheme, [q], Js, 40, record=rec)
+            assert one_q.max_ratio.tobytes() == res.max_ratio.tobytes()
+            for J in Js:
+                assert one_q.ratios[J].tobytes() == res.ratios[J].tobytes()
+                one_J, = hl.growth_experiment(scheme, [q], [J], 40,
+                                              record=rec)
+                assert one_J.ratios[J].tobytes() == res.ratios[J].tobytes()
+                start = make_half_field(scheme, np.ones(J))
+                want = [hl.hq_norm(hl.apply_half_line(scheme, start, n), q)
+                        / hl.hq_norm(start, q) for n in rec]
+                assert np.array(want).tobytes() == res.ratios[J].tobytes()
+
+
+def test_temporal_green_sweeps_bitwise(lfr, o3):
+    ns = [0, 3, 3, 20, 41]
+    for scheme in (lfr, o3):
+        greens = hl.temporal_green_sweep(scheme, ns, [1, 2, 15, 4])
+        wholes = hl.temporal_green_whole_sweep(scheme, ns)
+        for k, n in enumerate(ns):
+            for i, j0 in enumerate([1, 2, 15, 4]):
+                want = hl.temporal_green(scheme, n, j0)
+                assert greens[k][i].n == n and greens[k][i].j0 == j0
+                assert (greens[k][i].field.values.tobytes()
+                        == want.field.values.tobytes())
+            want = hl.temporal_green_whole(scheme, n)
+            got = [wholes[k].value(j) for j in range(-3 * n - 3, 3 * n + 4)]
+            ref = [want.value(j) for j in range(-3 * n - 3, 3 * n + 4)]
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+    with pytest.raises(ValueError):
+        hl.temporal_green_sweep(lfr, [5, 2], [1])
+    with pytest.raises(ValueError):
+        hl.temporal_green_whole_sweep(lfr, [])
+
+
 def test_growth_experiment_validation(lfr):
     with pytest.raises(ValueError):
-        hl.growth_experiment(lfr, 2, [], 10)
+        hl.growth_experiment(lfr, [2], [], 10)
     with pytest.raises(ValueError):
-        hl.growth_experiment(lfr, 0.5, [4], 10)
+        hl.growth_experiment(lfr, [0.5], [4], 10)
     with pytest.raises(ValueError):
-        hl.growth_experiment(lfr, 2, [4], 10, record=[0])
+        hl.growth_experiment(lfr, [2], [4], 10, record=[0])
 
 
 def test_loglog_slope_recovers_power():

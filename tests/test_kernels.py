@@ -48,6 +48,103 @@ def test_whole_kernel_paths_bitwise_equal(rng, r, p):
         assert np.array_equal(kernel(u0.copy(), a, r, p, nsteps), ref)
 
 
+# --- 2-D buffers: one column per source ------------------------------------
+
+CASES_2D = [(1, 1, 1), (1, 2, 2), (2, 2, 1)]
+
+
+def _full_sweep_half(u0, a, b, r, p, p_b, nsteps):
+    # every interior row on every step, as before the live window: the
+    # window must not change a bit
+    N = u0.shape[0]
+    cur = u0.copy()
+    nxt = np.zeros(N)
+    for i in range(r):
+        val = 0.0
+        for k in range(1, p_b + 1):
+            val += b[i, k - 1] * cur[r - 1 + k]
+        cur[r - 1 - i] = val
+    for _ in range(nsteps):
+        for idx in range(r, N - p):
+            acc = 0.0
+            for k in range(-r, p + 1):
+                acc += a[k + r] * cur[idx + k]
+            nxt[idx] = acc
+        nxt[N - p:] = 0.0
+        for i in range(r):
+            val = 0.0
+            for k in range(1, p_b + 1):
+                val += b[i, k - 1] * nxt[r - 1 + k]
+            nxt[r - 1 - i] = val
+        cur, nxt = nxt, cur
+    return cur
+
+
+def _sources(rng, N, m, lo, hi):
+    # m columns with random data in rows lo..hi-1 (one column all zero
+    # when m > 2), far below the buffer top N
+    u0 = np.zeros((N, m))
+    for c in range(m):
+        if m > 2 and c == 1:
+            continue
+        start = int(rng.integers(lo, hi - 3))
+        stop = int(rng.integers(start + 1, hi))
+        u0[start:stop, c] = rng.standard_normal(stop - start)
+    return u0
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("r,p,p_b", CASES_2D)
+def test_half_kernel_columns_bitwise(rng, r, p, p_b, m):
+    a, b = _coeffs(rng, r, p, p_b)
+    nsteps = 24
+    N = 40 + r * nsteps + p + r + 150      # rows far above the support
+    u0 = _sources(rng, N, m, r, 40)
+    u0[:r] = rng.standard_normal((r, m))  # garbage ghosts, refilled
+    u0[-60:-30] = -0.0                    # a full sweep writes +0.0 here
+    outs = [kernel(u0, a, b, r, p, p_b, nsteps)
+            for kernel in (K.evolve_half, K.evolve_half_numpy)]
+    for c in range(m):
+        ref = K._evolve_half_loops(u0[:, c].copy(), a, b, r, p, p_b, nsteps)
+        full = _full_sweep_half(u0[:, c].copy(), a, b, r, p, p_b, nsteps)
+        assert np.array_equal(ref.view(np.uint64), full.view(np.uint64))
+        for out in outs:
+            assert out.shape == u0.shape
+            assert np.array_equal(out[:, c].view(np.uint64),
+                                  ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("r,p,p_b", CASES_2D)
+def test_whole_kernel_columns_bitwise(rng, r, p, p_b, m):
+    a = rng.uniform(-0.5, 0.5, size=p + r + 1)
+    nsteps = 19
+    N = 30 + (r + p) * nsteps + r + p + 120
+    u0 = _sources(rng, N, m, r + p * nsteps, r + p * nsteps + 30)
+    outs = [kernel(u0, a, r, p, nsteps)
+            for kernel in (K.evolve_whole, K.evolve_whole_numpy)]
+    no_rule = np.zeros((r, 0))
+    for c in range(m):
+        ref = K._evolve_whole_loops(u0[:, c].copy(), a, r, p, nsteps)
+        full = _full_sweep_half(u0[:, c].copy(), a, no_rule, r, p, 0, nsteps)
+        assert np.array_equal(ref.view(np.uint64), full.view(np.uint64))
+        for out in outs:
+            assert np.array_equal(out[:, c].view(np.uint64),
+                                  ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("r,p,p_b", CASES_2D)
+def test_half_kernel_chunks_bitwise(rng, r, p, p_b):
+    # advancing in chunks (the recorded sweeps) equals one call
+    a, b = _coeffs(rng, r, p, p_b)
+    u0 = _sources(rng, 40 + r * 30 + p + r + 50, 3, r, 40)
+    one = K.evolve_half(u0, a, b, r, p, p_b, 30)
+    buf = u0
+    for chunk in (7, 0, 11, 12):
+        buf = K.evolve_half(buf, a, b, r, p, p_b, chunk)
+    assert np.array_equal(buf.view(np.uint64), one.view(np.uint64))
+
+
 def test_entry_ghost_recompute(rng):
     # ghosts in the input buffer are overwritten from the interior before
     # stepping, so garbage ghosts cannot leak into the result

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from halflab import layers
+from halflab.evolution import temporal_green, temporal_green_whole
 from halflab.layers import (
     err_bound_fit,
     err_field,
@@ -13,9 +15,9 @@ from halflab.layers import (
     ru_analytic,
     whole_line_asymptotic_check,
 )
-from halflab.scheme import builtin_lfr
+from halflab.scheme import builtin_lfr, builtin_o3
 
-from conftest import KAPPA_S_O3
+from conftest import KAPPA_S_O3, o3_marginal_pair
 
 
 def test_rc_analytic_lfr_frozen(lfr):
@@ -141,6 +143,36 @@ def test_err_bound_fit_small_grid(lfr):
     assert fit.heat.shape == (3, 3)
     assert np.all(np.isfinite(fit.sups))
     assert fit.best_c0 > 0.0
+
+
+def _one_run_per_cell(scheme, ns, j0s):
+    return [[temporal_green(scheme, int(n), int(j0)) for j0 in j0s]
+            for n in ns]
+
+
+def _one_run_per_time(scheme, ns):
+    return [temporal_green_whole(scheme, int(n)) for n in ns]
+
+
+@pytest.mark.parametrize("case", ["lfr", "o3", "o3_pair"])
+def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
+    # the recorded sweeps against one temporal_green run per (n, j0) and one
+    # temporal_green_whole run per n, as err_bound_fit evolved before
+    scheme = {"lfr": lambda: lfr,
+              "o3": lambda: builtin_o3(-0.5, 0.0, 0.0),
+              "o3_pair": lambda: builtin_o3(-0.4, *o3_marginal_pair(-0.4)),
+              }[case]()
+    kw = dict(n_list=(30, 60, 60, 120), j0_list=(1, 2, 7, 25, 50, 90),
+              j_list=(1, 2, 5, 9), c0_list=(0.01, 0.05, 0.2, 1.0))
+    fit = err_bound_fit(scheme, **kw)
+    monkeypatch.setattr(layers, "temporal_green_sweep", _one_run_per_cell)
+    monkeypatch.setattr(layers, "temporal_green_whole_sweep",
+                        _one_run_per_time)
+    ref = err_bound_fit(scheme, **kw)
+    assert fit.heat.tobytes() == ref.heat.tobytes()
+    assert fit.sups.tobytes() == ref.sups.tobytes()
+    assert fit.best_c0 == ref.best_c0
+    assert np.any(fit.heat > 0)
 
 
 def test_err_bound_fit_validation(lfr):

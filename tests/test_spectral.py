@@ -398,3 +398,40 @@ def test_nearest_match_agrees_with_scipy():
             rows, cols = linear_sum_assignment(cost)
             assert list(spectral._nearest_match(cost)) == \
                 list(cols[np.argsort(rows)])
+
+
+def _lfr_stable_root(s, z):
+    # closed-form roots of a_1 kappa^2 + (a_0 - z) kappa + a_{-1} = 0
+    am1, a0, a1 = (complex(v) for v in s.a)
+    disc = np.sqrt((a0 - z) ** 2 - 4.0 * a1 * am1)
+    return min(((z - a0 + disc) / (2.0 * a1), (z - a0 - disc) / (2.0 * a1)),
+               key=abs)
+
+
+def test_aberth_stalled_row_accepted_on_residual():
+    # two roots near |kappa| = 1 (0.99471, 1.00420): the step settles at
+    # 1.3e-14, just above the 1e-14 stopping rule, until the iteration limit
+    s = hl.builtin_lfr(-0.0005, 0.9, 0.5)
+    z = complex(np.exp(1e-5))
+    c = spectral._char_coeffs(s, np.array([z, 2.0]))
+    _, errors = spectral._aberth(c)
+    assert not errors
+    val = hl.lopatinskii(s, z)
+    ks = _lfr_stable_root(s, z)
+    assert abs(val.kappas[0] - ks) < 1e-12
+    delta = (hl.boundary_matrix(s) @ np.array([ks, 1.0]))[0]
+    assert abs(val.value - delta) < 1e-12 * abs(delta)
+
+
+def test_aberth_nan_and_unconverged_rows_still_raise(lfr):
+    c = spectral._char_coeffs(lfr, np.array([2.0, 3.0]))
+    c[1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        roots, errors = spectral._aberth(c)
+    assert list(errors) == [1] and isinstance(errors[1], RootSolveError)
+    assert "nan" in str(errors[1])
+    alone, _ = spectral._aberth(c[:1])
+    assert np.array_equal(roots[0].view(float), alone[0].view(float))
+    # large steps at the iteration limit are not a stall
+    _, errors = spectral._aberth(c[:1], max_iter=9)
+    assert list(errors) == [0]
