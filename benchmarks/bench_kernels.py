@@ -4,7 +4,10 @@ question is speed.
 
 Cell updates count the cells the kernel computes: each step updates the
 rows of its live window (see `halflab._kernels`) in every column.  The
-batched case steps one column per source, as the err-map sweep does.
+last two cases are the two routes to the err-map rows G(n, ., 1) of o3:
+the forward sweep with one column per source j0, and one column of the
+transposed scheme (`halflab.evolution.adjoint_scheme`) from delta_1, which
+is what err-map runs.
 
 Run:  python3 benchmarks/bench_kernels.py
 Env:  HALFLAB_DISABLE_NUMBA=1 skips the jit column entirely.
@@ -21,18 +24,26 @@ from halflab._kernels import (
     evolve_whole,
     evolve_whole_numpy,
 )
+from halflab.evolution import adjoint_scheme
+from halflab.scheme import SchemeDefinition
+
+LFR = SchemeDefinition(r=1, p=1, a=[0.125, 0.25, 0.625], p_b=1, b=[[5.0]])
+O3 = SchemeDefinition(r=1, p=2, a=[-1.0 / 16, 9.0 / 16, 9.0 / 16, -1.0 / 16],
+                      p_b=2, b=[[1.2, -0.2]])
+O3_T = adjoint_scheme(O3)
 
 CASES = [
-    # (label, r, p, p_b, b_row, buffer N, columns, steps)
-    ("half r1p1 N=4k n=500", 1, 1, 1, [5.0], 4_000, 1, 500),
-    ("half r1p2 N=4k n=500", 1, 2, 2, [1.2, -0.2], 4_000, 1, 500),
-    ("half r1p1 N=20k n=2000", 1, 1, 1, [5.0], 20_000, 1, 2_000),
-    ("whole r1p2 N=20k n=2000", 1, 2, None, None, 20_000, 1, 2_000),
-    ("half o3 N=3k m=24 n=2000", 1, 2, 2, [1.2, -0.2], 3_000, 24, 2_000),
+    # (label, scheme, half line?, buffer N, columns, steps, source row);
+    # source row None: a lone column at N/4, a batch over rows 50..1000
+    ("half r1p1 N=4k n=500", LFR, True, 4_000, 1, 500, None),
+    ("half r1p2 N=4k n=500", O3, True, 4_000, 1, 500, None),
+    ("half r1p1 N=20k n=2000", LFR, True, 20_000, 1, 2_000, None),
+    ("whole r1p2 N=20k n=2000", O3, False, 20_000, 1, 2_000, None),
+    ("half o3 N=3k m=24 n=2000", O3, True, 3_000, 24, 2_000, None),
+    # the row of delta_1 (j = 1) in the adjoint's buffer is r' = 2; the
+    # buffer is the one temporal_green_rows sizes for n = 2000
+    ("half o3^T N=4k m=1 n=2000", O3_T, True, 4_004, 1, 2_000, O3_T.r),
 ]
-
-LFR_A = np.array([0.125, 0.25, 0.625])
-O3_A = np.array([-1.0 / 16, 9.0 / 16, 9.0 / 16, -1.0 / 16])
 
 
 def _best_of(fn, repeats=3):
@@ -44,11 +55,13 @@ def _best_of(fn, repeats=3):
     return best, out
 
 
-def _sources(N, m):
-    # one unit source per column; a lone column sits at N/4, a batch spreads
-    # over rows 50..1000 like the err-map j0 grid
+def _sources(N, m, row=None):
+    # one unit source per column; a lone column sits at the given row (N/4
+    # by default), a batch spreads over rows 50..1000 like the forward
+    # err-map j0 grid
     u0 = np.zeros((N, m))
-    rows = [N // 4] if m == 1 else np.linspace(50, 1000, m).astype(int)
+    row = N // 4 if row is None else row
+    rows = [row] if m == 1 else np.linspace(50, 1000, m).astype(int)
     u0[rows, np.arange(m)] = 1.0
     return u0[:, 0] if m == 1 else u0
 
@@ -64,16 +77,15 @@ def _cell_updates(u0, r, p, steps):
 
 def main():
     rows = []
-    for label, r, p, p_b, b_row, N, m, steps in CASES:
-        a = LFR_A if p == 1 else O3_A
-        u0 = _sources(N, m)
-        if b_row is None:
-            np_fn = lambda: evolve_whole_numpy(u0, a, r, p, steps)
-            jit_fn = lambda: evolve_whole(u0, a, r, p, steps)
-        else:
-            b = np.array([b_row])
+    for label, sch, half, N, m, steps, src in CASES:
+        a, b, r, p, p_b = sch.a, sch.b, sch.r, sch.p, sch.p_b
+        u0 = _sources(N, m, src)
+        if half:
             np_fn = lambda: evolve_half_numpy(u0, a, b, r, p, p_b, steps)
             jit_fn = lambda: evolve_half(u0, a, b, r, p, p_b, steps)
+        else:
+            np_fn = lambda: evolve_whole_numpy(u0, a, r, p, steps)
+            jit_fn = lambda: evolve_whole(u0, a, r, p, steps)
         cells = _cell_updates(u0, r, p, steps)
         t_np, out_np = _best_of(np_fn)
         if HAVE_NUMBA:

@@ -33,6 +33,8 @@ from .evolution import (
     temporal_green_whole,
     temporal_green_sweep,
     temporal_green_whole_sweep,
+    adjoint_scheme,
+    temporal_green_rows,
     hq_norm,
     growth_experiment,
 )
@@ -79,8 +81,8 @@ __all__ = [
     "scheme_to_json", "scheme_from_json",
     "HalfLineField", "WholeLineField", "GreenField", "apply_half_line",
     "apply_whole_line", "temporal_green", "temporal_green_whole",
-    "temporal_green_sweep", "temporal_green_whole_sweep", "hq_norm",
-    "growth_experiment",
+    "temporal_green_sweep", "temporal_green_whole_sweep", "adjoint_scheme",
+    "temporal_green_rows", "hq_norm", "growth_experiment",
     "SpectralSplit", "StableBasis", "ProjectorSet", "LopatinskiiValue",
     "characteristic_roots", "spectral_split", "stable_basis", "lopatinskii",
     "lopatinskii_values", "lopatinskii_derivative_at_one", "projector_set",

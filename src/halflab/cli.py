@@ -306,7 +306,11 @@ def _run_err_map(scheme, cfg, out_dir):
     j0_list = _grid(cfg, "j0_list", None)
     if j0_list is not None:
         j0_list = [int(v) for v in j0_list]
+        if min(j0_list) < 1:
+            raise ConfigError("j0_list", "source cells must be >= 1")
     j_list = [int(v) for v in _grid(cfg, "j_list", [1])]
+    if min(j_list) < 1:
+        raise ConfigError("j_list", "cells must be >= 1")
     c0_list = _grid(cfg, "c0_list", None)
     if c0_list is not None:
         c0_list = [float(v) for v in c0_list]

@@ -20,6 +20,15 @@ recorded time, one kernel call per time.  A cell's value does not depend on
 the buffer size, the other columns or the chunking (see `_kernels`), so
 `temporal_green_sweep`, `temporal_green_whole_sweep` and
 `growth_experiment` are bitwise equal to one run per source and time.
+
+Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
+is the j0 entry of (T^T)^n delta_j, and the transpose T^T is itself a
+half-line scheme (`adjoint_scheme`: stencil a_{-k}, r and p swapped, and
+ghost weights that reproduce the transposed boundary block).  So
+`temporal_green_rows` gives G(n, ., j) at every j0 from one column per j,
+however many sources are read; it agrees with `temporal_green_sweep` to
+roundoff, not bitwise, since the two routes multiply out T^n in a
+different order.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ __all__ = [
     "HalfLineField", "WholeLineField", "GreenField", "GhostConsistencyError",
     "apply_half_line", "apply_whole_line", "temporal_green",
     "temporal_green_whole", "temporal_green_sweep", "temporal_green_whole_sweep",
+    "adjoint_scheme", "temporal_green_rows",
     "hq_norm", "growth_experiment", "GrowthResult", "loglog_slope",
 ]
 
@@ -254,6 +264,49 @@ def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s) -> list:
     return [[GreenField(n, j0, HalfLineField(r, snap[:, i]).trimmed())
              for i, j0 in enumerate(j0s)]
             for n, snap in zip(ns, snaps)]
+
+
+def adjoint_scheme(scheme: SchemeDefinition) -> SchemeDefinition:
+    """The half-line scheme whose one-step operator is the transpose of
+    scheme's on the interior j >= 1.
+
+    Away from the boundary T^T is the stencil a'_k = a_{-k}, so r' = p and
+    p' = r.  The ghost rule adds to rows 1..r of T the block
+
+        C[jj, m] = sum_{k=-r}^{-jj} a_k b[-(jj+k), m-1],   m = 1..p_b,
+
+    so T^T carries C^T in rows 1..p_b, columns 1..r.  The adjoint's ghosts
+    u_{-i}, i = 0..p-1, read the first p_b' = r interior cells with weights
+    b' chosen so that their block is C^T:
+
+        sum_{i=0}^{p-m} a_{m+i} b'[i, jj-1] = C[jj, m],   m = 1..p,
+
+    with C = 0 for m > p_b.  The system is anti-triangular with diagonal
+    a_p != 0 and is solved from m = p down; a small |a_p| makes b' large
+    and costs the adjoint's boundary block digits accordingly.  p_b' = r
+    <= p' holds, so the adjoint is always a valid scheme.
+    """
+    r, p, a = scheme.r, scheme.p, scheme.a
+    block = np.zeros((r, p))
+    for jj in range(1, r + 1):
+        for k in range(-r, -jj + 1):
+            block[jj - 1, :scheme.p_b] += a[k + r] * scheme.b[-(jj + k)]
+    bt = np.zeros((p, r))
+    for m in range(p, 0, -1):
+        # a[m + r:p + r] holds a_m .. a_{p-1}, the weights of bt[:p - m]
+        bt[p - m] = (block[:, m - 1] - a[m + r:p + r] @ bt[:p - m]) / a[-1]
+    return SchemeDefinition(r=p, p=r, a=a[::-1].copy(), p_b=r, b=bt,
+                            lam=scheme.lam, v=-scheme.v,
+                            name=f"{scheme.name}-adjoint")
+
+
+def temporal_green_rows(scheme: SchemeDefinition, ns, js) -> list:
+    """Rows of G in the source, as out[k][c].value(j0) = G(ns[k], j0, js[c])
+    for every j0 >= 1, from one sweep of the adjoint scheme with a column
+    per row j: G(n, j0, j) is the j0 entry of (T^T)^n delta_j, and out[k][c]
+    is that adjoint Green's function (its j0 field is the row j).  Equal to
+    the `temporal_green_sweep` columns up to roundoff."""
+    return temporal_green_sweep(adjoint_scheme(scheme), ns, js)
 
 
 def temporal_green_whole_sweep(scheme: SchemeDefinition, ns) -> list:

@@ -19,6 +19,12 @@ the transmitted one; the kappa_m are the stable roots at 1, and all matrix
 powers go through the eigenbasis (dense powers would excite the unstable
 directions through roundoff).  The kappa_m^{j-1+r} factor is the p-th
 companion coordinate of M(1)^{j-1} applied to the stable eigenvectors.
+
+`err_bound_fit` reads G only on its j grid, so it takes the rows G(n, ., j)
+from one sweep of the transposed scheme with a column per j
+(`evolution.temporal_green_rows`), whatever the size of the j0 grid, and Gt
+from one whole-line sweep.  Those rows equal the forward columns to
+roundoff, so the suprema move only at cells where |Err| is at roundoff.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (temporal_green, temporal_green_sweep,
+from .evolution import (temporal_green, temporal_green_rows,
                         temporal_green_whole, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
@@ -272,6 +278,10 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
     js = np.asarray(sorted(int(v) for v in j_list), dtype=int)
     if j0s.size == 0 or js.size == 0:
         raise ValueError("j0 and j grids must be nonempty")
+    if j0s[0] < 1:
+        raise ValueError("source cells must satisfy j0 >= 1")
+    if js[0] < 1:
+        raise ValueError("cells must satisfy j >= 1")
     c0s = (np.geomspace(1e-3, 2.0, 40) if c0_list is None
            else np.asarray(c0_list, dtype=float))
     mu = rep.mu
@@ -284,15 +294,17 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
     ru_all = (ru_analytic(scheme, int(j0s[-1]), window).values if marginal
               else np.zeros((int(j0s[-1]), window)))
 
-    # one sweep per kernel: a column per j0 on the half line, one source
-    # on the whole line, each recorded at every n
-    greens = temporal_green_sweep(scheme, ns, j0s)
+    # one sweep per kernel, each recorded at every n: the adjoint on the
+    # half line with a column per j (its j0 entries are G(n, j0, j)), and
+    # one source on the whole line
+    rows = temporal_green_rows(scheme, ns, js)
     wholes = temporal_green_whole_sweep(scheme, ns)
     abs_err = np.empty((ns.size, j0s.size, js.size))
     args = np.empty((ns.size, j0s.size))
     for k, n in enumerate(ns):
         for i, j0 in enumerate(j0s):
-            g, gt = _green_rows(greens[k][i], wholes[k], int(j0), js)
+            g = np.array([row.value(int(j0)) for row in rows[k]])
+            gt = np.array([wholes[k].value(int(j) - j0) for j in js])
             ind = 1 if n * scheme.p >= j0 else 0
             act = _activation(scheme, rep, int(n), int(j0))
             err = g - gt - ind * ru_all[j0 - 1, js - 1] - act * rc[js - 1]

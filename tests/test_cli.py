@@ -164,6 +164,18 @@ def test_err_map_o3_default_grid_bound_holds(tmp_path):
     assert rep["best_c0"] > 0.0
 
 
+@pytest.mark.parametrize("key, grid", [("j_list", [0, 2]),
+                                       ("j0_list", [0, 10])])
+def test_err_map_cells_below_one_are_config_errors(tmp_path, capsys, key,
+                                                   grid):
+    doc = {"scheme": {"builtin": "lfr"}, "n_list": [50, 100],
+           "j0_list": [10, 20], "j_list": [1], key: grid}
+    code, out = run(tmp_path, "err-map", doc)
+    assert code == 1
+    assert f"config error at {key}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "err_map.csv"))
+
+
 def test_growth_artifacts_and_slope(tmp_path):
     doc = {"scheme": {"builtin": "lfr"}, "q_list": ["inf"], "J_list": [40],
            "n_max": 160, "fit_lo": 40, "fit_hi": 160}

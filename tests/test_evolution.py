@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import halflab as hl
 from halflab.evolution import GhostConsistencyError, loglog_slope
 
-from conftest import make_half_field
+from conftest import make_half_field, o3_marginal_pair
 
 
 def test_lfr_one_step_frozen(lfr):
@@ -175,6 +175,73 @@ def test_temporal_green_sweeps_bitwise(lfr, o3):
         hl.temporal_green_sweep(lfr, [5, 2], [1])
     with pytest.raises(ValueError):
         hl.temporal_green_whole_sweep(lfr, [])
+
+
+# inline schemes of every shape the adjoint changes: no ghost rule, a full
+# ghost rule (p_b = p), and r > p, where the adjoint has fewer ghosts
+_A23 = [0.05, 0.15, 0.3, 0.25, 0.15, 0.1]
+
+
+def _o3_pair(alpha):
+    return hl.builtin_o3(alpha, *o3_marginal_pair(alpha))
+
+
+_ADJOINT_CASES = {
+    "lfr": lambda: hl.builtin_lfr(-0.5, 0.75, 5.0),
+    "o3_zero_rule": lambda: hl.builtin_o3(-0.5, 0.0, 0.0),
+    "o3_pair": lambda: _o3_pair(-0.5),
+    "r2p3pb0": lambda: hl.SchemeDefinition(r=2, p=3, a=_A23, p_b=0, b=[]),
+    "r2p3pb3": lambda: hl.SchemeDefinition(
+        r=2, p=3, a=_A23, p_b=3, b=[[0.5, -0.25, 0.125], [1.5, -1.0, 0.25]]),
+    "r3p1pb1": lambda: hl.SchemeDefinition(
+        r=3, p=1, a=[0.1, 0.2, 0.3, 0.25, 0.15], p_b=1,
+        b=[[2.0], [-1.0], [0.5]]),
+}
+
+
+def _one_step_matrix(scheme, size):
+    # M[j-1, l-1] = (T delta_l)_j: apply_half_line sizes its buffer past the
+    # support, so this is the exact leading block of the infinite matrix
+    M = np.zeros((size, size))
+    for l in range(1, size + 1):
+        out = hl.apply_half_line(scheme, hl.HalfLineField.dirac(scheme, l))
+        M[:, l - 1] = [out.value(j) for j in range(1, size + 1)]
+    return M
+
+
+@pytest.mark.parametrize("case", sorted(_ADJOINT_CASES))
+def test_adjoint_scheme_is_transpose(case):
+    scheme = _ADJOINT_CASES[case]()
+    adj = hl.adjoint_scheme(scheme)
+    assert (adj.r, adj.p, adj.p_b) == (scheme.p, scheme.r, scheme.r)
+    assert adj.a.tobytes() == scheme.a[::-1].tobytes()
+    T = _one_step_matrix(scheme, 40)
+    Tt = _one_step_matrix(adj, 40)
+    assert np.max(np.abs(Tt - T.T)) <= 1e-15 * np.max(np.abs(T))
+    # a nonzero ghost rule really adds a block to row 1
+    if np.any(scheme.b):
+        assert np.any(T[0] != [scheme.coeff(l - 1) if l <= scheme.p + 1
+                               else 0.0 for l in range(1, 41)])
+
+
+@pytest.mark.parametrize("case", ["lfr", "o3_zero_rule", "o3_pair_0.4",
+                                  "o3_pair_0.8"])
+def test_temporal_green_rows_match_forward_columns(case):
+    scheme = {**_ADJOINT_CASES, "o3_pair_0.4": lambda: _o3_pair(-0.4),
+              "o3_pair_0.8": lambda: _o3_pair(-0.8)}[case]()
+    ns, js = [0, 30, 60, 60, 120], [1, 2, 5, 9]
+    # every source that reaches j <= 9 by n = 120 (j - j0 >= -p n)
+    j0s = list(range(1, js[-1] + scheme.p * ns[-1] + 1))
+    rows = hl.temporal_green_rows(scheme, ns, js)
+    cols = hl.temporal_green_sweep(scheme, ns, j0s)
+    for k, n in enumerate(ns):
+        for c, j in enumerate(js):
+            assert rows[k][c].n == n
+            assert rows[k][c].field.j_max <= j0s[-1]
+            got = np.array([rows[k][c].value(j0) for j0 in j0s])
+            want = np.array([col.value(j) for col in cols[k]])
+            assert np.max(np.abs(got - want)) <= \
+                1e-13 * np.max(np.abs(want))
 
 
 def test_growth_experiment_validation(lfr):

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from halflab import layers
-from halflab.evolution import temporal_green, temporal_green_whole
+from halflab import evolution, layers
+from halflab.evolution import (temporal_green, temporal_green_sweep,
+                               temporal_green_whole)
 from halflab.layers import (
     err_bound_fit,
     err_field,
@@ -156,8 +157,9 @@ def _one_run_per_time(scheme, ns):
 
 @pytest.mark.parametrize("case", ["lfr", "o3", "o3_pair"])
 def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
-    # the recorded sweeps against one temporal_green run per (n, j0) and one
-    # temporal_green_whole run per n, as err_bound_fit evolved before
+    # the recorded sweeps against per-cell runs: the adjoint sweep against
+    # one temporal_green run of the adjoint scheme per (n, j), the
+    # whole-line sweep against one temporal_green_whole run per n
     scheme = {"lfr": lambda: lfr,
               "o3": lambda: builtin_o3(-0.5, 0.0, 0.0),
               "o3_pair": lambda: builtin_o3(-0.4, *o3_marginal_pair(-0.4)),
@@ -165,7 +167,7 @@ def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
     kw = dict(n_list=(30, 60, 60, 120), j0_list=(1, 2, 7, 25, 50, 90),
               j_list=(1, 2, 5, 9), c0_list=(0.01, 0.05, 0.2, 1.0))
     fit = err_bound_fit(scheme, **kw)
-    monkeypatch.setattr(layers, "temporal_green_sweep", _one_run_per_cell)
+    monkeypatch.setattr(evolution, "temporal_green_sweep", _one_run_per_cell)
     monkeypatch.setattr(layers, "temporal_green_whole_sweep",
                         _one_run_per_time)
     ref = err_bound_fit(scheme, **kw)
@@ -175,11 +177,50 @@ def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
     assert np.any(fit.heat > 0)
 
 
+class _ForwardRow:
+    """G(n, ., j) read off the forward columns, one per j0."""
+
+    def __init__(self, greens, j0s, j):
+        self._vals = {int(j0): g.value(j) for j0, g in zip(j0s, greens)}
+
+    def value(self, j0):
+        return self._vals[int(j0)]
+
+
+@pytest.mark.parametrize("name", ["lfr", "o3"])
+def test_err_bound_fit_adjoint_route_keeps_verdict(lfr, o3, monkeypatch,
+                                                   name):
+    # the adjoint rows against the forward sweep with a column per j0 (the
+    # route err_bound_fit took before): same best_c0, and the bound holds.
+    # At alpha = -0.5 the default j0 grid carries the activation fronts
+    # n|alpha|, so it is the acceptance gate's grid as well.
+    scheme = {"lfr": lfr, "o3": o3}[name]
+    gate = sorted(set(range(50, 1001, 50)) | {125, 250, 500, 1000})
+    fit = err_bound_fit(scheme)
+    assert fit.j0_values.tolist() == gate
+    j0s = fit.j0_values
+
+    def forward_rows(scheme, ns, js):
+        greens = temporal_green_sweep(scheme, ns, j0s)
+        return [[_ForwardRow(g, j0s, int(j)) for j in js] for g in greens]
+
+    monkeypatch.setattr(layers, "temporal_green_rows", forward_rows)
+    ref = err_bound_fit(scheme, j0_list=j0s)
+    assert fit.best_c0 == ref.best_c0
+    assert fit.best_c0 > 0.0
+    np.testing.assert_allclose(fit.heat, ref.heat, rtol=0, atol=1e-12)
+
+
 def test_err_bound_fit_validation(lfr):
     with pytest.raises(ValueError):
         err_bound_fit(lfr, n_list=())
     with pytest.raises(ValueError):
         err_bound_fit(lfr, n_list=(10,), j0_list=(), j_list=(1,))
+    # j = 0 would read the layers at the far end of the window
+    with pytest.raises(ValueError, match="j >= 1"):
+        err_bound_fit(lfr, n_list=(50, 100), j0_list=(10, 20), j_list=(0, 2))
+    with pytest.raises(ValueError, match="j0 >= 1"):
+        err_bound_fit(lfr, n_list=(50, 100), j0_list=(0, 20), j_list=(1,))
 
 
 def test_whole_line_asymptotic_check(lfr):
