@@ -30,7 +30,7 @@ from halflab.scheme import SchemeDefinition
 LFR = SchemeDefinition(r=1, p=1, a=[0.125, 0.25, 0.625], p_b=1, b=[[5.0]])
 O3 = SchemeDefinition(r=1, p=2, a=[-1.0 / 16, 9.0 / 16, 9.0 / 16, -1.0 / 16],
                       p_b=2, b=[[1.2, -0.2]])
-O3_T = adjoint_scheme(O3)
+O3_T, _ = adjoint_scheme(O3)
 
 CASES = [
     # (label, scheme, half line?, buffer N, columns, steps, source row);

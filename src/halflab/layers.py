@@ -20,6 +20,12 @@ powers go through the eigenbasis (dense powers would excite the unstable
 directions through roundoff).  The kappa_m^{j-1+r} factor is the p-th
 companion coordinate of M(1)^{j-1} applied to the stable eigenvectors.
 
+The residue data at z = 1 (Delta(1), the stable basis, the projectors and
+Delta'(1)) and the first hypothesis's report are the same for every layer
+of one scheme.  `_AtOne` holds them, each computed at most once; a CLI run
+builds one and passes it to every layer function it calls (`at_one=`),
+and a function called without one builds its own.
+
 `err_bound_fit` reads G only on its j grid, so it takes the rows G(n, ., j)
 from one sweep of the transposed scheme with a column per j
 (`evolution.temporal_green_rows`), whatever the size of the j0 grid, and Gt
@@ -29,13 +35,14 @@ roundoff, so the suprema move only at cells where |Err| is at roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (temporal_green, temporal_green_rows,
+from .evolution import (adjoint_scheme, temporal_green, temporal_green_rows,
                         temporal_green_whole, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
@@ -113,43 +120,103 @@ def _profile(kind: str, provenance: str, js: np.ndarray, vals: np.ndarray,
                                 decay_C=C, decay_c=c)
 
 
-def _delta_at_one(scheme: SchemeDefinition):
-    basis = stable_basis(scheme, 1.0)
-    B = boundary_matrix(scheme)
-    A = B @ basis.vectors
-    return basis, B, A, complex(np.linalg.det(A))
+class _AtOne:
+    """The first hypothesis's report and the residue data at z = 1 of one
+    scheme, each computed on first use and kept for the object's life.
+
+    A CLI run builds one (with the report it already has) and passes it to
+    the layer functions; nothing keeps it beyond the run.  Delta'(1) and
+    the projectors are only computed for a marginal scheme, where a layer
+    needs them.
+    """
+
+    def __init__(self, scheme: SchemeDefinition, rep1=None):
+        self.scheme = scheme
+        if rep1 is not None:
+            self.rep1 = rep1
+        self._ru_rows = {}
+
+    @functools.cached_property
+    def rep1(self):
+        return check_hypothesis_one(self.scheme)
+
+    @functools.cached_property
+    def basis(self):
+        return stable_basis(self.scheme, 1.0)
+
+    @functools.cached_property
+    def B(self) -> np.ndarray:
+        return boundary_matrix(self.scheme)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return self.B @ self.basis.vectors
+
+    @functools.cached_property
+    def delta1(self) -> complex:
+        return complex(np.linalg.det(self.A))
+
+    @property
+    def marginal(self) -> bool:
+        return abs(self.delta1) <= 1e-8
+
+    def require_marginal(self):
+        if not self.marginal:
+            raise ValueError(
+                "no marginal boundary layer: the Lopatinskii determinant "
+                "does not vanish at z = 1 "
+                f"(|Delta(1)| = {abs(self.delta1):.3e})")
+
+    @functools.cached_property
+    def projectors(self):
+        self.require_marginal()
+        return projector_set(self.scheme, 1.0)
+
+    @functools.cached_property
+    def dprime(self) -> complex:
+        self.require_marginal()
+        return lopatinskii_derivative_at_one(self.scheme)
+
+    def layer_coeffs(self, w: np.ndarray) -> np.ndarray:
+        return -(_adjugate(self.A) / self.dprime) @ (self.B @ w)
+
+    def ru_row(self, j0: int, window: int) -> np.ndarray:
+        """Row j0 of ru_analytic(scheme, j0, window), once per (j0, window);
+        zeros unless marginal."""
+        key = (j0, window)
+        if key not in self._ru_rows:
+            self._ru_rows[key] = (
+                ru_analytic(self.scheme, j0, window,
+                            at_one=self).values[j0 - 1]
+                if self.marginal else np.zeros(window))
+        return self._ru_rows[key]
 
 
-def _require_marginal(delta1: complex):
-    if abs(delta1) > 1e-8:
-        raise ValueError(
-            "no marginal boundary layer: the Lopatinskii determinant does "
-            f"not vanish at z = 1 (|Delta(1)| = {abs(delta1):.3e})")
+def _at_one(scheme: SchemeDefinition, at_one) -> _AtOne:
+    if at_one is None:
+        return _AtOne(scheme)
+    if at_one.scheme is not scheme:
+        raise ValueError("at_one holds the residue data of another scheme")
+    return at_one
 
 
-def _layer_coeffs(scheme: SchemeDefinition, A: np.ndarray, B: np.ndarray,
-                  w: np.ndarray) -> np.ndarray:
-    dprime = lopatinskii_derivative_at_one(scheme)
-    return -(_adjugate(A) / dprime) @ (B @ w)
-
-
-def rc_analytic(scheme: SchemeDefinition, J_max: int) -> BoundaryLayerProfile:
+def rc_analytic(scheme: SchemeDefinition, J_max: int, *,
+                at_one=None) -> BoundaryLayerProfile:
     """Reflected layer Rc(j), j = 1..J_max, from the residue data at z = 1."""
     if J_max < 1:
         raise ValueError("J_max must be >= 1")
-    basis, B, A, delta1 = _delta_at_one(scheme)
-    _require_marginal(delta1)
-    ps = projector_set(scheme, 1.0)
+    at_one = _at_one(scheme, at_one)
+    ps = at_one.projectors
     w = (ps.pi_c @ ps.e.astype(complex)) / scheme.a[-1]
-    coeffs = _layer_coeffs(scheme, A, B, w)
-    ks = np.asarray(basis.kappas)
+    coeffs = at_one.layer_coeffs(w)
+    ks = np.asarray(at_one.basis.kappas)
     js = np.arange(1, J_max + 1)
     vals = (coeffs[:, None] * ks[:, None] ** (js[None, :] - 1 + scheme.r)).sum(axis=0)
     return _profile("reflected", "analytic", js, _real_profile(vals))
 
 
-def ru_analytic(scheme: SchemeDefinition, j0_max: int,
-                j_max: int) -> BoundaryLayerProfile:
+def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
+                at_one=None) -> BoundaryLayerProfile:
     """Transmitted layer Ru(j0, j) on the grid 1..j0_max x 1..j_max.
 
     Identically zero when p = 1: the strictly unstable class at z = 1 is
@@ -157,11 +224,10 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int,
     """
     if j0_max < 1 or j_max < 1:
         raise ValueError("grid bounds must be >= 1")
-    basis, B, A, delta1 = _delta_at_one(scheme)
-    _require_marginal(delta1)
+    at_one = _at_one(scheme, at_one)
+    ps = at_one.projectors
     js0 = np.arange(1, j0_max + 1)
     js = np.arange(1, j_max + 1)
-    ps = projector_set(scheme, 1.0)
     su = ps.classes["su"]
     if not su:
         vals = np.zeros((j0_max, j_max))
@@ -172,8 +238,8 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int,
         for k in su:
             W += np.outer(ps.V[:, k], d[k] * roots[k] ** (-js0))
         W /= scheme.a[-1]
-        CU = _layer_coeffs(scheme, A, B, W)
-        ks = np.asarray(basis.kappas)
+        CU = at_one.layer_coeffs(W)
+        ks = np.asarray(at_one.basis.kappas)
         powmat = ks[:, None] ** (js[None, :] - 1 + scheme.r)
         vals = _real_profile(CU.T @ powmat)
     return _profile("transmitted", "analytic", js, vals, j0s=js0)
@@ -210,25 +276,21 @@ class ErrField:
     activation: float
 
 
-def err_field(scheme: SchemeDefinition, n: int, j0: int,
-              window: int) -> ErrField:
+def err_field(scheme: SchemeDefinition, n: int, j0: int, window: int, *,
+              at_one=None) -> ErrField:
     """Err(n, j0, j) for j = 1..window, assembled exactly from the
     decomposition (layers taken as zero outside the marginal regime)."""
     if n < 0 or j0 < 1 or window < 1:
         raise ValueError("need n >= 0, j0 >= 1, window >= 1")
+    at_one = _at_one(scheme, at_one)
     js = np.arange(1, window + 1)
-    rep = check_hypothesis_one(scheme)
     g, gt = _green_rows(temporal_green(scheme, n, j0),
                         temporal_green_whole(scheme, n), j0, js)
     ind = 1 if n * scheme.p >= j0 else 0
-    act = _activation(scheme, rep, n, j0)
-    _, _, _, delta1 = _delta_at_one(scheme)
-    if abs(delta1) <= 1e-8:
-        rc = rc_analytic(scheme, window).values
-        ru_row = ru_analytic(scheme, j0, window).values[j0 - 1]
-    else:
-        rc = np.zeros(window)
-        ru_row = np.zeros(window)
+    act = _activation(scheme, at_one.rep1, n, j0)
+    rc = (rc_analytic(scheme, window, at_one=at_one).values
+          if at_one.marginal else np.zeros(window))
+    ru_row = at_one.ru_row(j0, window)
     ru_term = ind * ru_row
     rc_term = act * rc
     err = g - gt - ru_term - rc_term
@@ -248,6 +310,8 @@ class ErrBoundFit:
     and best_c0 is the largest trial rate whose suprema do not grow along
     n_values (within growth_tol per step); 0.0 when every rate grows.
     heat[k, i] is the unweighted n^{1/2mu} sup_j |Err(n, j0_i, j)|.
+    adjoint_residual is the relative residual of the solve that built the
+    transposed scheme G was read from (see `evolution.adjoint_scheme`).
     """
 
     mu: int
@@ -259,16 +323,18 @@ class ErrBoundFit:
     best_c0: float
     heat: np.ndarray
     growth_tol: float
+    adjoint_residual: float
 
 
 def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
                   j0_list=None, j_list=(1,), c0_list=None,
-                  growth_tol: float = 0.05) -> ErrBoundFit:
+                  growth_tol: float = 0.05, *, at_one=None) -> ErrBoundFit:
     """Measure the Gaussian-in-j0, exponential-in-j envelope of Err."""
     ns = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     if ns.size == 0 or ns[0] < 1:
         raise ValueError("n grid must be nonempty and positive")
-    rep = check_hypothesis_one(scheme)
+    at_one = _at_one(scheme, at_one)
+    rep = at_one.rep1
     if j0_list is None:
         # the sup over j0 sits at the activation front n|alpha|; a grid
         # without those cells makes the comparison across n vacuous
@@ -286,13 +352,14 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
            else np.asarray(c0_list, dtype=float))
     mu = rep.mu
     expo = 2.0 * mu / (2.0 * mu - 1.0)
-    _, _, _, delta1 = _delta_at_one(scheme)
-    marginal = abs(delta1) <= 1e-8
     window = int(js[-1])
-    rc = (rc_analytic(scheme, window).values if marginal
-          else np.zeros(window))
-    ru_all = (ru_analytic(scheme, int(j0s[-1]), window).values if marginal
-              else np.zeros((int(j0s[-1]), window)))
+    if at_one.marginal:
+        rc = rc_analytic(scheme, window, at_one=at_one).values
+        ru_all = ru_analytic(scheme, int(j0s[-1]), window,
+                             at_one=at_one).values
+    else:
+        rc = np.zeros(window)
+        ru_all = np.zeros((int(j0s[-1]), window))
 
     # one sweep per kernel, each recorded at every n: the adjoint on the
     # half line with a column per j (its j0 entries are G(n, j0, j)), and
@@ -331,13 +398,19 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
             best = float(c0s[a])
     return ErrBoundFit(mu=mu, n_values=ns, j0_values=j0s, j_values=js,
                        c0_values=c0s, sups=sups, best_c0=best, heat=heat,
-                       growth_tol=growth_tol)
+                       growth_tol=growth_tol,
+                       adjoint_residual=adjoint_scheme(scheme)[1])
 
 
-def rc_empirical(scheme: SchemeDefinition, j0: int, n: int,
-                 window: int) -> BoundaryLayerProfile:
+def rc_empirical(scheme: SchemeDefinition, j0: int, n: int, window: int, *,
+                 at_one=None, green=None) -> BoundaryLayerProfile:
     """Reflected layer extracted from evolution snapshots: the Green
-    difference minus the transmitted layer, divided by the activation."""
+    difference minus the transmitted layer, divided by the activation.
+
+    green is the pair of snapshots (G(n, j0, .), Gt(n, .)), e.g. from one
+    `temporal_green_sweep` and one `temporal_green_whole_sweep` over
+    several n; without it both are evolved here.
+    """
     if j0 < 1 or window < 1 or n < 0:
         raise ValueError("need j0 >= 1, window >= 1, n >= 0")
     js = np.arange(1, window + 1)
@@ -345,20 +418,23 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, n: int,
         warnings.warn("degenerate extraction at n = 0: activation is zero, "
                       "returning the raw Green difference", stacklevel=2)
         return _profile("reflected", "empirical", js, np.zeros(window))
-    rep = check_hypothesis_one(scheme)
+    at_one = _at_one(scheme, at_one)
+    rep = at_one.rep1
     if n < 2.0 * j0 / abs(rep.alpha):
         warnings.warn(
             f"activation regime barely reached (n = {n} < 2 j0/|alpha| = "
             f"{2.0 * j0 / abs(rep.alpha):.0f}); extraction is biased",
             stacklevel=2)
-    g, gt = _green_rows(temporal_green(scheme, n, j0),
-                        temporal_green_whole(scheme, n), j0, js)
+    if green is None:
+        green = (temporal_green(scheme, n, j0),
+                 temporal_green_whole(scheme, n))
+    elif ((green[0].n, green[0].j0) != (n, j0)
+          or (green[1].n, green[1].j0) != (n, None)):
+        raise ValueError(f"green must be the snapshots G({n}, {j0}, .) and "
+                         f"Gt({n}, .)")
+    g, gt = _green_rows(*green, j0, js)
     ind = 1 if n * scheme.p >= j0 else 0
-    _, _, _, delta1 = _delta_at_one(scheme)
-    if abs(delta1) <= 1e-8 and ind:
-        ru_row = ru_analytic(scheme, j0, window).values[j0 - 1]
-    else:
-        ru_row = np.zeros(window)
+    ru_row = at_one.ru_row(j0, window) if ind else np.zeros(window)
     act = _activation(scheme, rep, n, j0)
     vals = (g - gt - ind * ru_row) / act
     return _profile("reflected", "empirical", js, vals)

@@ -24,10 +24,13 @@ guard of `resolvent`).  The roots of all nodes come from one Aberth
 iteration over a (nodes, p+r) array in which every node iterates, stops
 and is polished exactly as it would alone, so a batch gives bitwise the
 one-node results.  The region of a node follows from |z| - max|F| >= 1e-6
-(the node clears the disk that holds the sampled symbol curve) or else
-from the winding number over the curve samples, computed a few nodes at a
-time to bound the temporaries.  Delta is det(B V) on the stacked
-Vandermonde matrices.  A failing node raises the typed error of the
+(the node clears the disk that holds the sampled symbol curve), or else
+from the support function h(theta) = max_w Re(e^{-i theta} w) of the
+samples: a node with |z| - h(arg z) >= 1e-6 lies outside the curve's
+convex hull, hence outside the curve (winding number 0).  Only the other
+nodes, and z = 1, get the winding number over the curve samples, computed
+a few nodes at a time to bound the temporaries.  Delta is det(B V) on the
+stacked Vandermonde matrices.  A failing node raises the typed error of the
 pointwise functions, for the first failing node of the batch.
 """
 
@@ -193,20 +196,50 @@ def characteristic_roots(scheme: SchemeDefinition, z: complex) -> np.ndarray:
 
 
 _CURVE_SAMPLES = 8192
+# sampled curves of the schemes used last, least recently used first; a
+# curve takes 128 KB, so the cache holds at most 1 MB
+_CURVE_CACHE_SIZE = 8
 _curve_cache: dict = {}
 # nodes per block of the winding computation: 8 x 8192 complex samples keep
 # its temporaries near 4.5 MB
 _WINDING_BLOCK = 8
+# nodes per block of the support-function product: 32 x 8192 real
+# projections, 2 MB
+_SUPPORT_BLOCK = 32
 
 
 def _symbol_curve(scheme: SchemeDefinition) -> np.ndarray:
     key = (scheme.r, scheme.p, scheme.a.tobytes())
-    got = _curve_cache.get(key)
+    got = _curve_cache.pop(key, None)
     if got is None:
         t = np.linspace(0.0, 2.0 * np.pi, _CURVE_SAMPLES, endpoint=False)
         got = symbol_eval(scheme, np.exp(1j * t))
-        _curve_cache[key] = got
+        if len(_curve_cache) >= _CURVE_CACHE_SIZE:
+            del _curve_cache[next(iter(_curve_cache))]
+    _curve_cache[key] = got
     return got
+
+
+def _support_margins(scheme: SchemeDefinition, zs: np.ndarray) -> np.ndarray:
+    """|z| - h(arg z) at each node of zs, h(theta) = max_w Re(e^{-i theta} w)
+    the support function of the sampled symbol curve; -inf at z = 0.
+
+    Every sample w has Re(e^{-i arg z} (z - w)) >= |z| - h, so a positive
+    margin is a lower bound on the node's distance to the samples, and the
+    samples (with the closing segment) lie in a half-plane that excludes
+    the node: its winding number is 0.
+    """
+    curve = _symbol_curve(scheme)
+    xy = np.stack([curve.real, curve.imag])
+    mods = np.abs(zs)
+    live = mods > 0.0
+    dirs = np.stack([zs.real, zs.imag], axis=1)[live] / mods[live, None]
+    h = np.empty(dirs.shape[0])
+    for s in range(0, dirs.shape[0], _SUPPORT_BLOCK):
+        h[s:s + _SUPPORT_BLOCK] = (dirs[s:s + _SUPPORT_BLOCK] @ xy).max(axis=1)
+    margin = np.full(zs.size, -np.inf)
+    margin[live] = mods[live] - h
+    return margin
 
 
 def _windings(scheme: SchemeDefinition, zs: np.ndarray):
@@ -247,9 +280,13 @@ class _Nodes:
     split_errors maps a node to the error spectral_split raises there;
     errors adds the ones stable_basis and lopatinskii raise.  Only nodes
     missing from errors carry kappas (the r stable roots) and delta.  dist
-    is the distance to the sampled symbol curve, or, for a node outside the
-    disk |w| <= max|F| holding the curve, its distance to that disk (at
-    least 1e-6).
+    is the distance to the sampled symbol curve, or, for a node at least
+    1e-6 outside the disk |w| <= max|F| or else the curve's convex hull,
+    the lower bound on it that this margin is (|z| - max|F|, or
+    |z| - h(arg z) with h the support function of the samples, see
+    `_support_margins`).  Only the thresholds 1e-6 (the resolvent guard)
+    and 1e-7 (on_curve) read dist, and a bound of at least 1e-6 passes
+    both as the distance does.
     """
 
     roots: np.ndarray
@@ -274,10 +311,17 @@ def _evaluate(scheme: SchemeDefinition, zs, unit_tol: float = 1e-8) -> _Nodes:
     """Every pointwise check of spectral_split, stable_basis and lopatinskii
     at each node of zs, from one batched root solve.
 
-    A node farther than 1e-6 beyond the disk |w| <= max|F| is at least that
-    far from the sampled curve, which the disk holds, and has winding number
-    0 around it, so it lies outside; the other nodes, and z = 1, get the
-    winding computation.
+    A node farther than 1e-6 beyond the disk |w| <= max|F| holding the
+    sampled curve clears at no cost (the contour rings, the outer sweep
+    circles).  For the others the support test follows: a node with
+    |z| - h(arg z) >= 1e-6, h the support function of the samples, lies
+    that far outside the curve's convex hull, so it is at least that far
+    from every sample and has winding number 0.  Its margin comes from one
+    (nodes x 2) @ (2 x samples) product in blocks of _SUPPORT_BLOCK nodes.
+    On the unit circle the disk (max|F| = 1) clears no node, while the
+    support test clears each node in whose direction the curve stays 1e-6
+    inside the circle.  The remaining nodes, and z = 1, get the winding
+    computation.
     """
     zs = np.asarray(zs, dtype=complex)
     n, r, p = zs.size, scheme.r, scheme.p
@@ -291,6 +335,8 @@ def _evaluate(scheme: SchemeDefinition, zs, unit_tol: float = 1e-8) -> _Nodes:
 
     at_one = np.abs(zs - 1.0) <= 1e-12
     dist = np.abs(zs) - float(np.max(np.abs(_symbol_curve(scheme))))
+    near = np.flatnonzero(dist < 1e-6)
+    dist[near] = _support_margins(scheme, zs[near])
     winding = np.zeros(n, dtype=int)
     slow = np.flatnonzero((dist < 1e-6) | at_one)
     winding[slow], dist[slow] = _windings(scheme, zs[slow])

@@ -7,6 +7,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import numpy as np
+
+from halflab import _kernels, cli, gaussian, layers, spectral
 from halflab.cli import main
 
 VERDICT_LFR = "ℓ¹-stable, ℓ^q-unstable for q>1"
@@ -152,6 +155,7 @@ def test_err_map_artifacts(tmp_path):
     rep = json.load(open(os.path.join(out, "report.json")))
     assert rep["mu"] == 1
     assert "best_c0" in rep and "bound_holds" in rep
+    assert 0.0 <= rep["adjoint_residual"] <= 1e-15
 
 
 def test_err_map_o3_default_grid_bound_holds(tmp_path):
@@ -272,3 +276,85 @@ def test_byte_reproducibility(tmp_path, capsys):
             bytes_a = open(os.path.join(out_a, name), "rb").read()
             bytes_b = open(os.path.join(out_b, name), "rb").read()
             assert bytes_a == bytes_b, f"{name} differs between runs"
+
+
+def _count_calls(monkeypatch, calls, tag, module, name, arg=None):
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((tag, None if arg is None else arg(*args)))
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def _instrument(monkeypatch):
+    calls = []
+    for mod in (cli, layers, gaussian):
+        _count_calls(monkeypatch, calls, "hyp1", mod, "check_hypothesis_one")
+    for mod in (layers, spectral):
+        _count_calls(monkeypatch, calls, "dprime", mod,
+                     "lopatinskii_derivative_at_one")
+        _count_calls(monkeypatch, calls, "proj", mod, "projector_set",
+                     lambda scheme, z, *rest: complex(z))
+    for mod in (cli, layers):
+        _count_calls(monkeypatch, calls, "ru", mod, "ru_analytic",
+                     lambda scheme, j0_max, j_max: (j0_max, j_max))
+    # the last positional argument of both kernels is the step count
+    for name in ("evolve_half", "evolve_whole"):
+        _count_calls(monkeypatch, calls, "kernel", _kernels, name,
+                     lambda *args: args[-1])
+    return calls
+
+
+@pytest.mark.parametrize("builtin", ["lfr", "o3"])
+def test_layers_run_computes_each_quantity_once(tmp_path, monkeypatch,
+                                                builtin):
+    calls = _instrument(monkeypatch)
+    n = 100
+    doc = {"scheme": {"builtin": builtin}, "j_max": 6, "j0": 20, "n": n,
+           "j0_list": [1, 2]}
+    code, _ = run(tmp_path, "layers", doc)
+    assert code == 0
+    tags = [tag for tag, _ in calls]
+    assert tags.count("hyp1") == 1
+    assert tags.count("dprime") == 1
+    assert [z for tag, z in calls if tag == "proj"] == [1.0]
+    # the layer_ru.csv grid, and the transmitted row at j0 once for n, 2n
+    assert sorted(g for tag, g in calls if tag == "ru") == [(2, 6), (20, 6)]
+    # one half-line and one whole-line sweep recorded at n and 2n: a kernel
+    # call per recorded time, 2n steps per sweep (one run per n took 3n)
+    steps = [s for tag, s in calls if tag == "kernel"]
+    assert steps == [n, n, n, n]
+
+
+def test_check_run_checks_hypothesis_one_once(tmp_path, monkeypatch):
+    calls = _instrument(monkeypatch)
+    code, _ = run(tmp_path, "check", {"scheme": {"builtin": "lfr"}})
+    assert code == 0
+    assert [tag for tag, _ in calls].count("hyp1") == 1
+
+
+def _fmt_cell(v) -> str:
+    # the per-cell formatter the CSV writer must agree with byte for byte
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % float(v)
+
+
+def test_csv_matches_per_cell_format(tmp_path):
+    floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 1e-310, 2.0 ** 60,
+              np.float64(1.0 / 3.0), np.float32(0.1), -7.0]
+    rows = [(True, np.bool_(False), np.int64(-3), 7, f, np.float64(f))
+            for f in floats]
+    # the same column holding other types in other rows
+    rows += [(np.int64(5), 2.5, False, np.bool_(True), 3, np.uint8(255)),
+             (1.5, 0, np.int32(-2), -0.0, np.nan, True)]
+    rows.append(tuple(np.array([1.0, -0.0, np.inf])) + (1, 2, 3))
+    path = cli._csv(str(tmp_path), "t.csv", ("a", "b", "c", "d", "e", "f"),
+                    iter(rows))
+    want = "a,b,c,d,e,f\n" + "".join(
+        ",".join(_fmt_cell(v) for v in row) + "\n" for row in rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == want.encode("utf-8")

@@ -212,7 +212,7 @@ def _one_step_matrix(scheme, size):
 @pytest.mark.parametrize("case", sorted(_ADJOINT_CASES))
 def test_adjoint_scheme_is_transpose(case):
     scheme = _ADJOINT_CASES[case]()
-    adj = hl.adjoint_scheme(scheme)
+    adj, _ = hl.adjoint_scheme(scheme)
     assert (adj.r, adj.p, adj.p_b) == (scheme.p, scheme.r, scheme.r)
     assert adj.a.tobytes() == scheme.a[::-1].tobytes()
     T = _one_step_matrix(scheme, 40)
@@ -222,6 +222,26 @@ def test_adjoint_scheme_is_transpose(case):
     if np.any(scheme.b):
         assert np.any(T[0] != [scheme.coeff(l - 1) if l <= scheme.p + 1
                                else 0.0 for l in range(1, 41)])
+
+
+def test_adjoint_residual_reports_the_solve():
+    # at roundoff on the builtins; on a (r, p, p_b) = (2, 3, 3) rule with a
+    # small a_p the back-substitution loses digits, and both the residual
+    # and the adjoint's one-step matrix show it
+    for case in ("lfr", "o3_zero_rule", "o3_pair"):
+        _, residual = hl.adjoint_scheme(_ADJOINT_CASES[case]())
+        assert 0.0 <= residual <= 1e-15
+    for alpha in (-0.2, -0.8):
+        _, residual = hl.adjoint_scheme(_o3_pair(alpha))
+        assert residual <= 1e-15
+    small = hl.SchemeDefinition(
+        r=2, p=3, a=[-0.654, -0.13, 0.784, 1.493, -1.259, 0.041], p_b=3,
+        b=[[1.346, 0.781, 0.264], [-0.314, 1.458, 1.96]])
+    adj, residual = hl.adjoint_scheme(small)
+    assert residual > 1e-14
+    T = _one_step_matrix(small, 12)
+    assert np.max(np.abs(_one_step_matrix(adj, 12) - T.T)) > \
+        1e-15 * np.max(np.abs(T))
 
 
 @pytest.mark.parametrize("case", ["lfr", "o3_zero_rule", "o3_pair_0.4",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from halflab import evolution, layers
-from halflab.evolution import (temporal_green, temporal_green_sweep,
-                               temporal_green_whole)
+from halflab.evolution import (adjoint_scheme, temporal_green,
+                               temporal_green_sweep, temporal_green_whole,
+                               temporal_green_whole_sweep)
 from halflab.layers import (
     err_bound_fit,
     err_field,
@@ -139,6 +140,7 @@ def test_err_field_validation(lfr):
 def test_err_bound_fit_small_grid(lfr):
     fit = err_bound_fit(lfr, n_list=(100, 200, 400), j0_list=(10, 20, 40),
                         j_list=(1, 2), c0_list=(0.01, 0.05, 0.2))
+    assert fit.adjoint_residual == adjoint_scheme(lfr)[1]
     assert fit.mu == 1
     assert fit.sups.shape == (3, 3)
     assert fit.heat.shape == (3, 3)
@@ -221,6 +223,46 @@ def test_err_bound_fit_validation(lfr):
         err_bound_fit(lfr, n_list=(50, 100), j0_list=(10, 20), j_list=(0, 2))
     with pytest.raises(ValueError, match="j0 >= 1"):
         err_bound_fit(lfr, n_list=(50, 100), j0_list=(0, 20), j_list=(1,))
+
+
+@pytest.mark.parametrize("name", ["lfr", "o3"])
+def test_shared_residue_data_is_bitwise(lfr, o3, name):
+    # one _AtOne object through every layer function gives the bytes each
+    # function gives on its own, and the snapshots of one sweep over n and
+    # 2n give those of one run per n
+    scheme = {"lfr": lfr, "o3": o3}[name]
+    at_one = layers._AtOne(scheme)
+    pairs = [
+        (rc_analytic(scheme, 12, at_one=at_one), rc_analytic(scheme, 12)),
+        (ru_analytic(scheme, 5, 12, at_one=at_one),
+         ru_analytic(scheme, 5, 12)),
+    ]
+    ns = (200, 400)
+    greens = temporal_green_sweep(scheme, ns, [40])
+    wholes = temporal_green_whole_sweep(scheme, ns)
+    for n, g, gt in zip(ns, greens, wholes):
+        pairs.append((rc_empirical(scheme, 40, n, 12, at_one=at_one,
+                                   green=(g[0], gt)),
+                      rc_empirical(scheme, 40, n, 12)))
+    for got, want in pairs:
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.decay_C, got.decay_c) == (want.decay_C, want.decay_c)
+    for n, j0 in ((0, 3), (30, 10), (300, 40)):
+        got = err_field(scheme, n, j0, 8, at_one=at_one)
+        want = err_field(scheme, n, j0, 8)
+        assert got.err.tobytes() == want.err.tobytes()
+    kw = dict(n_list=(50, 100), j0_list=(10, 40), j_list=(1, 3),
+              c0_list=(0.05, 0.2))
+    got = err_bound_fit(scheme, **kw, at_one=at_one)
+    want = err_bound_fit(scheme, **kw)
+    assert got.sups.tobytes() == want.sups.tobytes()
+    assert got.heat.tobytes() == want.heat.tobytes()
+    with pytest.raises(ValueError, match="another scheme"):
+        rc_analytic(builtin_lfr(-0.5, 0.75, 5.0), 12, at_one=at_one)
+    for green in ((greens[0][0], wholes[1]), (greens[1][0], wholes[1]),
+                  (wholes[0], wholes[0])):
+        with pytest.raises(ValueError, match="snapshots"):
+            rc_empirical(scheme, 40, 200, 12, green=green)
 
 
 def test_whole_line_asymptotic_check(lfr):

@@ -435,3 +435,79 @@ def test_aberth_nan_and_unconverged_rows_still_raise(lfr):
     # large steps at the iteration limit are not a stall
     _, errors = spectral._aberth(c[:1], max_iter=9)
     assert list(errors) == [0]
+
+
+def _assert_clearance_sound(scheme, zs):
+    # every node the support test clears has winding 0 and lies at least
+    # its margin from the curve samples, by the winding route; _evaluate
+    # sends the others (and z = 1) to that route, and its dist for a
+    # cleared node is the disk margin or else the support margin
+    zs = np.asarray(zs, dtype=complex)
+    margin = spectral._support_margins(scheme, zs)
+    wind, dist = spectral._windings(scheme, zs)
+    cleared = margin >= 1e-6
+    assert np.all(wind[cleared] == 0)
+    assert np.all(margin <= dist + 1e-14)
+    disk = np.abs(zs) - np.max(np.abs(spectral._symbol_curve(scheme)))
+    assert np.all((disk <= margin + 1e-14) | (zs == 0.0))
+    nodes = spectral._evaluate(scheme, zs)
+    slow = ~cleared | (np.abs(zs - 1.0) <= 1e-12)
+    assert np.array_equal(nodes.winding, np.where(slow, wind, 0))
+    assert np.array_equal(nodes.dist, np.where(
+        slow, dist, np.where(disk >= 1e-6, disk, margin)))
+    assert np.all(nodes.region[~slow] == "outside")
+    return cleared & (disk < 1e-6)
+
+
+def _clearance_nodes(radii=(1.0, 1.05, 1.25, 2.5), samples=64):
+    return (_sweep_nodes(radii, samples) + list(1.0 + np.linspace(0, 1, 51))
+            + [0.0, 0.25, 0.5 + 0.1j, -0.3, 0.99, 1.0j, -1.0])
+
+
+def test_support_clearance_builtins(lfr, o3):
+    unit = np.array(_sweep_nodes((1.0,), 64))
+    for s in (lfr, o3, hl.builtin_o3(-0.5, 0.0, 0.0)):
+        # nodes only the support test clears, and nodes it leaves
+        cleared = _assert_clearance_sound(s, _clearance_nodes())
+        assert np.any(cleared) and not np.all(cleared)
+        # the disk |w| <= max|F| = 1 clears no unit-circle node; the
+        # support test clears most of them
+        assert np.mean(spectral._support_margins(s, unit) >= 1e-6) > 0.5
+    assert spectral._support_margins(lfr, np.array([0.0]))[0] == -np.inf
+
+
+def test_support_clearance_failing_rules():
+    _assert_clearance_sound(_lfr_b_zero_at_two(),
+                            _clearance_nodes((1.0, 1.05, 1.25, 2.0, 2.5), 32))
+    k = KAPPA_S_O3
+    for delta in (-0.8, 0.3):
+        b2 = -1.0 / k + delta
+        _assert_clearance_sound(
+            hl.builtin_o3(-0.5, (1.0 - b2 * k * k) / k, b2),
+            _clearance_nodes(samples=32))
+
+
+@settings(max_examples=10)
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6),
+       b=st.floats(-6.0, 6.0))
+def test_support_clearance_lfr_family(alpha, slack, b):
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
+    s = hl.builtin_lfr(alpha, D, b)
+    _assert_clearance_sound(s, _clearance_nodes(samples=16))
+
+
+def test_curve_cache_is_bounded():
+    spectral._curve_cache.clear()
+    schemes = [hl.builtin_lfr(-0.5, 0.6 + 0.01 * i, 5.0)
+               for i in range(3 * spectral._CURVE_CACHE_SIZE)]
+    curves = [spectral._symbol_curve(s) for s in schemes]
+    assert len(spectral._curve_cache) == spectral._CURVE_CACHE_SIZE
+    # the most recent schemes hit; a hit makes its scheme the most recent
+    recent = schemes[-spectral._CURVE_CACHE_SIZE:]
+    assert spectral._symbol_curve(recent[0]) is curves[-len(recent)]
+    spectral._symbol_curve(schemes[0])
+    assert spectral._symbol_curve(recent[0]) is curves[-len(recent)]
+    assert spectral._symbol_curve(recent[1]) is not curves[1 - len(recent)]
+    assert len(spectral._curve_cache) == spectral._CURVE_CACHE_SIZE
+    assert np.array_equal(curves[0], spectral._symbol_curve(schemes[0]))
