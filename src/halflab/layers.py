@@ -20,6 +20,11 @@ powers go through the eigenbasis (dense powers would excite the unstable
 directions through roundoff).  The kappa_m^{j-1+r} factor is the p-th
 companion coordinate of M(1)^{j-1} applied to the stable eigenvectors.
 
+Delta'(1) is exact (`spectral.lopatinskii_derivative_at_one`: the
+implicit-function theorem for the simple stable roots at 1 and Jacobi's
+formula for the determinant), so no finite-difference error reaches the
+layers or the Err map.
+
 The residue data at z = 1 (Delta(1), the stable basis, the projectors and
 Delta'(1)) and the first hypothesis's report are the same for every layer
 of one scheme.  `_AtOne` holds them, each computed at most once; a CLI run

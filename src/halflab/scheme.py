@@ -75,6 +75,9 @@ class SchemeDefinition:
             raise ValueError("boundary width must satisfy 0 <= p_b <= p")
         if b.shape != (self.r, self.p_b):
             raise ValueError(f"boundary matrix must be {self.r} x {self.p_b}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("non-finite coefficient in the stencil or the "
+                             "boundary rule")
 
     def coeff(self, k: int) -> float:
         """Interior coefficient a_k for k in -r..p."""
@@ -285,12 +288,14 @@ def builtin_o3(alpha: float, b1: float, b2: float) -> SchemeDefinition:
 
 
 def _parse_number(x) -> float:
-    """Accept JSON numbers plus exact decimal or rational strings."""
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, str):
-        return float(Fraction(x))
-    raise TypeError(f"cannot parse coefficient {x!r}")
+    """Accept JSON numbers plus exact decimal or rational strings; a
+    zero denominator or a value beyond the float range is a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise TypeError(f"cannot parse coefficient {x!r}")
+    try:
+        return float(Fraction(x) if isinstance(x, str) else x)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"cannot parse coefficient {x!r}: {exc}") from exc
 
 
 def scheme_to_json(scheme: SchemeDefinition) -> str:

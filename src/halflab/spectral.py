@@ -16,7 +16,10 @@ are always formed through that eigenbasis, never through dense powers.
 The Lopatinskii determinant Delta(z) = det(B e_1(z), ..., B e_r(z)) pairs the
 boundary matrix B with the stable eigenvectors; its zeros in the resolvent
 region signal instability, a simple zero at z = 1 signals the marginal
-boundary-layer regime.
+boundary-layer regime.  Delta'(1) is exact, not a finite difference: the
+stable roots at z = 1 are simple, so the implicit-function theorem gives
+their derivatives and Jacobi's formula that of det(B V)
+(lopatinskii_derivative_at_one).
 
 One evaluator serves a single node and a batch of nodes alike (the annulus
 sweep of check_hypothesis_two, the CLI's real-axis profile, the contour
@@ -36,7 +39,6 @@ pointwise functions, for the first failing node of the batch.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +58,7 @@ __all__ = [
 
 
 class RootSolveError(RuntimeError):
-    """Root iteration failed to converge or lost track of a root."""
+    """Root iteration failed to converge."""
 
 
 class MultiplicityError(RuntimeError):
@@ -466,70 +468,27 @@ def lopatinskii_values(scheme: SchemeDefinition, zs) -> np.ndarray:
     return nodes.delta
 
 
-def _nearest_match(cost: np.ndarray) -> tuple:
-    """The permutation perm minimizing sum_i cost[i, perm[i]], by search over
-    all of them (cost is (p+r) x (p+r))."""
-    rows = np.arange(cost.shape[0])
-    return min(itertools.permutations(rows),
-               key=lambda perm: cost[rows, perm].sum())
+def lopatinskii_derivative_at_one(scheme: SchemeDefinition) -> complex:
+    """Delta'(1) in closed form from the stable roots at z = 1.
 
-
-def _track_roots(scheme: SchemeDefinition, z: complex,
-                 refs: np.ndarray, gap: float) -> np.ndarray:
-    """Match the roots at z to reference roots by nearest assignment."""
-    roots = characteristic_roots(scheme, z)
-    matched = roots[list(_nearest_match(
-        np.abs(refs[:, None] - roots[None, :])))]
-    worst = float(np.max(np.abs(matched - refs)))
-    if worst > gap / 3.0:
-        raise RootSolveError(
-            f"root tracking to z={z!r} moved a root by {worst:.3e}, more "
-            f"than a third of the reference gap {gap:.3e}")
-    return matched
-
-
-def lopatinskii_derivative_at_one(scheme: SchemeDefinition,
-                                  h0: float = 1e-3,
-                                  rel_tol: float = 1e-6) -> complex:
-    """Delta'(1) by central differences with root tracking and Richardson
-    extrapolation.
-
-    The stable family is continued analytically across z = 1 by nearest
-    matching against the full root set at 1 (just left of 1 the central
-    root dips inside the unit circle, so a modulus split would miscount);
-    step halving stops when the extrapolated value settles to rel_tol.
+    The stable roots are simple there (the evaluator rejects a collision),
+    so each is a smooth function of z with kappa_m'(1) = -kappa_m^r /
+    dP/dkappa(kappa_m; 1), and Jacobi's formula gives Delta'(1) as the sum
+    over m of det(A) with column m of A = B V replaced by
+    B v'(kappa_m) kappa_m'(1), v' the derivative of the Vandermonde column.
     """
-    split = spectral_split(scheme, 1.0)
-    all_refs = np.asarray(split.roots)
-    stable_idx = [i for i, k in enumerate(all_refs)
-                  if any(abs(k - s) < 1e-12 for s in split.stable)]
-    gaps = [abs(all_refs[i] - all_refs[j])
-            for i in range(all_refs.size) for j in range(i + 1, all_refs.size)]
-    gap = min(gaps) if gaps else math.inf
-    if gap <= 1e-8:
-        raise MultiplicityError(
-            f"characteristic roots nearly collide at z=1: gap {gap:.3e}")
-
-    def tracked_delta(z: complex) -> complex:
-        matched = _track_roots(scheme, z, all_refs, gap)
-        return complex(_delta(scheme, matched[stable_idx]))
-
-    h = h0
-    prev = None
-    estimate = None
-    for _ in range(24):
-        diff = (tracked_delta(1.0 + h) - tracked_delta(1.0 - h)) / (2.0 * h)
-        if prev is not None:
-            richardson = (4.0 * diff - prev) / 3.0
-            if estimate is not None and \
-                    abs(richardson - estimate) <= rel_tol * max(1.0, abs(richardson)):
-                return complex(richardson)
-            estimate = richardson
-        prev = diff
-        h *= 0.5
-    raise RootSolveError(
-        "derivative extrapolation at z=1 did not settle; last estimate "
-        f"{estimate!r}")
+    nodes = _evaluate(scheme, [1.0])
+    _raise_first(nodes.errors)
+    ks = nodes.kappas[0]
+    r, d = scheme.r, scheme.p + scheme.r
+    dP = npoly.polyder(_char_coeffs(scheme, np.array([1.0 + 0j]))[0])
+    dks = -ks ** r / npoly.polyval(ks, dP)
+    powers = np.arange(d - 1, -1, -1)
+    dV = powers[:, None] * ks ** np.maximum(powers - 1, 0)[:, None] * dks
+    B = boundary_matrix(scheme)
+    cols = np.repeat((B @ _vandermonde(ks, d))[None], r, axis=0)
+    cols[np.arange(r), :, np.arange(r)] = (B @ dV).T
+    return complex(np.linalg.det(cols).sum())
 
 
 @dataclass(frozen=True)
@@ -631,14 +590,21 @@ def residue_condition(scheme: SchemeDefinition, tol: float = 1e-10) -> bool:
     the condition holds degenerately and the reflected boundary layer
     vanishes identically.
     """
+    return _residue_ok(scheme, None, tol)
+
+
+def _residue_ok(scheme: SchemeDefinition, kappas, tol: float = 1e-10) -> bool:
+    """residue_condition from the stable roots at 1 when the caller holds
+    them (kappas None: solve for them)."""
     B = boundary_matrix(scheme)
     ones = np.ones(scheme.p + scheme.r)
     target = B @ ones
     tnorm = float(np.linalg.norm(target))
     if tnorm == 0.0:
         return True
-    basis = stable_basis(scheme, 1.0)
-    A = B @ basis.vectors
+    if kappas is None:
+        kappas = stable_basis(scheme, 1.0).kappas
+    A = B @ _vandermonde(kappas, scheme.p + scheme.r)
     # span membership through an explicit rank cutoff: a trace column of
     # roundoff size (Delta(1) = 0 within floats) must count as zero, or a
     # 1x1 "solve" would invert it and report everything as in-span
@@ -713,9 +679,10 @@ def check_hypothesis_two(scheme: SchemeDefinition, annulus_samples: int = 64,
                 witness = zval
     satisfied = witness is None
 
-    delta1 = lopatinskii(scheme, 1.0).value
+    one = lopatinskii(scheme, 1.0)
+    delta1 = one.value
     boundary_zero = abs(delta1) < 1e-8
-    residue_ok = residue_condition(scheme) if boundary_zero else None
+    residue_ok = _residue_ok(scheme, one.kappas) if boundary_zero else None
 
     if not satisfied:
         verdict = (f"unstable: Lopatinskii determinant vanishes at "

@@ -118,6 +118,29 @@ def test_check_inline_scheme(tmp_path, capsys):
     assert VERDICT_LFR in capsys.readouterr().out
 
 
+_LFR_A = ["1/8", "1/4", "5/8"]
+
+
+@pytest.mark.parametrize("a, b", [
+    (["1/0", "1/4", "5/8"], [["5"]]),       # zero denominator
+    (_LFR_A, [["1/0"]]),
+    (["1e400", "1/4", "5/8"], [["5"]]),     # beyond the float range
+    ([10 ** 400, "1/4", "5/8"], [["5"]]),
+    ([math.nan, "1/4", "5/8"], [["5"]]),    # written as NaN / Infinity
+    (_LFR_A, [[math.inf]]),
+    ([1e400, "1/4", "5/8"], [["5"]]),
+    ([True, "1/4", "5/8"], [["5"]]),        # JSON true is no number
+    (_LFR_A, [[False]]),
+])
+def test_malformed_inline_coefficients_are_config_errors(tmp_path, capsys,
+                                                         a, b):
+    inline = {"r": 1, "p": 1, "a": a, "p_b": 1, "b": b}
+    code, out = run(tmp_path, "check", {"scheme": {"inline": inline}})
+    assert code == 1
+    assert "config error at scheme.inline" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_simulate_artifacts(tmp_path):
     doc = {"scheme": {"builtin": "lfr"}, "n_list": [0, 2, 5], "j0": 1}
     code, out = run(tmp_path, "simulate", doc)
@@ -332,6 +355,31 @@ def test_check_run_checks_hypothesis_one_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "check", {"scheme": {"builtin": "lfr"}})
     assert code == 0
     assert [tag for tag, _ in calls].count("hyp1") == 1
+
+
+def test_check_run_solves_at_one_once(tmp_path, monkeypatch):
+    # Delta(1) and the residue condition share one one-node evaluation
+    at_one = []
+    orig = spectral._evaluate
+
+    def counted(scheme, zs, *args, **kwargs):
+        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        if zs.size == 1 and zs[0] == 1.0:
+            at_one.append(zs)
+        return orig(scheme, zs, *args, **kwargs)
+    monkeypatch.setattr(spectral, "_evaluate", counted)
+    code, _ = run(tmp_path, "check", {"scheme": {"builtin": "lfr"}})
+    assert code == 0
+    assert len(at_one) == 1
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # every name the benchmark's tracer wraps must still exist, or a traced
+    # pass stops before it runs
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "perfbench"))
+    import tracing
+    assert len(tracing.resolve()) == len(tracing.TARGETS) > 0
 
 
 def _fmt_cell(v) -> str:

@@ -409,8 +409,12 @@ def test_non_finite_input_raises():
     # the banded solves skip scipy's finite check; the one check on the band
     # template and the ring nodes must refuse a NaN ghost weight (the root
     # split does not see b, and a NaN Delta passes the |Delta| test) and a
-    # non-finite contour radius
-    bad = builtin_lfr(-0.5, 0.75, float("nan"))
+    # non-finite contour radius.  SchemeDefinition refuses a NaN ghost
+    # weight; one set past that check must still be refused here
+    with pytest.raises(ValueError, match="non-finite"):
+        builtin_lfr(-0.5, 0.75, float("nan"))
+    bad = builtin_lfr(-0.5, 0.75, 5.0)
+    object.__setattr__(bad, "b", np.array([[math.nan]]))
     with pytest.raises(ValueError, match="non-finite"):
         inverse_laplace_table(bad, 4, [1], [1])
     with pytest.raises(ValueError, match="non-finite"):

@@ -101,13 +101,86 @@ def test_lopatinskii_frozen_values(lfr):
     assert abs(val2.value - 0.63324958) < 1e-6
 
 
+def _dprime_reference(scheme, h=1e-5):
+    # an independent route to Delta'(1), no root tracking: the second-order
+    # one-sided difference of Delta at 1, 1 + h, 1 + 2h.  Its O(h^2) error
+    # grows as the branch point of kappa_s nears z = 1 (0.019 away on the
+    # lfr family at alpha = -0.15): 9e-6 relative there at h = 1e-4, 9e-8 at
+    # h = 1e-5, while roundoff stays near 1e-10
+    v = hl.lopatinskii_values(scheme, [1.0, 1.0 + h, 1.0 + 2.0 * h])
+    return complex((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
+
+
+def _assert_dprime_matches_reference(scheme):
+    d = hl.lopatinskii_derivative_at_one(scheme)
+    assert math.isfinite(abs(d)) and d != 0
+    assert abs(d - _dprime_reference(scheme)) <= 1e-6 * abs(d)
+    return d
+
+
 def test_lopatinskii_derivative_at_one(lfr, o3):
     # Delta'(1) = -b kappa_s'(1) with kappa_s'(1) = -2/5 for the 3-point
     # scheme: 5 * 2/5 = 2
     d = hl.lopatinskii_derivative_at_one(lfr)
-    assert d == pytest.approx(2.0, abs=1e-6)
-    do3 = hl.lopatinskii_derivative_at_one(o3)
+    assert d == pytest.approx(2.0, rel=1e-14, abs=0)
+    do3 = _assert_dprime_matches_reference(o3)
     assert abs(do3) > 1e-3     # z = 1 is a simple zero for the paper choice
+
+
+_LFR_STENCIL = np.array([0.125, 0.25, 0.625])
+
+
+@pytest.mark.parametrize("a, b", [
+    # the lfr stencil convolved with itself (r = p = 2), and twice (r = p = 3)
+    (np.convolve(_LFR_STENCIL, _LFR_STENCIL), [[0.3, -0.2], [0.5, 0.1]]),
+    (np.convolve(np.convolve(_LFR_STENCIL, _LFR_STENCIL), _LFR_STENCIL),
+     [[0.3, -0.2, 0.1], [0.5, 0.1, 0.0], [1.0, -0.4, 0.2]]),
+])
+def test_lopatinskii_derivative_several_stable_roots(a, b):
+    # r >= 2: Jacobi's formula sums one determinant per stable root
+    r = len(b)
+    s = hl.SchemeDefinition(r=r, p=r, a=a, p_b=r, b=np.array(b))
+    assert len(hl.lopatinskii(s, 1.0).kappas) == r
+    _assert_dprime_matches_reference(s)
+
+
+@settings(max_examples=20)
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6),
+       b=st.floats(0.2, 6.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_lopatinskii_derivative_lfr_family(alpha, slack, b, sign):
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
+    s = hl.builtin_lfr(alpha, D, sign * b)
+    d = _assert_dprime_matches_reference(s)
+    # Delta = 1 - b kappa_s and P(kappa; 1) = -a_1 (kappa - 1)(kappa - ks)
+    ks = s.a[0] / s.a[-1]
+    want = -sign * b * ks / (s.a[-1] * (ks - 1.0))
+    assert d == pytest.approx(want, rel=1e-12)
+
+
+def _scheme_with_roots_at_one(r, roots, c, b):
+    # the stencil whose P(kappa; 1) is c prod (kappa - root)
+    Q = c * npoly.polyfromroots(roots)
+    a = -Q
+    a[r] += 1.0
+    return hl.SchemeDefinition(r=r, p=len(roots) - r, a=a, p_b=len(b[0]),
+                               b=np.array(b))
+
+
+def test_lopatinskii_derivative_stable_collision_raises():
+    s = _scheme_with_roots_at_one(2, [0.5, 0.5, 1.0], 1.0, [[0.7], [0.2]])
+    with pytest.raises(MultiplicityError, match="stable roots nearly collide"):
+        hl.lopatinskii_derivative_at_one(s)
+
+
+def test_lopatinskii_derivative_near_double_unstable_root():
+    # only the stable roots enter Delta'(1): unstable roots 3 and 3 + 1e-7
+    # that a solver barely separates change nothing
+    s = _scheme_with_roots_at_one(1, [0.5, 1.0, 3.0, 3.0 + 1e-7], -1.0,
+                                  [[0.7, -0.1]])
+    unstable = [k for k in hl.characteristic_roots(s, 1.0) if abs(k) > 2.0]
+    assert abs(unstable[0] - unstable[1]) < 1e-7
+    _assert_dprime_matches_reference(s)
 
 
 def test_scheme_rescaling_leaves_roots(lfr):
@@ -387,17 +460,6 @@ def test_sweep_inside_curve_names_first_node(lfr):
         hl.check_hypothesis_two(lfr, radii=(2.0, 0.9))
     assert str(batch.value) == str(point.value)
     assert repr(zs[64]) in str(batch.value)
-
-
-def test_nearest_match_agrees_with_scipy():
-    from scipy.optimize import linear_sum_assignment
-    rng = np.random.default_rng(5)
-    for d in range(1, 7):
-        for _ in range(40):
-            cost = rng.uniform(0.0, 1.0, (d, d))
-            rows, cols = linear_sum_assignment(cost)
-            assert list(spectral._nearest_match(cost)) == \
-                list(cols[np.argsort(rows)])
 
 
 def _lfr_stable_root(s, z):
