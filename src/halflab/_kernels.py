@@ -23,12 +23,8 @@ ascending k: the jit path, the numpy fallback and the plain-Python
 reference `_evolve_*_loops` do the same IEEE operations per cell, so their
 results are bitwise identical, whatever the window, the number of columns
 or the split of nsteps into several calls.
-
-Set HALFLAB_DISABLE_NUMBA=1 to force the numpy fallback even when numba is
-installed (used by the kernel benchmark).
 """
 
-import os
 import warnings
 
 import numpy as np
@@ -38,15 +34,13 @@ __all__ = [
     "evolve_half_numpy", "evolve_whole_numpy",
 ]
 
-_DISABLED = os.environ.get("HALFLAB_DISABLE_NUMBA", "") == "1"
 HAVE_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:
-        warnings.warn("numba could not be imported; evolution kernels fall "
-                      "back to vectorized numpy", RuntimeWarning)
+try:
+    from numba import njit
+    HAVE_NUMBA = True
+except ImportError:
+    warnings.warn("numba could not be imported; evolution kernels fall "
+                  "back to vectorized numpy", RuntimeWarning)
 
 
 def _sweep_loops(cur, a, b, r, p, p_b, nsteps, hi):

@@ -25,7 +25,7 @@ implicit-function theorem for the simple stable roots at 1 and Jacobi's
 formula for the determinant), so no finite-difference error reaches the
 layers or the Err map.
 
-The residue data at z = 1 (Delta(1), the stable basis, the projectors and
+The residue data at z = 1 (Delta(1), the stable roots, the projectors and
 Delta'(1)) and the first hypothesis's report are the same for every layer
 of one scheme.  `_AtOne` holds them, each computed at most once; a CLI run
 builds one and passes it to every layer function it calls (`at_one=`),
@@ -51,7 +51,8 @@ from .evolution import (adjoint_scheme, temporal_green, temporal_green_rows,
                         temporal_green_whole, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
-from .spectral import lopatinskii_derivative_at_one, projector_set, stable_basis
+from .spectral import (_vandermonde, lopatinskii,
+                       lopatinskii_derivative_at_one, projector_set)
 
 __all__ = [
     "BoundaryLayerProfile", "ErrField", "ErrBoundFit", "rc_analytic",
@@ -146,8 +147,9 @@ class _AtOne:
         return check_hypothesis_one(self.scheme)
 
     @functools.cached_property
-    def basis(self):
-        return stable_basis(self.scheme, 1.0)
+    def lop1(self):
+        """Delta(1) and the stable roots at 1, from one z = 1 solve."""
+        return lopatinskii(self.scheme, 1.0)
 
     @functools.cached_property
     def B(self) -> np.ndarray:
@@ -155,11 +157,12 @@ class _AtOne:
 
     @functools.cached_property
     def A(self) -> np.ndarray:
-        return self.B @ self.basis.vectors
+        return self.B @ _vandermonde(self.lop1.kappas,
+                                     self.scheme.p + self.scheme.r)
 
-    @functools.cached_property
+    @property
     def delta1(self) -> complex:
-        return complex(np.linalg.det(self.A))
+        return self.lop1.value
 
     @property
     def marginal(self) -> bool:
@@ -214,7 +217,7 @@ def rc_analytic(scheme: SchemeDefinition, J_max: int, *,
     ps = at_one.projectors
     w = (ps.pi_c @ ps.e.astype(complex)) / scheme.a[-1]
     coeffs = at_one.layer_coeffs(w)
-    ks = np.asarray(at_one.basis.kappas)
+    ks = np.asarray(at_one.lop1.kappas)
     js = np.arange(1, J_max + 1)
     vals = (coeffs[:, None] * ks[:, None] ** (js[None, :] - 1 + scheme.r)).sum(axis=0)
     return _profile("reflected", "analytic", js, _real_profile(vals))
@@ -244,7 +247,7 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
             W += np.outer(ps.V[:, k], d[k] * roots[k] ** (-js0))
         W /= scheme.a[-1]
         CU = at_one.layer_coeffs(W)
-        ks = np.asarray(at_one.basis.kappas)
+        ks = np.asarray(at_one.lop1.kappas)
         powmat = ks[:, None] ** (js[None, :] - 1 + scheme.r)
         vals = _real_profile(CU.T @ powmat)
     return _profile("transmitted", "analytic", js, vals, j0s=js0)

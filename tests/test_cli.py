@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -26,6 +27,11 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def read_json(*parts):
+    with open(os.path.join(*parts), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run(tmp_path, command, doc, out="out", **kw):
     cfg = write_cfg(tmp_path, doc, name=f"{command}_{out}.json")
     out_dir = str(tmp_path / out)
@@ -41,7 +47,7 @@ def test_check_lfr(tmp_path, capsys):
                  "check_lopatinskii.csv", "check_lopatinskii.svg",
                  "report.json"):
         assert os.path.exists(os.path.join(out, name))
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["verdict"] == VERDICT_LFR
     assert rep["hypotheses_hold"] is True
     assert rep["hypothesis_one"]["mu"] == 1
@@ -51,7 +57,7 @@ def test_check_o3_defaults_to_marginal_pair(tmp_path, capsys):
     code, out = run(tmp_path, "check", {"scheme": {"builtin": "o3"}})
     assert code == 0
     assert VERDICT_O3 in capsys.readouterr().out
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["hypothesis_one"]["mu"] == 2
 
 
@@ -63,7 +69,7 @@ def test_check_violating_rule_exits_2(tmp_path, capsys):
     code, out = run(tmp_path, "check", doc)
     assert code == 2
     assert capsys.readouterr().out.startswith("unstable")
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["hypotheses_hold"] is False
     assert rep["verdict"].startswith("unstable")
 
@@ -73,7 +79,7 @@ def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
     assert code == 2
     assert "hypothesis failure: dissipativity" in capsys.readouterr().out
     assert sorted(os.listdir(out)) == ["report.json"]
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["hypotheses_hold"] is False
     assert rep["verdict"].startswith("hypothesis failure")
     # check still draws its diagnostics, with the second report block absent
@@ -81,7 +87,7 @@ def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
                       out="out2")
     capsys.readouterr()
     assert code2 == 2
-    rep2 = json.load(open(os.path.join(out2, "report.json")))
+    rep2 = read_json(out2, "report.json")
     assert rep2["hypothesis_two"] is None
     assert os.path.exists(os.path.join(out2, "check_symbol.csv"))
 
@@ -93,7 +99,7 @@ def test_check_o3_marginal_pair_is_exact(tmp_path, capsys, alpha):
                     {"scheme": {"builtin": "o3", "alpha": alpha}})
     assert code == 0
     assert VERDICT_O3 in capsys.readouterr().out
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["verdict"] == VERDICT_O3
     assert rep["hypothesis_two"]["boundary_zero"] is True
 
@@ -105,7 +111,7 @@ def test_check_inconsistent_scheme_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().out.startswith(
         "hypothesis failure: consistency")
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["verdict"].startswith("hypothesis failure: consistency")
     assert rep["hypothesis_two"] is None
 
@@ -149,9 +155,10 @@ def test_simulate_artifacts(tmp_path):
                  "green_whole.svg", "report.json"):
         assert os.path.exists(os.path.join(out, name))
     ET.parse(os.path.join(out, "green_half.svg"))
-    header = open(os.path.join(out, "green_half.csv")).readline().strip()
+    with open(os.path.join(out, "green_half.csv"), encoding="utf-8") as fh:
+        header = fh.readline().strip()
     assert header == "n,j,value"
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert abs(rep["snapshots"]["5"]["whole_mass"] - 1.0) < 1e-12
 
 
@@ -163,7 +170,7 @@ def test_layers_artifacts(tmp_path):
     for name in ("layer_rc.csv", "layer_rc.svg", "layer_ru.csv",
                  "layer_ru.svg"):
         assert os.path.exists(os.path.join(out, name))
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["rc_sup_err_n"] < 1e-2
     assert rep["rc_sup_err_2n"] < rep["rc_sup_err_n"]
 
@@ -175,7 +182,7 @@ def test_err_map_artifacts(tmp_path):
     assert code == 0
     for name in ("err_map.csv", "err_map.svg", "err_c0.csv", "err_c0.svg"):
         assert os.path.exists(os.path.join(out, name))
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["mu"] == 1
     assert "best_c0" in rep and "bound_holds" in rep
     assert 0.0 <= rep["adjoint_residual"] <= 1e-15
@@ -186,7 +193,7 @@ def test_err_map_o3_default_grid_bound_holds(tmp_path):
     # n = 250 is off the step-50 grid), where the sup over j0 sits
     code, out = run(tmp_path, "err-map", {"scheme": {"builtin": "o3"}})
     assert code == 0
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     assert rep["bound_holds"] is True
     assert rep["best_c0"] > 0.0
 
@@ -210,7 +217,7 @@ def test_growth_artifacts_and_slope(tmp_path):
     assert code == 0
     assert os.path.exists(os.path.join(out, "growth_qinf.csv"))
     ET.parse(os.path.join(out, "growth_qinf.svg"))
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     # growth must register on this small grid; the calibrated slope check
     # over the full grid lives in the acceptance suite
     assert rep["slopes"]["qinf"] > 0.3
@@ -230,7 +237,7 @@ def test_oracle_artifacts(tmp_path):
     assert code == 0
     assert os.path.exists(os.path.join(out, "oracle.csv"))
     ET.parse(os.path.join(out, "oracle_err.svg"))
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(out, "report.json")
     for block in rep["per_r0"].values():
         assert block["max_err_vs_timestep"] < 1e-8
         assert block["solves"] == block["nodes"] // 2 + 1
@@ -290,14 +297,14 @@ def test_byte_reproducibility(tmp_path, capsys):
     assert names == sorted(os.listdir(out_b))
     for name in names:
         if name == "report.json":
-            rep_a = json.load(open(os.path.join(out_a, name)))
-            rep_b = json.load(open(os.path.join(out_b, name)))
+            rep_a = read_json(out_a, name)
+            rep_b = read_json(out_b, name)
             rep_a.pop("runtime_seconds")
             rep_b.pop("runtime_seconds")
             assert rep_a == rep_b
         else:
-            bytes_a = open(os.path.join(out_a, name), "rb").read()
-            bytes_b = open(os.path.join(out_b, name), "rb").read()
+            bytes_a = pathlib.Path(out_a, name).read_bytes()
+            bytes_b = pathlib.Path(out_b, name).read_bytes()
             assert bytes_a == bytes_b, f"{name} differs between runs"
 
 

@@ -91,15 +91,15 @@ def test_half_rank_one_boundary_correction(lfr):
 
 def test_near_spectrum_on_curve(lfr, o3):
     # z = 1 lies on the symbol curve for a consistent scheme.
-    with pytest.raises(NearSpectrumError):
+    with pytest.raises(NearSpectrumError, match="of the symbol curve"):
         spatial_green_half(lfr, 1.0, 5)
-    with pytest.raises(NearSpectrumError):
+    with pytest.raises(NearSpectrumError, match="of the symbol curve"):
         spatial_green_whole(o3, 1.0, window=10)
 
 
 def test_near_spectrum_inside_curve(lfr):
     # the center of the symbol ellipse: the root split fails there
-    with pytest.raises(NearSpectrumError):
+    with pytest.raises(NearSpectrumError, match="encircled"):
         spatial_green_half(lfr, 0.25, 5)
 
 
@@ -109,7 +109,7 @@ def test_near_spectrum_lopatinskii_zero():
     bad = builtin_lfr(-0.5, 0.75, 1.0 / KS2)
     fld = spatial_green_whole(bad, 2.0, window=20)
     assert fld.truncation_residual < 1e-10
-    with pytest.raises(NearSpectrumError):
+    with pytest.raises(NearSpectrumError, match="Lopatinskii determinant"):
         spatial_green_half(bad, 2.0, 5)
 
 
@@ -231,11 +231,9 @@ def test_table_unsettled_ring_raises(lfr, monkeypatch):
     assert batches == [33, 32, 64]
 
 
-def test_table_doubles_short_window(monkeypatch):
-    # kappa_s near -0.9 at z ~ 1: at r0 = 1e-3 the decay over the 200 cells
-    # past the source is rho^200 ~ 1.7e-11 > 1e-12, so the window doubles
-    # once, and the check runs once per batch, before that batch's solves
-    slow = builtin_lfr(-0.05, 0.0026, 0.0)
+def _record_windows_and_batches(monkeypatch):
+    """The window of every band template built and the size of every batch
+    the guard checks."""
     windows, batches = [], []
     template, guard = resolvent._band_template, resolvent._guard_ring
 
@@ -249,6 +247,15 @@ def test_table_doubles_short_window(monkeypatch):
 
     monkeypatch.setattr(resolvent, "_band_template", recording_template)
     monkeypatch.setattr(resolvent, "_guard_ring", recording_guard)
+    return windows, batches
+
+
+def test_table_doubles_short_window(monkeypatch):
+    # kappa_s near -0.9 at z ~ 1: at r0 = 1e-3 the decay over the 200 cells
+    # past the source is rho^200 ~ 1.7e-11 > 1e-12, so the window doubles
+    # once, and the check runs once per batch, before that batch's solves
+    slow = builtin_lfr(-0.05, 0.0026, 0.0)
+    windows, batches = _record_windows_and_batches(monkeypatch)
     table = inverse_laplace_table(slow, 4, [1], [1, 3], r0=1e-3)
     assert windows == [201, 402]
     assert batches[:3] == [33, 33, 32]
@@ -260,6 +267,10 @@ def test_table_doubles_short_window(monkeypatch):
     windows.clear()
     inverse_laplace_table(slow, 4, [1], [1, 3], r0=2e-3)
     assert windows == [201]
+    # the tail runs from the farthest source: 200 cells past j0 = 30
+    windows.clear()
+    inverse_laplace_table(slow, 4, [1, 30], [1, 3], r0=1e-3)
+    assert windows == [230, 460]
 
 
 def test_table_window_gives_up():
@@ -268,6 +279,76 @@ def test_table_window_gives_up():
     slower = builtin_lfr(-0.002, 0.5, 0.0)
     with pytest.raises(QuadratureError, match="window still carries"):
         inverse_laplace_table(slower, 4, [1], [1], r0=1e-5)
+
+
+def test_pointwise_is_the_table_solve_at_a_ring_node(o3, monkeypatch):
+    # a table with one source has the pointwise window j0 + 200, and every
+    # node it solves gives bitwise the pointwise G(z, j0, .) at its j grid
+    solved = []
+    contour_sum = resolvent._contour_sum
+
+    def recording(scheme, n_max, r0, tol, values):
+        def kept(zs):
+            G = values(zs)
+            solved.extend(zip(zs, G))
+            return G
+        return contour_sum(scheme, n_max, r0, tol, kept)
+
+    monkeypatch.setattr(resolvent, "_contour_sum", recording)
+    js = [1, 3, 7, 40]
+    inverse_laplace_table(o3, 6, [4], js)
+    for z, G in solved[::9]:
+        fld = spatial_green_half(o3, z, 4)
+        assert fld.values.size == 204 + o3.r
+        assert G.tobytes() == np.array([[fld.value(j) for j in js]]).tobytes()
+
+
+@pytest.mark.parametrize("name, z, windows", [
+    ("lfr", 2.0, [205]),
+    # rho^200 ~ 1.7e-11 at z = e^{1e-3}: one doubling
+    ("slow", math.exp(1e-3), [201, 402]),
+    # kappa_s ~ 0.992 near z = 1: two doublings at z = 1.001 (403 rows when
+    # the window followed the computed tail), three and a refusal at
+    # z = e^{1e-5}
+    ("slower", 1.001, [201, 402, 804]),
+    ("slower", math.exp(1e-5), [201, 402, 804, 1608]),
+])
+def test_pointwise_guards_once_per_window(lfr, monkeypatch, name, z,
+                                          windows):
+    scheme = {"lfr": lfr, "slow": builtin_lfr(-0.05, 0.0026, 0.0),
+              "slower": builtin_lfr(-0.002, 0.5, 0.0)}[name]
+    j0 = 5 if name == "lfr" else 1
+    tried, batches = _record_windows_and_batches(monkeypatch)
+    if len(windows) == 4:
+        with pytest.raises(QuadratureError, match="window still carries"):
+            spatial_green_half(scheme, z, j0)
+    else:
+        fld = spatial_green_half(scheme, z, j0)
+        assert fld.values.size == windows[-1] + scheme.r
+        assert fld.truncation_residual < 1e-12
+    assert tried == windows
+    assert batches == [1] * len(windows)
+
+
+def test_failed_solves_are_near_spectrum(lfr, monkeypatch):
+    # an exactly singular band (a zero pivot) that the guard let through,
+    # and a solution that misses the resolvent equations
+    solve = resolvent.solve_banded
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def off(*args, **kwargs):
+        return solve(*args, **kwargs) + 1e-6
+
+    monkeypatch.setattr(resolvent, "solve_banded", singular)
+    with pytest.raises(NearSpectrumError, match="singular resolvent system"):
+        spatial_green_half(lfr, 2.0, 5)
+    with pytest.raises(NearSpectrumError, match="singular resolvent system"):
+        inverse_laplace_table(lfr, 4, [1], [1])
+    monkeypatch.setattr(resolvent, "solve_banded", off)
+    with pytest.raises(NearSpectrumError, match="left residual"):
+        spatial_green_half(lfr, 2.0, 5)
 
 
 WIDE = SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
@@ -303,7 +384,8 @@ def test_band_template_bitwise_equal_to_entrywise_assembly(lfr, o3, z):
     zero_b = builtin_lfr(-0.5, 0.75, 0.0)
     for scheme in (lfr, o3, WIDE, zero_b):
         want, lo, up = _half_system_entrywise(scheme, np.complex128(z), 40)
-        got, lo2, up2 = resolvent._half_system(scheme, np.complex128(z), 40)
+        got, lo2, up2 = resolvent._band_template(scheme, 40)
+        got[up2, scheme.r:] += np.complex128(z)
         assert (lo2, up2) == (lo, up)
         assert got.tobytes() == want.tobytes()
 
@@ -406,11 +488,12 @@ def test_table_guard_curve_distance_fallback(lfr):
 
 
 def test_non_finite_input_raises():
-    # the banded solves skip scipy's finite check; the one check on the band
-    # template and the ring nodes must refuse a NaN ghost weight (the root
-    # split does not see b, and a NaN Delta passes the |Delta| test) and a
-    # non-finite contour radius.  SchemeDefinition refuses a NaN ghost
-    # weight; one set past that check must still be refused here
+    # the banded solves skip scipy's finite check; the check on the band
+    # template, made before the guard, must refuse a NaN ghost weight (the
+    # root split does not see b, and a NaN Delta passes the |Delta| test),
+    # and the contour sum a non-finite contour exponent.  SchemeDefinition
+    # refuses a NaN ghost weight; one set past that check must still be
+    # refused here
     with pytest.raises(ValueError, match="non-finite"):
         builtin_lfr(-0.5, 0.75, float("nan"))
     bad = builtin_lfr(-0.5, 0.75, 5.0)

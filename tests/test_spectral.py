@@ -173,6 +173,25 @@ def test_lopatinskii_derivative_stable_collision_raises():
         hl.lopatinskii_derivative_at_one(s)
 
 
+def test_near_double_stable_roots_are_refused():
+    # Aberth splits a double root of P(.; 1) into a pair about 1e-8 apart,
+    # so the double root at 0.5 and the pair 0.5, 0.5 + 1e-12 both come out
+    # with a gap above 1e-8 and gave Delta'(1) ~ 1e8; the error bound of
+    # each root rejects them, while 1e-6 apart the roots are resolved
+    b = [[0.3], [0.2]]
+    for roots in ([0.5, 0.5, 1.0], [0.5, 0.5 + 1e-12, 1.0]):
+        s = _scheme_with_roots_at_one(2, roots, -0.3, b)
+        with pytest.raises(MultiplicityError,
+                           match="stable roots nearly collide"):
+            hl.lopatinskii_derivative_at_one(s)
+    s = _scheme_with_roots_at_one(2, [0.5, 0.5 + 1e-6, 1.0], -0.3, b)
+    # the exact value, from the roots of these float coefficients at 50
+    # digits; roundoff in the roots, about 1e-10 against a gap of 1e-6,
+    # leaves about 6e-5 of it
+    want = 2499775.5682754283
+    assert abs(hl.lopatinskii_derivative_at_one(s) - want) < 1e-3 * want
+
+
 def test_lopatinskii_derivative_near_double_unstable_root():
     # only the stable roots enter Delta'(1): unstable roots 3 and 3 + 1e-7
     # that a solver barely separates change nothing
