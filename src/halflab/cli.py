@@ -35,9 +35,9 @@ from .resolvent import NearSpectrumError, QuadratureError, \
     inverse_laplace_table
 from .scheme import (builtin_lfr, builtin_o3, check_hypothesis_one,
                      scheme_from_json, symbol_eval)
-from .spectral import (MultiplicityError, RootSolveError,
-                       characteristic_roots, check_hypothesis_two,
-                       lopatinskii_values)
+from .spectral import (_BOUNDARY_ZERO_TOL, _SWEEP_ZERO_TOL, MultiplicityError,
+                       RootSolveError, _unit_classes, characteristic_roots,
+                       check_hypothesis_two, lopatinskii_values)
 
 __all__ = ["main", "ConfigError"]
 
@@ -94,8 +94,7 @@ def _o3_marginal_pair(alpha: float):
     the boundary matrix, the paper-exact marginal choice."""
     probe = builtin_o3(alpha, 0.0, 0.0)
     roots = characteristic_roots(probe, 1.0)
-    stable = [k for k in roots
-              if abs(k) < 1.0 - 1e-9 and abs(k - 1.0) > 1e-9]
+    stable = roots[_unit_classes(np.abs(roots))[0]]
     if len(stable) != 1:
         raise ConfigError("scheme.alpha",
                           "no isolated stable root at z = 1")
@@ -136,22 +135,26 @@ def _load_scheme(cfg: dict):
                       f"unknown builtin {name!r} (expected lfr or o3)")
 
 
-def _grid(cfg: dict, key: str, default, *, allow_empty=False):
+def _grid(cfg: dict, key: str, default):
     raw = cfg.get(key, default)
     if raw is None:
         return None
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(key, "expected a list")
-    if not raw and not allow_empty:
+    if not raw:
         raise ConfigError(key, "must be nonempty")
     return list(raw)
+
+
+# every float cell of a CSV, also recorded in report.json
+_FLOAT_FORMAT = "%.17g"
 
 
 def _cell_format(cls) -> str:
     # bools print as 1/0 and integers exactly; everything else is a float
     if issubclass(cls, (bool, np.bool_, int, np.integer)):
         return "%d"
-    return "%.17g"
+    return _FLOAT_FORMAT
 
 
 def _csv(out_dir: str, name: str, header, rows) -> str:
@@ -280,6 +283,8 @@ def _run_layers(scheme, cfg, out_dir, at_one):
     j0_list = [int(v) for v in _grid(cfg, "j0_list", [1, 2, 3, 4, 6, 8])]
     if j_max < 1 or j0 < 1 or n < 1:
         raise ConfigError("layers", "j_max, j0, n must be >= 1")
+    if min(j0_list) < 1:
+        raise ConfigError("j0_list", "source cells must be >= 1")
     rc_a = rc_analytic(scheme, j_max, at_one=at_one)
     # the snapshots at n and 2n from one sweep of each kernel
     ns = (n, 2 * n)
@@ -425,6 +430,11 @@ def _run_oracle(scheme, cfg, out_dir, at_one):
     js = [int(v) for v in _grid(cfg, "j_list", [1, 3, 7, 15, 30])]
     r0s = [float(v) for v in _grid(cfg, "r0_list", [0.02, 0.05, 0.2])]
     j0s, js = sorted(set(j0s)), sorted(set(js))
+    if j0s[0] < 1:
+        raise ConfigError("j0_list", "source cells must be >= 1")
+    if js[0] < 1 - scheme.r:
+        raise ConfigError("j_list", f"cells must be >= {1 - scheme.r}, the "
+                                    "first ghost cell")
     ts = _time_stepped_table(scheme, n_max, j0s, js)
     rows = []
     per_r0 = {}
@@ -497,9 +507,9 @@ def main(argv=None) -> int:
             "verdict": verdict,
             "hypotheses_hold": status == 0,
             "tolerances": {
-                "hyp2_zero_tol": 1e-6,
-                "boundary_zero_tol": 1e-8,
-                "csv_format": "%.17g",
+                "hyp2_zero_tol": _SWEEP_ZERO_TOL,
+                "boundary_zero_tol": _BOUNDARY_ZERO_TOL,
+                "csv_format": _FLOAT_FORMAT,
             },
         }
         if args.command == "check":

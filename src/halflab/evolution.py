@@ -102,12 +102,11 @@ class HalfLineField:
         return HalfLineField(self.r, self.values[:hi])
 
     @classmethod
-    def dirac(cls, scheme: SchemeDefinition, j0: int, j_top: int | None = None):
+    def dirac(cls, scheme: SchemeDefinition, j0: int):
         """Interior delta at j0 with the ghosts the boundary rule induces."""
         if j0 < 1:
             raise ValueError("source index must satisfy j0 >= 1")
-        top = j0 if j_top is None else max(j_top, j0)
-        vals = np.zeros(top + scheme.r)
+        vals = np.zeros(j0 + scheme.r)
         vals[j0 + scheme.r - 1] = 1.0
         if j0 <= scheme.p_b:
             for i in range(scheme.r):
@@ -154,8 +153,11 @@ class GreenField:
         return self.field.value(j)
 
 
-def _check_ghosts(scheme: SchemeDefinition, field: HalfLineField,
-                  tol: float = 1e-10):
+# input ghosts may miss the boundary rule by this much of the field's scale
+_GHOST_TOL = 1e-10
+
+
+def _check_ghosts(scheme: SchemeDefinition, field: HalfLineField):
     scale = max(1.0, float(np.max(np.abs(field.values))) if field.values.size else 1.0)
     r = scheme.r
     for i in range(r):
@@ -164,10 +166,10 @@ def _check_ghosts(scheme: SchemeDefinition, field: HalfLineField,
             if r - 1 + k < field.values.size:
                 want += scheme.b[i, k - 1] * field.values[r - 1 + k]
         got = field.values[r - 1 - i]
-        if abs(got - want) > tol * scale:
+        if abs(got - want) > _GHOST_TOL * scale:
             raise GhostConsistencyError(
                 f"ghost value at j={-i} is {got!r}, boundary rule gives "
-                f"{want!r} (tolerance {tol:g} of scale {scale:g})")
+                f"{want!r} (tolerance {_GHOST_TOL:g} of scale {scale:g})")
 
 
 def _half_buffer(scheme: SchemeDefinition, field: HalfLineField,
@@ -181,16 +183,16 @@ def _half_buffer(scheme: SchemeDefinition, field: HalfLineField,
 
 
 def apply_half_line(scheme: SchemeDefinition, field: HalfLineField,
-                    nsteps: int = 1, ghost_tol: float = 1e-10) -> HalfLineField:
+                    nsteps: int = 1) -> HalfLineField:
     """Advance nsteps interior updates, refilling ghosts from each new
     interior.  The input ghosts must satisfy the boundary rule within
-    ghost_tol of the field's sup scale; internally ghosts are recomputed,
+    _GHOST_TOL of the field's sup scale; internally ghosts are recomputed,
     never trusted."""
     if field.r != scheme.r:
         raise ValueError("field and scheme have different ghost widths")
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")
-    _check_ghosts(scheme, field, ghost_tol)
+    _check_ghosts(scheme, field)
     if nsteps == 0:
         return field
     buf = _half_buffer(scheme, field, nsteps)

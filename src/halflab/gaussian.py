@@ -28,6 +28,8 @@ __all__ = ["GaussianParams", "gaussian_h", "gaussian_e", "appendix_f"]
 
 _NODE_CAP = 2 ** 20
 _CHUNK = 256
+# two node counts whose sums agree within this settle a quadrature
+_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -66,19 +68,6 @@ def _trap_uniform(fvals: np.ndarray, h: float):
     return h * (fvals.sum(axis=-1) - 0.5 * (fvals[..., 0] + fvals[..., -1]))
 
 
-def _settle(eval_fn, n0: int, tol: float, what: str):
-    n = n0
-    prev = eval_fn(n)
-    while n < _NODE_CAP:
-        n *= 2
-        cur = eval_fn(n)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
-    raise RuntimeError(f"{what} quadrature did not settle below {tol:g} "
-                       f"within {_NODE_CAP} nodes")
-
-
 def _start_nodes(U: float, xmax: float, floor: int = 2048) -> int:
     osc = int(np.ceil(16.0 * U * xmax / (2.0 * np.pi)))
     n = floor
@@ -87,83 +76,106 @@ def _start_nodes(U: float, xmax: float, floor: int = 2048) -> int:
     return n
 
 
-def gaussian_h(x, params: GaussianParams, tol: float = 1e-11):
+def _quadrature(x, what: str, start, nodes, kernel, div=None, finish=None):
+    """Settled trapezoid sums at every value of x, in the shape of x (a
+    scalar for a scalar x).
+
+    start(max|x|) is the first node count n; nodes(n) gives the points v,
+    the weights w and the spacing h of the n-interval rule, and kernel(xb,
+    v) the factor of w for a column xb of x values, _CHUNK rows at a time.
+    The sums h sum'' kernel w, divided by div when given, are doubled in n
+    until two agree within _TOL.  finish(xs, sums) maps the settled sums
+    over the flattened x to the values returned.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
+
+    def eval_fn(n: int):
+        v, w, h = nodes(n)
+        out = np.empty(xs.size, dtype=complex)
+        for lo in range(0, xs.size, _CHUNK):
+            out[lo:lo + _CHUNK] = _trap_uniform(
+                kernel(xs[lo:lo + _CHUNK, None], v) * w, h)
+        return out if div is None else out / div
+
+    n = start(float(np.max(np.abs(xs))) if xs.size else 0.0)
+    prev = eval_fn(n)
+    while n < _NODE_CAP:
+        n *= 2
+        cur = eval_fn(n)
+        if np.max(np.abs(cur - prev)) < _TOL:
+            break
+        prev = cur
+    else:
+        raise RuntimeError(f"{what} quadrature did not settle below "
+                           f"{_TOL:g} within {_NODE_CAP} nodes")
+    vals = cur if finish is None else finish(xs, cur)
+    return vals[0] if scalar else vals.reshape(np.shape(x))
+
+
+def _half_axis(x, params: GaussianParams, what: str, kernel, finish):
+    """The H and E quadratures: the rule on [0, U] with the weight
+    exp(-beta u^{2mu}), negligible beyond U, and the sums divided by pi;
+    finish(xs, sums) comes before the real part is taken for real beta."""
+    mu, beta = params.mu, params.beta
+    U = (40.0 / complex(beta).real) ** (1.0 / (2 * mu))
+
+    def nodes(n: int):
+        u = np.linspace(0.0, U, n + 1)
+        return u, np.exp(-beta * u ** (2 * mu)), U / n
+
+    def real_if(xs, sums):
+        vals = finish(xs, sums)
+        return vals.real if params.real_valued else vals
+
+    return _quadrature(x, what, lambda xmax: _start_nodes(U, xmax), nodes,
+                       kernel, div=np.pi, finish=real_if)
+
+
+def gaussian_h(x, params: GaussianParams):
     """H_{2mu}^beta(x); vectorized over x, real for real beta."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    mu, beta = params.mu, params.beta
-    U = (40.0 / complex(beta).real) ** (1.0 / (2 * mu))
-    n0 = _start_nodes(U, float(np.max(np.abs(xs))) if xs.size else 0.0)
-
-    def eval_fn(n: int):
-        u = np.linspace(0.0, U, n + 1)
-        w = np.exp(-beta * u ** (2 * mu))
-        out = np.empty(xs.size, dtype=complex)
-        for lo in range(0, xs.size, _CHUNK):
-            blk = xs[lo:lo + _CHUNK, None]
-            out[lo:lo + _CHUNK] = _trap_uniform(np.cos(blk * u) * w, U / n)
-        return out / np.pi
-
-    vals = _settle(eval_fn, n0, tol, "profile")
-    if params.real_valued:
-        vals = vals.real
-    return (vals[0] if scalar else vals.reshape(np.shape(x)))
+    return _half_axis(x, params, "profile", lambda xb, u: np.cos(xb * u),
+                      lambda xs, sums: sums)
 
 
-def gaussian_e(x, params: GaussianParams, tol: float = 1e-11):
-    """E_{2mu}^beta(x) = int_x^inf H; E(0) = 1/2, E(-x) = 1 - E(x)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    mu, beta = params.mu, params.beta
-    U = (40.0 / complex(beta).real) ** (1.0 / (2 * mu))
-    ax = np.abs(xs)
-    n0 = _start_nodes(U, float(np.max(ax)) if ax.size else 0.0)
+def _sinc(xb: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sin(u |x|) / u, extended by continuity to |x| at u = 0."""
+    ax = np.abs(xb)
+    out = np.empty((ax.shape[0], u.size))
+    out[:, 0] = ax[:, 0]
+    out[:, 1:] = np.sin(ax * u[1:]) / u[1:]
+    return out
 
-    def eval_fn(n: int):
-        u = np.linspace(0.0, U, n + 1)
-        w = np.exp(-beta * u ** (2 * mu))
-        out = np.empty(xs.size, dtype=complex)
-        for lo in range(0, xs.size, _CHUNK):
-            blk = ax[lo:lo + _CHUNK, None]
-            # sin(ux)/u extended by continuity to x at u = 0
-            sinc = np.empty((blk.shape[0], u.size))
-            sinc[:, 0] = blk[:, 0]
-            sinc[:, 1:] = np.sin(blk * u[1:]) / u[1:]
-            out[lo:lo + _CHUNK] = _trap_uniform(sinc * w, U / n)
-        return out / np.pi
 
-    tail = _settle(eval_fn, n0, tol, "tail")
+def _reflected_tail(xs: np.ndarray, tail: np.ndarray) -> np.ndarray:
     vals = 0.5 - tail
-    vals = np.where(xs < 0, 1.0 - vals, vals)
-    if params.real_valued:
-        vals = vals.real
-    return (vals[0] if scalar else vals.reshape(np.shape(x)))
+    return np.where(xs < 0, 1.0 - vals, vals)
 
 
-def appendix_f(x, s: float, params: GaussianParams, tol: float = 1e-11):
+def gaussian_e(x, params: GaussianParams):
+    """E_{2mu}^beta(x) = int_x^inf H; E(0) = 1/2, E(-x) = 1 - E(x)."""
+    return _half_axis(x, params, "tail", _sinc, _reflected_tail)
+
+
+def appendix_f(x, s: float, params: GaussianParams):
     """Shifted-contour tail integral F(x, s); requires s > 0 so the pole at
     u = -is stays below the contour.  -F = 2 pi E(x) for every such s."""
     if not (s > 0):
         raise ValueError("contour shift s must be positive")
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     mu, beta = params.mu, params.beta
     U = (90.0 / complex(beta).real) ** (1.0 / (2 * mu))
-    n0 = _start_nodes(2.0 * U, float(np.max(np.abs(xs))) if xs.size else 0.0)
-    # Pole scale: keep the node spacing at or below s/4.
-    while 2.0 * U / n0 > s / 4.0 and n0 < _NODE_CAP:
-        n0 *= 2
 
-    def eval_fn(n: int):
-        u = np.linspace(-U, U, n + 1)
-        shifted = u + 1j * s
+    def start(xmax: float) -> int:
+        n0 = _start_nodes(2.0 * U, xmax)
+        # Pole scale: keep the node spacing at or below s/4.
+        while 2.0 * U / n0 > s / 4.0 and n0 < _NODE_CAP:
+            n0 *= 2
+        return n0
+
+    def nodes(n: int):
+        shifted = np.linspace(-U, U, n + 1) + 1j * s
         w = np.exp(-beta * shifted ** (2 * mu)) / (1j * shifted)
-        out = np.empty(xs.size, dtype=complex)
-        for lo in range(0, xs.size, _CHUNK):
-            blk = xs[lo:lo + _CHUNK, None]
-            out[lo:lo + _CHUNK] = _trap_uniform(
-                np.exp(1j * shifted * blk) * w, 2.0 * U / n)
-        return out
+        return shifted, w, 2.0 * U / n
 
-    vals = _settle(eval_fn, n0, tol, "contour")
-    return (vals[0] if scalar else vals.reshape(np.shape(x)))
+    return _quadrature(x, "contour", start, nodes,
+                       lambda xb, v: np.exp(1j * v * xb))

@@ -51,7 +51,7 @@ from .evolution import (adjoint_scheme, temporal_green, temporal_green_rows,
                         temporal_green_whole, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
-from .spectral import (_vandermonde, lopatinskii,
+from .spectral import (_boundary_zero, _vandermonde, lopatinskii,
                        lopatinskii_derivative_at_one, projector_set)
 
 __all__ = [
@@ -166,7 +166,8 @@ class _AtOne:
 
     @property
     def marginal(self) -> bool:
-        return abs(self.delta1) <= 1e-8
+        """The boundary zero of `check_hypothesis_two`'s verdict."""
+        return _boundary_zero(self.delta1)
 
     def require_marginal(self):
         if not self.marginal:

@@ -48,7 +48,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .scheme import SchemeDefinition, symbol_eval
-from .spectral import MultiplicityError, _evaluate, _symbol_curve
+from .spectral import (_NEAR_CURVE, MultiplicityError, _evaluate,
+                       _symbol_curve)
 # no caller here: the benchmark's `resolvent.guard` trace target names it
 from .spectral import lopatinskii  # noqa: F401
 
@@ -61,6 +62,8 @@ __all__ = [
 
 _FFT_CAP = 2 ** 22
 _CONTOUR_CAP = 2 ** 16
+# two contour rings agreeing within this settle a reconstruction
+_CONTOUR_TOL = 1e-9
 
 
 class NearSpectrumError(RuntimeError):
@@ -99,17 +102,17 @@ class ResolventField:
 
 
 def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray) -> float:
-    """Refuses the first node of zs that lies within 1e-6 of the symbol
-    curve, is encircled by it or has |Delta| <= 1e-8, from one batched
-    Lopatinskii evaluation; else returns max |kappa_s| over zs."""
+    """Refuses the first node of zs that lies within _NEAR_CURVE of the
+    symbol curve, is encircled by it or has |Delta| <= 1e-8, from one
+    batched Lopatinskii evaluation; else returns max |kappa_s| over zs."""
     nodes = _evaluate(scheme, zs)
-    bad = (nodes.dist < 1e-6) | (np.abs(nodes.delta) <= 1e-8)
+    bad = (nodes.dist < _NEAR_CURVE) | (np.abs(nodes.delta) <= 1e-8)
     bad[list(nodes.errors)] = True
     if not bad.any():
         return float(np.max(np.abs(nodes.kappas)))
     i = int(np.argmax(bad))
     z = complex(zs[i])
-    if nodes.dist[i] < 1e-6:
+    if nodes.dist[i] < _NEAR_CURVE:
         raise NearSpectrumError(
             f"z = {z!r} lies within {nodes.dist[i]:.2e} of the symbol curve")
     exc = nodes.errors.get(i)
@@ -152,16 +155,14 @@ def _stencil_sums(scheme: SchemeDefinition, w: np.ndarray) -> np.ndarray:
     return np.convolve(w, scheme.a[::-1])[scheme.p:scheme.p + w.size]
 
 
-def _interior_residual(scheme: SchemeDefinition, z: complex, w: np.ndarray,
-                       rhs_j0: int | None, J_trunc: int) -> float:
-    """Defect of the untruncated equations on the inner 80% of the window;
-    w is indexed so w[j + r - 1] holds the value at cell j."""
-    r = scheme.r
-    top = int(0.8 * J_trunc)
-    acc = (z * w - _stencil_sums(scheme, w))[r:r + top]
-    if rhs_j0 is not None and 1 <= rhs_j0 <= top:
-        acc[rhs_j0 - 1] -= 1.0
-    return float(np.max(np.abs(acc), initial=0.0))
+def _residual(scheme: SchemeDefinition, z: complex, w: np.ndarray,
+              j_min: int, j0: int, lo: int, hi: int) -> float:
+    """max |(z w - sum_k a_k w_{j+k}) - delta_{j, j0}| over the cells
+    lo..hi: the defect of the untruncated resolvent equations, w holding
+    the cells j_min, j_min + 1, ... and zero beyond them."""
+    acc = z * w - _stencil_sums(scheme, w)
+    acc[j0 - j_min] -= 1.0
+    return float(np.max(np.abs(acc[lo - j_min:hi - j_min + 1]), initial=0.0))
 
 
 def _half_line(scheme: SchemeDefinition, j0s: np.ndarray, J_trunc: int,
@@ -231,7 +232,8 @@ def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
     G, J_trunc, _ = _half_line(scheme, np.array([j0]), J_trunc, slice(None),
                                lambda values: values(np.array([z])))
     w = G[0, 0]
-    res = _interior_residual(scheme, z, w, j0, J_trunc)
+    # the inner 80% of the window
+    res = _residual(scheme, z, w, 1 - scheme.r, j0, 1, int(0.8 * J_trunc))
     if not np.isfinite(res) or res > 1e-8:
         raise NearSpectrumError(
             f"resolvent solve at z = {z!r} left residual {res:.2e}")
@@ -247,7 +249,7 @@ def spatial_green_whole(scheme: SchemeDefinition, z: complex,
         raise ValueError("window must be >= 1")
     z = complex(z)
     dist = float(np.min(np.abs(_symbol_curve(scheme) - z)))
-    if dist < 1e-6:
+    if dist < _NEAR_CURVE:
         raise NearSpectrumError(
             f"z = {z!r} lies within {dist:.2e} of the symbol curve")
     r, p = scheme.r, scheme.p
@@ -270,17 +272,10 @@ def spatial_green_whole(scheme: SchemeDefinition, z: complex,
         raise QuadratureError(
             f"whole-line quadrature did not settle at z = {z!r} within "
             f"{_FFT_CAP} nodes")
-    res = _whole_residual(scheme, z, vals, window)
+    top = int(0.8 * window)
+    res = _residual(scheme, z, vals, -window, 0, -top, top)
     return ResolventField(z=z, j0=None, j_min=-window, values=vals,
                           truncation_residual=res)
-
-
-def _whole_residual(scheme: SchemeDefinition, z: complex, vals: np.ndarray,
-                    window: int) -> float:
-    top = int(0.8 * window)
-    acc = (z * vals - _stencil_sums(scheme, vals))[window - top:window + top + 1]
-    acc[top] -= 1.0
-    return float(np.max(np.abs(acc)))
 
 
 def r_function(scheme: SchemeDefinition, z: complex, j0: int, j):
@@ -359,14 +354,13 @@ def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
 
 def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
                                 j: int, r0: float = 0.05,
-                                whole_line: bool = False,
-                                tol: float = 1e-9) -> complex:
+                                whole_line: bool = False) -> complex:
     """(1/2pi i) oint z^n G(z, j0, j) dz on the circle e^{r0} S^1; with
     whole_line=True reconstructs the convolution kernel at cell j instead
     (j0 ignored).  Returns the complex trapezoid value; its imaginary part
     is a sanity diagnostic and stays at roundoff scale."""
     if not whole_line:
-        table = inverse_laplace_table(scheme, n, [j0], [j], r0, tol)
+        table = inverse_laplace_table(scheme, n, [j0], [j], r0)
         return complex(table.values[0, n, 0], table.imag[0, n, 0])
     j = int(j)
 
@@ -374,7 +368,7 @@ def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
         return np.array([spatial_green_whole(scheme, z, window=abs(j) + 8)
                          .value(j) for z in zs]).reshape(-1, 1, 1)
 
-    real, imag, _ = _contour_sum(scheme, n, r0, tol, values)
+    real, imag, _ = _contour_sum(scheme, n, r0, _CONTOUR_TOL, values)
     return complex(real[0, n, 0], imag[0, n, 0])
 
 
@@ -402,8 +396,7 @@ class ReconstructionTable:
 
 
 def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
-                          j_list, r0: float = 0.05,
-                          tol: float = 1e-9) -> ReconstructionTable:
+                          j_list, r0: float = 0.05) -> ReconstructionTable:
     """All reconstructions n <= n_max on a (j0, j) grid, sharing one banded
     factorization per contour node (conjugate symmetry halves the ring, and
     each doubled ring reuses the solves of the one before)."""
@@ -414,7 +407,7 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     J_trunc = int(max(j0s[-1] + 200, js[-1] + 50))
     (real, imag, N), _, solves = _half_line(
         scheme, j0s, J_trunc, js + scheme.r - 1,
-        lambda values: _contour_sum(scheme, n_max, r0, tol, values))
+        lambda values: _contour_sum(scheme, n_max, r0, _CONTOUR_TOL, values))
     return ReconstructionTable(r0=r0, n_values=np.arange(n_max + 1),
                                j0_values=j0s, j_values=js, values=real,
                                imag=imag, nodes=N, solves=solves)

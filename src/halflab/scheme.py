@@ -19,7 +19,8 @@ expansion
 
 with drift alpha = -F'(1) in ]-p, 0[ and Re(beta) > 0.  The coefficients of
 that expansion are extracted exactly from the polynomial derivatives of F at
-1; sampling covers the circle away from t = 0.
+1; sampling covers the circle away from t = 0.  The series order, the
+sampling grid and the tolerances of the check are fixed module constants.
 """
 
 from __future__ import annotations
@@ -141,6 +142,18 @@ def symbol_eval(scheme: SchemeDefinition, kappa):
     return out
 
 
+# the check_hypothesis_one settings: log F(e^{it}) is expanded to this order
+_SERIES_ORDER = 8
+# |F(e^{it})| is sampled on this many uniform points of the circle ...
+_DISSIPATIVITY_GRID = 100_000
+# ... minus |t| <= this, where the series decides
+_SERIES_RADIUS = 1e-2
+# |F(1) - 1| above this fails consistency
+_CONSISTENCY_TOL = 1e-12
+# a series coefficient (or the real part of the first) below this vanishes
+_SERIES_ZERO_TOL = 1e-8
+
+
 def _log_symbol_series(scheme: SchemeDefinition, order: int) -> np.ndarray:
     """Taylor coefficients d_1..d_order of t -> log F(e^{it}) at t = 0.
 
@@ -171,25 +184,18 @@ def _log_symbol_series(scheme: SchemeDefinition, order: int) -> np.ndarray:
     return d[1:]
 
 
-def check_hypothesis_one(scheme: SchemeDefinition, order: int = 8,
-                         grid_size: int = 100_000, tol: float = 1e-12,
-                         beta_tol: float = 1e-8,
-                         series_radius: float = 1e-2) -> HypothesisReport:
+def check_hypothesis_one(scheme: SchemeDefinition) -> HypothesisReport:
     """Check consistency, dissipativity, and the diffusivity expansion.
 
     The expansion coefficients come from exact derivatives of F at 1 composed
-    into the series of log F(e^{it}); |F(e^{it})| is sampled on grid_size
-    uniform points with |t| <= series_radius excluded (the series controls
-    that neighborhood, where the sampled margin would degenerate to 0).
+    into the series of log F(e^{it}) up to _SERIES_ORDER; |F(e^{it})| is
+    sampled on _DISSIPATIVITY_GRID uniform points with |t| <= _SERIES_RADIUS
+    excluded (the series controls that neighborhood, where the sampled
+    margin would degenerate to 0).
     """
-    if order < 2:
-        raise ValueError("series order must be at least 2")
-    if grid_size < 1000:
-        raise ValueError("dissipativity grid must have at least 1000 points")
-
     f1 = complex(symbol_eval(scheme, 1.0))
     consistency = abs(f1 - 1.0)
-    d = _log_symbol_series(scheme, order)
+    d = _log_symbol_series(scheme, _SERIES_ORDER)
     alpha = float((1j * d[0]).real)
 
     def failed(reason, witness=None, mu=0, beta=0j, margin=math.nan):
@@ -199,17 +205,17 @@ def check_hypothesis_one(scheme: SchemeDefinition, order: int = 8,
                                 satisfied=False, failure=reason,
                                 witness_t=witness)
 
-    if consistency > tol:
+    if consistency > _CONSISTENCY_TOL:
         return failed("consistency: F(1) differs from 1 beyond tolerance")
-    if abs((1j * d[0]).imag) > beta_tol:
+    if abs((1j * d[0]).imag) > _SERIES_ZERO_TOL:
         return failed("drift: linear series coefficient is not purely -i*alpha")
     if not -scheme.p < alpha < 0:
         return failed(f"drift alpha={alpha} outside ]-p, 0[")
 
     mu = 0
     beta = 0j
-    for m in range(2, order + 1):
-        if abs(d[m - 1]) > beta_tol:
+    for m in range(2, _SERIES_ORDER + 1):
+        if abs(d[m - 1]) > _SERIES_ZERO_TOL:
             if m % 2 != 0:
                 return failed(f"diffusivity: first nonvanishing order {m} is odd")
             mu = m // 2
@@ -220,8 +226,8 @@ def check_hypothesis_one(scheme: SchemeDefinition, order: int = 8,
     if beta.real <= 0:
         return failed("diffusivity: Re(beta) <= 0")
 
-    t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    t = t[np.abs(t) > series_radius]
+    t = np.linspace(-math.pi, math.pi, _DISSIPATIVITY_GRID, endpoint=False)
+    t = t[np.abs(t) > _SERIES_RADIUS]
     mod = np.abs(symbol_eval(scheme, np.exp(1j * t)))
     worst = int(np.argmax(mod))
     margin = float(1.0 - mod[worst])

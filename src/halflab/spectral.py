@@ -35,6 +35,12 @@ nodes, and z = 1, get the winding number over the curve samples, computed
 a few nodes at a time to bound the temporaries.  Delta is det(B V) on the
 stacked Vandermonde matrices.  A failing node raises the typed error of the
 pointwise functions, for the first failing node of the batch.
+
+The tolerances are fixed module constants, each defined once here and read
+by every module that applies it: the unit-circle width 1e-8 of the root
+classes (also the CLI's o3 marginal pair), the near-curve distance 1e-6
+(also the resolvent guards'), the sweep zero 1e-6 and the boundary zero
+|Delta(1)| < 1e-8 (also the layers' marginal test).
 """
 
 from __future__ import annotations
@@ -55,6 +61,30 @@ __all__ = [
     "lopatinskii_derivative_at_one", "projector_set", "residue_condition",
     "check_hypothesis_two",
 ]
+
+
+# |kappa| within this of 1 puts a root on the unit circle (central)
+_UNIT_TOL = 1e-8
+# a node closer than this to the sampled symbol curve is near the spectrum:
+# the disk and support tiers of _evaluate clear a node only at least this
+# far out, and the resolvent guards refuse nodes nearer than this
+_NEAR_CURVE = 1e-6
+# |Delta| below this on a sweep circle is a Lopatinskii zero
+_SWEEP_ZERO_TOL = 1e-6
+# the window |theta| < this skipped on the unit sweep circle, where the
+# symbol curve touches z = 1
+_SWEEP_EXCLUSION = 0.06
+# |Delta(1)| below this is a boundary zero: the marginal regime
+_BOUNDARY_ZERO_TOL = 1e-8
+# relative residual of B(ones) off the stable traces that still counts as
+# in their span
+_RESIDUE_TOL = 1e-10
+
+
+def _boundary_zero(delta1: complex) -> bool:
+    """Whether Delta(1) vanishes: the one test behind the sweep's verdict
+    and the layers' marginal regime."""
+    return abs(delta1) < _BOUNDARY_ZERO_TOL
 
 
 class RootSolveError(RuntimeError):
@@ -283,12 +313,12 @@ class _Nodes:
     errors adds the ones stable_basis and lopatinskii raise.  Only nodes
     missing from errors carry kappas (the r stable roots) and delta.  dist
     is the distance to the sampled symbol curve, or, for a node at least
-    1e-6 outside the disk |w| <= max|F| or else the curve's convex hull,
-    the lower bound on it that this margin is (|z| - max|F|, or
+    _NEAR_CURVE outside the disk |w| <= max|F| or else the curve's convex
+    hull, the lower bound on it that this margin is (|z| - max|F|, or
     |z| - h(arg z) with h the support function of the samples, see
-    `_support_margins`).  Only the thresholds 1e-6 (the resolvent guard)
-    and 1e-7 (on_curve) read dist, and a bound of at least 1e-6 passes
-    both as the distance does.
+    `_support_margins`).  Only the thresholds _NEAR_CURVE (the resolvent
+    guard) and 1e-7 (on_curve) read dist, and a bound of at least
+    _NEAR_CURVE passes both as the distance does.
     """
 
     roots: np.ndarray
@@ -309,21 +339,28 @@ def _raise_first(errors: dict) -> None:
         raise errors[min(errors)]
 
 
-def _evaluate(scheme: SchemeDefinition, zs, unit_tol: float = 1e-8) -> _Nodes:
+def _unit_classes(mods: np.ndarray):
+    """Masks of the stable, central and unstable moduli against the unit
+    circle, central meaning within _UNIT_TOL of it."""
+    return (mods < 1.0 - _UNIT_TOL, np.abs(mods - 1.0) <= _UNIT_TOL,
+            mods > 1.0 + _UNIT_TOL)
+
+
+def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
     """Every pointwise check of spectral_split, stable_basis and lopatinskii
     at each node of zs, from one batched root solve.
 
-    A node farther than 1e-6 beyond the disk |w| <= max|F| holding the
-    sampled curve clears at no cost (the contour rings, the outer sweep
+    A node farther than _NEAR_CURVE beyond the disk |w| <= max|F| holding
+    the sampled curve clears at no cost (the contour rings, the outer sweep
     circles).  For the others the support test follows: a node with
-    |z| - h(arg z) >= 1e-6, h the support function of the samples, lies
-    that far outside the curve's convex hull, so it is at least that far
-    from every sample and has winding number 0.  Its margin comes from one
-    (nodes x 2) @ (2 x samples) product in blocks of _SUPPORT_BLOCK nodes.
-    On the unit circle the disk (max|F| = 1) clears no node, while the
-    support test clears each node in whose direction the curve stays 1e-6
-    inside the circle.  The remaining nodes, and z = 1, get the winding
-    computation.
+    |z| - h(arg z) >= _NEAR_CURVE, h the support function of the samples,
+    lies that far outside the curve's convex hull, so it is at least that
+    far from every sample and has winding number 0.  Its margin comes from
+    one (nodes x 2) @ (2 x samples) product in blocks of _SUPPORT_BLOCK
+    nodes.  On the unit circle the disk (max|F| = 1) clears no node, while
+    the support test clears each node in whose direction the curve stays
+    _NEAR_CURVE inside the circle.  The remaining nodes, and z = 1, get the
+    winding computation.
     """
     zs = np.asarray(zs, dtype=complex)
     n, r, p = zs.size, scheme.r, scheme.p
@@ -331,17 +368,15 @@ def _evaluate(scheme: SchemeDefinition, zs, unit_tol: float = 1e-8) -> _Nodes:
     raw, errors = _aberth(c)
     roots = _sort_rows(raw)
     mods = np.abs(roots)
-    stable = mods < 1.0 - unit_tol
-    central = np.abs(mods - 1.0) <= unit_tol
-    unstable = mods > 1.0 + unit_tol
+    stable, central, unstable = _unit_classes(mods)
     n_s, n_c, n_u = (m.sum(axis=1) for m in (stable, central, unstable))
 
     at_one = np.abs(zs - 1.0) <= 1e-12
     dist = np.abs(zs) - float(np.max(np.abs(_symbol_curve(scheme))))
-    near = np.flatnonzero(dist < 1e-6)
+    near = np.flatnonzero(dist < _NEAR_CURVE)
     dist[near] = _support_margins(scheme, zs[near])
     winding = np.zeros(n, dtype=int)
-    slow = np.flatnonzero((dist < 1e-6) | at_one)
+    slow = np.flatnonzero((dist < _NEAR_CURVE) | at_one)
     winding[slow], dist[slow] = _windings(scheme, zs[slow])
     region = np.where(at_one, "at_one", np.where(
         dist < 1e-7, "on_curve", np.where(winding == 0, "outside", "inside")))
@@ -410,8 +445,7 @@ class SpectralSplit:
     winding: int
 
 
-def spectral_split(scheme: SchemeDefinition, z: complex,
-                   unit_tol: float = 1e-8) -> SpectralSplit:
+def spectral_split(scheme: SchemeDefinition, z: complex) -> SpectralSplit:
     """Classify the characteristic roots at z and name the region of z.
 
     Regions: "at_one" (z = 1), "on_curve" (within 1e-7 of the sampled symbol
@@ -421,7 +455,7 @@ def spectral_split(scheme: SchemeDefinition, z: complex,
     and p-1 unstable.
     """
     z = complex(z)
-    nodes = _evaluate(scheme, [z], unit_tol)
+    nodes = _evaluate(scheme, [z])
     _raise_first(nodes.split_errors)
     roots = nodes.roots[0]
     return SpectralSplit(z=z, roots=tuple(roots),
@@ -442,9 +476,8 @@ class StableBasis:
     vectors: np.ndarray
 
 
-def stable_basis(scheme: SchemeDefinition, z: complex,
-                 unit_tol: float = 1e-8) -> StableBasis:
-    nodes = _evaluate(scheme, [complex(z)], unit_tol)
+def stable_basis(scheme: SchemeDefinition, z: complex) -> StableBasis:
+    nodes = _evaluate(scheme, [complex(z)])
     _raise_first(nodes.errors)
     ks = nodes.kappas[0]
     return StableBasis(z=complex(z), kappas=tuple(ks),
@@ -541,9 +574,8 @@ class ProjectorSet:
         return out
 
 
-def projector_set(scheme: SchemeDefinition, z: complex,
-                  unit_tol: float = 1e-8) -> ProjectorSet:
-    split = spectral_split(scheme, z, unit_tol)
+def projector_set(scheme: SchemeDefinition, z: complex) -> ProjectorSet:
+    split = spectral_split(scheme, z)
     roots = np.asarray(split.roots)
     d = scheme.p + scheme.r
     V = _vandermonde(roots, d)
@@ -552,10 +584,8 @@ def projector_set(scheme: SchemeDefinition, z: complex,
         raise EigenConditioningError(
             f"eigenvector Vandermonde at z={z!r} has condition {cond:.3e}")
     Vinv = np.linalg.inv(V)
-    mods = np.abs(roots)
-    idx_ss = tuple(int(i) for i in np.nonzero(mods < 1.0 - unit_tol)[0])
-    idx_c = tuple(int(i) for i in np.nonzero(np.abs(mods - 1.0) <= unit_tol)[0])
-    idx_su = tuple(int(i) for i in np.nonzero(mods > 1.0 + unit_tol)[0])
+    idx_ss, idx_c, idx_su = (tuple(int(i) for i in np.flatnonzero(m))
+                             for m in _unit_classes(np.abs(roots)))
     classes = {"ss": idx_ss, "c": idx_c, "su": idx_su}
 
     def proj(idx):
@@ -593,17 +623,17 @@ def projector_set(scheme: SchemeDefinition, z: complex,
                         left_central=left_central, e=e)
 
 
-def residue_condition(scheme: SchemeDefinition, tol: float = 1e-10) -> bool:
+def residue_condition(scheme: SchemeDefinition) -> bool:
     """Whether B(ones) lies in the span of the stable boundary traces at 1.
 
     ones is the central Vandermonde vector at kappa = 1; when B(ones) = 0
     the condition holds degenerately and the reflected boundary layer
     vanishes identically.
     """
-    return _residue_ok(scheme, None, tol)
+    return _residue_ok(scheme, None)
 
 
-def _residue_ok(scheme: SchemeDefinition, kappas, tol: float = 1e-10) -> bool:
+def _residue_ok(scheme: SchemeDefinition, kappas) -> bool:
     """residue_condition from the stable roots at 1 when the caller holds
     them (kappas None: solve for them)."""
     B = boundary_matrix(scheme)
@@ -622,7 +652,7 @@ def _residue_ok(scheme: SchemeDefinition, kappas, tol: float = 1e-10) -> bool:
     scale = max(1.0, float(np.max(np.abs(B))))
     Uk = U[:, sv > 1e-10 * scale]
     resid = float(np.linalg.norm(target - Uk @ (Uk.conj().T @ target)))
-    return resid <= tol * tnorm
+    return resid <= _RESIDUE_TOL * tnorm
 
 
 @dataclass(frozen=True)
@@ -656,18 +686,16 @@ class StabilityReport:
 
 
 def check_hypothesis_two(scheme: SchemeDefinition, annulus_samples: int = 64,
-                         radii=(1.0, 1.05, 1.25, 2.5),
-                         zero_tol: float = 1e-6,
-                         exclusion: float = 0.06) -> StabilityReport:
+                         radii=(1.0, 1.05, 1.25, 2.5)) -> StabilityReport:
     """Sweep |Delta(z)| over circles of the given radii and classify.
 
-    On the unit radius an angular window |theta| < exclusion is skipped:
-    the symbol curve touches z = 1 there and a marginal boundary zero of
-    Delta would otherwise shadow the sweep.  A modulus below zero_tol
-    anywhere else is a genuine Lopatinskii violation.  When the sweep is
-    clean the verdict follows the z = 1 dichotomy: a boundary zero with a
-    nonvanishing residue gives the marginal verdict, anything else is
-    uniformly stable.
+    On the unit radius an angular window |theta| < _SWEEP_EXCLUSION is
+    skipped: the symbol curve touches z = 1 there and a marginal boundary
+    zero of Delta would otherwise shadow the sweep.  A modulus below
+    _SWEEP_ZERO_TOL anywhere else is a genuine Lopatinskii violation.  When
+    the sweep is clean the verdict follows the z = 1 dichotomy: a boundary
+    zero with a nonvanishing residue gives the marginal verdict, anything
+    else is uniformly stable.
     """
     if annulus_samples < 8:
         raise ValueError("need at least 8 samples per radius")
@@ -678,20 +706,21 @@ def check_hypothesis_two(scheme: SchemeDefinition, annulus_samples: int = 64,
           for th in np.linspace(0.0, 2.0 * np.pi, annulus_samples,
                                 endpoint=False)
           if not (abs(rho - 1.0) < 1e-12
-                  and abs(math.remainder(th, 2.0 * math.pi)) < exclusion)]
+                  and abs(math.remainder(th, 2.0 * math.pi))
+                  < _SWEEP_EXCLUSION)]
     min_mod = math.inf
     witness = None
     for zval, delta in zip(zs, lopatinskii_values(scheme, zs)):
         val = abs(complex(delta))
         if val < min_mod:
             min_mod = val
-            if val < zero_tol:
+            if val < _SWEEP_ZERO_TOL:
                 witness = zval
     satisfied = witness is None
 
     one = lopatinskii(scheme, 1.0)
     delta1 = one.value
-    boundary_zero = abs(delta1) < 1e-8
+    boundary_zero = _boundary_zero(delta1)
     residue_ok = _residue_ok(scheme, one.kappas) if boundary_zero else None
 
     if not satisfied:

@@ -15,6 +15,9 @@ __all__ = ["line_chart", "heatmap"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
+# canvas sizes in pixels: (width, height)
+_LINE_SIZE = (720, 480)
+_HEAT_SIZE = (720, 520)
 
 
 def _fmt(x: float) -> str:
@@ -53,8 +56,9 @@ def _transform(v, lo, hi, out_lo, out_hi, log):
 
 
 def line_chart(path, series, *, title="", xlabel="", ylabel="",
-               logx=False, logy=False, width=720, height=480):
+               logx=False, logy=False):
     """Write a polyline chart; series is a list of (label, xs, ys)."""
+    width, height = _LINE_SIZE
     xs_all = _finite(np.concatenate([np.asarray(s[1], dtype=float)
                                      for s in series]))
     ys_all = _finite(np.concatenate([np.asarray(s[2], dtype=float)
@@ -153,8 +157,9 @@ def _heat_color(frac: float) -> str:
 
 
 def heatmap(path, x_values, y_values, values, *, title="", xlabel="",
-            ylabel="", width=720, height=520):
+            ylabel=""):
     """Write a cell heatmap; values has shape (len(y_values), len(x_values))."""
+    width, height = _HEAT_SIZE
     vals = np.asarray(values, dtype=float)
     xs = np.asarray(x_values, dtype=float)
     ys = np.asarray(y_values, dtype=float)

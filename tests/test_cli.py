@@ -175,6 +175,15 @@ def test_layers_artifacts(tmp_path):
     assert rep["rc_sup_err_2n"] < rep["rc_sup_err_n"]
 
 
+def test_layers_source_cells_below_one_are_config_errors(tmp_path, capsys):
+    # a j0 below 1 would read the transmitted layer's row j0 - 1 from the end
+    doc = {"scheme": {"builtin": "o3"}, "j0_list": [-1, 0, 3, 8]}
+    code, out = run(tmp_path, "layers", doc)
+    assert code == 1
+    assert "config error at j0_list" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "layer_ru.csv"))
+
+
 def test_err_map_artifacts(tmp_path):
     doc = {"scheme": {"builtin": "lfr"}, "n_list": [50, 100],
            "j0_list": [5, 10], "j_list": [1], "c0_list": [0.05, 0.2]}
@@ -242,6 +251,39 @@ def test_oracle_artifacts(tmp_path):
         assert block["max_err_vs_timestep"] < 1e-8
         assert block["solves"] == block["nodes"] // 2 + 1
     assert rep["r0_spread"] < 1e-8
+
+
+@pytest.mark.parametrize("key, grid", [("j_list", [-1, 3]),
+                                       ("j0_list", [0, 2])])
+def test_oracle_cells_off_the_domain_are_config_errors(tmp_path, capsys, key,
+                                                       grid):
+    # lfr has one ghost cell, so j = 0 is on the domain and j = -1 is not
+    doc = {"scheme": {"builtin": "lfr"}, "n_max": 4, "j0_list": [1, 2],
+           "j_list": [0, 3], "r0_list": [0.05], key: grid}
+    code, out = run(tmp_path, "oracle", doc)
+    assert code == 1
+    assert f"config error at {key}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_report_tolerances_are_the_applied_constants(tmp_path):
+    docs = [{"scheme": {"builtin": "lfr"}}, {"scheme": {"builtin": "o3"}},
+            {"scheme": {"builtin": "lfr", "b": 1.0 / KS2},
+             "radii": [1.0, 1.05, 1.25, 2.0, 2.5]}]
+    for i, doc in enumerate(docs):
+        _, out = run(tmp_path, "check", doc, out=f"out{i}")
+        rep = read_json(out, "report.json")
+        tol = rep["tolerances"]
+        assert tol == {"hyp2_zero_tol": spectral._SWEEP_ZERO_TOL,
+                       "boundary_zero_tol": spectral._BOUNDARY_ZERO_TOL,
+                       "csv_format": cli._FLOAT_FORMAT}
+        # the verdict's two tests, redone from the report with its numbers
+        h2 = rep["hypothesis_two"]
+        assert h2["boundary_zero"] == (
+            abs(complex(*h2["delta_at_one"])) < tol["boundary_zero_tol"])
+        assert h2["satisfied"] == (h2["min_modulus"] >= tol["hyp2_zero_tol"])
+    # the last config puts a Lopatinskii zero on the sweep
+    assert h2["satisfied"] is False
 
 
 def test_unknown_subcommand(tmp_path, capsys):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from halflab import evolution, layers
 from halflab.evolution import (adjoint_scheme, temporal_green,
@@ -18,6 +20,7 @@ from halflab.layers import (
     whole_line_asymptotic_check,
 )
 from halflab.scheme import builtin_lfr, builtin_o3
+from halflab.spectral import characteristic_roots, check_hypothesis_two
 
 from conftest import KAPPA_S_O3, o3_marginal_pair
 
@@ -53,6 +56,34 @@ def test_layers_require_marginal():
         rc_analytic(nonmarginal, 5)
     with pytest.raises(ValueError, match="no marginal boundary layer"):
         ru_analytic(nonmarginal, 3, 5)
+
+
+@pytest.mark.parametrize("scheme", [
+    pytest.param(builtin_lfr(-0.5, 0.75, 5.0), id="lfr"),
+    pytest.param(builtin_lfr(-0.5, 0.75, 2.0), id="lfr_b2"),
+    pytest.param(builtin_o3(-0.5, 0.0, 0.0), id="o3_zero_rule"),
+    *(pytest.param(builtin_o3(alpha, *o3_marginal_pair(alpha)),
+                   id=f"o3_pair_{alpha}")
+      for alpha in (-0.2, -0.4, -0.5, -0.6, -0.8))])
+def test_marginal_is_the_boundary_zero(scheme):
+    assert layers._AtOne(scheme).marginal == \
+        check_hypothesis_two(scheme).boundary_zero
+
+
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6),
+       marginal=st.booleans(), b=st.floats(0.2, 6.0))
+def test_marginal_is_the_boundary_zero_lfr_family(alpha, slack, marginal, b):
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
+    if marginal:
+        # b = 1/kappa_s(1) puts the stable root in the boundary rule's kernel
+        probe = builtin_lfr(alpha, D, 0.0)
+        b = 1.0 / min(characteristic_roots(probe, 1.0), key=abs).real
+    scheme = builtin_lfr(alpha, D, b)
+    zero = check_hypothesis_two(scheme).boundary_zero
+    assert layers._AtOne(scheme).marginal == zero
+    if marginal:
+        assert zero
 
 
 def test_rc_analytic_validation(lfr):
