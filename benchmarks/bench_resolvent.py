@@ -1,0 +1,72 @@
+"""Timing of the two routes to the half-line resolvent values of a contour
+table: the characteristic roots (what `inverse_laplace_table` runs) against
+the banded solve (its fallback and the pointwise reference).
+
+Each case is one default oracle ring: the default lfr or o3 scheme, r0 from
+the default r0 list, and the upper half-ring of the size the n_max = 50
+table settles at, on the default j0 and j grids.  The root route is split
+into its two layers: the batched root solve with the Lopatinskii guard
+(`_guard_ring`) and the residue sums with the coefficient solve
+(`_root_values`).  The banded route solves every node on the table's
+window.  The last column is the largest distance between the two routes
+over the ring, in units of max |G|.
+
+Run:  python3 benchmarks/bench_resolvent.py
+"""
+
+import time
+
+import numpy as np
+
+from halflab import resolvent
+from halflab.cli import _load_scheme
+
+J0S = np.array([1, 5, 10, 20, 30])
+JS = np.array([1, 3, 7, 15, 30])
+N_MAX = 50
+R0S = (0.02, 0.05, 0.2)
+
+
+def _best_of(fn, repeats=3):
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def main():
+    rows = []
+    for name in ("lfr", "o3"):
+        scheme = _load_scheme({"scheme": {"builtin": name}})
+        J_trunc = int(max(J0S[-1] + 200, JS[-1] + 50))
+        for r0 in R0S:
+            N = resolvent.inverse_laplace_table(scheme, N_MAX, J0S, JS,
+                                                r0=r0).nodes
+            zs = resolvent._ring(r0, N)[:N // 2 + 1]
+            t_guard, nodes = _best_of(
+                lambda: resolvent._guard_ring(scheme, zs))
+            t_sums, (G, _) = _best_of(lambda: resolvent._root_values(
+                scheme, nodes, zs, J0S, JS))
+            t_band, (G_band, _) = _best_of(lambda: resolvent._half_line(
+                scheme, zs, J0S, J_trunc, JS + scheme.r - 1))
+            diff = float(np.max(np.abs(G - G_band)) / np.max(np.abs(G)))
+            rows.append((f"{name} r0={r0} N={N}", zs.size, t_guard, t_sums,
+                         t_band, diff))
+
+    header = (f"{'case':22s} {'nodes':>6s} {'guard ms':>9s} {'sums ms':>8s}"
+              f" {'roots kn/s':>11s} {'banded ms':>10s} {'banded kn/s':>12s}"
+              f" {'speedup':>8s} {'max diff':>9s}")
+    print(header)
+    print("-" * len(header))
+    for label, n, t_guard, t_sums, t_band, diff in rows:
+        t_root = t_guard + t_sums
+        print(f"{label:22s} {n:6d} {t_guard * 1e3:9.2f} {t_sums * 1e3:8.2f}"
+              f" {n / t_root / 1e3:11.1f} {t_band * 1e3:10.2f}"
+              f" {n / t_band / 1e3:12.1f} {t_band / t_root:7.1f}x"
+              f" {diff:9.1e}")
+
+
+if __name__ == "__main__":
+    main()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .resolvent import QuadratureError
 from .scheme import SchemeDefinition, check_hypothesis_one
 
 __all__ = ["GaussianParams", "gaussian_h", "gaussian_e", "appendix_f"]
@@ -107,8 +108,8 @@ def _quadrature(x, what: str, start, nodes, kernel, div=None, finish=None):
             break
         prev = cur
     else:
-        raise RuntimeError(f"{what} quadrature did not settle below "
-                           f"{_TOL:g} within {_NODE_CAP} nodes")
+        raise QuadratureError(f"{what} quadrature did not settle below "
+                              f"{_TOL:g} within {_NODE_CAP} nodes")
     vals = cur if finish is None else finish(xs, cur)
     return vals[0] if scalar else vals.reshape(np.shape(x))
 

@@ -2,10 +2,18 @@
 reconstruction of the temporal kernels.
 
 The half-line spatial Green's function G(z, j0, .) solves (z - T)w =
-delta_{j0} with the ghost rows of the boundary extrapolation; it is computed
-as one banded solve on a truncated window with zero Dirichlet far field,
-which is legitimate because the true solution decays geometrically.  The
-whole-line one is the Fourier integral
+delta_{j0} with the ghost rows of the boundary extrapolation.  Outside the
+symbol curve it is a finite sum over the characteristic roots kappa of
+P(kappa; z) = z kappa^r - sum_k a_k kappa^(k+r) (see `spectral`):
+
+    G(z, j0, j) = Gt(j - j0) + sum_s c_s(j0) kappa_s^(j+r-1),
+
+the whole-line kernel Gt(d) being the residue sum sum_stable kappa^(d-1+r)
+/ P'(kappa) for d >= 1 - r and - sum_unstable kappa^(d-1+r) / P'(kappa)
+below, so every power has modulus at most 1.  The r coefficients c_s
+satisfy the r ghost rows, B V(kappa_s) c = -B Gt(. - j0), whose matrix has
+the Lopatinskii determinant Delta(z) as its determinant.  The whole-line
+one is also the Fourier integral
 
     Gt(z, j) = (1/2pi) int_0^{2pi} e^{i j theta} / (z - F(e^{i theta})) dtheta,
 
@@ -23,20 +31,26 @@ and since the nodes nest (node k of N is node 2k of 2N, bitwise) a refined
 ring asks only for its new odd nodes.  The whole-line kernel takes the FFT
 at each node.
 
-Every half-line value, a contour table's or a pointwise G(z, j0, .), comes
-from one routine (`_half_line`): the z-independent band is built and
-checked to be finite once per window, each batch of nodes passes one
-batched Lopatinskii guard (split, stable-root separation and Delta at
-every node, from `spectral`), and each node gets one banded solve with z
-written onto the diagonal.  A pointwise value is its one-node, one-source
-case and adds only the interior residual as a check.
+A contour table takes each batch of nodes from the roots: one batched
+Lopatinskii guard (split, stable-root separation and Delta at every node,
+from `spectral`) yields them, the residue sums and one batched r x r solve
+follow, and no window or band is built.  Near a multiple root the residue
+sums lose digits; a first-order bound on their rounding error (the root
+error eps S / |P'|, S = sum |c_k| |kappa|^k, carried through 1/P' and the
+coefficient solve) sends a node whose bound exceeds _ROOT_ROUTE_TOL of its
+max |G| to the banded route below.
 
-The guard also yields rho = max |kappa_s| over the batch.  The solution
-decays through the stable roots, so its tail at the far end of the window
-is about rho^(J_trunc - max j0) of its sup; above 1e-12 the window doubles
-and the computation restarts, at most three times.  The band is checked to
-be finite once per window, and a table's ring through its radius, so the
-solves skip scipy's input check.
+The banded route is the pointwise G(z, j0, .) (`spatial_green_half`, also
+behind `r_function`) and the table's fallback: one routine (`_half_line`)
+builds the z-independent band and checks it finite once per window, guards
+each batch of nodes and makes one banded solve per node with z written onto
+the diagonal on a truncated window with zero Dirichlet far field, which is
+legitimate because the true solution decays geometrically.  The guard's
+rho = max |kappa_s| over the batch bounds the tail at the far end of the
+window by about rho^(J_trunc - max j0) of its sup; above 1e-12 the window
+doubles and the computation restarts, at most three times.  The band is
+checked to be finite, so the solves skip scipy's input check.  scipy serves
+only this route and is imported at its first solve.
 """
 
 from __future__ import annotations
@@ -45,11 +59,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+import numpy.polynomial.polynomial as npoly
 
-from .scheme import SchemeDefinition, symbol_eval
-from .spectral import (_NEAR_CURVE, MultiplicityError, _evaluate,
-                       _symbol_curve)
+from .scheme import SchemeDefinition, boundary_matrix, symbol_eval
+from .spectral import (_NEAR_CURVE, MultiplicityError, _char_coeffs,
+                       _evaluate, _symbol_curve, _vandermonde)
 # no caller here: the benchmark's `resolvent.guard` trace target names it
 from .spectral import lopatinskii  # noqa: F401
 
@@ -64,6 +78,11 @@ _FFT_CAP = 2 ** 22
 _CONTOUR_CAP = 2 ** 16
 # two contour rings agreeing within this settle a reconstruction
 _CONTOUR_TOL = 1e-9
+# a table node whose residue sums carry a rounding bound above this share of
+# its max |G| takes the banded solve
+_ROOT_ROUTE_TOL = 1e-12
+# complex entries per block of the root route's power tables (8 MB)
+_POWER_BLOCK = 2 ** 19
 
 
 class NearSpectrumError(RuntimeError):
@@ -72,10 +91,6 @@ class NearSpectrumError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A quadrature or truncation loop failed to settle."""
-
-
-class _ShortWindow(Exception):
-    """A batch of nodes decays too slowly for the half-line window."""
 
 
 @dataclass(frozen=True)
@@ -101,15 +116,23 @@ class ResolventField:
         return complex(self.values[idx])
 
 
-def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray) -> float:
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """scipy.linalg.solve_banded, imported at the first call: only the
+    banded route solves, so a run that never takes it never loads scipy."""
+    from scipy.linalg import solve_banded as solve
+    return solve(l_and_u, ab, b, **kwargs)
+
+
+def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray):
     """Refuses the first node of zs that lies within _NEAR_CURVE of the
     symbol curve, is encircled by it or has |Delta| <= 1e-8, from one
-    batched Lopatinskii evaluation; else returns max |kappa_s| over zs."""
+    batched Lopatinskii evaluation; else returns that evaluation (its roots
+    hold r stable, then p unstable ones at every node)."""
     nodes = _evaluate(scheme, zs)
     bad = (nodes.dist < _NEAR_CURVE) | (np.abs(nodes.delta) <= 1e-8)
     bad[list(nodes.errors)] = True
     if not bad.any():
-        return float(np.max(np.abs(nodes.kappas)))
+        return nodes
     i = int(np.argmax(bad))
     z = complex(zs[i])
     if nodes.dist[i] < _NEAR_CURVE:
@@ -165,53 +188,44 @@ def _residual(scheme: SchemeDefinition, z: complex, w: np.ndarray,
     return float(np.max(np.abs(acc[lo - j_min:hi - j_min + 1]), initial=0.0))
 
 
-def _half_line(scheme: SchemeDefinition, j0s: np.ndarray, J_trunc: int,
-               rows, run):
-    """run(values) on the smallest window J_trunc * 2^k, k <= 3, whose tail
-    test passes; values(zs) returns G(z, j0, .) at each node z of zs for
-    each j0 of the ascending j0s, read at the buffer rows `rows` (row
-    j + r - 1 holds cell j): shape (zs.size, j0s.size, rows).
+def _half_line(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
+               J_trunc: int, rows):
+    """G(z, j0, .) at each node z of zs for each j0 of the ascending j0s by
+    banded solves, read at the buffer rows `rows` (row j + r - 1 holds cell
+    j): shape (zs.size, j0s.size, rows), and the window J_trunc * 2^k,
+    k <= 3, they were solved on.
 
-    Returns run's result, the window and the number of banded solves made,
-    those of discarded windows included.  A batch whose guard gives a tail
-    rho^(J_trunc - max j0) above 1e-12 discards the window."""
+    Each window builds its band and guards zs; a guard whose tail
+    rho^(J_trunc - max j0) lies above 1e-12 discards the window."""
     r = scheme.r
-    solves = 0
     for _ in range(4):
         template, lo, up = _band_template(scheme, J_trunc)
         # the solves skip scipy's finite check, and a non-finite coefficient
         # would come back as a NaN solution instead of an error
         if not np.all(np.isfinite(template)):
             raise ValueError("resolvent system has a non-finite coefficient")
-        rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
-        rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
-
-        def values(zs: np.ndarray) -> np.ndarray:
-            nonlocal solves
-            tail = _guard_ring(scheme, zs) ** (J_trunc - j0s[-1])
-            if tail > 1e-12:
-                raise _ShortWindow(tail)
-            solves += zs.size
-            G = []
-            for z in zs:
-                ab = template.copy()
-                ab[up, r:] += z
-                try:
-                    w = solve_banded((lo, up), ab, rhs, check_finite=False)
-                except np.linalg.LinAlgError as exc:
-                    raise NearSpectrumError(
-                        f"singular resolvent system at z = {complex(z)!r}") \
-                        from exc
-                G.append(w[rows].T)
-            return np.array(G)
-
+        rho = float(np.max(np.abs(_guard_ring(scheme, zs).kappas)))
+        tail = rho ** (J_trunc - j0s[-1])
+        if tail <= 1e-12:
+            break
+        J_trunc *= 2
+    else:
+        raise QuadratureError(
+            f"half-line window still carries a tail of about {tail:.2e} "
+            f"after extensions to {J_trunc // 2} cells")
+    rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
+    rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
+    G = []
+    for z in zs:
+        ab = template.copy()
+        ab[up, r:] += z
         try:
-            return run(values), J_trunc, solves
-        except _ShortWindow as exc:
-            tail, J_trunc = exc.args[0], 2 * J_trunc
-    raise QuadratureError(
-        f"half-line window still carries a tail of about {tail:.2e} after "
-        f"extensions to {J_trunc // 2} cells")
+            w = solve_banded((lo, up), ab, rhs, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NearSpectrumError(
+                f"singular resolvent system at z = {complex(z)!r}") from exc
+        G.append(w[rows].T)
+    return np.array(G), J_trunc
 
 
 def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
@@ -229,8 +243,8 @@ def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
         raise ValueError("truncation window must extend at least 200 cells "
                          "past the source")
     z = complex(z)
-    G, J_trunc, _ = _half_line(scheme, np.array([j0]), J_trunc, slice(None),
-                               lambda values: values(np.array([z])))
+    G, J_trunc = _half_line(scheme, np.array([z]), np.array([j0]), J_trunc,
+                            slice(None))
     w = G[0, 0]
     # the inner 80% of the window
     res = _residual(scheme, z, w, 1 - scheme.r, j0, 1, int(0.8 * J_trunc))
@@ -322,8 +336,10 @@ def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
         weights = np.full(half_count + 1, 2.0)
         weights[[0, half_count]] = 1.0
         wp = powers * weights[:, None]
-        out = (np.einsum("mn,mij->inj", wp.real, G.real)
-               - np.einsum("mn,mij->inj", wp.imag, G.imag)) / N
+        # Re(sum_m wp_m G_m) as two real matrix products over the nodes
+        flat = G.reshape(G.shape[0], -1)
+        out = (wp.real.T @ flat.real - wp.imag.T @ flat.imag) / N
+        out = out.reshape((n_max + 1,) + G.shape[1:]).transpose(1, 0, 2)
         imag = sum(np.einsum("n,ij->inj", powers[m].imag, G[m].real)
                    + np.einsum("n,ij->inj", powers[m].real, G[m].imag)
                    for m in (0, half_count)) / N
@@ -378,8 +394,9 @@ class ReconstructionTable:
     temporal Green's function at (n, j0_values[i0], j_values[i]), and imag
     holds the imaginary parts of the same trapezoid sums, which only the
     self-conjugate nodes contribute.  nodes is the ring size that settled;
-    solves counts every banded solve made, which nested-ring reuse keeps at
-    nodes // 2 + 1 unless a window doubling discards some."""
+    solves counts the node evaluations: nested-ring reuse and conjugate
+    symmetry keep the root-route ones at nodes // 2 + 1, and each node the
+    root route refuses adds its banded solve."""
 
     r0: float
     n_values: np.ndarray
@@ -395,19 +412,90 @@ class ReconstructionTable:
         return float(np.max(np.abs(self.imag)))
 
 
+def _root_values(scheme: SchemeDefinition, nodes, zs: np.ndarray,
+                 j0s: np.ndarray, js: np.ndarray):
+    """G(z, j0, j) at every node of zs for the (j0s, js) grid from the roots
+    of the guard's evaluation `nodes`, shape (zs.size, j0s.size, js.size),
+    and for each node a first-order bound on its rounding error.
+
+    A root error dk = eps S / |P'|, S = sum |c_k| |kappa|^k, moves the
+    residue kappa^e / P' by |dk| (|P''| / |P'| + |e| / |kappa|) of itself;
+    those errors of the Gt values at the ghost-rule cells reach the
+    coefficients through |A^-1| |B|, A = B V(kappa_s)."""
+    r, d = scheme.r, scheme.p + scheme.r
+    cs = _char_coeffs(scheme, zs).T[:, :, None]
+    kap = nodes.roots
+    dP = npoly.polyval(kap, npoly.polyder(cs), tensor=False)
+    dk = (np.finfo(float).eps
+          * npoly.polyval(np.abs(kap), np.abs(cs), tensor=False) / np.abs(dP))
+    rel = dk * np.abs(npoly.polyval(kap, npoly.polyder(cs, 2), tensor=False)
+                      / dP)
+    per_e = dk / np.abs(kap)
+    # Gt is needed at the offsets j - j0 of the table and m - j0 of the
+    # cells m = p, ..., 1 - r the ghost rows read, in B's column order
+    ghost = (scheme.p - np.arange(d))[:, None] - j0s[None, :]
+    offs, inv = np.unique(np.concatenate(
+        [ghost.ravel(), (js[None, :] - j0s[:, None]).ravel()]),
+        return_inverse=True)
+    e = offs + r - 1
+    Gt = np.empty((zs.size, offs.size), dtype=complex)
+    err = np.empty((zs.size, offs.size))
+    for roots, cols, sign in ((slice(None, r), np.flatnonzero(e >= 0), 1.0),
+                              (slice(r, None), np.flatnonzero(e < 0), -1.0)):
+        step = max(1, _POWER_BLOCK // max(1, cols.size * d))
+        for lo in range(0, zs.size, step):
+            m = slice(lo, lo + step)
+            k = kap[m, roots, None]
+            terms = k ** e[cols] / dP[m, roots, None]
+            Gt[m, cols] = sign * terms.sum(axis=1)
+            err[m, cols] = (np.abs(terms) * (rel[m, roots, None] + np.abs(
+                e[cols]) * per_e[m, roots, None])).sum(axis=1)
+    n_ghost = ghost.size
+    g, g_err = (x[:, inv[:n_ghost]].reshape(zs.size, d, j0s.size)
+                for x in (Gt, err))
+    B = boundary_matrix(scheme)
+    A = B @ _vandermonde(kap[:, :r], d)
+    eye = np.broadcast_to(np.eye(r), (zs.size, r, r))
+    sol = np.linalg.solve(A, np.concatenate([-(B @ g), eye], axis=2))
+    coef, A_inv = sol[:, :, :j0s.size], sol[:, :, j0s.size:]
+    K = kap[:, :r, None] ** (js + r - 1)
+    shape = (zs.size, j0s.size, js.size)
+    G = Gt[:, inv[n_ghost:]].reshape(shape) + coef.transpose(0, 2, 1) @ K
+    coef_err = np.abs(A_inv) @ (np.abs(B) @ g_err)
+    bound = (err[:, inv[n_ghost:]].reshape(shape)
+             + coef_err.transpose(0, 2, 1) @ np.abs(K))
+    return G, bound.max(axis=(1, 2))
+
+
 def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
                           j_list, r0: float = 0.05) -> ReconstructionTable:
-    """All reconstructions n <= n_max on a (j0, j) grid, sharing one banded
-    factorization per contour node (conjugate symmetry halves the ring, and
-    each doubled ring reuses the solves of the one before)."""
+    """All reconstructions n <= n_max on a (j0, j) grid from the roots at
+    each contour node (conjugate symmetry halves the ring, and each doubled
+    ring reuses the values of the one before); a node whose rounding bound
+    exceeds _ROOT_ROUTE_TOL of its max |G| takes the banded solve."""
     j0s = np.asarray(sorted(set(int(v) for v in j0_list)), dtype=int)
     js = np.asarray(sorted(set(int(v) for v in j_list)), dtype=int)
     if j0s.size == 0 or js.size == 0 or j0s[0] < 1 or js[0] < 1 - scheme.r:
         raise ValueError("index grids must be nonempty and on the domain")
+    # the root route reads the coefficients unchecked, and a non-finite
+    # ghost weight would come back as NaN values instead of an error
+    if not (np.all(np.isfinite(scheme.a)) and np.all(np.isfinite(scheme.b))):
+        raise ValueError("resolvent system has a non-finite coefficient")
     J_trunc = int(max(j0s[-1] + 200, js[-1] + 50))
-    (real, imag, N), _, solves = _half_line(
-        scheme, j0s, J_trunc, js + scheme.r - 1,
-        lambda values: _contour_sum(scheme, n_max, r0, _CONTOUR_TOL, values))
+    banded = 0
+
+    def values(zs: np.ndarray) -> np.ndarray:
+        nonlocal banded
+        G, bound = _root_values(scheme, _guard_ring(scheme, zs), zs, j0s, js)
+        # "not <=": a NaN bound takes the banded solve too
+        far = ~(bound <= _ROOT_ROUTE_TOL * np.abs(G).max(axis=(1, 2)))
+        if far.any():
+            G[far], _ = _half_line(scheme, zs[far], j0s, J_trunc,
+                                   js + scheme.r - 1)
+            banded += int(far.sum())
+        return G
+
+    real, imag, N = _contour_sum(scheme, n_max, r0, _CONTOUR_TOL, values)
     return ReconstructionTable(r0=r0, n_values=np.arange(n_max + 1),
                                j0_values=j0s, j_values=js, values=real,
-                               imag=imag, nodes=N, solves=solves)
+                               imag=imag, nodes=N, solves=N // 2 + 1 + banded)

@@ -125,7 +125,11 @@ def companion_matrix(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     return M
 
 
-def _aberth(c: np.ndarray, tol: float = 1e-14, max_iter: int = 200):
+# an Aberth row stops once its step is below this share of max(1, max|kappa|)
+_ABERTH_TOL = 1e-14
+
+
+def _aberth(c: np.ndarray, max_iter: int = 200):
     """Aberth-Ehrlich simultaneous iteration on every row of c (ascending
     coefficients), then three Newton polish steps and a residual test.
 
@@ -180,14 +184,15 @@ def _aberth(c: np.ndarray, tol: float = 1e-14, max_iter: int = 200):
         steps[rows] += 1
         # not "step >= ...": a NaN step keeps the row iterating, as it
         # would a lone polynomial, until the iteration limit reports it
-        live[rows] = ~(step < tol * np.maximum(1.0, np.abs(xr).max(axis=1)))
+        live[rows] = ~(step < _ABERTH_TOL
+                       * np.maximum(1.0, np.abs(xr).max(axis=1)))
 
     def trace(i):
         return [float(last[k % 8, i])
                 for k in range(max(0, steps[i] - 8), steps[i])]
 
-    # close roots near |kappa| = 1 can hold the step a little above tol
-    # (1e-8 is about sqrt(eps)); the residual test below decides
+    # close roots near |kappa| = 1 can hold the step a little above
+    # _ABERTH_TOL (1e-8 is about sqrt(eps)); the residual test below decides
     stalled = (live & (steps >= 8) & np.all(np.isfinite(x), axis=1)
                & np.all(last < 1e-8 * np.maximum(1.0, np.abs(x).max(axis=1)),
                         axis=0))

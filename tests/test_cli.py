@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -160,6 +162,30 @@ def test_simulate_artifacts(tmp_path):
     assert header == "n,j,value"
     rep = read_json(out, "report.json")
     assert abs(rep["snapshots"]["5"]["whole_mass"] - 1.0) < 1e-12
+
+
+def test_unsettled_gaussian_quadrature_exits_1(tmp_path, capsys,
+                                              monkeypatch):
+    # a node cap at the first node count leaves no room to settle: the
+    # typed QuadratureError of the profile quadrature is a numeric error
+    monkeypatch.setattr(gaussian, "_NODE_CAP", 2048)
+    doc = {"scheme": {"builtin": "lfr"}, "j_max": 6, "j0": 20, "n": 100,
+           "j0_list": [1, 2]}
+    code, _ = run(tmp_path, "layers", doc)
+    assert code == 1
+    assert "did not settle" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the banded solve, imported at its first call, so
+    # starting the CLI does not pay for it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, halflab.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_layers_artifacts(tmp_path):

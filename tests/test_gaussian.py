@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from halflab import gaussian
 from halflab.gaussian import GaussianParams, appendix_f, gaussian_e, gaussian_h
+from halflab.resolvent import QuadratureError
 
 P_HEAT = GaussianParams(mu=1, beta=0.25)
 P_QUARTIC = GaussianParams(mu=2, beta=3.0 / 128.0)
@@ -102,3 +104,12 @@ def test_scalar_and_array_shapes():
     assert out.shape == (2, 3)
     out_e = gaussian_e(np.zeros(4), P_HEAT)
     assert out_e.shape == (4,)
+
+
+def test_unsettled_quadrature_raises_quadrature_error(monkeypatch):
+    # the order-6 tail on the line shifted by s = 0.7: the window, sized from
+    # beta alone, ends where the integrand grows, so no two node counts
+    # agree; with the cap at 2^13 nodes the arrays stay below 1 MB
+    monkeypatch.setattr(gaussian, "_NODE_CAP", 2 ** 13)
+    with pytest.raises(QuadratureError, match="did not settle"):
+        appendix_f(0.0, 0.7, GaussianParams(3, 1.7))

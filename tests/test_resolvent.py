@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from halflab import resolvent
 from halflab.evolution import temporal_green, temporal_green_whole
@@ -201,8 +203,7 @@ def test_table_solves_each_nested_node_once(lfr):
             resolvent._ring(0.05, N).tobytes()
 
 
-def test_reconstruct_is_one_table_solve_per_node(lfr, monkeypatch):
-    nodes = inverse_laplace_table(lfr, 5, [2], [4]).nodes
+def _count_banded_solves(monkeypatch):
     calls = []
     solve = resolvent.solve_banded
 
@@ -211,8 +212,24 @@ def test_reconstruct_is_one_table_solve_per_node(lfr, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(resolvent, "solve_banded", counting)
-    inverse_laplace_reconstruct(lfr, 5, 2, 4)
-    assert len(calls) == nodes // 2 + 1
+    return calls
+
+
+def test_reconstruct_is_one_table_solve_per_node(lfr, o3, monkeypatch):
+    # the default tables take every node from the roots: one evaluation per
+    # node of the settled half-ring and not one banded solve
+    calls = _count_banded_solves(monkeypatch)
+    for scheme in (lfr, o3):
+        for r0 in (0.02, 0.05, 0.2):
+            table = inverse_laplace_table(scheme, 50, [1, 5, 10, 20, 30],
+                                          [1, 3, 7, 15, 30], r0=r0)
+            assert table.solves == table.nodes // 2 + 1
+    assert calls == []
+    # a reconstruction is the table's one-cell case
+    table = inverse_laplace_table(lfr, 5, [2], [4])
+    got = inverse_laplace_reconstruct(lfr, 5, 2, 4)
+    assert got == complex(table.values[0, 5, 0], table.imag[0, 5, 0])
+    assert calls == []
 
 
 def test_table_unsettled_ring_raises(lfr, monkeypatch):
@@ -251,57 +268,118 @@ def _record_windows_and_batches(monkeypatch):
     return windows, batches
 
 
-def test_table_doubles_short_window(monkeypatch):
-    # kappa_s near -0.9 at z ~ 1: at r0 = 1e-3 the decay over the 200 cells
-    # past the source is rho^200 ~ 1.7e-11 > 1e-12, so the window doubles
-    # once, and the check runs once per batch, before that batch's solves
+def test_slow_decay_table_needs_no_window(monkeypatch):
+    # kappa_s near -0.9 at z ~ 1: at r0 = 1e-3 the decay over 200 cells
+    # past the source is rho^200 ~ 1.7e-11, which doubled the banded window;
+    # the roots need none, and the check runs once per batch
     slow = builtin_lfr(-0.05, 0.0026, 0.0)
     windows, batches = _record_windows_and_batches(monkeypatch)
-    table = inverse_laplace_table(slow, 4, [1], [1, 3], r0=1e-3)
-    assert windows == [201, 402]
-    assert batches[:3] == [33, 33, 32]
-    assert sum(batches[1:]) == table.solves == table.nodes // 2 + 1
-    for n in range(5):
-        g = temporal_green(slow, n, 1)
-        for i, j in enumerate([1, 3]):
-            assert abs(table.values[0, n, i] - g.value(j)) < 1e-12
-    windows.clear()
-    inverse_laplace_table(slow, 4, [1], [1, 3], r0=2e-3)
-    assert windows == [201]
-    # the tail runs from the farthest source: 200 cells past j0 = 30
-    windows.clear()
-    inverse_laplace_table(slow, 4, [1, 30], [1, 3], r0=1e-3)
-    assert windows == [230, 460]
+    calls = _count_banded_solves(monkeypatch)
+    table = inverse_laplace_table(slow, 4, [1, 30], [1, 3], r0=1e-3)
+    assert windows == [] and calls == []
+    assert batches[:3] == [33, 32, 64]
+    assert sum(batches) == table.solves == table.nodes // 2 + 1
+    for i0, j0 in enumerate([1, 30]):
+        for n in range(5):
+            g = temporal_green(slow, n, j0)
+            for i, j in enumerate([1, 3]):
+                assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
 
 
-def test_table_window_gives_up():
-    # kappa_s(1) = (D + alpha)/(D - alpha) ~ 0.992: even the window doubled
-    # three times keeps a tail of about 1e-8
+def _record_banded_nodes(monkeypatch):
+    """The nodes every `_half_line` call is asked for."""
+    nodes = []
+    half_line = resolvent._half_line
+
+    def recording(scheme, zs, *args):
+        nodes.extend(zs)
+        return half_line(scheme, zs, *args)
+
+    monkeypatch.setattr(resolvent, "_half_line", recording)
+    return nodes
+
+
+def test_table_window_gives_up(monkeypatch):
+    # kappa_s(1) = (D + alpha)/(D - alpha) ~ 0.992: at z = e^{1e-5} the
+    # roots 0.992 and ~1 lie close enough that the rounding bound refuses
+    # the residue sums at node 0, and the banded solve it falls back to
+    # keeps a tail of about 1e-8 even with the window doubled three times
     slower = builtin_lfr(-0.002, 0.5, 0.0)
+    banded = _record_banded_nodes(monkeypatch)
     with pytest.raises(QuadratureError, match="window still carries"):
         inverse_laplace_table(slower, 4, [1], [1], r0=1e-5)
+    assert banded == [math.exp(1e-5)]
 
 
-def test_pointwise_is_the_table_solve_at_a_ring_node(o3, monkeypatch):
-    # a table with one source has the pointwise window j0 + 200, and every
-    # node it solves gives bitwise the pointwise G(z, j0, .) at its j grid
-    solved = []
-    contour_sum = resolvent._contour_sum
+# P(kappa; z*) of the default o3 scheme has the double unstable root
+# kappa* = 4.524425481014917
+Z_STAR = 1.814273803656083
 
-    def recording(scheme, n_max, r0, tol, values):
-        def kept(zs):
-            G = values(zs)
-            solved.extend(zip(zs, G))
-            return G
-        return contour_sum(scheme, n_max, r0, tol, kept)
 
-    monkeypatch.setattr(resolvent, "_contour_sum", recording)
-    js = [1, 3, 7, 40]
-    inverse_laplace_table(o3, 6, [4], js)
-    for z, G in solved[::9]:
-        fld = spatial_green_half(o3, z, 4)
-        assert fld.values.size == 204 + o3.r
-        assert G.tobytes() == np.array([[fld.value(j) for j in js]]).tobytes()
+def test_double_unstable_root_node_takes_the_banded_solve(o3, monkeypatch):
+    # with r0 = ln z*, node 0 of every ring sits on z*: the residue sums
+    # divide by P'(kappa*) ~ 0, the rounding bound sends that node, and only
+    # that one, to the banded solve, and the table keeps time stepping's
+    # values
+    banded = _record_banded_nodes(monkeypatch)
+    j0s, js = [1, 4], [2, 6]
+    table = inverse_laplace_table(o3, 10, j0s, js, r0=math.log(Z_STAR))
+    assert banded == [resolvent._ring(math.log(Z_STAR), 64)[0]]
+    assert table.solves == table.nodes // 2 + 2
+    for i0, j0 in enumerate(j0s):
+        for n in range(11):
+            g = temporal_green(o3, n, j0)
+            for i, j in enumerate(js):
+                assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
+
+
+WIDE = SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
+                        p_b=2, b=np.array([[2.0, -1.0], [3.0, -2.0]]))
+
+
+def _root_route_errors(scheme, r0, j0s, js, step):
+    """At every step-th node of the upper half of the 64-node ring: the
+    root route's distance to the pointwise banded solve over the grid, in
+    units of the node's max |G|, and whether the table keeps the node (its
+    rounding bound is at most _ROOT_ROUTE_TOL of that max)."""
+    zs = resolvent._ring(r0, 64)[:33:step]
+    j0s, js = np.array(j0s), np.array(js)
+    G, bound = resolvent._root_values(
+        scheme, resolvent._guard_ring(scheme, zs), zs, j0s, js)
+    scale = np.abs(G).max(axis=(1, 2))
+    want = np.array([[[spatial_green_half(scheme, z, int(j0)).value(int(j))
+                       for j in js] for j0 in j0s] for z in zs])
+    err = np.abs(G - want).max(axis=(1, 2)) / scale
+    return err, bound <= resolvent._ROOT_ROUTE_TOL * scale
+
+
+@pytest.mark.parametrize("name", ["o3", "wide"])
+@pytest.mark.parametrize("r0", [0.02, 0.2])
+def test_root_route_matches_banded_solve_at_ring_nodes(o3, name, r0):
+    # the default o3 and the r = 2 scheme (ghost cells j = -1, 0 included)
+    # keep every node, within 1e-12 of its max |G|
+    scheme, js = {"o3": (o3, [1, 3, 7, 15, 30]),
+                  "wide": (WIDE, [-1, 0, 1, 2, 5, 12])}[name]
+    err, kept = _root_route_errors(scheme, r0, [1, 5, 30], js, 4)
+    assert kept.all()
+    assert np.all(err < 1e-12)
+
+
+@settings(max_examples=15)
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.95),
+       b=st.floats(-6.0, 6.0), r0=st.sampled_from([0.02, 0.05, 0.2]))
+def test_root_route_matches_banded_solve_lfr_family(alpha, slack, b, r0):
+    # every node the table takes from the roots is within 1e-12 of its
+    # max |G| of the banded solve
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    scheme = builtin_lfr(alpha, D, b)
+    try:
+        err, kept = _root_route_errors(scheme, r0, [1, 4, 20],
+                                       [0, 1, 2, 9, 25], 8)
+    except NearSpectrumError:
+        # b = 1/kappa_s(z) at a drawn node: a Lopatinskii zero on the ring
+        assume(False)
+    assert np.all(err[kept] < 1e-12)
 
 
 @pytest.mark.parametrize("name, z, windows", [
@@ -331,9 +409,11 @@ def test_pointwise_guards_once_per_window(lfr, monkeypatch, name, z,
     assert batches == [1] * len(windows)
 
 
-def test_failed_solves_are_near_spectrum(lfr, monkeypatch):
+def test_failed_solves_are_near_spectrum(lfr, o3, monkeypatch):
     # an exactly singular band (a zero pivot) that the guard let through,
-    # and a solution that misses the resolvent equations
+    # and a solution that misses the resolvent equations; a table solves a
+    # band only at a node whose residue sums it refuses, as node 0 of the
+    # ring through z*
     solve = resolvent.solve_banded
 
     def singular(*args, **kwargs):
@@ -346,14 +426,10 @@ def test_failed_solves_are_near_spectrum(lfr, monkeypatch):
     with pytest.raises(NearSpectrumError, match="singular resolvent system"):
         spatial_green_half(lfr, 2.0, 5)
     with pytest.raises(NearSpectrumError, match="singular resolvent system"):
-        inverse_laplace_table(lfr, 4, [1], [1])
+        inverse_laplace_table(o3, 4, [1], [1], r0=math.log(Z_STAR))
     monkeypatch.setattr(resolvent, "solve_banded", off)
     with pytest.raises(NearSpectrumError, match="left residual"):
         spatial_green_half(lfr, 2.0, 5)
-
-
-WIDE = SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
-                        p_b=2, b=np.array([[2.0, -1.0], [3.0, -2.0]]))
 
 
 def _half_system_entrywise(scheme, z, J_trunc):
