@@ -33,8 +33,8 @@ from .layers import (_AtOne, err_bound_fit, rc_analytic, rc_empirical,
                      ru_analytic)
 from .resolvent import NearSpectrumError, QuadratureError, \
     inverse_laplace_table
-from .scheme import (builtin_lfr, builtin_o3, check_hypothesis_one,
-                     scheme_from_json, symbol_eval)
+from .scheme import (_SERIES_RADIUS, builtin_lfr, builtin_o3,
+                     check_hypothesis_one, scheme_from_json, symbol_eval)
 from .spectral import (_BOUNDARY_ZERO_TOL, _SWEEP_ZERO_TOL, MultiplicityError,
                        RootSolveError, _unit_classes, characteristic_roots,
                        check_hypothesis_two, lopatinskii_values)
@@ -507,6 +507,7 @@ def main(argv=None) -> int:
             "verdict": verdict,
             "hypotheses_hold": status == 0,
             "tolerances": {
+                "hyp1_series_radius": _SERIES_RADIUS,
                 "hyp2_zero_tol": _SWEEP_ZERO_TOL,
                 "boundary_zero_tol": _BOUNDARY_ZERO_TOL,
                 "csv_format": _FLOAT_FORMAT,

@@ -13,7 +13,9 @@ exp(-x^2 / (4 beta)).
 
 All integrals are uniform trapezoid sums on truncated windows chosen so the
 dropped tails are below 1e-17 of the mass, with node doubling until the
-result settles to 1e-11.
+result settles to 1e-11.  F is summed on the line at height s, or, where
+the integrand would grow past e^4 on that line, on the highest line where
+it does not: the same integral, without the cancellation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,16 @@ from .scheme import SchemeDefinition, check_hypothesis_one
 __all__ = ["GaussianParams", "gaussian_h", "gaussian_e", "appendix_f"]
 
 _NODE_CAP = 2 ** 20
+# one quadrature block holds at most _CHUNK rows of x and _BLOCK_ENTRIES
+# complex entries (64 MiB) in all
 _CHUNK = 256
+_BLOCK_ENTRIES = 2 ** 22
+# appendix_f widens its window by this factor until the cuts decay ...
+_WIDEN = 1.125
+# ... on a line where the integrand grows by at most e^this, placed from
+# this many angles
+_GROWTH = 4.0
+_HEIGHT_GRID = 4096
 # two node counts whose sums agree within this settle a quadrature
 _TOL = 1e-11
 
@@ -83,7 +94,8 @@ def _quadrature(x, what: str, start, nodes, kernel, div=None, finish=None):
 
     start(max|x|) is the first node count n; nodes(n) gives the points v,
     the weights w and the spacing h of the n-interval rule, and kernel(xb,
-    v) the factor of w for a column xb of x values, _CHUNK rows at a time.
+    v) the factor of w for a column xb of x values, in blocks of at most
+    _CHUNK rows and _BLOCK_ENTRIES entries.
     The sums h sum'' kernel w, divided by div when given, are doubled in n
     until two agree within _TOL.  finish(xs, sums) maps the settled sums
     over the flattened x to the values returned.
@@ -94,9 +106,12 @@ def _quadrature(x, what: str, start, nodes, kernel, div=None, finish=None):
     def eval_fn(n: int):
         v, w, h = nodes(n)
         out = np.empty(xs.size, dtype=complex)
-        for lo in range(0, xs.size, _CHUNK):
-            out[lo:lo + _CHUNK] = _trap_uniform(
-                kernel(xs[lo:lo + _CHUNK, None], v) * w, h)
+        # each row is summed on its own, so the block size leaves the sums
+        # bitwise unchanged
+        rows = max(1, min(_CHUNK, _BLOCK_ENTRIES // v.size))
+        for lo in range(0, xs.size, rows):
+            out[lo:lo + rows] = _trap_uniform(
+                kernel(xs[lo:lo + rows, None], v) * w, h)
         return out if div is None else out / div
 
     n = start(float(np.max(np.abs(xs))) if xs.size else 0.0)
@@ -158,13 +173,50 @@ def gaussian_e(x, params: GaussianParams):
     return _half_axis(x, params, "tail", _sinc, _reflected_tail)
 
 
+def _contour_line(s: float, params: GaussianParams) -> tuple[float, float]:
+    """Height and half-width (s', U) of the segment appendix_f integrates on.
+
+    s' is s unless the integrand grows past e^{_GROWTH} on the line at
+    height s.  On that line v = s e^{i theta} / sin(theta), 0 < theta < pi,
+    the integrand has modulus exp(-Re(beta v^{2mu})) / |v| times |e^{ivx}|,
+    and the exponent -Re(beta v^{2mu}) peaks at K s^{2mu}, K the max over
+    theta of -Re(beta e^{2i mu theta}) / sin(theta)^{2mu}.  Past e^{_GROWTH}
+    the trapezoid sum is a cancellation of terms far larger than its value
+    (up to e^71 for mu = 3, beta = 1.7, s = 0.7), so the highest line at
+    most that steep is taken instead: the integrand is analytic between the
+    two lines and decays at both ends, so the integral is the same.  K is the
+    max over a uniform theta grid; it only places the line.
+
+    U starts at (90 / Re beta)^{1/2mu}, where exp(-beta u^{2mu}) is e^{-90}
+    on the real line.  The shift lowers the decay exponent Re(beta (u +
+    is')^{2mu}) at the cuts, below 0 once 2mu arg(u + is') passes pi/2; it
+    tends to Re(beta) u^{2mu} as u grows, so U widens until it is at least
+    90 at both cuts.
+    """
+    mu, beta = params.mu, params.beta
+    theta = np.linspace(0.0, np.pi, _HEIGHT_GRID + 1)[1:-1]
+    K = float(np.max(-(beta * np.exp(2j * mu * theta)).real
+                     / np.sin(theta) ** (2 * mu)))
+    if K * s ** (2 * mu) > _GROWTH:
+        s = (_GROWTH / K) ** (1.0 / (2 * mu))
+    U = (90.0 / complex(beta).real) ** (1.0 / (2 * mu))
+    while min((beta * (u + 1j * s) ** (2 * mu)).real for u in (-U, U)) < 90.0:
+        U *= _WIDEN
+    return s, U
+
+
 def appendix_f(x, s: float, params: GaussianParams):
     """Shifted-contour tail integral F(x, s); requires s > 0 so the pole at
-    u = -is stays below the contour.  -F = 2 pi E(x) for every such s."""
+    u = -is stays below the contour.  -F = 2 pi E(x) for every such s.
+
+    The trapezoid rule runs on the segment of _contour_line: the line at
+    height s (lower only where the integrand would grow too steeply on it),
+    cut where the integrand has decayed below e^{-90}.
+    """
     if not (s > 0):
         raise ValueError("contour shift s must be positive")
     mu, beta = params.mu, params.beta
-    U = (90.0 / complex(beta).real) ** (1.0 / (2 * mu))
+    s, U = _contour_line(s, params)
 
     def start(xmax: float) -> int:
         n0 = _start_nodes(2.0 * U, xmax)

@@ -19,8 +19,12 @@ expansion
 
 with drift alpha = -F'(1) in ]-p, 0[ and Re(beta) > 0.  The coefficients of
 that expansion are extracted exactly from the polynomial derivatives of F at
-1; sampling covers the circle away from t = 0.  The series order, the
-sampling grid and the tolerances of the check are fixed module constants.
+1, and the series decides the arc |t| < _SERIES_RADIUS.  Beyond it the
+dissipativity margin 1 - max |F(e^{it})| is taken at the cut points and at
+the critical points of the trigonometric polynomial |F(e^{it})|^2, the
+arguments of the roots of one polynomial of degree 2(p + r); no sampling is
+involved.  The series order, the cut radius and the tolerances of the check
+are fixed module constants.
 """
 
 from __future__ import annotations
@@ -144,9 +148,8 @@ def symbol_eval(scheme: SchemeDefinition, kappa):
 
 # the check_hypothesis_one settings: log F(e^{it}) is expanded to this order
 _SERIES_ORDER = 8
-# |F(e^{it})| is sampled on this many uniform points of the circle ...
-_DISSIPATIVITY_GRID = 100_000
-# ... minus |t| <= this, where the series decides
+# the dissipativity margin is taken over |t| >= this; the series decides
+# the arc inside it
 _SERIES_RADIUS = 1e-2
 # |F(1) - 1| above this fails consistency
 _CONSISTENCY_TOL = 1e-12
@@ -184,14 +187,59 @@ def _log_symbol_series(scheme: SchemeDefinition, order: int) -> np.ndarray:
     return d[1:]
 
 
+def _critical_angles(scheme: SchemeDefinition) -> np.ndarray:
+    """Arguments of the roots of P(w) = sum_{d=1}^{n} d c_d (w^{n+d} - w^{n-d}).
+
+    With n = p + r and c_d = sum_k a_k a_{k+d}, |F(e^{it})|^2 = c_0 +
+    2 sum_{d=1}^{n} c_d cos(dt), whose derivative -2 sum d c_d sin(dt)
+    vanishes exactly where w = e^{it} is a root of P.  P has degree 2n, its
+    leading coefficient n c_n = n a_{-r} a_p being nonzero, so it never
+    vanishes identically (|F| is never constant).  Every critical point of
+    |F| on the circle is among the returned angles in [-pi, pi]; roots off
+    the circle add arbitrary circle points.
+    """
+    n = scheme.p + scheme.r
+    c = np.correlate(scheme.a, scheme.a, "full")[n:]      # c_0 .. c_n
+    dc = np.arange(1, n + 1) * c[1:]
+    coeffs = np.zeros(2 * n + 1)          # highest power first
+    coeffs[n - 1::-1] = dc                # w^{n+d}
+    coeffs[n + 1:] = -dc                  # w^{n-d}
+    return np.angle(np.roots(coeffs))
+
+
+def _dissipativity_margin(scheme: SchemeDefinition) -> tuple[float, float]:
+    """1 - max |F(e^{it})| over |t| >= _SERIES_RADIUS, and its maximiser.
+
+    The maximum over that closed set sits at a cut point t = +-_SERIES_RADIUS
+    or at an interior critical point, so |F| is evaluated at the cut points
+    and at every critical angle of _critical_angles with |t| >= the radius,
+    with no classification of the roots.  Each candidate is a circle point,
+    so the computed maximum never exceeds the true one beyond the rounding
+    of one symbol evaluation; a root off the circle only adds a candidate.
+    It falls short of the true one by O(delta^2) only: at the maximiser
+    the derivative of |F|^2 vanishes, so an angle error delta of a simple
+    root moves |F|^2 by O(delta^2), and by O(delta^{m+1}) at an m-fold root
+    (where the root error grows to O(eps^{1/m}), so still O(eps^{1+1/m})).
+    Unlike sampling, a touch of 1 between any two points cannot pass.
+    """
+    t = _critical_angles(scheme)
+    t = np.concatenate(([-_SERIES_RADIUS, _SERIES_RADIUS],
+                        t[np.abs(t) >= _SERIES_RADIUS]))
+    mod = np.abs(symbol_eval(scheme, np.exp(1j * t)))
+    worst = int(np.argmax(mod))
+    return float(1.0 - mod[worst]), float(t[worst])
+
+
 def check_hypothesis_one(scheme: SchemeDefinition) -> HypothesisReport:
     """Check consistency, dissipativity, and the diffusivity expansion.
 
     The expansion coefficients come from exact derivatives of F at 1 composed
-    into the series of log F(e^{it}) up to _SERIES_ORDER; |F(e^{it})| is
-    sampled on _DISSIPATIVITY_GRID uniform points with |t| <= _SERIES_RADIUS
-    excluded (the series controls that neighborhood, where the sampled
-    margin would degenerate to 0).
+    into the series of log F(e^{it}) up to _SERIES_ORDER.  The series
+    controls |t| < _SERIES_RADIUS, where any margin would degenerate to 0;
+    the dissipativity margin is 1 - max |F(e^{it})| over |t| >=
+    _SERIES_RADIUS, taken exactly from the cut points and the critical
+    points of |F|^2 (_dissipativity_margin), and a failing scheme's
+    witness_t is that maximiser.
     """
     f1 = complex(symbol_eval(scheme, 1.0))
     consistency = abs(f1 - 1.0)
@@ -226,14 +274,10 @@ def check_hypothesis_one(scheme: SchemeDefinition) -> HypothesisReport:
     if beta.real <= 0:
         return failed("diffusivity: Re(beta) <= 0")
 
-    t = np.linspace(-math.pi, math.pi, _DISSIPATIVITY_GRID, endpoint=False)
-    t = t[np.abs(t) > _SERIES_RADIUS]
-    mod = np.abs(symbol_eval(scheme, np.exp(1j * t)))
-    worst = int(np.argmax(mod))
-    margin = float(1.0 - mod[worst])
+    margin, worst = _dissipativity_margin(scheme)
     if margin <= 0.0:
         return failed("dissipativity: |F(e^{it})| reaches 1 off t = 0",
-                      witness=float(t[worst]), mu=mu, beta=beta, margin=margin)
+                      witness=worst, mu=mu, beta=beta, margin=margin)
 
     return HypothesisReport(alpha=alpha, mu=mu, beta=beta,
                             consistency_residual=consistency,

@@ -15,6 +15,14 @@ settings.load_profile("lab")
 KAPPA_S_O3 = 4.0 - math.sqrt(17.0)
 KAPPA_U_O3 = 4.0 + math.sqrt(17.0)
 
+# consistent, drift -0.18, beta 1.07, but |F(e^{it})| peaks at 1 + 1.0e-12
+# near t = 2.0984, a third of a step off the 10^5-point circle grid: a_2
+# tuned to 16 digits, a_0 = 1 - a_{-1} - a_1 - a_2 exactly
+NEAR_TOUCH_INLINE = {
+    "r": 1, "p": 2, "p_b": 0, "b": [], "name": "near-touch",
+    "a": ["6117/10000", "-141842059294731/10000000000000000", "9/625",
+          "3880842059294731/10000000000000000"]}
+
 
 def o3_marginal_pair(alpha: float = -0.5):
     """Ghost weights (b1, b2) = ((1+k)/k, -1/k) with k the stable z=1 root."""

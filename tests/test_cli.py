@@ -12,8 +12,10 @@ import pytest
 
 import numpy as np
 
-from halflab import _kernels, cli, gaussian, layers, spectral
+from halflab import _kernels, cli, gaussian, layers, scheme, spectral
 from halflab.cli import main
+
+from conftest import NEAR_TOUCH_INLINE
 
 VERDICT_LFR = "ℓ¹-stable, ℓ^q-unstable for q>1"
 VERDICT_O3 = "ℓ^q-stable for all q"
@@ -92,6 +94,19 @@ def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
     rep2 = read_json(out2, "report.json")
     assert rep2["hypothesis_two"] is None
     assert os.path.exists(os.path.join(out2, "check_symbol.csv"))
+
+
+def test_check_near_touch_between_grid_points_exits_2(tmp_path, capsys):
+    # |F| peaks at 1 + 1e-12 between two points of a 10^5-point circle grid
+    code, out = run(tmp_path, "check",
+                    {"scheme": {"inline": NEAR_TOUCH_INLINE}})
+    assert code == 2
+    assert "hypothesis failure: dissipativity" in capsys.readouterr().out
+    rep = read_json(out, "report.json")
+    assert rep["verdict"].startswith("hypothesis failure: dissipativity")
+    h1 = rep["hypothesis_one"]
+    assert h1["dissipativity_margin"] < 0.0
+    assert abs(abs(h1["witness_t"]) - 2.0984173) < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [-0.2, -0.4, -0.6, -0.8])
@@ -300,10 +315,18 @@ def test_report_tolerances_are_the_applied_constants(tmp_path):
         _, out = run(tmp_path, "check", doc, out=f"out{i}")
         rep = read_json(out, "report.json")
         tol = rep["tolerances"]
-        assert tol == {"hyp2_zero_tol": spectral._SWEEP_ZERO_TOL,
+        assert tol == {"hyp1_series_radius": scheme._SERIES_RADIUS,
+                       "hyp2_zero_tol": spectral._SWEEP_ZERO_TOL,
                        "boundary_zero_tol": spectral._BOUNDARY_ZERO_TOL,
                        "csv_format": cli._FLOAT_FORMAT}
-        # the verdict's two tests, redone from the report with its numbers
+        # the verdict's tests, redone from the report with its numbers: the
+        # cut point t = hyp1_series_radius is a candidate of the margin
+        a = np.array(rep["scheme"]["a"])
+        r = rep["scheme"]["r"]
+        cut = complex(np.exp(1j * tol["hyp1_series_radius"]))
+        f_cut = sum(ak * cut ** (k - r) for k, ak in enumerate(a))
+        assert rep["hypothesis_one"]["dissipativity_margin"] <= \
+            1.0 - abs(f_cut) + 1e-15
         h2 = rep["hypothesis_two"]
         assert h2["boundary_zero"] == (
             abs(complex(*h2["delta_at_one"])) < tol["boundary_zero_tol"])

@@ -107,9 +107,62 @@ def test_scalar_and_array_shapes():
 
 
 def test_unsettled_quadrature_raises_quadrature_error(monkeypatch):
-    # the order-6 tail on the line shifted by s = 0.7: the window, sized from
-    # beta alone, ends where the integrand grows, so no two node counts
-    # agree; with the cap at 2^13 nodes the arrays stay below 1 MB
+    # the order-6 tail on the line shifted by s = 0.7 itself, with the line
+    # lowering switched off: the integrand reaches e^71 there, the sums are
+    # cancellation noise and no two node counts agree; with the cap at 2^13
+    # nodes the arrays stay below 1 MB
+    monkeypatch.setattr(gaussian, "_GROWTH", np.inf)
     monkeypatch.setattr(gaussian, "_NODE_CAP", 2 ** 13)
     with pytest.raises(QuadratureError, match="did not settle"):
         appendix_f(0.0, 0.7, GaussianParams(3, 1.7))
+
+
+def test_steep_shifted_contour_settles():
+    # the same tail at s = 0.7 with the line lowered to growth e^4 and the
+    # window widened past the shifted cuts: -F(0, s) = 2 pi E(0) = pi
+    p = GaussianParams(3, 1.7)
+    assert abs(appendix_f(0.0, 0.7, p) + np.pi) < 1e-10
+    xs = np.array([-1.0, 0.5, 1.5])
+    got = -appendix_f(xs, 0.7, p) / (2.0 * np.pi)
+    assert np.max(np.abs(got - gaussian_e(xs, p))) < 1e-10
+
+
+@pytest.mark.parametrize("params", [P_HEAT, P_QUARTIC, GaussianParams(3, 1.7),
+                                    GaussianParams(2, 0.5 + 0.4j)],
+                         ids=["mu1", "mu2", "mu3", "mu2-complex"])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 2.0])
+def test_contour_line_cuts_where_the_integrand_decays(params, s):
+    mu, beta = params.mu, params.beta
+    height, U = gaussian._contour_line(s, params)
+    assert 0.0 < height <= s
+    for u in (-U, U):
+        assert (beta * (u + 1j * height) ** (2 * mu)).real >= 90.0
+    # the line is lowered only past growth e^_GROWTH, and then to it (K is
+    # a max over a theta grid, so up to its resolution)
+    u = np.linspace(-U, U, 20001)
+    growth = np.max(-(beta * (u + 1j * height) ** (2 * mu)).real)
+    assert growth <= 1.001 * gaussian._GROWTH
+    if height < s:
+        assert growth > 0.99 * gaussian._GROWTH
+
+
+def test_quadrature_blocks_are_capped(monkeypatch):
+    # 601 x values: each block holds at most _BLOCK_ENTRIES entries, and the
+    # block size leaves every row's sum bitwise unchanged
+    xs = np.linspace(-3.0, 3.0, 601)
+    p = GaussianParams(3, 1.7)
+    want = appendix_f(xs, 0.7, p)
+    sizes = []
+    trap = gaussian._trap_uniform
+
+    def spy(fvals, h):
+        sizes.append(fvals.shape)
+        return trap(fvals, h)
+
+    cap = 3 * 2 ** 14
+    monkeypatch.setattr(gaussian, "_trap_uniform", spy)
+    monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", cap)
+    got = appendix_f(xs, 0.7, p)
+    assert max(rows * cols for rows, cols in sizes) <= cap
+    assert min(rows for rows, _ in sizes) < gaussian._CHUNK
+    np.testing.assert_array_equal(got, want)

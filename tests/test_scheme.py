@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import halflab as hl
+from halflab import scheme
 from halflab.scheme import scheme_from_json, scheme_to_json
+
+from conftest import NEAR_TOUCH_INLINE, o3_marginal_pair
+
+# the sampled reference for the dissipativity margin: |F| on GRID uniform
+# circle points with |t| <= the series radius left out
+GRID = 100_000
+H = 2.0 * math.pi / GRID
 
 
 def test_lfr_coefficients(lfr):
@@ -71,7 +80,7 @@ def test_hypothesis_one_diffusivity_failure():
 
 def test_hypothesis_one_dissipativity_failure():
     # positive beta near t = 0 but |F| exceeds 1 near t = pi, so only the
-    # circle sampling can catch it
+    # margin beyond the series cut can catch it
     a = np.array([0.125, 0.1, 0.925, -0.15])
     s = hl.SchemeDefinition(r=1, p=2, a=a, p_b=0, b=np.zeros((1, 0)))
     rep = hl.check_hypothesis_one(s)
@@ -102,6 +111,110 @@ def test_lfr_family_diffusivity(alpha, slack):
     assert rep.mu == 1
     assert abs(rep.alpha - alpha) < 1e-10
     assert abs(rep.beta - (D - alpha * alpha) / 2.0) < 1e-10
+
+
+def sampled_margin(s):
+    t = np.linspace(-math.pi, math.pi, GRID, endpoint=False)
+    t = t[np.abs(t) > scheme._SERIES_RADIUS]
+    return float(1.0 - np.max(np.abs(hl.symbol_eval(s, np.exp(1j * t)))))
+
+
+def assert_certified_within_sampling_bound(s):
+    # the sampled max lies below the true one, by at most H times Bernstein's
+    # bound sum |k a_k| on d|F|/dt (the nearest sample to any |t| >= the
+    # radius is within H); both sides carry the rounding of one evaluation
+    certified = hl.check_hypothesis_one(s).dissipativity_margin
+    bound = H * np.sum(np.abs(np.arange(-s.r, s.p + 1) * s.a))
+    gap = sampled_margin(s) - certified
+    assert -1e-15 <= gap <= bound + 1e-15
+
+
+def inline_lfr(alpha: Fraction, D: Fraction, b: str = "0"):
+    """The scan's dissipativity-failure rule: lfr coefficients with exact
+    rational alpha and D, inline."""
+    a = [str((D + alpha) / 2), str(1 - D), str((D - alpha) / 2)]
+    return scheme_from_json(json.dumps(
+        {"r": 1, "p": 1, "a": a, "p_b": 1, "b": [[b]]}))
+
+
+# one scheme of each class of the stability scan; the ghost weight b does
+# not enter the first hypothesis, it only places the lfr rule in its class
+SCAN_CLASSES = {
+    "lfr-marginal": hl.builtin_lfr(-0.35, 0.6, 0.95 / 0.25),
+    "lfr-unstable": hl.builtin_lfr(-0.7, 0.8, 1.9),
+    "lfr-stable": hl.builtin_lfr(-0.25, 0.3, -0.6),
+    **{f"o3-marginal{al}": hl.builtin_o3(al, *o3_marginal_pair(al))
+       for al in (-0.2, -0.4, -0.6, -0.8)},
+    "o3-perturbed": hl.builtin_o3(-0.3, 1.4, -0.4),
+    "lfr-D1.05": inline_lfr(Fraction(-4, 20), Fraction(21, 20), "-9/10"),
+    "lfr-D1.45": inline_lfr(Fraction(-16, 20), Fraction(29, 20), "3/10"),
+}
+
+
+def test_certified_margin_builtins_against_sampling(lfr, o3):
+    for s in (lfr, o3):
+        assert_certified_within_sampling_bound(s)
+        # the max sits at the cut: |F| decreases away from t = 0
+        cut = np.exp(1j * np.array([-1.0, 1.0]) * scheme._SERIES_RADIUS)
+        assert hl.check_hypothesis_one(s).dissipativity_margin == \
+            1.0 - np.max(np.abs(hl.symbol_eval(s, cut)))
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CLASSES))
+def test_certified_margin_scan_classes_against_sampling(name):
+    assert_certified_within_sampling_bound(SCAN_CLASSES[name])
+
+
+@given(alpha=st.floats(-0.85, -0.15), D=st.floats(0.0, 1.45))
+def test_certified_margin_lfr_family_against_sampling(alpha, D):
+    # D above 1 makes |F(-1)| = 2D - 1 > 1: failures are bounded as well
+    assume(alpha * alpha + 1e-3 < D and abs(D + alpha) > 1e-3)
+    a = np.array([(D + alpha) / 2.0, 1.0 - D, (D - alpha) / 2.0])
+    assert_certified_within_sampling_bound(
+        hl.SchemeDefinition(r=1, p=1, a=a, p_b=0, b=np.zeros((1, 0))))
+
+
+@pytest.mark.parametrize("alpha, D", [(Fraction(-4, 20), Fraction(21, 20)),
+                                      (Fraction(-9, 20), Fraction(25, 20)),
+                                      (Fraction(-16, 20), Fraction(29, 20))])
+def test_lfr_above_d_one_fails_at_pi(alpha, D):
+    rep = hl.check_hypothesis_one(inline_lfr(alpha, D))
+    assert not rep.satisfied
+    assert "dissipativity" in rep.failure
+    # |F(-1)| = 2D - 1 is the max, at the critical point w = -1
+    assert abs(abs(rep.witness_t) - math.pi) < 1e-12
+    assert abs(rep.dissipativity_margin - (2.0 - 2.0 * float(D))) < 1e-15
+
+
+def near_touch_peak(s, lo=2.0, hi=2.2):
+    """The maximiser of |F(e^{it})| in [lo, hi], by bisection on the sign of
+    d|F|^2/dt = 2 Re(conj(F) dF/dt), with dF/dt = sum i k a_k e^{ikt}."""
+    ks = np.arange(-s.r, s.p + 1)
+
+    def slope(t):
+        w = np.exp(1j * ks * t)
+        return (np.conj(np.sum(s.a * w)) * np.sum(1j * ks * s.a * w)).real
+
+    assert slope(lo) > 0 > slope(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_near_touch_between_grid_points_fails():
+    s = scheme_from_json(json.dumps(NEAR_TOUCH_INLINE))
+    t_star = near_touch_peak(s)
+    peak = abs(hl.symbol_eval(s, np.exp(1j * t_star)))
+    assert 0.0 < peak - 1.0 < 2e-12
+    # the grid's nearest points straddle the peak, below 1
+    assert sampled_margin(s) > 1e-10
+    rep = hl.check_hypothesis_one(s)
+    assert rep.mu == 1 and rep.beta.real > 0
+    assert not rep.satisfied
+    assert "dissipativity" in rep.failure
+    assert abs(abs(rep.witness_t) - t_star) < 1e-8
+    assert -2e-12 < rep.dissipativity_margin < 0.0
 
 
 def test_boundary_matrix_lfr(lfr):
