@@ -1,6 +1,9 @@
 """Timing of the first-hypothesis check (`check_hypothesis_one`, whose
 dissipativity margin comes from the critical points of |F|^2) against the
-100k-point circle sampling it replaced, which stays here as the reference.
+100k-point circle sampling it replaced, which stays here as the reference,
+and of the second-hypothesis check (`check_hypothesis_two`, the Lopatinskii
+sweep of 4 x 64 nodes at the default radii plus z = 1) on the same schemes
+("-" where the first hypothesis fails: the CLI then skips the second).
 
 Cases: the default lfr and o3 builtins, and one scheme of each class of the
 seeded stability scan: marginal, unstable and stable lfr (the ghost weight
@@ -28,6 +31,7 @@ import numpy as np  # noqa: E402
 from halflab.scheme import (SchemeDefinition, _SERIES_RADIUS,  # noqa: E402
                             builtin_lfr, builtin_o3, check_hypothesis_one,
                             symbol_eval)
+from halflab.spectral import check_hypothesis_two  # noqa: E402
 
 GRID = 100_000
 
@@ -82,18 +86,22 @@ def _per_call(fn, repeats: int) -> tuple[float, object]:
 def main():
     header = (f"{'case':18s} {'check ms':>9s} {'sampled ms':>11s}"
               f" {'certified margin':>17s} {'sampled margin':>15s}"
-              f" {'gap / bound':>12s}")
+              f" {'gap / bound':>12s} {'hyp2 ms':>8s}")
     print(header)
     print("-" * len(header))
     for name, scheme in CASES.items():
         t_check, rep = _per_call(lambda: check_hypothesis_one(scheme), 200)
         t_sample, sampled = _per_call(lambda: sampled_margin(scheme), 10)
+        two = "-"
+        if rep.satisfied:
+            t_two, _ = _per_call(lambda: check_hypothesis_two(scheme), 20)
+            two = f"{t_two * 1e3:.3f}"
         certified = rep.dissipativity_margin
         ks = np.arange(-scheme.r, scheme.p + 1)
         bound = 2.0 * math.pi / GRID * float(np.sum(np.abs(ks * scheme.a)))
         print(f"{name:18s} {t_check * 1e3:9.3f} {t_sample * 1e3:11.3f}"
               f" {certified:17.6e} {sampled:15.6e}"
-              f" {(sampled - certified) / bound:12.2e}")
+              f" {(sampled - certified) / bound:12.2e} {two:>8s}")
 
 
 if __name__ == "__main__":

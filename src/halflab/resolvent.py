@@ -62,8 +62,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .scheme import SchemeDefinition, boundary_matrix, symbol_eval
-from .spectral import (_NEAR_CURVE, MultiplicityError, _char_coeffs,
-                       _evaluate, _symbol_curve, _vandermonde)
+from .spectral import (_NEAR_CURVE, MultiplicityError, RootSolveError,
+                       _char_coeffs, _evaluate, _vandermonde)
 # no caller here: the benchmark's `resolvent.guard` trace target names it
 from .spectral import lopatinskii  # noqa: F401
 
@@ -123,11 +123,18 @@ def solve_banded(l_and_u, ab, b, **kwargs):
     return solve(l_and_u, ab, b, **kwargs)
 
 
+def _near_curve(z: complex, dist: float) -> NearSpectrumError:
+    return NearSpectrumError(
+        f"z = {z!r} is not certified {_NEAR_CURVE:.0e} clear of the symbol "
+        f"curve (distance bound {dist:.2e})")
+
+
 def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray):
-    """Refuses the first node of zs that lies within _NEAR_CURVE of the
-    symbol curve, is encircled by it or has |Delta| <= 1e-8, from one
-    batched Lopatinskii evaluation; else returns that evaluation (its roots
-    hold r stable, then p unstable ones at every node)."""
+    """Refuses the first node of zs whose distance bound to the symbol curve
+    (see `spectral._Nodes`) is below _NEAR_CURVE, that is encircled by the
+    curve or has |Delta| <= 1e-8, from one batched Lopatinskii evaluation;
+    else returns that evaluation (its roots hold r stable, then p unstable
+    ones at every node)."""
     nodes = _evaluate(scheme, zs)
     bad = (nodes.dist < _NEAR_CURVE) | (np.abs(nodes.delta) <= 1e-8)
     bad[list(nodes.errors)] = True
@@ -136,8 +143,7 @@ def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray):
     i = int(np.argmax(bad))
     z = complex(zs[i])
     if nodes.dist[i] < _NEAR_CURVE:
-        raise NearSpectrumError(
-            f"z = {z!r} lies within {nodes.dist[i]:.2e} of the symbol curve")
+        raise _near_curve(z, nodes.dist[i])
     exc = nodes.errors.get(i)
     if isinstance(exc, MultiplicityError):
         raise NearSpectrumError(
@@ -258,14 +264,17 @@ def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
 def spatial_green_whole(scheme: SchemeDefinition, z: complex,
                         window: int) -> ResolventField:
     """Gt(z, .) on |j| <= window by FFT of the sampled symbol reciprocal,
-    doubling the node count until the window values settle below 1e-10."""
+    doubling the node count until the window values settle below 1e-10.
+    z must be certified _NEAR_CURVE away from the symbol curve by the
+    distance bound of its roots; it may lie inside the curve."""
     if window < 1:
         raise ValueError("window must be >= 1")
     z = complex(z)
-    dist = float(np.min(np.abs(_symbol_curve(scheme) - z)))
-    if dist < _NEAR_CURVE:
-        raise NearSpectrumError(
-            f"z = {z!r} lies within {dist:.2e} of the symbol curve")
+    nodes = _evaluate(scheme, [z])
+    if isinstance(nodes.split_errors.get(0), RootSolveError):
+        raise nodes.split_errors[0]
+    if nodes.dist[0] < _NEAR_CURVE:
+        raise _near_curve(z, nodes.dist[0])
     r, p = scheme.r, scheme.p
     N = 1024
     while N < 8 * (window + p + r):

@@ -26,15 +26,14 @@ sweep of check_hypothesis_two, the CLI's real-axis profile, the contour
 guard of `resolvent`).  The roots of all nodes come from one Aberth
 iteration over a (nodes, p+r) array in which every node iterates, stops
 and is polished exactly as it would alone, so a batch gives bitwise the
-one-node results.  The region of a node follows from |z| - max|F| >= 1e-6
-(the node clears the disk that holds the sampled symbol curve), or else
-from the support function h(theta) = max_w Re(e^{-i theta} w) of the
-samples: a node with |z| - h(arg z) >= 1e-6 lies outside the curve's
-convex hull, hence outside the curve (winding number 0).  Only the other
-nodes, and z = 1, get the winding number over the curve samples, computed
-a few nodes at a time to bound the temporaries.  Delta is det(B V) on the
-stacked Vandermonde matrices.  A failing node raises the typed error of the
-pointwise functions, for the first failing node of the batch.
+one-node results.  The roots also place the node against the curve.  On
+|kappa| = 1, P(kappa; z) = kappa^r (z - F(kappa)), so the argument
+principle gives the winding number of F(S^1) around z as n_stable - r,
+and |z - F(e^{it})| = |a_p| prod_i |e^{it} - kappa_i| is at least
+|a_p| prod_i ||kappa_i| - 1|: a certified lower bound on the distance from
+z to the curve.  Delta is det(B V) on the stacked Vandermonde matrices.  A
+failing node raises the typed error of the pointwise functions, for the
+first failing node of the batch.
 
 The tolerances are fixed module constants, each defined once here and read
 by every module that applies it: the unit-circle width 1e-8 of the root
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .scheme import SchemeDefinition, boundary_matrix, symbol_eval
+from .scheme import SchemeDefinition, boundary_matrix
 
 __all__ = [
     "RootSolveError", "MultiplicityError", "EigenConditioningError",
@@ -65,9 +64,8 @@ __all__ = [
 
 # |kappa| within this of 1 puts a root on the unit circle (central)
 _UNIT_TOL = 1e-8
-# a node closer than this to the sampled symbol curve is near the spectrum:
-# the disk and support tiers of _evaluate clear a node only at least this
-# far out, and the resolvent guards refuse nodes nearer than this
+# a node not certified this far from the symbol curve is near the spectrum:
+# the resolvent guards refuse it
 _NEAR_CURVE = 1e-6
 # |Delta| below this on a sweep circle is a Lopatinskii zero
 _SWEEP_ZERO_TOL = 1e-6
@@ -232,70 +230,6 @@ def characteristic_roots(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     return _sort_rows(roots)[0]
 
 
-_CURVE_SAMPLES = 8192
-# sampled curves of the schemes used last, least recently used first; a
-# curve takes 128 KB, so the cache holds at most 1 MB
-_CURVE_CACHE_SIZE = 8
-_curve_cache: dict = {}
-# nodes per block of the winding computation: 8 x 8192 complex samples keep
-# its temporaries near 4.5 MB
-_WINDING_BLOCK = 8
-# nodes per block of the support-function product: 32 x 8192 real
-# projections, 2 MB
-_SUPPORT_BLOCK = 32
-
-
-def _symbol_curve(scheme: SchemeDefinition) -> np.ndarray:
-    key = (scheme.r, scheme.p, scheme.a.tobytes())
-    got = _curve_cache.pop(key, None)
-    if got is None:
-        t = np.linspace(0.0, 2.0 * np.pi, _CURVE_SAMPLES, endpoint=False)
-        got = symbol_eval(scheme, np.exp(1j * t))
-        if len(_curve_cache) >= _CURVE_CACHE_SIZE:
-            del _curve_cache[next(iter(_curve_cache))]
-    _curve_cache[key] = got
-    return got
-
-
-def _support_margins(scheme: SchemeDefinition, zs: np.ndarray) -> np.ndarray:
-    """|z| - h(arg z) at each node of zs, h(theta) = max_w Re(e^{-i theta} w)
-    the support function of the sampled symbol curve; -inf at z = 0.
-
-    Every sample w has Re(e^{-i arg z} (z - w)) >= |z| - h, so a positive
-    margin is a lower bound on the node's distance to the samples, and the
-    samples (with the closing segment) lie in a half-plane that excludes
-    the node: its winding number is 0.
-    """
-    curve = _symbol_curve(scheme)
-    xy = np.stack([curve.real, curve.imag])
-    mods = np.abs(zs)
-    live = mods > 0.0
-    dirs = np.stack([zs.real, zs.imag], axis=1)[live] / mods[live, None]
-    h = np.empty(dirs.shape[0])
-    for s in range(0, dirs.shape[0], _SUPPORT_BLOCK):
-        h[s:s + _SUPPORT_BLOCK] = (dirs[s:s + _SUPPORT_BLOCK] @ xy).max(axis=1)
-    margin = np.full(zs.size, -np.inf)
-    margin[live] = mods[live] - h
-    return margin
-
-
-def _windings(scheme: SchemeDefinition, zs: np.ndarray):
-    """Winding number of the sampled symbol curve around each node of zs and
-    the node's distance to the samples, _WINDING_BLOCK nodes at a time."""
-    curve = _symbol_curve(scheme)
-    wind = np.empty(zs.size, dtype=int)
-    dist = np.empty(zs.size)
-    for s in range(0, zs.size, _WINDING_BLOCK):
-        rel = curve[None, :] - zs[s:s + _WINDING_BLOCK, None]
-        dist[s:s + _WINDING_BLOCK] = np.min(np.abs(rel), axis=1)
-        ang = np.unwrap(np.angle(rel), axis=1)
-        closing = np.angle(rel[:, 0]) - ang[:, -1]
-        closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-        wind[s:s + _WINDING_BLOCK] = np.round(
-            (ang[:, -1] - ang[:, 0] + closing) / (2.0 * np.pi))
-    return wind, dist
-
-
 def _vandermonde(kappas, dim: int) -> np.ndarray:
     """Columns kappa^(dim-1), ..., kappa, 1 for the kappas on the last axis
     (leading axes stack matrices)."""
@@ -316,14 +250,12 @@ class _Nodes:
 
     split_errors maps a node to the error spectral_split raises there;
     errors adds the ones stable_basis and lopatinskii raise.  Only nodes
-    missing from errors carry kappas (the r stable roots) and delta.  dist
-    is the distance to the sampled symbol curve, or, for a node at least
-    _NEAR_CURVE outside the disk |w| <= max|F| or else the curve's convex
-    hull, the lower bound on it that this margin is (|z| - max|F|, or
-    |z| - h(arg z) with h the support function of the samples, see
-    `_support_margins`).  Only the thresholds _NEAR_CURVE (the resolvent
-    guard) and 1e-7 (on_curve) read dist, and a bound of at least
-    _NEAR_CURVE passes both as the distance does.
+    missing from errors carry kappas (the r stable roots) and delta.
+    winding is the winding number of the symbol curve around the node,
+    n_stable - r by the argument principle (central roots, which put the
+    node on the curve, do not count).  dist is |a_p| prod_i ||kappa_i| - 1|,
+    a lower bound on the node's distance to the curve; the thresholds
+    _NEAR_CURVE (the resolvent guards) and 1e-7 (on_curve) read it.
     """
 
     roots: np.ndarray
@@ -355,46 +287,29 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
     """Every pointwise check of spectral_split, stable_basis and lopatinskii
     at each node of zs, from one batched root solve.
 
-    A node farther than _NEAR_CURVE beyond the disk |w| <= max|F| holding
-    the sampled curve clears at no cost (the contour rings, the outer sweep
-    circles).  For the others the support test follows: a node with
-    |z| - h(arg z) >= _NEAR_CURVE, h the support function of the samples,
-    lies that far outside the curve's convex hull, so it is at least that
-    far from every sample and has winding number 0.  Its margin comes from
-    one (nodes x 2) @ (2 x samples) product in blocks of _SUPPORT_BLOCK
-    nodes.  On the unit circle the disk (max|F| = 1) clears no node, while
-    the support test clears each node in whose direction the curve stays
-    _NEAR_CURVE inside the circle.  The remaining nodes, and z = 1, get the
-    winding computation.
+    The region comes from the roots alone: "at_one" first, then "on_curve"
+    where a root is central or dist < 1e-7, "outside" where the winding
+    number n_stable - r is 0 (so the split is r/0/p), else "inside".
     """
     zs = np.asarray(zs, dtype=complex)
-    n, r, p = zs.size, scheme.r, scheme.p
+    n, r = zs.size, scheme.r
     c = _char_coeffs(scheme, zs)
     raw, errors = _aberth(c)
     roots = _sort_rows(raw)
     mods = np.abs(roots)
     stable, central, unstable = _unit_classes(mods)
-    n_s, n_c, n_u = (m.sum(axis=1) for m in (stable, central, unstable))
+    n_s, n_c = stable.sum(axis=1), central.sum(axis=1)
 
     at_one = np.abs(zs - 1.0) <= 1e-12
-    dist = np.abs(zs) - float(np.max(np.abs(_symbol_curve(scheme))))
-    near = np.flatnonzero(dist < _NEAR_CURVE)
-    dist[near] = _support_margins(scheme, zs[near])
-    winding = np.zeros(n, dtype=int)
-    slow = np.flatnonzero((dist < _NEAR_CURVE) | at_one)
-    winding[slow], dist[slow] = _windings(scheme, zs[slow])
+    winding = n_s - r
+    dist = abs(scheme.a[-1]) * np.prod(np.abs(mods - 1.0), axis=1)
     region = np.where(at_one, "at_one", np.where(
-        dist < 1e-7, "on_curve", np.where(winding == 0, "outside", "inside")))
+        (dist < 1e-7) | (n_c > 0), "on_curve",
+        np.where(winding == 0, "outside", "inside")))
 
     def fail(i, exc):
         errors.setdefault(int(i), exc)
 
-    for i in np.flatnonzero((region == "outside")
-                            & ((n_s != r) | (n_u != p) | (n_c != 0))):
-        fail(i, MultiplicityError(
-            f"z={complex(zs[i])!r} lies outside the symbol curve but the "
-            f"split is {n_s[i]} stable / {n_c[i]} central / {n_u[i]} "
-            f"unstable (expected {r}/0/{p})"))
     for i in np.flatnonzero(at_one):
         cen = tuple(roots[i][central[i]])
         if n_s[i] != r or len(cen) != 1 or abs(cen[0] - 1.0) > 1e-6:
@@ -453,11 +368,11 @@ class SpectralSplit:
 def spectral_split(scheme: SchemeDefinition, z: complex) -> SpectralSplit:
     """Classify the characteristic roots at z and name the region of z.
 
-    Regions: "at_one" (z = 1), "on_curve" (within 1e-7 of the sampled symbol
-    curve), "outside" (winding number 0), "inside".  Outside, the counts are
-    checked: exactly r stable roots, p unstable, none on the circle.  At
-    z = 1 the checked layout is r stable, the single central root kappa = 1,
-    and p-1 unstable.
+    Regions: "at_one" (z = 1), "on_curve" (a root on the unit circle, or
+    not certified 1e-7 away from the symbol curve), "outside" (winding
+    number 0: exactly r stable roots, p unstable, none on the circle),
+    "inside".  At z = 1 the checked layout is r stable, the single central
+    root kappa = 1, and p-1 unstable.
     """
     z = complex(z)
     nodes = _evaluate(scheme, [z])

@@ -19,7 +19,8 @@ from halflab.resolvent import (
     spatial_green_half,
     spatial_green_whole,
 )
-from halflab.scheme import SchemeDefinition, builtin_lfr, builtin_o3
+from halflab.scheme import (SchemeDefinition, builtin_lfr, builtin_o3,
+                            symbol_eval)
 from halflab.spectral import characteristic_roots
 
 KS2 = (14.0 - math.sqrt(176.0)) / 10.0  # stable root of the b = 5 scheme at z = 2
@@ -97,6 +98,19 @@ def test_near_spectrum_on_curve(lfr, o3):
         spatial_green_half(lfr, 1.0, 5)
     with pytest.raises(NearSpectrumError, match="of the symbol curve"):
         spatial_green_whole(o3, 1.0, window=10)
+
+
+def test_near_spectrum_between_curve_samples(lfr):
+    # z = F(e^{it}) halfway between two of 8192 equispaced curve samples,
+    # 2.4e-4 from the nearest, so a guard on sampled distances passes it and
+    # the whole-line FFT cannot settle there; its root on |kappa| = 1 must
+    # make both guards refuse it
+    t = 2.0 * np.pi * 1000.5 / 8192
+    z = complex(symbol_eval(lfr, np.exp(1j * t)))
+    with pytest.raises(NearSpectrumError, match="of the symbol curve"):
+        spatial_green_half(lfr, z, 5)
+    with pytest.raises(NearSpectrumError, match="of the symbol curve"):
+        spatial_green_whole(lfr, z, window=10)
 
 
 def test_near_spectrum_inside_curve(lfr):
@@ -560,8 +574,8 @@ def test_table_guard_zero_on_odd_node_of_second_ring(monkeypatch):
 
 
 def test_table_guard_curve_distance_fallback(lfr):
-    # the ring e^{1e-9} S^1 passes within 1e-9 of F(1) = 1, so node 0 does
-    # not clear the curve's disk, and its curve distance refuses it
+    # the ring e^{1e-9} S^1 passes within 1e-9 of F(1) = 1, so the distance
+    # bound of node 0 refuses it
     with pytest.raises(NearSpectrumError, match="of the symbol curve"):
         inverse_laplace_table(lfr, 4, [1], [1], r0=1e-9)
 
