@@ -23,10 +23,11 @@ their derivatives and Jacobi's formula that of det(B V)
 
 One evaluator serves a single node and a batch of nodes alike (the annulus
 sweep of check_hypothesis_two, the CLI's real-axis profile, the contour
-guard of `resolvent`).  The roots of all nodes come from one Aberth
-iteration over a (nodes, p+r) array in which every node iterates, stops
-and is polished exactly as it would alone, so a batch gives bitwise the
-one-node results.  The roots also place the node against the curve.  On
+guard of `resolvent`).  The roots of all nodes are the eigenvalues of the
+stacked companion matrices, from one LAPACK call, polished by three
+elementwise Newton steps.  numpy factors each matrix of a stack on its
+own, so a batch gives bitwise the one-node results (and those of np.roots
+with the same polish).  The roots also place the node against the curve.  On
 |kappa| = 1, P(kappa; z) = kappa^r (z - F(kappa)), so the argument
 principle gives the winding number of F(S^1) around z as n_stable - r,
 and |z - F(e^{it})| = |a_p| prod_i |e^{it} - kappa_i| is at least
@@ -86,7 +87,8 @@ def _boundary_zero(delta1: complex) -> bool:
 
 
 class RootSolveError(RuntimeError):
-    """Root iteration failed to converge."""
+    """Root solve failed: a non-finite coefficient, or polished roots
+    that fail the residual test."""
 
 
 class MultiplicityError(RuntimeError):
@@ -105,6 +107,17 @@ def _char_coeffs(scheme: SchemeDefinition, zs: np.ndarray) -> np.ndarray:
     return c
 
 
+def _companions(c: np.ndarray) -> np.ndarray:
+    """Companion matrices of the rows of c (ascending coefficients), in the
+    np.roots layout: the first row carries -c_{d-1}/c_d, ..., -c_0/c_d,
+    ones on the subdiagonal shift the window."""
+    n, d = c.shape[0], c.shape[1] - 1
+    M = np.zeros((n, d, d), dtype=c.dtype)
+    M[:, 0] = -c[:, -2::-1] / c[:, -1:]
+    M[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    return M
+
+
 def companion_matrix(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     """Companion matrix of the spatial recurrence at parameter z.
 
@@ -112,93 +125,29 @@ def companion_matrix(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     top coefficient, ones on the subdiagonal shift the window.  Its
     determinant is (-1)^{p+r} a_{-r} / a_p, independent of z.
     """
-    r, p = scheme.r, scheme.p
-    d = p + r
-    ap = scheme.a[-1]
-    M = np.zeros((d, d), dtype=complex)
-    for col, k in enumerate(range(p - 1, -r - 1, -1)):
-        M[0, col] = ((z if k == 0 else 0.0) - scheme.coeff(k)) / ap
-    for i in range(1, d):
-        M[i, i - 1] = 1.0
-    return M
+    return _companions(_char_coeffs(scheme, np.array([complex(z)])))[0]
 
 
-# an Aberth row stops once its step is below this share of max(1, max|kappa|)
-_ABERTH_TOL = 1e-14
+def _roots(c: np.ndarray):
+    """The roots of every row of c (ascending coefficients): the eigenvalues
+    of the stacked companion matrices from one LAPACK call, then three
+    Newton polish steps and a residual test.
 
-
-def _aberth(c: np.ndarray, max_iter: int = 200):
-    """Aberth-Ehrlich simultaneous iteration on every row of c (ascending
-    coefficients), then three Newton polish steps and a residual test.
-
-    The rows share their end coefficients (only the z term, strictly inside,
-    differs), hence one starting circle.  Each row runs the iteration of a
-    lone polynomial: it stops when its own step meets the tolerance, and
-    when P' vanishes at one of its estimates that estimate is nudged and the
-    row skips the update.  Every operation is elementwise, so a row's roots
-    do not depend on the other rows.  A row that reaches max_iter with its
-    last eight steps finite and below 1e-8 of its root scale has stalled on
-    roundoff and is polished like a converged row.  Returns the roots and
-    {row: RootSolveError} for the rows that did not converge or stall, or
-    fail the residual test.
+    numpy factors each matrix of the stack on its own and the polish is
+    elementwise, so a row's roots do not depend on the other rows.  Returns
+    the roots and {row: RootSolveError} for the rows with a non-finite
+    coefficient or whose polished roots fail the residual test.
     """
     n, d = c.shape[0], c.shape[1] - 1
-    cs = c.T[:, :, None]              # polyval layout: (degree, row, 1)
-    dcs = npoly.polyder(cs)
-    # scalar arithmetic, as for a single polynomial: the array abs and power
-    # loops can differ from it in the last bit
-    radius = abs(c[0, 0] / c[0, -1]) ** (1.0 / d) if n else 1.0
-    angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.4 / d
-    x = np.tile(radius * np.exp(1j * angles), (n, 1))
-    last = np.zeros((8, n))           # the last eight step sizes of each row
-    steps = np.zeros(n, dtype=int)
-    live = np.ones(n, dtype=bool)
-    off = np.arange(d)
-    for _ in range(max_iter):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        xr = x[rows]
-        P = npoly.polyval(xr, cs[:, rows], tensor=False)
-        Pp = npoly.polyval(xr, dcs[:, rows], tensor=False)
-        flat = Pp == 0
-        if flat.any():
-            nudge = flat.any(axis=1)
-            xn = xr[nudge]
-            xn[flat[nudge]] *= 1.0 + 1e-8
-            x[rows[nudge]] = xn
-            rows, xr, P, Pp = (rows[~nudge], xr[~nudge], P[~nudge],
-                               Pp[~nudge])
-        newton = P / Pp
-        diff = xr[:, :, None] - xr[:, None, :]
-        diff[:, off, off] = 1.0
-        inv = 1.0 / diff
-        inv[:, off, off] = 0.0
-        w = newton / (1.0 - newton * inv.sum(axis=2))
-        xr = xr - w
-        x[rows] = xr
-        step = np.abs(w).max(axis=1)
-        last[steps[rows] % 8, rows] = step
-        steps[rows] += 1
-        # not "step >= ...": a NaN step keeps the row iterating, as it
-        # would a lone polynomial, until the iteration limit reports it
-        live[rows] = ~(step < _ABERTH_TOL
-                       * np.maximum(1.0, np.abs(xr).max(axis=1)))
-
-    def trace(i):
-        return [float(last[k % 8, i])
-                for k in range(max(0, steps[i] - 8), steps[i])]
-
-    # close roots near |kappa| = 1 can hold the step a little above
-    # _ABERTH_TOL (1e-8 is about sqrt(eps)); the residual test below decides
-    stalled = (live & (steps >= 8) & np.all(np.isfinite(x), axis=1)
-               & np.all(last < 1e-8 * np.maximum(1.0, np.abs(x).max(axis=1)),
-                        axis=0))
+    finite = np.all(np.isfinite(c), axis=1)
     errors = {int(i): RootSolveError(
-        "simultaneous root iteration did not converge; last step sizes "
-        f"{trace(i)!r}") for i in np.flatnonzero(live & ~stalled)}
-    rows = np.flatnonzero(~live | stalled)
-    xr, cr, dcr = x[rows], cs[:, rows], dcs[:, rows]
+        f"characteristic coefficients {c[i]!r} are not finite")
+        for i in np.flatnonzero(~finite)}
+    rows = np.flatnonzero(finite)
+    x = np.full((n, d), np.nan, dtype=complex)
+    xr = np.linalg.eigvals(_companions(c[rows]))
+    cr = c[rows].T[:, :, None]        # polyval layout: (degree, row, 1)
+    dcr = npoly.polyder(cr)
     for _ in range(3):
         Pp = npoly.polyval(xr, dcr, tensor=False)
         good = Pp != 0
@@ -209,10 +158,9 @@ def _aberth(c: np.ndarray, max_iter: int = 200):
     res = np.abs(npoly.polyval(xr, cr, tensor=False))
     bad = np.any(res > 1e-13 * np.maximum(scale, 1e-300), axis=1)
     for k in np.flatnonzero(bad):
-        i = int(rows[k])
-        errors[i] = RootSolveError(
+        errors[int(rows[k])] = RootSolveError(
             f"root residuals {res[k]!r} exceed 1e-13 of coefficient scale "
-            f"{scale[k]!r} after Newton polish; step trace {trace(i)!r}")
+            f"{scale[k]!r} after Newton polish")
     return x, errors
 
 
@@ -223,8 +171,10 @@ def _sort_rows(roots: np.ndarray) -> np.ndarray:
 
 
 def characteristic_roots(scheme: SchemeDefinition, z: complex) -> np.ndarray:
-    """All p+r roots of P(kappa; z), sorted by (|kappa|, arg kappa)."""
-    roots, errors = _aberth(_char_coeffs(scheme, np.array([complex(z)])))
+    """All p+r roots of P(kappa; z), the eigenvalues of companion_matrix(
+    scheme, z) after three Newton polish steps, sorted by (|kappa|,
+    arg kappa)."""
+    roots, errors = _roots(_char_coeffs(scheme, np.array([complex(z)])))
     if errors:
         raise errors[0]
     return _sort_rows(roots)[0]
@@ -294,7 +244,7 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
     zs = np.asarray(zs, dtype=complex)
     n, r = zs.size, scheme.r
     c = _char_coeffs(scheme, zs)
-    raw, errors = _aberth(c)
+    raw, errors = _roots(c)
     roots = _sort_rows(raw)
     mods = np.abs(roots)
     stable, central, unstable = _unit_classes(mods)
@@ -332,8 +282,8 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
         gap = gaps.min(axis=2)
         # roundoff in P moves a root by about eps S / |dP/dkappa|, S = sum
         # |c_k| |kappa|^k: near a double root that is ~sqrt(eps), so a pair
-        # Aberth cannot tell apart passes a fixed gap test; each stable root
-        # must lie 100 such errors from the next
+        # the root solve cannot tell apart passes a fixed gap test; each
+        # stable root must lie 100 such errors from the next
         cs = c.T[:, :, None]
         slope = np.abs(npoly.polyval(kappas, npoly.polyder(cs), tensor=False))
         size = npoly.polyval(np.abs(kappas), np.abs(cs), tensor=False)

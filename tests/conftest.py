@@ -23,6 +23,10 @@ NEAR_TOUCH_INLINE = {
     "a": ["6117/10000", "-141842059294731/10000000000000000", "9/625",
           "3880842059294731/10000000000000000"]}
 
+# an r = p = 2 scheme: two ghost cells, two stable roots
+WIDE = hl.SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
+                           p_b=2, b=np.array([[2.0, -1.0], [3.0, -2.0]]))
+
 
 def o3_marginal_pair(alpha: float = -0.5):
     """Ghost weights (b1, b2) = ((1+k)/k, -1/k) with k the stable z=1 root."""

@@ -78,6 +78,28 @@ def test_check_violating_rule_exits_2(tmp_path, capsys):
     assert rep["verdict"].startswith("unstable")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the sweep samples |Delta| on the circles 1, 1.05, "
+    "1.25 and 2.5 only, so the zero at z = 1.1 between them goes unseen"))
+def test_check_finds_off_grid_lopatinskii_zero(tmp_path, capsys):
+    # Delta = 1 - b kappa_s vanishes at z = 1.1 for b = 1/kappa_s(1.1),
+    # kappa_s the small root of the default lfr quadratic
+    # 0.625 k^2 + (0.25 - z) k + 0.125 = 0; z = 1.1 is an eigenvalue
+    z = 1.1
+    ks = ((z - 0.25) - math.sqrt((z - 0.25) ** 2 - 4.0 * 0.625 * 0.125)) \
+        / (2.0 * 0.625)
+    assert abs(1.0 / ks - 5.96124969497314) < 1e-12
+    code, out = run(tmp_path, "check",
+                    {"scheme": {"builtin": "lfr", "b": 1.0 / ks}})
+    capsys.readouterr()
+    rep = read_json(out, "report.json")
+    assert code == 2
+    assert rep["verdict"].startswith(
+        "unstable: Lopatinskii determinant vanishes at z = ")
+    witness = complex(*rep["hypothesis_two"]["witness_z"])
+    assert abs(witness - z) < 1e-6
+
+
 def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
     code, out = run(tmp_path, "simulate", {"scheme": {"inline": BAD_INLINE}})
     assert code == 2

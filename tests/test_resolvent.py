@@ -19,9 +19,10 @@ from halflab.resolvent import (
     spatial_green_half,
     spatial_green_whole,
 )
-from halflab.scheme import (SchemeDefinition, builtin_lfr, builtin_o3,
-                            symbol_eval)
+from halflab.scheme import builtin_lfr, builtin_o3, symbol_eval
 from halflab.spectral import characteristic_roots
+
+from conftest import WIDE
 
 KS2 = (14.0 - math.sqrt(176.0)) / 10.0  # stable root of the b = 5 scheme at z = 2
 KU2 = (14.0 + math.sqrt(176.0)) / 10.0
@@ -347,10 +348,6 @@ def test_double_unstable_root_node_takes_the_banded_solve(o3, monkeypatch):
                 assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
 
 
-WIDE = SchemeDefinition(r=2, p=2, a=np.array([0.05, 0.3, 0.4, 0.2, 0.05]),
-                        p_b=2, b=np.array([[2.0, -1.0], [3.0, -2.0]]))
-
-
 def _root_route_errors(scheme, r0, j0s, js, step):
     """At every step-th node of the upper half of the 64-node ring: the
     root route's distance to the pointwise banded solve over the grid, in
@@ -386,6 +383,7 @@ def test_root_route_matches_banded_solve_lfr_family(alpha, slack, b, r0):
     # every node the table takes from the roots is within 1e-12 of its
     # max |G| of the banded solve
     D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
     scheme = builtin_lfr(alpha, D, b)
     try:
         err, kept = _root_route_errors(scheme, r0, [1, 4, 20],

@@ -11,7 +11,7 @@ from halflab import spectral
 from halflab.spectral import (EigenConditioningError, MultiplicityError,
                               RootSolveError, companion_matrix, projector_set)
 
-from conftest import KAPPA_S_O3, KAPPA_U_O3, o3_marginal_pair
+from conftest import KAPPA_S_O3, KAPPA_U_O3, WIDE, o3_marginal_pair
 
 
 def test_roots_at_one_lfr(lfr):
@@ -42,6 +42,16 @@ def test_companion_determinant_z_independent(lfr, o3):
             det = np.linalg.det(companion_matrix(s, z))
             assert det == pytest.approx(want, abs=1e-12)
     assert (-1.0) ** 2 * lfr.a[0] / lfr.a[-1] == pytest.approx(0.2, abs=0)
+
+
+def test_companion_matrix_is_the_stacked_slice(lfr, o3):
+    # one builder: the one-node companion matrix is its node of the stack
+    zs = np.array([2.0, 0.5 + 1.2j, 1.0])
+    for s in (lfr, o3, WIDE):
+        stack = spectral._companions(spectral._char_coeffs(s, zs))
+        for z, M in zip(zs, stack):
+            assert np.array_equal(companion_matrix(s, z).view(float),
+                                  M.view(float))
 
 
 def test_companion_eigenvectors_vandermonde(o3):
@@ -181,10 +191,11 @@ def test_lopatinskii_derivative_stable_collision_raises():
 
 
 def test_near_double_stable_roots_are_refused():
-    # Aberth splits a double root of P(.; 1) into a pair about 1e-8 apart,
-    # so the double root at 0.5 and the pair 0.5, 0.5 + 1e-12 both come out
-    # with a gap above 1e-8 and gave Delta'(1) ~ 1e8; the error bound of
-    # each root rejects them, while 1e-6 apart the roots are resolved
+    # the root solve splits a double root of P(.; 1) into a pair about
+    # sqrt(eps) apart (3e-8 here), so the double root at 0.5 and the pair
+    # 0.5, 0.5 + 1e-12 both pass a fixed 1e-8 gap test and would give
+    # Delta'(1) ~ 1e8; the error bound of each root rejects them, while
+    # 1e-6 apart the roots are resolved
     b = [[0.3], [0.2]]
     for roots in ([0.5, 0.5, 1.0], [0.5, 0.5 + 1e-12, 1.0]):
         s = _scheme_with_roots_at_one(2, roots, -0.3, b)
@@ -201,11 +212,12 @@ def test_near_double_stable_roots_are_refused():
 
 def test_lopatinskii_derivative_near_double_unstable_root():
     # only the stable roots enter Delta'(1): unstable roots 3 and 3 + 1e-7
-    # that a solver barely separates change nothing
+    # that the root solve does not resolve (they come out 1.45e-7 apart)
+    # change nothing
     s = _scheme_with_roots_at_one(1, [0.5, 1.0, 3.0, 3.0 + 1e-7], -1.0,
                                   [[0.7, -0.1]])
     unstable = [k for k in hl.characteristic_roots(s, 1.0) if abs(k) > 2.0]
-    assert abs(unstable[0] - unstable[1]) < 1e-7
+    assert abs(abs(unstable[0] - unstable[1]) - 1e-7) > 1e-9
     _assert_dprime_matches_reference(s)
 
 
@@ -318,32 +330,12 @@ def test_split_counts_outside_property(lfr, rad, ang):
 
 # --- the batched evaluator against the one-node path -------------------------
 
-def _aberth_scalar(c, tol=1e-14, max_iter=200):
-    # the one-polynomial Aberth-Ehrlich iteration the batched solver runs
-    # for each row, kept as the reference
-    d = c.size - 1
+def _roots_scalar(c):
+    # the roots of one polynomial (ascending coefficients) as the batched
+    # solver finds those of each row: the companion eigenvalues of np.roots,
+    # then three Newton polish steps; kept as the reference
     dc = npoly.polyder(c)
-    radius = abs(c[0] / c[-1]) ** (1.0 / d)
-    angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.4 / d
-    x = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
-        P = npoly.polyval(x, c)
-        Pp = npoly.polyval(x, dc)
-        bad = Pp == 0
-        if np.any(bad):
-            x[bad] *= 1.0 + 1e-8
-            continue
-        newton = P / Pp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        w = newton / (1.0 - newton * inv.sum(axis=1))
-        x = x - w
-        if float(np.max(np.abs(w))) < tol * max(1.0, float(np.max(np.abs(x)))):
-            break
-    else:
-        raise RootSolveError("no convergence")
+    x = np.roots(c[::-1])
     for _ in range(3):
         Pp = npoly.polyval(x, dc)
         good = Pp != 0
@@ -374,7 +366,7 @@ def _delta_scalar(scheme, z, curve):
     # sample, det(B V); None where the split or the basis is rejected
     c = -scheme.a.astype(complex)
     c[scheme.r] += z
-    roots = _aberth_scalar(c)
+    roots = _roots_scalar(c)
     mods = np.abs(roots)
     ks = roots[mods < 1.0 - 1e-8]
     wind, dist = _winding_scalar(curve, z)
@@ -461,12 +453,12 @@ def test_batched_roots_match_scalar_iteration(o3):
                          * np.exp(1j * rng.uniform(0, 2 * np.pi, 300)),
                          [1.0, 2.0, 0.5j]])
     c = spectral._char_coeffs(o3, zs)
-    roots, errors = spectral._aberth(c)
+    roots, errors = spectral._roots(c)
     assert not errors
     got = spectral._sort_rows(roots)
     for i in range(zs.size):
         assert np.array_equal(got[i].view(float),
-                              _aberth_scalar(c[i]).view(float))
+                              _roots_scalar(c[i]).view(float))
 
 
 def test_sweep_inside_curve_names_first_node(lfr):
@@ -492,13 +484,13 @@ def _lfr_stable_root(s, z):
                key=abs)
 
 
-def test_aberth_stalled_row_accepted_on_residual():
-    # two roots near |kappa| = 1 (0.99471, 1.00420): the step settles at
-    # 1.3e-14, just above the 1e-14 stopping rule, until the iteration limit
+def test_roots_near_unit_circle_pass_residual():
+    # two roots near |kappa| = 1 (0.99471, 1.00420), 0.0095 apart: they
+    # pass the residual test and match the closed form
     s = hl.builtin_lfr(-0.0005, 0.9, 0.5)
     z = complex(np.exp(1e-5))
     c = spectral._char_coeffs(s, np.array([z, 2.0]))
-    _, errors = spectral._aberth(c)
+    _, errors = spectral._roots(c)
     assert not errors
     val = hl.lopatinskii(s, z)
     ks = _lfr_stable_root(s, z)
@@ -507,18 +499,16 @@ def test_aberth_stalled_row_accepted_on_residual():
     assert abs(val.value - delta) < 1e-12 * abs(delta)
 
 
-def test_aberth_nan_and_unconverged_rows_still_raise(lfr):
-    c = spectral._char_coeffs(lfr, np.array([2.0, 3.0]))
+def test_nan_row_raises_alone(lfr):
+    # the NaN row gets its own error; the other rows are those of a batch
+    # without it
+    c = spectral._char_coeffs(lfr, np.array([2.0, 3.0, 0.5j]))
     c[1, 0] = np.nan
-    with np.errstate(invalid="ignore"):
-        roots, errors = spectral._aberth(c)
+    roots, errors = spectral._roots(c)
     assert list(errors) == [1] and isinstance(errors[1], RootSolveError)
     assert "nan" in str(errors[1])
-    alone, _ = spectral._aberth(c[:1])
-    assert np.array_equal(roots[0].view(float), alone[0].view(float))
-    # large steps at the iteration limit are not a stall
-    _, errors = spectral._aberth(c[:1], max_iter=9)
-    assert list(errors) == [0]
+    alone, _ = spectral._roots(c[[0, 2]])
+    assert np.array_equal(roots[[0, 2]].view(float), alone.view(float))
 
 
 def _assert_roots_place_nodes(scheme, zs):
