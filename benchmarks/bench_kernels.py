@@ -1,6 +1,4 @@
-"""Timing comparison of the jitted evolution kernel against the numpy
-fallback.  The two paths are bitwise-identical by construction, so the only
-question is speed.
+"""Timings of the evolution kernel (`halflab._kernels.evolve_*`).
 
 Cell updates count the cells the kernel computes: each step updates the
 rows of its live window (see `halflab._kernels`) in every column.  The
@@ -10,20 +8,13 @@ transposed scheme (`halflab.evolution.adjoint_scheme`) from delta_1, which
 is what err-map runs.
 
 Run:  python3 benchmarks/bench_kernels.py
-Without numba the jit column stays empty and only the numpy path is timed.
 """
 
 import time
 
 import numpy as np
 
-from halflab._kernels import (
-    HAVE_NUMBA,
-    evolve_half,
-    evolve_half_numpy,
-    evolve_whole,
-    evolve_whole_numpy,
-)
+from halflab._kernels import evolve_half, evolve_whole
 from halflab.evolution import adjoint_scheme
 from halflab.scheme import SchemeDefinition
 
@@ -50,9 +41,9 @@ def _best_of(fn, repeats=3):
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = fn()
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
 def _sources(N, m, row=None):
@@ -81,33 +72,17 @@ def main():
         a, b, r, p, p_b = sch.a, sch.b, sch.r, sch.p, sch.p_b
         u0 = _sources(N, m, src)
         if half:
-            np_fn = lambda: evolve_half_numpy(u0, a, b, r, p, p_b, steps)
-            jit_fn = lambda: evolve_half(u0, a, b, r, p, p_b, steps)
+            fn = lambda: evolve_half(u0, a, b, r, p, p_b, steps)
         else:
-            np_fn = lambda: evolve_whole_numpy(u0, a, r, p, steps)
-            jit_fn = lambda: evolve_whole(u0, a, r, p, steps)
-        cells = _cell_updates(u0, r, p, steps)
-        t_np, out_np = _best_of(np_fn)
-        if HAVE_NUMBA:
-            jit_fn()  # compile outside the timed region
-            t_jit, out_jit = _best_of(jit_fn)
-            same = np.array_equal(out_np, out_jit)
-            rows.append((label, t_jit, t_np, cells, same))
-        else:
-            rows.append((label, None, t_np, cells, True))
+            fn = lambda: evolve_whole(u0, a, r, p, steps)
+        rows.append((label, _best_of(fn), _cell_updates(u0, r, p, steps)))
 
-    header = (f"{'case':28s} {'jit ms':>9s} {'numpy ms':>9s} {'speedup':>8s}"
-              f" {'Mcells':>8s} {'jit Mc/s':>9s} {'np Mc/s':>8s} {'bitwise':>8s}")
-    print("numba active" if HAVE_NUMBA else "numba not installed")
+    header = f"{'case':28s} {'ms':>9s} {'Mcells':>8s} {'Mc/s':>8s}"
     print(header)
     print("-" * len(header))
-    for label, t_jit, t_np, cells, same in rows:
+    for label, t, cells in rows:
         mc = cells / 1e6
-        jit_s = f"{t_jit * 1e3:9.2f}" if t_jit is not None else "        -"
-        spd_s = f"{t_np / t_jit:7.1f}x" if t_jit is not None else "       -"
-        jit_r = f"{mc / t_jit:9.1f}" if t_jit is not None else "        -"
-        print(f"{label:28s} {jit_s} {t_np * 1e3:9.2f} {spd_s} {mc:8.2f}"
-              f" {jit_r} {mc / t_np:8.1f} {'yes' if same else 'NO':>8s}")
+        print(f"{label:28s} {t * 1e3:9.2f} {mc:8.2f} {mc / t:8.1f}")
 
 
 if __name__ == "__main__":

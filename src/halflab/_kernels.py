@@ -1,4 +1,4 @@
-"""Time-stepping kernel, jitted when numba is available.
+"""Time-stepping kernel: one vectorized numpy sweep.
 
 One kernel serves both layouts.  A buffer is 1-D (N,) or 2-D (N, m); each
 column of a 2-D buffer is one independent source, stepped alongside the
@@ -19,54 +19,18 @@ Callers size the buffer so the support never reaches the top p rows.
 
 Every cell accumulates its stencil terms as acc = 0.0, then acc += a_k u_k
 in ascending k, and every ghost as val = 0.0, then val += b_ik u_k in
-ascending k: the jit path, the numpy fallback and the plain-Python
-reference `_evolve_*_loops` do the same IEEE operations per cell, so their
-results are bitwise identical, whatever the window, the number of columns
-or the split of nsteps into several calls.
+ascending k, so each column is bitwise the scalar per-cell loop on that
+column alone, whatever the window, the number of columns or the split of
+nsteps into several calls.
 """
-
-import warnings
 
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA", "evolve_half", "evolve_whole",
-    "evolve_half_numpy", "evolve_whole_numpy",
-]
+__all__ = ["HAVE_NUMBA", "evolve_half", "evolve_whole"]
 
+# no jit path here, so always False: the benchmark's environment record
+# reads it
 HAVE_NUMBA = False
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:
-    warnings.warn("numba could not be imported; evolution kernels fall "
-                  "back to vectorized numpy", RuntimeWarning)
-
-
-def _sweep_loops(cur, a, b, r, p, p_b, nsteps, hi):
-    # Scalar loops on a 2-D buffer; the jit path compiles exactly this
-    # function.  cur holds the entry state with its ghosts filled.
-    N, m = cur.shape
-    nxt = np.zeros((N, m))
-    for s in range(1, nsteps + 1):
-        top = min(hi + r * s, N - p - 1)
-        for idx in range(r, top + 1):
-            for c in range(m):
-                acc = 0.0
-                for k in range(-r, p + 1):
-                    acc += a[k + r] * cur[idx + k, c]
-                nxt[idx, c] = acc
-        for idx in range(N - p, N):
-            for c in range(m):
-                nxt[idx, c] = 0.0
-        for i in range(r):
-            for c in range(m):
-                val = 0.0
-                for k in range(1, p_b + 1):
-                    val += b[i, k - 1] * nxt[r - 1 + k, c]
-                nxt[r - 1 - i, c] = val
-        cur, nxt = nxt, cur
-    return cur
 
 
 def _refill(u, b, r, p_b):
@@ -80,7 +44,7 @@ def _refill(u, b, r, p_b):
 
 def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
     # Vectorized over the rows of the window and the columns of a 1-D or
-    # 2-D buffer; each cell sees the accumulation order of _sweep_loops.
+    # 2-D buffer; each cell accumulates in ascending k.
     N = cur.shape[0]
     nxt = np.zeros_like(cur)
     scratch = np.empty_like(cur)
@@ -96,13 +60,6 @@ def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
         _refill(nxt, b, r, p_b)
         cur, nxt = nxt, cur
     return cur
-
-
-def _columns(sweep):
-    # the loop sweep indexes (row, column): a 1-D buffer is one column
-    def run(cur, *args):
-        return sweep(cur.reshape(cur.shape[0], -1), *args).reshape(cur.shape)
-    return run
 
 
 def _evolve(sweep, u0, a, b, r, p, p_b, nsteps):
@@ -121,37 +78,11 @@ def _zero_rule(r):
     return np.zeros((r, 0))
 
 
-def _evolve_half_loops(u0, a, b, r, p, p_b, nsteps):
-    """Plain-Python reference for evolve_half (slow; tests only)."""
-    return _evolve(_columns(_sweep_loops), u0, a, b, r, p, p_b, nsteps)
-
-
-def _evolve_whole_loops(u0, a, r, p, nsteps):
-    """Plain-Python reference for evolve_whole (slow; tests only)."""
-    return _evolve(_columns(_sweep_loops), u0, a, _zero_rule(r), r, p, 0,
-                   nsteps)
-
-
-def evolve_half_numpy(u0, a, b, r, p, p_b, nsteps):
-    """nsteps of T on a half-line buffer, numpy path."""
+def evolve_half(u0, a, b, r, p, p_b, nsteps):
+    """nsteps of T on a half-line buffer."""
     return _evolve(_sweep_numpy, u0, a, b, r, p, p_b, nsteps)
 
 
-def evolve_whole_numpy(u0, a, r, p, nsteps):
-    """nsteps of L on a whole-line buffer, numpy path."""
+def evolve_whole(u0, a, r, p, nsteps):
+    """nsteps of L on a whole-line buffer."""
     return _evolve(_sweep_numpy, u0, a, _zero_rule(r), r, p, 0, nsteps)
-
-
-if HAVE_NUMBA:
-    _sweep_jit = _columns(njit(cache=True)(_sweep_loops))
-
-    def evolve_half(u0, a, b, r, p, p_b, nsteps):
-        """nsteps of T on a half-line buffer, jit path."""
-        return _evolve(_sweep_jit, u0, a, b, r, p, p_b, nsteps)
-
-    def evolve_whole(u0, a, r, p, nsteps):
-        """nsteps of L on a whole-line buffer, jit path."""
-        return _evolve(_sweep_jit, u0, a, _zero_rule(r), r, p, 0, nsteps)
-else:
-    evolve_half = evolve_half_numpy
-    evolve_whole = evolve_whole_numpy

@@ -11,7 +11,7 @@ SVGs (the runtime entry of report.json is the one exempt field).
 
 Exit status: 0 when the run completed and both hypotheses hold, 2 when a
 hypothesis fails (the JSON report still describes the failure), 1 on usage
-or numeric errors.
+or numeric errors or when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -387,6 +387,8 @@ def _run_growth(scheme, cfg, out_dir, at_one):
         else:
             q_list.append(float(v))
     J_list = [int(v) for v in _grid(cfg, "J_list", [125, 250, 500, 1000])]
+    if min(J_list) < 1:
+        raise ConfigError("J_list", "sizes must be >= 1")
     n_max = int(cfg.get("n_max", 2000))
     if n_max < 2:
         raise ConfigError("n_max", "must be >= 2")
@@ -520,6 +522,11 @@ def main(argv=None) -> int:
             report.update(_RUNNERS[args.command](scheme, cfg, out_dir,
                                                  at_one))
             print(f"{args.command}: wrote artifacts to {out_dir}")
+        report["runtime_seconds"] = time.perf_counter() - t0
+        with open(os.path.join(out_dir, "report.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except ConfigError as exc:
         sys.stderr.write(f"halflab: {exc}\n")
         return 1
@@ -527,11 +534,11 @@ def main(argv=None) -> int:
             RootSolveError, ValueError, RuntimeError) as exc:
         sys.stderr.write(f"halflab: numeric error: {exc}\n")
         return 1
-    report["runtime_seconds"] = time.perf_counter() - t0
-    with open(os.path.join(out_dir, "report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    except OSError as exc:
+        # a config that cannot be read is a ConfigError, so this is the
+        # output directory or an artifact in it
+        sys.stderr.write(f"halflab: cannot write output: {exc}\n")
+        return 1
     return status
 
 

@@ -396,6 +396,8 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
         raise ValueError("recording times must lie in 1..n_max")
     r = scheme.r
     Js = [int(J) for J in J_list]
+    if min(Js) < 1:
+        raise ValueError("J sizes must be >= 1")
     buf = np.zeros((max(Js) + r * n_max + scheme.p + r, len(Js)))
     denoms = np.empty((len(qs), len(Js)))
     for c, J in enumerate(Js):

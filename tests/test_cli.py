@@ -215,14 +215,16 @@ def test_unsettled_gaussian_quadrature_exits_1(tmp_path, capsys,
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy serves only the banded solve, imported at its first call, so
-    # starting the CLI does not pay for it
+    # starting the CLI does not pay for it; the import is silent, even with
+    # every warning turned into an error
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-W", "error", "-c",
          "import sys, halflab.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    assert out.stderr == ""
 
 
 def test_layers_artifacts(tmp_path):
@@ -300,6 +302,38 @@ def test_growth_empty_grid_is_usage_error(tmp_path, capsys):
     code, _ = run(tmp_path, "growth", doc)
     assert code == 1
     assert "config error at J_list" in capsys.readouterr().err
+
+
+def test_growth_sizes_below_one_are_config_errors(tmp_path, capsys):
+    # J = 0 would divide a zero norm by a zero norm and end in a misleading
+    # fit-window error
+    doc = {"scheme": {"builtin": "lfr"}, "J_list": [0, 125], "n_max": 300}
+    code, out = run(tmp_path, "growth", doc)
+    assert code == 1
+    assert "config error at J_list" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "growth_qinf.csv"))
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    # a regular file where the output directory should go
+    cfg = write_cfg(tmp_path, {"scheme": {"builtin": "lfr"}})
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    code = main(["check", "--config", cfg, "--out", str(blocker)])
+    assert code == 1
+    assert "halflab: cannot write output: " in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_unwritable_artifact_exits_1(tmp_path, capsys):
+    # a directory where an artifact file should go
+    out = tmp_path / "out"
+    (out / "check_symbol.csv").mkdir(parents=True)
+    code, _ = run(tmp_path, "check", {"scheme": {"builtin": "lfr"}})
+    assert code == 1
+    assert "halflab: cannot write output: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_oracle_artifacts(tmp_path):

@@ -127,6 +127,12 @@ def test_growth_experiment_shapes(lfr):
     assert all(len(row) == 3 for row in rows)
 
 
+@pytest.mark.parametrize("J_list", [[0, 16], [-3]])
+def test_growth_experiment_rejects_sizes_below_one(lfr, J_list):
+    with pytest.raises(ValueError, match="J sizes must be >= 1"):
+        hl.growth_experiment(lfr, [math.inf], J_list, 30)
+
+
 def test_growth_experiment_record_consistency(lfr):
     full, = hl.growth_experiment(lfr, [math.inf], [16], 30)
     sub, = hl.growth_experiment(lfr, [math.inf], [16], 30, record=[7, 30])
