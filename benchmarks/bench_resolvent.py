@@ -1,19 +1,29 @@
-"""Timing of the two routes to the half-line resolvent values of a contour
-table: the characteristic roots (what `inverse_laplace_table` runs) against
-the banded solve (its fallback and the pointwise reference).
+"""Timing of the resolvent evaluations.
 
-Each case is one default oracle ring: the default lfr or o3 scheme, r0 from
-the default r0 list, and the upper half-ring of the size the n_max = 50
-table settles at, on the default j0 and j grids.  The root route is split
-into its two layers: the batched root solve with the Lopatinskii guard
-(`_guard_ring`) and the residue sums with the coefficient solve
-(`_root_values`).  The banded route solves every node on the table's
-window.  The last column is the largest distance between the two routes
-over the ring, in units of max |G|.
+Ring table: the two routes to the half-line values of a contour table, the
+characteristic roots (what `inverse_laplace_table` runs) against the banded
+solve (its fallback for nodes where a stable and an unstable root nearly
+collide, here run on every node as an independent check).  Each case is one
+default oracle ring: the default lfr or o3 scheme, r0 from the default r0
+list, and the upper half-ring of the size the n_max = 50 table settles at,
+on the default j0 and j grids.  The root route is split into its two
+layers: the batched root solve with the Lopatinskii guard (`_guard_ring`)
+and the residue sums with the coefficient solve (`_root_values`).  The
+last column is the largest distance between the two routes over the ring,
+in units of max |G|.
+
+Pointwise table: best-of-five wall time of one call of each public
+evaluator, including the double unstable root z* of the o3 scheme, where
+the residue sums of the root pair are summed on a circle.  It uses only
+the public functions, so it also runs against an older checkout:
+
+    PYTHONPATH=<checkout>/src python3 -c \
+        "import bench_resolvent as b; b.pointwise()"   (from benchmarks/)
 
 Run:  python3 benchmarks/bench_resolvent.py
 """
 
+import math
 import time
 
 import numpy as np
@@ -25,6 +35,8 @@ J0S = np.array([1, 5, 10, 20, 30])
 JS = np.array([1, 3, 7, 15, 30])
 N_MAX = 50
 R0S = (0.02, 0.05, 0.2)
+# P(kappa; z*) of the default o3 scheme has a double root at 4.5244...
+Z_STAR = 1.814273803656083
 
 
 def _best_of(fn, repeats=3):
@@ -36,7 +48,7 @@ def _best_of(fn, repeats=3):
     return best, out
 
 
-def main():
+def rings():
     rows = []
     for name in ("lfr", "o3"):
         scheme = _load_scheme({"scheme": {"builtin": name}})
@@ -47,9 +59,9 @@ def main():
             zs = resolvent._ring(r0, N)[:N // 2 + 1]
             t_guard, nodes = _best_of(
                 lambda: resolvent._guard_ring(scheme, zs))
-            t_sums, (G, _) = _best_of(lambda: resolvent._root_values(
-                scheme, nodes, zs, J0S, JS))
-            t_band, (G_band, _) = _best_of(lambda: resolvent._half_line(
+            t_sums, (G, *_) = _best_of(lambda: resolvent._root_values(
+                scheme, zs, nodes.roots, J0S, JS))
+            t_band, G_band = _best_of(lambda: resolvent._half_line(
                 scheme, zs, J0S, J_trunc, JS + scheme.r - 1))
             diff = float(np.max(np.abs(G - G_band)) / np.max(np.abs(G)))
             rows.append((f"{name} r0={r0} N={N}", zs.size, t_guard, t_sums,
@@ -68,5 +80,38 @@ def main():
               f" {diff:9.1e}")
 
 
+def pointwise():
+    lfr, o3 = (_load_scheme({"scheme": {"builtin": name}})
+               for name in ("lfr", "o3"))
+    cases = [
+        ("spatial_green_whole lfr z=2 |j|<=40",
+         lambda: resolvent.spatial_green_whole(lfr, 2.0, 40)),
+        ("spatial_green_whole o3 z=2 |j|<=40",
+         lambda: resolvent.spatial_green_whole(o3, 2.0, 40)),
+        ("spatial_green_half o3 z=2 j0=5",
+         lambda: resolvent.spatial_green_half(o3, 2.0, 5)),
+        ("r_function o3 z=1.001 j0=50 j<=12",
+         lambda: resolvent.r_function(o3, 1.001, 50, np.arange(1, 13))),
+        ("whole-line reconstruct o3 n=6 j=-2",
+         lambda: resolvent.inverse_laplace_reconstruct(o3, 6, 1, -2,
+                                                       whole_line=True)),
+        ("z* spatial_green_whole |j|<=40",
+         lambda: resolvent.spatial_green_whole(o3, Z_STAR, 40)),
+        ("z* spatial_green_half j0=5",
+         lambda: resolvent.spatial_green_half(o3, Z_STAR, 5)),
+        ("z* table ring n<=10",
+         lambda: resolvent.inverse_laplace_table(o3, 10, [1, 4], [2, 6],
+                                                 r0=math.log(Z_STAR))),
+    ]
+    header = f"{'call':38s} {'ms':>8s}"
+    print(header)
+    print("-" * len(header))
+    for label, fn in cases:
+        fn()    # a banded fallback loads scipy at its first solve
+        print(f"{label:38s} {_best_of(fn, 5)[0] * 1e3:8.3f}")
+
+
 if __name__ == "__main__":
-    main()
+    rings()
+    print()
+    pointwise()

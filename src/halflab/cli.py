@@ -377,15 +377,13 @@ def _q_tag(q: float) -> str:
 
 
 def _run_growth(scheme, cfg, out_dir, at_one):
-    raw_q = _grid(cfg, "q_list", ["inf", 2.0])
     q_list = []
-    for v in raw_q:
-        if isinstance(v, str):
-            if v.lower() not in ("inf", "infinity", "oo"):
-                raise ConfigError("q_list", f"cannot parse exponent {v!r}")
-            q_list.append(math.inf)
-        else:
-            q_list.append(float(v))
+    for v in _grid(cfg, "q_list", ["inf", 2.0]):
+        if isinstance(v, str) and v.lower() not in ("inf", "infinity", "oo"):
+            raise ConfigError("q_list", f"cannot parse exponent {v!r}")
+        q_list.append(math.inf if isinstance(v, str) else float(v))
+        if not q_list[-1] >= 1:   # NaN too
+            raise ConfigError("q_list", f"exponent {v!r} is not >= 1")
     J_list = [int(v) for v in _grid(cfg, "J_list", [125, 250, 500, 1000])]
     if min(J_list) < 1:
         raise ConfigError("J_list", "sizes must be >= 1")
@@ -394,6 +392,11 @@ def _run_growth(scheme, cfg, out_dir, at_one):
         raise ConfigError("n_max", "must be >= 2")
     n_lo = int(cfg.get("fit_lo", min(200, n_max // 2)))
     n_hi = int(cfg.get("fit_hi", n_max))
+    if not 1 <= n_lo < n_max:
+        raise ConfigError("fit_lo", f"must lie in 1..{n_max - 1}, below n_max")
+    if not n_lo < n_hi <= n_max:
+        raise ConfigError("fit_hi", f"must lie in {n_lo + 1}..{n_max}, past "
+                                    "fit_lo and up to n_max")
     record = sorted(set(np.geomspace(1, n_max, 160).astype(int).tolist())
                     | {n_max})
     slopes, variation = {}, {}

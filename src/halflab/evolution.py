@@ -388,7 +388,7 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
     if not J_list:
         raise ValueError("J list must be nonempty")
     qs = [float(q) for q in q_list]
-    if not qs or min(qs) < 1:
+    if not qs or not all(q >= 1 for q in qs):
         raise ValueError("need at least one norm exponent, each q >= 1")
     ns = np.arange(1, n_max + 1) if record is None else \
         np.asarray(sorted(set(int(n) for n in record)), dtype=int)

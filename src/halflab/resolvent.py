@@ -1,56 +1,33 @@
 """Spatial Green's functions, their difference R, and the inverse Laplace
 reconstruction of the temporal kernels.
 
-The half-line spatial Green's function G(z, j0, .) solves (z - T)w =
-delta_{j0} with the ghost rows of the boundary extrapolation.  Outside the
-symbol curve it is a finite sum over the characteristic roots kappa of
-P(kappa; z) = z kappa^r - sum_k a_k kappa^(k+r) (see `spectral`):
+The half-line G(z, j0, .) solves (z - T)w = delta_{j0} with the ghost rows
+of the boundary extrapolation.  Outside the symbol curve it is a finite sum
+over the roots kappa of P(kappa; z) = z kappa^r - sum_k a_k kappa^(k+r),
+G(z, j0, j) = Gt(j - j0) + sum_s c_s(j0) kappa_s^(j+r-1), the coefficients
+solving the ghost rows B V(kappa_s) c = -B Gt(. - j0) (determinant Delta).
+By residues on the unit circle the whole-line Gt(z, d) = (1/2pi) int
+e^{i d theta} / (z - F(e^{i theta})) dtheta is the sum of kappa^(d-1+r) /
+P'(kappa) over |kappa| < 1 for d >= 1 - r and minus that over |kappa| > 1
+below (every power of modulus at most 1), inside the curve too.
 
-    G(z, j0, j) = Gt(j - j0) + sum_s c_s(j0) kappa_s^(j+r-1),
+`_residue_sums` is the one evaluator of Gt, with a first-order bound on its
+rounding; where the bound refuses a node (exceeds _ROOT_ROUTE_TOL of its
+max value), each group of near-colliding roots on one side of the unit
+circle is summed on a circle around it alone (`_circle_sum`), as at the o3
+double unstable root z* = 1.8142738....  `spatial_green_half`, `r_function`
+and `inverse_laplace_table` share `_green`: guard, residue sums, one batched
+r x r solve.  A node still refused has a stable and an unstable root nearly
+colliding across the unit circle, which no circle separates: it takes a
+banded solve (`_half_line`, scipy loaded at its first) on a window with zero
+far field, doubled at most three times while rho^(J_trunc - max j0), rho =
+max |kappa_s|, exceeds 1e-12.
 
-the whole-line kernel Gt(d) being the residue sum sum_stable kappa^(d-1+r)
-/ P'(kappa) for d >= 1 - r and - sum_unstable kappa^(d-1+r) / P'(kappa)
-below, so every power has modulus at most 1.  The r coefficients c_s
-satisfy the r ghost rows, B V(kappa_s) c = -B Gt(. - j0), whose matrix has
-the Lopatinskii determinant Delta(z) as its determinant.  The whole-line
-one is also the Fourier integral
-
-    Gt(z, j) = (1/2pi) int_0^{2pi} e^{i j theta} / (z - F(e^{i theta})) dtheta,
-
-sampled by FFT (the sign of the exponent is pinned by the resolvent
-identity: the j = +-1 values of an asymmetric stencil break the tie).
-Temporal kernels are recovered through the Cauchy integral
-
-    G(n, j0, j) = (1/2pi i) oint z^n G(z, j0, j) dz
-
-on the circle of radius e^{r0}, a trapezoid sum that is spectrally accurate
-and serves as an independent oracle for the time-stepping path.
-
-One engine computes that sum: it doubles the ring until two rings agree,
-and since the nodes nest (node k of N is node 2k of 2N, bitwise) a refined
-ring asks only for its new odd nodes.  The whole-line kernel takes the FFT
-at each node.
-
-A contour table takes each batch of nodes from the roots: one batched
-Lopatinskii guard (split, stable-root separation and Delta at every node,
-from `spectral`) yields them, the residue sums and one batched r x r solve
-follow, and no window or band is built.  Near a multiple root the residue
-sums lose digits; a first-order bound on their rounding error (the root
-error eps S / |P'|, S = sum |c_k| |kappa|^k, carried through 1/P' and the
-coefficient solve) sends a node whose bound exceeds _ROOT_ROUTE_TOL of its
-max |G| to the banded route below.
-
-The banded route is the pointwise G(z, j0, .) (`spatial_green_half`, also
-behind `r_function`) and the table's fallback: one routine (`_half_line`)
-builds the z-independent band and checks it finite once per window, guards
-each batch of nodes and makes one banded solve per node with z written onto
-the diagonal on a truncated window with zero Dirichlet far field, which is
-legitimate because the true solution decays geometrically.  The guard's
-rho = max |kappa_s| over the batch bounds the tail at the far end of the
-window by about rho^(J_trunc - max j0) of its sup; above 1e-12 the window
-doubles and the computation restarts, at most three times.  The band is
-checked to be finite, so the solves skip scipy's input check.  scipy serves
-only this route and is imported at its first solve.
+Temporal kernels come from the Cauchy integral G(n, j0, j) = (1/2pi i)
+oint z^n G(z, j0, j) dz on the circle e^{r0} S^1: a trapezoid sum, an
+independent oracle for time stepping, on a ring doubled until two rings
+agree; node k of N is node 2k of 2N (bitwise), so a ring asks only for its
+new odd nodes.
 """
 
 from __future__ import annotations
@@ -61,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .scheme import SchemeDefinition, boundary_matrix, symbol_eval
+from .scheme import SchemeDefinition, boundary_matrix
 from .spectral import (_NEAR_CURVE, MultiplicityError, RootSolveError,
                        _char_coeffs, _evaluate, _vandermonde)
 # no caller here: the benchmark's `resolvent.guard` trace target names it
@@ -74,15 +51,17 @@ __all__ = [
     "ReconstructionTable",
 ]
 
-_FFT_CAP = 2 ** 22
 _CONTOUR_CAP = 2 ** 16
 # two contour rings agreeing within this settle a reconstruction
 _CONTOUR_TOL = 1e-9
-# a table node whose residue sums carry a rounding bound above this share of
-# its max |G| takes the banded solve
+# residue sums whose rounding bound exceeds this share of the node's max
+# value are refused: first their root clusters are summed on circles, then
+# a half-line node takes the banded solve
 _ROOT_ROUTE_TOL = 1e-12
-# complex entries per block of the root route's power tables (8 MB)
+# complex entries per block of the residue sums' power tables (8 MB)
 _POWER_BLOCK = 2 ** 19
+# nodes on a cluster circle at most
+_CLUSTER_CAP = 2 ** 10
 
 
 class NearSpectrumError(RuntimeError):
@@ -95,9 +74,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResolventField:
-    """A spatial Green's function on a truncated window; j0 is None for the
-    whole-line kernel.  truncation_residual bounds the defect of the
-    untruncated resolvent equations over the inner 80% of the window."""
+    """A spatial Green's function on a finite window; j0 is None for the
+    whole-line kernel.  truncation_residual is the defect of the resolvent
+    equations over the inner 80% of the window."""
 
     z: complex
     j0: int | None
@@ -117,8 +96,8 @@ class ResolventField:
 
 
 def solve_banded(l_and_u, ab, b, **kwargs):
-    """scipy.linalg.solve_banded, imported at the first call: only the
-    banded route solves, so a run that never takes it never loads scipy."""
+    """scipy.linalg.solve_banded, imported at the first call, so a run that
+    never takes the banded fallback never loads scipy."""
     from scipy.linalg import solve_banded as solve
     return solve(l_and_u, ab, b, **kwargs)
 
@@ -196,20 +175,13 @@ def _residual(scheme: SchemeDefinition, z: complex, w: np.ndarray,
 
 def _half_line(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
                J_trunc: int, rows):
-    """G(z, j0, .) at each node z of zs for each j0 of the ascending j0s by
-    banded solves, read at the buffer rows `rows` (row j + r - 1 holds cell
-    j): shape (zs.size, j0s.size, rows), and the window J_trunc * 2^k,
-    k <= 3, they were solved on.
-
-    Each window builds its band and guards zs; a guard whose tail
-    rho^(J_trunc - max j0) lies above 1e-12 discards the window."""
+    """G(z, j0, .) at each node of zs for each j0 of the ascending j0s by
+    banded solves on the window J_trunc * 2^k, k <= 3 (see the module
+    docstring), read at the buffer rows `rows` (row j + r - 1 holds cell j):
+    shape (zs.size, j0s.size, rows)."""
     r = scheme.r
     for _ in range(4):
         template, lo, up = _band_template(scheme, J_trunc)
-        # the solves skip scipy's finite check, and a non-finite coefficient
-        # would come back as a NaN solution instead of an error
-        if not np.all(np.isfinite(template)):
-            raise ValueError("resolvent system has a non-finite coefficient")
         rho = float(np.max(np.abs(_guard_ring(scheme, zs).kappas)))
         tail = rho ** (J_trunc - j0s[-1])
         if tail <= 1e-12:
@@ -231,88 +203,245 @@ def _half_line(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
             raise NearSpectrumError(
                 f"singular resolvent system at z = {complex(z)!r}") from exc
         G.append(w[rows].T)
-    return np.array(G), J_trunc
+    return np.array(G)
+
+
+def _clusters(roots: np.ndarray, side: slice):
+    """Groups of near-colliding roots among roots[side] as (indices, centre
+    c, clearance t): a root's fewest (two or more) nearest roots, all in
+    side, within t / 9 of their mean c while every other root and the unit
+    circle lie at least t from c."""
+    members, groups, taken = np.arange(roots.size)[side], [], set()
+    for i in members:
+        order = np.argsort(np.abs(roots - roots[i]))
+        for m in range(2, roots.size):
+            g, c = order[:m], roots[order[:m]].mean()
+            if taken.intersection(g) or not np.isin(g, members).all():
+                break
+            t = min(np.abs(roots[order[m:]] - c).min(), abs(abs(c) - 1))
+            if 9.0 * np.abs(roots[g] - c).max() <= t:
+                groups.append((g, c, t))
+                taken.update(g.tolist())
+                break
+    return groups
+
+
+def _circle_sum(c: np.ndarray, roots: np.ndarray, centre: complex, t: float,
+                e: np.ndarray):
+    """(1/2pi i) oint kappa^e / P(kappa) dkappa on |kappa - centre| = R =
+    t / 3 for each exponent of e (one sign; c holds P's ascending
+    coefficients) by the N-node trapezoid rule, and a bound on its error.
+
+    g(w) = R w kappa^e / P(kappa), kappa = centre + R w, is analytic for
+    1/3 < |w| < 3; on |w| = q, |g| <= M(q) = q R (|centre| +- q R)^e /
+    (|a_p| prod_i ||centre - kappa_i| - q R|), the sign that of e, so every
+    power has modulus at most 1.  With s = sqrt 3 the sum misses by at most
+    (M(s) + M(1/s)) s^-N / (1 - s^-N) (Trefethen and Weideman, SIAM Review
+    56, 2014).  N doubles from 8 until that is below eps max M(1), at most
+    to _CLUSTER_CAP; the first-order rounding eps S / |P| adds to it."""
+    eps, R, s = np.finfo(float).eps, t / 3.0, math.sqrt(3.0)
+    gaps, sign = np.abs(centre - roots), 1.0 if e[0] >= 0 else -1.0
+
+    def M(q):
+        return (q * R * (abs(centre) + sign * q * R) ** e
+                / (abs(c[-1]) * np.prod(np.abs(gaps - q * R))))
+
+    N = 8
+    while True:
+        alias = (M(s) + M(1.0 / s)) * s ** -N / (1.0 - s ** -N)
+        if np.all(alias <= eps * M(1.0).max()) or N >= _CLUSTER_CAP:
+            break
+        N *= 2
+    kap = centre + R * np.exp(2j * np.pi * np.arange(N) / N)
+    P = npoly.polyval(kap, c)
+    terms = ((kap - centre) / P)[:, None] * kap[:, None] ** e
+    scale = eps * npoly.polyval(np.abs(kap), np.abs(c)) / np.abs(P)
+    return (terms.sum(axis=0) / N,
+            alias + (np.abs(terms) * scale[:, None]).sum(axis=0) / N)
+
+
+def _residue_sums(scheme: SchemeDefinition, zs: np.ndarray,
+                  roots: np.ndarray, offs: np.ndarray, clusters=False):
+    """Gt(z, d) at the nodes zs and offsets offs from the roots sorted by
+    modulus, shape (zs.size, offs.size), and a first-order bound on each
+    value's rounding: a root error dk = eps S / |P'|, S = sum |c_k|
+    |kappa|^k, moves kappa^e / P' by |dk| (|P''| / |P'| + |e| / |kappa|) of
+    itself.  With clusters each group of `_clusters` is one `_circle_sum`."""
+    coeffs = _char_coeffs(scheme, zs)
+    cs = coeffs.T[:, :, None]
+    dP = npoly.polyval(roots, npoly.polyder(cs), tensor=False)
+    size = npoly.polyval(np.abs(roots), np.abs(cs), tensor=False)
+    dk = np.finfo(float).eps * size / np.abs(dP)
+    rel = dk * np.abs(npoly.polyval(roots, npoly.polyder(cs, 2), tensor=False)
+                      / dP)
+    per_e, e = dk / np.abs(roots), offs + scheme.r - 1
+    Gt = np.empty((zs.size, offs.size), dtype=complex)
+    err = np.empty((zs.size, offs.size))
+    # r stable roots at every node outside the curve; inside, the nodes go
+    # in groups of one stable count (a set, not np.unique, which would
+    # import numpy.ma)
+    n_s = (np.abs(roots) < 1.0).sum(axis=1)
+    pos, neg = np.flatnonzero(e >= 0), np.flatnonzero(e < 0)
+    for ns in sorted(set(n_s.tolist())):
+        nodes = np.flatnonzero(n_s == ns)
+        for side, cols, sign in ((slice(None, ns), pos, 1.0),
+                                 (slice(ns, None), neg, -1.0)):
+            step = max(1, _POWER_BLOCK // max(1, cols.size * roots.shape[1]))
+            for m in np.split(nodes, np.arange(step, nodes.size, step)):
+                terms = roots[m, side, None] ** e[cols] / dP[m, side, None]
+                errs = np.abs(terms) * (rel[m, side, None] + np.abs(
+                    e[cols]) * per_e[m, side, None])
+                for i in range(m.size) if clusters and cols.size else ():
+                    for g, *circle in _clusters(roots[m[i]], side):
+                        g = g - (side.start or 0)
+                        terms[i, g], errs[i, g] = 0.0, 0.0
+                        terms[i, g[0]], errs[i, g[0]] = _circle_sum(
+                            coeffs[m[i]], roots[m[i]], *circle, e[cols])
+                Gt[m[:, None], cols] = sign * terms.sum(axis=1)
+                err[m[:, None], cols] = errs.sum(axis=1)
+    return Gt, err
+
+
+def _root_values(scheme: SchemeDefinition, zs: np.ndarray,
+                 roots: np.ndarray, j0s: np.ndarray, js: np.ndarray,
+                 clusters=False):
+    """G(z, j0, j) and Gt(z, j - j0) on the (j0s, js) grid at the nodes zs
+    from their roots (r stable first), and each node's rounding bound of
+    those Gt and of its G, to which the bound of Gt at the ghost-rule cells
+    adds through |A^-1| |B|, A = B V(kappa_s)."""
+    r, d = scheme.r, scheme.p + scheme.r
+    # Gt is needed at the offsets j - j0 of the table and m - j0 of the
+    # cells m = p, ..., 1 - r the ghost rows read, in B's column order
+    ghost = (scheme.p - np.arange(d))[:, None] - j0s[None, :]
+    offs, inv = np.unique(np.concatenate(
+        [ghost.ravel(), (js[None, :] - j0s[:, None]).ravel()]),
+        return_inverse=True)
+    Gt, err = _residue_sums(scheme, zs, roots, offs, clusters)
+    n_ghost, shape = ghost.size, (zs.size, j0s.size, js.size)
+    g, g_err = (x[:, inv[:n_ghost]].reshape(zs.size, d, j0s.size)
+                for x in (Gt, err))
+    gt, gt_err = (x[:, inv[n_ghost:]].reshape(shape) for x in (Gt, err))
+    B = boundary_matrix(scheme)
+    A = B @ _vandermonde(roots[:, :r], d)
+    eye = np.broadcast_to(np.eye(r), (zs.size, r, r))
+    sol = np.linalg.solve(A, np.concatenate([-(B @ g), eye], axis=2))
+    coef, A_inv = sol[:, :, :j0s.size], sol[:, :, j0s.size:]
+    K = roots[:, :r, None] ** (js + r - 1)
+    coef_err = np.abs(A_inv) @ (np.abs(B) @ g_err)
+    bound = gt_err + coef_err.transpose(0, 2, 1) @ np.abs(K)
+    return (gt + coef.transpose(0, 2, 1) @ K, gt, gt_err.max(axis=(1, 2)),
+            bound.max(axis=(1, 2)))
+
+
+def _refused(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Nodes (first axis) whose bound is not within _ROOT_ROUTE_TOL of their
+    max |value| (so a NaN bound is refused)."""
+    top = np.abs(values).reshape(values.shape[0], -1).max(axis=1)
+    return ~(bound <= _ROOT_ROUTE_TOL * top)
+
+
+def _certify(zs: np.ndarray, Gt: np.ndarray, bound: np.ndarray):
+    """Raises QuadratureError at the first node `_refused` refuses."""
+    for z in zs[_refused(Gt, bound)][:1]:
+        raise QuadratureError(f"residue sums at z = {complex(z)!r} carry a "
+                              f"rounding bound over {_ROOT_ROUTE_TOL:.0e} "
+                              "of max |Gt|")
+
+
+def _grid(scheme: SchemeDefinition, j0_list, j_list):
+    """The sorted distinct sources and cells of a (j0, j) grid, refusing an
+    empty grid, one off the domain, and a non-finite coefficient, which the
+    residue sums would turn into NaN values instead of an error."""
+    j0s, js = (np.asarray(sorted(set(int(v) for v in vs)), dtype=int)
+               for vs in (j0_list, j_list))
+    if j0s.size == 0 or js.size == 0 or j0s[0] < 1 or js[0] < 1 - scheme.r:
+        raise ValueError("index grids must be nonempty and on the domain")
+    if not (np.all(np.isfinite(scheme.a)) and np.all(np.isfinite(scheme.b))):
+        raise ValueError("resolvent system has a non-finite coefficient")
+    return j0s, js
+
+
+def _green(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
+           js: np.ndarray):
+    """G and Gt of `_root_values` at the nodes zs, each node's bound of its
+    Gt, and the number of banded solves: a node the bound refuses has its
+    clusters summed on circles, and one still refused is solved banded."""
+    nodes = _guard_ring(scheme, zs)
+    G, Gt, gt_err, bound = _root_values(scheme, zs, nodes.roots, j0s, js)
+    far = _refused(G, bound)
+    if far.any():
+        for full, part in zip((G, Gt, gt_err, bound), _root_values(
+                scheme, zs[far], nodes.roots[far], j0s, js, clusters=True)):
+            full[far] = part
+        far = _refused(G, bound)
+        if far.any():
+            G[far] = _half_line(scheme, zs[far], j0s, int(max(
+                j0s[-1] + 200, js[-1] + 50)), js + scheme.r - 1)
+    return G, Gt, gt_err, int(far.sum())
+
+
+def _whole(scheme: SchemeDefinition, zs: np.ndarray, offs: np.ndarray):
+    """Gt(z, d) at the nodes zs for the offsets offs, with the clusters of a
+    node the bound refuses summed on circles.  Refuses the first node not
+    certified _NEAR_CURVE clear of the symbol curve, whose root solve
+    failed, or whose sums stay over the bound; it may lie inside the
+    curve."""
+    nodes = _evaluate(scheme, zs)
+    errors = {i: exc for i, exc in nodes.split_errors.items()
+              if isinstance(exc, RootSolveError)}
+    bad = list(errors) + np.flatnonzero(~(nodes.dist >= _NEAR_CURVE)).tolist()
+    if bad:
+        i = min(bad)
+        raise errors.get(i) or _near_curve(complex(zs[i]), nodes.dist[i])
+    roots = nodes.roots
+    Gt, err = _residue_sums(scheme, zs, roots, offs)
+    far = _refused(Gt, err.max(axis=1))
+    if far.any():
+        Gt[far], err[far] = _residue_sums(scheme, zs[far], roots[far], offs,
+                                          clusters=True)
+        _certify(zs, Gt, err.max(axis=1))
+    return Gt
 
 
 def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
                        J_trunc: int | None = None) -> ResolventField:
-    """G(z, j0, .) on the window 1-r..J_trunc by one banded solve.
-
-    The window is doubled (up to three times) while the decay through the
-    stable roots leaves a tail above 1e-12 at its far end.
-    """
-    if j0 < 1:
-        raise ValueError("source index must satisfy j0 >= 1")
-    if J_trunc is None:
-        J_trunc = j0 + 200
+    """G(z, j0, .) on the cells 1-r..J_trunc (j0 + 200 by default) from
+    `_green`."""
+    J_trunc = j0 + 200 if J_trunc is None else J_trunc
     if J_trunc < j0 + 200:
         raise ValueError("truncation window must extend at least 200 cells "
                          "past the source")
     z = complex(z)
-    G, J_trunc = _half_line(scheme, np.array([z]), np.array([j0]), J_trunc,
-                            slice(None))
-    w = G[0, 0]
-    # the inner 80% of the window
+    j0s, js = _grid(scheme, [j0], range(1 - scheme.r, J_trunc + 1))
+    w = _green(scheme, np.array([z]), j0s, js)[0][0, 0]
     res = _residual(scheme, z, w, 1 - scheme.r, j0, 1, int(0.8 * J_trunc))
     if not np.isfinite(res) or res > 1e-8:
         raise NearSpectrumError(
             f"resolvent solve at z = {z!r} left residual {res:.2e}")
-    return ResolventField(z=z, j0=j0, j_min=1 - scheme.r, values=w,
-                          truncation_residual=res)
+    return ResolventField(z, j0, 1 - scheme.r, w, res)
 
 
 def spatial_green_whole(scheme: SchemeDefinition, z: complex,
                         window: int) -> ResolventField:
-    """Gt(z, .) on |j| <= window by FFT of the sampled symbol reciprocal,
-    doubling the node count until the window values settle below 1e-10.
-    z must be certified _NEAR_CURVE away from the symbol curve by the
-    distance bound of its roots; it may lie inside the curve."""
+    """Gt(z, .) on |j| <= window from `_whole`; z must be certified
+    _NEAR_CURVE away from the symbol curve and may lie inside it."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    z = complex(z)
-    nodes = _evaluate(scheme, [z])
-    if isinstance(nodes.split_errors.get(0), RootSolveError):
-        raise nodes.split_errors[0]
-    if nodes.dist[0] < _NEAR_CURVE:
-        raise _near_curve(z, nodes.dist[0])
-    r, p = scheme.r, scheme.p
-    N = 1024
-    while N < 8 * (window + p + r):
-        N *= 2
-    prev = None
-    while N <= _FFT_CAP:
-        theta = 2.0 * np.pi * np.arange(N) / N
-        kappa = np.exp(1j * theta)
-        frac = 1.0 / (z - symbol_eval(scheme, kappa))
-        full = np.fft.ifft(frac)
-        idx = np.arange(-window, window + 1) % N
-        vals = full[idx]
-        if prev is not None and float(np.max(np.abs(vals - prev))) < 1e-10:
-            break
-        prev = vals
-        N *= 2
-    else:
-        raise QuadratureError(
-            f"whole-line quadrature did not settle at z = {z!r} within "
-            f"{_FFT_CAP} nodes")
-    top = int(0.8 * window)
-    res = _residual(scheme, z, vals, -window, 0, -top, top)
-    return ResolventField(z=z, j0=None, j_min=-window, values=vals,
-                          truncation_residual=res)
+    z, top = complex(z), int(0.8 * window)
+    vals = _whole(scheme, np.array([z]), np.arange(-window, window + 1))[0]
+    return ResolventField(z, None, -window, vals, _residual(
+        scheme, z, vals, -window, 0, -top, top))
 
 
 def r_function(scheme: SchemeDefinition, z: complex, j0: int, j):
-    """R(z, j0, j) = G(z, j0, j) - Gt(z, j - j0); vectorized over j."""
-    js = np.atleast_1d(np.asarray(j, dtype=int)).ravel()
-    scalar = np.isscalar(j) or np.asarray(j).ndim == 0
-    top = int(np.max(js))
-    half = spatial_green_half(scheme, z, j0,
-                              J_trunc=max(j0 + 200, top + 50))
-    width = int(np.max(np.abs(js - j0))) + 8
-    whole = spatial_green_whole(scheme, z, window=width)
-    out = np.array([half.value(int(jj)) - whole.value(int(jj) - j0)
-                    for jj in js])
-    return (out[0] if scalar else out.reshape(np.shape(j)))
+    """R(z, j0, j) = G(z, j0, j) - Gt(z, j - j0) from one `_green`
+    evaluation; vectorized over the cells j >= 1 - r."""
+    zs = np.array([complex(z)])
+    j0s, js = _grid(scheme, [j0], np.ravel(j))
+    G, Gt, gt_bound, _ = _green(scheme, zs, j0s, js)
+    _certify(zs, Gt, gt_bound)
+    out = (G - Gt)[0, 0, np.searchsorted(js, np.ravel(j))]
+    return out[0] if np.ndim(j) == 0 else out.reshape(np.shape(j))
 
 
 def _ring(r0: float, N: int) -> np.ndarray:
@@ -387,25 +516,20 @@ def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
     if not whole_line:
         table = inverse_laplace_table(scheme, n, [j0], [j], r0)
         return complex(table.values[0, n, 0], table.imag[0, n, 0])
-    j = int(j)
-
-    def values(zs: np.ndarray) -> np.ndarray:
-        return np.array([spatial_green_whole(scheme, z, window=abs(j) + 8)
-                         .value(j) for z in zs]).reshape(-1, 1, 1)
-
-    real, imag, _ = _contour_sum(scheme, n, r0, _CONTOUR_TOL, values)
+    offs = np.array([int(j)])
+    real, imag, _ = _contour_sum(
+        scheme, n, r0, _CONTOUR_TOL,
+        lambda zs: _whole(scheme, zs, offs).reshape(-1, 1, 1))
     return complex(real[0, n, 0], imag[0, n, 0])
 
 
 @dataclass(frozen=True)
 class ReconstructionTable:
     """Batch contour reconstruction: values[i0, n, i] approximates the
-    temporal Green's function at (n, j0_values[i0], j_values[i]), and imag
-    holds the imaginary parts of the same trapezoid sums, which only the
-    self-conjugate nodes contribute.  nodes is the ring size that settled;
-    solves counts the node evaluations: nested-ring reuse and conjugate
-    symmetry keep the root-route ones at nodes // 2 + 1, and each node the
-    root route refuses adds its banded solve."""
+    temporal Green's function at (n, j0_values[i0], j_values[i]); imag holds
+    the imaginary parts, from the self-conjugate nodes only.  nodes is the
+    ring size that settled; solves counts the node evaluations, nodes // 2 +
+    1 (nested rings, conjugate symmetry) plus one per banded solve."""
 
     r0: float
     n_values: np.ndarray
@@ -421,87 +545,18 @@ class ReconstructionTable:
         return float(np.max(np.abs(self.imag)))
 
 
-def _root_values(scheme: SchemeDefinition, nodes, zs: np.ndarray,
-                 j0s: np.ndarray, js: np.ndarray):
-    """G(z, j0, j) at every node of zs for the (j0s, js) grid from the roots
-    of the guard's evaluation `nodes`, shape (zs.size, j0s.size, js.size),
-    and for each node a first-order bound on its rounding error.
-
-    A root error dk = eps S / |P'|, S = sum |c_k| |kappa|^k, moves the
-    residue kappa^e / P' by |dk| (|P''| / |P'| + |e| / |kappa|) of itself;
-    those errors of the Gt values at the ghost-rule cells reach the
-    coefficients through |A^-1| |B|, A = B V(kappa_s)."""
-    r, d = scheme.r, scheme.p + scheme.r
-    cs = _char_coeffs(scheme, zs).T[:, :, None]
-    kap = nodes.roots
-    dP = npoly.polyval(kap, npoly.polyder(cs), tensor=False)
-    dk = (np.finfo(float).eps
-          * npoly.polyval(np.abs(kap), np.abs(cs), tensor=False) / np.abs(dP))
-    rel = dk * np.abs(npoly.polyval(kap, npoly.polyder(cs, 2), tensor=False)
-                      / dP)
-    per_e = dk / np.abs(kap)
-    # Gt is needed at the offsets j - j0 of the table and m - j0 of the
-    # cells m = p, ..., 1 - r the ghost rows read, in B's column order
-    ghost = (scheme.p - np.arange(d))[:, None] - j0s[None, :]
-    offs, inv = np.unique(np.concatenate(
-        [ghost.ravel(), (js[None, :] - j0s[:, None]).ravel()]),
-        return_inverse=True)
-    e = offs + r - 1
-    Gt = np.empty((zs.size, offs.size), dtype=complex)
-    err = np.empty((zs.size, offs.size))
-    for roots, cols, sign in ((slice(None, r), np.flatnonzero(e >= 0), 1.0),
-                              (slice(r, None), np.flatnonzero(e < 0), -1.0)):
-        step = max(1, _POWER_BLOCK // max(1, cols.size * d))
-        for lo in range(0, zs.size, step):
-            m = slice(lo, lo + step)
-            k = kap[m, roots, None]
-            terms = k ** e[cols] / dP[m, roots, None]
-            Gt[m, cols] = sign * terms.sum(axis=1)
-            err[m, cols] = (np.abs(terms) * (rel[m, roots, None] + np.abs(
-                e[cols]) * per_e[m, roots, None])).sum(axis=1)
-    n_ghost = ghost.size
-    g, g_err = (x[:, inv[:n_ghost]].reshape(zs.size, d, j0s.size)
-                for x in (Gt, err))
-    B = boundary_matrix(scheme)
-    A = B @ _vandermonde(kap[:, :r], d)
-    eye = np.broadcast_to(np.eye(r), (zs.size, r, r))
-    sol = np.linalg.solve(A, np.concatenate([-(B @ g), eye], axis=2))
-    coef, A_inv = sol[:, :, :j0s.size], sol[:, :, j0s.size:]
-    K = kap[:, :r, None] ** (js + r - 1)
-    shape = (zs.size, j0s.size, js.size)
-    G = Gt[:, inv[n_ghost:]].reshape(shape) + coef.transpose(0, 2, 1) @ K
-    coef_err = np.abs(A_inv) @ (np.abs(B) @ g_err)
-    bound = (err[:, inv[n_ghost:]].reshape(shape)
-             + coef_err.transpose(0, 2, 1) @ np.abs(K))
-    return G, bound.max(axis=(1, 2))
-
-
 def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
                           j_list, r0: float = 0.05) -> ReconstructionTable:
-    """All reconstructions n <= n_max on a (j0, j) grid from the roots at
-    each contour node (conjugate symmetry halves the ring, and each doubled
-    ring reuses the values of the one before); a node whose rounding bound
-    exceeds _ROOT_ROUTE_TOL of its max |G| takes the banded solve."""
-    j0s = np.asarray(sorted(set(int(v) for v in j0_list)), dtype=int)
-    js = np.asarray(sorted(set(int(v) for v in j_list)), dtype=int)
-    if j0s.size == 0 or js.size == 0 or j0s[0] < 1 or js[0] < 1 - scheme.r:
-        raise ValueError("index grids must be nonempty and on the domain")
-    # the root route reads the coefficients unchecked, and a non-finite
-    # ghost weight would come back as NaN values instead of an error
-    if not (np.all(np.isfinite(scheme.a)) and np.all(np.isfinite(scheme.b))):
-        raise ValueError("resolvent system has a non-finite coefficient")
-    J_trunc = int(max(j0s[-1] + 200, js[-1] + 50))
+    """All reconstructions n <= n_max on a (j0, j) grid, each contour node
+    from `_green` (conjugate symmetry halves the ring, and each doubled
+    ring reuses the values of the one before)."""
+    j0s, js = _grid(scheme, j0_list, j_list)
     banded = 0
 
     def values(zs: np.ndarray) -> np.ndarray:
         nonlocal banded
-        G, bound = _root_values(scheme, _guard_ring(scheme, zs), zs, j0s, js)
-        # "not <=": a NaN bound takes the banded solve too
-        far = ~(bound <= _ROOT_ROUTE_TOL * np.abs(G).max(axis=(1, 2)))
-        if far.any():
-            G[far], _ = _half_line(scheme, zs[far], j0s, J_trunc,
-                                   js + scheme.r - 1)
-            banded += int(far.sum())
+        G, _, _, solves = _green(scheme, zs, j0s, js)
+        banded += solves
         return G
 
     real, imag, N = _contour_sum(scheme, n_max, r0, _CONTOUR_TOL, values)

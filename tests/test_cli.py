@@ -315,6 +315,24 @@ def test_growth_sizes_below_one_are_config_errors(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+@pytest.mark.parametrize("key, extra", [
+    # a norm exponent below 1, and one that no comparison admits
+    ("q_list", {"q_list": [0.5]}),
+    ("q_list", {"q_list": [float("nan")]}),
+    # a fit window past the last recorded time
+    ("fit_lo", {"fit_lo": 60}),
+    ("fit_hi", {"fit_lo": 10, "fit_hi": 80}),
+])
+def test_growth_bad_exponent_or_fit_window_is_config_error(tmp_path, capsys,
+                                                           key, extra):
+    doc = {"scheme": {"builtin": "lfr"}, "n_max": 50, "J_list": [5], **extra}
+    code, out = run(tmp_path, "growth", doc)
+    assert code == 1
+    assert f"config error at {key}" in capsys.readouterr().err
+    assert not os.path.isdir(out) or not [
+        f for f in os.listdir(out) if f.startswith("growth_")]
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     # a regular file where the output directory should go
     cfg = write_cfg(tmp_path, {"scheme": {"builtin": "lfr"}})

@@ -133,6 +133,12 @@ def test_growth_experiment_rejects_sizes_below_one(lfr, J_list):
         hl.growth_experiment(lfr, [math.inf], J_list, 30)
 
 
+@pytest.mark.parametrize("q", [0.5, math.nan])
+def test_growth_experiment_rejects_exponents_below_one(lfr, q):
+    with pytest.raises(ValueError, match="each q >= 1"):
+        hl.growth_experiment(lfr, [math.inf, q], [8], 30)
+
+
 def test_growth_experiment_record_consistency(lfr):
     full, = hl.growth_experiment(lfr, [math.inf], [16], 30)
     sub, = hl.growth_experiment(lfr, [math.inf], [16], 30, record=[7, 30])

@@ -78,6 +78,31 @@ def test_whole_decay_both_directions(lfr):
     assert abs(ratio_left - 1.0 / KU2) < 1e-10
 
 
+def _whole_line_fft(scheme, z, window, N=2 ** 16):
+    """Gt(z, j) for |j| <= window from one N-node FFT of the sampled
+    1/(z - F(e^{i theta})): the trapezoid rule for the Fourier integral
+    (1/2pi) int e^{i j theta} / (z - F(e^{i theta})) dtheta, whose aliasing
+    decays like the characteristic roots' distance from the unit circle."""
+    theta = 2.0 * np.pi * np.arange(N) / N
+    full = np.fft.ifft(1.0 / (z - symbol_eval(scheme, np.exp(1j * theta))))
+    return full[np.arange(-window, window + 1) % N]
+
+
+@pytest.mark.parametrize("name, z", [
+    ("lfr", 2.0), ("o3", 2.0), ("lfr", 1.1 * np.exp(0.7j)),
+    ("o3", 1.1 * np.exp(0.7j)),
+    # inside the symbol curve, where the stable count is not r
+    ("o3", 0.3 + 0.1j), ("lfr", 0.25 + 0.05j),
+    # the double unstable root of o3, summed on a circle
+    ("o3", 1.814273803656083),
+])
+def test_whole_line_matches_fft_oracle(lfr, o3, name, z):
+    scheme = {"lfr": lfr, "o3": o3}[name]
+    want = _whole_line_fft(scheme, z, 40)
+    got = spatial_green_whole(scheme, z, window=40).values
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 def test_half_rank_one_boundary_correction(lfr):
     # For r = 1 the half-line kernel is the whole-line one plus a rank-one
     # stable-root correction fixed by the ghost rule:
@@ -103,9 +128,8 @@ def test_near_spectrum_on_curve(lfr, o3):
 
 def test_near_spectrum_between_curve_samples(lfr):
     # z = F(e^{it}) halfway between two of 8192 equispaced curve samples,
-    # 2.4e-4 from the nearest, so a guard on sampled distances passes it and
-    # the whole-line FFT cannot settle there; its root on |kappa| = 1 must
-    # make both guards refuse it
+    # 2.4e-4 from the nearest, so a guard on sampled distances passes it;
+    # its root on |kappa| = 1 must make both guards refuse it
     t = 2.0 * np.pi * 1000.5 / 8192
     z = complex(symbol_eval(lfr, np.exp(1j * t)))
     with pytest.raises(NearSpectrumError, match="of the symbol curve"):
@@ -331,16 +355,17 @@ def test_table_window_gives_up(monkeypatch):
 Z_STAR = 1.814273803656083
 
 
-def test_double_unstable_root_node_takes_the_banded_solve(o3, monkeypatch):
+def test_double_unstable_root_node_sums_its_cluster_on_a_circle(
+        o3, monkeypatch):
     # with r0 = ln z*, node 0 of every ring sits on z*: the residue sums
-    # divide by P'(kappa*) ~ 0, the rounding bound sends that node, and only
-    # that one, to the banded solve, and the table keeps time stepping's
-    # values
+    # divide by P'(kappa*) ~ 0 and the rounding bound refuses them, but the
+    # pair summed on a circle passes it, so no node takes the banded solve
+    # and the table keeps time stepping's values
     banded = _record_banded_nodes(monkeypatch)
     j0s, js = [1, 4], [2, 6]
     table = inverse_laplace_table(o3, 10, j0s, js, r0=math.log(Z_STAR))
-    assert banded == [resolvent._ring(math.log(Z_STAR), 64)[0]]
-    assert table.solves == table.nodes // 2 + 2
+    assert banded == []
+    assert table.solves == table.nodes // 2 + 1
     for i0, j0 in enumerate(j0s):
         for n in range(11):
             g = temporal_green(o3, n, j0)
@@ -348,18 +373,32 @@ def test_double_unstable_root_node_takes_the_banded_solve(o3, monkeypatch):
                 assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
 
 
+def test_cluster_circle_cap_refuses(o3, monkeypatch):
+    # a circle capped at 8 nodes leaves an aliasing bound far above the
+    # tolerance at z*: the table falls back to the banded solve there, and
+    # the whole-line kernel, which has no fallback, refuses z*
+    monkeypatch.setattr(resolvent, "_CLUSTER_CAP", 8)
+    banded = _record_banded_nodes(monkeypatch)
+    table = inverse_laplace_table(o3, 10, [1, 4], [2, 6], r0=math.log(Z_STAR))
+    assert banded == [resolvent._ring(math.log(Z_STAR), 64)[0]]
+    assert table.solves == table.nodes // 2 + 2
+    with pytest.raises(QuadratureError, match="rounding bound"):
+        spatial_green_whole(o3, Z_STAR, window=10)
+
+
 def _root_route_errors(scheme, r0, j0s, js, step):
     """At every step-th node of the upper half of the 64-node ring: the
-    root route's distance to the pointwise banded solve over the grid, in
+    plain residue route's distance to the banded solve over the grid, in
     units of the node's max |G|, and whether the table keeps the node (its
     rounding bound is at most _ROOT_ROUTE_TOL of that max)."""
     zs = resolvent._ring(r0, 64)[:33:step]
     j0s, js = np.array(j0s), np.array(js)
-    G, bound = resolvent._root_values(
-        scheme, resolvent._guard_ring(scheme, zs), zs, j0s, js)
+    G, _, _, bound = resolvent._root_values(
+        scheme, zs, resolvent._guard_ring(scheme, zs).roots, j0s, js)
     scale = np.abs(G).max(axis=(1, 2))
-    want = np.array([[[spatial_green_half(scheme, z, int(j0)).value(int(j))
-                       for j in js] for j0 in j0s] for z in zs])
+    want = resolvent._half_line(scheme, zs, j0s,
+                                int(max(j0s[-1] + 200, js[-1] + 50)),
+                                js + scheme.r - 1)
     err = np.abs(G - want).max(axis=(1, 2)) / scale
     return err, bound <= resolvent._ROOT_ROUTE_TOL * scale
 
@@ -406,42 +445,65 @@ def test_root_route_matches_banded_solve_lfr_family(alpha, slack, b, r0):
 ])
 def test_pointwise_guards_once_per_window(lfr, monkeypatch, name, z,
                                           windows):
+    # the banded fallback on its own: one band and one guard per window
     scheme = {"lfr": lfr, "slow": builtin_lfr(-0.05, 0.0026, 0.0),
               "slower": builtin_lfr(-0.002, 0.5, 0.0)}[name]
     j0 = 5 if name == "lfr" else 1
     tried, batches = _record_windows_and_batches(monkeypatch)
+    zs = np.array([complex(z)])
     if len(windows) == 4:
         with pytest.raises(QuadratureError, match="window still carries"):
-            spatial_green_half(scheme, z, j0)
+            resolvent._half_line(scheme, zs, np.array([j0]), j0 + 200,
+                                 slice(None))
     else:
-        fld = spatial_green_half(scheme, z, j0)
-        assert fld.values.size == windows[-1] + scheme.r
-        assert fld.truncation_residual < 1e-12
+        w = resolvent._half_line(scheme, zs, np.array([j0]), j0 + 200,
+                                 slice(None))[0, 0]
+        assert w.size == windows[-1] + scheme.r
+        assert resolvent._residual(scheme, zs[0], w, 1 - scheme.r, j0, 1,
+                                   int(0.8 * windows[-1])) < 1e-12
     assert tried == windows
     assert batches == [1] * len(windows)
 
 
-def test_failed_solves_are_near_spectrum(lfr, o3, monkeypatch):
+def test_failed_solves_are_near_spectrum(monkeypatch):
     # an exactly singular band (a zero pivot) that the guard let through,
-    # and a solution that misses the resolvent equations; a table solves a
-    # band only at a node whose residue sums it refuses, as node 0 of the
-    # ring through z*
+    # and a solution that misses the resolvent equations.  Only a node the
+    # residue sums cannot serve solves a band: with kappa_s(1) ~ 0.98,
+    # node 0 of the ring e^{1e-5} S^1 has a stable and an unstable root
+    # 0.02 apart across the unit circle, and its window settles after three
+    # doublings
+    cross = builtin_lfr(-0.005, 0.5, 0.0)
+    z = math.exp(1e-5)
     solve = resolvent.solve_banded
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
     def off(*args, **kwargs):
-        return solve(*args, **kwargs) + 1e-6
+        w = solve(*args, **kwargs)
+        w[cross.r] += 1e-6
+        return w
 
+    assert spatial_green_half(cross, z, 1).truncation_residual < 1e-12
     monkeypatch.setattr(resolvent, "solve_banded", singular)
     with pytest.raises(NearSpectrumError, match="singular resolvent system"):
-        spatial_green_half(lfr, 2.0, 5)
+        spatial_green_half(cross, z, 1)
     with pytest.raises(NearSpectrumError, match="singular resolvent system"):
-        inverse_laplace_table(o3, 4, [1], [1], r0=math.log(Z_STAR))
+        inverse_laplace_table(cross, 4, [1], [1], r0=1e-5)
     monkeypatch.setattr(resolvent, "solve_banded", off)
     with pytest.raises(NearSpectrumError, match="left residual"):
-        spatial_green_half(lfr, 2.0, 5)
+        spatial_green_half(cross, z, 1)
+
+
+def test_cross_split_whole_line_parts_refuse():
+    # the half line falls back to the banded solve across the split, but
+    # the whole-line kernel, and with it R = G - Gt, has no fallback
+    cross = builtin_lfr(-0.005, 0.5, 0.0)
+    z = math.exp(1e-5)
+    with pytest.raises(QuadratureError, match="rounding bound"):
+        r_function(cross, z, 1, [1, 2])
+    with pytest.raises(QuadratureError, match="rounding bound"):
+        spatial_green_whole(cross, z, window=10)
 
 
 def _half_system_entrywise(scheme, z, J_trunc):
@@ -579,10 +641,10 @@ def test_table_guard_curve_distance_fallback(lfr):
 
 
 def test_non_finite_input_raises():
-    # the banded solves skip scipy's finite check; the check on the band
-    # template, made before the guard, must refuse a NaN ghost weight (the
-    # root split does not see b, and a NaN Delta passes the |Delta| test),
-    # and the contour sum a non-finite contour exponent.  SchemeDefinition
+    # the root route reads the coefficients unchecked; the grid check, made
+    # before the guard, must refuse a NaN ghost weight (the root split does
+    # not see b, and a NaN Delta passes the |Delta| test), and the contour
+    # sum a non-finite contour exponent.  SchemeDefinition
     # refuses a NaN ghost weight; one set past that check must still be
     # refused here
     with pytest.raises(ValueError, match="non-finite"):
