@@ -12,16 +12,17 @@ P'(kappa) over |kappa| < 1 for d >= 1 - r and minus that over |kappa| > 1
 below (every power of modulus at most 1), inside the curve too.
 
 `_residue_sums` is the one evaluator of Gt, with a first-order bound on its
-rounding; where the bound refuses a node (exceeds _ROOT_ROUTE_TOL of its
-max value), each group of near-colliding roots on one side of the unit
-circle is summed on a circle around it alone (`_circle_sum`), as at the o3
-double unstable root z* = 1.8142738....  `spatial_green_half`, `r_function`
-and `inverse_laplace_table` share `_green`: guard, residue sums, one batched
-r x r solve.  A node still refused has a stable and an unstable root nearly
-colliding across the unit circle, which no circle separates: it takes a
-banded solve (`_half_line`, scipy loaded at its first) on a window with zero
-far field, doubled at most three times while rho^(J_trunc - max j0), rho =
-max |kappa_s|, exceeds 1e-12.
+rounding.  Each kind has its own route for a node the bound refuses (over
+_ROOT_ROUTE_TOL of the node's max value).  The whole line (`_whole`) sums
+each group of near-colliding roots on one side of the unit circle on a
+circle around it alone (`_circle_sum`), as at the o3 double unstable root
+z* = 1.8142738...; a node still refused, where a stable and an unstable
+root nearly collide across the unit circle and no circle separates them,
+raises QuadratureError.  The half line (`_green`, shared by
+`spatial_green_half`, `r_function` and `inverse_laplace_table`) adds the
+rank-r correction from one batched r x r solve, and a refused node takes
+the exact core-plus-tail solve `_core_solve`, which reads the r stable
+roots alone and divides by no P'(kappa), so neither collision affects it.
 
 Temporal kernels come from the Cauchy integral G(n, j0, j) = (1/2pi i)
 oint z^n G(z, j0, j) dz on the circle e^{r0} S^1: a trapezoid sum, an
@@ -55,8 +56,8 @@ _CONTOUR_CAP = 2 ** 16
 # two contour rings agreeing within this settle a reconstruction
 _CONTOUR_TOL = 1e-9
 # residue sums whose rounding bound exceeds this share of the node's max
-# value are refused: first their root clusters are summed on circles, then
-# a half-line node takes the banded solve
+# value are refused: a half-line node takes the core solve, a whole-line
+# node has its root clusters summed on circles
 _ROOT_ROUTE_TOL = 1e-12
 # complex entries per block of the residue sums' power tables (8 MB)
 _POWER_BLOCK = 2 ** 19
@@ -95,9 +96,10 @@ class ResolventField:
         return complex(self.values[idx])
 
 
+# no caller here: the benchmark's `resolvent.solve_banded` trace target
+# names it
 def solve_banded(l_and_u, ab, b, **kwargs):
-    """scipy.linalg.solve_banded, imported at the first call, so a run that
-    never takes the banded fallback never loads scipy."""
+    """scipy.linalg.solve_banded, imported at the first call."""
     from scipy.linalg import solve_banded as solve
     return solve(l_and_u, ab, b, **kwargs)
 
@@ -134,30 +136,6 @@ def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray):
         "z is an eigenvalue of the half-line operator")
 
 
-def _band_template(scheme: SchemeDefinition, J_trunc: int):
-    """The z-independent part of the banded half-line matrix (scipy ab
-    layout) for unknowns w_{1-r}, ..., w_{J_trunc}; adding z to the interior
-    diagonal ab[up, r:] completes it.
-
-    Every entry is accumulated onto zero exactly as an entry-by-entry
-    assembly would, which writes z and then -a_0 on the diagonal (IEEE
-    addition commutes), so the completed matrix is bitwise that assembly's.
-    """
-    r, p = scheme.r, scheme.p
-    M = J_trunc + r
-    lo, up = r, p + r - 1
-    ab = np.zeros((lo + up + 1, M), dtype=complex)
-    ab[up, :r] += 1.0
-    cols = r - 1 + np.arange(1, scheme.p_b + 1)
-    for m in range(r):
-        ab[up + m - cols, cols] += -scheme.b[r - 1 - m]
-    rows = np.arange(r, M)
-    for k in range(-r, p + 1):
-        keep = rows + k < M
-        ab[up - k, rows[keep] + k] += -scheme.coeff(k)
-    return ab, lo, up
-
-
 def _stencil_sums(scheme: SchemeDefinition, w: np.ndarray) -> np.ndarray:
     """sum_k a_k w[i + k] for every index i of w, zero outside w."""
     return np.convolve(w, scheme.a[::-1])[scheme.p:scheme.p + w.size]
@@ -171,39 +149,6 @@ def _residual(scheme: SchemeDefinition, z: complex, w: np.ndarray,
     acc = z * w - _stencil_sums(scheme, w)
     acc[j0 - j_min] -= 1.0
     return float(np.max(np.abs(acc[lo - j_min:hi - j_min + 1]), initial=0.0))
-
-
-def _half_line(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
-               J_trunc: int, rows):
-    """G(z, j0, .) at each node of zs for each j0 of the ascending j0s by
-    banded solves on the window J_trunc * 2^k, k <= 3 (see the module
-    docstring), read at the buffer rows `rows` (row j + r - 1 holds cell j):
-    shape (zs.size, j0s.size, rows)."""
-    r = scheme.r
-    for _ in range(4):
-        template, lo, up = _band_template(scheme, J_trunc)
-        rho = float(np.max(np.abs(_guard_ring(scheme, zs).kappas)))
-        tail = rho ** (J_trunc - j0s[-1])
-        if tail <= 1e-12:
-            break
-        J_trunc *= 2
-    else:
-        raise QuadratureError(
-            f"half-line window still carries a tail of about {tail:.2e} "
-            f"after extensions to {J_trunc // 2} cells")
-    rhs = np.zeros((J_trunc + r, j0s.size), dtype=complex)
-    rhs[j0s + r - 1, np.arange(j0s.size)] = 1.0
-    G = []
-    for z in zs:
-        ab = template.copy()
-        ab[up, r:] += z
-        try:
-            w = solve_banded((lo, up), ab, rhs, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NearSpectrumError(
-                f"singular resolvent system at z = {complex(z)!r}") from exc
-        G.append(w[rows].T)
-    return np.array(G)
 
 
 def _clusters(roots: np.ndarray, side: slice):
@@ -303,12 +248,11 @@ def _residue_sums(scheme: SchemeDefinition, zs: np.ndarray,
 
 
 def _root_values(scheme: SchemeDefinition, zs: np.ndarray,
-                 roots: np.ndarray, j0s: np.ndarray, js: np.ndarray,
-                 clusters=False):
-    """G(z, j0, j) and Gt(z, j - j0) on the (j0s, js) grid at the nodes zs
-    from their roots (r stable first), and each node's rounding bound of
-    those Gt and of its G, to which the bound of Gt at the ghost-rule cells
-    adds through |A^-1| |B|, A = B V(kappa_s)."""
+                 roots: np.ndarray, j0s: np.ndarray, js: np.ndarray):
+    """G(z, j0, j) on the (j0s, js) grid at the nodes zs from their roots
+    (r stable first), and each node's rounding bound of its G: that of
+    Gt(z, j - j0), to which the bound of Gt at the ghost-rule cells adds
+    through |A^-1| |B|, A = B V(kappa_s)."""
     r, d = scheme.r, scheme.p + scheme.r
     # Gt is needed at the offsets j - j0 of the table and m - j0 of the
     # cells m = p, ..., 1 - r the ghost rows read, in B's column order
@@ -316,7 +260,7 @@ def _root_values(scheme: SchemeDefinition, zs: np.ndarray,
     offs, inv = np.unique(np.concatenate(
         [ghost.ravel(), (js[None, :] - j0s[:, None]).ravel()]),
         return_inverse=True)
-    Gt, err = _residue_sums(scheme, zs, roots, offs, clusters)
+    Gt, err = _residue_sums(scheme, zs, roots, offs)
     n_ghost, shape = ghost.size, (zs.size, j0s.size, js.size)
     g, g_err = (x[:, inv[:n_ghost]].reshape(zs.size, d, j0s.size)
                 for x in (Gt, err))
@@ -329,8 +273,52 @@ def _root_values(scheme: SchemeDefinition, zs: np.ndarray,
     K = roots[:, :r, None] ** (js + r - 1)
     coef_err = np.abs(A_inv) @ (np.abs(B) @ g_err)
     bound = gt_err + coef_err.transpose(0, 2, 1) @ np.abs(K)
-    return (gt + coef.transpose(0, 2, 1) @ K, gt, gt_err.max(axis=(1, 2)),
-            bound.max(axis=(1, 2)))
+    return gt + coef.transpose(0, 2, 1) @ K, bound.max(axis=(1, 2))
+
+
+def _core_solve(scheme: SchemeDefinition, zs: np.ndarray,
+                kappas: np.ndarray, j0s: np.ndarray, js: np.ndarray):
+    """G(z, j0, j) on the (j0s, js) grid at the nodes zs from their r stable
+    roots kappas alone.
+
+    With J = max j0 the unknowns are G at the cells 1-r..J-r and r tail
+    weights alpha_s, G(j) = sum_s alpha_s kappa_s^(j-J-1+r) beyond them,
+    which solves every row past J exactly; the r ghost rows and the rows
+    1..J give one (J+r) x (J+r) system per node, singular exactly where
+    Delta(z) = 0.  A node whose system is singular, or whose solution
+    leaves a residual over 1e-8 on the cells 1..J+p, is refused."""
+    r, p, J = scheme.r, scheme.p, int(j0s[-1])
+    d, n, top = p + r, J + r, max(int(js[-1]), J + 2 * p)
+    # the ghost rows, then the rows 1..J, on the cells 1-r..J+p
+    op = np.zeros((zs.size, n, n + p), dtype=complex)
+    op[:, :r, :d] = boundary_matrix(scheme)[:, ::-1]
+    rows = np.arange(J)
+    for k in range(-r, p + 1):
+        op[:, r + rows, rows + r + k] -= scheme.coeff(k)
+    op[:, r + rows, rows + r] += zs[:, None]
+    # powers[:, s, m] = kappa_s^m: the tail cells J-r+1..top
+    powers = kappas[:, :, None] ** np.arange(top - J + r)
+    A = np.concatenate(
+        [op[:, :, :J], op[:, :, J:] @ powers[:, :, :d].transpose(0, 2, 1)],
+        axis=2)
+    rhs = np.zeros((zs.size, n, j0s.size), dtype=complex)
+    rhs[:, r + j0s - 1, np.arange(j0s.size)] = 1.0
+    try:
+        x = np.linalg.solve(A, rhs).transpose(0, 2, 1)
+    except np.linalg.LinAlgError as exc:
+        z = complex(zs[np.argmax(np.linalg.det(A) == 0)])
+        raise NearSpectrumError(
+            f"singular resolvent system at z = {z!r}") from exc
+    # the cells 1-r..top of every (node, j0)
+    w = np.concatenate([x[:, :, :J], x[:, :, J:] @ powers], axis=2)
+    for z, wz in zip(zs, w):
+        for j0, wj in zip(j0s, wz):
+            res = _residual(scheme, z, wj, 1 - r, j0, 1, J + p)
+            if not res <= 1e-8:
+                raise NearSpectrumError(f"resolvent solve at z = "
+                                        f"{complex(z)!r} left residual "
+                                        f"{res:.2e}")
+    return w[:, :, js + r - 1]
 
 
 def _refused(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -338,14 +326,6 @@ def _refused(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
     max |value| (so a NaN bound is refused)."""
     top = np.abs(values).reshape(values.shape[0], -1).max(axis=1)
     return ~(bound <= _ROOT_ROUTE_TOL * top)
-
-
-def _certify(zs: np.ndarray, Gt: np.ndarray, bound: np.ndarray):
-    """Raises QuadratureError at the first node `_refused` refuses."""
-    for z in zs[_refused(Gt, bound)][:1]:
-        raise QuadratureError(f"residue sums at z = {complex(z)!r} carry a "
-                              f"rounding bound over {_ROOT_ROUTE_TOL:.0e} "
-                              "of max |Gt|")
 
 
 def _grid(scheme: SchemeDefinition, j0_list, j_list):
@@ -363,21 +343,15 @@ def _grid(scheme: SchemeDefinition, j0_list, j_list):
 
 def _green(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
            js: np.ndarray):
-    """G and Gt of `_root_values` at the nodes zs, each node's bound of its
-    Gt, and the number of banded solves: a node the bound refuses has its
-    clusters summed on circles, and one still refused is solved banded."""
+    """G at the nodes zs, shape (zs.size, j0s.size, js.size), and the
+    number of core solves: `_root_values` at every node its bound accepts,
+    `_core_solve` at every node it refuses."""
     nodes = _guard_ring(scheme, zs)
-    G, Gt, gt_err, bound = _root_values(scheme, zs, nodes.roots, j0s, js)
+    G, bound = _root_values(scheme, zs, nodes.roots, j0s, js)
     far = _refused(G, bound)
     if far.any():
-        for full, part in zip((G, Gt, gt_err, bound), _root_values(
-                scheme, zs[far], nodes.roots[far], j0s, js, clusters=True)):
-            full[far] = part
-        far = _refused(G, bound)
-        if far.any():
-            G[far] = _half_line(scheme, zs[far], j0s, int(max(
-                j0s[-1] + 200, js[-1] + 50)), js + scheme.r - 1)
-    return G, Gt, gt_err, int(far.sum())
+        G[far] = _core_solve(scheme, zs[far], nodes.kappas[far], j0s, js)
+    return G, int(far.sum())
 
 
 def _whole(scheme: SchemeDefinition, zs: np.ndarray, offs: np.ndarray):
@@ -399,7 +373,10 @@ def _whole(scheme: SchemeDefinition, zs: np.ndarray, offs: np.ndarray):
     if far.any():
         Gt[far], err[far] = _residue_sums(scheme, zs[far], roots[far], offs,
                                           clusters=True)
-        _certify(zs, Gt, err.max(axis=1))
+        for z in zs[_refused(Gt, err.max(axis=1))][:1]:
+            raise QuadratureError(
+                f"residue sums at z = {complex(z)!r} carry a rounding bound "
+                f"over {_ROOT_ROUTE_TOL:.0e} of max |Gt|")
     return Gt
 
 
@@ -434,13 +411,12 @@ def spatial_green_whole(scheme: SchemeDefinition, z: complex,
 
 
 def r_function(scheme: SchemeDefinition, z: complex, j0: int, j):
-    """R(z, j0, j) = G(z, j0, j) - Gt(z, j - j0) from one `_green`
-    evaluation; vectorized over the cells j >= 1 - r."""
+    """R(z, j0, j) = G(z, j0, j) - Gt(z, j - j0), G from `_green` and Gt
+    from `_whole`; vectorized over the cells j >= 1 - r."""
     zs = np.array([complex(z)])
     j0s, js = _grid(scheme, [j0], np.ravel(j))
-    G, Gt, gt_bound, _ = _green(scheme, zs, j0s, js)
-    _certify(zs, Gt, gt_bound)
-    out = (G - Gt)[0, 0, np.searchsorted(js, np.ravel(j))]
+    R = _green(scheme, zs, j0s, js)[0][0, 0] - _whole(scheme, zs, js - j0)[0]
+    out = R[np.searchsorted(js, np.ravel(j))]
     return out[0] if np.ndim(j) == 0 else out.reshape(np.shape(j))
 
 
@@ -529,7 +505,7 @@ class ReconstructionTable:
     temporal Green's function at (n, j0_values[i0], j_values[i]); imag holds
     the imaginary parts, from the self-conjugate nodes only.  nodes is the
     ring size that settled; solves counts the node evaluations, nodes // 2 +
-    1 (nested rings, conjugate symmetry) plus one per banded solve."""
+    1 (nested rings, conjugate symmetry) plus one per core solve."""
 
     r0: float
     n_values: np.ndarray
@@ -551,15 +527,15 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     from `_green` (conjugate symmetry halves the ring, and each doubled
     ring reuses the values of the one before)."""
     j0s, js = _grid(scheme, j0_list, j_list)
-    banded = 0
+    core = 0
 
     def values(zs: np.ndarray) -> np.ndarray:
-        nonlocal banded
-        G, _, _, solves = _green(scheme, zs, j0s, js)
-        banded += solves
+        nonlocal core
+        G, solves = _green(scheme, zs, j0s, js)
+        core += solves
         return G
 
     real, imag, N = _contour_sum(scheme, n_max, r0, _CONTOUR_TOL, values)
     return ReconstructionTable(r0=r0, n_values=np.arange(n_max + 1),
                                j0_values=j0s, j_values=js, values=real,
-                               imag=imag, nodes=N, solves=N // 2 + 1 + banded)
+                               imag=imag, nodes=N, solves=N // 2 + 1 + core)

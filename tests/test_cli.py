@@ -214,9 +214,8 @@ def test_unsettled_gaussian_quadrature_exits_1(tmp_path, capsys,
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the banded solve, imported at its first call, so
-    # starting the CLI does not pay for it; the import is silent, even with
-    # every warning turned into an error
+    # scipy is a test dependency only, so starting the CLI does not load it;
+    # the import is silent, even with every warning turned into an error
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
