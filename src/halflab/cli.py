@@ -4,14 +4,16 @@
 
 Subcommands: check, simulate, layers, err-map, growth, oracle.  The config
 is a single JSON document naming a scheme (builtin "lfr"/"o3" with named
-parameters, or an inline coefficient table) plus experiment grids.  Every
+parameters, or an inline coefficient table) plus experiment grids; the key
+tables below declare each key once, with its type, bound and default, and
+the whole config is checked against them before anything runs.  Every
 run writes CSV artifacts, SVG renderings of the same data, and report.json
 into the output directory; re-running a config byte-reproduces the CSVs and
 SVGs (the runtime entry of report.json is the one exempt field).
 
 Exit status: 0 when the run completed and both hypotheses hold, 2 when a
-hypothesis fails (the JSON report still describes the failure), 1 on usage
-or numeric errors or when the output cannot be written.
+hypothesis fails (the JSON report still describes the failure), 1 on usage,
+config or numeric errors or when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -38,8 +41,9 @@ from .resolvent import NearSpectrumError, QuadratureError, \
     inverse_laplace_table
 from .scheme import (_SERIES_RADIUS, builtin_lfr, builtin_o3,
                      check_hypothesis_one, scheme_from_json, symbol_eval)
-from .spectral import (_BOUNDARY_ZERO_TOL, _SWEEP_ZERO_TOL, MultiplicityError,
-                       RootSolveError, _unit_classes, characteristic_roots,
+from .spectral import (_BOUNDARY_ZERO_TOL, _SWEEP_RADII, _SWEEP_SAMPLES,
+                       _SWEEP_ZERO_TOL, MultiplicityError, RootSolveError,
+                       _unit_classes, characteristic_roots,
                        check_hypothesis_two, lopatinskii_values)
 
 __all__ = ["main", "ConfigError"]
@@ -95,18 +99,107 @@ def _load_config(path: str) -> dict:
 def _o3_marginal_pair(alpha: float):
     """Ghost weights (b1, b2) putting the stable z=1 root in the kernel of
     the boundary matrix, the paper-exact marginal choice."""
-    probe = builtin_o3(alpha, 0.0, 0.0)
-    roots = characteristic_roots(probe, 1.0)
+    roots = characteristic_roots(builtin_o3(alpha, 0.0, 0.0), 1.0)
     stable = roots[_unit_classes(np.abs(roots))[0]]
-    if len(stable) != 1:
-        raise ConfigError("scheme.alpha",
-                          "no isolated stable root at z = 1")
-    kappa = stable[0]
-    if abs(kappa.imag) > 1e-12:
-        raise ConfigError("scheme.alpha", "stable root at z = 1 not real")
-    b2 = -1.0 / kappa.real
+    if len(stable) != 1 or abs(stable[0].imag) > 1e-12:
+        raise ValueError("no single real stable root at z = 1")
+    b2 = -1.0 / stable[0].real
     # b1 = 1 - b2 makes B(1, ..., 1) = 1 - b1 - b2 vanish exactly in floats
     return 1.0 - b2, b2
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          dict: "an object", "q": "a norm exponent >= 1 or \"inf\""}
+
+
+def _cast(path: str, kind, v):
+    """v read as kind: an int (an integral float too), a finite float, a
+    string, an object, or "q", a float >= 1 or "inf" (Infinity too); never
+    a bool."""
+    if kind == "q" and str(v).lower() in ("inf", "infinity", "oo"):
+        return math.inf
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if kind is int and number and (isinstance(v, int) or v.is_integer()):
+        return int(v)
+    # the range test refuses NaN, the infinities and ints past the floats
+    if kind in (float, "q") and number and abs(v) <= sys.float_info.max \
+            and (kind is float or v >= 1):
+        return float(v)
+    if kind in (str, dict) and isinstance(v, kind):
+        return v
+    raise ConfigError(path, f"{v!r} is not {_KINDS[kind]}")
+
+
+# Every config key: (kind, bound, default).  A kind in a list is a nonempty
+# grid of it.  The bound is the least integer admitted, or the value a
+# float must exceed, or a function of the values read before and the
+# scheme that gives the least and greatest integer.  A default may be a
+# function of the values read before; None leaves the value to the library.
+_EVERY_RUN = dict(scheme=(dict, None, None), out=(str, None, "halflab-out"),
+                  radii=([float], None, list(_SWEEP_RADII)),
+                  annulus_samples=(int, 8, _SWEEP_SAMPLES))
+_KEYS = {
+    "check": {},
+    "simulate": dict(n_list=([int], 0, [0, 8, 32, 128]), j0=(int, 1, 1)),
+    "layers": dict(j_max=(int, 1, 25), j0=(int, 1, 50), n=(int, 1, 500),
+                   j0_list=([int], 1, [1, 2, 3, 4, 6, 8])),
+    "err-map": dict(n_list=([int], 1, [250, 500, 1000, 2000]),
+                    j0_list=([int], 1, None), j_list=([int], 1, [1]),
+                    c0_list=([float], None, None),
+                    growth_tol=(float, 0.0, 0.05)),
+    "growth": dict(q_list=(["q"], None, ["inf", 2.0]),
+                   J_list=([int], 1, [125, 250, 500, 1000]),
+                   n_max=(int, 2, 2000),
+                   fit_lo=(int, lambda got, _: (1, got["n_max"] - 1),
+                           lambda got: min(200, got["n_max"] // 2)),
+                   fit_hi=(int, lambda got, _: (got["fit_lo"] + 1,
+                                                got["n_max"]),
+                           lambda got: got["n_max"])),
+    # j = 1 - r is the first ghost cell
+    "oracle": dict(n_max=(int, 0, 50),
+                   j0_list=([int], 1, [1, 5, 10, 20, 30]),
+                   j_list=([int], lambda _, s: (1 - s.r, math.inf),
+                           [1, 3, 7, 15, 30]),
+                   r0_list=([float], 0.0, [0.02, 0.05, 0.2])),
+}
+_BUILTINS = {
+    "lfr": dict(builtin=(str, None, None), alpha=(float, None, -0.5),
+                D=(float, None, 0.75), b=(float, None, 5.0)),
+    "o3": dict(builtin=(str, None, None), alpha=(float, None, -0.5),
+               b1=(float, None, None), b2=(float, None, None)),
+}
+
+
+def _typed(doc: dict, keys: dict, scheme=None, prefix: str = "") -> dict:
+    """Every key of the table `keys` read from doc in table order: typed and
+    bounded, or defaulted; a key of doc outside the table is an error."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(prefix + key, "unknown key (expected one of "
+                              f"{', '.join(keys)})")
+    got = {}
+    for key, (kind, bound, default) in keys.items():
+        path, grid = prefix + key, isinstance(kind, list)
+        raw = doc.get(key)
+        if raw is None:     # absent or null
+            raw = default(got) if callable(default) else default
+        if raw is None:     # left to the library
+            got[key] = None
+            continue
+        if grid and not (isinstance(raw, list) and raw):
+            raise ConfigError(path, "expected a nonempty list")
+        vals = [_cast(path, kind[0], v) for v in raw] if grid else \
+            [_cast(path, kind, raw)]
+        got[key] = vals if grid else vals[0]
+        if bound is None:
+            continue
+        lo, hi = bound(got, scheme) if callable(bound) else (bound, math.inf)
+        for v in vals:
+            if isinstance(v, float) and not v > lo or not lo <= v <= hi:
+                raise ConfigError(path, f"{v!r} is not "
+                                  + (f"> {lo}" if isinstance(v, float)
+                                     else f"in {lo}..{hi}"))
+    return got
 
 
 def _load_scheme(cfg: dict):
@@ -114,39 +207,26 @@ def _load_scheme(cfg: dict):
     if not isinstance(doc, dict):
         raise ConfigError("scheme", "missing or not an object")
     if "inline" in doc:
+        _typed(doc, {"inline": (dict, None, None)}, prefix="scheme.")
         try:
             return scheme_from_json(json.dumps(doc["inline"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("scheme.inline", str(exc)) from exc
     name = doc.get("builtin")
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ConfigError("scheme.builtin",
+                          f"unknown builtin {name!r} (expected lfr or o3)")
+    got = _typed(doc, _BUILTINS[name], prefix="scheme.")
     try:
         if name == "lfr":
-            return builtin_lfr(float(doc.get("alpha", -0.5)),
-                               float(doc.get("D", 0.75)),
-                               float(doc.get("b", 5.0)))
-        if name == "o3":
-            alpha = float(doc.get("alpha", -0.5))
-            if "b1" in doc or "b2" in doc:
-                return builtin_o3(alpha, float(doc["b1"]), float(doc["b2"]))
-            b1, b2 = _o3_marginal_pair(alpha)
-            return builtin_o3(alpha, b1, b2)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+            return builtin_lfr(got["alpha"], got["D"], got["b"])
+        if (got["b1"] is None) != (got["b2"] is None):
+            raise ValueError("b1 and b2 go together")
+        b1, b2 = _o3_marginal_pair(got["alpha"]) if got["b1"] is None \
+            else (got["b1"], got["b2"])
+        return builtin_o3(got["alpha"], b1, b2)
+    except ValueError as exc:
         raise ConfigError(f"scheme.{name}", str(exc)) from exc
-    raise ConfigError("scheme.builtin",
-                      f"unknown builtin {name!r} (expected lfr or o3)")
-
-
-def _grid(cfg: dict, key: str, default):
-    raw = cfg.get(key, default)
-    if raw is None:
-        return None
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(key, "expected a list")
-    if not raw:
-        raise ConfigError(key, "must be nonempty")
-    return list(raw)
 
 
 # every float cell of a CSV, also recorded in report.json
@@ -183,10 +263,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
@@ -196,7 +274,7 @@ def _jsonable(obj):
     return obj
 
 
-def _hypothesis_block(scheme, cfg: dict):
+def _hypothesis_block(scheme, opts: dict):
     """Status, verdict, both reports and the run's residue data at z = 1,
     which carries the first report to the layer functions."""
     rep1 = check_hypothesis_one(scheme)
@@ -205,17 +283,12 @@ def _hypothesis_block(scheme, cfg: dict):
         # the annulus sampling behind the second hypothesis presumes the
         # dissipativity geometry, so it is skipped entirely here
         return 2, f"hypothesis failure: {rep1.failure}", at_one, None
-    kwargs = {}
-    radii = _grid(cfg, "radii", None)
-    if radii is not None:
-        kwargs["radii"] = tuple(float(x) for x in radii)
-    if "annulus_samples" in cfg:
-        kwargs["annulus_samples"] = int(cfg["annulus_samples"])
-    rep2 = check_hypothesis_two(scheme, **kwargs)
+    rep2 = check_hypothesis_two(scheme, opts["annulus_samples"],
+                                opts["radii"])
     return (0 if rep2.satisfied else 2), rep2.verdict, at_one, rep2
 
 
-def _run_check(scheme, cfg, out_dir, rep1, rep2, verdict):
+def _run_check(scheme, out_dir, rep1, rep2, verdict):
     t = np.linspace(-math.pi, math.pi, 720, endpoint=False)
     f = symbol_eval(scheme, np.exp(1j * t))
     _csv(out_dir, "check_symbol.csv", ("t", "re_f", "im_f", "abs_f"),
@@ -236,24 +309,15 @@ def _run_check(scheme, cfg, out_dir, rep1, rep2, verdict):
                        [("abs Delta", zs, dets)],
                        title="Lopatinskii determinant on the real axis",
                        xlabel="z", ylabel="|Delta(z)|")
-    return {
-        "hypothesis_one": rep1.as_dict(),
-        "hypothesis_two": rep2.as_dict() if rep2 is not None else None,
-        "verdict": verdict,
-    }
+    return {"hypothesis_one": rep1.as_dict(), "verdict": verdict,
+            "hypothesis_two": rep2.as_dict() if rep2 is not None else None}
 
 
-def _run_simulate(scheme, cfg, out_dir, at_one):
-    n_list = [int(n) for n in _grid(cfg, "n_list", [0, 8, 32, 128])]
-    j0 = int(cfg.get("j0", 1))
-    if any(n < 0 for n in n_list):
-        raise ConfigError("n_list", "snapshot times must be >= 0")
-    if j0 < 1:
-        raise ConfigError("j0", "source cell must be >= 1")
-    half_rows, whole_rows = [], []
-    half_series, whole_series = [], []
+def _run_simulate(scheme, opts, out_dir, at_one):
+    n_list, j0 = sorted(set(opts["n_list"])), opts["j0"]
+    half_rows, whole_rows, half_series, whole_series = [], [], [], []
     stats = {}
-    for n in sorted(set(n_list)):
+    for n in n_list:
         g = temporal_green(scheme, n, j0)
         js = np.arange(g.field.j_min, g.field.j_max + 1)
         half_rows.extend((n, int(j), v) for j, v in zip(js, g.field.values))
@@ -276,18 +340,11 @@ def _run_simulate(scheme, cfg, out_dir, at_one):
     svg.line_chart(os.path.join(out_dir, "green_whole.svg"), whole_series,
                    title="whole-line Green's function",
                    xlabel="j", ylabel="Gt(n, j)")
-    return {"j0": j0, "n_list": sorted(set(n_list)), "snapshots": stats}
+    return {"j0": j0, "n_list": n_list, "snapshots": stats}
 
 
-def _run_layers(scheme, cfg, out_dir, at_one):
-    j_max = int(cfg.get("j_max", 25))
-    j0 = int(cfg.get("j0", 50))
-    n = int(cfg.get("n", 500))
-    j0_list = [int(v) for v in _grid(cfg, "j0_list", [1, 2, 3, 4, 6, 8])]
-    if j_max < 1 or j0 < 1 or n < 1:
-        raise ConfigError("layers", "j_max, j0, n must be >= 1")
-    if min(j0_list) < 1:
-        raise ConfigError("j0_list", "source cells must be >= 1")
+def _run_layers(scheme, opts, out_dir, at_one):
+    j_max, j0, n, j0_list = (opts[k] for k in ("j_max", "j0", "n", "j0_list"))
     rc_a = rc_analytic(scheme, j_max, at_one=at_one)
     # the snapshots at n and 2n from one sweep of each kernel
     ns = (n, 2 * n)
@@ -317,35 +374,17 @@ def _run_layers(scheme, cfg, out_dir, at_one):
                    [(f"j0={jj0}", js, ru.values[jj0 - 1]) for jj0 in j0_list],
                    title="transmitted boundary layer", xlabel="j",
                    ylabel="Ru(j0, j)")
-    return {
-        "j0": j0, "n": n, "j_max": j_max,
-        "rc_sup_err_n": float(err_n.max()),
-        "rc_sup_err_2n": float(err_2n.max()),
-        "rc_decay": {"C": rc_a.decay_C, "c": rc_a.decay_c},
-        "ru_decay": {"C": ru.decay_C, "c": ru.decay_c},
-        "ru_sup": float(np.max(np.abs(ru.values))),
-    }
+    return {"j0": j0, "n": n, "j_max": j_max,
+            "rc_sup_err_n": float(err_n.max()),
+            "rc_sup_err_2n": float(err_2n.max()),
+            "rc_decay": {"C": rc_a.decay_C, "c": rc_a.decay_c},
+            "ru_decay": {"C": ru.decay_C, "c": ru.decay_c},
+            "ru_sup": float(np.max(np.abs(ru.values)))}
 
 
-def _run_err_map(scheme, cfg, out_dir, at_one):
-    n_list = [int(v) for v in _grid(cfg, "n_list", [250, 500, 1000, 2000])]
-    j0_list = _grid(cfg, "j0_list", None)
-    if j0_list is not None:
-        j0_list = [int(v) for v in j0_list]
-        if min(j0_list) < 1:
-            raise ConfigError("j0_list", "source cells must be >= 1")
-    j_list = [int(v) for v in _grid(cfg, "j_list", [1])]
-    if min(j_list) < 1:
-        raise ConfigError("j_list", "cells must be >= 1")
-    c0_list = _grid(cfg, "c0_list", None)
-    if c0_list is not None:
-        c0_list = [float(v) for v in c0_list]
-    growth_tol = float(cfg.get("growth_tol", 0.05))
-    if growth_tol <= 0:
-        raise ConfigError("growth_tol", "must be positive")
-    fit = err_bound_fit(scheme, n_list=n_list, j0_list=j0_list,
-                        j_list=j_list, c0_list=c0_list,
-                        growth_tol=growth_tol, at_one=at_one)
+def _run_err_map(scheme, opts, out_dir, at_one):
+    fit = err_bound_fit(scheme, at_one=at_one, **{
+        k: opts[k] for k in _KEYS["err-map"]})
     rows = [(int(n), int(j0), fit.heat[k, i])
             for k, n in enumerate(fit.n_values)
             for i, j0 in enumerate(fit.j0_values)]
@@ -361,42 +400,20 @@ def _run_err_map(scheme, cfg, out_dir, at_one):
                     for k, n in enumerate(fit.n_values)],
                    title="weighted suprema against the trial rate",
                    xlabel="c0", ylabel="sup", logx=True, logy=True)
-    return {
-        "mu": fit.mu,
-        "best_c0": fit.best_c0,
-        "bound_holds": fit.best_c0 > 0.0,
-        "growth_tol": fit.growth_tol,
-        "adjoint_residual": fit.adjoint_residual,
-        "n_values": fit.n_values, "j0_min": int(fit.j0_values[0]),
-        "j0_max": int(fit.j0_values[-1]), "j_values": fit.j_values,
-    }
+    return {"mu": fit.mu, "best_c0": fit.best_c0,
+            "bound_holds": fit.best_c0 > 0.0, "growth_tol": fit.growth_tol,
+            "adjoint_residual": fit.adjoint_residual,
+            "n_values": fit.n_values, "j0_min": int(fit.j0_values[0]),
+            "j0_max": int(fit.j0_values[-1]), "j_values": fit.j_values}
 
 
 def _q_tag(q: float) -> str:
     return "qinf" if math.isinf(q) else ("q%g" % q)
 
 
-def _run_growth(scheme, cfg, out_dir, at_one):
-    q_list = []
-    for v in _grid(cfg, "q_list", ["inf", 2.0]):
-        if isinstance(v, str) and v.lower() not in ("inf", "infinity", "oo"):
-            raise ConfigError("q_list", f"cannot parse exponent {v!r}")
-        q_list.append(math.inf if isinstance(v, str) else float(v))
-        if not q_list[-1] >= 1:   # NaN too
-            raise ConfigError("q_list", f"exponent {v!r} is not >= 1")
-    J_list = [int(v) for v in _grid(cfg, "J_list", [125, 250, 500, 1000])]
-    if min(J_list) < 1:
-        raise ConfigError("J_list", "sizes must be >= 1")
-    n_max = int(cfg.get("n_max", 2000))
-    if n_max < 2:
-        raise ConfigError("n_max", "must be >= 2")
-    n_lo = int(cfg.get("fit_lo", min(200, n_max // 2)))
-    n_hi = int(cfg.get("fit_hi", n_max))
-    if not 1 <= n_lo < n_max:
-        raise ConfigError("fit_lo", f"must lie in 1..{n_max - 1}, below n_max")
-    if not n_lo < n_hi <= n_max:
-        raise ConfigError("fit_hi", f"must lie in {n_lo + 1}..{n_max}, past "
-                                    "fit_lo and up to n_max")
+def _run_growth(scheme, opts, out_dir, at_one):
+    q_list, J_list, n_max, n_lo, n_hi = (
+        opts[k] for k in ("q_list", "J_list", "n_max", "fit_lo", "fit_hi"))
     record = sorted(set(np.geomspace(1, n_max, 160).astype(int).tolist())
                     | {n_max})
     slopes, variation = {}, {}
@@ -410,81 +427,50 @@ def _run_growth(scheme, cfg, out_dir, at_one):
                        xlabel="n", ylabel="ratio", logx=True, logy=True)
         slopes[tag] = loglog_slope(res.ns, res.max_ratio, n_lo, n_hi)
         tail = res.max_ratio[res.ns >= min(500, n_max)]
-        if tail.size >= 2 and np.all(tail > 0):
-            variation[tag] = float((tail.max() - tail.min()) / tail.mean())
-        else:
-            variation[tag] = float("nan")
-    return {
-        "J_list": J_list, "n_max": n_max,
-        "fit_window": [n_lo, n_hi],
-        "slopes": slopes, "tail_variation": variation,
-    }
+        variation[tag] = float((tail.max() - tail.min()) / tail.mean()) \
+            if tail.size >= 2 and np.all(tail > 0) else math.nan
+    return {"J_list": J_list, "n_max": n_max, "fit_window": [n_lo, n_hi],
+            "slopes": slopes, "tail_variation": variation}
 
 
-def _run_oracle(scheme, cfg, out_dir, at_one):
-    n_max = int(cfg.get("n_max", 50))
-    j0s = [int(v) for v in _grid(cfg, "j0_list", [1, 5, 10, 20, 30])]
-    js = [int(v) for v in _grid(cfg, "j_list", [1, 3, 7, 15, 30])]
-    r0s = [float(v) for v in _grid(cfg, "r0_list", [0.02, 0.05, 0.2])]
-    j0s, js = sorted(set(j0s)), sorted(set(js))
-    if j0s[0] < 1:
-        raise ConfigError("j0_list", "source cells must be >= 1")
-    if js[0] < 1 - scheme.r:
-        raise ConfigError("j_list", f"cells must be >= {1 - scheme.r}, the "
-                                    "first ghost cell")
+def _run_oracle(scheme, opts, out_dir, at_one):
+    n_max = opts["n_max"]
+    j0s, js = sorted(set(opts["j0_list"])), sorted(set(opts["j_list"]))
     # the time-stepped table ts[i0, n, j], every step of one sweep
     ts = np.array([[[g.value(j) for j in js] for g in step]
                    for step in temporal_green_sweep(scheme, range(n_max + 1),
                                                     j0s)]).transpose(1, 0, 2)
-    rows = []
-    per_r0 = {}
-    tables = {}
-    for r0 in sorted(set(r0s)):
+    rows, per_r0, tables = [], {}, {}
+    for r0 in sorted(set(opts["r0_list"])):
         tab = inverse_laplace_table(scheme, n_max, j0s, js, r0=r0)
         tables[r0] = tab
         err = np.abs(tab.values - ts)
-        for i0, j0 in enumerate(j0s):
-            for n in range(n_max + 1):
-                for i, j in enumerate(js):
-                    rows.append((r0, n, j0, j, tab.values[i0, n, i],
-                                 ts[i0, n, i], err[i0, n, i]))
-        per_r0[repr(r0)] = {
-            "max_err_vs_timestep": float(err.max()),
-            "nodes": tab.nodes,
-            "solves": tab.solves,
-            "max_imag": tab.max_imag,
-        }
+        rows.extend((r0, n, j0, j, tab.values[i0, n, i], ts[i0, n, i],
+                     err[i0, n, i]) for i0, j0 in enumerate(j0s)
+                    for n in range(n_max + 1) for i, j in enumerate(js))
+        per_r0[repr(r0)] = {"max_err_vs_timestep": float(err.max()),
+                            "nodes": tab.nodes, "solves": tab.solves,
+                            "max_imag": tab.max_imag}
     _csv(out_dir, "oracle.csv",
          ("r0", "n", "j0", "j", "reconstructed", "time_stepped", "abs_err"),
          rows)
     keys = sorted(tables)
-    spread = 0.0
-    for a in range(len(keys)):
-        for b_ in range(a + 1, len(keys)):
-            spread = max(spread, float(np.max(np.abs(
-                tables[keys[a]].values - tables[keys[b_]].values))))
-    ns = np.arange(n_max + 1)
+    spread = max([0.0] + [float(np.max(np.abs(tables[a].values
+                                               - tables[b].values)))
+                          for a, b in combinations(keys, 2)])
     svg.line_chart(os.path.join(out_dir, "oracle_err.svg"),
-                   [(f"r0={r0}",
-                     ns,
-                     np.max(np.abs(tables[r0].values
-                                   - ts), axis=(0, 2)))
+                   [(f"r0={r0}", np.arange(n_max + 1),
+                     np.max(np.abs(tables[r0].values - ts), axis=(0, 2)))
                     for r0 in keys],
                    title="reconstruction error against time stepping",
                    xlabel="n", ylabel="max abs err", logy=True)
-    return {
-        "n_max": n_max, "j0_list": j0s, "j_list": js,
-        "per_r0": per_r0, "r0_spread": spread,
-    }
+    return {"n_max": n_max, "j0_list": j0s, "j_list": js, "per_r0": per_r0,
+            "r0_spread": spread}
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "layers": _run_layers,
-    "err-map": _run_err_map,
-    "growth": _run_growth,
-    "oracle": _run_oracle,
-}
+_RUNNERS = {"simulate": _run_simulate, "layers": _run_layers,
+            "err-map": _run_err_map, "growth": _run_growth,
+            "oracle": _run_oracle}
 
 
 def main(argv=None) -> int:
@@ -497,32 +483,31 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         scheme = _load_scheme(cfg)
-        out_dir = args.out or cfg.get("out", "halflab-out")
+        opts = _typed(cfg, {**_EVERY_RUN, **_KEYS[args.command]}, scheme)
+        out_dir = args.out or opts["out"]
         os.makedirs(out_dir, exist_ok=True)
-        status, verdict, at_one, rep2 = _hypothesis_block(scheme, cfg)
+        status, verdict, at_one, rep2 = _hypothesis_block(scheme, opts)
         report = {
             "command": args.command,
             "scheme": {"name": scheme.name, "r": scheme.r, "p": scheme.p,
                        "a": scheme.a, "p_b": scheme.p_b, "b": scheme.b},
             "verdict": verdict,
             "hypotheses_hold": status == 0,
-            "tolerances": {
-                "hyp1_series_radius": _SERIES_RADIUS,
-                "hyp2_zero_tol": _SWEEP_ZERO_TOL,
-                "boundary_zero_tol": _BOUNDARY_ZERO_TOL,
-                "csv_format": _FLOAT_FORMAT,
-            },
+            "tolerances": {"hyp1_series_radius": _SERIES_RADIUS,
+                           "hyp2_zero_tol": _SWEEP_ZERO_TOL,
+                           "boundary_zero_tol": _BOUNDARY_ZERO_TOL,
+                           "csv_format": _FLOAT_FORMAT},
         }
         if args.command == "check":
             print(verdict)
-            report.update(_run_check(scheme, cfg, out_dir, at_one.rep1,
-                                     rep2, verdict))
+            report.update(_run_check(scheme, out_dir, at_one.rep1, rep2,
+                                     verdict))
         elif status == 2:
             # hypothesis failure short-circuits the experiment; the report
             # documents the failure and the exit code encodes it
             print(verdict)
         else:
-            report.update(_RUNNERS[args.command](scheme, cfg, out_dir,
+            report.update(_RUNNERS[args.command](scheme, opts, out_dir,
                                                  at_one))
             print(f"{args.command}: wrote artifacts to {out_dir}")
         report["runtime_seconds"] = time.perf_counter() - t0

@@ -63,6 +63,10 @@ _ROOT_ROUTE_TOL = 1e-12
 _POWER_BLOCK = 2 ** 19
 # nodes on a cluster circle at most
 _CLUSTER_CAP = 2 ** 10
+# |Delta| at most this at a node is a Lopatinskii zero: the guard refuses it
+_GUARD_ZERO_TOL = 1e-8
+# a half-line solve leaving a larger residual is refused
+_RESIDUAL_TOL = 1e-8
 
 
 class NearSpectrumError(RuntimeError):
@@ -113,11 +117,11 @@ def _near_curve(z: complex, dist: float) -> NearSpectrumError:
 def _guard_ring(scheme: SchemeDefinition, zs: np.ndarray):
     """Refuses the first node of zs whose distance bound to the symbol curve
     (see `spectral._Nodes`) is below _NEAR_CURVE, that is encircled by the
-    curve or has |Delta| <= 1e-8, from one batched Lopatinskii evaluation;
-    else returns that evaluation (its roots hold r stable, then p unstable
-    ones at every node)."""
+    curve or has |Delta| <= _GUARD_ZERO_TOL, from one batched Lopatinskii
+    evaluation; else returns that evaluation (its roots hold r stable, then
+    p unstable ones at every node)."""
     nodes = _evaluate(scheme, zs)
-    bad = (nodes.dist < _NEAR_CURVE) | (np.abs(nodes.delta) <= 1e-8)
+    bad = (nodes.dist < _NEAR_CURVE) | (abs(nodes.delta) <= _GUARD_ZERO_TOL)
     bad[list(nodes.errors)] = True
     if not bad.any():
         return nodes
@@ -286,7 +290,7 @@ def _core_solve(scheme: SchemeDefinition, zs: np.ndarray,
     which solves every row past J exactly; the r ghost rows and the rows
     1..J give one (J+r) x (J+r) system per node, singular exactly where
     Delta(z) = 0.  A node whose system is singular, or whose solution
-    leaves a residual over 1e-8 on the cells 1..J+p, is refused."""
+    leaves a residual over _RESIDUAL_TOL on the cells 1..J+p, is refused."""
     r, p, J = scheme.r, scheme.p, int(j0s[-1])
     d, n, top = p + r, J + r, max(int(js[-1]), J + 2 * p)
     # the ghost rows, then the rows 1..J, on the cells 1-r..J+p
@@ -314,7 +318,7 @@ def _core_solve(scheme: SchemeDefinition, zs: np.ndarray,
     for z, wz in zip(zs, w):
         for j0, wj in zip(j0s, wz):
             res = _residual(scheme, z, wj, 1 - r, j0, 1, J + p)
-            if not res <= 1e-8:
+            if not res <= _RESIDUAL_TOL:
                 raise NearSpectrumError(f"resolvent solve at z = "
                                         f"{complex(z)!r} left residual "
                                         f"{res:.2e}")
@@ -392,7 +396,7 @@ def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
     j0s, js = _grid(scheme, [j0], range(1 - scheme.r, J_trunc + 1))
     w = _green(scheme, np.array([z]), j0s, js)[0][0, 0]
     res = _residual(scheme, z, w, 1 - scheme.r, j0, 1, int(0.8 * J_trunc))
-    if not np.isfinite(res) or res > 1e-8:
+    if not np.isfinite(res) or res > _RESIDUAL_TOL:
         raise NearSpectrumError(
             f"resolvent solve at z = {z!r} left residual {res:.2e}")
     return ResolventField(z, j0, 1 - scheme.r, w, res)

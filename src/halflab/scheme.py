@@ -348,24 +348,27 @@ def _parse_number(x) -> float:
         raise ValueError(f"cannot parse coefficient {x!r}: {exc}") from exc
 
 
+# the keys of a scheme document, in the order scheme_to_json writes them
+_JSON_KEYS = ("r", "p", "a", "p_b", "b", "lambda", "v", "name")
+
+
 def scheme_to_json(scheme: SchemeDefinition) -> str:
-    doc = {
-        "r": scheme.r,
-        "p": scheme.p,
-        "a": [repr(float(x)) for x in scheme.a],
-        "p_b": scheme.p_b,
-        "b": [[repr(float(x)) for x in row] for row in scheme.b],
-        "lambda": scheme.lam,
-        "v": scheme.v,
-        "name": scheme.name,
-    }
+    doc = dict(zip(_JSON_KEYS, (
+        scheme.r, scheme.p, [repr(float(x)) for x in scheme.a], scheme.p_b,
+        [[repr(float(x)) for x in row] for row in scheme.b], scheme.lam,
+        scheme.v, scheme.name)))
     return json.dumps(doc, indent=2)
 
 
 def scheme_from_json(text: str) -> SchemeDefinition:
     """Parse a scheme document; coefficient entries may be numbers or exact
-    decimal / rational strings such as "0.125" or "1/8"."""
+    decimal / rational strings such as "0.125" or "1/8".  A key outside
+    _JSON_KEYS is an error, not a default."""
     doc = json.loads(text)
+    for key in doc:
+        if key not in _JSON_KEYS:
+            raise ValueError(f"unknown scheme key {key!r} (expected one of "
+                             f"{', '.join(_JSON_KEYS)})")
     a = np.array([_parse_number(x) for x in doc["a"]])
     rows = doc.get("b", [])
     r = int(doc["r"])

@@ -39,8 +39,9 @@ first failing node of the batch.
 The tolerances are fixed module constants, each defined once here and read
 by every module that applies it: the unit-circle width 1e-8 of the root
 classes (also the CLI's o3 marginal pair), the near-curve distance 1e-6
-(also the resolvent guards'), the sweep zero 1e-6 and the boundary zero
-|Delta(1)| < 1e-8 (also the layers' marginal test).
+(also the resolvent guards'), the on-curve distance 1e-7, the sweep zero
+1e-6, the boundary zero |Delta(1)| < 1e-8 (also the layers' marginal test)
+and the default sweep circles and samples (also the CLI's defaults).
 """
 
 from __future__ import annotations
@@ -68,11 +69,16 @@ _UNIT_TOL = 1e-8
 # a node not certified this far from the symbol curve is near the spectrum:
 # the resolvent guards refuse it
 _NEAR_CURVE = 1e-6
+# a node not certified this far from the symbol curve lies on it
+_ON_CURVE = 1e-7
 # |Delta| below this on a sweep circle is a Lopatinskii zero
 _SWEEP_ZERO_TOL = 1e-6
 # the window |theta| < this skipped on the unit sweep circle, where the
 # symbol curve touches z = 1
 _SWEEP_EXCLUSION = 0.06
+# the default sweep: these circles, this many nodes on each
+_SWEEP_RADII = (1.0, 1.05, 1.25, 2.5)
+_SWEEP_SAMPLES = 64
 # |Delta(1)| below this is a boundary zero: the marginal regime
 _BOUNDARY_ZERO_TOL = 1e-8
 # relative residual of B(ones) off the stable traces that still counts as
@@ -205,7 +211,7 @@ class _Nodes:
     n_stable - r by the argument principle (central roots, which put the
     node on the curve, do not count).  dist is |a_p| prod_i ||kappa_i| - 1|,
     a lower bound on the node's distance to the curve; the thresholds
-    _NEAR_CURVE (the resolvent guards) and 1e-7 (on_curve) read it.
+    _NEAR_CURVE (the resolvent guards) and _ON_CURVE (on_curve) read it.
     """
 
     roots: np.ndarray
@@ -238,7 +244,7 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
     at each node of zs, from one batched root solve.
 
     The region comes from the roots alone: "at_one" first, then "on_curve"
-    where a root is central or dist < 1e-7, "outside" where the winding
+    where a root is central or dist < _ON_CURVE, "outside" where the winding
     number n_stable - r is 0 (so the split is r/0/p), else "inside".
     """
     zs = np.asarray(zs, dtype=complex)
@@ -254,7 +260,7 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
     winding = n_s - r
     dist = abs(scheme.a[-1]) * np.prod(np.abs(mods - 1.0), axis=1)
     region = np.where(at_one, "at_one", np.where(
-        (dist < 1e-7) | (n_c > 0), "on_curve",
+        (dist < _ON_CURVE) | (n_c > 0), "on_curve",
         np.where(winding == 0, "outside", "inside")))
 
     def fail(i, exc):
@@ -319,7 +325,7 @@ def spectral_split(scheme: SchemeDefinition, z: complex) -> SpectralSplit:
     """Classify the characteristic roots at z and name the region of z.
 
     Regions: "at_one" (z = 1), "on_curve" (a root on the unit circle, or
-    not certified 1e-7 away from the symbol curve), "outside" (winding
+    not certified _ON_CURVE away from the symbol curve), "outside" (winding
     number 0: exactly r stable roots, p unstable, none on the circle),
     "inside".  At z = 1 the checked layout is r stable, the single central
     root kappa = 1, and p-1 unstable.
@@ -555,8 +561,9 @@ class StabilityReport:
         }
 
 
-def check_hypothesis_two(scheme: SchemeDefinition, annulus_samples: int = 64,
-                         radii=(1.0, 1.05, 1.25, 2.5)) -> StabilityReport:
+def check_hypothesis_two(scheme: SchemeDefinition,
+                         annulus_samples: int = _SWEEP_SAMPLES,
+                         radii=_SWEEP_RADII) -> StabilityReport:
     """Sweep |Delta(z)| over circles of the given radii and classify.
 
     On the unit radius an angular window |theta| < _SWEEP_EXCLUSION is

@@ -186,6 +186,71 @@ def test_malformed_inline_coefficients_are_config_errors(tmp_path, capsys,
     assert not os.path.exists(out)
 
 
+_LFR = {"builtin": "lfr"}
+_LFR_B5 = {"r": 1, "p": 1, "a": _LFR_A, "p_b": 1, "name": "lfr-b5"}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    # a misspelt key, or one of another subcommand, once fell back to the
+    # default: the sweep over the default circles, or the default grid
+    ("simulate", {"n_lsit": [0, 2]}, "n_lsit"),
+    ("check", {"radi": [1.0, 2.0]}, "radi"),
+    ("oracle", {"J_list": [5]}, "J_list"),
+    # a misspelt ghost weight ran with b = 0: the inline one turned the
+    # l1-only verdict into stability for all q, with exit 0
+    ("check", {"scheme": {**_LFR, "B": 5.0}}, "scheme.B"),
+    ("check", {"scheme": {"inline": {**_LFR_B5, "B": [["5"]]}}},
+     "scheme.inline"),
+    # wrong types: read as 1, truncated, or a numeric error or traceback
+    ("simulate", {"j0": True}, "j0"),
+    ("simulate", {"n_list": [1.9]}, "n_list"),
+    ("layers", {"j0": "x"}, "j0"),
+    ("simulate", {"j0": [1]}, "j0"),
+    ("check", {"annulus_samples": [64]}, "annulus_samples"),
+    # bad values: NaN passed the positivity test and gave bound_holds false
+    # with exit 0; the others were numeric errors after the output
+    # directory was made
+    ("err-map", {"growth_tol": math.nan}, "growth_tol"),
+    ("check", {"annulus_samples": 4}, "annulus_samples"),
+    ("oracle", {"r0_list": [0]}, "r0_list"),
+    ("err-map", {"n_list": [0]}, "n_list"),
+])
+def test_malformed_config_is_refused_before_the_run(tmp_path, capsys,
+                                                    command, doc, key):
+    code, out = run(tmp_path, command, {"scheme": _LFR, **doc})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error at {key}: " in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_config_values_keep_their_types(tmp_path):
+    # integral floats read as ints, so the report and the artifacts are
+    # those of the integer config
+    runs = [run(tmp_path, "simulate", {"scheme": _LFR, "n_list": grid,
+                                       "j0": j0}, out=name)
+            for grid, j0, name in (([0, 3], 2, "a"), ([0.0, 3.0], 2.0, "b"))]
+    assert [code for code, _ in runs] == [0, 0]
+    reps = [read_json(out, "report.json") for _, out in runs]
+    assert reps[0]["n_list"] == reps[1]["n_list"] == [0, 3]
+    assert all(isinstance(rep["j0"], int) for rep in reps)
+    for name in ("green_half.csv", "green_whole.csv"):
+        with open(os.path.join(runs[0][1], name), "rb") as fa, \
+                open(os.path.join(runs[1][1], name), "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_readme_lists_every_config_key():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    tables = [cli._EVERY_RUN, *cli._KEYS.values(), *cli._BUILTINS.values()]
+    missing = {key for table in tables for key in table
+               if f"`{key}`" not in readme}
+    assert not missing
+
+
 def test_simulate_artifacts(tmp_path):
     doc = {"scheme": {"builtin": "lfr"}, "n_list": [0, 2, 5], "j0": 1}
     code, out = run(tmp_path, "simulate", doc)

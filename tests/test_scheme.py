@@ -259,6 +259,14 @@ def test_json_round_trip(lfr, o3):
         assert (back.r, back.p, back.p_b) == (s.r, s.p, s.p_b)
 
 
+@pytest.mark.parametrize("key", ["B", "lam", "P_b"])
+def test_json_unknown_key_is_refused(lfr, key):
+    doc = json.loads(scheme_to_json(lfr))
+    doc[key] = doc.get(key.lower(), 1)
+    with pytest.raises(ValueError, match=f"unknown scheme key '{key}'"):
+        scheme_from_json(json.dumps(doc))
+
+
 def test_json_rational_strings():
     doc = {"r": 1, "p": 2, "p_b": 2,
            "a": ["-1/16", "9/16", "9/16", "-1/16"],
