@@ -7,6 +7,12 @@ the forward sweep with one column per source j0, and one column of the
 transposed scheme (`halflab.evolution.adjoint_scheme`) from delta_1, which
 is what err-map runs.
 
+The second table replays the four o3 sweeps of a default err-map and
+layers job through `halflab.evolution._recorded`: whole, one kernel call
+per recorded time on the whole buffer, and windowed, chunk by chunk on the
+rows the read cells depend on, which is what the jobs run.  It prints the
+time and cell updates of each route.
+
 Run:  python3 benchmarks/bench_kernels.py
 """
 
@@ -14,8 +20,11 @@ import time
 
 import numpy as np
 
+from halflab import _kernels, evolution
 from halflab._kernels import evolve_half, evolve_whole
-from halflab.evolution import adjoint_scheme
+from halflab.evolution import (adjoint_scheme, temporal_green_rows,
+                               temporal_green_sweep,
+                               temporal_green_whole_sweep)
 from halflab.scheme import SchemeDefinition
 
 LFR = SchemeDefinition(r=1, p=1, a=[0.125, 0.25, 0.625], p_b=1, b=[[5.0]])
@@ -66,6 +75,74 @@ def _cell_updates(u0, r, p, steps):
     return int(np.maximum(tops - r + 1, 0).sum()) * m
 
 
+# the default err-map grid (with the o3 activation fronts) and layers job
+ERRMAP_NS = (250, 500, 1000, 2000)
+ERRMAP_J0S = sorted(set(range(50, 1001, 50)) | {125, 250, 500, 1000})
+LAYERS_NS, LAYERS_J0, LAYERS_JS = (500, 1000), 50, np.arange(1, 26)
+
+SWEEPS = [
+    ("o3 err-map half (adjoint)",
+     lambda: temporal_green_rows(O3, ERRMAP_NS, ERRMAP_J0S, [1])),
+    ("o3 err-map whole",
+     lambda: temporal_green_whole_sweep(O3, ERRMAP_NS,
+                                        np.arange(1 - 1000, 1 - 50 + 1))),
+    ("o3 layers half",
+     lambda: temporal_green_sweep(O3, LAYERS_NS, [LAYERS_J0], LAYERS_JS)),
+    ("o3 layers whole",
+     lambda: temporal_green_whole_sweep(O3, LAYERS_NS,
+                                        LAYERS_JS - LAYERS_J0)),
+]
+
+
+def _recorded_calls(sweep):
+    """The arguments of every `_recorded` call sweep() makes, its buffer
+    copied before the run."""
+    seen, orig = [], evolution._recorded
+
+    def capture(buf, ns, step, r, p, reads=None, source=None):
+        seen.append((buf.copy(), ns, step, r, p, reads, source))
+        return orig(buf, ns, step, r, p, reads, source)
+    evolution._recorded = capture
+    try:
+        sweep()
+    finally:
+        evolution._recorded = orig
+    return seen
+
+
+def _counted(run):
+    """run()'s kernel cell updates, from the window rule of each call."""
+    cells = [0]
+    origs = _kernels.evolve_half, _kernels.evolve_whole
+
+    def counting(kernel):
+        def call(u0, *args):
+            r, p = args[-4:-2] if kernel is origs[0] else args[-3:-1]
+            cells[0] += _cell_updates(u0, r, p, args[-1])
+            return kernel(u0, *args)
+        return call
+    _kernels.evolve_half, _kernels.evolve_whole = map(counting, origs)
+    try:
+        run()
+    finally:
+        _kernels.evolve_half, _kernels.evolve_whole = origs
+    return cells[0]
+
+
+def sweep_rows():
+    """(label, whole s, whole cells, windowed s, windowed cells)."""
+    out = []
+    for label, sweep in SWEEPS:
+        (buf, ns, step, r, p, reads, source), = _recorded_calls(sweep)
+        routes = [lambda: list(evolution._recorded(buf.copy(), ns, step,
+                                                   r, p)),
+                  lambda: list(evolution._recorded(buf.copy(), ns, step,
+                                                   r, p, reads, source))]
+        out.append((label, *[x for run in routes
+                             for x in (_best_of(run), _counted(run))]))
+    return out
+
+
 def main():
     rows = []
     for label, sch, half, N, m, steps, src in CASES:
@@ -83,6 +160,15 @@ def main():
     for label, t, cells in rows:
         mc = cells / 1e6
         print(f"{label:28s} {t * 1e3:9.2f} {mc:8.2f} {mc / t:8.1f}")
+
+    print()
+    header = (f"{'sweep':28s} {'whole ms':>9s} {'Mcells':>8s} "
+              f"{'window ms':>9s} {'Mcells':>8s}")
+    print(header)
+    print("-" * len(header))
+    for label, t_full, c_full, t_win, c_win in sweep_rows():
+        print(f"{label:28s} {t_full * 1e3:9.2f} {c_full / 1e6:8.2f} "
+              f"{t_win * 1e3:9.2f} {c_win / 1e6:8.2f}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,17 @@ is nonzero at entry (-1 if none), step s updates rows up to
 min(hi + r s, N - p - 1).  The support grows by at most r rows a step, so
 every row above the window is zero and would be written as +0.0 by a full
 sweep; the kernel stores +0.0 there (rows above hi are cleared at entry).
-Callers size the buffer so the support never reaches the top p rows.
+
+A buffer may be a view of a larger one whose edge rows hold nonzero true
+values.  The kernel then writes wrong values into its edges: zeros into the
+top p rows each step and, at the bottom, ghosts from the half-line rule or
+zeros from the whole-line one into the r bottom rows at entry and each
+step.  A wrong row reaches at most p rows further down and r rows further
+up per step, so after c steps only the top p c and bottom r (c + 1) rows
+can be wrong, plus the spread of any row that was wrong at entry; the
+caller keeps the cells it reads out of those margins
+(`evolution._recorded`).  A whole buffer sized so that the support never
+reaches its top p rows has no wrong row.
 
 Every cell accumulates its stencil terms as acc = 0.0, then acc += a_k u_k
 in ascending k, and every ghost as val = 0.0, then val += b_ik u_k in

@@ -131,12 +131,14 @@ def _cast(path: str, kind, v):
 
 
 # Every config key: (kind, bound, default).  A kind in a list is a nonempty
-# grid of it.  The bound is the least integer admitted, or the value a
-# float must exceed, or a function of the values read before and the
-# scheme that gives the least and greatest integer.  A default may be a
-# function of the values read before; None leaves the value to the library.
+# grid of it.  The bound is the least value admitted (an int), or the value
+# a float must exceed (a float), or a function of the values read before
+# and the scheme that gives the least and greatest integer.  A default may
+# be a function of the values read before; None leaves the value to the
+# library.
 _EVERY_RUN = dict(scheme=(dict, None, None), out=(str, None, "halflab-out"),
-                  radii=([float], None, list(_SWEEP_RADII)),
+                  # the sweep circles lie on or outside the unit circle
+                  radii=([float], 1, list(_SWEEP_RADII)),
                   annulus_samples=(int, 8, _SWEEP_SAMPLES))
 _KEYS = {
     "check": {},
@@ -145,7 +147,7 @@ _KEYS = {
                    j0_list=([int], 1, [1, 2, 3, 4, 6, 8])),
     "err-map": dict(n_list=([int], 1, [250, 500, 1000, 2000]),
                     j0_list=([int], 1, None), j_list=([int], 1, [1]),
-                    c0_list=([float], None, None),
+                    c0_list=([float], 0.0, None),
                     growth_tol=(float, 0.0, 0.05)),
     "growth": dict(q_list=(["q"], None, ["inf", 2.0]),
                    J_list=([int], 1, [125, 250, 500, 1000]),
@@ -194,10 +196,11 @@ def _typed(doc: dict, keys: dict, scheme=None, prefix: str = "") -> dict:
         if bound is None:
             continue
         lo, hi = bound(got, scheme) if callable(bound) else (bound, math.inf)
+        strict = isinstance(lo, float)
         for v in vals:
-            if isinstance(v, float) and not v > lo or not lo <= v <= hi:
+            if strict and not v > lo or not lo <= v <= hi:
                 raise ConfigError(path, f"{v!r} is not "
-                                  + (f"> {lo}" if isinstance(v, float)
+                                  + (f"> {lo}" if strict
                                      else f"in {lo}..{hi}"))
     return got
 
@@ -346,16 +349,16 @@ def _run_simulate(scheme, opts, out_dir, at_one):
 def _run_layers(scheme, opts, out_dir, at_one):
     j_max, j0, n, j0_list = (opts[k] for k in ("j_max", "j0", "n", "j0_list"))
     rc_a = rc_analytic(scheme, j_max, at_one=at_one)
-    # the snapshots at n and 2n from one sweep of each kernel
-    ns = (n, 2 * n)
-    greens = temporal_green_sweep(scheme, ns, [j0])
-    wholes = temporal_green_whole_sweep(scheme, ns)
+    # G(m, j0, j) and Gt(m, j - j0) on j = 1..j_max at m = n, 2n from one
+    # sweep of each kernel
+    ns, js = (n, 2 * n), rc_a.j_values
+    greens = temporal_green_sweep(scheme, ns, [j0], js)
+    wholes = temporal_green_whole_sweep(scheme, ns, js - j0)
     rc_e, rc_e2 = [rc_empirical(scheme, j0, m, j_max, at_one=at_one,
                                 green=(g[0], gt))
                    for m, g, gt in zip(ns, greens, wholes)]
     err_n = np.abs(rc_e.values - rc_a.values)
     err_2n = np.abs(rc_e2.values - rc_a.values)
-    js = rc_a.j_values
     _csv(out_dir, "layer_rc.csv",
          ("j", "analytic", "empirical_n", "empirical_2n", "abs_err_n",
           "abs_err_2n"),
@@ -437,9 +440,8 @@ def _run_oracle(scheme, opts, out_dir, at_one):
     n_max = opts["n_max"]
     j0s, js = sorted(set(opts["j0_list"])), sorted(set(opts["j_list"]))
     # the time-stepped table ts[i0, n, j], every step of one sweep
-    ts = np.array([[[g.value(j) for j in js] for g in step]
-                   for step in temporal_green_sweep(scheme, range(n_max + 1),
-                                                    j0s)]).transpose(1, 0, 2)
+    ts = temporal_green_sweep(scheme, range(n_max + 1), j0s,
+                              js).transpose(1, 0, 2)
     rows, per_r0, tables = [], {}, {}
     for r0 in sorted(set(opts["r0_list"])):
         tab = inverse_laplace_table(scheme, n_max, j0s, js, r0=r0)

@@ -15,21 +15,24 @@ u_J = sum_{j0 <= J} delta_{j0} and record ||T^n u_J|| / ||u_J||, a lower
 bound for the operator norm of T^n.
 
 Grids of sources are evolved in one sweep: the kernel steps a 2-D buffer
-with one column per source (j0 or J) and is advanced chunk by chunk to each
-recorded time, one kernel call per time.  A cell's value does not depend on
-the buffer size, the other columns or the chunking (see `_kernels`), so
-`temporal_green_sweep`, `temporal_green_whole_sweep` and
-`growth_experiment` are bitwise equal to one run per source and time.
+with one column per source (j0 or J).  A cell's value does not depend on
+the buffer size, the other columns or the chunking (see `_kernels`), so the
+sweeps are bitwise equal to one run per source and time.  `_recorded` is
+the one driver: `growth_experiment` reads whole columns and advances the
+whole buffer with one kernel call per recorded time, while
+`temporal_green_sweep`, `temporal_green_rows` and
+`temporal_green_whole_sweep` take the cells their caller reads, step only
+the views those cells depend on (the domain of dependence, bounded by the
+finite support above), and return exactly those values.
 
 Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
 is the j0 entry of (T^T)^n delta_j, and the transpose T^T is itself a
 half-line scheme (`adjoint_scheme`: stencil a_{-k}, r and p swapped, and
 ghost weights that reproduce the transposed boundary block, returned with
-the residual of the solve for those weights).  So
-`temporal_green_rows` gives G(n, ., j) at every j0 from one column per j,
-however many sources are read; it agrees with `temporal_green_sweep` to
-roundoff, not bitwise, since the two routes multiply out T^n in a
-different order.
+the residual of the solve for those weights).  So `temporal_green_rows`
+gives G(n, j0, j) at every j0 from one column per j, however many sources
+are read; it agrees with `temporal_green_sweep` to roundoff, not bitwise,
+since the two routes multiply out T^n in a different order.
 """
 
 from __future__ import annotations
@@ -233,14 +236,53 @@ def temporal_green_whole(scheme: SchemeDefinition, n: int) -> GreenField:
     return GreenField(n, None, apply_whole_line(scheme, WholeLineField.dirac(0), n))
 
 
-def _recorded(buf, ns, kernel, *args):
-    """Advance buf through the ascending times ns by kernel(buf, *args,
-    nsteps), one call per time, yielding the buffer at each."""
+# the most steps the windowed driver takes with one kernel call: its view
+# is the domain of dependence of the chunk's end, so a longer chunk sweeps
+# more rows no read needs, and a shorter one makes more calls
+_CHUNK = 64
+
+
+def _recorded(buf, ns, step, r, p, reads=None, source=None):
+    """Advance buf through the ascending times ns by step(view, nsteps), one
+    kernel call on a view of buf's leading axis, yielding buf at each time.
+
+    Without reads every row is exact at each yield, from one call on the
+    whole buffer per time.  With reads = (lo, hi) only the rows lo..hi are:
+    a row at time n depends on the rows at most r below and p above it per
+    step back, so the rows exact at time t are those of the reads carried
+    back from the last time, D(t) = [lo - r (ns[-1] - t), hi + p (ns[-1] - t)].
+    A chunk of c <= _CHUNK steps ending at t runs on D(t) widened by an
+    r (c + 1)-row bottom and a p (c + 1)-row top margin.  Rows outside D at
+    the chunk's start may be stale, and the kernel writes wrong values into
+    the view's edges (zeros in its top p rows each step, ghosts or the zero
+    rule in its bottom r rows); a wrong row spreads at most p rows down or
+    r rows up per step, so after c steps it stays in the margins and D(t)
+    is exact.  A view clipped at the buffer's top, where the support never
+    reaches, zeroes true zeros; on the whole line (source: the row of the
+    unit source) the bottom rises to the support's lower edge
+    source - p t - r, where the zero rule is exact, with no scan.
+    """
     done = 0
     for n in ns:
-        buf = kernel(buf, *args, int(n) - done)
-        done = int(n)
+        if reads is None:
+            buf = step(buf, n - done)
+            done = n
+        while done < n:
+            c = min(_CHUNK, n - done)
+            back = ns[-1] - done + 1
+            lo = max(reads[0] - r * back, 0)
+            hi = min(reads[1] + p * back, buf.shape[0] - 1)
+            if source is not None:
+                lo = max(lo, source - p * (done + c) - r)
+            buf[lo:hi + 1] = step(buf[lo:hi + 1], c)
+            done += c
         yield buf
+
+
+def _half_step(scheme: SchemeDefinition):
+    # the kernel is looked up at each call, where a tracer may wrap it
+    return lambda u, k: _kernels.evolve_half(u, scheme.a, scheme.b, scheme.r,
+                                             scheme.p, scheme.p_b, k)
 
 
 def _check_times(ns) -> list:
@@ -250,23 +292,30 @@ def _check_times(ns) -> list:
     return ns
 
 
-def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s) -> list:
-    """G(n, j0, .) for every n of the ascending ns and every j0 of j0s, as
-    out[k][i] = temporal_green(scheme, ns[k], j0s[i]) (bitwise), from one
-    sweep with a column per source."""
+def _check_cells(js, least: int) -> np.ndarray:
+    js = np.asarray([int(j) for j in js], dtype=int)
+    if js.size == 0 or js.min() < least:
+        raise ValueError(f"cells must be a nonempty list of j >= {least}")
+    return js
+
+
+def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s, js) -> np.ndarray:
+    """G(n, j0, j) at the cells j >= 1 - r of js, for every n of the
+    ascending ns and every j0 of j0s, as out[k, i, c] =
+    temporal_green(scheme, ns[k], j0s[i]).value(js[c]) (bitwise), from one
+    sweep with a column per source over the rows those cells depend on."""
     ns = _check_times(ns)
     j0s = [int(j0) for j0 in j0s]
-    r = scheme.r
-    buf = np.zeros((max(j0s, default=0) + r * ns[-1] + scheme.p + r,
-                    len(j0s)))
+    r, p = scheme.r, scheme.p
+    rows = _check_cells(js, 1 - r) + r - 1
+    buf = np.zeros((max(max(j0s, default=0) + r * ns[-1] + p + r,
+                        int(rows.max()) + 1), len(j0s)))
     for i, j0 in enumerate(j0s):
         vals = HalfLineField.dirac(scheme, j0).values
         buf[:vals.size, i] = vals
-    snaps = _recorded(buf, ns, _kernels.evolve_half, scheme.a, scheme.b, r,
-                      scheme.p, scheme.p_b)
-    return [[GreenField(n, j0, HalfLineField(r, snap[:, i]).trimmed())
-             for i, j0 in enumerate(j0s)]
-            for n, snap in zip(ns, snaps)]
+    snaps = _recorded(buf, ns, _half_step(scheme), r, p,
+                      reads=(rows.min(), rows.max()))
+    return np.array([snap[rows].T for snap in snaps])
 
 
 def adjoint_scheme(scheme: SchemeDefinition) -> tuple:
@@ -310,33 +359,37 @@ def adjoint_scheme(scheme: SchemeDefinition) -> tuple:
     return adjoint, residual / float(np.max(np.abs(a)))
 
 
-def temporal_green_rows(scheme: SchemeDefinition, ns, js) -> list:
-    """Rows of G in the source, as out[k][c].value(j0) = G(ns[k], j0, js[c])
-    for every j0 >= 1, from one sweep of the adjoint scheme with a column
-    per row j: G(n, j0, j) is the j0 entry of (T^T)^n delta_j, and out[k][c]
-    is that adjoint Green's function (its j0 field is the row j).  Equal to
-    the `temporal_green_sweep` columns up to roundoff."""
-    return temporal_green_sweep(adjoint_scheme(scheme)[0], ns, js)
+def temporal_green_rows(scheme: SchemeDefinition, ns, j0s, js) -> np.ndarray:
+    """G(n, j0, j) laid out as `temporal_green_sweep`'s out[k, i, c], from
+    one sweep of the adjoint scheme with a column per cell j: G(n, j0, j)
+    is the j0 entry of (T^T)^n delta_j, so the cost grows with |js|, not
+    with |j0s|.  Equal to `temporal_green_sweep` up to roundoff."""
+    adjoint = adjoint_scheme(scheme)[0]
+    return temporal_green_sweep(adjoint, ns, js, j0s).transpose(0, 2, 1)
 
 
-def temporal_green_whole_sweep(scheme: SchemeDefinition, ns) -> list:
-    """Gt(n, .) for every n of the ascending ns, as
-    out[k] = temporal_green_whole(scheme, ns[k]) (bitwise, on a wider
-    window), from one sweep."""
+def temporal_green_whole_sweep(scheme: SchemeDefinition, ns, js) -> np.ndarray:
+    """Gt(n, j) at the cells j of js for every n of the ascending ns, as
+    out[k, c] = temporal_green_whole(scheme, ns[k]).value(js[c]) (bitwise),
+    from one sweep over the rows those cells depend on."""
     ns = _check_times(ns)
+    js = _check_cells(js, -math.inf)
     r, p = scheme.r, scheme.p
-    lo = -p * ns[-1] - r
-    buf = np.zeros(r * ns[-1] + p - lo + 1)
+    lo = min(-p * ns[-1] - r, int(js.min()))
+    buf = np.zeros(max(r * ns[-1] + p, int(js.max())) - lo + 1)
     buf[-lo] = 1.0
-    snaps = _recorded(buf, ns, _kernels.evolve_whole, scheme.a, r, p)
-    return [GreenField(n, None, WholeLineField(lo, snap))
-            for n, snap in zip(ns, snaps)]
+    rows = js - lo
+    snaps = _recorded(buf, ns, lambda u, k: _kernels.evolve_whole(
+        u, scheme.a, r, p, k), r, p, reads=(rows.min(), rows.max()),
+        source=-lo)
+    return np.array([snap[rows] for snap in snaps])
 
 
 def _interior_lq(values: np.ndarray, q: float) -> float:
     if q == math.inf:
         return float(np.max(np.abs(values))) if values.size else 0.0
-    return math.fsum(np.abs(values) ** q) ** (1.0 / q)
+    # fsum is exact, so it reads Python floats in any order
+    return math.fsum((np.abs(values) ** q).tolist()) ** (1.0 / q)
 
 
 def hq_norm(field, q: float) -> float:
@@ -405,13 +458,14 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
         for a, q in enumerate(qs):
             denoms[a, c] = _interior_lq(np.ones(J), q)
     vals = np.empty((len(qs), len(Js), ns.size))
-    snaps = _recorded(buf, ns, _kernels.evolve_half, scheme.a, scheme.b, r,
-                      scheme.p, scheme.p_b)
+    snaps = _recorded(buf, ns.tolist(), _half_step(scheme), r, scheme.p)
     for pos, (n, snap) in enumerate(zip(ns, snaps)):
         for c, J in enumerate(Js):
-            # the interior up to the support top; zeros above it change
-            # neither the sup nor the exact fsum
-            col = np.ascontiguousarray(snap[r:r + J + r * int(n), c])
+            # the interior's nonzero span: the zeros around it (the
+            # underflowed front) change neither the sup nor the exact fsum
+            col = snap[r:r + J + r * int(n), c]
+            nz = np.flatnonzero(col)
+            col = col[nz[0]:nz[-1] + 1] if nz.size else col[:0]
             for a, q in enumerate(qs):
                 vals[a, c, pos] = _interior_lq(col, q) / denoms[a, c]
     results = []

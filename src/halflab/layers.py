@@ -31,11 +31,12 @@ of one scheme.  `_AtOne` holds them, each computed at most once; a CLI run
 builds one and passes it to every layer function it calls (`at_one=`),
 and a function called without one builds its own.
 
-`err_bound_fit` reads G only on its j grid, so it takes the rows G(n, ., j)
+`err_bound_fit` reads G only on its (j0, j) grid, so it takes G(n, j0, j)
 from one sweep of the transposed scheme with a column per j
-(`evolution.temporal_green_rows`), whatever the size of the j0 grid, and Gt
-from one whole-line sweep.  Those rows equal the forward columns to
-roundoff, so the suprema move only at cells where |Err| is at roundoff.
+(`evolution.temporal_green_rows`), whatever the size of the j0 grid, and
+Gt(n, j - j0) from one whole-line sweep, each stepping only the rows those
+cells depend on.  Those rows equal the forward columns to roundoff, so the
+suprema move only at cells where |Err| is at roundoff.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (adjoint_scheme, temporal_green, temporal_green_rows,
-                        temporal_green_whole, temporal_green_whole_sweep)
+from .evolution import (adjoint_scheme, temporal_green_rows,
+                        temporal_green_sweep, temporal_green_whole,
+                        temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
 from .spectral import (_boundary_zero, _vandermonde, lopatinskii,
@@ -254,11 +256,10 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
     return _profile("transmitted", "analytic", js, vals, j0s=js0)
 
 
-def _green_rows(G, Gt, j0: int, js: np.ndarray):
-    """(G(n,j0,j), Gt(n,j-j0)) on the j grid from the two snapshots."""
-    g = np.array([G.value(int(j)) for j in js])
-    gt = np.array([Gt.value(int(j) - j0) for j in js])
-    return g, gt
+def _green_rows(scheme: SchemeDefinition, n: int, j0: int, js: np.ndarray):
+    """(G(n, j0, j), Gt(n, j - j0)) on the j grid, one sweep each."""
+    return (temporal_green_sweep(scheme, [n], [j0], js)[0, 0],
+            temporal_green_whole_sweep(scheme, [n], js - j0)[0])
 
 
 def _activation(scheme: SchemeDefinition, rep, n: int, j0: int) -> float:
@@ -293,8 +294,7 @@ def err_field(scheme: SchemeDefinition, n: int, j0: int, window: int, *,
         raise ValueError("need n >= 0, j0 >= 1, window >= 1")
     at_one = _at_one(scheme, at_one)
     js = np.arange(1, window + 1)
-    g, gt = _green_rows(temporal_green(scheme, n, j0),
-                        temporal_green_whole(scheme, n), j0, js)
+    g, gt = _green_rows(scheme, n, j0, js)
     ind = 1 if n * scheme.p >= j0 else 0
     act = _activation(scheme, at_one.rep1, n, j0)
     rc = (rc_analytic(scheme, window, at_one=at_one).values
@@ -372,15 +372,17 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
 
     # one sweep per kernel, each recorded at every n: the adjoint on the
     # half line with a column per j (its j0 entries are G(n, j0, j)), and
-    # one source on the whole line
-    rows = temporal_green_rows(scheme, ns, js)
-    wholes = temporal_green_whole_sweep(scheme, ns)
+    # one source on the whole line read at the offsets j - j0
+    green = temporal_green_rows(scheme, ns, j0s, js)
+    d0 = js[0] - j0s[-1]
+    wholes = temporal_green_whole_sweep(scheme, ns,
+                                        np.arange(d0, js[-1] - j0s[0] + 1))
     abs_err = np.empty((ns.size, j0s.size, js.size))
     args = np.empty((ns.size, j0s.size))
     for k, n in enumerate(ns):
         for i, j0 in enumerate(j0s):
-            g = np.array([row.value(int(j0)) for row in rows[k]])
-            gt = np.array([wholes[k].value(int(j) - j0) for j in js])
+            g = green[k, i]
+            gt = wholes[k, js - j0 - d0]
             ind = 1 if n * scheme.p >= j0 else 0
             act = _activation(scheme, rep, int(n), int(j0))
             err = g - gt - ind * ru_all[j0 - 1, js - 1] - act * rc[js - 1]
@@ -416,9 +418,10 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, n: int, window: int, *,
     """Reflected layer extracted from evolution snapshots: the Green
     difference minus the transmitted layer, divided by the activation.
 
-    green is the pair of snapshots (G(n, j0, .), Gt(n, .)), e.g. from one
-    `temporal_green_sweep` and one `temporal_green_whole_sweep` over
-    several n; without it both are evolved here.
+    green is the pair of rows (G(n, j0, j), Gt(n, j - j0)) on
+    j = 1..window, e.g. from one `temporal_green_sweep` and one
+    `temporal_green_whole_sweep` over several n; without it both are
+    evolved here.
     """
     if j0 < 1 or window < 1 or n < 0:
         raise ValueError("need j0 >= 1, window >= 1, n >= 0")
@@ -435,13 +438,12 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, n: int, window: int, *,
             f"{2.0 * j0 / abs(rep.alpha):.0f}); extraction is biased",
             stacklevel=2)
     if green is None:
-        green = (temporal_green(scheme, n, j0),
-                 temporal_green_whole(scheme, n))
-    elif ((green[0].n, green[0].j0) != (n, j0)
-          or (green[1].n, green[1].j0) != (n, None)):
-        raise ValueError(f"green must be the snapshots G({n}, {j0}, .) and "
-                         f"Gt({n}, .)")
-    g, gt = _green_rows(*green, j0, js)
+        g, gt = _green_rows(scheme, n, j0, js)
+    elif any(np.shape(row) != (window,) for row in green):
+        raise ValueError(f"green must be the snapshots G({n}, {j0}, j) and "
+                         f"Gt({n}, j - {j0}) on j = 1..{window}")
+    else:
+        g, gt = green
     ind = 1 if n * scheme.p >= j0 else 0
     ru_row = at_one.ru_row(j0, window) if ind else np.zeros(window)
     act = _activation(scheme, rep, n, j0)

@@ -214,6 +214,15 @@ _LFR_B5 = {"r": 1, "p": 1, "a": _LFR_A, "p_b": 1, "name": "lfr-b5"}
     ("check", {"annulus_samples": 4}, "annulus_samples"),
     ("oracle", {"r0_list": [0]}, "r0_list"),
     ("err-map", {"n_list": [0]}, "n_list"),
+    # a zero trial rate wrote three artifacts and then exited 1 with
+    # "nothing finite to plot"; a negative one ran with exit 0
+    ("err-map", {"c0_list": [0.0]}, "c0_list"),
+    ("err-map", {"c0_list": [-1.0, 0.5]}, "c0_list"),
+    # a negative radius swept |z| = 2 and exited 0 with -2.0 in the
+    # report; one inside the unit circle was a numeric error after the
+    # output directory was made
+    ("check", {"radii": [-2.0]}, "radii"),
+    ("check", {"radii": [1.0, 0.5]}, "radii"),
 ])
 def test_malformed_config_is_refused_before_the_run(tmp_path, capsys,
                                                     command, doc, key):
@@ -223,6 +232,14 @@ def test_malformed_config_is_refused_before_the_run(tmp_path, capsys,
     assert f"config error at {key}: " in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_unit_radius_is_admitted(tmp_path):
+    # the radius bound is >= 1, not > 1: the unit circle is swept
+    code, out = run(tmp_path, "check", {"scheme": _LFR, "radii": [1, 1.5]})
+    assert code == 0
+    assert read_json(out, "report.json")["hypothesis_two"]["radii"] == \
+        [1.0, 1.5]
 
 
 def test_config_values_keep_their_types(tmp_path):
@@ -560,8 +577,10 @@ def _instrument(monkeypatch):
                      lambda scheme, j0_max, j_max: (j0_max, j_max))
     # the last positional argument of both kernels is the step count
     for name in ("evolve_half", "evolve_whole"):
-        _count_calls(monkeypatch, calls, "kernel", _kernels, name,
+        _count_calls(monkeypatch, calls, name, _kernels, name,
                      lambda *args: args[-1])
+    for name in ("temporal_green_sweep", "temporal_green_whole_sweep"):
+        _count_calls(monkeypatch, calls, name, cli, name)
     return calls
 
 
@@ -580,10 +599,12 @@ def test_layers_run_computes_each_quantity_once(tmp_path, monkeypatch,
     assert [z for tag, z in calls if tag == "proj"] == [1.0]
     # the layer_ru.csv grid, and the transmitted row at j0 once for n, 2n
     assert sorted(g for tag, g in calls if tag == "ru") == [(2, 6), (20, 6)]
-    # one half-line and one whole-line sweep recorded at n and 2n: a kernel
-    # call per recorded time, 2n steps per sweep (one run per n took 3n)
-    steps = [s for tag, s in calls if tag == "kernel"]
-    assert steps == [n, n, n, n]
+    # one half-line and one whole-line sweep recorded at n and 2n, each
+    # advancing 2n steps in all (one run per n took 3n), chunk by chunk
+    for sweep, kernel in (("temporal_green_sweep", "evolve_half"),
+                          ("temporal_green_whole_sweep", "evolve_whole")):
+        assert tags.count(sweep) == 1
+        assert sum(s for tag, s in calls if tag == kernel) == 2 * n
 
 
 def test_check_run_checks_hypothesis_one_once(tmp_path, monkeypatch):

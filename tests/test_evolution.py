@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import halflab as hl
+from halflab import _kernels, evolution
 from halflab.evolution import GhostConsistencyError, loglog_slope
 
 from conftest import make_half_field, o3_marginal_pair
@@ -169,24 +170,159 @@ def test_growth_experiment_q_list_bitwise(lfr, o3):
 
 
 def test_temporal_green_sweeps_bitwise(lfr, o3):
-    ns = [0, 3, 3, 20, 41]
+    ns, j0s = [0, 3, 3, 20, 41], [1, 2, 15, 4]
     for scheme in (lfr, o3):
-        greens = hl.temporal_green_sweep(scheme, ns, [1, 2, 15, 4])
-        wholes = hl.temporal_green_whole_sweep(scheme, ns)
+        r, p = scheme.r, scheme.p
+        # every cell of both supports at the last time, and a margin of
+        # cells the support never reaches
+        js = range(1 - r, 15 + r * ns[-1] + 4)
+        ds = range(-p * ns[-1] - r - 3, r * ns[-1] + p + 4)
+        greens = hl.temporal_green_sweep(scheme, ns, j0s, js)
+        wholes = hl.temporal_green_whole_sweep(scheme, ns, ds)
+        assert greens.shape == (len(ns), len(j0s), len(js))
+        assert wholes.shape == (len(ns), len(ds))
         for k, n in enumerate(ns):
-            for i, j0 in enumerate([1, 2, 15, 4]):
+            for i, j0 in enumerate(j0s):
                 want = hl.temporal_green(scheme, n, j0)
-                assert greens[k][i].n == n and greens[k][i].j0 == j0
-                assert (greens[k][i].field.values.tobytes()
-                        == want.field.values.tobytes())
+                ref = np.array([want.value(j) for j in js])
+                assert greens[k, i].tobytes() == ref.tobytes()
             want = hl.temporal_green_whole(scheme, n)
-            got = [wholes[k].value(j) for j in range(-3 * n - 3, 3 * n + 4)]
-            ref = [want.value(j) for j in range(-3 * n - 3, 3 * n + 4)]
-            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            ref = np.array([want.value(j) for j in ds])
+            assert wholes[k].tobytes() == ref.tobytes()
     with pytest.raises(ValueError):
-        hl.temporal_green_sweep(lfr, [5, 2], [1])
+        hl.temporal_green_sweep(lfr, [5, 2], [1], [1])
     with pytest.raises(ValueError):
-        hl.temporal_green_whole_sweep(lfr, [])
+        hl.temporal_green_whole_sweep(lfr, [], [0])
+    with pytest.raises(ValueError, match="cells"):
+        hl.temporal_green_sweep(lfr, [5], [1], [-1])
+    with pytest.raises(ValueError, match="cells"):
+        hl.temporal_green_whole_sweep(lfr, [5], [])
+
+
+def _view_rows(u):
+    # the first and last buffer row of a kernel call's view, or None for
+    # a call on a whole buffer
+    if u.base is None:
+        return None
+    start = u.__array_interface__["data"][0] \
+        - u.base.__array_interface__["data"][0]
+    lo = start // u.strides[0]
+    return lo, lo + u.shape[0] - 1, u.base.shape[0]
+
+
+def _poisoned(kernel, r, p, source=None):
+    """kernel, except that after each call on a view every row the margin
+    argument of `evolution._recorded` calls possibly wrong comes back NaN:
+    the top p (c + 1) rows of a view below the buffer's top, and the bottom
+    r (c + 1) rows of a view above the buffer's bottom or, on the whole
+    line, above the support's lower edge minus r at the chunk's end."""
+    done = [0]
+
+    def run(u0, *args):
+        c = args[-1]
+        out = kernel(u0, *args)
+        done[0] += c
+        view = _view_rows(u0)
+        run.views.append(view)
+        if view is None:
+            return out
+        lo, hi, size = view
+        if hi < size - 1:
+            out[-p * (c + 1):] = np.nan
+        edge = 0 if source is None else source - p * done[0] - r
+        if lo > edge:
+            out[:r * (c + 1)] = np.nan
+        return out
+    run.views = []
+    return run
+
+
+def _narrower(views):
+    # some call ran on a view of fewer rows than its buffer
+    return any(v is not None and v[1] - v[0] + 1 < v[2] for v in views)
+
+
+@pytest.mark.parametrize("scheme", ["lfr", "o3", "r2p3"])
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("where", ["boundary", "middle", "top", "front"])
+def test_windowed_sweeps_never_read_the_margins(lfr, o3, monkeypatch,
+                                                scheme, columns, where):
+    # the rows the margin argument calls possibly wrong are poisoned after
+    # every chunk; the read cells must still be those of an unwindowed run
+    scheme = {"lfr": lfr, "o3": o3,
+              "r2p3": _ADJOINT_CASES["r2p3pb3"]()}[scheme]
+    r, p = scheme.r, scheme.p
+    ns = [0, 7, 64, 65, 150, 150, 203]
+    n = ns[-1]
+    j0s = [3, 40, 12][:columns]
+    # half-line cells, and whole-line offsets, for each read range; the
+    # front is the whole line's lower support edge -p n
+    top = max(j0s) + r * n
+    cells = {"boundary": (range(1 - r, 4), range(-3, 3)),
+             "middle": (range(60, 66), range(-60, -50)),
+             "top": (range(top - 5, top + 2), range(r * n - 4, r * n + p)),
+             "front": (range(1, 3), range(-p * n - 2, -p * n + 6))}[where]
+    half, whole = cells
+    want = hl.temporal_green_sweep(scheme, ns, j0s, half)
+    want_whole = hl.temporal_green_whole_sweep(scheme, ns, whole)
+    for k, m in enumerate(ns):
+        for i, j0 in enumerate(j0s):
+            g = hl.temporal_green(scheme, m, j0)
+            assert want[k, i].tobytes() == \
+                np.array([g.value(j) for j in half]).tobytes()
+        gt = hl.temporal_green_whole(scheme, m)
+        assert want_whole[k].tobytes() == \
+            np.array([gt.value(j) for j in whole]).tobytes()
+    poisoned = _poisoned(_kernels.evolve_half, r, p)
+    monkeypatch.setattr(_kernels, "evolve_half", poisoned)
+    got = hl.temporal_green_sweep(scheme, ns, j0s, half)
+    assert got.tobytes() == want.tobytes()
+    assert _narrower(poisoned.views)
+    # the whole line's source row: the buffer starts at -p n - r, or lower
+    # to hold every read offset
+    source = max(p * n + r, -min(whole))
+    poisoned = _poisoned(_kernels.evolve_whole, r, p, source=source)
+    monkeypatch.setattr(_kernels, "evolve_whole", poisoned)
+    got = hl.temporal_green_whole_sweep(scheme, ns, whole)
+    assert got.tobytes() == want_whole.tobytes()
+    assert _narrower(poisoned.views)
+
+
+@pytest.mark.parametrize("scheme", ["lfr", "o3", "r2p3"])
+@pytest.mark.parametrize("reads", [(0, 5), (90, 100), (380, 400)])
+def test_recorded_windows_1d_half_and_2d_whole_buffers(lfr, o3, scheme,
+                                                       reads):
+    # the driver on the buffer shapes the public sweeps do not make: a
+    # 1-D half-line buffer and a 2-D whole-line one, poisoned as above,
+    # against the same buffers advanced whole
+    scheme = {"lfr": lfr, "o3": o3,
+              "r2p3": _ADJOINT_CASES["r2p3pb3"]()}[scheme]
+    r, p, a, b, p_b = scheme.r, scheme.p, scheme.a, scheme.b, scheme.p_b
+    ns = [5, 64, 130, 131, 190]
+    size = 200 + (r + p) * ns[-1] + p + r
+    half = np.zeros(size)
+    half[r - 1 + np.array([1, 2, 30])] = [1.0, -0.5, 2.0]
+    source = p * ns[-1] + r
+    whole = np.zeros((size + source, 2))
+    whole[source, 0] = 1.0
+    whole[source:source + 3, 1] = [0.25, 1.0, -3.0]
+
+    def half_step(kernel):
+        return lambda u, k: kernel(u, a, b, r, p, p_b, k)
+
+    def whole_step(kernel):
+        return lambda u, k: kernel(u, a, r, p, k)
+    lo, hi = reads
+    for buf, kernel, step, src in (
+            (half, _kernels.evolve_half, half_step, None),
+            (whole, _kernels.evolve_whole, whole_step, source)):
+        want = [snap[lo:hi + 1].copy() for snap in evolution._recorded(
+            buf.copy(), ns, step(kernel), r, p)]
+        poisoned = _poisoned(kernel, r, p, src)
+        got = [snap[lo:hi + 1].copy() for snap in evolution._recorded(
+            buf.copy(), ns, step(poisoned), r, p, reads=reads, source=src)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert not np.isnan(want).any() and _narrower(poisoned.views)
 
 
 # inline schemes of every shape the adjoint changes: no ghost rule, a full
@@ -264,14 +400,12 @@ def test_temporal_green_rows_match_forward_columns(case):
     ns, js = [0, 30, 60, 60, 120], [1, 2, 5, 9]
     # every source that reaches j <= 9 by n = 120 (j - j0 >= -p n)
     j0s = list(range(1, js[-1] + scheme.p * ns[-1] + 1))
-    rows = hl.temporal_green_rows(scheme, ns, js)
-    cols = hl.temporal_green_sweep(scheme, ns, j0s)
-    for k, n in enumerate(ns):
-        for c, j in enumerate(js):
-            assert rows[k][c].n == n
-            assert rows[k][c].field.j_max <= j0s[-1]
-            got = np.array([rows[k][c].value(j0) for j0 in j0s])
-            want = np.array([col.value(j) for col in cols[k]])
+    rows = hl.temporal_green_rows(scheme, ns, j0s, js)
+    cols = hl.temporal_green_sweep(scheme, ns, j0s, js)
+    assert rows.shape == cols.shape == (len(ns), len(j0s), len(js))
+    for k in range(len(ns)):
+        for c in range(len(js)):
+            got, want = rows[k, :, c], cols[k, :, c]
             assert np.max(np.abs(got - want)) <= \
                 1e-13 * np.max(np.abs(want))
 

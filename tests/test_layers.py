@@ -179,13 +179,14 @@ def test_err_bound_fit_small_grid(lfr):
     assert fit.best_c0 > 0.0
 
 
-def _one_run_per_cell(scheme, ns, j0s):
-    return [[temporal_green(scheme, int(n), int(j0)) for j0 in j0s]
-            for n in ns]
+def _one_run_per_cell(scheme, ns, j0s, js):
+    return np.array([[[temporal_green(scheme, int(n), int(j0)).value(int(j))
+                       for j in js] for j0 in j0s] for n in ns])
 
 
-def _one_run_per_time(scheme, ns):
-    return [temporal_green_whole(scheme, int(n)) for n in ns]
+def _one_run_per_time(scheme, ns, js):
+    return np.array([[temporal_green_whole(scheme, int(n)).value(int(j))
+                      for j in js] for n in ns])
 
 
 @pytest.mark.parametrize("case", ["lfr", "o3", "o3_pair"])
@@ -210,16 +211,6 @@ def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
     assert np.any(fit.heat > 0)
 
 
-class _ForwardRow:
-    """G(n, ., j) read off the forward columns, one per j0."""
-
-    def __init__(self, greens, j0s, j):
-        self._vals = {int(j0): g.value(j) for j0, g in zip(j0s, greens)}
-
-    def value(self, j0):
-        return self._vals[int(j0)]
-
-
 @pytest.mark.parametrize("name", ["lfr", "o3"])
 def test_err_bound_fit_adjoint_route_keeps_verdict(lfr, o3, monkeypatch,
                                                    name):
@@ -233,11 +224,7 @@ def test_err_bound_fit_adjoint_route_keeps_verdict(lfr, o3, monkeypatch,
     assert fit.j0_values.tolist() == gate
     j0s = fit.j0_values
 
-    def forward_rows(scheme, ns, js):
-        greens = temporal_green_sweep(scheme, ns, j0s)
-        return [[_ForwardRow(g, j0s, int(j)) for j in js] for g in greens]
-
-    monkeypatch.setattr(layers, "temporal_green_rows", forward_rows)
+    monkeypatch.setattr(layers, "temporal_green_rows", temporal_green_sweep)
     ref = err_bound_fit(scheme, j0_list=j0s)
     assert fit.best_c0 == ref.best_c0
     assert fit.best_c0 > 0.0
@@ -268,9 +255,9 @@ def test_shared_residue_data_is_bitwise(lfr, o3, name):
         (ru_analytic(scheme, 5, 12, at_one=at_one),
          ru_analytic(scheme, 5, 12)),
     ]
-    ns = (200, 400)
-    greens = temporal_green_sweep(scheme, ns, [40])
-    wholes = temporal_green_whole_sweep(scheme, ns)
+    ns, js = (200, 400), np.arange(1, 13)
+    greens = temporal_green_sweep(scheme, ns, [40], js)
+    wholes = temporal_green_whole_sweep(scheme, ns, js - 40)
     for n, g, gt in zip(ns, greens, wholes):
         pairs.append((rc_empirical(scheme, 40, n, 12, at_one=at_one,
                                    green=(g[0], gt)),
@@ -290,8 +277,9 @@ def test_shared_residue_data_is_bitwise(lfr, o3, name):
     assert got.heat.tobytes() == want.heat.tobytes()
     with pytest.raises(ValueError, match="another scheme"):
         rc_analytic(builtin_lfr(-0.5, 0.75, 5.0), 12, at_one=at_one)
-    for green in ((greens[0][0], wholes[1]), (greens[1][0], wholes[1]),
-                  (wholes[0], wholes[0])):
+    # rows of another length than the window, or a whole sweep
+    for green in ((greens[0][0][:11], wholes[1]), (greens[1], wholes[1]),
+                  (greens[0][0], wholes)):
         with pytest.raises(ValueError, match="snapshots"):
             rc_empirical(scheme, 40, 200, 12, green=green)
 
