@@ -11,7 +11,8 @@ The second table replays the four o3 sweeps of a default err-map and
 layers job through `halflab.evolution._recorded`: whole, one kernel call
 per recorded time on the whole buffer, and windowed, chunk by chunk on the
 rows the read cells depend on, which is what the jobs run.  It prints the
-time and cell updates of each route.
+time and cell updates of each route, the windowed one at several chunk
+lengths (`evolution._CHUNK`, 64 in the jobs).
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -99,7 +100,7 @@ def _recorded_calls(sweep):
     copied before the run."""
     seen, orig = [], evolution._recorded
 
-    def capture(buf, ns, step, r, p, reads=None, source=None):
+    def capture(buf, ns, step, r, p, reads, source=None):
         seen.append((buf.copy(), ns, step, r, p, reads, source))
         return orig(buf, ns, step, r, p, reads, source)
     evolution._recorded = capture
@@ -129,15 +130,30 @@ def _counted(run):
     return cells[0]
 
 
+CHUNKS = (32, 64, 128)
+
+
+def _chunked(run, chunk):
+    def go():
+        orig, evolution._CHUNK = evolution._CHUNK, chunk
+        try:
+            run()
+        finally:
+            evolution._CHUNK = orig
+    return go
+
+
 def sweep_rows():
-    """(label, whole s, whole cells, windowed s, windowed cells)."""
+    """(label, whole s, whole cells, then windowed s and cells at each
+    chunk length of CHUNKS)."""
     out = []
     for label, sweep in SWEEPS:
         (buf, ns, step, r, p, reads, source), = _recorded_calls(sweep)
+        whole = (0, len(buf) - 1)
         routes = [lambda: list(evolution._recorded(buf.copy(), ns, step,
-                                                   r, p)),
-                  lambda: list(evolution._recorded(buf.copy(), ns, step,
-                                                   r, p, reads, source))]
+                                                   r, p, whole))]
+        routes += [_chunked(lambda: list(evolution._recorded(
+            buf.copy(), ns, step, r, p, reads, source)), c) for c in CHUNKS]
         out.append((label, *[x for run in routes
                              for x in (_best_of(run), _counted(run))]))
     return out
@@ -162,13 +178,14 @@ def main():
         print(f"{label:28s} {t * 1e3:9.2f} {mc:8.2f} {mc / t:8.1f}")
 
     print()
-    header = (f"{'sweep':28s} {'whole ms':>9s} {'Mcells':>8s} "
-              f"{'window ms':>9s} {'Mcells':>8s}")
+    header = f"{'sweep':28s} {'whole ms':>9s} {'Mcells':>8s}" + "".join(
+        f" {f'c={c} ms':>9s} {'Mcells':>8s}" for c in CHUNKS)
     print(header)
     print("-" * len(header))
-    for label, t_full, c_full, t_win, c_win in sweep_rows():
-        print(f"{label:28s} {t_full * 1e3:9.2f} {c_full / 1e6:8.2f} "
-              f"{t_win * 1e3:9.2f} {c_win / 1e6:8.2f}")
+    for label, *vals in sweep_rows():
+        print(f"{label:28s}" + "".join(
+            f" {t * 1e3:9.2f} {cells / 1e6:8.2f}"
+            for t, cells in zip(vals[::2], vals[1::2])))
 
 
 if __name__ == "__main__":

@@ -30,13 +30,12 @@ import numpy as np
 
 from . import svg
 from .evolution import (growth_experiment, loglog_slope, temporal_green,
-                        temporal_green_sweep, temporal_green_whole,
-                        temporal_green_whole_sweep)
+                        temporal_green_sweep, temporal_green_whole)
 # no caller here: the benchmark's `evolution.apply_half_line` trace target
 # names it
 from .evolution import apply_half_line  # noqa: F401
-from .layers import (_AtOne, err_bound_fit, rc_analytic, rc_empirical,
-                     ru_analytic)
+from .layers import (_AtOne, err_bound_fit, green_pair, rc_analytic,
+                     rc_empirical, ru_analytic)
 from .resolvent import NearSpectrumError, QuadratureError, \
     inverse_laplace_table
 from .scheme import (_SERIES_RADIUS, builtin_lfr, builtin_o3,
@@ -351,12 +350,9 @@ def _run_layers(scheme, opts, out_dir, at_one):
     rc_a = rc_analytic(scheme, j_max, at_one=at_one)
     # G(m, j0, j) and Gt(m, j - j0) on j = 1..j_max at m = n, 2n from one
     # sweep of each kernel
-    ns, js = (n, 2 * n), rc_a.j_values
-    greens = temporal_green_sweep(scheme, ns, [j0], js)
-    wholes = temporal_green_whole_sweep(scheme, ns, js - j0)
+    js, green = rc_a.j_values, green_pair(scheme, j0, (n, 2 * n), j_max)
     rc_e, rc_e2 = [rc_empirical(scheme, j0, m, j_max, at_one=at_one,
-                                green=(g[0], gt))
-                   for m, g, gt in zip(ns, greens, wholes)]
+                                green=green) for m in green.ns]
     err_n = np.abs(rc_e.values - rc_a.values)
     err_2n = np.abs(rc_e2.values - rc_a.values)
     _csv(out_dir, "layer_rc.csv",

@@ -18,8 +18,8 @@ Grids of sources are evolved in one sweep: the kernel steps a 2-D buffer
 with one column per source (j0 or J).  A cell's value does not depend on
 the buffer size, the other columns or the chunking (see `_kernels`), so the
 sweeps are bitwise equal to one run per source and time.  `_recorded` is
-the one driver: `growth_experiment` reads whole columns and advances the
-whole buffer with one kernel call per recorded time, while
+the one driver: `growth_experiment` reads whole columns, so each of its
+views is the whole buffer and one kernel call takes each recorded time, while
 `temporal_green_sweep`, `temporal_green_rows` and
 `temporal_green_whole_sweep` take the cells their caller reads, step only
 the views those cells depend on (the domain of dependence, bounded by the
@@ -236,42 +236,51 @@ def temporal_green_whole(scheme: SchemeDefinition, n: int) -> GreenField:
     return GreenField(n, None, apply_whole_line(scheme, WholeLineField.dirac(0), n))
 
 
-# the most steps the windowed driver takes with one kernel call: its view
-# is the domain of dependence of the chunk's end, so a longer chunk sweeps
-# more rows no read needs, and a shorter one makes more calls
+# the most steps one kernel call takes on a narrowed view: the view is the
+# domain of dependence at the chunk's start, so a longer chunk sweeps more
+# rows no read needs, and a shorter one makes more calls.  The optimum is
+# flat: the four o3 sweeps of a default err-map and layers job took 139 /
+# 134 / 151, 156 / 153 / 157 and 127 / 122 / 137 ms in all at 32 / 64 / 128
+# steps in three runs of `benchmarks/bench_kernels.py` on a 2-core VM
 _CHUNK = 64
 
 
-def _recorded(buf, ns, step, r, p, reads=None, source=None):
+def _recorded(buf, ns, step, r, p, reads, source=None):
     """Advance buf through the ascending times ns by step(view, nsteps), one
-    kernel call on a view of buf's leading axis, yielding buf at each time.
+    kernel call on a view of buf's leading axis, yielding buf at each time,
+    where the rows reads = (lo, hi) are exact.
 
-    Without reads every row is exact at each yield, from one call on the
-    whole buffer per time.  With reads = (lo, hi) only the rows lo..hi are:
-    a row at time n depends on the rows at most r below and p above it per
+    A row at time n depends on the rows at most r below and p above it per
     step back, so the rows exact at time t are those of the reads carried
     back from the last time, D(t) = [lo - r (ns[-1] - t), hi + p (ns[-1] - t)].
-    A chunk of c <= _CHUNK steps ending at t runs on D(t) widened by an
-    r (c + 1)-row bottom and a p (c + 1)-row top margin.  Rows outside D at
-    the chunk's start may be stale, and the kernel writes wrong values into
-    the view's edges (zeros in its top p rows each step, ghosts or the zero
-    rule in its bottom r rows); a wrong row spreads at most p rows down or
-    r rows up per step, so after c steps it stays in the margins and D(t)
-    is exact.  A view clipped at the buffer's top, where the support never
-    reaches, zeroes true zeros; on the whole line (source: the row of the
-    unit source) the bottom rises to the support's lower edge
-    source - p t - r, where the zero rule is exact, with no scan.
+    A chunk of c steps ending at t runs on D(t) widened by an r (c + 1)-row
+    bottom and a p (c + 1)-row top margin, which is D at the chunk's start
+    widened by r rows down and p up.  Rows outside D at the chunk's start
+    may be stale, and the kernel writes wrong values into the view's edges
+    (zeros in its top p rows each step, ghosts or the zero rule in its
+    bottom r rows); a wrong row spreads at most p rows down or r rows up
+    per step, so after c steps it stays in the margins and D(t) is exact.
+    A view clipped at the buffer's top, where the support never reaches,
+    zeroes true zeros; on the whole line (source: the row of the unit
+    source) the bottom rises to the support's lower edge source - p t - r,
+    where the zero rule is exact, with no scan.  A chunk takes at most
+    _CHUNK steps, so that the view narrows as t grows, unless every view up
+    to the next time is the whole buffer (reads = (0, len - 1) in
+    `growth_experiment`): one call then takes all its steps.
     """
+    size = buf.shape[0]
+
+    def view(t):
+        # D at time t widened by the rows one step below and above it
+        back = ns[-1] - t + 1
+        return max(reads[0] - r * back, 0), min(reads[1] + p * back, size - 1)
+
     done = 0
     for n in ns:
-        if reads is None:
-            buf = step(buf, n - done)
-            done = n
         while done < n:
-            c = min(_CHUNK, n - done)
-            back = ns[-1] - done + 1
-            lo = max(reads[0] - r * back, 0)
-            hi = min(reads[1] + p * back, buf.shape[0] - 1)
+            lo, hi = view(done)
+            c = n - done if view(n - 1) == (0, size - 1) else \
+                min(_CHUNK, n - done)
             if source is not None:
                 lo = max(lo, source - p * (done + c) - r)
             buf[lo:hi + 1] = step(buf[lo:hi + 1], c)
@@ -458,7 +467,8 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
         for a, q in enumerate(qs):
             denoms[a, c] = _interior_lq(np.ones(J), q)
     vals = np.empty((len(qs), len(Js), ns.size))
-    snaps = _recorded(buf, ns.tolist(), _half_step(scheme), r, scheme.p)
+    snaps = _recorded(buf, ns.tolist(), _half_step(scheme), r, scheme.p,
+                      reads=(0, buf.shape[0] - 1))
     for pos, (n, snap) in enumerate(zip(ns, snaps)):
         for c, J in enumerate(Js):
             # the interior's nonzero span: the zeros around it (the

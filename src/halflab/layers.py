@@ -37,6 +37,11 @@ from one sweep of the transposed scheme with a column per j
 Gt(n, j - j0) from one whole-line sweep, each stepping only the rows those
 cells depend on.  Those rows equal the forward columns to roundoff, so the
 suprema move only at cells where |Err| is at roundoff.
+
+`rc_empirical` and `err_field` read G(n, j0, j) and Gt(n, j - j0) on
+j = 1..window from the forward sweeps of `green_pair`, whose `GreenPair`
+labels the rows with j0 and the times, so rows of another (n, j0) are
+refused rather than read.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ from .spectral import (_boundary_zero, _vandermonde, lopatinskii,
                        lopatinskii_derivative_at_one, projector_set)
 
 __all__ = [
-    "BoundaryLayerProfile", "ErrField", "ErrBoundFit", "rc_analytic",
-    "rc_empirical", "ru_analytic", "err_field", "err_bound_fit",
-    "whole_line_asymptotic_check",
+    "BoundaryLayerProfile", "ErrField", "ErrBoundFit", "GreenPair",
+    "green_pair", "rc_analytic", "rc_empirical", "ru_analytic", "err_field",
+    "err_bound_fit", "whole_line_asymptotic_check",
 ]
 
 
@@ -256,10 +261,34 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
     return _profile("transmitted", "analytic", js, vals, j0s=js0)
 
 
-def _green_rows(scheme: SchemeDefinition, n: int, j0: int, js: np.ndarray):
-    """(G(n, j0, j), Gt(n, j - j0)) on the j grid, one sweep each."""
-    return (temporal_green_sweep(scheme, [n], [j0], js)[0, 0],
-            temporal_green_whole_sweep(scheme, [n], js - j0)[0])
+@dataclass(frozen=True)
+class GreenPair:
+    """G(n, j0, j) and Gt(n, j - j0) on j = 1..window at each time of ns,
+    labelled by the sweeps that read them (`green_pair`): g[k] and gt[k]
+    are the rows at ns[k]."""
+
+    j0: int
+    ns: tuple
+    g: np.ndarray
+    gt: np.ndarray
+
+    def at(self, n: int, j0: int, window: int) -> tuple:
+        """(G(n, j0, .), Gt(n, . - j0)) on j = 1..window, or ValueError if
+        the pair does not hold them."""
+        if j0 != self.j0 or n not in self.ns or self.g.shape[1] != window:
+            raise ValueError(f"green must hold the snapshots G({n}, {j0}, j) "
+                             f"and Gt({n}, j - {j0}) on j = 1..{window}")
+        k = self.ns.index(n)
+        return self.g[k], self.gt[k]
+
+
+def green_pair(scheme: SchemeDefinition, j0: int, ns, window: int) -> GreenPair:
+    """G and Gt rows on j = 1..window at every n of the ascending ns, from
+    one `temporal_green_sweep` and one `temporal_green_whole_sweep`."""
+    ns = tuple(int(n) for n in ns)
+    js = np.arange(1, window + 1)
+    return GreenPair(j0, ns, temporal_green_sweep(scheme, ns, [j0], js)[:, 0],
+                     temporal_green_whole_sweep(scheme, ns, js - j0))
 
 
 def _activation(scheme: SchemeDefinition, rep, n: int, j0: int) -> float:
@@ -294,7 +323,7 @@ def err_field(scheme: SchemeDefinition, n: int, j0: int, window: int, *,
         raise ValueError("need n >= 0, j0 >= 1, window >= 1")
     at_one = _at_one(scheme, at_one)
     js = np.arange(1, window + 1)
-    g, gt = _green_rows(scheme, n, j0, js)
+    g, gt = green_pair(scheme, j0, [n], window).at(n, j0, window)
     ind = 1 if n * scheme.p >= j0 else 0
     act = _activation(scheme, at_one.rep1, n, j0)
     rc = (rc_analytic(scheme, window, at_one=at_one).values
@@ -418,10 +447,9 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, n: int, window: int, *,
     """Reflected layer extracted from evolution snapshots: the Green
     difference minus the transmitted layer, divided by the activation.
 
-    green is the pair of rows (G(n, j0, j), Gt(n, j - j0)) on
-    j = 1..window, e.g. from one `temporal_green_sweep` and one
-    `temporal_green_whole_sweep` over several n; without it both are
-    evolved here.
+    green is a `GreenPair` holding G(n, j0, .) and Gt(n, . - j0) on
+    j = 1..window, e.g. from one `green_pair` over several n; without it
+    both are evolved here.
     """
     if j0 < 1 or window < 1 or n < 0:
         raise ValueError("need j0 >= 1, window >= 1, n >= 0")
@@ -438,12 +466,8 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, n: int, window: int, *,
             f"{2.0 * j0 / abs(rep.alpha):.0f}); extraction is biased",
             stacklevel=2)
     if green is None:
-        g, gt = _green_rows(scheme, n, j0, js)
-    elif any(np.shape(row) != (window,) for row in green):
-        raise ValueError(f"green must be the snapshots G({n}, {j0}, j) and "
-                         f"Gt({n}, j - {j0}) on j = 1..{window}")
-    else:
-        g, gt = green
+        green = green_pair(scheme, j0, [n], window)
+    g, gt = green.at(n, j0, window)
     ind = 1 if n * scheme.p >= j0 else 0
     ru_row = at_one.ru_row(j0, window) if ind else np.zeros(window)
     act = _activation(scheme, rep, n, j0)

@@ -580,7 +580,7 @@ def _instrument(monkeypatch):
         _count_calls(monkeypatch, calls, name, _kernels, name,
                      lambda *args: args[-1])
     for name in ("temporal_green_sweep", "temporal_green_whole_sweep"):
-        _count_calls(monkeypatch, calls, name, cli, name)
+        _count_calls(monkeypatch, calls, name, layers, name)
     return calls
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from halflab import evolution, layers
 from halflab.evolution import (adjoint_scheme, temporal_green,
-                               temporal_green_sweep, temporal_green_whole,
-                               temporal_green_whole_sweep)
+                               temporal_green_sweep, temporal_green_whole)
 from halflab.layers import (
     err_bound_fit,
     err_field,
+    green_pair,
     rc_analytic,
     rc_empirical,
     ru_analytic,
@@ -255,12 +255,10 @@ def test_shared_residue_data_is_bitwise(lfr, o3, name):
         (ru_analytic(scheme, 5, 12, at_one=at_one),
          ru_analytic(scheme, 5, 12)),
     ]
-    ns, js = (200, 400), np.arange(1, 13)
-    greens = temporal_green_sweep(scheme, ns, [40], js)
-    wholes = temporal_green_whole_sweep(scheme, ns, js - 40)
-    for n, g, gt in zip(ns, greens, wholes):
+    green = green_pair(scheme, 40, (200, 400), 12)
+    for n in green.ns:
         pairs.append((rc_empirical(scheme, 40, n, 12, at_one=at_one,
-                                   green=(g[0], gt)),
+                                   green=green),
                       rc_empirical(scheme, 40, n, 12)))
     for got, want in pairs:
         assert got.values.tobytes() == want.values.tobytes()
@@ -277,9 +275,13 @@ def test_shared_residue_data_is_bitwise(lfr, o3, name):
     assert got.heat.tobytes() == want.heat.tobytes()
     with pytest.raises(ValueError, match="another scheme"):
         rc_analytic(builtin_lfr(-0.5, 0.75, 5.0), 12, at_one=at_one)
-    # rows of another length than the window, or a whole sweep
-    for green in ((greens[0][0][:11], wholes[1]), (greens[1], wholes[1]),
-                  (greens[0][0], wholes)):
+    # G and Gt at n = 400 only, at other n than the call's, at another
+    # source or on another window; a G row cannot meet a Gt row of another
+    # n, since one pair labels both with the same times
+    for green in (green_pair(scheme, 40, [400], 12),
+                  green_pair(scheme, 40, (100, 300), 12),
+                  green_pair(scheme, 41, (200, 400), 12),
+                  green_pair(scheme, 40, (200, 400), 11)):
         with pytest.raises(ValueError, match="snapshots"):
             rc_empirical(scheme, 40, 200, 12, green=green)
 
