@@ -5,7 +5,12 @@ rows of its live window (see `halflab._kernels`) in every column.  The
 last two cases are the two routes to the err-map rows G(n, ., 1) of o3:
 the forward sweep with one column per source j0, and one column of the
 transposed scheme (`halflab.evolution.adjoint_scheme`) from delta_1, which
-is what err-map runs.
+is what err-map runs.  Two more rows replay the kernel calls of the default
+growth jobs on lfr and o3 (one column per J = 125, 250, 500, 1000; 160
+recorded times up to n = 2000, as `halflab.cli` records them) through
+`halflab.evolution._recorded`.  The last column counts the cells in
+(0, tiny) of the final buffer, tiny = 2^-1022: the kernel flushes
+underflowed cells to +0.0, so it reads 0.
 
 The second table replays the four o3 sweeps of a default err-map and
 layers job through `halflab.evolution._recorded`: whole, one kernel call
@@ -21,10 +26,10 @@ import time
 
 import numpy as np
 
-from halflab import _kernels, evolution
+from halflab import _kernels, cli, evolution
 from halflab._kernels import evolve_half, evolve_whole
-from halflab.evolution import (adjoint_scheme, temporal_green_rows,
-                               temporal_green_sweep,
+from halflab.evolution import (adjoint_scheme, growth_experiment,
+                               temporal_green_rows, temporal_green_sweep,
                                temporal_green_whole_sweep)
 from halflab.scheme import SchemeDefinition
 
@@ -65,6 +70,11 @@ def _sources(N, m, row=None):
     rows = [row] if m == 1 else np.linspace(50, 1000, m).astype(int)
     u0[rows, np.arange(m)] = 1.0
     return u0[:, 0] if m == 1 else u0
+
+
+def _subnormal_cells(u):
+    tiny = np.finfo(float).tiny
+    return int(np.count_nonzero((u != 0.0) & (np.abs(u) < tiny)))
 
 
 def _cell_updates(u0, r, p, steps):
@@ -130,6 +140,27 @@ def _counted(run):
     return cells[0]
 
 
+# the default growth job: its J grid and recorded times
+GROWTH_JS, GROWTH_N = [125, 250, 500, 1000], 2000
+GROWTH_RECORD = sorted(set(np.geomspace(1, GROWTH_N, 160).astype(int)
+                           .tolist()) | {GROWTH_N})
+
+
+def _growth_sweep(name):
+    """The kernel calls of the default growth job on the builtin name, as
+    a callable returning the final buffer."""
+    sch = cli._load_scheme({"scheme": {"builtin": name}})
+    (buf, ns, step, r, p, reads, _), = _recorded_calls(
+        lambda: growth_experiment(sch, [np.inf], GROWTH_JS, GROWTH_N,
+                                  record=GROWTH_RECORD))
+
+    def run():
+        for snap in evolution._recorded(buf.copy(), ns, step, r, p, reads):
+            pass
+        return snap
+    return run
+
+
 CHUNKS = (32, 64, 128)
 
 
@@ -159,7 +190,9 @@ def sweep_rows():
     return out
 
 
-def main():
+def case_rows():
+    """(label, s, cells, subnormal cells at the end) for each of CASES,
+    then for the default growth sweeps."""
     rows = []
     for label, sch, half, N, m, steps, src in CASES:
         a, b, r, p, p_b = sch.a, sch.b, sch.r, sch.p, sch.p_b
@@ -168,14 +201,23 @@ def main():
             fn = lambda: evolve_half(u0, a, b, r, p, p_b, steps)
         else:
             fn = lambda: evolve_whole(u0, a, r, p, steps)
-        rows.append((label, _best_of(fn), _cell_updates(u0, r, p, steps)))
+        rows.append((label, _best_of(fn), _cell_updates(u0, r, p, steps),
+                     _subnormal_cells(fn())))
+    for name in ("lfr", "o3"):
+        run = _growth_sweep(name)
+        rows.append((f"growth {name} m=4 n={GROWTH_N}", _best_of(run),
+                     _counted(run), _subnormal_cells(run())))
+    return rows
 
-    header = f"{'case':28s} {'ms':>9s} {'Mcells':>8s} {'Mc/s':>8s}"
+
+def main():
+    header = (f"{'case':28s} {'ms':>9s} {'Mcells':>8s} {'Mc/s':>8s} "
+              f"{'subnormal':>9s}")
     print(header)
     print("-" * len(header))
-    for label, t, cells in rows:
+    for label, t, cells, sub in case_rows():
         mc = cells / 1e6
-        print(f"{label:28s} {t * 1e3:9.2f} {mc:8.2f} {mc / t:8.1f}")
+        print(f"{label:28s} {t * 1e3:9.2f} {mc:8.2f} {mc / t:8.1f} {sub:9d}")
 
     print()
     header = f"{'sweep':28s} {'whole ms':>9s} {'Mcells':>8s}" + "".join(

@@ -639,6 +639,21 @@ def test_trace_targets_resolve(monkeypatch):
     assert len(tracing.resolve()) == len(tracing.TARGETS) > 0
 
 
+def test_traced_run_counts_kernel_work(tmp_path, monkeypatch):
+    # the tracer's work counters take the kernel's arguments, so a kernel
+    # signature that drifts from them fails here, not in a traced pass
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "perfbench"))
+    import tracing
+    doc = {"scheme": {"builtin": "lfr"}, "n_list": [0, 2, 5], "j0": 1}
+    with tracing.installed(tracing.Recorder()) as rec:
+        code, _ = run(tmp_path, "simulate", doc)
+    assert code == 0
+    kernel = rec.totals()["evolution.kernel"]
+    assert kernel["calls"] > 0
+    assert kernel["cells"] > 0 and kernel["flops"] > 0
+
+
 def _fmt_cell(v) -> str:
     # the per-cell formatter the CSV writer must agree with byte for byte
     if isinstance(v, (bool, np.bool_)):

@@ -5,8 +5,16 @@ import pytest
 
 from halflab import _kernels as K
 
+TINY = np.finfo(float).tiny
 
-# --- plain-Python reference: scalar loops, the same IEEE operations per cell
+
+def _no_subnormal(u):
+    # the flush rule: no stored cell in (0, tiny) in magnitude
+    return not np.any((u != 0.0) & (np.abs(u) < TINY))
+
+
+# --- plain-Python reference: scalar loops, the same IEEE operations per cell,
+# then the flush
 
 def _sweep_loops(cur, a, b, r, p, p_b, nsteps, hi):
     # Scalar loops on a 2-D buffer.  cur holds the entry state with its
@@ -20,6 +28,8 @@ def _sweep_loops(cur, a, b, r, p, p_b, nsteps, hi):
                 acc = 0.0
                 for k in range(-r, p + 1):
                     acc += a[k + r] * cur[idx + k, c]
+                if abs(acc) < TINY:
+                    acc = 0.0
                 nxt[idx, c] = acc
         for idx in range(N - p, N):
             for c in range(m):
@@ -29,6 +39,8 @@ def _sweep_loops(cur, a, b, r, p, p_b, nsteps, hi):
                 val = 0.0
                 for k in range(1, p_b + 1):
                     val += b[i, k - 1] * nxt[r - 1 + k, c]
+                if abs(val) < TINY:
+                    val = 0.0
                 nxt[r - 1 - i, c] = val
         cur, nxt = nxt, cur
     return cur
@@ -101,29 +113,32 @@ def test_whole_kernel_paths_bitwise_equal(rng, r, p):
 CASES_2D = [(1, 1, 1), (1, 2, 2), (2, 2, 1)]
 
 
-def _full_sweep_half(u0, a, b, r, p, p_b, nsteps):
+def _full_sweep_half(u0, a, b, r, p, p_b, nsteps, flush=True):
     # every interior row on every step, as before the live window: the
-    # window must not change a bit
+    # window must not change a bit.  Without the flush it is the pure IEEE
+    # sweep, the oracle the flushed kernel is bounded against.
+    def stored(x):
+        return 0.0 if flush and abs(x) < TINY else x
+
+    def refill(u):
+        for i in range(r):
+            val = 0.0
+            for k in range(1, p_b + 1):
+                val += b[i, k - 1] * u[r - 1 + k]
+            u[r - 1 - i] = stored(val)
+
     N = u0.shape[0]
     cur = u0.copy()
     nxt = np.zeros(N)
-    for i in range(r):
-        val = 0.0
-        for k in range(1, p_b + 1):
-            val += b[i, k - 1] * cur[r - 1 + k]
-        cur[r - 1 - i] = val
+    refill(cur)
     for _ in range(nsteps):
         for idx in range(r, N - p):
             acc = 0.0
             for k in range(-r, p + 1):
                 acc += a[k + r] * cur[idx + k]
-            nxt[idx] = acc
+            nxt[idx] = stored(acc)
         nxt[N - p:] = 0.0
-        for i in range(r):
-            val = 0.0
-            for k in range(1, p_b + 1):
-                val += b[i, k - 1] * nxt[r - 1 + k]
-            nxt[r - 1 - i] = val
+        refill(nxt)
         cur, nxt = nxt, cur
     return cur
 
@@ -187,6 +202,139 @@ def test_half_kernel_chunks_bitwise(rng, r, p, p_b):
     assert np.array_equal(buf.view(np.uint64), one.view(np.uint64))
 
 
+# --- underflow: cells that cross 2^-1022 are stored as +0.0 ----------------
+
+def _underflowing(rng, N, m, lo, hi, scale=2.0 ** -1000):
+    # sources so small that the fronts cross tiny within a few steps
+    return _sources(rng, N, m, lo, hi) * scale
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("r,p,p_b", CASES)
+def test_half_kernel_underflow_bitwise(rng, r, p, p_b, m):
+    a, b = _coeffs(rng, r, p, p_b)
+    nsteps = 37
+    u0 = _underflowing(rng, 40 + r * nsteps + p + r, m, r, 30)
+    out = K.evolve_half(u0, a, b, r, p, p_b, nsteps)
+    ref = _evolve_half_loops(u0, a, b, r, p, p_b, nsteps)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert _no_subnormal(out)
+    # the case is real: the pure IEEE sweep keeps subnormal cells
+    ieee = np.stack([_full_sweep_half(u0[:, c], a, b, r, p, p_b, nsteps,
+                                      flush=False) for c in range(m)], 1)
+    assert not _no_subnormal(ieee)
+    buf = u0
+    for chunk in (1, 0, 13, 23):
+        buf = K.evolve_half(buf, a, b, r, p, p_b, chunk)
+        assert chunk == 0 or _no_subnormal(buf)
+    assert np.array_equal(buf.view(np.uint64), out.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r,p", [(1, 1), (1, 2), (2, 3)])
+def test_whole_kernel_underflow_bitwise(rng, r, p, m):
+    a = rng.uniform(-0.5, 0.5, size=p + r + 1)
+    nsteps = 29
+    N = 40 + (r + p) * nsteps + r + p
+    u0 = _underflowing(rng, N, m, r + p * nsteps, r + p * nsteps + 30)
+    out = K.evolve_whole(u0, a, r, p, nsteps)
+    ref = _evolve_whole_loops(u0, a, r, p, nsteps)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert _no_subnormal(out)
+    no_rule = np.zeros((r, 0))
+    ieee = _full_sweep_half(u0[:, 0], a, no_rule, r, p, 0, nsteps,
+                            flush=False)
+    assert not _no_subnormal(ieee)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ghosts_read_the_flushed_interior(m):
+    # lfr's rule u_0 = 5 u_1; after one step u_1 = tiny / 2, in
+    # [tiny / 5, tiny): the ghost is refilled from the flushed u_1 (0, not
+    # 2.5 tiny), as the next call's entry refill does, so a run split
+    # after that step is bitwise the run in one call.  One column steps as
+    # a 1-D buffer (scalar ghosts), two as a 2-D one (a row of ghosts).
+    a = np.array([0.125, 0.25, 0.625])
+    b = np.array([[5.0]])
+    u0 = np.zeros((12, m))
+    u0[1:3, 0] = [2 * TINY, -2 * TINY]   # ghost 10 tiny: 1.25 + 0.5 - 1.25
+    if m > 1:
+        u0[1:4, 1] = [1.0, 2.0, 3.0]     # a normal column alongside
+    step = K.evolve_half(u0, a, b, 1, 1, 1, 1)
+    assert step[1, 0] == 0.0 and step[0, 0] == 0.0
+    assert _no_subnormal(step)
+    one = K.evolve_half(u0, a, b, 1, 1, 1, 4)
+    split = K.evolve_half(step, a, b, 1, 1, 1, 3)
+    assert np.array_equal(split.view(np.uint64), one.view(np.uint64))
+    ref = _evolve_half_loops(u0, a, b, 1, 1, 1, 4)
+    assert np.array_equal(one.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_subnormal_ghosts_are_flushed(m):
+    # the rule u_0 = u_1 / 4 turns u_1 = 2.25 tiny (after one step) into a
+    # subnormal ghost: stored as +0.0 in the step and again by the entry
+    # refill of the next call, so a split run is bitwise the run in one call
+    a = np.array([0.125, 0.25, 0.625])
+    b = np.array([[0.25]])
+    u0 = np.zeros((12, m))
+    u0[1, :] = 8 * TINY                 # entry ghost 2 tiny, a normal
+    step = K.evolve_half(u0, a, b, 1, 1, 1, 1)
+    assert step[1, 0] == 2.25 * TINY and step[0, 0] == 0.0
+    assert _no_subnormal(step)
+    assert _no_subnormal(K.evolve_half(step, a, b, 1, 1, 1, 0))
+    one = K.evolve_half(u0, a, b, 1, 1, 1, 4)
+    split = K.evolve_half(step, a, b, 1, 1, 1, 3)
+    assert np.array_equal(split.view(np.uint64), one.view(np.uint64))
+    ref = _evolve_half_loops(u0, a, b, 1, 1, 1, 4)
+    assert np.array_equal(one.view(np.uint64), ref.view(np.uint64))
+
+
+def _flush_bound(a, b, r, p, p_b, N, nsteps, scale):
+    """Per-cell bound on |flushed - IEEE| after nsteps, every |u| below
+    scale: the error is carried by |T| (stencil and ghost weights in
+    absolute value) and grows each step by one flush (< tiny) and the
+    rounding of the perturbed sums."""
+    eps = np.finfo(float).eps
+    A, B = np.abs(a), np.abs(b)
+    weight = max(A.sum(), B.sum(axis=1).max(initial=0.0))
+    ops = 2 * (r + p + 1 + p_b)
+    extra = TINY + ops * (eps * weight * scale + 2.0 ** -1074)
+    E = np.zeros(N)
+    for _ in range(nsteps):
+        new = np.zeros(N)
+        for k in range(-r, p + 1):
+            new[r:N - p] += A[k + r] * E[r + k:N - p + k]
+        new[r:N - p] += extra
+        for i in range(r):
+            new[r - 1 - i] = B[i] @ new[r:r + p_b] + extra
+        E = new
+    return E * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["lfr", "o3"])
+def test_flush_within_bound_of_ieee_sweep(name, lfr, o3):
+    # each flush moves a cell by less than tiny, and T^k carries that like
+    # any perturbation: the kernel stays within the propagated bound of the
+    # pure IEEE sweep, which is far below the data
+    sch = {"lfr": lfr, "o3": o3}[name]
+    a, b, r, p, p_b = sch.a, sch.b, sch.r, sch.p, sch.p_b
+    nsteps, N = 40, 90
+    u0 = np.zeros(N)
+    u0[r + 2:r + 8] = 2.0 ** -980
+    out = K.evolve_half(u0, a, b, r, p, p_b, nsteps)
+    states = [u0]
+    for _ in range(nsteps):
+        states.append(_full_sweep_half(states[-1], a, b, r, p, p_b, 1,
+                                       flush=False))
+    ieee = states[-1]
+    assert not _no_subnormal(ieee) and _no_subnormal(out)
+    scale = 2 * max(np.abs(u).max() for u in states)
+    bound = _flush_bound(a, b, r, p, p_b, N, nsteps, scale)
+    assert np.all(np.abs(out - ieee) <= bound)
+    assert bound.max() < 2.0 ** -12 * np.abs(ieee).max()
+
+
 def test_entry_ghost_recompute(rng):
     # ghosts in the input buffer are overwritten from the interior before
     # stepping, so garbage ghosts cannot leak into the result
@@ -206,6 +354,14 @@ def test_top_cells_zeroed(rng):
     u0[1:10] = 1.0
     out = K.evolve_half(u0, a, b, 1, 2, 2, 5)
     assert np.all(out[-2:] == 0.0)
+    # a view of a larger buffer may hold values in its top p rows at entry:
+    # zero after every number of steps, as the loops store them
+    u0 = rng.standard_normal(30)
+    for n in (1, 2, 3):
+        out = K.evolve_half(u0, a, b, 1, 2, 2, n)
+        ref = _evolve_half_loops(u0, a, b, 1, 2, 2, n)
+        assert np.all(out[-2:] == 0.0)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_half_support_growth(rng):
