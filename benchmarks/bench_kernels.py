@@ -2,10 +2,10 @@
 
 Cell updates count the cells the kernel computes: each step updates the
 rows of its live window (see `halflab._kernels`) in every column.  The
-last two cases are the two routes to the err-map rows G(n, ., 1) of o3:
-the forward sweep with one column per source j0, and one column of the
+fifth and sixth cases are the two routes to the err-map rows G(n, ., 1) of
+o3: the forward sweep with one column per source j0, and one column of the
 transposed scheme (`halflab.evolution.adjoint_scheme`) from delta_1, which
-is what err-map runs.  Two more rows replay the kernel calls of the default
+is what err-map runs.  The last two rows replay the kernel calls of the default
 growth jobs on lfr and o3 (one column per J = 125, 250, 500, 1000; 160
 recorded times up to n = 2000, as `halflab.cli` records them) through
 `halflab.evolution._recorded`.  The last column counts the cells in
