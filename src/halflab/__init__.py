@@ -40,12 +40,10 @@ from .evolution import (
 )
 from .spectral import (
     SpectralSplit,
-    StableBasis,
     ProjectorSet,
     LopatinskiiValue,
     characteristic_roots,
     spectral_split,
-    stable_basis,
     lopatinskii,
     lopatinskii_values,
     lopatinskii_derivative_at_one,
@@ -85,8 +83,8 @@ __all__ = [
     "apply_whole_line", "temporal_green", "temporal_green_whole",
     "temporal_green_sweep", "temporal_green_whole_sweep", "adjoint_scheme",
     "temporal_green_rows", "hq_norm", "growth_experiment",
-    "SpectralSplit", "StableBasis", "ProjectorSet", "LopatinskiiValue",
-    "characteristic_roots", "spectral_split", "stable_basis", "lopatinskii",
+    "SpectralSplit", "ProjectorSet", "LopatinskiiValue",
+    "characteristic_roots", "spectral_split", "lopatinskii",
     "lopatinskii_values", "lopatinskii_derivative_at_one", "projector_set",
     "residue_condition", "check_hypothesis_two",
     "GaussianParams", "gaussian_h", "gaussian_e", "appendix_f",

@@ -42,8 +42,8 @@ from .scheme import (_SERIES_RADIUS, builtin_lfr, builtin_o3,
                      check_hypothesis_one, scheme_from_json, symbol_eval)
 from .spectral import (_BOUNDARY_ZERO_TOL, _SWEEP_RADII, _SWEEP_SAMPLES,
                        _SWEEP_ZERO_TOL, MultiplicityError, RootSolveError,
-                       _unit_classes, characteristic_roots,
-                       check_hypothesis_two, lopatinskii_values)
+                       check_hypothesis_two, lopatinskii_values,
+                       spectral_split)
 
 __all__ = ["main", "ConfigError"]
 
@@ -98,8 +98,7 @@ def _load_config(path: str) -> dict:
 def _o3_marginal_pair(alpha: float):
     """Ghost weights (b1, b2) putting the stable z=1 root in the kernel of
     the boundary matrix, the paper-exact marginal choice."""
-    roots = characteristic_roots(builtin_o3(alpha, 0.0, 0.0), 1.0)
-    stable = roots[_unit_classes(np.abs(roots))[0]]
+    stable = spectral_split(builtin_o3(alpha, 0.0, 0.0), 1.0).stable
     if len(stable) != 1 or abs(stable[0].imag) > 1e-12:
         raise ValueError("no single real stable root at z = 1")
     b2 = -1.0 / stable[0].real
@@ -261,6 +260,8 @@ def _csv(out_dir: str, name: str, header, rows) -> str:
 
 
 def _jsonable(obj):
+    """obj with every value JSON can hold: complex as [re, im], NumPy
+    scalars and arrays as Python ones, a non-finite float as its repr."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -270,7 +271,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _jsonable([obj.real, obj.imag])
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -311,8 +312,12 @@ def _run_check(scheme, out_dir, rep1, rep2, verdict):
                        [("abs Delta", zs, dets)],
                        title="Lopatinskii determinant on the real axis",
                        xlabel="z", ylabel="|Delta(z)|")
-    return {"hypothesis_one": rep1.as_dict(), "verdict": verdict,
-            "hypothesis_two": rep2.as_dict() if rep2 is not None else None}
+    # the reports' fields go to report.json through _jsonable; the series
+    # of log F stays out
+    return {"hypothesis_one": {k: v for k, v in vars(rep1).items()
+                               if k != "series"},
+            "verdict": verdict,
+            "hypothesis_two": None if rep2 is None else vars(rep2)}
 
 
 def _run_simulate(scheme, opts, out_dir, at_one):

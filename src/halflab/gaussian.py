@@ -30,6 +30,8 @@ from .scheme import SchemeDefinition, check_hypothesis_one
 __all__ = ["GaussianParams", "gaussian_h", "gaussian_e", "appendix_f"]
 
 _NODE_CAP = 2 ** 20
+# a quadrature starts from at least this many nodes
+_START_FLOOR = 2048
 # one quadrature block holds at most _CHUNK rows of x and _BLOCK_ENTRIES
 # complex entries (64 MiB) in all
 _CHUNK = 256
@@ -80,9 +82,9 @@ def _trap_uniform(fvals: np.ndarray, h: float):
     return h * (fvals.sum(axis=-1) - 0.5 * (fvals[..., 0] + fvals[..., -1]))
 
 
-def _start_nodes(U: float, xmax: float, floor: int = 2048) -> int:
+def _start_nodes(U: float, xmax: float) -> int:
     osc = int(np.ceil(16.0 * U * xmax / (2.0 * np.pi)))
-    n = floor
+    n = _START_FLOOR
     while n < osc:
         n *= 2
     return n

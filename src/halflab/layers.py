@@ -58,7 +58,7 @@ from .evolution import (adjoint_scheme, temporal_green_rows,
                         temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
-from .spectral import (_boundary_zero, _vandermonde, lopatinskii,
+from .spectral import (_boundary_zero, _lopatinskii_matrix, lopatinskii,
                        lopatinskii_derivative_at_one, projector_set)
 
 __all__ = [
@@ -164,8 +164,7 @@ class _AtOne:
 
     @functools.cached_property
     def A(self) -> np.ndarray:
-        return self.B @ _vandermonde(self.lop1.kappas,
-                                     self.scheme.p + self.scheme.r)
+        return _lopatinskii_matrix(self.scheme, self.lop1.kappas)
 
     @property
     def delta1(self) -> complex:

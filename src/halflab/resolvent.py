@@ -37,11 +37,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .scheme import SchemeDefinition, boundary_matrix
 from .spectral import (_NEAR_CURVE, MultiplicityError, RootSolveError,
-                       _char_coeffs, _evaluate, _vandermonde)
+                       _char_coeffs, _char_stack, _char_values, _evaluate,
+                       _lopatinskii_matrix)
 # no caller here: the benchmark's `resolvent.guard` trace target names it
 from .spectral import lopatinskii  # noqa: F401
 
@@ -202,9 +202,9 @@ def _circle_sum(c: np.ndarray, roots: np.ndarray, centre: complex, t: float,
             break
         N *= 2
     kap = centre + R * np.exp(2j * np.pi * np.arange(N) / N)
-    P = npoly.polyval(kap, c)
+    (P,), (S,) = _char_values(_char_stack(c[None], 0), kap[None], scale=True)
     terms = ((kap - centre) / P)[:, None] * kap[:, None] ** e
-    scale = eps * npoly.polyval(np.abs(kap), np.abs(c)) / np.abs(P)
+    scale = eps * S / np.abs(P)
     return (terms.sum(axis=0) / N,
             alias + (np.abs(terms) * scale[:, None]).sum(axis=0) / N)
 
@@ -217,12 +217,10 @@ def _residue_sums(scheme: SchemeDefinition, zs: np.ndarray,
     |kappa|^k, moves kappa^e / P' by |dk| (|P''| / |P'| + |e| / |kappa|) of
     itself.  With clusters each group of `_clusters` is one `_circle_sum`."""
     coeffs = _char_coeffs(scheme, zs)
-    cs = coeffs.T[:, :, None]
-    dP = npoly.polyval(roots, npoly.polyder(cs), tensor=False)
-    size = npoly.polyval(np.abs(roots), np.abs(cs), tensor=False)
+    _, dP, d2P, size = _char_values(_char_stack(coeffs, 2), roots,
+                                    scale=True)
     dk = np.finfo(float).eps * size / np.abs(dP)
-    rel = dk * np.abs(npoly.polyval(roots, npoly.polyder(cs, 2), tensor=False)
-                      / dP)
+    rel = dk * np.abs(d2P / dP)
     per_e, e = dk / np.abs(roots), offs + scheme.r - 1
     Gt = np.empty((zs.size, offs.size), dtype=complex)
     err = np.empty((zs.size, offs.size))
@@ -270,7 +268,7 @@ def _root_values(scheme: SchemeDefinition, zs: np.ndarray,
                 for x in (Gt, err))
     gt, gt_err = (x[:, inv[n_ghost:]].reshape(shape) for x in (Gt, err))
     B = boundary_matrix(scheme)
-    A = B @ _vandermonde(roots[:, :r], d)
+    A = _lopatinskii_matrix(scheme, roots[:, :r])
     eye = np.broadcast_to(np.eye(r), (zs.size, r, r))
     sol = np.linalg.solve(A, np.concatenate([-(B @ g), eye], axis=2))
     coef, A_inv = sol[:, :, :j0s.size], sol[:, :, j0s.size:]

@@ -116,18 +116,6 @@ class HypothesisReport:
     failure: str | None = None
     witness_t: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "beta": [self.beta.real, self.beta.imag],
-            "consistency_residual": self.consistency_residual,
-            "dissipativity_margin": self.dissipativity_margin,
-            "satisfied": self.satisfied,
-            "failure": self.failure,
-            "witness_t": self.witness_t,
-        }
-
 
 def symbol_eval(scheme: SchemeDefinition, kappa):
     """Evaluate F(kappa) = sum a_k kappa^k; kappa may be a scalar or array.

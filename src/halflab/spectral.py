@@ -36,6 +36,17 @@ z to the curve.  Delta is det(B V) on the stacked Vandermonde matrices.  A
 failing node raises the typed error of the pointwise functions, for the
 first failing node of the batch.
 
+Each formula is evaluated in one place, which `resolvent` and `layers`
+share.  `_char_values` gives P(kappa; z), its kappa-derivatives (their
+coefficients stacked once by `_char_stack`) and the rounding scale
+S = sum_k |c_k| |kappa|^k, so that a root is off by about eps S / |dP/dkappa|:
+the root polish and residual test, the collision test, kappa'(1) in
+Delta'(1) and the residue sums of `resolvent` with their bounds all read it.
+`_lopatinskii_matrix` builds B V(kappa), whose determinant at the stable
+roots is Delta, for Delta, Delta'(1), the residue condition, the ghost-row
+solve of the half-line Green's function and the layer coefficients.  Only
+`_evaluate` splits the roots against the unit circle.
+
 The tolerances are fixed module constants, each defined once here and read
 by every module that applies it: the unit-circle width 1e-8 of the root
 classes (also the CLI's o3 marginal pair), the near-curve distance 1e-6
@@ -56,9 +67,9 @@ from .scheme import SchemeDefinition, boundary_matrix
 
 __all__ = [
     "RootSolveError", "MultiplicityError", "EigenConditioningError",
-    "SpectralSplit", "StableBasis", "ProjectorSet", "LopatinskiiValue",
-    "StabilityReport", "companion_matrix", "characteristic_roots",
-    "spectral_split", "stable_basis", "lopatinskii", "lopatinskii_values",
+    "SpectralSplit", "ProjectorSet", "LopatinskiiValue", "StabilityReport",
+    "companion_matrix", "characteristic_roots", "spectral_split",
+    "lopatinskii", "lopatinskii_values",
     "lopatinskii_derivative_at_one", "projector_set", "residue_condition",
     "check_hypothesis_two",
 ]
@@ -134,6 +145,28 @@ def companion_matrix(scheme: SchemeDefinition, z: complex) -> np.ndarray:
     return _companions(_char_coeffs(scheme, np.array([complex(z)])))[0]
 
 
+def _char_stack(c: np.ndarray, order: int) -> list:
+    """The rows of c (ascending coefficients of P, one row per node) and
+    those of P's first `order` kappa-derivatives, each in polyval's stacked
+    layout (degree, node, 1)."""
+    stack = [c.T[:, :, None]]
+    for _ in range(order):
+        stack.append(npoly.polyder(stack[-1]))
+    return stack
+
+
+def _char_values(stack: list, kappas: np.ndarray, scale: bool = False):
+    """The one evaluator of P(kappa; z) and its derivatives: the value of
+    each polynomial of `stack` (from _char_stack) at kappas (node, k), then,
+    with `scale`, S = sum_k |c_k| |kappa|^k, the size of P's rounding at
+    kappa (a root's error is about eps S / |dP/dkappa|)."""
+    vals = [npoly.polyval(kappas, cs, tensor=False) for cs in stack]
+    if scale:
+        vals.append(npoly.polyval(np.abs(kappas), np.abs(stack[0]),
+                                  tensor=False))
+    return vals
+
+
 def _roots(c: np.ndarray):
     """The roots of every row of c (ascending coefficients): the eigenvalues
     of the stacked companion matrices from one LAPACK call, then three
@@ -152,16 +185,15 @@ def _roots(c: np.ndarray):
     rows = np.flatnonzero(finite)
     x = np.full((n, d), np.nan, dtype=complex)
     xr = np.linalg.eigvals(_companions(c[rows]))
-    cr = c[rows].T[:, :, None]        # polyval layout: (degree, row, 1)
-    dcr = npoly.polyder(cr)
+    # the derivative is built once, outside the polish
+    stack = _char_stack(c[rows], 1)
     for _ in range(3):
-        Pp = npoly.polyval(xr, dcr, tensor=False)
+        P, Pp = _char_values(stack, xr)
         good = Pp != 0
-        xr = np.where(good, xr - npoly.polyval(xr, cr, tensor=False)
-                      / np.where(good, Pp, 1.0), xr)
+        xr = np.where(good, xr - P / np.where(good, Pp, 1.0), xr)
     x[rows] = xr
-    scale = npoly.polyval(np.abs(xr), np.abs(cr), tensor=False)
-    res = np.abs(npoly.polyval(xr, cr, tensor=False))
+    P, scale = _char_values(stack[:1], xr, scale=True)
+    res = np.abs(P)
     bad = np.any(res > 1e-13 * np.maximum(scale, 1e-300), axis=1)
     for k in np.flatnonzero(bad):
         errors[int(rows[k])] = RootSolveError(
@@ -194,10 +226,13 @@ def _vandermonde(kappas, dim: int) -> np.ndarray:
     return ks[..., None, :] ** powers[:, None]
 
 
-def _delta(scheme: SchemeDefinition, kappas) -> np.ndarray:
-    """det(B V) for the stable roots on the last axis of kappas."""
-    V = _vandermonde(kappas, scheme.p + scheme.r)
-    return np.linalg.det(boundary_matrix(scheme) @ V)
+def _lopatinskii_matrix(scheme: SchemeDefinition, kappas) -> np.ndarray:
+    """The one builder of the Lopatinskii matrix B V(kappa), the boundary
+    matrix on the Vandermonde columns of the kappas on the last axis
+    (leading axes stack matrices); Delta is its determinant at the r stable
+    roots."""
+    return boundary_matrix(scheme) @ _vandermonde(kappas,
+                                                  scheme.p + scheme.r)
 
 
 @dataclass(frozen=True)
@@ -205,8 +240,8 @@ class _Nodes:
     """Roots, split, region and Lopatinskii determinant at a batch of nodes.
 
     split_errors maps a node to the error spectral_split raises there;
-    errors adds the ones stable_basis and lopatinskii raise.  Only nodes
-    missing from errors carry kappas (the r stable roots) and delta.
+    errors adds the ones lopatinskii raises.  Only nodes missing from
+    errors carry kappas (the r stable roots) and delta.
     winding is the winding number of the symbol curve around the node,
     n_stable - r by the argument principle (central roots, which put the
     node on the curve, do not count).  dist is |a_p| prod_i ||kappa_i| - 1|,
@@ -232,20 +267,17 @@ def _raise_first(errors: dict) -> None:
         raise errors[min(errors)]
 
 
-def _unit_classes(mods: np.ndarray):
-    """Masks of the stable, central and unstable moduli against the unit
-    circle, central meaning within _UNIT_TOL of it."""
-    return (mods < 1.0 - _UNIT_TOL, np.abs(mods - 1.0) <= _UNIT_TOL,
-            mods > 1.0 + _UNIT_TOL)
-
-
 def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
-    """Every pointwise check of spectral_split, stable_basis and lopatinskii
-    at each node of zs, from one batched root solve.
+    """Every pointwise check of spectral_split and lopatinskii at each node
+    of zs, from one batched root solve.
 
-    The region comes from the roots alone: "at_one" first, then "on_curve"
+    This is the one place the roots are split against the unit circle; the
+    region comes from the roots alone: "at_one" first, then "on_curve"
     where a root is central or dist < _ON_CURVE, "outside" where the winding
     number n_stable - r is 0 (so the split is r/0/p), else "inside".
+    Outside, two stable roots closer than 100 root errors eps S / |dP/dkappa|
+    (S from _char_values) are a collision, and Delta is the determinant of
+    _lopatinskii_matrix at the stable roots.
     """
     zs = np.asarray(zs, dtype=complex)
     n, r = zs.size, scheme.r
@@ -253,7 +285,9 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
     raw, errors = _roots(c)
     roots = _sort_rows(raw)
     mods = np.abs(roots)
-    stable, central, unstable = _unit_classes(mods)
+    stable, central, unstable = (mods < 1.0 - _UNIT_TOL,
+                                 np.abs(mods - 1.0) <= _UNIT_TOL,
+                                 mods > 1.0 + _UNIT_TOL)
     n_s, n_c = stable.sum(axis=1), central.sum(axis=1)
 
     at_one = np.abs(zs - 1.0) <= 1e-12
@@ -290,10 +324,8 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
         # |c_k| |kappa|^k: near a double root that is ~sqrt(eps), so a pair
         # the root solve cannot tell apart passes a fixed gap test; each
         # stable root must lie 100 such errors from the next
-        cs = c.T[:, :, None]
-        slope = np.abs(npoly.polyval(kappas, npoly.polyder(cs), tensor=False))
-        size = npoly.polyval(np.abs(kappas), np.abs(cs), tensor=False)
-        blurred = 100.0 * np.finfo(float).eps * size >= slope * gap
+        _, slope, size = _char_values(_char_stack(c, 1), kappas, scale=True)
+        blurred = 100.0 * np.finfo(float).eps * size >= np.abs(slope) * gap
         for i in np.flatnonzero(ok & blurred.any(axis=1)):
             fail(i, MultiplicityError(
                 f"stable roots nearly collide at z={complex(zs[i])!r}: "
@@ -301,7 +333,7 @@ def _evaluate(scheme: SchemeDefinition, zs) -> _Nodes:
                 "resolves"))
             ok[i] = False
     delta = np.full(n, np.nan, dtype=complex)
-    delta[ok] = _delta(scheme, kappas[ok])
+    delta[ok] = np.linalg.det(_lopatinskii_matrix(scheme, kappas[ok]))
     return _Nodes(roots=roots, stable=stable, central=central,
                   unstable=unstable, region=region, winding=winding,
                   dist=dist, kappas=kappas, delta=delta,
@@ -340,24 +372,6 @@ def spectral_split(scheme: SchemeDefinition, z: complex) -> SpectralSplit:
                          unstable=tuple(roots[nodes.unstable[0]]),
                          region=str(nodes.region[0]),
                          winding=int(nodes.winding[0]))
-
-
-@dataclass(frozen=True)
-class StableBasis:
-    """Stable characteristic roots at z with their Vandermonde eigenvectors
-    (columns of `vectors`, component order u_{j+p-1}..u_{j-r})."""
-
-    z: complex
-    kappas: tuple
-    vectors: np.ndarray
-
-
-def stable_basis(scheme: SchemeDefinition, z: complex) -> StableBasis:
-    nodes = _evaluate(scheme, [complex(z)])
-    _raise_first(nodes.errors)
-    ks = nodes.kappas[0]
-    return StableBasis(z=complex(z), kappas=tuple(ks),
-                       vectors=_vandermonde(ks, scheme.p + scheme.r))
 
 
 @dataclass(frozen=True)
@@ -400,13 +414,13 @@ def lopatinskii_derivative_at_one(scheme: SchemeDefinition) -> complex:
     _raise_first(nodes.errors)
     ks = nodes.kappas[0]
     r, d = scheme.r, scheme.p + scheme.r
-    dP = npoly.polyder(_char_coeffs(scheme, np.array([1.0 + 0j]))[0])
-    dks = -ks ** r / npoly.polyval(ks, dP)
+    c = _char_coeffs(scheme, np.array([1.0 + 0j]))
+    _, dP = _char_values(_char_stack(c, 1), ks[None])
+    dks = -ks ** r / dP[0]
     powers = np.arange(d - 1, -1, -1)
     dV = powers[:, None] * ks ** np.maximum(powers - 1, 0)[:, None] * dks
-    B = boundary_matrix(scheme)
-    cols = np.repeat((B @ _vandermonde(ks, d))[None], r, axis=0)
-    cols[np.arange(r), :, np.arange(r)] = (B @ dV).T
+    cols = np.repeat(_lopatinskii_matrix(scheme, ks)[None], r, axis=0)
+    cols[np.arange(r), :, np.arange(r)] = (boundary_matrix(scheme) @ dV).T
     return complex(np.linalg.det(cols).sum())
 
 
@@ -429,8 +443,6 @@ class ProjectorSet:
     pi_c: np.ndarray
     pi_su: np.ndarray
     central: complex | None
-    central_vector: np.ndarray | None
-    left_central: np.ndarray | None
     e: np.ndarray
 
     def power_apply(self, n: int, vec: np.ndarray,
@@ -451,8 +463,9 @@ class ProjectorSet:
 
 
 def projector_set(scheme: SchemeDefinition, z: complex) -> ProjectorSet:
-    split = spectral_split(scheme, z)
-    roots = np.asarray(split.roots)
+    nodes = _evaluate(scheme, [complex(z)])
+    _raise_first(nodes.split_errors)
+    roots = nodes.roots[0]
     d = scheme.p + scheme.r
     V = _vandermonde(roots, d)
     cond = np.linalg.cond(V)
@@ -460,14 +473,14 @@ def projector_set(scheme: SchemeDefinition, z: complex) -> ProjectorSet:
         raise EigenConditioningError(
             f"eigenvector Vandermonde at z={z!r} has condition {cond:.3e}")
     Vinv = np.linalg.inv(V)
-    idx_ss, idx_c, idx_su = (tuple(int(i) for i in np.flatnonzero(m))
-                             for m in _unit_classes(np.abs(roots)))
+    idx_ss, idx_c, idx_su = (tuple(int(i) for i in np.flatnonzero(m[0]))
+                             for m in (nodes.stable, nodes.central,
+                                       nodes.unstable))
     classes = {"ss": idx_ss, "c": idx_c, "su": idx_su}
 
     def proj(idx):
         mask = np.zeros(d)
-        for i in idx:
-            mask[i] = 1.0
+        mask[list(idx)] = 1.0
         return V @ (mask[:, None] * Vinv)
 
     pi_ss, pi_c, pi_su = proj(idx_ss), proj(idx_c), proj(idx_su)
@@ -485,18 +498,14 @@ def projector_set(scheme: SchemeDefinition, z: complex) -> ProjectorSet:
     if np.max(np.abs(pi_ss + pi_c + pi_su - eye)) > 1e-10:
         raise EigenConditioningError("projectors do not sum to the identity")
 
-    central = central_vec = left_central = None
+    central = None
     if idx_c:
-        near_one = min(idx_c, key=lambda i: abs(roots[i] - 1.0))
-        central = complex(roots[near_one])
-        central_vec = V[:, near_one].copy()
-        left_central = Vinv[near_one, :].copy()
+        central = complex(roots[min(idx_c, key=lambda i: abs(roots[i] - 1.0))])
     e = np.zeros(d)
     e[0] = 1.0
     return ProjectorSet(z=complex(z), roots=tuple(roots), V=V, Vinv=Vinv,
                         classes=classes, pi_ss=pi_ss, pi_c=pi_c, pi_su=pi_su,
-                        central=central, central_vector=central_vec,
-                        left_central=left_central, e=e)
+                        central=central, e=e)
 
 
 def residue_condition(scheme: SchemeDefinition) -> bool:
@@ -519,8 +528,8 @@ def _residue_ok(scheme: SchemeDefinition, kappas) -> bool:
     if tnorm == 0.0:
         return True
     if kappas is None:
-        kappas = stable_basis(scheme, 1.0).kappas
-    A = B @ _vandermonde(kappas, scheme.p + scheme.r)
+        kappas = lopatinskii(scheme, 1.0).kappas
+    A = _lopatinskii_matrix(scheme, kappas)
     # span membership through an explicit rank cutoff: a trace column of
     # roundoff size (Delta(1) = 0 within floats) must count as zero, or a
     # 1x1 "solve" would invert it and report everything as in-span
@@ -545,20 +554,6 @@ class StabilityReport:
     verdict: str
     radii: tuple
     samples_per_radius: int
-
-    def as_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "min_modulus": self.min_modulus,
-            "witness_z": None if self.witness_z is None else
-                [self.witness_z.real, self.witness_z.imag],
-            "delta_at_one": [self.delta_at_one.real, self.delta_at_one.imag],
-            "boundary_zero": self.boundary_zero,
-            "residue_ok": self.residue_ok,
-            "verdict": self.verdict,
-            "radii": list(self.radii),
-            "samples_per_radius": self.samples_per_radius,
-        }
 
 
 def check_hypothesis_two(scheme: SchemeDefinition,

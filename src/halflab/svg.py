@@ -41,12 +41,15 @@ def _axis_range(lo: float, hi: float, log: bool):
 
 
 def _ticks(lo: float, hi: float, log: bool):
+    """(position, label) pairs; on a log axis the positions are log10 of
+    the values, a power of ten where the range holds one."""
     if log:
         first, last = math.ceil(lo), math.floor(hi)
         if last >= first:
             return [(t, "1e%d" % t) for t in range(first, last + 1)]
     step = (hi - lo) / 4.0
-    return [(lo + i * step, _fmt(lo + i * step)) for i in range(5)]
+    ts = [lo + i * step for i in range(5)]
+    return [(t, _fmt(10.0 ** t if log else t)) for t in ts]
 
 
 def _transform(v, lo, hi, out_lo, out_hi, log):

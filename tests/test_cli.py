@@ -12,7 +12,7 @@ import pytest
 
 import numpy as np
 
-from halflab import _kernels, cli, gaussian, layers, scheme, spectral
+from halflab import _kernels, cli, gaussian, layers, scheme, spectral, svg
 from halflab.cli import main
 
 from conftest import NEAR_TOUCH_INLINE
@@ -678,3 +678,17 @@ def test_csv_matches_per_cell_format(tmp_path):
         ",".join(_fmt_cell(v) for v in row) + "\n" for row in rows)
     with open(path, "rb") as fh:
         assert fh.read() == want.encode("utf-8")
+
+
+def test_log_axis_without_power_of_ten_labels_values(tmp_path):
+    # a log axis over [1.03, 1.17] holds no power of ten: its evenly spaced
+    # ticks are labelled with the values there, not with their log10
+    path = tmp_path / "log.svg"
+    xs = np.arange(1.0, 9.0)
+    svg.line_chart(str(path), [("ratio", xs, np.linspace(1.03, 1.17, 8))],
+                   logy=True)
+    labels = [float(t.text) for t in ET.parse(path).iter()
+              if t.tag.endswith("text") and t.get("text-anchor") == "end"]
+    lo, hi = (10.0 ** v for v in svg._axis_range(1.03, 1.17, True))
+    assert len(labels) == 5
+    assert all(lo * (1 - 1e-5) <= v <= hi * (1 + 1e-5) for v in labels)

@@ -83,7 +83,7 @@ def test_spectral_split_regions(lfr):
     assert _winding_scalar(_sampled_curve(lfr), z)[1] > 1e-4
     assert hl.spectral_split(lfr, z).region == "on_curve"
     with pytest.raises(MultiplicityError, match="'on_curve'"):
-        hl.stable_basis(lfr, z)
+        hl.lopatinskii(lfr, z)
 
 
 def test_spectral_split_counts_sampled(lfr, o3):
@@ -105,7 +105,7 @@ def test_stable_basis_rejected_inside(lfr):
     assert split.region == "inside"
     assert split.winding != 0
     with pytest.raises(MultiplicityError):
-        hl.stable_basis(lfr, z)
+        hl.lopatinskii(lfr, z)
 
 
 def test_lopatinskii_frozen_values(lfr):
@@ -269,6 +269,23 @@ def test_power_apply_matches_matrix(o3):
     vec = np.array([1.0, -2.0, 0.5])
     np.testing.assert_allclose(ps.power_apply(3, vec),
                                M @ M @ M @ vec, atol=1e-9)
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 1.3 + 0.4j])
+def test_power_apply_classes_sum_to_whole(lfr, o3, z):
+    # the "ss", "c" and "su" parts of M(z)^n v add up to M(z)^n v, at z = 1
+    # (one central root) and away from it (no central root)
+    for s in (lfr, o3):
+        ps = projector_set(s, z)
+        vec = np.linspace(1.0, -0.5, s.p + s.r) + 0.25j
+        for n in (0, 3, 7):
+            whole = ps.power_apply(n, vec)
+            parts = [ps.power_apply(n, vec, which)
+                     for which in ("ss", "c", "su")]
+            np.testing.assert_allclose(sum(parts), whole, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(whole)))
+        assert sorted(sum(ps.classes.values(), ())) == list(range(s.p + s.r))
+        assert len(ps.classes["c"]) == (1 if z == 1.0 else 0)
 
 
 def test_residue_condition(lfr, o3):
@@ -575,4 +592,32 @@ def test_unit_sweep_clears_marginal_o3_pairs():
         nodes = spectral._evaluate(s, unit)
         assert np.all(nodes.region == "outside")
         assert np.all(nodes.dist >= 1e-6)
+
+
+
+def test_char_values_bitwise_per_row_polyval(lfr, o3):
+    # the one evaluator of P, P', P'' and S gives bitwise the 1-D polyval
+    # of each row, for a one-row stack, a stacked batch and a column subset
+    # (the stable roots, as the collision test and Delta'(1) read them)
+    zs = np.array([2.0, 1.5j, -1.2 + 0.3j, 1.0, 1.05 * np.exp(0.7j)])
+    # the lfr stencil convolved with itself: two stable roots
+    two = hl.SchemeDefinition(r=2, p=2,
+                              a=np.convolve(_LFR_STENCIL, _LFR_STENCIL),
+                              p_b=2, b=np.array([[0.3, -0.2], [0.5, 0.1]]))
+    for s in (lfr, o3, two):
+        c = spectral._char_coeffs(s, zs)
+        roots = np.stack([hl.characteristic_roots(s, z) for z in zs])
+        stack = spectral._char_stack(c, 2)
+        batch = spectral._char_values(stack, roots, scale=True)
+        subset = spectral._char_values(stack, roots[:, :s.r], scale=True)
+        for i, row in enumerate(c):
+            want = [npoly.polyval(roots[i], npoly.polyder(row, m))
+                    for m in range(3)]
+            want.append(npoly.polyval(np.abs(roots[i]), np.abs(row)))
+            one = spectral._char_values(spectral._char_stack(c[i:i + 1], 2),
+                                        roots[i:i + 1], scale=True)
+            for w, b, sub, o in zip(want, batch, subset, one):
+                assert np.array_equal(b[i], w)
+                assert np.array_equal(o[0], w)
+                assert np.array_equal(sub[i], w[:s.r])
 
