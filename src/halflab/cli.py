@@ -232,30 +232,38 @@ def _load_scheme(cfg: dict):
 
 # every float cell of a CSV, also recorded in report.json
 _FLOAT_FORMAT = "%.17g"
+# rows per % in _csv: enough to amortise the call, few enough that the flat
+# list of cells stays small
+_CSV_CHUNK = 4096
 
 
-def _cell_format(cls) -> str:
-    # bools print as 1/0 and integers exactly; everything else is a float
-    if issubclass(cls, (bool, np.bool_, int, np.integer)):
-        return "%d"
-    return _FLOAT_FORMAT
+def _csv(out_dir: str, name: str, header, columns) -> str:
+    """Write header and the equal-length columns (arrays or lists) as CSV.
 
-
-def _csv(out_dir: str, name: str, header, rows) -> str:
-    """Write header and rows as CSV; each row goes through one format
-    string, built once per sequence of cell types."""
+    A column's dtype gives its format: %d for bool (1/0) and integer
+    dtypes, %.17g for float dtypes; any other dtype is refused.  Each chunk
+    of rows is one % of the row format repeated over the chunk's cells.
+    """
+    cols = [np.asarray(c) for c in columns]
+    fmts = []
+    for c in cols:
+        if c.dtype.kind not in "biuf":
+            raise TypeError(f"cannot write a {c.dtype} column to CSV")
+        fmts.append(_FLOAT_FORMAT if c.dtype.kind == "f" else "%d")
+    if any(c.shape != cols[0].shape or c.ndim != 1 for c in cols):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    line, m = ",".join(fmts) + "\n", len(cols)
     path = os.path.join(out_dir, name)
-    formats = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = \
-                    ",".join(map(_cell_format, kinds)) + "\n"
-            fh.write(fmt % row)
+        for lo in range(0, cols[0].size, _CSV_CHUNK):
+            chunk = [c[lo:lo + _CSV_CHUNK].tolist() for c in cols]
+            k = len(chunk[0])
+            # row-major cells: column i fills every m-th slot from i
+            flat = [None] * (k * m)
+            for i, cells in enumerate(chunk):
+                flat[i::m] = cells
+            fh.write((line * k) % tuple(flat))
     return path
 
 
@@ -295,7 +303,7 @@ def _run_check(scheme, out_dir, rep1, rep2, verdict):
     t = np.linspace(-math.pi, math.pi, 720, endpoint=False)
     f = symbol_eval(scheme, np.exp(1j * t))
     _csv(out_dir, "check_symbol.csv", ("t", "re_f", "im_f", "abs_f"),
-         zip(t, f.real, f.imag, np.abs(f)))
+         (t, f.real, f.imag, np.abs(f)))
     svg.line_chart(os.path.join(out_dir, "check_symbol.svg"),
                    [("abs F", t, np.abs(f))], title="symbol modulus",
                    xlabel="t", ylabel="|F(e^{it})|")
@@ -307,7 +315,7 @@ def _run_check(scheme, out_dir, rep1, rep2, verdict):
         dets = np.array([abs(complex(v))
                          for v in lopatinskii_values(scheme, zs)])
         _csv(out_dir, "check_lopatinskii.csv", ("z", "abs_delta"),
-             zip(zs, dets))
+             (zs, dets))
         svg.line_chart(os.path.join(out_dir, "check_lopatinskii.svg"),
                        [("abs Delta", zs, dets)],
                        title="Lopatinskii determinant on the real axis",
@@ -322,25 +330,28 @@ def _run_check(scheme, out_dir, rep1, rep2, verdict):
 
 def _run_simulate(scheme, opts, out_dir, at_one):
     n_list, j0 = sorted(set(opts["n_list"])), opts["j0"]
-    half_rows, whole_rows, half_series, whole_series = [], [], [], []
-    stats = {}
+    half_series, whole_series, stats = [], [], {}
     for n in n_list:
         g = temporal_green(scheme, n, j0)
-        js = np.arange(g.field.j_min, g.field.j_max + 1)
-        half_rows.extend((n, int(j), v) for j, v in zip(js, g.field.values))
-        half_series.append((f"n={n}", js, g.field.values))
+        half_series.append((f"n={n}", np.arange(g.field.j_min,
+                                                g.field.j_max + 1),
+                            g.field.values))
         gw = temporal_green_whole(scheme, n)
-        jw = np.arange(gw.field.j_min, gw.field.j_max + 1)
-        whole_rows.extend((n, int(j), v) for j, v in zip(jw, gw.field.values))
-        whole_series.append((f"n={n}", jw, gw.field.values))
+        whole_series.append((f"n={n}", np.arange(gw.field.j_min,
+                                                 gw.field.j_max + 1),
+                             gw.field.values))
         stats[str(n)] = {
             "half_sup": float(np.max(np.abs(g.field.values))),
             "half_l1": float(np.sum(np.abs(g.field.interior))),
             "whole_mass": float(np.sum(gw.field.values)),
             "whole_sup": float(np.max(np.abs(gw.field.values))),
         }
-    _csv(out_dir, "green_half.csv", ("n", "j", "value"), half_rows)
-    _csv(out_dir, "green_whole.csv", ("n", "j", "value"), whole_rows)
+    for name, series in (("green_half.csv", half_series),
+                         ("green_whole.csv", whole_series)):
+        _csv(out_dir, name, ("n", "j", "value"),
+             (np.repeat(n_list, [js.size for _, js, _ in series]),
+              np.concatenate([js for _, js, _ in series]),
+              np.concatenate([vals for _, _, vals in series])))
     svg.line_chart(os.path.join(out_dir, "green_half.svg"), half_series,
                    title=f"half-line Green's function, j0={j0}",
                    xlabel="j", ylabel="G(n, j0, j)")
@@ -363,7 +374,7 @@ def _run_layers(scheme, opts, out_dir, at_one):
     _csv(out_dir, "layer_rc.csv",
          ("j", "analytic", "empirical_n", "empirical_2n", "abs_err_n",
           "abs_err_2n"),
-         zip(js, rc_a.values, rc_e.values, rc_e2.values, err_n, err_2n))
+         (js, rc_a.values, rc_e.values, rc_e2.values, err_n, err_2n))
     svg.line_chart(os.path.join(out_dir, "layer_rc.svg"),
                    [("analytic", js, np.abs(rc_a.values)),
                     (f"empirical n={n}", js, np.abs(rc_e.values)),
@@ -371,9 +382,11 @@ def _run_layers(scheme, opts, out_dir, at_one):
                    title="reflected boundary layer", xlabel="j",
                    ylabel="|Rc(j)|", logy=True)
     ru = ru_analytic(scheme, max(j0_list), j_max, at_one=at_one)
-    ru_rows = [(jj0, int(j), ru.values[jj0 - 1, j - 1])
-               for jj0 in j0_list for j in js]
-    _csv(out_dir, "layer_ru.csv", ("j0", "j", "value"), ru_rows)
+    # one row per (j0, j), j0 in list order (repeats too), j ascending;
+    # ru.values has a row per j0 and a column per j of js
+    _csv(out_dir, "layer_ru.csv", ("j0", "j", "value"),
+         (np.repeat(j0_list, js.size), np.tile(js, len(j0_list)),
+          ru.values[np.subtract(j0_list, 1)].ravel()))
     svg.line_chart(os.path.join(out_dir, "layer_ru.svg"),
                    [(f"j0={jj0}", js, ru.values[jj0 - 1]) for jj0 in j0_list],
                    title="transmitted boundary layer", xlabel="j",
@@ -389,16 +402,15 @@ def _run_layers(scheme, opts, out_dir, at_one):
 def _run_err_map(scheme, opts, out_dir, at_one):
     fit = err_bound_fit(scheme, at_one=at_one, **{
         k: opts[k] for k in _KEYS["err-map"]})
-    rows = [(int(n), int(j0), fit.heat[k, i])
-            for k, n in enumerate(fit.n_values)
-            for i, j0 in enumerate(fit.j0_values)]
-    _csv(out_dir, "err_map.csv", ("n", "j0", "scaled_err"), rows)
+    n_cells, j0_cells = np.meshgrid(fit.n_values, fit.j0_values,
+                                    indexing="ij")
+    _csv(out_dir, "err_map.csv", ("n", "j0", "scaled_err"),
+         (n_cells.ravel(), j0_cells.ravel(), fit.heat.ravel()))
     svg.heatmap(os.path.join(out_dir, "err_map.svg"), fit.j0_values,
                 fit.n_values, fit.heat,
                 title="n^{1/2mu} sup_j |Err|", xlabel="j0", ylabel="n")
     header = ["c0"] + [f"sup_n{int(n)}" for n in fit.n_values]
-    _csv(out_dir, "err_c0.csv", header,
-         [(c0, *fit.sups[a]) for a, c0 in enumerate(fit.c0_values)])
+    _csv(out_dir, "err_c0.csv", header, (fit.c0_values, *fit.sups.T))
     svg.line_chart(os.path.join(out_dir, "err_c0.svg"),
                    [(f"n={int(n)}", fit.c0_values, fit.sups[:, k])
                     for k, n in enumerate(fit.n_values)],
@@ -424,7 +436,7 @@ def _run_growth(scheme, opts, out_dir, at_one):
     results = growth_experiment(scheme, q_list, J_list, n_max, record=record)
     for q, res in zip(q_list, results):
         tag = _q_tag(q)
-        _csv(out_dir, f"growth_{tag}.csv", ("J", "n", "ratio"), res.rows)
+        _csv(out_dir, f"growth_{tag}.csv", ("J", "n", "ratio"), res.columns)
         series = [(f"J={J}", res.ns, res.ratios[J]) for J in sorted(res.ratios)]
         svg.line_chart(os.path.join(out_dir, f"growth_{tag}.svg"), series,
                        title=f"norm ratios, q={'inf' if math.isinf(q) else q}",
@@ -443,28 +455,28 @@ def _run_oracle(scheme, opts, out_dir, at_one):
     # the time-stepped table ts[i0, n, j], every step of one sweep
     ts = temporal_green_sweep(scheme, range(n_max + 1), j0s,
                               js).transpose(1, 0, 2)
-    rows, per_r0, tables = [], {}, {}
-    for r0 in sorted(set(opts["r0_list"])):
-        tab = inverse_laplace_table(scheme, n_max, j0s, js, r0=r0)
-        tables[r0] = tab
-        err = np.abs(tab.values - ts)
-        rows.extend((r0, n, j0, j, tab.values[i0, n, i], ts[i0, n, i],
-                     err[i0, n, i]) for i0, j0 in enumerate(j0s)
-                    for n in range(n_max + 1) for i, j in enumerate(js))
-        per_r0[repr(r0)] = {"max_err_vs_timestep": float(err.max()),
-                            "nodes": tab.nodes, "solves": tab.solves,
-                            "max_imag": tab.max_imag}
+    r0s = sorted(set(opts["r0_list"]))
+    tabs = [inverse_laplace_table(scheme, n_max, j0s, js, r0=r0)
+            for r0 in r0s]
+    recon = np.stack([tab.values for tab in tabs])
+    err = np.abs(recon - ts)
+    per_r0 = {repr(r0): {"max_err_vs_timestep": float(e.max()),
+                         "nodes": tab.nodes, "solves": tab.solves,
+                         "max_imag": tab.max_imag}
+              for r0, tab, e in zip(r0s, tabs, err)}
+    # one row per table cell, r0-major, then j0, n and j as ts is laid out
+    i0, n, i = np.indices(ts.shape).reshape(3, -1)
     _csv(out_dir, "oracle.csv",
          ("r0", "n", "j0", "j", "reconstructed", "time_stepped", "abs_err"),
-         rows)
-    keys = sorted(tables)
-    spread = max([0.0] + [float(np.max(np.abs(tables[a].values
-                                               - tables[b].values)))
-                          for a, b in combinations(keys, 2)])
+         (np.repeat(r0s, ts.size), np.tile(n, len(r0s)),
+          np.tile(np.take(j0s, i0), len(r0s)),
+          np.tile(np.take(js, i), len(r0s)), recon.ravel(),
+          np.tile(ts.ravel(), len(r0s)), err.ravel()))
+    spread = max([0.0] + [float(np.max(np.abs(a - b)))
+                          for a, b in combinations(recon, 2)])
     svg.line_chart(os.path.join(out_dir, "oracle_err.svg"),
-                   [(f"r0={r0}", np.arange(n_max + 1),
-                     np.max(np.abs(tables[r0].values - ts), axis=(0, 2)))
-                    for r0 in keys],
+                   [(f"r0={r0}", np.arange(n_max + 1), e.max(axis=(0, 2)))
+                    for r0, e in zip(r0s, err)],
                    title="reconstruction error against time stepping",
                    xlabel="n", ylabel="max abs err", logy=True)
     return {"n_max": n_max, "j0_list": j0s, "j_list": js, "per_r0": per_r0,
@@ -476,10 +488,17 @@ _RUNNERS = {"simulate": _run_simulate, "layers": _run_layers,
             "oracle": _run_oracle}
 
 
+# the parser, built by the first main call and reused by later ones in the
+# process; not at import, which stays as light as it was
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:   # --help exits 0, usage errors exit 1
         return int(exc.code or 0)
     t0 = time.perf_counter()

@@ -427,13 +427,12 @@ class GrowthResult:
     max_ratio: np.ndarray
 
     @property
-    def rows(self):
-        """Flat (J, n, ratio) triples, J-major then n-ascending."""
-        out = []
-        for J in sorted(self.ratios):
-            for n, val in zip(self.ns, self.ratios[J]):
-                out.append((J, int(n), float(val)))
-        return out
+    def columns(self):
+        """The (J, n, ratio) table as three arrays, J-major then
+        n-ascending."""
+        Js = sorted(self.ratios)
+        return (np.repeat(Js, self.ns.size), np.tile(self.ns, len(Js)),
+                np.concatenate([self.ratios[J] for J in Js]))
 
 
 def growth_experiment(scheme: SchemeDefinition, q_list, J_list,

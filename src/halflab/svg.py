@@ -52,10 +52,14 @@ def _ticks(lo: float, hi: float, log: bool):
     return [(t, _fmt(10.0 ** t if log else t)) for t in ts]
 
 
-def _transform(v, lo, hi, out_lo, out_hi, log):
-    t = (math.log10(v) if log else v)
-    frac = (t - lo) / (hi - lo)
-    return out_lo + frac * (out_hi - out_lo)
+def _pixels(vals, lo, hi, out_lo, out_hi, log):
+    """Pixel coordinates of vals on an axis whose range is (lo, hi) in data
+    units (log10 units on a log axis).  The numpy operations round as the
+    same scalar ones do; math.log10 stays per value because np.log10 may
+    differ from it in the last bit.  out_lo is never -0.0, so no sum with
+    it is -0.0 and a zero prints as "0", as _fmt prints it."""
+    t = np.array(list(map(math.log10, vals.tolist()))) if log else vals
+    return out_lo + (t - lo) / (hi - lo) * (out_hi - out_lo)
 
 
 def line_chart(path, series, *, title="", xlabel="", ylabel="",
@@ -116,19 +120,22 @@ def line_chart(path, series, *, title="", xlabel="", ylabel="",
                       ylabel))
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = []
-        for x, y in zip(np.asarray(xs, dtype=float),
-                        np.asarray(ys, dtype=float)):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            px = _transform(x, x_lo, x_hi, px_lo, px_hi, logx)
-            py = _transform(y, y_lo, y_hi, py_lo, py_hi, logy)
-            pts.append("%s,%s" % (_fmt(px), _fmt(py)))
-        if pts:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if xs.shape != ys.shape:
+            raise ValueError(f"series {label!r}: xs and ys differ in shape")
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if logx:
+            keep &= xs > 0
+        if logy:
+            keep &= ys > 0
+        if keep.any():
+            pts = np.empty((np.count_nonzero(keep), 2))
+            pts[:, 0] = _pixels(xs[keep], x_lo, x_hi, px_lo, px_hi, logx)
+            pts[:, 1] = _pixels(ys[keep], y_lo, y_hi, py_lo, py_hi, logy)
             out.append('<polyline points="%s" fill="none" stroke="%s" '
-                       'stroke-width="1.5"/>' % (" ".join(pts), color))
+                       'stroke-width="1.5"/>'
+                       % (" ".join(["%.6g,%.6g"] * len(pts))
+                          % tuple(pts.ravel().tolist()), color))
         if label:
             ly = _MARGIN_T + 14 * i + 4
             out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '

@@ -4,11 +4,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -663,21 +666,44 @@ def _fmt_cell(v) -> str:
     return "%.17g" % float(v)
 
 
-def test_csv_matches_per_cell_format(tmp_path):
+def test_csv_matches_per_cell_format(tmp_path, monkeypatch):
+    # a chunk of 3 rows puts the 10 rows in four chunks, the last one short
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
     floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 1e-310, 2.0 ** 60,
-              np.float64(1.0 / 3.0), np.float32(0.1), -7.0]
-    rows = [(True, np.bool_(False), np.int64(-3), 7, f, np.float64(f))
-            for f in floats]
-    # the same column holding other types in other rows
-    rows += [(np.int64(5), 2.5, False, np.bool_(True), 3, np.uint8(255)),
-             (1.5, 0, np.int32(-2), -0.0, np.nan, True)]
-    rows.append(tuple(np.array([1.0, -0.0, np.inf])) + (1, 2, 3))
-    path = cli._csv(str(tmp_path), "t.csv", ("a", "b", "c", "d", "e", "f"),
-                    iter(rows))
-    want = "a,b,c,d,e,f\n" + "".join(
-        ",".join(_fmt_cell(v) for v in row) + "\n" for row in rows)
+              1.0 / 3.0, float(np.float32(0.1)), -7.0]
+    ints = [-3, 7, 0, 1, 2, 127, -128, 5, 9, 100]
+    columns = [
+        [True, False] * 5,
+        np.array([False, True] * 5, dtype=np.bool_),
+        *[np.array(ints, dtype=t) for t in (np.int8, np.int16, np.int32,
+                                            np.int64)],
+        *[np.abs(ints).astype(t) for t in (np.uint8, np.uint16, np.uint32,
+                                           np.uint64)],
+        ints[:-1] + [2 ** 60],
+        np.array(ints[:-1] + [2 ** 60]),
+        floats,
+        np.array(floats),
+        np.array(floats, dtype=np.float32),
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    path = cli._csv(str(tmp_path), "t.csv", header, columns)
+    want = ",".join(header) + "\n" + "".join(
+        ",".join(_fmt_cell(c[i]) for c in columns) + "\n" for i in range(10))
     with open(path, "rb") as fh:
         assert fh.read() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("column", [np.array([1, "a"], dtype=object),
+                                    np.array([1j, 2.0]), [1.0, None]],
+                         ids=["object", "complex", "list-with-None"])
+def test_csv_refuses_other_dtypes(tmp_path, column):
+    with pytest.raises(TypeError, match="cannot write"):
+        cli._csv(str(tmp_path), "t.csv", ("a", "b"), ([1, 2], column))
+
+
+def test_csv_refuses_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="equal length"):
+        cli._csv(str(tmp_path), "t.csv", ("a", "b"), ([1, 2], [1.0]))
 
 
 def test_log_axis_without_power_of_ten_labels_values(tmp_path):
@@ -692,3 +718,100 @@ def test_log_axis_without_power_of_ten_labels_values(tmp_path):
     lo, hi = (10.0 ** v for v in svg._axis_range(1.03, 1.17, True))
     assert len(labels) == 5
     assert all(lo * (1 - 1e-5) <= v <= hi * (1 + 1e-5) for v in labels)
+
+
+def _polylines_per_point(series, logx, logy):
+    """The point lists line_chart must write, from its axis ranges and the
+    per-point loop it once ran: drop a point that is not finite or not
+    positive on a log axis, map each coordinate alone, format by _fmt."""
+    def transform(v, lo, hi, out_lo, out_hi, log):
+        t = (math.log10(v) if log else v)
+        frac = (t - lo) / (hi - lo)
+        return out_lo + frac * (out_hi - out_lo)
+
+    width, height = svg._LINE_SIZE
+    xs_all = svg._finite(np.concatenate([s[1] for s in series]))
+    ys_all = svg._finite(np.concatenate([s[2] for s in series]))
+    xs_all = xs_all[xs_all > 0] if logx else xs_all
+    ys_all = ys_all[ys_all > 0] if logy else ys_all
+    if xs_all.size == 0 or ys_all.size == 0:
+        return None
+    x_lo, x_hi = svg._axis_range(float(xs_all.min()), float(xs_all.max()),
+                                 logx)
+    y_lo, y_hi = svg._axis_range(float(ys_all.min()), float(ys_all.max()),
+                                 logy)
+    px_lo, px_hi = svg._MARGIN_L, width - svg._MARGIN_R
+    py_lo, py_hi = height - svg._MARGIN_B, svg._MARGIN_T
+    lines = []
+    for _, xs, ys in series:
+        pts = []
+        for x, y in zip(xs, ys):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                continue
+            if (logx and x <= 0) or (logy and y <= 0):
+                continue
+            px = transform(x, x_lo, x_hi, px_lo, px_hi, logx)
+            py = transform(y, y_lo, y_hi, py_lo, py_hi, logy)
+            pts.append("%s,%s" % (svg._fmt(px), svg._fmt(py)))
+        if pts:
+            lines.append(" ".join(pts))
+    return lines
+
+
+# finite values below 2^52 in size, where lo + 1.0 > lo and a one-value
+# axis keeps its unit width; zeros of both signs, subnormals, the
+# non-finite values and non-positive ones (on a log axis) among them
+_COORD = st.one_of(st.floats(-1e15, 1e15), st.floats(-1e3, 1e3),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                                    math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _chart_series(draw):
+    series = []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 12))
+        xs = draw(st.lists(_COORD, min_size=n, max_size=n))
+        ys = draw(st.lists(_COORD, min_size=n, max_size=n))
+        series.append((f"s{k}", np.array(xs), np.array(ys)))
+    return series
+
+
+@settings(max_examples=300)
+@given(series=_chart_series(), logx=st.booleans(), logy=st.booleans())
+def test_line_chart_polylines_match_per_point_reference(tmp_path_factory,
+                                                         series, logx, logy):
+    path = tmp_path_factory.mktemp("svg") / "chart.svg"
+    want = _polylines_per_point(series, logx, logy)
+    if want is None:
+        with pytest.raises(ValueError, match="nothing finite"):
+            svg.line_chart(str(path), series, logx=logx, logy=logy)
+        return
+    svg.line_chart(str(path), series, logx=logx, logy=logy)
+    got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert got == want
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    # the parser main builds on its first call serves every later call in
+    # the process; each call must still behave as with a fresh parser, and
+    # no value of one call may leak into the next
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert main(["check"]) == 1
+    assert "--config" in capsys.readouterr().err
+    parser = cli._PARSER
+    assert parser is not None
+    assert main(["--help"]) == 0
+    assert "halflab" in capsys.readouterr().out
+    cfg = write_cfg(tmp_path, {"scheme": {"builtin": "lfr"},
+                               "out": str(tmp_path / "from_config")})
+    assert main(["check", "--config", cfg,
+                 "--out", str(tmp_path / "from_flag")]) == 0
+    # without --out the config's directory is used, not the last flag's
+    assert main(["check", "--config", cfg]) == 0
+    assert VERDICT_LFR in capsys.readouterr().out
+    for out in ("from_flag", "from_config"):
+        assert (tmp_path / out / "report.json").exists()
+    assert main(["frobnicate", "--config", cfg]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli._PARSER is parser

@@ -123,9 +123,10 @@ def test_growth_experiment_shapes(lfr):
     assert set(res.ratios) == {8, 16}
     assert res.ns.tolist() == [10, 20, 40]
     assert res.max_ratio.shape == (3,)
-    rows = res.rows
-    assert rows[0][0] == 8 and rows[-1][0] == 16
-    assert all(len(row) == 3 for row in rows)
+    J, n, ratio = res.columns
+    assert J.tolist() == [8] * 3 + [16] * 3
+    assert n.tolist() == [10, 20, 40] * 2
+    assert ratio.tolist() == res.ratios[8].tolist() + res.ratios[16].tolist()
 
 
 @pytest.mark.parametrize("J_list", [[0, 16], [-3]])

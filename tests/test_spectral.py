@@ -3,11 +3,12 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import halflab as hl
 from halflab import spectral
+from halflab.scheme import boundary_matrix
 from halflab.spectral import (EigenConditioningError, MultiplicityError,
                               RootSolveError, companion_matrix, projector_set)
 
@@ -118,20 +119,38 @@ def test_lopatinskii_frozen_values(lfr):
     assert abs(val2.value - 0.63324958) < 1e-6
 
 
-def _dprime_reference(scheme, h=1e-5):
+_DPRIME_H = 1e-5
+
+
+def _dprime_reference(scheme, h=_DPRIME_H):
     # an independent route to Delta'(1), no root tracking: the second-order
     # one-sided difference of Delta at 1, 1 + h, 1 + 2h.  Its O(h^2) error
     # grows as the branch point of kappa_s nears z = 1 (0.019 away on the
     # lfr family at alpha = -0.15): 9e-6 relative there at h = 1e-4, 9e-8 at
-    # h = 1e-5, while roundoff stays near 1e-10
+    # h = 1e-5
     v = hl.lopatinskii_values(scheme, [1.0, 1.0 + h, 1.0 + 2.0 * h])
     return complex((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
 
 
+def _dprime_roundoff(scheme, h=_DPRIME_H):
+    # the difference's roundoff: each Delta value is off by up to delta, and
+    # the stencil weights (3 + 4 + 1) / (2h) carry that into the quotient.
+    # Delta = det(B V(kappa_s)) with |kappa_s| <= 1, so every entry of B V
+    # is at most beta, the largest row sum of |B|, and the r! products of
+    # the determinant at most beta^r each; delta is 4 ulps of that size
+    beta = np.abs(boundary_matrix(scheme)).sum(axis=1).max()
+    delta = 4.0 * np.finfo(float).eps * math.factorial(scheme.r) \
+        * beta ** scheme.r
+    return (3.0 + 4.0 + 1.0) / (2.0 * h) * delta
+
+
 def _assert_dprime_matches_reference(scheme):
+    # relative to Delta'(1), plus the roundoff, which dominates where
+    # Delta'(1) is tiny (kappa_s near 0: 6e-7 at alpha = -0.85, D = 0.85)
     d = hl.lopatinskii_derivative_at_one(scheme)
     assert math.isfinite(abs(d)) and d != 0
-    assert abs(d - _dprime_reference(scheme)) <= 1e-6 * abs(d)
+    assert abs(d - _dprime_reference(scheme)) \
+        <= 1e-6 * abs(d) + _dprime_roundoff(scheme)
     return d
 
 
@@ -164,6 +183,10 @@ def test_lopatinskii_derivative_several_stable_roots(a, b):
 @settings(max_examples=20)
 @given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6),
        b=st.floats(0.2, 6.0), sign=st.sampled_from([-1.0, 1.0]))
+# D = 0.85 + 9.3e-7, so kappa_s(1) = 5.5e-7 and Delta'(1) = -6.4e-7; the
+# difference is off by 3.7e-12, 5.8e-6 of it, well inside the roundoff
+# bound of 7.1e-10
+@example(alpha=-0.85, slack=0.45946281049216675, b=1.0, sign=-1.0)
 def test_lopatinskii_derivative_lfr_family(alpha, slack, b, sign):
     D = alpha * alpha + slack * (1.0 - alpha * alpha)
     assume(D != -alpha)
