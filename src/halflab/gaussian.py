@@ -12,10 +12,11 @@ For mu = 1 and real beta, H is the heat kernel (4 pi beta)^{-1/2}
 exp(-x^2 / (4 beta)).
 
 All integrals are uniform trapezoid sums on truncated windows chosen so the
-dropped tails are below 1e-17 of the mass, with node doubling until the
-result settles to 1e-11.  F is summed on the line at height s, or, where
-the integrand would grow past e^4 on that line, on the highest line where
-it does not: the same integral, without the cancellation.
+dropped tails are below 1e-17 of the mass, doubled by the nested rule of
+`resolvent._trapezoid` (new midpoints only) until two agree within 1e-11.
+F is summed on the line at height s, or, where the integrand would grow
+past e^4 on that line, on the highest line where it does not: the same
+integral, without the cancellation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .resolvent import QuadratureError
+from .resolvent import _trapezoid
 from .scheme import SchemeDefinition, check_hypothesis_one
 
 __all__ = ["GaussianParams", "gaussian_h", "gaussian_e", "appendix_f"]
@@ -78,10 +79,6 @@ class GaussianParams:
         return cls(mu=report.mu, beta=report.beta)
 
 
-def _trap_uniform(fvals: np.ndarray, h: float):
-    return h * (fvals.sum(axis=-1) - 0.5 * (fvals[..., 0] + fvals[..., -1]))
-
-
 def _start_nodes(U: float, xmax: float) -> int:
     osc = int(np.ceil(16.0 * U * xmax / (2.0 * np.pi)))
     n = _START_FLOOR
@@ -90,44 +87,38 @@ def _start_nodes(U: float, xmax: float) -> int:
     return n
 
 
-def _quadrature(x, what: str, start, nodes, kernel, div=None, finish=None):
-    """Settled trapezoid sums at every value of x, in the shape of x (a
-    scalar for a scalar x).
-
-    start(max|x|) is the first node count n; nodes(n) gives the points v,
-    the weights w and the spacing h of the n-interval rule, and kernel(xb,
-    v) the factor of w for a column xb of x values, in blocks of at most
-    _CHUNK rows and _BLOCK_ENTRIES entries.
-    The sums h sum'' kernel w, divided by div when given, are doubled in n
-    until two agree within _TOL.  finish(xs, sums) maps the settled sums
-    over the flattened x to the values returned.
-    """
+def _quadrature(x, what: str, start, points, weight, kernel, div=None,
+                finish=None):
+    """The sums h sum'' kernel(xb, v) weight(v) / div, settled by
+    `_trapezoid` from n = start(max|x|), at every value of x, in its shape;
+    points(n) gives the n + 1 nodes v and the spacing h of the n-interval
+    rule, and kernel runs on blocks of at most _CHUNK rows xb of x and
+    _BLOCK_ENTRIES entries.  finish(xs, sums) maps the settled sums over
+    the flattened x to the values returned."""
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
 
-    def eval_fn(n: int):
-        v, w, h = nodes(n)
+    def rule(n: int, nodes: slice, end: float):
+        v, h = points(n)
+        v = v[nodes]
+        w = weight(v)
+        w[[0, -1]] *= end
         out = np.empty(xs.size, dtype=complex)
         # each row is summed on its own, so the block size leaves the sums
         # bitwise unchanged
         rows = max(1, min(_CHUNK, _BLOCK_ENTRIES // v.size))
         for lo in range(0, xs.size, rows):
-            out[lo:lo + rows] = _trap_uniform(
-                kernel(xs[lo:lo + rows, None], v) * w, h)
+            out[lo:lo + rows] = h * (kernel(xs[lo:lo + rows, None], v)
+                                     * w).sum(axis=-1)
         return out if div is None else out / div
 
     n = start(float(np.max(np.abs(xs))) if xs.size else 0.0)
-    prev = eval_fn(n)
-    while n < _NODE_CAP:
-        n *= 2
-        cur = eval_fn(n)
-        if np.max(np.abs(cur - prev)) < _TOL:
-            break
-        prev = cur
-    else:
-        raise QuadratureError(f"{what} quadrature did not settle below "
-                              f"{_TOL:g} within {_NODE_CAP} nodes")
-    vals = cur if finish is None else finish(xs, cur)
+    # the first rule, its end weights halved, then each doubled rule's
+    # new odd nodes
+    sums, _ = _trapezoid(what, n, _NODE_CAP, _TOL,
+                         lambda n: rule(n, slice(None), 0.5),
+                         lambda n: rule(2 * n, slice(1, None, 2), 1.0))
+    vals = sums if finish is None else finish(xs, sums)
     return vals[0] if scalar else vals.reshape(np.shape(x))
 
 
@@ -138,15 +129,13 @@ def _half_axis(x, params: GaussianParams, what: str, kernel, finish):
     mu, beta = params.mu, params.beta
     U = (40.0 / complex(beta).real) ** (1.0 / (2 * mu))
 
-    def nodes(n: int):
-        u = np.linspace(0.0, U, n + 1)
-        return u, np.exp(-beta * u ** (2 * mu)), U / n
-
     def real_if(xs, sums):
         vals = finish(xs, sums)
         return vals.real if params.real_valued else vals
 
-    return _quadrature(x, what, lambda xmax: _start_nodes(U, xmax), nodes,
+    return _quadrature(x, what, lambda xmax: _start_nodes(U, xmax),
+                       lambda n: (np.linspace(0.0, U, n + 1), U / n),
+                       lambda u: np.exp(-beta * u ** (2 * mu)),
                        kernel, div=np.pi, finish=real_if)
 
 
@@ -158,10 +147,9 @@ def gaussian_h(x, params: GaussianParams):
 
 def _sinc(xb: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sin(u |x|) / u, extended by continuity to |x| at u = 0."""
-    ax = np.abs(xb)
-    out = np.empty((ax.shape[0], u.size))
-    out[:, 0] = ax[:, 0]
-    out[:, 1:] = np.sin(ax * u[1:]) / u[1:]
+    ax, zero = np.abs(xb), u == 0
+    out = np.sin(ax * u) / np.where(zero, 1.0, u)
+    out[:, zero] = ax
     return out
 
 
@@ -227,10 +215,8 @@ def appendix_f(x, s: float, params: GaussianParams):
             n0 *= 2
         return n0
 
-    def nodes(n: int):
-        shifted = np.linspace(-U, U, n + 1) + 1j * s
-        w = np.exp(-beta * shifted ** (2 * mu)) / (1j * shifted)
-        return shifted, w, 2.0 * U / n
-
-    return _quadrature(x, "contour", start, nodes,
+    return _quadrature(x, "contour", start,
+                       lambda n: (np.linspace(-U, U, n + 1) + 1j * s,
+                                  2.0 * U / n),
+                       lambda v: np.exp(-beta * v ** (2 * mu)) / (1j * v),
                        lambda xb, v: np.exp(1j * v * xb))

@@ -27,8 +27,9 @@ roots alone and divides by no P'(kappa), so neither collision affects it.
 Temporal kernels come from the Cauchy integral G(n, j0, j) = (1/2pi i)
 oint z^n G(z, j0, j) dz on the circle e^{r0} S^1: a trapezoid sum, an
 independent oracle for time stepping, on a ring doubled until two rings
-agree; node k of N is node 2k of 2N (bitwise), so a ring asks only for its
-new odd nodes.
+agree.  Node k of N is node 2k of 2N (bitwise), so the nested rule
+`_trapezoid` (shared with the Gaussian profiles) halves the previous sum
+and adds only the new odd nodes; no node value is kept.
 """
 
 from __future__ import annotations
@@ -75,6 +76,24 @@ class NearSpectrumError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A quadrature or truncation loop failed to settle."""
+
+
+def _trapezoid(what: str, n: int, cap: int, tol: float, first, odd):
+    """A trapezoid sum doubled in its node count n until two sums agree
+    within tol, and the n that settled; QuadratureError past cap nodes.
+
+    first(n) is the n-node rule T_n.  Node k of the n rule is node 2k of
+    the 2n rule, so T_2n = T_n / 2 + odd(n), odd(n) the 2n rule's spacing
+    times its sum over the nodes it adds, and each node is evaluated once
+    (Trefethen and Weideman, SIAM Review 56, 2014)."""
+    cur = first(n)
+    while n < cap:
+        prev, cur = cur, cur / 2 + odd(n)
+        n *= 2
+        if float(np.max(np.abs(cur - prev))) < tol:
+            return cur, n
+    raise QuadratureError(f"{what} quadrature did not settle below {tol:g} "
+                          f"within {cap} nodes")
 
 
 @dataclass(frozen=True)
@@ -440,48 +459,42 @@ def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
         raise ValueError("non-finite contour exponent r0")
     if r0 <= 0:
         raise ValueError("contour exponent r0 must be positive")
+    imag = None
 
-    def ring_sum(zs: np.ndarray, G: np.ndarray):
-        """Trapezoid sum over the ring zs from the values G at its upper
-        half zs[:N/2 + 1]."""
-        N = zs.size
-        half_count = N // 2
-        powers = zs[:half_count + 1, None] ** (np.arange(n_max + 1)[None, :] + 1)
+    def ring_sum(zs: np.ndarray, weights: np.ndarray):
+        """Re sum_m weights_m z_m^(n+1) g(z_m) over the nodes zs, as two
+        real matrix products.  The first ring's self-conjugate nodes m = 0
+        and N/2, its first and last, give the only imaginary parts."""
+        nonlocal imag
+        powers = zs[:, None] ** (np.arange(n_max + 1)[None, :] + 1)
+        G = values(zs)
+        if imag is None:
+            imag = sum(np.einsum("n,ij->inj", powers[m].imag, G[m].real)
+                       + np.einsum("n,ij->inj", powers[m].real, G[m].imag)
+                       for m in (0, -1))
+        wp, flat = powers * weights[:, None], G.reshape(zs.size, -1)
+        out = wp.real.T @ flat.real - wp.imag.T @ flat.imag
+        return out.reshape((n_max + 1,) + G.shape[1:]).transpose(1, 0, 2)
+
+    def first(N: int):
         # conjugate reflection: m and N - m pair up, so the ring total is
-        # 2 Re(sum of the open half) plus the self-conjugate m = 0, N/2 terms
-        weights = np.full(half_count + 1, 2.0)
-        weights[[0, half_count]] = 1.0
-        wp = powers * weights[:, None]
-        # Re(sum_m wp_m G_m) as two real matrix products over the nodes
-        flat = G.reshape(G.shape[0], -1)
-        out = (wp.real.T @ flat.real - wp.imag.T @ flat.imag) / N
-        out = out.reshape((n_max + 1,) + G.shape[1:]).transpose(1, 0, 2)
-        imag = sum(np.einsum("n,ij->inj", powers[m].imag, G[m].real)
-                   + np.einsum("n,ij->inj", powers[m].real, G[m].imag)
-                   for m in (0, half_count)) / N
-        return out, imag
+        # 2 Re(sum of the open half) plus the m = 0, N/2 terms
+        weights = np.full(N // 2 + 1, 2.0)
+        weights[[0, N // 2]] = 1.0
+        return ring_sum(_ring(r0, N)[:N // 2 + 1], weights) / N
+
+    def odd(N: int):
+        # the 2N ring adds its odd nodes, none self-conjugate: spacing
+        # 1/(2N) times twice the real part of their upper half's sum
+        return ring_sum(_ring(r0, 2 * N)[1:N:2], np.ones(N // 2)) / N
 
     # N stays a power of two, so every ring holds the self-conjugate nodes
     # m = 0 and m = N/2, and node m of the N ring is node 2m of the 2N ring
     N = 64
     while N < 4 * (n_max + scheme.p + scheme.r):
         N *= 2
-    zs = _ring(r0, N)
-    G = values(zs[:N // 2 + 1])
-    prev, _ = ring_sum(zs, G)
-    while N < _CONTOUR_CAP:
-        N *= 2
-        zs = _ring(r0, N)
-        finer = np.empty((N // 2 + 1,) + G.shape[1:], dtype=complex)
-        finer[0::2] = G
-        finer[1::2] = values(zs[1:N // 2:2])
-        G = finer
-        cur, imag = ring_sum(zs, G)
-        if float(np.max(np.abs(cur - prev))) < tol:
-            return cur, imag, N
-        prev = cur
-    raise QuadratureError(
-        f"contour quadrature did not settle within {_CONTOUR_CAP} nodes")
+    real, N = _trapezoid("contour", N, _CONTOUR_CAP, tol, first, odd)
+    return real, imag / N, N
 
 
 def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
@@ -527,7 +540,7 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
                           j_list, r0: float = 0.05) -> ReconstructionTable:
     """All reconstructions n <= n_max on a (j0, j) grid, each contour node
     from `_green` (conjugate symmetry halves the ring, and each doubled
-    ring reuses the values of the one before)."""
+    ring evaluates only its new odd nodes)."""
     j0s, js = _grid(scheme, j0_list, j_list)
     core = 0
 

@@ -31,11 +31,23 @@ def _finite(arr) -> np.ndarray:
     return a[np.isfinite(a)]
 
 
+def _widen(lo: float, hi: float):
+    """(lo, hi), or one unit above lo where hi <= lo.  Where lo + 1 rounds
+    back to lo (|lo| >= 2^53), the range reaches instead to lo's neighbour
+    toward zero, so it has a nonzero, finite width even at the largest
+    float."""
+    if hi > lo:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    near = math.nextafter(lo, 0.0)
+    return min(lo, near), max(lo, near)
+
+
 def _axis_range(lo: float, hi: float, log: bool):
     if log:
         lo, hi = math.log10(lo), math.log10(hi)
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(lo, hi)
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 
@@ -176,10 +188,8 @@ def heatmap(path, x_values, y_values, values, *, title="", xlabel="",
     if vals.shape != (ys.size, xs.size):
         raise ValueError("value grid does not match the axis sizes")
     finite = vals[np.isfinite(vals)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(float(finite.min()) if finite.size else 0.0,
+                    float(finite.max()) if finite.size else 1.0)
     px_lo, px_hi = _MARGIN_L, width - 90.0
     py_lo, py_hi = height - _MARGIN_B, _MARGIN_T
     cell_w = (px_hi - px_lo) / xs.size

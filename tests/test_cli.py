@@ -792,6 +792,42 @@ def test_line_chart_polylines_match_per_point_reference(tmp_path_factory,
     assert got == want
 
 
+@pytest.mark.parametrize("v", [2.0 ** 53, -2.0 ** 53, 1.7e308, -1.7e308,
+                               np.finfo(float).max])
+def test_one_value_axes_past_unit_spacing(tmp_path, v):
+    # where v + 1.0 rounds back to v, a one-value axis once had zero width:
+    # line_chart divided by it (ZeroDivisionError) and heatmap coloured NaN
+    lo, hi = svg._widen(v, v)
+    assert lo <= v <= hi and 0.0 < hi - lo < math.inf
+    path = tmp_path / "chart.svg"
+    for xs, ys in (([1.0, 2.0], [v, v]), ([v, v], [1.0, 2.0]), ([v], [v])):
+        svg.line_chart(str(path), [("a", xs, ys)])
+        (points,) = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        coords = [float(c) for pt in points.split() for c in pt.split(",")]
+        assert len(coords) == 2 * len(xs) and all(map(math.isfinite, coords))
+        ET.parse(path)
+    path = tmp_path / "heat.svg"
+    svg.heatmap(str(path), [1.0, 2.0], [1.0, 2.0, 3.0], np.full((3, 2), v))
+    fills = [e.get("fill") for e in ET.parse(path).iter()
+             if e.tag.endswith("rect") and e.get("width") != "720"]
+    assert len(fills) == 6 + 64
+    assert all(re.fullmatch("#[0-9a-f]{6}", f) for f in fills)
+
+
+@given(v=st.floats(allow_nan=False, allow_infinity=False),
+       w=st.floats(allow_nan=False, allow_infinity=False))
+def test_widen_moves_only_ranges_past_unit_spacing(v, w):
+    # the rule both charts share: a range of nonzero width stays, a
+    # one-value range keeps its unit width wherever v + 1.0 > v
+    lo, hi = min(v, w), max(v, w)
+    if lo < hi:
+        assert svg._widen(lo, hi) == (lo, hi)
+    elif v + 1.0 != v:
+        assert svg._widen(v, v) == (v, v + 1.0)
+    else:
+        assert abs(v) >= 2.0 ** 53
+
+
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     # the parser main builds on its first call serves every later call in
     # the process; each call must still behave as with a fresh parser, and

@@ -146,23 +146,115 @@ def test_contour_line_cuts_where_the_integrand_decays(params, s):
         assert growth > 0.99 * gaussian._GROWTH
 
 
+def _record_settle(monkeypatch):
+    """Spies on the quadratures: "nodes" lists the nodes of every kernel
+    call, "rule" holds the last quadrature's (points, weight, kernel, div)
+    and "settled" every (sums, n) that `_trapezoid` returned."""
+    rec = {"nodes": [], "settled": []}
+    quadrature, trapezoid = gaussian._quadrature, gaussian._trapezoid
+
+    def spy(x, what, start, points, weight, kernel, div=None, finish=None):
+        def recording(xb, v):
+            out = kernel(xb, v)
+            rec["nodes"].append((xb.shape[0], v.copy()))
+            return out
+
+        rec["rule"] = points, weight, kernel, div
+        return quadrature(x, what, start, points, weight, recording, div,
+                          finish)
+
+    def settled(*args):
+        out = trapezoid(*args)
+        rec["settled"].append(out)
+        return out
+
+    monkeypatch.setattr(gaussian, "_quadrature", spy)
+    monkeypatch.setattr(gaussian, "_trapezoid", settled)
+    return rec
+
+
 def test_quadrature_blocks_are_capped(monkeypatch):
-    # 601 x values: each block holds at most _BLOCK_ENTRIES entries, and the
-    # block size leaves every row's sum bitwise unchanged
+    # 601 x values: each kernel block holds at most _BLOCK_ENTRIES entries,
+    # and the block size leaves every row's sum bitwise unchanged
     xs = np.linspace(-3.0, 3.0, 601)
     p = GaussianParams(3, 1.7)
     want = appendix_f(xs, 0.7, p)
-    sizes = []
-    trap = gaussian._trap_uniform
-
-    def spy(fvals, h):
-        sizes.append(fvals.shape)
-        return trap(fvals, h)
-
     cap = 3 * 2 ** 14
-    monkeypatch.setattr(gaussian, "_trap_uniform", spy)
+    rec = _record_settle(monkeypatch)
     monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", cap)
     got = appendix_f(xs, 0.7, p)
+    sizes = [(rows, v.size) for rows, v in rec["nodes"]]
     assert max(rows * cols for rows, cols in sizes) <= cap
     assert min(rows for rows, _ in sizes) < gaussian._CHUNK
     np.testing.assert_array_equal(got, want)
+
+
+_SETTLES = [("e-mu1", lambda x: gaussian_e(x, P_HEAT)),
+            ("e-mu2", lambda x: gaussian_e(x, P_QUARTIC)),
+            ("e-complex", lambda x: gaussian_e(
+                x, GaussianParams(2, 0.5 + 0.4j))),
+            ("f-mu2", lambda x: appendix_f(x, 0.3, P_QUARTIC)),
+            ("f-mu3", lambda x: appendix_f(x, 0.7, GaussianParams(3, 1.7)))]
+
+
+@pytest.mark.parametrize("fn", [f for _, f in _SETTLES],
+                         ids=[i for i, _ in _SETTLES])
+def test_settle_evaluates_each_node_once(fn, monkeypatch):
+    # the nested rule asks the kernel for n + 1 columns over a whole settle,
+    # the final n-interval rule's nodes, each once
+    rec = _record_settle(monkeypatch)
+    fn(np.array([-2.0, 0.0, 0.5, 3.0]))
+    (_, n), = rec["settled"]
+    assert all(rows == 4 for rows, _ in rec["nodes"])
+    assert sum(v.size for _, v in rec["nodes"]) == n + 1
+    points = rec["rule"][0]
+    seen = np.sort_complex(np.concatenate([v for _, v in rec["nodes"]]))
+    np.testing.assert_array_equal(seen, np.sort_complex(points(n)[0]))
+
+
+def _direct_rule(xs, n, points, weight, kernel, div):
+    """The full n-interval trapezoid rule, every node at once: its sums and
+    the sums of the absolute values of its terms."""
+    v, h = points(n)
+    ends = np.ones(v.size)
+    ends[[0, -1]] = 0.5
+    terms = h * ends * kernel(xs[:, None], v) * weight(v)
+    if div is not None:
+        terms = terms / div
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+@pytest.mark.parametrize("fn", [lambda x: gaussian_h(x, P_HEAT),
+                                lambda x: gaussian_h(x, P_QUARTIC)]
+                         + [f for _, f in _SETTLES],
+                         ids=["h-mu1", "h-mu2"] + [i for i, _ in _SETTLES])
+def test_nested_sums_match_the_full_rule(fn, monkeypatch):
+    # T_2n = T_n / 2 + odd(n) only reorders the full rule's sum (the
+    # halvings are exact).  Summing n + 1 terms in any order errs by at most
+    # n eps sum |terms| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, sec. 4.2), and each route rounds a term's product of at
+    # most four factors differently, so the two agree within 2 (n + 4) eps
+    # sum |terms|; a node dropped or counted twice misses by about
+    # sum |terms| / n
+    rec = _record_settle(monkeypatch)
+    xs = np.linspace(-4.0, 4.0, 9)
+    fn(xs)
+    (sums, n), = rec["settled"]
+    direct, mass = _direct_rule(xs, n, *rec["rule"])
+    bound = 2.0 * (n + 4) * np.finfo(float).eps * mass
+    assert np.all(np.abs(sums - direct) <= bound)
+
+
+def test_sinc_with_and_without_a_zero_node():
+    xb = np.array([[-2.5], [0.0], [1.25]])
+    for u in (np.linspace(0.0, 3.0, 7), np.linspace(0.5, 3.0, 6),
+              np.array([1.0, 0.0, -2.0]), np.array([0.0])):
+        got = gaussian._sinc(xb, u)
+        assert got.shape == (3, u.size)
+        zero = u == 0
+        np.testing.assert_array_equal(got[:, zero],
+                                      np.broadcast_to(np.abs(xb),
+                                                      (3, zero.sum())))
+        nz = u[~zero]
+        np.testing.assert_array_equal(got[:, ~zero],
+                                      np.sin(np.abs(xb) * nz) / nz)

@@ -309,6 +309,41 @@ def test_table_solves_each_nested_node_once(lfr):
             resolvent._ring(0.05, N).tobytes()
 
 
+def test_nested_ring_matches_the_full_ring(lfr, monkeypatch):
+    # the default oracle's lfr table at r0 = 0.05: T_2N = T_N / 2 + odd(N)
+    # against the full settled N ring, folded by conjugate symmetry onto
+    # its upper half (weight 2/N, and 1/N at m = 0 and N/2) and summed at
+    # once.  Each route sums N/2 + 1 terms; the nested one takes each real
+    # part as two real sums of as many products.  In any order a sum of k
+    # terms errs by at most (k - 1) eps sum |terms| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, sec. 4.2), so the two agree within
+    # 4 (N + 4) eps sum |terms|; a node dropped or counted twice misses by
+    # about sum |terms| / N
+    settled = []
+    trapezoid = resolvent._trapezoid
+
+    def spy(*args):
+        settled.append(trapezoid(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(resolvent, "_trapezoid", spy)
+    j0s, js = np.array([1, 5, 10, 20, 30]), np.array([1, 3, 7, 15, 30])
+    n_max = 50
+    table = inverse_laplace_table(lfr, n_max, j0s, js, r0=0.05)
+    (real, N), = settled
+    assert N == table.nodes
+    zs = resolvent._ring(0.05, N)[:N // 2 + 1]
+    G = resolvent._green(lfr, zs, j0s, js)[0]
+    w = np.full(zs.size, 2.0 / N)
+    w[[0, -1]] = 1.0 / N
+    zp = w[:, None] * zs[:, None] ** np.arange(1, n_max + 2)
+    terms = zp[:, None, :, None] * G[:, :, None, :]
+    direct, mass = terms.real.sum(axis=0), np.abs(terms).sum(axis=0)
+    bound = 4.0 * (N + 4) * np.finfo(float).eps * mass
+    assert np.all(np.abs(real - direct) <= bound)
+    np.testing.assert_array_equal(table.values, real)
+
+
 def _record_core_nodes(monkeypatch):
     """The nodes every `_core_solve` call is asked for."""
     nodes = []
