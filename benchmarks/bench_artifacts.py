@@ -1,12 +1,14 @@
-"""Timings of the artifact writers `halflab.cli._csv` and
-`halflab.svg.line_chart` on the table shapes the seed-7 benchmark jobs
-write:
+"""Timings of the artifact writers `halflab.cli._csv`,
+`halflab.svg.line_chart` and `halflab.svg.heatmap` on the table shapes the
+seed-7 benchmark jobs write:
 
 - oracle.csv: 3825 rows x 7 (r0, n, j0, j and three floats), the default
   oracle job's 3 r0 x 5 j0 x 51 n x 5 j table;
 - check_symbol.csv: 720 rows x 4 floats, and its 720-point linear chart;
 - growth: 928 rows x 3 (J, n, ratio), 8 J x 116 recorded times, and its
-  8-series log-log chart.
+  8-series log-log chart;
+- err_map.svg: the heatmap of 4 n x 21 j0 scaled errors, with its
+  64-cell colour bar legend.
 
 The data are synthetic, drawn from a seeded generator with the dtypes and
 magnitudes of the real tables; each line is the best of k calls writing
@@ -65,12 +67,21 @@ def growth_columns(rng):
     return ns, Js, ratios
 
 
+def err_map_values(rng):
+    """j0 values, n values and the (n, j0) grid of scaled errors, spread
+    over the 1e-16..1 of the default err-map jobs."""
+    return (np.linspace(50.0, 1000.0, 21), np.array([250.0, 500.0, 1000.0,
+                                                      2000.0]),
+            10.0 ** rng.uniform(-16.0, 0.0, (4, 21)))
+
+
 def rows(repeats, out_dir):
     """(label, table shape, best seconds) per timed call."""
     rng = np.random.default_rng(7)
     oracle = oracle_columns(rng)
     symbol = symbol_columns()
     ns, Js, ratios = growth_columns(rng)
+    j0s, err_ns, heat = err_map_values(rng)
     growth = (np.repeat(Js, ns.size), np.tile(ns, len(Js)),
               np.concatenate(ratios))
     svg_path = os.path.join(out_dir, "chart.svg")
@@ -88,6 +99,9 @@ def rows(repeats, out_dir):
         ("svg growth log-log", "8 x 116 pts", lambda: svg.line_chart(
             svg_path, [(f"J={J}", ns, v) for J, v in zip(Js, ratios)],
             logx=True, logy=True)),
+        ("svg err_map heatmap", "4 x 21 cells", lambda: svg.heatmap(
+            svg_path, j0s, err_ns, heat, title="n^{1/2mu} sup_j |Err|",
+            xlabel="j0", ylabel="n")),
     ]
     return [(label, shape, _best_of(fn, repeats))
             for label, shape, fn in cases]

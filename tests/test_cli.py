@@ -1,5 +1,6 @@
 """CLI contract: exit codes, verdict strings, artifacts, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -720,6 +721,59 @@ def test_log_axis_without_power_of_ten_labels_values(tmp_path):
     assert all(lo * (1 - 1e-5) <= v <= hi * (1 + 1e-5) for v in labels)
 
 
+def test_log_axis_labels_at_most_ten_powers(tmp_path):
+    # padded, 1e-14..1e303 holds 348 powers of ten: every 35th is labelled,
+    # 10 in all; an axis of 8 powers keeps every one
+    path = tmp_path / "log.svg"
+    for lo, hi in ((-14, 303), (-7, 0)):
+        svg.line_chart(str(path), [("a", [1.0, 2.0],
+                                    [10.0 ** lo, 10.0 ** hi])], logy=True)
+        powers = [int(t.text[2:]) for t in ET.parse(path).iter()
+                  if t.tag.endswith("text") and t.get("text-anchor") == "end"]
+        y_lo, y_hi = svg._axis_range(10.0 ** lo, 10.0 ** hi, True)
+        assert 1 <= len(powers) <= 10
+        assert all(y_lo <= p <= y_hi for p in powers)
+        assert len(set(np.diff(powers))) <= 1
+    assert powers == list(range(-7, 1))
+
+
+def _pinned_pages(out):
+    """A log-log line chart (a title, both axis labels, three labelled
+    series with a NaN point and a non-positive one, within 10 decades) and
+    a 4 x 21 heatmap with a NaN cell, written to out."""
+    n = np.arange(1.0, 33.0)
+    half, inverse = np.sqrt(n), 1.0 / n
+    half[4], inverse[9] = math.nan, 0.0
+    svg.line_chart(str(out / "chart.svg"),
+                   [("n^1/2", n, half), ("n/8", n, n / 8.0),
+                    ("1/n", n, inverse)],
+                   title="three series", xlabel="n", ylabel="ratio",
+                   logx=True, logy=True)
+    heat = (np.arange(84.0).reshape(4, 21) * 37.0 % 101.0 / 101.0
+            * np.array([[1.0], [0.1], [0.01], [1e-3]]))
+    heat[2, 7] = math.nan
+    svg.heatmap(str(out / "heat.svg"), np.arange(50, 155, 5),
+                [250, 500, 1000, 2000], heat, title="scaled error",
+                xlabel="j0", ylabel="n")
+
+
+# sha256 of the pages _pinned_pages writes: the frame, ticks, labels,
+# legends and heatmap cells, beyond the polyline points checked above.  A
+# change that moves them on purpose says so and pins the new digests
+_PINNED_PAGES = {
+    "chart.svg":
+        "081f3eca0a71164b95cbd4ee58944b8604d4332cf8667c13059a4f3a017bd134",
+    "heat.svg":
+        "093a642ef649be02a0cf5ce84573bd845cdab644c2e9be1cfcb27343523232c4",
+}
+
+
+def test_whole_pages_keep_their_bytes(tmp_path):
+    _pinned_pages(tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in _PINNED_PAGES} == _PINNED_PAGES
+
+
 def _polylines_per_point(series, logx, logy):
     """The point lists line_chart must write, from its axis ranges and the
     per-point loop it once ran: drop a point that is not finite or not
@@ -792,26 +846,42 @@ def test_line_chart_polylines_match_per_point_reference(tmp_path_factory,
     assert got == want
 
 
-@pytest.mark.parametrize("v", [2.0 ** 53, -2.0 ** 53, 1.7e308, -1.7e308,
-                               np.finfo(float).max])
-def test_one_value_axes_past_unit_spacing(tmp_path, v):
+_BIG = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(v, v, id=str(v))
+    for v in (2.0 ** 53, -2.0 ** 53, 1.7e308, -1.7e308, _BIG)] + [
+    pytest.param(-1.7e308, 1.7e308, id="-1.7e+308..1.7e+308"),
+    pytest.param(-_BIG, _BIG, id="-max..max"),
+    pytest.param(5.067298351231424e307, _BIG, id="5.07e+307..max")])
+def test_one_value_axes_past_unit_spacing(tmp_path, a, b):
     # where v + 1.0 rounds back to v, a one-value axis once had zero width:
-    # line_chart divided by it (ZeroDivisionError) and heatmap coloured NaN
-    lo, hi = svg._widen(v, v)
-    assert lo <= v <= hi and 0.0 < hi - lo < math.inf
+    # line_chart divided by it (ZeroDivisionError) and heatmap coloured NaN.
+    # Where b - a overflows, heatmap raised on a NaN colour and line_chart
+    # wrote NaN points and ticks.  On the last axis the padded width is
+    # finite, but lo + 4 * ((hi - lo) / 4) rounds past the largest float
+    if a == b:
+        lo, hi = svg._widen(a, b)
+        assert lo <= a <= hi and 0.0 < hi - lo < math.inf
     path = tmp_path / "chart.svg"
-    for xs, ys in (([1.0, 2.0], [v, v]), ([v, v], [1.0, 2.0]), ([v], [v])):
+    for xs, ys in (([1.0, 2.0], [a, b]), ([a, b], [1.0, 2.0]), ([a], [b])):
         svg.line_chart(str(path), [("a", xs, ys)])
-        (points,) = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        page = path.read_text()
+        (points,) = re.findall(r'<polyline points="([^"]*)"', page)
         coords = [float(c) for pt in points.split() for c in pt.split(",")]
         assert len(coords) == 2 * len(xs) and all(map(math.isfinite, coords))
+        assert "nan" not in page and "inf" not in page
         ET.parse(path)
     path = tmp_path / "heat.svg"
-    svg.heatmap(str(path), [1.0, 2.0], [1.0, 2.0, 3.0], np.full((3, 2), v))
+    svg.heatmap(str(path), [1.0, 2.0], [1.0, 2.0, 3.0],
+                np.resize([a, b], (3, 2)))
     fills = [e.get("fill") for e in ET.parse(path).iter()
              if e.tag.endswith("rect") and e.get("width") != "720"]
     assert len(fills) == 6 + 64
     assert all(re.fullmatch("#[0-9a-f]{6}", f) for f in fills)
+    if a < b:
+        assert fills[:2] == [svg._heat_color(0.0), svg._heat_color(1.0)]
 
 
 @given(v=st.floats(allow_nan=False, allow_infinity=False),
