@@ -1,13 +1,15 @@
 """Timings of the evolution kernel (`halflab._kernels.evolve_*`).
 
 Cell updates count the cells the kernel computes: each step updates the
-rows of its live window (see `halflab._kernels`) in every column.  The
-fifth and sixth cases are the two routes to the err-map rows G(n, ., 1) of
-o3: the forward sweep with one column per source j0, and one column of the
-transposed scheme (`halflab.evolution.adjoint_scheme`) from delta_1, which
-is what err-map runs.  The last two rows replay the kernel calls of the default
-growth jobs on lfr and o3 (one column per J = 125, 250, 500, 1000; 160
-recorded times up to n = 2000, as `halflab.cli` records them) through
+rows of its block's window (see `halflab._kernels`) in every column.  Each
+time is also given per kernel step (us/st), which shows the per-step
+overhead of the narrow 1-D sweeps.  The fifth and sixth cases are the two
+routes to the err-map rows G(n, ., 1) of o3: the forward sweep with one
+column per source j0, and one column of the transposed scheme
+(`halflab.evolution.adjoint_scheme`) from delta_1, which is what err-map
+runs.  The last two rows replay the kernel calls of the default growth
+jobs on lfr and o3 (one column per J = 125, 250, 500, 1000; 160 recorded
+times up to n = 2000, as `halflab.cli` records them) through
 `halflab.evolution._recorded`.  The last column counts the cells in
 (0, tiny) of the final buffer, tiny = 2^-1022: the kernel flushes
 underflowed cells to +0.0, so it reads 0.
@@ -16,8 +18,8 @@ The second table replays the four o3 sweeps of a default err-map and
 layers job through `halflab.evolution._recorded`: whole, one kernel call
 per recorded time on the whole buffer, and windowed, chunk by chunk on the
 rows the read cells depend on, which is what the jobs run.  It prints the
-time and cell updates of each route, the windowed one at several chunk
-lengths (`evolution._CHUNK`, 64 in the jobs).
+time, time per step and cell updates of each route, the windowed one at
+several chunk lengths (`evolution._CHUNK`, 64 in the jobs).
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -78,11 +80,14 @@ def _subnormal_cells(u):
 
 
 def _cell_updates(u0, r, p, steps):
-    # rows r .. min(hi + r s, N - p - 1) at step s, in every column
+    # rows r .. min(hi + r e, N - p - 1) at each step, e the last step of
+    # its block, in every column
     N = u0.shape[0]
     m = u0.size // N
     hi = int(np.flatnonzero(u0.reshape(N, m).any(axis=1))[-1])
-    tops = np.minimum(hi + r * np.arange(1, steps + 1), N - p - 1)
+    block = _kernels._BLOCK
+    ends = np.minimum(np.arange(steps) // block * block + block, steps)
+    tops = np.minimum(hi + r * ends, N - p - 1)
     return int(np.maximum(tops - r + 1, 0).sum()) * m
 
 
@@ -122,14 +127,16 @@ def _recorded_calls(sweep):
 
 
 def _counted(run):
-    """run()'s kernel cell updates, from the window rule of each call."""
-    cells = [0]
+    """run()'s kernel cell updates, from the window rule of each call, and
+    its kernel steps."""
+    cells, steps = [0], [0]
     origs = _kernels.evolve_half, _kernels.evolve_whole
 
     def counting(kernel):
         def call(u0, *args):
             r, p = args[-4:-2] if kernel is origs[0] else args[-3:-1]
             cells[0] += _cell_updates(u0, r, p, args[-1])
+            steps[0] += args[-1]
             return kernel(u0, *args)
         return call
     _kernels.evolve_half, _kernels.evolve_whole = map(counting, origs)
@@ -137,7 +144,7 @@ def _counted(run):
         run()
     finally:
         _kernels.evolve_half, _kernels.evolve_whole = origs
-    return cells[0]
+    return cells[0], steps[0]
 
 
 # the default growth job: its J grid and recorded times
@@ -175,8 +182,8 @@ def _chunked(run, chunk):
 
 
 def sweep_rows():
-    """(label, whole s, whole cells, then windowed s and cells at each
-    chunk length of CHUNKS)."""
+    """(label, whole s, cells and steps, then windowed s, cells and steps at
+    each chunk length of CHUNKS)."""
     out = []
     for label, sweep in SWEEPS:
         (buf, ns, step, r, p, reads, source), = _recorded_calls(sweep)
@@ -185,14 +192,14 @@ def sweep_rows():
                                                    r, p, whole))]
         routes += [_chunked(lambda: list(evolution._recorded(
             buf.copy(), ns, step, r, p, reads, source)), c) for c in CHUNKS]
-        out.append((label, *[x for run in routes
-                             for x in (_best_of(run), _counted(run))]))
+        out.append((label, *[(_best_of(run), *_counted(run))
+                             for run in routes]))
     return out
 
 
 def case_rows():
-    """(label, s, cells, subnormal cells at the end) for each of CASES,
-    then for the default growth sweeps."""
+    """(label, s, cells, steps, subnormal cells at the end) for each of
+    CASES, then for the default growth sweeps."""
     rows = []
     for label, sch, half, N, m, steps, src in CASES:
         a, b, r, p, p_b = sch.a, sch.b, sch.r, sch.p, sch.p_b
@@ -202,32 +209,34 @@ def case_rows():
         else:
             fn = lambda: evolve_whole(u0, a, r, p, steps)
         rows.append((label, _best_of(fn), _cell_updates(u0, r, p, steps),
-                     _subnormal_cells(fn())))
+                     steps, _subnormal_cells(fn())))
     for name in ("lfr", "o3"):
         run = _growth_sweep(name)
         rows.append((f"growth {name} m=4 n={GROWTH_N}", _best_of(run),
-                     _counted(run), _subnormal_cells(run())))
+                     *_counted(run), _subnormal_cells(run())))
     return rows
 
 
 def main():
-    header = (f"{'case':28s} {'ms':>9s} {'Mcells':>8s} {'Mc/s':>8s} "
-              f"{'subnormal':>9s}")
+    header = (f"{'case':28s} {'ms':>9s} {'us/st':>7s} {'Mcells':>8s} "
+              f"{'Mc/s':>8s} {'subnormal':>9s}")
     print(header)
     print("-" * len(header))
-    for label, t, cells, sub in case_rows():
+    for label, t, cells, steps, sub in case_rows():
         mc = cells / 1e6
-        print(f"{label:28s} {t * 1e3:9.2f} {mc:8.2f} {mc / t:8.1f} {sub:9d}")
+        print(f"{label:28s} {t * 1e3:9.2f} {t / steps * 1e6:7.2f} "
+              f"{mc:8.2f} {mc / t:8.1f} {sub:9d}")
 
     print()
-    header = f"{'sweep':28s} {'whole ms':>9s} {'Mcells':>8s}" + "".join(
-        f" {f'c={c} ms':>9s} {'Mcells':>8s}" for c in CHUNKS)
+    header = (f"{'sweep':28s} {'whole ms':>9s} {'us/st':>7s} {'Mcells':>8s}"
+              + "".join(f" {f'c={c} ms':>9s} {'us/st':>7s} {'Mcells':>8s}"
+                        for c in CHUNKS))
     print(header)
     print("-" * len(header))
-    for label, *vals in sweep_rows():
+    for label, *routes in sweep_rows():
         print(f"{label:28s}" + "".join(
-            f" {t * 1e3:9.2f} {cells / 1e6:8.2f}"
-            for t, cells in zip(vals[::2], vals[1::2])))
+            f" {t * 1e3:9.2f} {t / steps * 1e6:7.2f} {cells / 1e6:8.2f}"
+            for t, cells, steps in routes))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,17 @@ are zero on both sides.
 Each step updates and flushes (below) the interior rows r .. top, keeps the
 top p rows of the buffer at zero, then refills the ghosts from the new
 interior and flushes them.  A single column steps as a 1-D buffer.  The
-live window top is computed from the buffer: with hi the highest row that
-is nonzero at entry (-1 if none), step s updates rows up to
-min(hi + r s, N - p - 1).  The support grows by at most r rows a step, so
-every row above the window is zero and would be written as +0.0 by a full
-sweep; the kernel stores +0.0 there (rows above hi are cleared at entry).
+window is fixed for a block of at most _BLOCK = 64 steps, so that its
+slices and stencil views are built once per block for each of the two
+buffers: with hi the highest row that is nonzero at entry (-1 if none)
+and e the last step of the block, every step of the block updates rows up
+to min(hi + r e, N - p - 1).  The support grows by at most r rows a step,
+so at step s every row above hi + r s is zero, and a full sweep would
+write +0.0 there.  The kernel stores +0.0 there too: the rows above
+hi + r s that it updates read only rows above hi + r (s - 1), which hold
++0.0, so their products are zeros of either sign, their sum is a zero,
+and the flush stores it as +0.0.  Rows above the window are never written
+(rows above hi are cleared at entry).
 
 A buffer may be a view of a larger one whose edge rows hold nonzero true
 values.  The kernel then writes wrong values into its edges: zeros into the
@@ -64,6 +70,9 @@ HAVE_NUMBA = False
 
 _TINY = np.finfo(float).tiny
 
+# steps that share one window and one set of views (see the module notes)
+_BLOCK = 64
+
 
 def _refill(u, b, r, p_b):
     # ghost rows from the interior rows above them, ascending k per cell,
@@ -86,30 +95,41 @@ def _refill(u, b, r, p_b):
 def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
     # Vectorized over the rows of the window and the columns of a 1-D or
     # 2-D buffer; each cell accumulates in ascending k, then is flushed.
+    # The window and its views are fixed for a block of steps, one set for
+    # each of the two buffer parities.
     N = cur.shape[0]
-    nxt = np.zeros_like(cur)
+    entry, nxt = cur, np.zeros_like(cur)
     scratch = np.empty_like(cur)
     small = np.empty(cur.shape, dtype=bool)
-    for s in range(1, nsteps + 1):
-        top = min(hi + r * s, N - p - 1)
-        core = nxt[r:top + 1]
-        term = scratch[r:top + 1]
-        np.multiply(a[0], cur[:top + 1 - r], out=core)
-        for k in range(1 - r, p + 1):
-            np.multiply(a[k + r], cur[r + k:top + 1 + k], out=term)
-            core += term
-        np.abs(core, out=term)
-        flush = small[r:top + 1]
-        np.less(term, _TINY, out=flush)
-        np.copyto(core, 0.0, where=flush)
-        if s == 2:
-            # the entry buffer, the only one whose top p rows can be
-            # nonzero (a full sweep never writes them)
-            nxt[N - p:] = 0.0
-        if p_b:
-            # the zero rule's ghosts stay as _evolve stored them
-            _refill(nxt, b, r, p_b)
-        cur, nxt = nxt, cur
+    # 0-d arrays: the same products as scalars, with cheaper ufunc dispatch
+    w = [np.array(x, dtype=float) for x in a]
+    tiny = np.array(_TINY)
+    for s0 in range(1, nsteps + 1, _BLOCK):
+        e = min(s0 + _BLOCK - 1, nsteps)
+        top = min(hi + r * e, N - p - 1)
+        term, flush = scratch[r:top + 1], small[r:top + 1]
+        views = [(dst, dst[r:top + 1],
+                  [src[r + k:top + 1 + k] for k in range(-r, p + 1)])
+                 for src, dst in ((cur, nxt), (nxt, cur))]
+        for s in range(s0, e + 1):
+            dst, core, src = views[(s - s0) % 2]
+            np.multiply(w[0], src[0], out=core)
+            for wk, uk in zip(w[1:], src[1:]):
+                np.multiply(wk, uk, out=term)
+                core += term
+            np.abs(core, out=term)
+            np.less(term, tiny, out=flush)
+            np.copyto(core, 0.0, where=flush)
+            if s == 2:
+                # the only buffer whose top p rows can be nonzero (a full
+                # sweep never writes them)
+                entry[N - p:] = 0.0
+            if p_b:
+                # the zero rule's ghosts stay as _evolve stored them
+                _refill(dst, b, r, p_b)
+        if (e - s0) % 2 == 0:
+            # an odd number of steps: the block ends in the other buffer
+            cur, nxt = nxt, cur
     return cur
 
 

@@ -76,7 +76,17 @@ def _ticks(lo: float, hi: float, log: bool):
     ts = [lo + i * step for i in range(5)]
     if not math.isfinite(ts[-1]):
         ts = [lo * (1 - i / 4) + hi * (i / 4) for i in range(5)]
-    return [(t, _fmt(10.0 ** t if log else t)) for t in ts]
+    return [(t, _power(t) if log else _fmt(t)) for t in ts]
+
+
+def _power(t: float) -> str:
+    """10^t as _fmt writes it; where 10^t overflows, from its mantissa and
+    exponent."""
+    try:
+        return _fmt(10.0 ** t)
+    except OverflowError:
+        e = math.floor(t)
+        return "%se+%d" % (_fmt(10.0 ** (t - e)), e)
 
 
 def _pixels(vals, lo, hi, out_lo, out_hi, log):

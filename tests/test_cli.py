@@ -849,24 +849,27 @@ def test_line_chart_polylines_match_per_point_reference(tmp_path_factory,
 _BIG = float(np.finfo(float).max)
 
 
-@pytest.mark.parametrize("a, b", [
-    pytest.param(v, v, id=str(v))
+@pytest.mark.parametrize("a, b, log", [
+    pytest.param(v, v, False, id=str(v))
     for v in (2.0 ** 53, -2.0 ** 53, 1.7e308, -1.7e308, _BIG)] + [
-    pytest.param(-1.7e308, 1.7e308, id="-1.7e+308..1.7e+308"),
-    pytest.param(-_BIG, _BIG, id="-max..max"),
-    pytest.param(5.067298351231424e307, _BIG, id="5.07e+307..max")])
-def test_one_value_axes_past_unit_spacing(tmp_path, a, b):
+    pytest.param(-1.7e308, 1.7e308, False, id="-1.7e+308..1.7e+308"),
+    pytest.param(-_BIG, _BIG, False, id="-max..max"),
+    pytest.param(5.067298351231424e307, _BIG, False, id="5.07e+307..max"),
+    pytest.param(1.5e308, _BIG, True, id="log-1.5e+308..max")])
+def test_one_value_axes_past_unit_spacing(tmp_path, a, b, log):
     # where v + 1.0 rounds back to v, a one-value axis once had zero width:
     # line_chart divided by it (ZeroDivisionError) and heatmap coloured NaN.
     # Where b - a overflows, heatmap raised on a NaN colour and line_chart
-    # wrote NaN points and ticks.  On the last axis the padded width is
-    # finite, but lo + 4 * ((hi - lo) / 4) rounds past the largest float
+    # wrote NaN points and ticks.  On the 5.07e+307 axis the padded width
+    # is finite, but lo + 4 * ((hi - lo) / 4) rounds past the largest
+    # float.  The log axis holds no power of ten and its padded top is past
+    # log10 of the largest float, so 10^t of its top tick overflows
     if a == b:
         lo, hi = svg._widen(a, b)
         assert lo <= a <= hi and 0.0 < hi - lo < math.inf
     path = tmp_path / "chart.svg"
     for xs, ys in (([1.0, 2.0], [a, b]), ([a, b], [1.0, 2.0]), ([a], [b])):
-        svg.line_chart(str(path), [("a", xs, ys)])
+        svg.line_chart(str(path), [("a", xs, ys)], logx=log, logy=log)
         page = path.read_text()
         (points,) = re.findall(r'<polyline points="([^"]*)"', page)
         coords = [float(c) for pt in points.split() for c in pt.split(",")]

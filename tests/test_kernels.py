@@ -1,5 +1,8 @@
 """The evolution kernel against a plain-Python reference sweep."""
 
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -64,9 +67,12 @@ def _evolve_whole_loops(u0, a, r, p, nsteps):
                      nsteps)
 
 
-@pytest.fixture(scope="module")
-def rng():
-    return np.random.default_rng(20240817)
+@pytest.fixture
+def rng(request):
+    # a stream of its own for each test and case, the same at every block
+    # length, so that each block length steps the same data
+    case = re.sub(r"-block\d+", "", request.node.name)
+    return np.random.default_rng([20240817, zlib.crc32(case.encode())])
 
 
 CASES = [
@@ -77,6 +83,22 @@ CASES = [
 ]
 
 
+# block lengths besides the default: odd and even, so that blocks end on
+# either buffer parity and most runs end in a partial block
+BLOCKS = (1, 2, 5)
+
+
+def blocks(argnames, cases):
+    """Parametrize argnames over cases and a block length: each case at the
+    default block under its plain id, then at each of BLOCKS; the test
+    sets `_kernels._BLOCK` to it."""
+    ids = ["-".join(map(str, c)) for c in cases]
+    params = [pytest.param(*c, K._BLOCK, id=i) for c, i in zip(cases, ids)]
+    params += [pytest.param(*c, n, id=f"{i}-block{n}")
+               for n in BLOCKS for c, i in zip(cases, ids)]
+    return pytest.mark.parametrize(argnames + ",block", params)
+
+
 def _coeffs(rng, r, p, p_b):
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     a[0] = a[0] or 0.1
@@ -85,8 +107,9 @@ def _coeffs(rng, r, p, p_b):
     return a, b
 
 
-@pytest.mark.parametrize("r,p,p_b", CASES)
-def test_half_kernel_paths_bitwise_equal(rng, r, p, p_b):
+@blocks("r,p,p_b", CASES)
+def test_half_kernel_paths_bitwise_equal(rng, r, p, p_b, block, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 37
     u0 = np.zeros(60 + r * nsteps + p + r)
@@ -96,8 +119,9 @@ def test_half_kernel_paths_bitwise_equal(rng, r, p, p_b):
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("r,p", [(1, 1), (1, 2), (2, 3)])
-def test_whole_kernel_paths_bitwise_equal(rng, r, p):
+@blocks("r,p", [(1, 1), (1, 2), (2, 3)])
+def test_whole_kernel_paths_bitwise_equal(rng, r, p, block, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     nsteps = 41
     u0 = np.zeros(40 + (r + p) * nsteps + r + p)
@@ -157,8 +181,9 @@ def _sources(rng, N, m, lo, hi):
 
 
 @pytest.mark.parametrize("m", [1, 5])
-@pytest.mark.parametrize("r,p,p_b", CASES_2D)
-def test_half_kernel_columns_bitwise(rng, r, p, p_b, m):
+@blocks("r,p,p_b", CASES_2D)
+def test_half_kernel_columns_bitwise(rng, r, p, p_b, block, m, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 24
     N = 40 + r * nsteps + p + r + 150      # rows far above the support
@@ -175,8 +200,9 @@ def test_half_kernel_columns_bitwise(rng, r, p, p_b, m):
 
 
 @pytest.mark.parametrize("m", [1, 4])
-@pytest.mark.parametrize("r,p,p_b", CASES_2D)
-def test_whole_kernel_columns_bitwise(rng, r, p, p_b, m):
+@blocks("r,p,p_b", CASES_2D)
+def test_whole_kernel_columns_bitwise(rng, r, p, p_b, block, m, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     nsteps = 19
     N = 30 + (r + p) * nsteps + r + p + 120
@@ -190,9 +216,10 @@ def test_whole_kernel_columns_bitwise(rng, r, p, p_b, m):
         assert np.array_equal(out[:, c].view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("r,p,p_b", CASES_2D)
-def test_half_kernel_chunks_bitwise(rng, r, p, p_b):
+@blocks("r,p,p_b", CASES_2D)
+def test_half_kernel_chunks_bitwise(rng, r, p, p_b, block, monkeypatch):
     # advancing in chunks (the recorded sweeps) equals one call
+    monkeypatch.setattr(K, "_BLOCK", block)
     a, b = _coeffs(rng, r, p, p_b)
     u0 = _sources(rng, 40 + r * 30 + p + r + 50, 3, r, 40)
     one = K.evolve_half(u0, a, b, r, p, p_b, 30)
@@ -200,6 +227,24 @@ def test_half_kernel_chunks_bitwise(rng, r, p, p_b):
     for chunk in (7, 0, 11, 12):
         buf = K.evolve_half(buf, a, b, r, p, p_b, chunk)
     assert np.array_equal(buf.view(np.uint64), one.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@blocks("r,p,p_b", CASES_2D)
+def test_half_kernel_crosses_blocks(rng, r, p, p_b, block, m, monkeypatch):
+    # 135 steps: at the default block two full blocks and a partial one of
+    # 7 steps.  The buffer is short, so the window reaches N - p - 1 within
+    # the run and the later blocks' tops are clipped there.
+    monkeypatch.setattr(K, "_BLOCK", block)
+    a, b = _coeffs(rng, r, p, p_b)
+    nsteps = 135
+    N = 40 + r * 60 + p + r
+    u0 = _sources(rng, N, m, r, 40)
+    hi = np.flatnonzero(u0.any(axis=1))[-1]
+    assert hi + r * nsteps > N - p - 1
+    out = K.evolve_half(u0, a, b, r, p, p_b, nsteps)
+    ref = _evolve_half_loops(u0, a, b, r, p, p_b, nsteps)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 # --- underflow: cells that cross 2^-1022 are stored as +0.0 ----------------
@@ -210,8 +255,9 @@ def _underflowing(rng, N, m, lo, hi, scale=2.0 ** -1000):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("r,p,p_b", CASES)
-def test_half_kernel_underflow_bitwise(rng, r, p, p_b, m):
+@blocks("r,p,p_b", CASES)
+def test_half_kernel_underflow_bitwise(rng, r, p, p_b, block, m, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 37
     u0 = _underflowing(rng, 40 + r * nsteps + p + r, m, r, 30)
@@ -231,8 +277,9 @@ def test_half_kernel_underflow_bitwise(rng, r, p, p_b, m):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("r,p", [(1, 1), (1, 2), (2, 3)])
-def test_whole_kernel_underflow_bitwise(rng, r, p, m):
+@blocks("r,p", [(1, 1), (1, 2), (2, 3)])
+def test_whole_kernel_underflow_bitwise(rng, r, p, block, m, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     nsteps = 29
     N = 40 + (r + p) * nsteps + r + p
