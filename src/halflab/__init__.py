@@ -24,18 +24,11 @@ from .scheme import (
     scheme_from_json,
 )
 from .evolution import (
-    HalfLineField,
-    WholeLineField,
-    GreenField,
     apply_half_line,
-    apply_whole_line,
-    temporal_green,
-    temporal_green_whole,
     temporal_green_sweep,
     temporal_green_whole_sweep,
     adjoint_scheme,
     temporal_green_rows,
-    hq_norm,
     growth_experiment,
 )
 from .spectral import (
@@ -79,10 +72,8 @@ __all__ = [
     "SchemeDefinition", "HypothesisReport", "symbol_eval",
     "check_hypothesis_one", "boundary_matrix", "builtin_lfr", "builtin_o3",
     "scheme_to_json", "scheme_from_json",
-    "HalfLineField", "WholeLineField", "GreenField", "apply_half_line",
-    "apply_whole_line", "temporal_green", "temporal_green_whole",
-    "temporal_green_sweep", "temporal_green_whole_sweep", "adjoint_scheme",
-    "temporal_green_rows", "hq_norm", "growth_experiment",
+    "apply_half_line", "temporal_green_sweep", "temporal_green_whole_sweep",
+    "adjoint_scheme", "temporal_green_rows", "growth_experiment",
     "SpectralSplit", "ProjectorSet", "LopatinskiiValue",
     "characteristic_roots", "spectral_split", "lopatinskii",
     "lopatinskii_values", "lopatinskii_derivative_at_one", "projector_set",

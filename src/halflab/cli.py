@@ -29,8 +29,8 @@ from itertools import combinations
 import numpy as np
 
 from . import svg
-from .evolution import (growth_experiment, loglog_slope, temporal_green,
-                        temporal_green_sweep, temporal_green_whole)
+from .evolution import (growth_experiment, loglog_slope,
+                        temporal_green_sweep, temporal_green_whole_sweep)
 # no caller here: the benchmark's `evolution.apply_half_line` trace target
 # names it
 from .evolution import apply_half_line  # noqa: F401
@@ -330,21 +330,28 @@ def _run_check(scheme, out_dir, rep1, rep2, verdict):
 
 def _run_simulate(scheme, opts, out_dir, at_one):
     n_list, j0 = sorted(set(opts["n_list"])), opts["j0"]
+    r, p, top = scheme.r, scheme.p, n_list[-1]
+    # every cell of either snapshot at every n, from one sweep of each
+    # kernel: j = 1 - r .. j0 + r n and the whole line's [-p n - r, r n + p]
+    js = np.arange(1 - r, j0 + r * top + 1)
+    ds = np.arange(-p * top - r, r * top + p + 1)
+    halves = temporal_green_sweep(scheme, n_list, [j0], js)[:, 0]
+    wholes = temporal_green_whole_sweep(scheme, n_list, ds)
     half_series, whole_series, stats = [], [], {}
-    for n in n_list:
-        g = temporal_green(scheme, n, j0)
-        half_series.append((f"n={n}", np.arange(g.field.j_min,
-                                                g.field.j_max + 1),
-                            g.field.values))
-        gw = temporal_green_whole(scheme, n)
-        whole_series.append((f"n={n}", np.arange(gw.field.j_min,
-                                                 gw.field.j_max + 1),
-                             gw.field.values))
+    for n, g, gw in zip(n_list, halves, wholes):
+        # half line: the ghosts up to the last nonzero cell, at least u_1;
+        # whole line: its support bound, or j = 0 alone at n = 0
+        nz = np.flatnonzero(g)
+        g = g[:max(nz[-1] + 1 if nz.size else 0, r + 1)]
+        lo, hi = (-p * n - r, r * n + p) if n else (0, 0)
+        gw = gw[lo - ds[0]:hi - ds[0] + 1]
+        half_series.append((f"n={n}", js[:g.size], g))
+        whole_series.append((f"n={n}", np.arange(lo, hi + 1), gw))
         stats[str(n)] = {
-            "half_sup": float(np.max(np.abs(g.field.values))),
-            "half_l1": float(np.sum(np.abs(g.field.interior))),
-            "whole_mass": float(np.sum(gw.field.values)),
-            "whole_sup": float(np.max(np.abs(gw.field.values))),
+            "half_sup": float(np.max(np.abs(g[r:]))),
+            "half_l1": float(np.sum(np.abs(g[r:]))),
+            "whole_mass": float(np.sum(gw)),
+            "whole_sup": float(np.max(np.abs(gw))),
         }
     for name, series in (("green_half.csv", half_series),
                          ("green_whole.csv", whole_series)):

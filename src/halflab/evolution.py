@@ -1,4 +1,4 @@
-"""Half-line and whole-line evolution, Green's functions, norms, growth probes.
+"""Half-line and whole-line evolution, Green's functions, growth probes.
 
 The half-line operator T acts on sequences (u_j)_{j >= 1-r} whose ghost
 values u_j, j in {1-r..0}, satisfy the boundary extrapolation; one step is
@@ -9,21 +9,25 @@ temporal Green's functions are the iterates of the Dirac masses,
     G(n, j0, .) = T^n delta_{j0},      Gt(n, .) = L^n delta_0,
 
 and they carry the exact finite-support bound j - j0 in {-np, ..., nr}
-(support spreads p cells left and r cells right per step).  Norms are the
-l^q norms over the interior j >= 1 only; growth probes evolve the flat data
-u_J = sum_{j0 <= J} delta_{j0} and record ||T^n u_J|| / ||u_J||, a lower
-bound for the operator norm of T^n.
+(support spreads p cells left and r cells right per step).  Growth probes
+evolve the flat data u_J = sum_{j0 <= J} delta_{j0} and record the ratio
+||T^n u_J|| / ||u_J|| of l^q norms over the interior j >= 1, a lower bound
+for the operator norm of T^n.  `apply_half_line` evolves arbitrary initial
+data, given as a plain array with its ghosts.
 
 Grids of sources are evolved in one sweep: the kernel steps a 2-D buffer
 with one column per source (j0 or J).  A cell's value does not depend on
-the buffer size, the other columns or the chunking (see `_kernels`), so the
-sweeps are bitwise equal to one run per source and time.  `_recorded` is
-the one driver: `growth_experiment` reads whole columns, so each of its
-views is the whole buffer and one kernel call takes each recorded time, while
-`temporal_green_sweep`, `temporal_green_rows` and
-`temporal_green_whole_sweep` take the cells their caller reads, step only
-the views those cells depend on (the domain of dependence, bounded by the
-finite support above), and return exactly those values.
+the buffer size, the other columns or the chunking (see `_kernels`), so
+every value a sweep returns is bitwise that of the scalar per-cell loops
+(acc = 0.0, the stencil terms in ascending k, the flush) run on that
+source alone.  `_recorded` is the one driver: `growth_experiment` reads
+whole columns, so each of its views is the whole buffer and one kernel
+call takes each recorded time, while `temporal_green_sweep`,
+`temporal_green_rows` and `temporal_green_whole_sweep` take the cells
+their caller reads, step only the views those cells depend on (the domain
+of dependence, bounded by the finite support above), and return exactly
+those values.  Times, sources and cells are integers: a non-integral one
+is refused, not truncated.
 
 Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
 is the j0 entry of (T^T)^n delta_j, and the transpose T^T is itself a
@@ -46,194 +50,56 @@ from . import _kernels
 from .scheme import SchemeDefinition
 
 __all__ = [
-    "HalfLineField", "WholeLineField", "GreenField", "GhostConsistencyError",
-    "apply_half_line", "apply_whole_line", "temporal_green",
-    "temporal_green_whole", "temporal_green_sweep", "temporal_green_whole_sweep",
-    "adjoint_scheme", "temporal_green_rows",
-    "hq_norm", "growth_experiment", "GrowthResult", "loglog_slope",
+    "GhostConsistencyError", "apply_half_line", "temporal_green_sweep",
+    "temporal_green_whole_sweep", "adjoint_scheme", "temporal_green_rows",
+    "growth_experiment", "GrowthResult", "loglog_slope",
 ]
 
 
 class GhostConsistencyError(ValueError):
-    """Input field's ghost values do not satisfy the boundary extrapolation."""
-
-
-@dataclass(frozen=True)
-class HalfLineField:
-    """Finitely supported sequence on j >= 1-r; values[idx] = u_{idx+1-r}.
-
-    The first r entries are the ghost values u_{1-r}, ..., u_0 in that
-    order; entries beyond the stored window are implicit zeros.
-    """
-
-    r: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.ascontiguousarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < self.r + 1:
-            raise ValueError("field must store the ghosts and at least u_1")
-
-    @property
-    def j_min(self) -> int:
-        return 1 - self.r
-
-    @property
-    def j_max(self) -> int:
-        return self.values.size - self.r
-
-    def value(self, j: int) -> float:
-        if j < 1 - self.r:
-            raise IndexError(f"index {j} below the domain start {1 - self.r}")
-        idx = j + self.r - 1
-        if idx >= self.values.size:
-            return 0.0
-        return float(self.values[idx])
-
-    @property
-    def interior(self) -> np.ndarray:
-        """The values (u_j)_{j >= 1} of the stored window."""
-        return self.values[self.r:]
-
-    def trimmed(self) -> "HalfLineField":
-        """Drop trailing exact zeros (values are exact linear combinations,
-        so the support boundary is exact; no epsilon trimming)."""
-        nz = np.nonzero(self.values)[0]
-        hi = (int(nz[-1]) + 1) if nz.size else 0
-        hi = max(hi, self.r + 1)
-        return HalfLineField(self.r, self.values[:hi])
-
-    @classmethod
-    def dirac(cls, scheme: SchemeDefinition, j0: int):
-        """Interior delta at j0 with the ghosts the boundary rule induces."""
-        if j0 < 1:
-            raise ValueError("source index must satisfy j0 >= 1")
-        vals = np.zeros(j0 + scheme.r)
-        vals[j0 + scheme.r - 1] = 1.0
-        if j0 <= scheme.p_b:
-            for i in range(scheme.r):
-                vals[scheme.r - 1 - i] = scheme.b[i, j0 - 1]
-        return cls(scheme.r, vals)
-
-
-@dataclass(frozen=True)
-class WholeLineField:
-    """Finitely supported sequence on Z; values[idx] = u_{j_min+idx}."""
-
-    j_min: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.ascontiguousarray(self.values, dtype=float))
-
-    @property
-    def j_max(self) -> int:
-        return self.j_min + self.values.size - 1
-
-    def value(self, j: int) -> float:
-        idx = j - self.j_min
-        if idx < 0 or idx >= self.values.size:
-            return 0.0
-        return float(self.values[idx])
-
-    @classmethod
-    def dirac(cls, j0: int = 0):
-        return cls(j0, np.array([1.0]))
-
-
-@dataclass(frozen=True)
-class GreenField:
-    """A temporal Green's function snapshot T^n delta_{j0} or L^n delta_0;
-    j0 is None for the whole-line kernel (source at 0)."""
-
-    n: int
-    j0: int | None
-    field: HalfLineField | WholeLineField
-
-    def value(self, j: int) -> float:
-        return self.field.value(j)
+    """Initial data's ghost values do not satisfy the boundary extrapolation."""
 
 
 # input ghosts may miss the boundary rule by this much of the field's scale
 _GHOST_TOL = 1e-10
 
 
-def _check_ghosts(scheme: SchemeDefinition, field: HalfLineField):
-    scale = max(1.0, float(np.max(np.abs(field.values))) if field.values.size else 1.0)
+def _check_ghosts(scheme: SchemeDefinition, values: np.ndarray):
+    scale = max(1.0, float(np.max(np.abs(values))))
     r = scheme.r
     for i in range(r):
         want = 0.0
         for k in range(1, scheme.p_b + 1):
-            if r - 1 + k < field.values.size:
-                want += scheme.b[i, k - 1] * field.values[r - 1 + k]
-        got = field.values[r - 1 - i]
+            if r - 1 + k < values.size:
+                want += scheme.b[i, k - 1] * values[r - 1 + k]
+        got = values[r - 1 - i]
         if abs(got - want) > _GHOST_TOL * scale:
             raise GhostConsistencyError(
                 f"ghost value at j={-i} is {got!r}, boundary rule gives "
                 f"{want!r} (tolerance {_GHOST_TOL:g} of scale {scale:g})")
 
 
-def _half_buffer(scheme: SchemeDefinition, field: HalfLineField,
-                 nsteps: int) -> np.ndarray:
-    # Top p cells are forced to zero by the kernel; size the buffer so the
-    # support (growing <= r cells rightward per step) never reaches them.
-    top = field.j_max + scheme.r * nsteps + scheme.p
-    buf = np.zeros(top + scheme.r)
-    buf[:field.values.size] = field.values
-    return buf
+def apply_half_line(scheme: SchemeDefinition, values,
+                    nsteps: int = 1) -> np.ndarray:
+    """T^nsteps u for u = values: the ghosts u_{1-r}, ..., u_0, then the
+    interior u_1, u_2, ... (zero past the end), returned on j = 1-r up to
+    the last stored cell plus r nsteps, past which T^nsteps u is zero.
 
-
-def apply_half_line(scheme: SchemeDefinition, field: HalfLineField,
-                    nsteps: int = 1) -> HalfLineField:
-    """Advance nsteps interior updates, refilling ghosts from each new
-    interior.  The input ghosts must satisfy the boundary rule within
-    _GHOST_TOL of the field's sup scale; internally ghosts are recomputed,
-    never trusted."""
-    if field.r != scheme.r:
-        raise ValueError("field and scheme have different ghost widths")
-    if nsteps < 0:
-        raise ValueError("nsteps must be >= 0")
-    _check_ghosts(scheme, field)
-    if nsteps == 0:
-        return field
-    buf = _half_buffer(scheme, field, nsteps)
-    out = _kernels.evolve_half(buf, scheme.a, scheme.b, scheme.r, scheme.p,
-                               scheme.p_b, nsteps)
-    return HalfLineField(scheme.r, out).trimmed()
-
-
-def apply_whole_line(scheme: SchemeDefinition, field: WholeLineField,
-                     nsteps: int = 1) -> WholeLineField:
-    """Advance the convolution update; window widens by [-p, +r] per step."""
-    if nsteps < 0:
-        raise ValueError("nsteps must be >= 0")
-    if nsteps == 0:
-        return field
+    The input ghosts must satisfy the boundary rule within _GHOST_TOL of
+    the sup of values; the kernel recomputes them, never trusts them."""
+    values = np.array(values, dtype=float)
     r, p = scheme.r, scheme.p
-    lo = field.j_min - p * nsteps - r
-    hi = field.j_max + r * nsteps + p
-    buf = np.zeros(hi - lo + 1)
-    start = field.j_min - lo
-    buf[start:start + field.values.size] = field.values
-    out = _kernels.evolve_whole(buf, scheme.a, r, p, nsteps)
-    return WholeLineField(lo, out)
-
-
-def temporal_green(scheme: SchemeDefinition, n: int, j0: int) -> GreenField:
-    """G(n, j0, .) = T^n delta_{j0}."""
-    if n < 0:
-        raise ValueError("time index must be >= 0")
-    start = HalfLineField.dirac(scheme, j0)
-    return GreenField(n, j0, apply_half_line(scheme, start, n))
-
-
-def temporal_green_whole(scheme: SchemeDefinition, n: int) -> GreenField:
-    """Gt(n, .) = L^n delta_0."""
-    if n < 0:
-        raise ValueError("time index must be >= 0")
-    return GreenField(n, None, apply_whole_line(scheme, WholeLineField.dirac(0), n))
+    if values.ndim != 1 or values.size < r + 1:
+        raise ValueError("values must hold the ghosts and at least u_1")
+    if nsteps < 0:
+        raise ValueError("nsteps must be >= 0")
+    _check_ghosts(scheme, values)
+    size = values.size + r * nsteps
+    # the kernel zeroes the top p rows, which the support never reaches
+    buf = np.zeros(size + p)
+    buf[:values.size] = values
+    return _kernels.evolve_half(buf, scheme.a, scheme.b, r, p, scheme.p_b,
+                                nsteps)[:size]
 
 
 # the most steps one kernel call takes on a narrowed view: the view is the
@@ -294,34 +160,52 @@ def _half_step(scheme: SchemeDefinition):
                                              scheme.p, scheme.p_b, k)
 
 
+def _integers(values, what: str) -> list:
+    # values as ints; a non-integral entry (2.7, nan, "3") is refused, not
+    # truncated
+    out = []
+    for v in values:
+        try:
+            k = int(v)
+        except (TypeError, ValueError, OverflowError):
+            k = None
+        if k is None or k != v:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        out.append(k)
+    return out
+
+
 def _check_times(ns) -> list:
-    ns = [int(n) for n in ns]
+    ns = _integers(ns, "times")
     if not ns or ns[0] < 0 or any(b < a for a, b in zip(ns, ns[1:])):
         raise ValueError("times must be a nonempty ascending list of n >= 0")
     return ns
 
 
-def _check_cells(js, least: int) -> np.ndarray:
-    js = np.asarray([int(j) for j in js], dtype=int)
+def _check_cells(js, least, what: str = "cells") -> np.ndarray:
+    js = np.asarray(_integers(js, what), dtype=int)
     if js.size == 0 or js.min() < least:
-        raise ValueError(f"cells must be a nonempty list of j >= {least}")
+        raise ValueError(f"{what} must be a nonempty list of j >= {least}")
     return js
 
 
 def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s, js) -> np.ndarray:
     """G(n, j0, j) at the cells j >= 1 - r of js, for every n of the
-    ascending ns and every j0 of j0s, as out[k, i, c] =
-    temporal_green(scheme, ns[k], j0s[i]).value(js[c]) (bitwise), from one
-    sweep with a column per source over the rows those cells depend on."""
+    ascending ns and every j0 >= 1 of j0s, as out[k, i, c] =
+    G(ns[k], j0s[i], js[c]), from one sweep with a column per source over
+    the rows those cells depend on.  Each value is bitwise that of the
+    scalar per-cell loops run on the source's Dirac mass alone (the kernel
+    notes in `_kernels`); at n = 0 it is the Dirac mass, with the ghosts
+    the boundary rule gives it."""
     ns = _check_times(ns)
-    j0s = [int(j0) for j0 in j0s]
+    j0s = _check_cells(j0s, 1, "sources")
     r, p = scheme.r, scheme.p
     rows = _check_cells(js, 1 - r) + r - 1
-    buf = np.zeros((max(max(j0s, default=0) + r * ns[-1] + p + r,
-                        int(rows.max()) + 1), len(j0s)))
-    for i, j0 in enumerate(j0s):
-        vals = HalfLineField.dirac(scheme, j0).values
-        buf[:vals.size, i] = vals
+    buf = np.zeros((max(int(j0s.max()) + r * ns[-1] + p + r,
+                        int(rows.max()) + 1), j0s.size))
+    # a Dirac mass per column, its ghosts from the kernel's boundary rule
+    buf[j0s + r - 1, np.arange(j0s.size)] = 1.0
+    _kernels._refill(buf, scheme.b, r, scheme.p_b)
     snaps = _recorded(buf, ns, _half_step(scheme), r, p,
                       reads=(rows.min(), rows.max()))
     return np.array([snap[rows].T for snap in snaps])
@@ -379,8 +263,9 @@ def temporal_green_rows(scheme: SchemeDefinition, ns, j0s, js) -> np.ndarray:
 
 def temporal_green_whole_sweep(scheme: SchemeDefinition, ns, js) -> np.ndarray:
     """Gt(n, j) at the cells j of js for every n of the ascending ns, as
-    out[k, c] = temporal_green_whole(scheme, ns[k]).value(js[c]) (bitwise),
-    from one sweep over the rows those cells depend on."""
+    out[k, c] = Gt(ns[k], js[c]), from one sweep over the rows those cells
+    depend on; each value is bitwise that of the scalar per-cell loops run
+    on the unit source alone."""
     ns = _check_times(ns)
     js = _check_cells(js, -math.inf)
     r, p = scheme.r, scheme.p
@@ -399,22 +284,6 @@ def _interior_lq(values: np.ndarray, q: float) -> float:
         return float(np.max(np.abs(values))) if values.size else 0.0
     # fsum is exact, so it reads Python floats in any order
     return math.fsum((np.abs(values) ** q).tolist()) ** (1.0 / q)
-
-
-def hq_norm(field, q: float) -> float:
-    """l^q norm over the interior j >= 1 (whole-line fields: over all of Z).
-
-    Uses compensated summation throughout; q = inf gives the sup norm.
-    """
-    if q < 1:
-        raise ValueError("norm exponent must satisfy q >= 1")
-    if isinstance(field, GreenField):
-        field = field.field
-    if isinstance(field, HalfLineField):
-        return _interior_lq(field.interior, q)
-    if isinstance(field, WholeLineField):
-        return _interior_lq(field.values, q)
-    raise TypeError(f"cannot take a norm of {type(field).__name__}")
 
 
 @dataclass(frozen=True)
@@ -452,11 +321,12 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
     if not qs or not all(q >= 1 for q in qs):
         raise ValueError("need at least one norm exponent, each q >= 1")
     ns = np.arange(1, n_max + 1) if record is None else \
-        np.asarray(sorted(set(int(n) for n in record)), dtype=int)
+        np.asarray(sorted(set(_integers(record, "recording times"))),
+                   dtype=int)
     if ns.size == 0 or ns[0] < 1 or ns[-1] > n_max:
         raise ValueError("recording times must lie in 1..n_max")
     r = scheme.r
-    Js = [int(J) for J in J_list]
+    Js = _integers(J_list, "J sizes")
     if min(Js) < 1:
         raise ValueError("J sizes must be >= 1")
     buf = np.zeros((max(Js) + r * n_max + scheme.p + r, len(Js)))

@@ -54,8 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (adjoint_scheme, temporal_green_rows,
-                        temporal_green_sweep, temporal_green_whole,
-                        temporal_green_whole_sweep)
+                        temporal_green_sweep, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
 from .spectral import (_boundary_zero, _lopatinskii_matrix, lopatinskii,
@@ -482,14 +481,19 @@ def whole_line_asymptotic_check(scheme: SchemeDefinition, n_list):
         raise ValueError(
             f"scheme fails the dissipativity hypothesis: {rep.failure}")
     params = GaussianParams(rep.mu, rep.beta)
+    ns = sorted(int(v) for v in n_list)
+    if not ns:
+        return []
+    if ns[0] < 1:
+        raise ValueError("time grid must be positive")
+    # Gt at every n on the widest support bound, from one sweep
+    r, p = scheme.r, scheme.p
+    js = np.arange(-p * ns[-1] - r, r * ns[-1] + p + 1)
     rows = []
-    for n in sorted(int(v) for v in n_list):
-        if n < 1:
-            raise ValueError("time grid must be positive")
-        gt = temporal_green_whole(scheme, n)
-        js = np.arange(gt.field.j_min, gt.field.j_max + 1)
-        x = (js - n * rep.alpha) / n ** (1.0 / (2 * rep.mu))
+    for n, gt in zip(ns, temporal_green_whole_sweep(scheme, ns, js)):
+        keep = slice(p * (ns[-1] - n), js.size - r * (ns[-1] - n))
+        x = (js[keep] - n * rep.alpha) / n ** (1.0 / (2 * rep.mu))
         prof = gaussian_h(x, params) / n ** (1.0 / (2 * rep.mu))
-        sup = float(np.max(np.abs(gt.field.values - prof)))
+        sup = float(np.max(np.abs(gt[keep] - prof)))
         rows.append((n, sup, n ** (1.0 / (2 * rep.mu)) * sup))
     return rows

@@ -51,11 +51,12 @@ def o3():
 
 
 def make_half_field(scheme, interior):
-    """Field with the given interior and rule-consistent ghosts."""
+    """The ghosts u_{1-r}..u_0 the boundary rule gives the interior, then
+    the interior, as one array (`apply_half_line`'s layout)."""
     interior = np.asarray(interior, dtype=float)
     ghosts = np.zeros(scheme.r)
     for i in range(scheme.r):
         for k in range(1, scheme.p_b + 1):
             if k - 1 < interior.size:
                 ghosts[scheme.r - 1 - i] += scheme.b[i, k - 1] * interior[k - 1]
-    return hl.HalfLineField(scheme.r, np.concatenate([ghosts, interior]))
+    return np.concatenate([ghosts, interior])

@@ -13,12 +13,11 @@ import pytest
 
 from halflab.cli import main as cli_main
 from halflab.evolution import (
-    HalfLineField,
     apply_half_line,
     growth_experiment,
     loglog_slope,
-    temporal_green,
-    temporal_green_whole,
+    temporal_green_sweep,
+    temporal_green_whole_sweep,
 )
 from halflab.gaussian import GaussianParams, appendix_f, gaussian_e, gaussian_h
 from halflab.layers import rc_analytic, rc_empirical, ru_analytic, err_bound_fit
@@ -193,13 +192,9 @@ def test_criterion_7_reconstruction_equivalence(lfr, o3):
     j0s = list(range(1, 31))
     js = list(range(1, 31))
     for scheme in (lfr, o3):
-        stepped = np.empty((len(j0s), 51, len(js)))
-        for i0, j0 in enumerate(j0s):
-            field = HalfLineField.dirac(scheme, j0)
-            for n in range(51):
-                if n > 0:
-                    field = apply_half_line(scheme, field)
-                stepped[i0, n] = [field.value(j) for j in js]
+        # time stepping, n = 0..50: out[n, i0, j] -> stepped[i0, n, j]
+        stepped = temporal_green_sweep(scheme, range(51), j0s,
+                                       js).transpose(1, 0, 2)
         tab_a = inverse_laplace_table(scheme, 50, j0s, js, r0=0.05)
         err = float(np.max(np.abs(tab_a.values - stepped)))
         assert err < 1e-8, f"{scheme.name}: reconstruction error {err:.2e}"
@@ -214,16 +209,20 @@ def test_criterion_7_reconstruction_equivalence(lfr, o3):
 
 def test_criterion_8_structural_identities(lfr, o3):
     for scheme in (lfr, o3):
-        g = temporal_green(scheme, 10, 5)
-        assert g.field.j_max <= 5 + scheme.r * 10
-        assert g.value(5 + scheme.r * 10 + 1) == 0.0
-        gw = temporal_green_whole(scheme, 10)
-        support = np.nonzero(gw.field.values)[0] + gw.field.j_min
+        r, p = scheme.r, scheme.p
+        # G(10, 5, .) and Gt(10, .) on their support bounds and a margin
+        js = np.arange(1 - r, 5 + 10 * r + p + 3)
+        g = temporal_green_sweep(scheme, [10], [5], js)[0, 0]
+        assert js[np.nonzero(g)[0]].max() <= 5 + scheme.r * 10
+        assert g[5 + scheme.r * 10 + 1 - js[0]] == 0.0
+        ds = np.arange(-10 * p - r - 3, 10 * r + p + 4)
+        gw = temporal_green_whole_sweep(scheme, [10], ds)[0]
+        support = ds[np.nonzero(gw)[0]]
         assert support.min() >= -10 * scheme.p
         assert support.max() <= 10 * scheme.r
-        assert gw.value(-10 * scheme.p - 1) == 0.0
-        assert gw.value(10 * scheme.r + 1) == 0.0
-        assert abs(float(np.sum(gw.field.values)) - 1.0) < 1e-12
+        assert gw[-10 * scheme.p - 1 - ds[0]] == 0.0
+        assert gw[10 * scheme.r + 1 - ds[0]] == 0.0
+        assert abs(float(np.sum(gw)) - 1.0) < 1e-12
 
         ps = projector_set(scheme, 1.0)
         dim = scheme.p + scheme.r
@@ -240,12 +239,12 @@ def test_criterion_8_structural_identities(lfr, o3):
         interior = rng.standard_normal(12)
         field = make_half_field(scheme, interior)
         evolved = apply_half_line(scheme, field, nsteps=7)
-        js = np.arange(1, evolved.j_max + 1)
+        js = np.arange(1, evolved.size - r + 1)
+        greens = temporal_green_sweep(scheme, [7], range(1, 13), js)[0]
         superposed = np.zeros(js.size)
-        for j0, weight in enumerate(interior, start=1):
-            gr = temporal_green(scheme, 7, j0)
-            superposed += weight * np.array([gr.value(int(j)) for j in js])
-        direct = np.array([evolved.value(int(j)) for j in js])
+        for weight, gr in zip(interior, greens):
+            superposed += weight * gr
+        direct = evolved[r:]
         assert np.max(np.abs(direct - superposed)) < 1e-12
 
 

@@ -1,10 +1,12 @@
 """CLI contract: exit codes, verdict strings, artifacts, reproducibility."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -287,6 +289,71 @@ def test_simulate_artifacts(tmp_path):
     assert abs(rep["snapshots"]["5"]["whole_mass"] - 1.0) < 1e-12
 
 
+# sha256 of simulate's CSVs and SVGs on the default lfr and o3 configs
+# (n_list [0, 8, 32, 128], j0 = 1): a change to any stored bit of the
+# Green's functions, to the rows written or to the writers shows here
+SIMULATE_DIGESTS = {
+    "lfr": {
+        "green_half.csv":
+            "6dc0ed6f2d54a9d57a8c7342bd142b965601ef8d58eab1825e20936e6af60362",
+        "green_whole.csv":
+            "e98196c239b8c60ee49a7a08a0fe0628594bc5f07dbb3fc406e50a02882c1573",
+        "green_half.svg":
+            "57e8c0ef79a7aca6311c58923495c03d949a349329fa6136e04aa15748d5da9c",
+        "green_whole.svg":
+            "cca73a705eb4709bc462e0388326c44dc26d9fb470efc9a9d567ad3004294272",
+    },
+    "o3": {
+        "green_half.csv":
+            "565995aba70a7cb84c10601284d378449188cc47fa682595f0a85ae5287705b3",
+        "green_whole.csv":
+            "f69415765c377017c4ba73995aecd1fdba9098dbcac51659afee55c181cc8dca",
+        "green_half.svg":
+            "1ffe3eb444aeda10439ac4d13b4fe12d2a07931f94fc1a593ede03c0580f4c39",
+        "green_whole.svg":
+            "548d244fc0c6973193806053331e4fbcafaa72aa178cd29a5cea1d372cee585a",
+    },
+}
+
+
+@pytest.mark.parametrize("builtin", sorted(SIMULATE_DIGESTS))
+def test_simulate_artifacts_byte_pinned(tmp_path, builtin):
+    code, out = run(tmp_path, "simulate", {"scheme": {"builtin": builtin}})
+    assert code == 0
+    got = {name: hashlib.sha256(pathlib.Path(out, name).read_bytes())
+           .hexdigest() for name in SIMULATE_DIGESTS[builtin]}
+    assert got == SIMULATE_DIGESTS[builtin]
+
+
+def test_simulate_half_norms_are_interior(tmp_path):
+    # the ghost u_0 = b u_1 = 5 u_1 of the default lfr is no cell of the
+    # half line: sup and l1 are over j >= 1
+    code, out = run(tmp_path, "simulate", {"scheme": {"builtin": "lfr"},
+                                           "n_list": [0, 8]})
+    assert code == 0
+    snaps = read_json(out, "report.json")["snapshots"]
+    assert snaps["0"]["half_sup"] == snaps["0"]["half_l1"] == 1.0
+    assert snaps["8"]["half_sup"] == pytest.approx(0.80376780033111572,
+                                                   rel=1e-15)
+    with open(os.path.join(out, "green_half.csv"), encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().split()[1:]]
+    # the ghost rows are still written
+    assert ["0", "0", "5"] in rows
+    assert max(abs(float(v)) for n, j, v in rows if n == "8" and
+               int(j) >= 1) == snaps["8"]["half_sup"]
+
+
+def test_simulate_keeps_the_ghosts_and_u1_of_a_zero_snapshot(tmp_path,
+                                                            monkeypatch):
+    # a snapshot ends at its last nonzero cell, but never below u_1
+    monkeypatch.setattr(cli, "temporal_green_sweep", lambda scheme, ns, j0s,
+                        js: np.zeros((len(ns), len(j0s), len(js))))
+    code, out = run(tmp_path, "simulate", {"scheme": _LFR, "n_list": [0, 3]})
+    assert code == 0
+    with open(os.path.join(out, "green_half.csv"), encoding="utf-8") as fh:
+        assert fh.read().split()[1:] == ["0,0,0", "0,1,0", "3,0,0", "3,1,0"]
+
+
 def test_unsettled_gaussian_quadrature_exits_1(tmp_path, capsys,
                                               monkeypatch):
     # a node cap at the first node count leaves no room to settle: the
@@ -310,6 +377,18 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
     assert out.stderr == ""
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ after its definition is gone fails only at
+    # `from ... import *`: check the package's list and each submodule's
+    import halflab
+    modules = [halflab] + [importlib.import_module(f"halflab.{m.name}")
+                           for m in pkgutil.iter_modules(halflab.__path__)]
+    assert len(modules) > 5 and all(hasattr(m, "__all__") for m in modules)
+    stale = [f"{m.__name__}.{name}" for m in modules for name in m.__all__
+             if not hasattr(m, name)]
+    assert not stale
 
 
 def test_layers_artifacts(tmp_path):

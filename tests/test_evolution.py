@@ -10,66 +10,54 @@ from halflab import _kernels, evolution
 from halflab.evolution import GhostConsistencyError, loglog_slope
 
 from conftest import make_half_field, o3_marginal_pair
+from test_kernels import loop_green_sweep, loop_green_whole_sweep
 
 
 def test_lfr_one_step_frozen(lfr):
     # u^1_1 = a_{-1} b u_1 + a_0 u_1 = 5/8 * ... = 7/8 for the delta at 1
-    g = hl.apply_half_line(lfr, hl.HalfLineField.dirac(lfr, 1))
-    assert g.value(1) == pytest.approx(7 / 8, abs=1e-15)
+    g = hl.temporal_green_sweep(lfr, [1], [1], [1])[0, 0]
+    assert g[0] == pytest.approx(7 / 8, abs=1e-15)
 
 
 def test_whole_line_two_steps_frozen(lfr):
-    w = hl.apply_whole_line(lfr, hl.WholeLineField.dirac(0), 2)
-    assert w.value(-2) == pytest.approx(25 / 64, abs=1e-15)
+    w = hl.temporal_green_whole_sweep(lfr, [2], [-2])[0]
+    assert w[0] == pytest.approx(25 / 64, abs=1e-15)
 
 
 def test_dirac_ghosts_follow_rule(lfr, o3):
     for s in (lfr, o3):
-        for j0 in (1, 2, 5):
-            f = hl.HalfLineField.dirac(s, j0)
+        ghosts = hl.temporal_green_sweep(s, [0], [1, 2, 5], [0])[0, :, 0]
+        for j0, got in zip((1, 2, 5), ghosts):
             want = s.b[0, j0 - 1] if j0 <= s.p_b else 0.0
-            assert f.value(0) == want
+            assert got == want
 
 
 def test_ghost_contract_enforced(lfr):
-    bad = hl.HalfLineField(1, np.array([0.0, 1.0, 0.0]))  # u_0 must be 5
+    bad = np.array([0.0, 1.0, 0.0])  # u_0 must be 5
     with pytest.raises(GhostConsistencyError):
         hl.apply_half_line(lfr, bad)
-
-
-def test_field_indexing(lfr):
-    f = hl.HalfLineField.dirac(lfr, 3)
-    assert f.j_min == 0
-    assert f.value(3) == 1.0
-    assert f.value(100) == 0.0
-    with pytest.raises(IndexError):
-        f.value(-1)
-
-
-def test_trimmed_keeps_minimum_window(lfr):
-    f = hl.HalfLineField(1, np.zeros(12))
-    t = f.trimmed()
-    assert t.values.size == 2
 
 
 def test_finite_support_exact(lfr, o3):
     for s in (lfr, o3):
         for j0, n in ((1, 7), (4, 11)):
-            g = hl.temporal_green(s, n, j0)
-            assert g.field.j_max <= j0 + s.r * n
-            assert g.value(j0 + s.r * n + 1) == 0.0
+            js = np.arange(1 - s.r, j0 + s.r * n + s.p + 3)
+            g = hl.temporal_green_sweep(s, [n], [j0], js)[0, 0]
+            assert js[np.flatnonzero(g)].max() <= j0 + s.r * n
+            assert g[j0 + s.r * n + 1 - js[0]] == 0.0
 
 
 def test_whole_line_mass_conserved(lfr, o3):
     for s in (lfr, o3):
-        g = hl.temporal_green_whole(s, 60)
-        assert abs(np.sum(g.field.values) - 1.0) < 1e-12
+        g = hl.temporal_green_whole_sweep(
+            s, [60], range(-60 * s.p - s.r, 60 * s.r + s.p + 1))[0]
+        assert abs(np.sum(g) - 1.0) < 1e-12
 
 
 def test_temporal_green_zero_steps(lfr):
-    g = hl.temporal_green(lfr, 0, 4)
-    assert g.value(4) == 1.0
-    assert all(g.value(j) == 0.0 for j in (1, 2, 3, 5, 6))
+    g = hl.temporal_green_sweep(lfr, [0], [4], [4, 1, 2, 3, 5, 6])[0, 0]
+    assert g[0] == 1.0
+    assert all(v == 0.0 for v in g[1:])
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
@@ -81,13 +69,13 @@ def test_superposition(lfr, u_int, v_int, nsteps):
     m = max(len(u_int), len(v_int))
     w = make_half_field(lfr, np.pad(u_int, (0, m - len(u_int)))
                         + np.pad(v_int, (0, m - len(v_int))))
-    au = hl.apply_half_line(lfr, u, nsteps)
-    av = hl.apply_half_line(lfr, v, nsteps)
+    # w is the longest of the three, and so is its evolution; zero past
+    # the end of the others
     aw = hl.apply_half_line(lfr, w, nsteps)
-    top = max(au.j_max, av.j_max, aw.j_max)
-    for j in range(1, top + 1):
-        assert aw.value(j) == pytest.approx(au.value(j) + av.value(j),
-                                            abs=1e-12)
+    au, av = (np.pad(out, (0, aw.size - out.size)) for out in
+              (hl.apply_half_line(lfr, f, nsteps) for f in (u, v)))
+    r = lfr.r
+    assert aw[r:] == pytest.approx(au[r:] + av[r:], abs=1e-12)
 
 
 def test_green_superposition_identity(o3):
@@ -96,26 +84,25 @@ def test_green_superposition_identity(o3):
     interior = rng.standard_normal(6)
     n = 9
     direct = hl.apply_half_line(o3, make_half_field(o3, interior), n)
-    greens = [hl.temporal_green(o3, n, j0) for j0 in range(1, 7)]
-    for j in range(1, direct.j_max + 1):
-        total = sum(float(c) * g.value(j) for c, g in zip(interior, greens))
-        assert direct.value(j) == pytest.approx(total, abs=1e-12)
+    js = np.arange(1, direct.size - o3.r + 1)
+    greens = hl.temporal_green_sweep(o3, [n], range(1, 7), js)[0]
+    for j, got in zip(js, direct[o3.r:]):
+        total = sum(float(c) * g[j - 1] for c, g in zip(interior, greens))
+        assert got == pytest.approx(total, abs=1e-12)
 
 
-def test_hq_norm_values(lfr):
-    f = make_half_field(lfr, [3.0, -4.0])
-    assert hl.hq_norm(f, math.inf) == 4.0
-    assert hl.hq_norm(f, 2) == pytest.approx(5.0, abs=1e-14)
-    assert hl.hq_norm(f, 1) == pytest.approx(7.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        hl.hq_norm(f, 0.5)
+def test_interior_lq_values():
+    x = np.array([3.0, -4.0])
+    assert evolution._interior_lq(x, math.inf) == 4.0
+    assert evolution._interior_lq(x, 2) == pytest.approx(5.0, abs=1e-14)
+    assert evolution._interior_lq(x, 1) == pytest.approx(7.0, abs=1e-14)
 
 
-def test_hq_norm_ignores_ghosts(lfr):
-    # the norm is over the interior cells only; ghosts carry rule values
-    f = make_half_field(lfr, [1.0])
-    assert f.value(0) == 5.0
-    assert hl.hq_norm(f, math.inf) == 1.0
+def test_growth_ratio_ignores_ghosts(lfr):
+    # the norms are over the interior cells only: T delta_1 is 7/8 at
+    # j = 1 and 1/8 at j = 2, while its ghost u_0 = 5 u_1 is 35/8
+    res, = hl.growth_experiment(lfr, [math.inf], [1], 1)
+    assert res.ratios[1][0] == pytest.approx(7 / 8, abs=1e-15)
 
 
 def test_growth_experiment_shapes(lfr):
@@ -149,6 +136,13 @@ def test_growth_experiment_record_consistency(lfr):
     assert sub.ratios[16][1] == pytest.approx(full.ratios[16][-1], abs=0)
 
 
+def _lq(x, q):
+    # the l^q norm: the sup, or the exact sum of |x|^q then the root
+    if q == math.inf:
+        return float(np.max(np.abs(x)))
+    return math.fsum((np.abs(x) ** q).tolist()) ** (1.0 / q)
+
+
 def test_growth_experiment_q_list_bitwise(lfr, o3):
     # one sweep for all J and both q against one-q runs, one-J runs and the
     # per-(J, n) evolution of the norm-ratio definition
@@ -165,8 +159,9 @@ def test_growth_experiment_q_list_bitwise(lfr, o3):
                                               record=rec)
                 assert one_J.ratios[J].tobytes() == res.ratios[J].tobytes()
                 start = make_half_field(scheme, np.ones(J))
-                want = [hl.hq_norm(hl.apply_half_line(scheme, start, n), q)
-                        / hl.hq_norm(start, q) for n in rec]
+                want = [_lq(hl.apply_half_line(scheme, start, n)
+                            [scheme.r:], q) / _lq(np.ones(J), q)
+                        for n in rec]
                 assert np.array(want).tobytes() == res.ratios[J].tobytes()
 
 
@@ -182,14 +177,13 @@ def test_temporal_green_sweeps_bitwise(lfr, o3):
         wholes = hl.temporal_green_whole_sweep(scheme, ns, ds)
         assert greens.shape == (len(ns), len(j0s), len(js))
         assert wholes.shape == (len(ns), len(ds))
-        for k, n in enumerate(ns):
-            for i, j0 in enumerate(j0s):
-                want = hl.temporal_green(scheme, n, j0)
-                ref = np.array([want.value(j) for j in js])
-                assert greens[k, i].tobytes() == ref.tobytes()
-            want = hl.temporal_green_whole(scheme, n)
-            ref = np.array([want.value(j) for j in ds])
-            assert wholes[k].tobytes() == ref.tobytes()
+        # the scalar per-cell loops
+        ref = loop_green_sweep(scheme, ns, j0s, js)
+        assert greens.view(np.uint64).tolist() == \
+            ref.view(np.uint64).tolist()
+        ref = loop_green_whole_sweep(scheme, ns, ds)
+        assert wholes.view(np.uint64).tolist() == \
+            ref.view(np.uint64).tolist()
     with pytest.raises(ValueError):
         hl.temporal_green_sweep(lfr, [5, 2], [1], [1])
     with pytest.raises(ValueError):
@@ -198,6 +192,33 @@ def test_temporal_green_sweeps_bitwise(lfr, o3):
         hl.temporal_green_sweep(lfr, [5], [1], [-1])
     with pytest.raises(ValueError, match="cells"):
         hl.temporal_green_whole_sweep(lfr, [5], [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: hl.temporal_green_sweep(s, [2.7], [1.9], [1.5, 2]),
+    lambda s: hl.temporal_green_sweep(s, [2], [1.9], [1]),
+    lambda s: hl.temporal_green_sweep(s, [2], [1], [1.5]),
+    lambda s: hl.temporal_green_whole_sweep(s, [2.5], [0]),
+    lambda s: hl.temporal_green_whole_sweep(s, [2], [math.nan]),
+    lambda s: hl.growth_experiment(s, [2], [4], 10, record=[2.5]),
+    lambda s: hl.growth_experiment(s, [2], [4.5], 10),
+], ids=["all", "sources", "cells", "whole-times", "whole-cells",
+        "growth-record", "growth-sizes"])
+def test_sweeps_refuse_non_integral_input(lfr, call):
+    # a time, source or cell is refused, not truncated to an integer
+    with pytest.raises(ValueError, match="must be integers"):
+        call(lfr)
+
+
+def test_sweeps_take_integer_arrays(lfr):
+    want = hl.temporal_green_sweep(lfr, [0, 2], [1, 3], [1, 2])
+    for args in ((np.array([0, 2]), np.array([1, 3]), np.arange(1, 3)),
+                 ([0.0, 2.0], [1.0, 3.0], [1.0, 2.0])):
+        got = hl.temporal_green_sweep(lfr, *args)
+        assert got.tobytes() == want.tobytes()
+    assert hl.temporal_green_whole_sweep(lfr, np.array([3]), np.arange(
+        -1, 2)).tobytes() == hl.temporal_green_whole_sweep(
+        lfr, [3], [-1, 0, 1]).tobytes()
 
 
 def _view_rows(u):
@@ -243,6 +264,24 @@ def _narrower(views):
     return any(v is not None and v[1] - v[0] + 1 < v[2] for v in views)
 
 
+def _unwindowed(scheme, ns, j0s, half, whole):
+    # the sweeps' values from one kernel call per time on a whole buffer
+    # that the support never fills: Dirac columns on j = 1 - r .. (the
+    # kernel fills their ghosts), and the unit source on the whole line
+    r, p, a, n = scheme.r, scheme.p, scheme.a, ns[-1]
+    rows = np.asarray(half) + r - 1
+    buf = np.zeros((max(j0s) + r * n + p + r, len(j0s)))
+    buf[np.asarray(j0s) + r - 1, range(len(j0s))] = 1.0
+    lo = min(-p * n - r, min(whole))
+    line = np.zeros(max(r * n + p, max(whole)) - lo + 1)
+    line[-lo] = 1.0
+    return (np.array([_kernels.evolve_half(buf, a, scheme.b, r, p,
+                                           scheme.p_b, m)[rows].T
+                      for m in ns]),
+            np.array([_kernels.evolve_whole(line, a, r, p, m)
+                      [np.asarray(whole) - lo] for m in ns]))
+
+
 @pytest.mark.parametrize("scheme", ["lfr", "o3", "r2p3"])
 @pytest.mark.parametrize("columns", [1, 3])
 @pytest.mark.parametrize("where", ["boundary", "middle", "top", "front"])
@@ -266,14 +305,9 @@ def test_windowed_sweeps_never_read_the_margins(lfr, o3, monkeypatch,
     half, whole = cells
     want = hl.temporal_green_sweep(scheme, ns, j0s, half)
     want_whole = hl.temporal_green_whole_sweep(scheme, ns, whole)
-    for k, m in enumerate(ns):
-        for i, j0 in enumerate(j0s):
-            g = hl.temporal_green(scheme, m, j0)
-            assert want[k, i].tobytes() == \
-                np.array([g.value(j) for j in half]).tobytes()
-        gt = hl.temporal_green_whole(scheme, m)
-        assert want_whole[k].tobytes() == \
-            np.array([gt.value(j) for j in whole]).tobytes()
+    ref, ref_whole = _unwindowed(scheme, ns, j0s, half, whole)
+    assert want.tobytes() == ref.tobytes()
+    assert want_whole.tobytes() == ref_whole.tobytes()
     poisoned = _poisoned(_kernels.evolve_half, r, p)
     monkeypatch.setattr(_kernels, "evolve_half", poisoned)
     got = hl.temporal_green_sweep(scheme, ns, j0s, half)
@@ -356,13 +390,11 @@ _ADJOINT_CASES = {
 
 
 def _one_step_matrix(scheme, size):
-    # M[j-1, l-1] = (T delta_l)_j: apply_half_line sizes its buffer past the
-    # support, so this is the exact leading block of the infinite matrix
-    M = np.zeros((size, size))
-    for l in range(1, size + 1):
-        out = hl.apply_half_line(scheme, hl.HalfLineField.dirac(scheme, l))
-        M[:, l - 1] = [out.value(j) for j in range(1, size + 1)]
-    return M
+    # M[j-1, l-1] = (T delta_l)_j = G(1, l, j): the sweep sizes its buffer
+    # past the support, so this is the exact leading block of the infinite
+    # matrix
+    cells = range(1, size + 1)
+    return hl.temporal_green_sweep(scheme, [1], cells, cells)[0].T
 
 
 @pytest.mark.parametrize("case", sorted(_ADJOINT_CASES))
@@ -434,9 +466,10 @@ def test_loglog_slope_recovers_power():
 
 
 def test_apply_validation(lfr):
-    f = hl.HalfLineField.dirac(lfr, 1)
+    f = make_half_field(lfr, [1.0])
     with pytest.raises(ValueError):
         hl.apply_half_line(lfr, f, -1)
-    f2 = hl.HalfLineField(2, np.zeros(3))
-    with pytest.raises(ValueError):
-        hl.apply_half_line(lfr, f2)
+    # no u_1 after the ghost, or not one sequence
+    for bad in (np.zeros(lfr.r), np.zeros((3, 2))):
+        with pytest.raises(ValueError):
+            hl.apply_half_line(lfr, bad)

@@ -67,6 +67,40 @@ def _evolve_whole_loops(u0, a, r, p, nsteps):
                      nsteps)
 
 
+def loop_green_sweep(scheme, ns, j0s, js):
+    """G(n, j0, j) laid out as `temporal_green_sweep`'s out[k, i, c], from
+    the loops on a buffer with a Dirac column per source that the support
+    never fills, advanced from each time of the ascending ns to the next."""
+    r, p = scheme.r, scheme.p
+    rows = np.asarray(js) + r - 1
+    buf = np.zeros((max(max(j0s) + r * ns[-1] + p + r, rows.max() + 1),
+                    len(j0s)))
+    buf[np.asarray(j0s) + r - 1, range(len(j0s))] = 1.0
+    out, done = [], 0
+    for n in ns:
+        buf = _evolve_half_loops(buf, scheme.a, scheme.b, r, p, scheme.p_b,
+                                 n - done)
+        out.append(buf[rows].T)
+        done = n
+    return np.array(out)
+
+
+def loop_green_whole_sweep(scheme, ns, js):
+    """Gt(n, j) laid out as `temporal_green_whole_sweep`'s out[k, c], from
+    the loops on the unit source, as above."""
+    r, p = scheme.r, scheme.p
+    js = np.asarray(js)
+    lo = min(-p * ns[-1] - r, js.min())
+    buf = np.zeros(max(r * ns[-1] + p, js.max()) - lo + 1)
+    buf[-lo] = 1.0
+    out, done = [], 0
+    for n in ns:
+        buf = _evolve_whole_loops(buf, scheme.a, r, p, n - done)
+        out.append(buf[js - lo])
+        done = n
+    return np.array(out)
+
+
 @pytest.fixture
 def rng(request):
     # a stream of its own for each test and case, the same at every block

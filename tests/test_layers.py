@@ -8,8 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from halflab import evolution, layers
-from halflab.evolution import (adjoint_scheme, temporal_green,
-                               temporal_green_sweep, temporal_green_whole)
+from halflab.evolution import adjoint_scheme, temporal_green_sweep
 from halflab.layers import (
     err_bound_fit,
     err_field,
@@ -23,6 +22,7 @@ from halflab.scheme import builtin_lfr, builtin_o3
 from halflab.spectral import characteristic_roots, check_hypothesis_two
 
 from conftest import KAPPA_S_O3, o3_marginal_pair
+from test_kernels import loop_green_sweep, loop_green_whole_sweep
 
 
 def test_rc_analytic_lfr_frozen(lfr):
@@ -179,21 +179,11 @@ def test_err_bound_fit_small_grid(lfr):
     assert fit.best_c0 > 0.0
 
 
-def _one_run_per_cell(scheme, ns, j0s, js):
-    return np.array([[[temporal_green(scheme, int(n), int(j0)).value(int(j))
-                       for j in js] for j0 in j0s] for n in ns])
-
-
-def _one_run_per_time(scheme, ns, js):
-    return np.array([[temporal_green_whole(scheme, int(n)).value(int(j))
-                      for j in js] for n in ns])
-
-
 @pytest.mark.parametrize("case", ["lfr", "o3", "o3_pair"])
 def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
-    # the recorded sweeps against per-cell runs: the adjoint sweep against
-    # one temporal_green run of the adjoint scheme per (n, j), the
-    # whole-line sweep against one temporal_green_whole run per n
+    # the recorded sweeps against the scalar per-cell loops: the adjoint
+    # sweep against the loops on the adjoint scheme with a column per j,
+    # the whole-line sweep against the loops on the unit source
     scheme = {"lfr": lambda: lfr,
               "o3": lambda: builtin_o3(-0.5, 0.0, 0.0),
               "o3_pair": lambda: builtin_o3(-0.4, *o3_marginal_pair(-0.4)),
@@ -201,9 +191,9 @@ def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
     kw = dict(n_list=(30, 60, 60, 120), j0_list=(1, 2, 7, 25, 50, 90),
               j_list=(1, 2, 5, 9), c0_list=(0.01, 0.05, 0.2, 1.0))
     fit = err_bound_fit(scheme, **kw)
-    monkeypatch.setattr(evolution, "temporal_green_sweep", _one_run_per_cell)
+    monkeypatch.setattr(evolution, "temporal_green_sweep", loop_green_sweep)
     monkeypatch.setattr(layers, "temporal_green_whole_sweep",
-                        _one_run_per_time)
+                        loop_green_whole_sweep)
     ref = err_bound_fit(scheme, **kw)
     assert fit.heat.tobytes() == ref.heat.tobytes()
     assert fit.sups.tobytes() == ref.sups.tobytes()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from halflab import resolvent
-from halflab.evolution import temporal_green, temporal_green_whole
+from halflab.evolution import (temporal_green_sweep,
+                               temporal_green_whole_sweep)
 from halflab.resolvent import (
     NearSpectrumError,
     QuadratureError,
@@ -248,7 +249,7 @@ def test_reconstruct_delta_at_n_zero(lfr):
 
 @pytest.mark.parametrize("n,j0,j", [(1, 1, 1), (5, 2, 4), (12, 6, 3)])
 def test_reconstruct_matches_time_stepping(lfr, n, j0, j):
-    want = temporal_green(lfr, n, j0).value(j)
+    want = temporal_green_sweep(lfr, [n], [j0], [j])[0, 0, 0]
     got = inverse_laplace_reconstruct(lfr, n, j0, j)
     assert abs(got.imag) < 1e-10
     assert abs(got.real - want) < 1e-9
@@ -256,7 +257,7 @@ def test_reconstruct_matches_time_stepping(lfr, n, j0, j):
 
 def test_reconstruct_whole_line(o3):
     n, j = 6, -2
-    want = temporal_green_whole(o3, n).value(j)
+    want = temporal_green_whole_sweep(o3, [n], [j])[0, 0]
     got = inverse_laplace_reconstruct(o3, n, 1, j, whole_line=True)
     assert abs(got.real - want) < 1e-9
 
@@ -289,10 +290,8 @@ def test_table_matches_pointwise(lfr):
 
 def test_table_matches_time_stepping(o3):
     table = inverse_laplace_table(o3, 10, [1, 4], [2, 6])
-    for i0, j0 in enumerate([1, 4]):
-        g = temporal_green(o3, 10, j0)
-        for i, j in enumerate([2, 6]):
-            assert abs(table.values[i0, 10, i] - g.value(j)) < 1e-9
+    stepped = temporal_green_sweep(o3, [10], [1, 4], [2, 6])[0]
+    assert np.max(np.abs(table.values[:, 10] - stepped)) < 1e-9
 
 
 def test_table_validation(lfr):
@@ -409,11 +408,9 @@ def test_slow_decay_table_needs_no_window(monkeypatch):
     assert core == []
     assert batches[:3] == [33, 32, 64]
     assert sum(batches) == table.solves == table.nodes // 2 + 1
-    for i0, j0 in enumerate([1, 30]):
-        for n in range(5):
-            g = temporal_green(slow, n, j0)
-            for i, j in enumerate([1, 3]):
-                assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
+    # time stepping at n = 0..4, laid out as the table's (j0, n, j)
+    stepped = temporal_green_sweep(slow, range(5), [1, 30], [1, 3])
+    assert np.max(np.abs(table.values - stepped.transpose(1, 0, 2))) < 1e-12
 
 
 def test_cross_split_table_nodes_take_core_solve(monkeypatch):
@@ -428,11 +425,9 @@ def test_cross_split_table_nodes_take_core_solve(monkeypatch):
     table = inverse_laplace_table(slower, 4, j0s, js, r0=1e-3)
     assert core and core[0] == math.exp(1e-3)
     assert table.solves == table.nodes // 2 + 1 + len(core)
-    for i0, j0 in enumerate(j0s):
-        for n in range(5):
-            g = temporal_green(slower, n, j0)
-            for i, j in enumerate(js):
-                assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
+    # time stepping at n = 0..4, laid out as the table's (j0, n, j)
+    stepped = temporal_green_sweep(slower, range(5), j0s, js)
+    assert np.max(np.abs(table.values - stepped.transpose(1, 0, 2))) < 1e-12
 
 
 # P(kappa; z*) of the default o3 scheme has the double unstable root
@@ -464,11 +459,9 @@ def test_double_unstable_root_node_sums_its_cluster_on_a_circle(
     assert core == [resolvent._ring(math.log(Z_STAR), 64)[0]]
     assert table.solves == table.nodes // 2 + 2
     assert len(circles) == 1
-    for i0, j0 in enumerate(j0s):
-        for n in range(11):
-            g = temporal_green(o3, n, j0)
-            for i, j in enumerate(js):
-                assert abs(table.values[i0, n, i] - g.value(j)) < 1e-12
+    # time stepping at n = 0..10, laid out as the table's (j0, n, j)
+    stepped = temporal_green_sweep(o3, range(11), j0s, js)
+    assert np.max(np.abs(table.values - stepped.transpose(1, 0, 2))) < 1e-12
 
 
 def test_cluster_circle_cap_refuses(o3, monkeypatch):
