@@ -48,8 +48,6 @@ from .gaussian import GaussianParams, gaussian_h, gaussian_e, appendix_f
 from .layers import (
     BoundaryLayerProfile,
     ErrField,
-    GreenPair,
-    green_pair,
     rc_analytic,
     rc_empirical,
     ru_analytic,
@@ -79,8 +77,7 @@ __all__ = [
     "lopatinskii_values", "lopatinskii_derivative_at_one", "projector_set",
     "residue_condition", "check_hypothesis_two",
     "GaussianParams", "gaussian_h", "gaussian_e", "appendix_f",
-    "BoundaryLayerProfile", "ErrField", "GreenPair", "green_pair",
-    "rc_analytic", "rc_empirical",
+    "BoundaryLayerProfile", "ErrField", "rc_analytic", "rc_empirical",
     "ru_analytic", "err_field", "err_bound_fit", "whole_line_asymptotic_check",
     "ResolventField", "spatial_green_half", "spatial_green_whole",
     "r_function", "inverse_laplace_reconstruct", "inverse_laplace_table",

@@ -34,8 +34,8 @@ from .evolution import (growth_experiment, loglog_slope,
 # no caller here: the benchmark's `evolution.apply_half_line` trace target
 # names it
 from .evolution import apply_half_line  # noqa: F401
-from .layers import (_AtOne, err_bound_fit, green_pair, rc_analytic,
-                     rc_empirical, ru_analytic)
+from .layers import (_AtOne, err_bound_fit, rc_analytic, rc_empirical,
+                     ru_analytic)
 from .resolvent import NearSpectrumError, QuadratureError, \
     inverse_laplace_table
 from .scheme import (_SERIES_RADIUS, builtin_lfr, builtin_o3,
@@ -371,11 +371,8 @@ def _run_simulate(scheme, opts, out_dir, at_one):
 def _run_layers(scheme, opts, out_dir, at_one):
     j_max, j0, n, j0_list = (opts[k] for k in ("j_max", "j0", "n", "j0_list"))
     rc_a = rc_analytic(scheme, j_max, at_one=at_one)
-    # G(m, j0, j) and Gt(m, j - j0) on j = 1..j_max at m = n, 2n from one
-    # sweep of each kernel
-    js, green = rc_a.j_values, green_pair(scheme, j0, (n, 2 * n), j_max)
-    rc_e, rc_e2 = [rc_empirical(scheme, j0, m, j_max, at_one=at_one,
-                                green=green) for m in green.ns]
+    js = rc_a.j_values
+    rc_e, rc_e2 = rc_empirical(scheme, j0, (n, 2 * n), j_max, at_one=at_one)
     err_n = np.abs(rc_e.values - rc_a.values)
     err_2n = np.abs(rc_e2.values - rc_a.values)
     _csv(out_dir, "layer_rc.csv",

@@ -91,6 +91,7 @@ def apply_half_line(scheme: SchemeDefinition, values,
     r, p = scheme.r, scheme.p
     if values.ndim != 1 or values.size < r + 1:
         raise ValueError("values must hold the ghosts and at least u_1")
+    nsteps, = _integers([nsteps], "step counts")
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")
     _check_ghosts(scheme, values)
@@ -313,6 +314,7 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
     same snapshots.  The ratios lower-bound the operator norm of T^n on the
     j >= 1 space; they are never claimed as the exact norm.
     """
+    n_max, = _integers([n_max], "time horizons")
     if n_max < 1:
         raise ValueError("time horizon must be >= 1")
     if not J_list:

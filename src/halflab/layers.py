@@ -31,17 +31,21 @@ of one scheme.  `_AtOne` holds them, each computed at most once; a CLI run
 builds one and passes it to every layer function it calls (`at_one=`),
 and a function called without one builds its own.
 
-`err_bound_fit` reads G only on its (j0, j) grid, so it takes G(n, j0, j)
-from one sweep of the transposed scheme with a column per j
-(`evolution.temporal_green_rows`), whatever the size of the j0 grid, and
-Gt(n, j - j0) from one whole-line sweep, each stepping only the rows those
-cells depend on.  Those rows equal the forward columns to roundoff, so the
-suprema move only at cells where |Err| is at roundoff.
-
+The layer terms of the decomposition on a grid of times, sources and
+cells (the indicator, the activation E, the Ru rows and Rc) come from one
+routine, `_layer_terms`, and `_Terms.err` subtracts them from G - Gt in
+the one expression of the decomposition: `err_field` and `err_bound_fit`
+read Err from it, and `rc_empirical` reads E Rc + Err (no Rc term) and
+divides by E.  `err_bound_fit` reads G only on its (j0, j) grid, so it
+takes G(n, j0, j) from one sweep of the transposed scheme with a column
+per j (`evolution.temporal_green_rows`), whatever the size of the j0 grid,
+and Gt(n, j - j0) from one whole-line sweep, each stepping only the rows
+those cells depend on.  Those rows equal the forward columns to roundoff,
+so the suprema move only at cells where |Err| is at roundoff.
 `rc_empirical` and `err_field` read G(n, j0, j) and Gt(n, j - j0) on
-j = 1..window from the forward sweeps of `green_pair`, whose `GreenPair`
-labels the rows with j0 and the times, so rows of another (n, j0) are
-refused rather than read.
+j = 1..window at every time they take from one forward sweep of each
+kernel.  Times, sources, cells and grid bounds are integers: a
+non-integral one is refused, not truncated.
 """
 
 from __future__ import annotations
@@ -53,17 +57,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (adjoint_scheme, temporal_green_rows,
-                        temporal_green_sweep, temporal_green_whole_sweep)
+from .evolution import (_check_times, _integers, adjoint_scheme,
+                        temporal_green_rows, temporal_green_sweep,
+                        temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
 from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
 from .spectral import (_boundary_zero, _lopatinskii_matrix, lopatinskii,
                        lopatinskii_derivative_at_one, projector_set)
 
 __all__ = [
-    "BoundaryLayerProfile", "ErrField", "ErrBoundFit", "GreenPair",
-    "green_pair", "rc_analytic", "rc_empirical", "ru_analytic", "err_field",
-    "err_bound_fit", "whole_line_asymptotic_check",
+    "BoundaryLayerProfile", "ErrField", "ErrBoundFit", "rc_analytic",
+    "rc_empirical", "ru_analytic", "err_field", "err_bound_fit",
+    "whole_line_asymptotic_check",
 ]
 
 
@@ -146,7 +151,6 @@ class _AtOne:
         self.scheme = scheme
         if rep1 is not None:
             self.rep1 = rep1
-        self._ru_rows = {}
 
     @functools.cached_property
     def rep1(self):
@@ -194,17 +198,6 @@ class _AtOne:
     def layer_coeffs(self, w: np.ndarray) -> np.ndarray:
         return -(_adjugate(self.A) / self.dprime) @ (self.B @ w)
 
-    def ru_row(self, j0: int, window: int) -> np.ndarray:
-        """Row j0 of ru_analytic(scheme, j0, window), once per (j0, window);
-        zeros unless marginal."""
-        key = (j0, window)
-        if key not in self._ru_rows:
-            self._ru_rows[key] = (
-                ru_analytic(self.scheme, j0, window,
-                            at_one=self).values[j0 - 1]
-                if self.marginal else np.zeros(window))
-        return self._ru_rows[key]
-
 
 def _at_one(scheme: SchemeDefinition, at_one) -> _AtOne:
     if at_one is None:
@@ -217,6 +210,7 @@ def _at_one(scheme: SchemeDefinition, at_one) -> _AtOne:
 def rc_analytic(scheme: SchemeDefinition, J_max: int, *,
                 at_one=None) -> BoundaryLayerProfile:
     """Reflected layer Rc(j), j = 1..J_max, from the residue data at z = 1."""
+    J_max, = _integers([J_max], "grid bounds")
     if J_max < 1:
         raise ValueError("J_max must be >= 1")
     at_one = _at_one(scheme, at_one)
@@ -236,6 +230,7 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
     Identically zero when p = 1: the strictly unstable class at z = 1 is
     empty, so the pi_su source vanishes.
     """
+    j0_max, j_max = _integers((j0_max, j_max), "grid bounds")
     if j0_max < 1 or j_max < 1:
         raise ValueError("grid bounds must be >= 1")
     at_one = _at_one(scheme, at_one)
@@ -260,41 +255,50 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
 
 
 @dataclass(frozen=True)
-class GreenPair:
-    """G(n, j0, j) and Gt(n, j - j0) on j = 1..window at each time of ns,
-    labelled by the sweeps that read them (`green_pair`): g[k] and gt[k]
-    are the rows at ns[k]."""
+class _Terms:
+    """The layer terms of the decomposition on a grid of times ns, sources
+    j0s and cells js (`_layer_terms`): ind[k, i] = 1_{ns[k] p >= j0s[i]},
+    act[k, i] = E((j0s[i] + ns[k] alpha) / ns[k]^{1/2mu}) (0 at n = 0),
+    ru[i, c] = Ru(j0s[i], js[c]) and rc[c] = Rc(js[c])."""
 
-    j0: int
-    ns: tuple
-    g: np.ndarray
-    gt: np.ndarray
+    ind: np.ndarray
+    act: np.ndarray
+    ru: np.ndarray
+    rc: np.ndarray
 
-    def at(self, n: int, j0: int, window: int) -> tuple:
-        """(G(n, j0, .), Gt(n, . - j0)) on j = 1..window, or ValueError if
-        the pair does not hold them."""
-        if j0 != self.j0 or n not in self.ns or self.g.shape[1] != window:
-            raise ValueError(f"green must hold the snapshots G({n}, {j0}, j) "
-                             f"and Gt({n}, j - {j0}) on j = 1..{window}")
-        k = self.ns.index(n)
-        return self.g[k], self.gt[k]
-
-
-def green_pair(scheme: SchemeDefinition, j0: int, ns, window: int) -> GreenPair:
-    """G and Gt rows on j = 1..window at every n of the ascending ns, from
-    one `temporal_green_sweep` and one `temporal_green_whole_sweep`."""
-    ns = tuple(int(n) for n in ns)
-    js = np.arange(1, window + 1)
-    return GreenPair(j0, ns, temporal_green_sweep(scheme, ns, [j0], js)[:, 0],
-                     temporal_green_whole_sweep(scheme, ns, js - j0))
+    def err(self, g: np.ndarray, gt: np.ndarray, rc) -> np.ndarray:
+        """G - Gt - 1_{np >= j0} Ru - E rc, with g[k, i, c] = G(n, j0, j)
+        and gt[k, i, c] = Gt(n, j - j0) at (ns[k], j0s[i], js[c]): Err for
+        rc = self.rc, the reflected part E Rc + Err for rc = 0."""
+        return g - gt - self.ind[:, :, None] * self.ru \
+            - self.act[:, :, None] * rc
 
 
-def _activation(scheme: SchemeDefinition, rep, n: int, j0: int) -> float:
-    if n == 0:
-        return 0.0
+def _layer_terms(at_one: _AtOne, ns, j0s, js) -> _Terms:
+    """The layer terms on the grid ns x j0s x js; both layers are zero off
+    the marginal regime.  The Ru rows come from one `ru_analytic` call over
+    1..max j0s, and E is one scalar `gaussian_e` per (n, j0) cell, taken
+    in Python ints and floats."""
+    scheme, rep = at_one.scheme, at_one.rep1
+    ns, j0s, js = (np.asarray(v, dtype=int) for v in (ns, j0s, js))
     params = GaussianParams(rep.mu, rep.beta)
-    x = (j0 + n * rep.alpha) / n ** (1.0 / (2 * rep.mu))
-    return float(gaussian_e(x, params))
+    act = np.array([[0.0 if n == 0 else float(gaussian_e(
+        (j0 + n * rep.alpha) / n ** (1.0 / (2 * rep.mu)), params))
+        for j0 in j0s.tolist()] for n in ns.tolist()])
+    if at_one.marginal:
+        ru = ru_analytic(scheme, int(j0s.max()), int(js.max()),
+                         at_one=at_one).values[np.ix_(j0s - 1, js - 1)]
+        rc = rc_analytic(scheme, int(js.max()), at_one=at_one).values[js - 1]
+    else:
+        ru, rc = np.zeros((j0s.size, js.size)), np.zeros(js.size)
+    return _Terms(ind=ns[:, None] * scheme.p >= j0s, act=act, ru=ru, rc=rc)
+
+
+def _forward(scheme: SchemeDefinition, ns, j0: int, js: np.ndarray):
+    # G(n, j0, j) and Gt(n, j - j0) at every n of ns, laid out as the
+    # (n, j0, j) grids of _Terms.err, from one sweep of each kernel
+    return (temporal_green_sweep(scheme, ns, [j0], js),
+            temporal_green_whole_sweep(scheme, ns, js - j0)[:, None])
 
 
 @dataclass(frozen=True)
@@ -317,22 +321,18 @@ def err_field(scheme: SchemeDefinition, n: int, j0: int, window: int, *,
               at_one=None) -> ErrField:
     """Err(n, j0, j) for j = 1..window, assembled exactly from the
     decomposition (layers taken as zero outside the marginal regime)."""
+    n, j0, window = _integers((n, j0, window), "n, j0 and window")
     if n < 0 or j0 < 1 or window < 1:
         raise ValueError("need n >= 0, j0 >= 1, window >= 1")
     at_one = _at_one(scheme, at_one)
     js = np.arange(1, window + 1)
-    g, gt = green_pair(scheme, j0, [n], window).at(n, j0, window)
-    ind = 1 if n * scheme.p >= j0 else 0
-    act = _activation(scheme, at_one.rep1, n, j0)
-    rc = (rc_analytic(scheme, window, at_one=at_one).values
-          if at_one.marginal else np.zeros(window))
-    ru_row = at_one.ru_row(j0, window)
-    ru_term = ind * ru_row
-    rc_term = act * rc
-    err = g - gt - ru_term - rc_term
-    return ErrField(n=n, j0=j0, j_values=js, err=err, green=g, whole=gt,
-                    ru_term=ru_term, rc_term=rc_term, indicator=ind,
-                    activation=act)
+    g, gt = _forward(scheme, [n], j0, js)
+    terms = _layer_terms(at_one, [n], [j0], js)
+    ind, act = int(terms.ind[0, 0]), float(terms.act[0, 0])
+    return ErrField(n=n, j0=j0, j_values=js,
+                    err=terms.err(g, gt, terms.rc)[0, 0], green=g[0, 0],
+                    whole=gt[0, 0], ru_term=ind * terms.ru[0],
+                    rc_term=act * terms.rc, indicator=ind, activation=act)
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
                   j0_list=None, j_list=(1,), c0_list=None,
                   growth_tol: float = 0.05, *, at_one=None) -> ErrBoundFit:
     """Measure the Gaussian-in-j0, exponential-in-j envelope of Err."""
-    ns = np.asarray(sorted(int(n) for n in n_list), dtype=int)
+    ns = np.asarray(sorted(_integers(n_list, "times")), dtype=int)
     if ns.size == 0 or ns[0] < 1:
         raise ValueError("n grid must be nonempty and positive")
     at_one = _at_one(scheme, at_one)
@@ -376,8 +376,8 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
         # without those cells makes the comparison across n vacuous
         j0_list = set(range(50, 1001, 50)) | {
             math.ceil(n * abs(rep.alpha)) for n in ns}
-    j0s = np.asarray(sorted(int(v) for v in j0_list), dtype=int)
-    js = np.asarray(sorted(int(v) for v in j_list), dtype=int)
+    j0s = np.asarray(sorted(_integers(j0_list, "sources")), dtype=int)
+    js = np.asarray(sorted(_integers(j_list, "cells")), dtype=int)
     if j0s.size == 0 or js.size == 0:
         raise ValueError("j0 and j grids must be nonempty")
     if j0s[0] < 1:
@@ -388,15 +388,6 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
            else np.asarray(c0_list, dtype=float))
     mu = rep.mu
     expo = 2.0 * mu / (2.0 * mu - 1.0)
-    window = int(js[-1])
-    if at_one.marginal:
-        rc = rc_analytic(scheme, window, at_one=at_one).values
-        ru_all = ru_analytic(scheme, int(j0s[-1]), window,
-                             at_one=at_one).values
-    else:
-        rc = np.zeros(window)
-        ru_all = np.zeros((int(j0s[-1]), window))
-
     # one sweep per kernel, each recorded at every n: the adjoint on the
     # half line with a column per j (its j0 entries are G(n, j0, j)), and
     # one source on the whole line read at the offsets j - j0
@@ -404,20 +395,15 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
     d0 = js[0] - j0s[-1]
     wholes = temporal_green_whole_sweep(scheme, ns,
                                         np.arange(d0, js[-1] - j0s[0] + 1))
-    abs_err = np.empty((ns.size, j0s.size, js.size))
-    args = np.empty((ns.size, j0s.size))
-    for k, n in enumerate(ns):
-        for i, j0 in enumerate(j0s):
-            g = green[k, i]
-            gt = wholes[k, js - j0 - d0]
-            ind = 1 if n * scheme.p >= j0 else 0
-            act = _activation(scheme, rep, int(n), int(j0))
-            err = g - gt - ind * ru_all[j0 - 1, js - 1] - act * rc[js - 1]
-            abs_err[k, i] = np.abs(err)
-            args[k, i] = (abs(n * rep.alpha + j0) / n ** (1.0 / (2 * mu))) ** expo
-
+    terms = _layer_terms(at_one, ns, j0s, js)
+    abs_err = np.abs(terms.err(green, wholes[:, js - j0s[:, None] - d0],
+                               terms.rc))
     scale_n = ns.astype(float) ** (1.0 / (2 * mu))
     heat = scale_n[:, None] * abs_err.max(axis=2)
+    # libm's pow on each cell: numpy's array power rounds some cells an ulp
+    # apart (one in twenty at mu = 2), and the suprema are pinned bitwise
+    args = np.array([[v ** expo for v in row] for row in (
+        np.abs(ns[:, None] * rep.alpha + j0s) / scale_n[:, None]).tolist()])
     sups = np.empty((c0s.size, ns.size))
     for a, c0 in enumerate(c0s):
         # large trial rates overflow the Gaussian weight; a zero-error cell
@@ -440,37 +426,34 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
                        adjoint_residual=adjoint_scheme(scheme)[1])
 
 
-def rc_empirical(scheme: SchemeDefinition, j0: int, n: int, window: int, *,
-                 at_one=None, green=None) -> BoundaryLayerProfile:
-    """Reflected layer extracted from evolution snapshots: the Green
-    difference minus the transmitted layer, divided by the activation.
-
-    green is a `GreenPair` holding G(n, j0, .) and Gt(n, . - j0) on
-    j = 1..window, e.g. from one `green_pair` over several n; without it
-    both are evolved here.
-    """
-    if j0 < 1 or window < 1 or n < 0:
-        raise ValueError("need j0 >= 1, window >= 1, n >= 0")
-    js = np.arange(1, window + 1)
-    if n == 0:
-        warnings.warn("degenerate extraction at n = 0: activation is zero, "
-                      "returning the raw Green difference", stacklevel=2)
-        return _profile("reflected", "empirical", js, np.zeros(window))
+def rc_empirical(scheme: SchemeDefinition, j0: int, ns, window: int, *,
+                 at_one=None) -> list:
+    """Reflected layer extracted from evolution snapshots at each time of
+    the ascending ns: the Green difference minus the transmitted layer,
+    divided by the activation; one profile per time, all read from one
+    sweep of each kernel."""
+    j0, window = _integers((j0, window), "j0 and window")
+    ns = _check_times(ns)
+    if j0 < 1 or window < 1:
+        raise ValueError("need j0 >= 1, window >= 1")
     at_one = _at_one(scheme, at_one)
-    rep = at_one.rep1
-    if n < 2.0 * j0 / abs(rep.alpha):
-        warnings.warn(
-            f"activation regime barely reached (n = {n} < 2 j0/|alpha| = "
-            f"{2.0 * j0 / abs(rep.alpha):.0f}); extraction is biased",
-            stacklevel=2)
-    if green is None:
-        green = green_pair(scheme, j0, [n], window)
-    g, gt = green.at(n, j0, window)
-    ind = 1 if n * scheme.p >= j0 else 0
-    ru_row = at_one.ru_row(j0, window) if ind else np.zeros(window)
-    act = _activation(scheme, rep, n, j0)
-    vals = (g - gt - ind * ru_row) / act
-    return _profile("reflected", "empirical", js, vals)
+    alpha = at_one.rep1.alpha
+    for n in ns:
+        if n == 0:
+            warnings.warn("degenerate extraction at n = 0: activation is "
+                          "zero, returning a zero profile", stacklevel=2)
+        elif n < 2.0 * j0 / abs(alpha):
+            warnings.warn(
+                f"activation regime barely reached (n = {n} < 2 j0/|alpha| "
+                f"= {2.0 * j0 / abs(alpha):.0f}); extraction is biased",
+                stacklevel=2)
+    js = np.arange(1, window + 1)
+    g, gt = _forward(scheme, ns, j0, js)
+    terms = _layer_terms(at_one, ns, [j0], js)
+    reflected = terms.err(g, gt, 0.0)[:, 0]
+    return [_profile("reflected", "empirical", js,
+                     reflected[k] / terms.act[k, 0] if n else
+                     np.zeros(window)) for k, n in enumerate(ns)]
 
 
 def whole_line_asymptotic_check(scheme: SchemeDefinition, n_list):
@@ -481,7 +464,7 @@ def whole_line_asymptotic_check(scheme: SchemeDefinition, n_list):
         raise ValueError(
             f"scheme fails the dissipativity hypothesis: {rep.failure}")
     params = GaussianParams(rep.mu, rep.beta)
-    ns = sorted(int(v) for v in n_list)
+    ns = sorted(_integers(n_list, "times"))
     if not ns:
         return []
     if ns[0] < 1:

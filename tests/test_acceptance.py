@@ -141,10 +141,9 @@ def test_criterion_3_growth_rates(growth_lfr, growth_o3):
 
 def test_criterion_4_reflected_layer(lfr):
     ana = rc_analytic(lfr, 25)
-    emp = rc_empirical(lfr, j0=50, n=500, window=25)
+    emp, emp2 = rc_empirical(lfr, j0=50, ns=(500, 1000), window=25)
     sup_500 = float(np.max(np.abs(emp.values - ana.values)))
     assert sup_500 < 1e-3, f"sup error at n=500 is {sup_500:.2e}"
-    emp2 = rc_empirical(lfr, j0=50, n=1000, window=25)
     sup_1000 = float(np.max(np.abs(emp2.values - ana.values)))
     assert sup_1000 <= max(sup_500 / 2.0, 1e-12), \
         f"sup error {sup_500:.2e} -> {sup_1000:.2e} did not halve"

@@ -289,6 +289,11 @@ def test_simulate_artifacts(tmp_path):
     assert abs(rep["snapshots"]["5"]["whole_mass"] - 1.0) < 1e-12
 
 
+def _sha256(out, names) -> dict:
+    return {name: hashlib.sha256(pathlib.Path(out, name).read_bytes())
+            .hexdigest() for name in names}
+
+
 # sha256 of simulate's CSVs and SVGs on the default lfr and o3 configs
 # (n_list [0, 8, 32, 128], j0 = 1): a change to any stored bit of the
 # Green's functions, to the rows written or to the writers shows here
@@ -320,9 +325,72 @@ SIMULATE_DIGESTS = {
 def test_simulate_artifacts_byte_pinned(tmp_path, builtin):
     code, out = run(tmp_path, "simulate", {"scheme": {"builtin": builtin}})
     assert code == 0
-    got = {name: hashlib.sha256(pathlib.Path(out, name).read_bytes())
-           .hexdigest() for name in SIMULATE_DIGESTS[builtin]}
-    assert got == SIMULATE_DIGESTS[builtin]
+    assert _sha256(out, SIMULATE_DIGESTS[builtin]) == SIMULATE_DIGESTS[builtin]
+
+
+# sha256 of the CSVs and SVGs of layers (j_max 25, j0 50, n 500, j0_list
+# [1, 2, 3, 4, 6, 8]) and err-map (the acceptance gate's grid, j = 1) on
+# the default lfr and o3 configs: the analytic and extracted layers and
+# the Err map are pinned to the bit
+LAYERS_DIGESTS = {
+    "lfr": {
+        "layer_rc.csv":
+            "25c2637062e23722f81213447e8c9591774b2ca5b7111213db2cd7f59e20cc81",
+        "layer_rc.svg":
+            "a280e60e031896ac51647fbe40d38826101cd3c7036e35e1f90cb04a6020b75b",
+        "layer_ru.csv":
+            "a49e71e5696f61fc9d9091fb3fd40106d8987d23defddb95e0640d3c63519dea",
+        "layer_ru.svg":
+            "a597ff1ba71089f9c2756c00f5497cf546201e68116d1666d27f931f5bd08c6d",
+    },
+    "o3": {
+        "layer_rc.csv":
+            "dc0e31e1f5f894eedfe8fc70e6e7242f746266741f72f5564653784265adc024",
+        "layer_rc.svg":
+            "fe47b7174b2ecfd426231c86a3d23af7b52bb4bdff4889f2a83b8c090116875d",
+        "layer_ru.csv":
+            "e1f3ef85e6fdc17e1599781a33af7878972622a2d759f8c092da45718014fdf3",
+        "layer_ru.svg":
+            "93f54ec41b8703d92d562c05627d8e3cc4a4a24bc0010530f3d96fa15509a877",
+    },
+}
+
+ERR_MAP_DIGESTS = {
+    "lfr": {
+        "err_c0.csv":
+            "7ff3f908c68e8d780fe25ec2f8c517ea567495b63ce86e7c8e7a3f2030558603",
+        "err_c0.svg":
+            "11108a1097d262e927dc6a6014bd61c201c6777147d00706279c91c95acd4b63",
+        "err_map.csv":
+            "10820b944dd0e1187de9868d8aa7c840df618dadc7a06952f90d300c494ab219",
+        "err_map.svg":
+            "fecadb9c2609ad986fb5d4e0308d808b4d50931003cb53ad2ae88211e02da7c4",
+    },
+    "o3": {
+        "err_c0.csv":
+            "f1fe1b97f3184bada5de5ec8190a1dad00177091c4747cd31415a45dca62171f",
+        "err_c0.svg":
+            "baf5191dee39c5f93b0f4c64b2743c3d293d0ce73fff331338d0018d770eb09d",
+        "err_map.csv":
+            "6ba7f063166f77dddc6b4f52159de537cac547397588a53ceced3a21850c666f",
+        "err_map.svg":
+            "398150d5829a01a39dc10300512c5b2a8dd2ec9126d78da912e7b673a98e388b",
+    },
+}
+
+
+@pytest.mark.parametrize("builtin", sorted(LAYERS_DIGESTS))
+def test_layers_artifacts_byte_pinned(tmp_path, builtin):
+    code, out = run(tmp_path, "layers", {"scheme": {"builtin": builtin}})
+    assert code == 0
+    assert _sha256(out, LAYERS_DIGESTS[builtin]) == LAYERS_DIGESTS[builtin]
+
+
+@pytest.mark.parametrize("builtin", sorted(ERR_MAP_DIGESTS))
+def test_err_map_artifacts_byte_pinned(tmp_path, builtin):
+    code, out = run(tmp_path, "err-map", {"scheme": {"builtin": builtin}})
+    assert code == 0
+    assert _sha256(out, ERR_MAP_DIGESTS[builtin]) == ERR_MAP_DIGESTS[builtin]
 
 
 def test_simulate_half_norms_are_interior(tmp_path):

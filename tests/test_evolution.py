@@ -202,8 +202,10 @@ def test_temporal_green_sweeps_bitwise(lfr, o3):
     lambda s: hl.temporal_green_whole_sweep(s, [2], [math.nan]),
     lambda s: hl.growth_experiment(s, [2], [4], 10, record=[2.5]),
     lambda s: hl.growth_experiment(s, [2], [4.5], 10),
+    lambda s: hl.growth_experiment(s, [math.inf], [4], 10.5),
+    lambda s: hl.apply_half_line(s, [5.0, 1.0], 2.5),
 ], ids=["all", "sources", "cells", "whole-times", "whole-cells",
-        "growth-record", "growth-sizes"])
+        "growth-record", "growth-sizes", "growth-horizon", "apply-steps"])
 def test_sweeps_refuse_non_integral_input(lfr, call):
     # a time, source or cell is refused, not truncated to an integer
     with pytest.raises(ValueError, match="must be integers"):

@@ -1,5 +1,6 @@
 """Boundary layers: analytic profiles, empirical extraction, error envelope."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,17 +9,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from halflab import evolution, layers
-from halflab.evolution import adjoint_scheme, temporal_green_sweep
+from halflab.evolution import (adjoint_scheme, temporal_green_rows,
+                               temporal_green_sweep,
+                               temporal_green_whole_sweep)
+from halflab.gaussian import GaussianParams
 from halflab.layers import (
     err_bound_fit,
     err_field,
-    green_pair,
     rc_analytic,
     rc_empirical,
     ru_analytic,
     whole_line_asymptotic_check,
 )
-from halflab.scheme import builtin_lfr, builtin_o3
+from halflab.scheme import builtin_lfr, builtin_o3, check_hypothesis_one
 from halflab.spectral import characteristic_roots, check_hypothesis_two
 
 from conftest import KAPPA_S_O3, o3_marginal_pair
@@ -121,7 +124,7 @@ def test_ru_o3_against_time_stepping(o3, j0):
 
 
 def test_rc_empirical_matches_analytic(lfr):
-    emp = rc_empirical(lfr, j0=50, n=500, window=25)
+    emp, = rc_empirical(lfr, j0=50, ns=[500], window=25)
     ana = rc_analytic(lfr, 25)
     assert emp.provenance == "empirical"
     assert np.max(np.abs(emp.values - ana.values)) < 1e-3
@@ -129,17 +132,34 @@ def test_rc_empirical_matches_analytic(lfr):
 
 def test_rc_empirical_warns_degenerate(lfr):
     with pytest.warns(UserWarning, match="degenerate extraction"):
-        prof = rc_empirical(lfr, j0=5, n=0, window=4)
+        prof, = rc_empirical(lfr, j0=5, ns=[0], window=4)
     assert np.max(np.abs(prof.values)) == 0.0
     with pytest.warns(UserWarning, match="activation regime barely reached"):
-        rc_empirical(lfr, j0=50, n=100, window=4)
+        rc_empirical(lfr, j0=50, ns=[100], window=4)
+
+
+def test_rc_empirical_warns_per_time(lfr):
+    # each time of the list is checked on its own: n = 0 and n = 100 warn,
+    # n = 500 does not, and its profile is the one a call at 500 alone gives
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zero, _, late = rc_empirical(lfr, j0=50, ns=(0, 100, 500), window=4)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert messages[0].startswith("degenerate extraction at n = 0")
+    assert messages[1].startswith("activation regime barely reached (n = 100 ")
+    assert np.max(np.abs(zero.values)) == 0.0
+    alone, = rc_empirical(lfr, j0=50, ns=[500], window=4)
+    assert late.values.tobytes() == alone.values.tobytes()
 
 
 def test_rc_empirical_validation(lfr):
     with pytest.raises(ValueError):
-        rc_empirical(lfr, j0=0, n=10, window=4)
+        rc_empirical(lfr, j0=0, ns=[10], window=4)
     with pytest.raises(ValueError):
-        rc_empirical(lfr, j0=1, n=-1, window=4)
+        rc_empirical(lfr, j0=1, ns=[-1], window=4)
+    with pytest.raises(ValueError, match="ascending"):
+        rc_empirical(lfr, j0=1, ns=[20, 10], window=4)
 
 
 def test_err_field_at_n_zero(lfr):
@@ -201,6 +221,71 @@ def test_err_bound_fit_sweeps_bitwise(lfr, monkeypatch, case):
     assert np.any(fit.heat > 0)
 
 
+def _cell_loop_fit(scheme, ns, j0s, js, c0s):
+    # heat and sups of err_bound_fit assembled one (n, j0) cell at a time
+    # from the same sweeps and layers, with scalar activations and weights
+    rep = check_hypothesis_one(scheme)
+    mu = rep.mu
+    expo = 2.0 * mu / (2.0 * mu - 1.0)
+    params = GaussianParams(rep.mu, rep.beta)
+    window = int(js[-1])
+    if layers._AtOne(scheme).marginal:
+        rc = rc_analytic(scheme, window).values
+        ru_all = ru_analytic(scheme, int(j0s[-1]), window).values
+    else:
+        rc = np.zeros(window)
+        ru_all = np.zeros((int(j0s[-1]), window))
+    green = temporal_green_rows(scheme, ns, j0s, js)
+    d0 = js[0] - j0s[-1]
+    wholes = temporal_green_whole_sweep(scheme, ns,
+                                        np.arange(d0, js[-1] - j0s[0] + 1))
+    abs_err = np.empty((ns.size, j0s.size, js.size))
+    args = np.empty((ns.size, j0s.size))
+    for k, n in enumerate(ns):
+        for i, j0 in enumerate(j0s):
+            g = green[k, i]
+            gt = wholes[k, js - j0 - d0]
+            ind = 1 if n * scheme.p >= j0 else 0
+            x = (int(j0) + int(n) * rep.alpha) / int(n) ** (1.0 / (2 * mu))
+            act = float(layers.gaussian_e(x, params))
+            err = g - gt - ind * ru_all[j0 - 1, js - 1] - act * rc[js - 1]
+            abs_err[k, i] = np.abs(err)
+            args[k, i] = (abs(n * rep.alpha + j0)
+                          / n ** (1.0 / (2 * mu))) ** expo
+    scale_n = ns.astype(float) ** (1.0 / (2 * mu))
+    heat = scale_n[:, None] * abs_err.max(axis=2)
+    sups = np.empty((c0s.size, ns.size))
+    for a, c0 in enumerate(c0s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = (abs_err * np.exp(c0 * js)[None, None, :]
+                        * np.exp(c0 * args)[:, :, None]
+                        * scale_n[:, None, None])
+        weighted = np.where(np.isnan(weighted), 0.0, weighted)
+        sups[a] = weighted.max(axis=(1, 2))
+    return heat, sups
+
+
+@pytest.mark.parametrize("case", ["lfr", "o3", "o3_pair"])
+def test_err_bound_fit_matches_the_cell_loop(lfr, case):
+    # the array expressions against the per-cell loop, bitwise, with the
+    # default trial rates: on the default (n, j0) grid with several cells
+    # j, and on grids of one source, where each supremum reads the weight
+    # of a single (n, j0) cell, so that a weight rounded otherwise shows
+    scheme = {"lfr": lambda: lfr,
+              "o3": lambda: builtin_o3(-0.5, 0.0, 0.0),
+              "o3_pair": lambda: builtin_o3(-0.4, *o3_marginal_pair(-0.4)),
+              }[case]()
+    grids = [dict(j_list=(1, 2, 5, 9))] + [
+        dict(n_list=range(20, 420, 10), j0_list=(j0,), j_list=(1, 3))
+        for j0 in (5, 60, 150)]
+    for kw in grids:
+        fit = err_bound_fit(scheme, **kw)
+        heat, sups = _cell_loop_fit(scheme, fit.n_values, fit.j0_values,
+                                    fit.j_values, fit.c0_values)
+        assert fit.heat.tobytes() == heat.tobytes()
+        assert fit.sups.tobytes() == sups.tobytes()
+
+
 @pytest.mark.parametrize("name", ["lfr", "o3"])
 def test_err_bound_fit_adjoint_route_keeps_verdict(lfr, o3, monkeypatch,
                                                    name):
@@ -233,11 +318,46 @@ def test_err_bound_fit_validation(lfr):
         err_bound_fit(lfr, n_list=(50, 100), j0_list=(0, 20), j_list=(1,))
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: err_bound_fit(s, n_list=(50.9, 100.2), j0_list=(10, 20),
+                            j_list=(1, 2)),
+    lambda s: err_bound_fit(s, n_list=(50, 100), j0_list=(10.5, 20),
+                            j_list=(1, 2)),
+    lambda s: err_bound_fit(s, n_list=(50, 100), j0_list=(10, 20),
+                            j_list=(1.7, 2)),
+    lambda s: whole_line_asymptotic_check(s, [50.5]),
+    lambda s: rc_analytic(s, 3.5),
+    lambda s: ru_analytic(s, 2.5, 4),
+    lambda s: ru_analytic(s, 2, math.nan),
+    lambda s: err_field(s, 10.5, 3, 4),
+    lambda s: err_field(s, 10, 3, 4.2),
+    lambda s: rc_empirical(s, 3.5, [10], 4),
+    lambda s: rc_empirical(s, 3, [10.5], 4),
+    lambda s: rc_empirical(s, 3, [10], 4.5),
+], ids=["fit-times", "fit-sources", "fit-cells", "whole-line-times",
+        "rc-bound", "ru-bound", "ru-nan", "err-time", "err-window",
+        "rc-source", "rc-times", "rc-window"])
+def test_layers_refuse_non_integral_input(lfr, call):
+    # a time, source, cell or bound is refused, not truncated to an integer
+    with pytest.raises(ValueError, match="must be integers"):
+        call(lfr)
+
+
+def test_layers_take_integral_floats(lfr):
+    assert rc_analytic(lfr, 4.0).values.tobytes() == \
+        rc_analytic(lfr, 4).values.tobytes()
+    kw = dict(j0_list=(10, 20), c0_list=(0.05, 0.2))
+    got = err_bound_fit(lfr, n_list=(50.0, np.int64(100)), j_list=(1.0, 2),
+                        **kw)
+    want = err_bound_fit(lfr, n_list=(50, 100), j_list=(1, 2), **kw)
+    assert got.sups.tobytes() == want.sups.tobytes()
+
+
 @pytest.mark.parametrize("name", ["lfr", "o3"])
 def test_shared_residue_data_is_bitwise(lfr, o3, name):
     # one _AtOne object through every layer function gives the bytes each
-    # function gives on its own, and the snapshots of one sweep over n and
-    # 2n give those of one run per n
+    # function gives on its own, and one extraction over n and 2n gives
+    # those of one call per n
     scheme = {"lfr": lfr, "o3": o3}[name]
     at_one = layers._AtOne(scheme)
     pairs = [
@@ -245,11 +365,9 @@ def test_shared_residue_data_is_bitwise(lfr, o3, name):
         (ru_analytic(scheme, 5, 12, at_one=at_one),
          ru_analytic(scheme, 5, 12)),
     ]
-    green = green_pair(scheme, 40, (200, 400), 12)
-    for n in green.ns:
-        pairs.append((rc_empirical(scheme, 40, n, 12, at_one=at_one,
-                                   green=green),
-                      rc_empirical(scheme, 40, n, 12)))
+    both = rc_empirical(scheme, 40, (200, 400), 12, at_one=at_one)
+    for n, got in zip((200, 400), both):
+        pairs.append((got, *rc_empirical(scheme, 40, [n], 12)))
     for got, want in pairs:
         assert got.values.tobytes() == want.values.tobytes()
         assert (got.decay_C, got.decay_c) == (want.decay_C, want.decay_c)
@@ -265,15 +383,6 @@ def test_shared_residue_data_is_bitwise(lfr, o3, name):
     assert got.heat.tobytes() == want.heat.tobytes()
     with pytest.raises(ValueError, match="another scheme"):
         rc_analytic(builtin_lfr(-0.5, 0.75, 5.0), 12, at_one=at_one)
-    # G and Gt at n = 400 only, at other n than the call's, at another
-    # source or on another window; a G row cannot meet a Gt row of another
-    # n, since one pair labels both with the same times
-    for green in (green_pair(scheme, 40, [400], 12),
-                  green_pair(scheme, 40, (100, 300), 12),
-                  green_pair(scheme, 41, (200, 400), 12),
-                  green_pair(scheme, 40, (200, 400), 11)):
-        with pytest.raises(ValueError, match="snapshots"):
-            rc_empirical(scheme, 40, 200, 12, green=green)
 
 
 def test_whole_line_asymptotic_check(lfr):
