@@ -27,7 +27,7 @@ call takes each recorded time, while `temporal_green_sweep`,
 their caller reads, step only the views those cells depend on (the domain
 of dependence, bounded by the finite support above), and return exactly
 those values.  Times, sources and cells are integers: a non-integral one
-is refused, not truncated.
+is refused, not truncated (`scheme._indices`).
 
 Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
 is the j0 entry of (T^T)^n delta_j, and the transpose T^T is itself a
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .scheme import SchemeDefinition
+from .scheme import SchemeDefinition, _indices
 
 __all__ = [
     "GhostConsistencyError", "apply_half_line", "temporal_green_sweep",
@@ -91,9 +91,7 @@ def apply_half_line(scheme: SchemeDefinition, values,
     r, p = scheme.r, scheme.p
     if values.ndim != 1 or values.size < r + 1:
         raise ValueError("values must hold the ghosts and at least u_1")
-    nsteps, = _integers([nsteps], "step counts")
-    if nsteps < 0:
-        raise ValueError("nsteps must be >= 0")
+    nsteps, = _indices([nsteps], 0, "step counts").tolist()
     _check_ghosts(scheme, values)
     size = values.size + r * nsteps
     # the kernel zeroes the top p rows, which the support never reaches
@@ -161,33 +159,11 @@ def _half_step(scheme: SchemeDefinition):
                                              scheme.p, scheme.p_b, k)
 
 
-def _integers(values, what: str) -> list:
-    # values as ints; a non-integral entry (2.7, nan, "3") is refused, not
-    # truncated
-    out = []
-    for v in values:
-        try:
-            k = int(v)
-        except (TypeError, ValueError, OverflowError):
-            k = None
-        if k is None or k != v:
-            raise ValueError(f"{what} must be integers, got {v!r}")
-        out.append(k)
-    return out
-
-
 def _check_times(ns) -> list:
-    ns = _integers(ns, "times")
-    if not ns or ns[0] < 0 or any(b < a for a, b in zip(ns, ns[1:])):
-        raise ValueError("times must be a nonempty ascending list of n >= 0")
+    ns = _indices(ns, 0, "times").tolist()
+    if any(b < a for a, b in zip(ns, ns[1:])):
+        raise ValueError("times must be ascending")
     return ns
-
-
-def _check_cells(js, least, what: str = "cells") -> np.ndarray:
-    js = np.asarray(_integers(js, what), dtype=int)
-    if js.size == 0 or js.min() < least:
-        raise ValueError(f"{what} must be a nonempty list of j >= {least}")
-    return js
 
 
 def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s, js) -> np.ndarray:
@@ -199,9 +175,9 @@ def temporal_green_sweep(scheme: SchemeDefinition, ns, j0s, js) -> np.ndarray:
     notes in `_kernels`); at n = 0 it is the Dirac mass, with the ghosts
     the boundary rule gives it."""
     ns = _check_times(ns)
-    j0s = _check_cells(j0s, 1, "sources")
+    j0s = _indices(j0s, 1, "sources")
     r, p = scheme.r, scheme.p
-    rows = _check_cells(js, 1 - r) + r - 1
+    rows = _indices(js, 1 - r, "cells") + r - 1
     buf = np.zeros((max(int(j0s.max()) + r * ns[-1] + p + r,
                         int(rows.max()) + 1), j0s.size))
     # a Dirac mass per column, its ghosts from the kernel's boundary rule
@@ -268,7 +244,7 @@ def temporal_green_whole_sweep(scheme: SchemeDefinition, ns, js) -> np.ndarray:
     depend on; each value is bitwise that of the scalar per-cell loops run
     on the unit source alone."""
     ns = _check_times(ns)
-    js = _check_cells(js, -math.inf)
+    js = _indices(js, -math.inf, "cells")
     r, p = scheme.r, scheme.p
     lo = min(-p * ns[-1] - r, int(js.min()))
     buf = np.zeros(max(r * ns[-1] + p, int(js.max())) - lo + 1)
@@ -314,23 +290,17 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
     same snapshots.  The ratios lower-bound the operator norm of T^n on the
     j >= 1 space; they are never claimed as the exact norm.
     """
-    n_max, = _integers([n_max], "time horizons")
-    if n_max < 1:
-        raise ValueError("time horizon must be >= 1")
-    if not J_list:
-        raise ValueError("J list must be nonempty")
+    n_max, = _indices([n_max], 1, "time horizons").tolist()
+    Js = _indices(J_list, 1, "J sizes").tolist()
     qs = [float(q) for q in q_list]
     if not qs or not all(q >= 1 for q in qs):
         raise ValueError("need at least one norm exponent, each q >= 1")
     ns = np.arange(1, n_max + 1) if record is None else \
-        np.asarray(sorted(set(_integers(record, "recording times"))),
-                   dtype=int)
-    if ns.size == 0 or ns[0] < 1 or ns[-1] > n_max:
+        np.asarray(sorted(set(_indices(record, 1, "recording times")
+                              .tolist())), dtype=int)
+    if ns[-1] > n_max:
         raise ValueError("recording times must lie in 1..n_max")
     r = scheme.r
-    Js = _integers(J_list, "J sizes")
-    if min(Js) < 1:
-        raise ValueError("J sizes must be >= 1")
     buf = np.zeros((max(Js) + r * n_max + scheme.p + r, len(Js)))
     denoms = np.empty((len(qs), len(Js)))
     for c, J in enumerate(Js):

@@ -45,7 +45,7 @@ so the suprema move only at cells where |Err| is at roundoff.
 `rc_empirical` and `err_field` read G(n, j0, j) and Gt(n, j - j0) on
 j = 1..window at every time they take from one forward sweep of each
 kernel.  Times, sources, cells and grid bounds are integers: a
-non-integral one is refused, not truncated.
+non-integral one is refused, not truncated (`scheme._indices`).
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (_check_times, _integers, adjoint_scheme,
-                        temporal_green_rows, temporal_green_sweep,
-                        temporal_green_whole_sweep)
+from .evolution import (_check_times, adjoint_scheme, temporal_green_rows,
+                        temporal_green_sweep, temporal_green_whole_sweep)
 from .gaussian import GaussianParams, gaussian_e, gaussian_h
-from .scheme import SchemeDefinition, boundary_matrix, check_hypothesis_one
+from .scheme import (SchemeDefinition, _indices, boundary_matrix,
+                     check_hypothesis_one)
 from .spectral import (_boundary_zero, _lopatinskii_matrix, lopatinskii,
                        lopatinskii_derivative_at_one, projector_set)
 
@@ -210,9 +210,7 @@ def _at_one(scheme: SchemeDefinition, at_one) -> _AtOne:
 def rc_analytic(scheme: SchemeDefinition, J_max: int, *,
                 at_one=None) -> BoundaryLayerProfile:
     """Reflected layer Rc(j), j = 1..J_max, from the residue data at z = 1."""
-    J_max, = _integers([J_max], "grid bounds")
-    if J_max < 1:
-        raise ValueError("J_max must be >= 1")
+    J_max, = _indices([J_max], 1, "grid bounds").tolist()
     at_one = _at_one(scheme, at_one)
     ps = at_one.projectors
     w = (ps.pi_c @ ps.e.astype(complex)) / scheme.a[-1]
@@ -230,9 +228,7 @@ def ru_analytic(scheme: SchemeDefinition, j0_max: int, j_max: int, *,
     Identically zero when p = 1: the strictly unstable class at z = 1 is
     empty, so the pi_su source vanishes.
     """
-    j0_max, j_max = _integers((j0_max, j_max), "grid bounds")
-    if j0_max < 1 or j_max < 1:
-        raise ValueError("grid bounds must be >= 1")
+    j0_max, j_max = _indices((j0_max, j_max), 1, "grid bounds").tolist()
     at_one = _at_one(scheme, at_one)
     ps = at_one.projectors
     js0 = np.arange(1, j0_max + 1)
@@ -321,9 +317,8 @@ def err_field(scheme: SchemeDefinition, n: int, j0: int, window: int, *,
               at_one=None) -> ErrField:
     """Err(n, j0, j) for j = 1..window, assembled exactly from the
     decomposition (layers taken as zero outside the marginal regime)."""
-    n, j0, window = _integers((n, j0, window), "n, j0 and window")
-    if n < 0 or j0 < 1 or window < 1:
-        raise ValueError("need n >= 0, j0 >= 1, window >= 1")
+    n, = _indices([n], 0, "times").tolist()
+    j0, window = _indices((j0, window), 1, "j0 and window").tolist()
     at_one = _at_one(scheme, at_one)
     js = np.arange(1, window + 1)
     g, gt = _forward(scheme, [n], j0, js)
@@ -366,9 +361,9 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
                   j0_list=None, j_list=(1,), c0_list=None,
                   growth_tol: float = 0.05, *, at_one=None) -> ErrBoundFit:
     """Measure the Gaussian-in-j0, exponential-in-j envelope of Err."""
-    ns = np.asarray(sorted(_integers(n_list, "times")), dtype=int)
-    if ns.size == 0 or ns[0] < 1:
-        raise ValueError("n grid must be nonempty and positive")
+    # sorted, not np.sort, which would load numpy's SIMD sort (0.4 MB of
+    # peak RSS)
+    ns = np.array(sorted(_indices(n_list, 1, "times")))
     at_one = _at_one(scheme, at_one)
     rep = at_one.rep1
     if j0_list is None:
@@ -376,16 +371,13 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
         # without those cells makes the comparison across n vacuous
         j0_list = set(range(50, 1001, 50)) | {
             math.ceil(n * abs(rep.alpha)) for n in ns}
-    j0s = np.asarray(sorted(_integers(j0_list, "sources")), dtype=int)
-    js = np.asarray(sorted(_integers(j_list, "cells")), dtype=int)
-    if j0s.size == 0 or js.size == 0:
-        raise ValueError("j0 and j grids must be nonempty")
-    if j0s[0] < 1:
-        raise ValueError("source cells must satisfy j0 >= 1")
-    if js[0] < 1:
-        raise ValueError("cells must satisfy j >= 1")
+    j0s = np.array(sorted(_indices(j0_list, 1, "sources")))
+    js = np.array(sorted(_indices(j_list, 1, "cells")))
     c0s = (np.geomspace(1e-3, 2.0, 40) if c0_list is None
            else np.asarray(c0_list, dtype=float))
+    if not (c0s.size and np.all(np.isfinite(c0s) & (c0s > 0))):
+        raise ValueError("trial rates c0 must be a nonempty list of finite "
+                         "rates > 0")
     mu = rep.mu
     expo = 2.0 * mu / (2.0 * mu - 1.0)
     # one sweep per kernel, each recorded at every n: the adjoint on the
@@ -432,10 +424,8 @@ def rc_empirical(scheme: SchemeDefinition, j0: int, ns, window: int, *,
     the ascending ns: the Green difference minus the transmitted layer,
     divided by the activation; one profile per time, all read from one
     sweep of each kernel."""
-    j0, window = _integers((j0, window), "j0 and window")
+    j0, window = _indices((j0, window), 1, "j0 and window").tolist()
     ns = _check_times(ns)
-    if j0 < 1 or window < 1:
-        raise ValueError("need j0 >= 1, window >= 1")
     at_one = _at_one(scheme, at_one)
     alpha = at_one.rep1.alpha
     for n in ns:
@@ -464,11 +454,7 @@ def whole_line_asymptotic_check(scheme: SchemeDefinition, n_list):
         raise ValueError(
             f"scheme fails the dissipativity hypothesis: {rep.failure}")
     params = GaussianParams(rep.mu, rep.beta)
-    ns = sorted(_integers(n_list, "times"))
-    if not ns:
-        return []
-    if ns[0] < 1:
-        raise ValueError("time grid must be positive")
+    ns = sorted(_indices(n_list, 1, "times").tolist())
     # Gt at every n on the widest support bound, from one sweep
     r, p = scheme.r, scheme.p
     js = np.arange(-p * ns[-1] - r, r * ns[-1] + p + 1)

@@ -30,6 +30,10 @@ independent oracle for time stepping, on a ring doubled until two rings
 agree.  Node k of N is node 2k of 2N (bitwise), so the nested rule
 `_trapezoid` (shared with the Gaussian profiles) halves the previous sum
 and adds only the new odd nodes; no node value is kept.
+
+Times, sources, cells, windows and truncation bounds are integers: a
+non-integral one is refused, not truncated (`scheme._indices`, the check
+evolution and layers use too).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import SchemeDefinition, boundary_matrix
+from .scheme import SchemeDefinition, _indices, boundary_matrix
 from .spectral import (_NEAR_CURVE, MultiplicityError, RootSolveError,
                        _char_coeffs, _char_stack, _char_values, _evaluate,
                        _lopatinskii_matrix)
@@ -351,12 +355,12 @@ def _refused(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 def _grid(scheme: SchemeDefinition, j0_list, j_list):
     """The sorted distinct sources and cells of a (j0, j) grid, refusing an
-    empty grid, one off the domain, and a non-finite coefficient, which the
-    residue sums would turn into NaN values instead of an error."""
-    j0s, js = (np.asarray(sorted(set(int(v) for v in vs)), dtype=int)
-               for vs in (j0_list, j_list))
-    if j0s.size == 0 or js.size == 0 or j0s[0] < 1 or js[0] < 1 - scheme.r:
-        raise ValueError("index grids must be nonempty and on the domain")
+    empty grid, a non-integral index, one off the domain, and a non-finite
+    coefficient, which the residue sums would turn into NaN values instead
+    of an error."""
+    j0s, js = (np.asarray(sorted(set(v.tolist())), dtype=int) for v in (
+        _indices(j0_list, 1, "sources"),
+        _indices(j_list, 1 - scheme.r, "cells")))
     if not (np.all(np.isfinite(scheme.a)) and np.all(np.isfinite(scheme.b))):
         raise ValueError("resolvent system has a non-finite coefficient")
     return j0s, js
@@ -403,12 +407,11 @@ def _whole(scheme: SchemeDefinition, zs: np.ndarray, offs: np.ndarray):
 
 def spatial_green_half(scheme: SchemeDefinition, z: complex, j0: int,
                        J_trunc: int | None = None) -> ResolventField:
-    """G(z, j0, .) on the cells 1-r..J_trunc (j0 + 200 by default) from
-    `_green`."""
-    J_trunc = j0 + 200 if J_trunc is None else J_trunc
-    if J_trunc < j0 + 200:
-        raise ValueError("truncation window must extend at least 200 cells "
-                         "past the source")
+    """G(z, j0, .) on the cells 1-r..J_trunc (at least j0 + 200, the
+    default) from `_green`."""
+    j0, = _indices([j0], 1, "sources").tolist()
+    J_trunc, = _indices([j0 + 200 if J_trunc is None else J_trunc], j0 + 200,
+                        "truncation bounds").tolist()
     z = complex(z)
     j0s, js = _grid(scheme, [j0], range(1 - scheme.r, J_trunc + 1))
     w = _green(scheme, np.array([z]), j0s, js)[0][0, 0]
@@ -423,8 +426,7 @@ def spatial_green_whole(scheme: SchemeDefinition, z: complex,
                         window: int) -> ResolventField:
     """Gt(z, .) on |j| <= window from `_whole`; z must be certified
     _NEAR_CURVE away from the symbol curve and may lie inside it."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window, = _indices([window], 1, "windows").tolist()
     z, top = complex(z), int(0.8 * window)
     vals = _whole(scheme, np.array([z]), np.arange(-window, window + 1))[0]
     return ResolventField(z, None, -window, vals, _residual(
@@ -436,7 +438,8 @@ def r_function(scheme: SchemeDefinition, z: complex, j0: int, j):
     from `_whole`; vectorized over the cells j >= 1 - r."""
     zs = np.array([complex(z)])
     j0s, js = _grid(scheme, [j0], np.ravel(j))
-    R = _green(scheme, zs, j0s, js)[0][0, 0] - _whole(scheme, zs, js - j0)[0]
+    R = _green(scheme, zs, j0s, js)[0][0, 0] - \
+        _whole(scheme, zs, js - j0s[0])[0]
     out = R[np.searchsorted(js, np.ravel(j))]
     return out[0] if np.ndim(j) == 0 else out.reshape(np.shape(j))
 
@@ -452,9 +455,8 @@ def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
     ring z_m = e^{r0} e^{2 pi i m/N}, doubled until two rings agree within
     tol.  values(zs) returns g at the nodes zs, shape (zs.size, a, b); it is
     only asked for the upper half-ring, since g(conj z) = conj g(z).  Returns
-    the real and imaginary parts, each of shape (a, n_max + 1, b), and N."""
-    if n_max < 0:
-        raise ValueError("time horizon must be >= 0")
+    the real and imaginary parts, each of shape (a, n_max + 1, b), and N;
+    n_max is an int >= 0 (its callers check it)."""
     if not math.isfinite(r0):
         raise ValueError("non-finite contour exponent r0")
     if r0 <= 0:
@@ -504,10 +506,11 @@ def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
     whole_line=True reconstructs the convolution kernel at cell j instead
     (j0 ignored).  Returns the complex trapezoid value; its imaginary part
     is a sanity diagnostic and stays at roundoff scale."""
+    n, = _indices([n], 0, "times").tolist()
     if not whole_line:
         table = inverse_laplace_table(scheme, n, [j0], [j], r0)
         return complex(table.values[0, n, 0], table.imag[0, n, 0])
-    offs = np.array([int(j)])
+    offs = _indices([j], -math.inf, "cells")
     real, imag, _ = _contour_sum(
         scheme, n, r0, _CONTOUR_TOL,
         lambda zs: _whole(scheme, zs, offs).reshape(-1, 1, 1))
@@ -541,6 +544,7 @@ def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
     """All reconstructions n <= n_max on a (j0, j) grid, each contour node
     from `_green` (conjugate symmetry halves the ring, and each doubled
     ring evaluates only its new odd nodes)."""
+    n_max, = _indices([n_max], 0, "time horizons").tolist()
     j0s, js = _grid(scheme, j0_list, j_list)
     core = 0
 

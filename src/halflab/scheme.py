@@ -325,6 +325,27 @@ def builtin_o3(alpha: float, b1: float, b2: float) -> SchemeDefinition:
                             lam=1.0, v=alpha, name="o3")
 
 
+def _indices(values, least, what: str) -> np.ndarray:
+    """values as a nonempty int array with every entry >= least: the one
+    check of the library's times, sources, cells and grid bounds.  A
+    non-integral entry (2.7, nan, "3") is refused, not truncated; integral
+    floats and numpy ints pass."""
+    out = []
+    for v in values:
+        try:
+            k = int(v)
+        except (TypeError, ValueError, OverflowError):
+            k = None
+        if k is None or k != v:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        out.append(k)
+    if not out:
+        raise ValueError(f"{what} must be nonempty")
+    if min(out) < least:
+        raise ValueError(f"{what} must be >= {least}, got {min(out)}")
+    return np.array(out, dtype=int)
+
+
 def _parse_number(x) -> float:
     """Accept JSON numbers plus exact decimal or rational strings; a
     zero denominator or a value beyond the float range is a ValueError."""

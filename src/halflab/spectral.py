@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .scheme import SchemeDefinition, boundary_matrix
+from .scheme import SchemeDefinition, _indices, boundary_matrix
 
 __all__ = [
     "RootSolveError", "MultiplicityError", "EigenConditioningError",
@@ -569,8 +569,11 @@ def check_hypothesis_two(scheme: SchemeDefinition,
     zero with a nonvanishing residue gives the marginal verdict, anything
     else is uniformly stable.
     """
-    if annulus_samples < 8:
-        raise ValueError("need at least 8 samples per radius")
+    annulus_samples, = _indices([annulus_samples], 8,
+                                "samples per radius").tolist()
+    radii = tuple(radii)
+    if not radii:
+        raise ValueError("need at least one radius")
     # nodes built in Python arithmetic, one per (radius, angle), so each
     # witness is bitwise the point a pointwise sweep would name
     zs = [rho * complex(math.cos(th), math.sin(th))
@@ -605,5 +608,5 @@ def check_hypothesis_two(scheme: SchemeDefinition,
     return StabilityReport(satisfied=satisfied, min_modulus=float(min_mod),
                            witness_z=witness, delta_at_one=delta1,
                            boundary_zero=boundary_zero, residue_ok=residue_ok,
-                           verdict=verdict, radii=tuple(radii),
+                           verdict=verdict, radii=radii,
                            samples_per_radius=annulus_samples)

@@ -393,6 +393,74 @@ def test_err_map_artifacts_byte_pinned(tmp_path, builtin):
     assert _sha256(out, ERR_MAP_DIGESTS[builtin]) == ERR_MAP_DIGESTS[builtin]
 
 
+# sha256 of the CSVs and SVGs of check (the sweep and the symbol curve),
+# growth (J_list [125, 250, 500, 1000], n_max 2000, q inf and 2) and
+# oracle (n_max 50, j0 in [1, 5, 10, 20, 30], j in [1, 3, 7, 15, 30], r0
+# in [0.02, 0.05, 0.2]) on the default lfr and o3 configs
+DEFAULT_DIGESTS = {
+    ("check", "lfr"): {
+        "check_lopatinskii.csv":
+            "8e946dda64ef3e38fd7584b1f57c8e5c34a38b8a98db2eff8e4822a70385ecb0",
+        "check_lopatinskii.svg":
+            "f72b2e4c45fc2fc5da54561289aece29be89aa71dc803acfd1aa9f9b5e7c4a19",
+        "check_symbol.csv":
+            "2ea0a00308539218118775aafaff6482ec8c865562b3a0d930351895ae4ef615",
+        "check_symbol.svg":
+            "24b7f04b5f7a40a0e437596dba62c50b177a3de3c499af0ad19f991b279346cf",
+    },
+    ("check", "o3"): {
+        "check_lopatinskii.csv":
+            "98b3ca2ed220bc7cd04effcc9eabb695f82645f0edb9f29da87abfd9c90e899a",
+        "check_lopatinskii.svg":
+            "ef502e484eacd88833913cda2c926c7898a88dcf4982276dfe39e1667a33df5d",
+        "check_symbol.csv":
+            "34b3961b61fbae4cee28cc8404e48cb29e45aae8ff1d5001cc957b2d2c0b9549",
+        "check_symbol.svg":
+            "176d4e253df48babeb19dab2fa7bc4f58fcc981be8bb6b6e76416167dd15ca61",
+    },
+    ("growth", "lfr"): {
+        "growth_q2.csv":
+            "c361dcb496e6cc10bbb0941aa1fc9e6cb729f76e2ddf77dcc75f18481e2d5a9d",
+        "growth_q2.svg":
+            "af42a804441d7eba4ad29873f12ccd768d942f8e334dc53628d1cb95a851ad3a",
+        "growth_qinf.csv":
+            "5f516cc0f79666af899e81ee4459b250099174256afb182b5ee5b25f917651dc",
+        "growth_qinf.svg":
+            "669fc16217467038901494a5200db0d822ab46afd2f767d7dbe632c7b26191b8",
+    },
+    ("growth", "o3"): {
+        "growth_q2.csv":
+            "83387a73a708411a115f87faeb9f30a87838160089ce26f0b5580e319963250b",
+        "growth_q2.svg":
+            "bc7cf87f6ac6062a1c6bd47e174628b059270672ceaa427a9dbf6c3e0384e600",
+        "growth_qinf.csv":
+            "9e019c1771cd50df7d664fdf24d9439464cace718bf10081c227d47abf91124d",
+        "growth_qinf.svg":
+            "bba7810a87f6a5b742da2b8478472819e2113f3ee03bfcb3a56a0f14d0e86781",
+    },
+    ("oracle", "lfr"): {
+        "oracle.csv":
+            "35e43f331258790504f5889d47f7de6ab89ef8ce9672be6467670749c9e6b85e",
+        "oracle_err.svg":
+            "04e58397514b2a818584b0d409b7b59709173cc5c4a1fdcb834732cc9c457efb",
+    },
+    ("oracle", "o3"): {
+        "oracle.csv":
+            "e3d1da9e57ff4740cb86265142e587fd64df3aa8da56b2e1b1f776198a58d14d",
+        "oracle_err.svg":
+            "b4b53b1a2853c6668b52ae417b72b0eb6504a93c461cbe1e4fb3fdf0ffb87a09",
+    },
+}
+
+
+@pytest.mark.parametrize("command, builtin", sorted(DEFAULT_DIGESTS))
+def test_default_artifacts_byte_pinned(tmp_path, command, builtin):
+    code, out = run(tmp_path, command, {"scheme": {"builtin": builtin}})
+    assert code == 0
+    want = DEFAULT_DIGESTS[command, builtin]
+    assert _sha256(out, want) == want
+
+
 def test_simulate_half_norms_are_interior(tmp_path):
     # the ghost u_0 = b u_1 = 5 u_1 of the default lfr is no cell of the
     # half line: sup and l1 are over j >= 1

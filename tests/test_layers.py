@@ -312,10 +312,20 @@ def test_err_bound_fit_validation(lfr):
     with pytest.raises(ValueError):
         err_bound_fit(lfr, n_list=(10,), j0_list=(), j_list=(1,))
     # j = 0 would read the layers at the far end of the window
-    with pytest.raises(ValueError, match="j >= 1"):
+    with pytest.raises(ValueError, match="cells must be >= 1"):
         err_bound_fit(lfr, n_list=(50, 100), j0_list=(10, 20), j_list=(0, 2))
-    with pytest.raises(ValueError, match="j0 >= 1"):
+    with pytest.raises(ValueError, match="sources must be >= 1"):
         err_bound_fit(lfr, n_list=(50, 100), j0_list=(0, 20), j_list=(1,))
+
+
+@pytest.mark.parametrize("c0_list", [[-1.0], [math.nan, 0.01], []],
+                         ids=["negative", "nan", "empty"])
+def test_err_bound_fit_refuses_bad_trial_rates(lfr, c0_list):
+    # each would give a verdict: best_c0 -1.0, a NaN row read as zero sups,
+    # and best_c0 0.0 from no rate tried
+    with pytest.raises(ValueError, match="trial rates"):
+        err_bound_fit(lfr, n_list=(50, 100), j0_list=(10, 20), j_list=(1,),
+                      c0_list=c0_list)
 
 
 @pytest.mark.parametrize("call", [
@@ -398,3 +408,5 @@ def test_whole_line_asymptotic_check(lfr):
 def test_whole_line_asymptotic_check_validation(lfr):
     with pytest.raises(ValueError):
         whole_line_asymptotic_check(lfr, [0])
+    with pytest.raises(ValueError, match="nonempty"):
+        whole_line_asymptotic_check(lfr, [])

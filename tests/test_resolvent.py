@@ -299,6 +299,44 @@ def test_table_validation(lfr):
         inverse_laplace_table(lfr, -1, [1], [1])
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: inverse_laplace_table(s, 3, [2.7], [1, 2]),
+    lambda s: inverse_laplace_table(s, 3, [2], [1.5, 2]),
+    lambda s: inverse_laplace_table(s, 2.5, [1], [1]),
+    lambda s: r_function(s, 2.0, 2.7, 3),
+    lambda s: r_function(s, 2.0, 2, [1, 3.5]),
+    lambda s: spatial_green_half(s, 2.0, 2.5),
+    lambda s: spatial_green_half(s, 2.0, 5, J_trunc=250.5),
+    lambda s: spatial_green_whole(s, 2.0, 3.5),
+    lambda s: inverse_laplace_reconstruct(s, 2.5, 1, 1),
+    lambda s: inverse_laplace_reconstruct(s, 3, 1, 1.5, whole_line=True),
+], ids=["table-source", "table-cell", "table-horizon", "r-source", "r-cell",
+        "half-source", "half-truncation", "whole-window", "reconstruct-time",
+        "reconstruct-whole-cell"])
+def test_resolvent_refuses_non_integral_input(lfr, call):
+    # a time, source, cell or window is refused, not truncated to an integer
+    with pytest.raises(ValueError, match="must be integers"):
+        call(lfr)
+
+
+def test_resolvent_takes_integral_floats(lfr):
+    got = inverse_laplace_table(lfr, 3.0, [np.int64(2), 1.0], [1.0, 2])
+    want = inverse_laplace_table(lfr, 3, [1, 2], [1, 2])
+    for name in ("n_values", "j0_values", "j_values", "values", "imag"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert r_function(lfr, 2.0, 2.0, [1.0, np.int64(3)]).tobytes() == \
+        r_function(lfr, 2.0, 2, [1, 3]).tobytes()
+    assert spatial_green_half(lfr, 2.0, 5.0, J_trunc=np.int64(205)) \
+        .values.tobytes() == spatial_green_half(lfr, 2.0, 5).values.tobytes()
+    assert spatial_green_whole(lfr, 2.0, 40.0).values.tobytes() == \
+        spatial_green_whole(lfr, 2.0, 40).values.tobytes()
+    assert inverse_laplace_reconstruct(lfr, 3.0, 1.0, 2.0) == \
+        inverse_laplace_reconstruct(lfr, 3, 1, 2)
+    assert inverse_laplace_reconstruct(
+        lfr, np.int64(3), 1, -1.0, whole_line=True) == \
+        inverse_laplace_reconstruct(lfr, 3, 1, -1, whole_line=True)
+
+
 def test_table_solves_each_nested_node_once(lfr):
     table = inverse_laplace_table(lfr, 6, [2], [1])
     assert table.solves == table.nodes // 2 + 1

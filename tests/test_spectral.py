@@ -516,6 +516,23 @@ def test_sweep_inside_curve_names_first_node(lfr):
     assert repr(zs[64]) in str(batch.value)
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(radii=[]), "at least one radius"),
+    (dict(annulus_samples=64.5), "must be integers"),
+    (dict(annulus_samples=4), "must be >= 8"),
+], ids=["no-radius", "half-samples", "few-samples"])
+def test_sweep_refuses_bad_arguments(lfr, kw, match):
+    # an empty sweep would return a verdict with min_modulus inf
+    with pytest.raises(ValueError, match=match):
+        hl.check_hypothesis_two(lfr, **kw)
+
+
+def test_sweep_takes_integral_float_samples(lfr):
+    got = hl.check_hypothesis_two(lfr, annulus_samples=64.0)
+    assert got == hl.check_hypothesis_two(lfr, annulus_samples=64)
+    assert type(got.samples_per_radius) is int
+
+
 def _lfr_stable_root(s, z):
     # closed-form roots of a_1 kappa^2 + (a_0 - z) kappa + a_{-1} = 0
     am1, a0, a1 = (complex(v) for v in s.a)
