@@ -57,6 +57,20 @@ term rather than from 0.0 changes at most the sign of a zero, which the
 flush stores as +0.0, so each column is bitwise the scalar per-cell loop on
 that column alone (acc = 0.0, the terms, the flush), whatever the window,
 the number of columns or the split of nsteps into several calls.
+
+How a step stores them.  The interior's flush is one mask, |core| < tiny,
+stored by `np.putmask(core, mask, 0.0)`.  `np.copyto(core, 0.0,
+where=mask)` stores the same zeros but walks the mask as runs, and the
+masks of a 2-D buffer are interleaved: each column's front ends at its own
+row, so a row's mask can be true in some columns only.  On a 1400 x 4
+window with growth's four fronts it took 9.3-14.8 us a store against
+4.5-6.4 us for putmask (two runs, best of 7, one core of a 2-core VM).
+The ghosts are refilled in Python floats from the new interior rows (one
+`tolist` per step, b converted once per call), the same IEEE products and
+sums in the same order, each flushed as a scalar: a ghost is a row of m
+cells, too short for numpy's per-call cost, so no ghost array is allocated
+per step.  Their cost grows with m and passes that of numpy rows near
+m = 10 (o3's rule, same machine); the default jobs step at most 5 columns.
 """
 
 import numpy as np
@@ -69,27 +83,31 @@ HAVE_NUMBA = False
 
 
 _TINY = np.finfo(float).tiny
+_TINY_F = float(_TINY)
 
 # steps that share one window and one set of views (see the module notes)
 _BLOCK = 64
 
 
 def _refill(u, b, r, p_b):
-    # ghost rows from the interior rows above them, ascending k per cell,
-    # each flushed (a ghost of a 1-D buffer is a scalar); the zero rule
+    # ghost rows from the interior rows above them in Python floats, b
+    # indexed as b[i][k]: per cell val = b_i1 u_1, val += b_ik u_k in
+    # ascending k, then the flush (see the module notes); the zero rule
     # (p_b = 0) stores zeros
     if p_b == 0:
         u[:r] = 0.0
         return
+    rows = u[r:r + p_b].tolist()
+    cols = [rows] if u.ndim == 1 else list(zip(*rows))
     for i in range(r):
-        val = b[i, 0] * u[r]
-        for k in range(2, p_b + 1):
-            val += b[i, k - 1] * u[r - 1 + k]
-        if u.ndim == 1:
-            val = 0.0 if abs(val) < _TINY else val
-        else:
-            val[np.abs(val) < _TINY] = 0.0
-        u[r - 1 - i] = val
+        bi = b[i]
+        ghost = []
+        for col in cols:
+            val = bi[0] * col[0]
+            for k in range(1, p_b):
+                val += bi[k] * col[k]
+            ghost.append(0.0 if abs(val) < _TINY_F else val)
+        u[r - 1 - i] = ghost[0] if u.ndim == 1 else ghost
 
 
 def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
@@ -104,29 +122,33 @@ def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
     # 0-d arrays: the same products as scalars, with cheaper ufunc dispatch
     w = [np.array(x, dtype=float) for x in a]
     tiny = np.array(_TINY)
+    # the ghost weights as Python floats, converted once per call
+    rule = np.asarray(b, dtype=float).tolist()
     for s0 in range(1, nsteps + 1, _BLOCK):
         e = min(s0 + _BLOCK - 1, nsteps)
         top = min(hi + r * e, N - p - 1)
         term, flush = scratch[r:top + 1], small[r:top + 1]
-        views = [(dst, dst[r:top + 1],
-                  [src[r + k:top + 1 + k] for k in range(-r, p + 1)])
-                 for src, dst in ((cur, nxt), (nxt, cur))]
+        views = []
+        for src, dst in ((cur, nxt), (nxt, cur)):
+            st = [src[r + k:top + 1 + k] for k in range(-r, p + 1)]
+            views.append((dst, dst[r:top + 1], st[0],
+                          list(zip(w[1:], st[1:]))))
         for s in range(s0, e + 1):
-            dst, core, src = views[(s - s0) % 2]
-            np.multiply(w[0], src[0], out=core)
-            for wk, uk in zip(w[1:], src[1:]):
+            dst, core, first, terms = views[(s - s0) % 2]
+            np.multiply(w[0], first, out=core)
+            for wk, uk in terms:
                 np.multiply(wk, uk, out=term)
                 core += term
             np.abs(core, out=term)
             np.less(term, tiny, out=flush)
-            np.copyto(core, 0.0, where=flush)
+            np.putmask(core, flush, 0.0)
             if s == 2:
                 # the only buffer whose top p rows can be nonzero (a full
                 # sweep never writes them)
                 entry[N - p:] = 0.0
             if p_b:
                 # the zero rule's ghosts stay as _evolve stored them
-                _refill(dst, b, r, p_b)
+                _refill(dst, rule, r, p_b)
         if (e - s0) % 2 == 0:
             # an odd number of steps: the block ends in the other buffer
             cur, nxt = nxt, cur

@@ -73,7 +73,8 @@ def _check_ghosts(scheme: SchemeDefinition, values: np.ndarray):
             if r - 1 + k < values.size:
                 want += scheme.b[i, k - 1] * values[r - 1 + k]
         got = values[r - 1 - i]
-        if abs(got - want) > _GHOST_TOL * scale:
+        # not <=, so that a NaN miss fails too
+        if not abs(got - want) <= _GHOST_TOL * scale:
             raise GhostConsistencyError(
                 f"ghost value at j={-i} is {got!r}, boundary rule gives "
                 f"{want!r} (tolerance {_GHOST_TOL:g} of scale {scale:g})")
@@ -85,12 +86,18 @@ def apply_half_line(scheme: SchemeDefinition, values,
     interior u_1, u_2, ... (zero past the end), returned on j = 1-r up to
     the last stored cell plus r nsteps, past which T^nsteps u is zero.
 
-    The input ghosts must satisfy the boundary rule within _GHOST_TOL of
-    the sup of values; the kernel recomputes them, never trusts them."""
+    Every value must be finite, and the input ghosts must satisfy the
+    boundary rule within _GHOST_TOL of the sup of values; the kernel
+    recomputes them, never trusts them."""
     values = np.array(values, dtype=float)
     r, p = scheme.r, scheme.p
     if values.ndim != 1 or values.size < r + 1:
         raise ValueError("values must hold the ghosts and at least u_1")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"values must be finite, got {float(values[i])!r}"
+                         f" at index {i} (j = {i + 1 - r})")
     nsteps, = _indices([nsteps], 0, "step counts").tolist()
     _check_ghosts(scheme, values)
     size = values.size + r * nsteps

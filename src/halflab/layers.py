@@ -339,7 +339,8 @@ class ErrBoundFit:
         n^{1/2mu} |Err| e^{c0 j} exp(c0 (|n alpha + j0| / n^{1/2mu})^{2mu/(2mu-1)}),
 
     and best_c0 is the largest trial rate whose suprema do not grow along
-    n_values (within growth_tol per step); 0.0 when every rate grows.
+    n_values (within growth_tol per step, a finite tolerance > 0); 0.0
+    when every rate grows.
     heat[k, i] is the unweighted n^{1/2mu} sup_j |Err(n, j0_i, j)|.
     adjoint_residual is the relative residual of the solve that built the
     transposed scheme G was read from (see `evolution.adjoint_scheme`).
@@ -378,6 +379,9 @@ def err_bound_fit(scheme: SchemeDefinition, n_list=(250, 500, 1000, 2000),
     if not (c0s.size and np.all(np.isfinite(c0s) & (c0s > 0))):
         raise ValueError("trial rates c0 must be a nonempty list of finite "
                          "rates > 0")
+    if not (math.isfinite(growth_tol) and growth_tol > 0):
+        raise ValueError(f"growth_tol must be finite and > 0, got "
+                         f"{growth_tol!r}")
     mu = rep.mu
     expo = 2.0 * mu / (2.0 * mu - 1.0)
     # one sweep per kernel, each recorded at every n: the adjoint on the

@@ -38,6 +38,25 @@ def test_ghost_contract_enforced(lfr):
         hl.apply_half_line(lfr, bad)
 
 
+@pytest.mark.parametrize("values,where", [
+    ([math.nan, 1.0], r"nan at index 0 \(j = 0\)"),
+    ([5.0, math.nan], r"nan at index 1 \(j = 1\)"),
+    ([5.0, 1.0, math.inf, math.nan], r"inf at index 2 \(j = 2\)"),
+    ([-math.inf, 1.0], r"-inf at index 0 \(j = 0\)"),
+], ids=["nan-ghost", "nan-interior", "inf-first", "inf-ghost"])
+def test_apply_refuses_non_finite_values(lfr, values, where):
+    # a NaN ghost used to pass the ghost check (NaN > tol is false) and a
+    # NaN interior cell to give all-NaN values without an error
+    with pytest.raises(ValueError, match="values must be finite, got " + where):
+        hl.apply_half_line(lfr, values, 2)
+
+
+def test_ghost_check_fails_on_nan_miss(lfr):
+    # the check itself, behind the finiteness test: a NaN miss fails it
+    with pytest.raises(GhostConsistencyError, match="ghost value at j=0"):
+        evolution._check_ghosts(lfr, np.array([math.nan, 1.0]))
+
+
 def test_finite_support_exact(lfr, o3):
     for s in (lfr, o3):
         for j0, n in ((1, 7), (4, 11)):

@@ -1,5 +1,6 @@
 """The evolution kernel against a plain-Python reference sweep."""
 
+import functools
 import re
 import zlib
 
@@ -369,6 +370,86 @@ def test_subnormal_ghosts_are_flushed(m):
     assert np.array_equal(split.view(np.uint64), one.view(np.uint64))
     ref = _evolve_half_loops(u0, a, b, 1, 1, 1, 4)
     assert np.array_equal(one.view(np.uint64), ref.view(np.uint64))
+
+
+# --- growth-shaped buffers: one column per J, fronts at far-apart rows -----
+
+# (r, p, p_b, a, b): lfr, o3 and a damped r = 2, p_b = 2 rule, each with a
+# first weight |a_-r| small enough that the fronts of flat data cross tiny
+# within GROWTH_N steps (0.125^341, (1/16)^256 and 0.05^237 < 2^-1022)
+GROWTH_RULES = {
+    "lfr": (1, 1, 1, [0.125, 0.25, 0.625], [[5.0]]),
+    "o3": (1, 2, 2, [-1 / 16, 9 / 16, 9 / 16, -1 / 16], [[1.2, -0.2]]),
+    "r2pb2": (2, 2, 2, [0.05, 0.2, 0.4, 0.25, 0.1],
+              [[0.5, 0.25], [0.25, 0.5]]),
+}
+# the growth job's J = 125 .. 1000 scaled down: the columns' supports end
+# at rows far apart, so each step's flush mask is interleaved by column
+GROWTH_JS = (3, 12, 40, 120)
+GROWTH_N = 400
+
+
+@functools.lru_cache(maxsize=None)
+def _growth_case(name):
+    # flat data u_J = 1 on j = 1..J in column J, and the loops' result
+    r, p, p_b, a, b = GROWTH_RULES[name]
+    u0 = np.zeros((max(GROWTH_JS) + r * GROWTH_N + p + r, len(GROWTH_JS)))
+    for c, J in enumerate(GROWTH_JS):
+        u0[r:r + J, c] = 1.0
+    ref = _evolve_half_loops(u0, np.array(a), np.array(b), r, p, p_b,
+                             GROWTH_N)
+    return u0, ref
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("name", sorted(GROWTH_RULES))
+def test_half_kernel_growth_columns_bitwise(name, block, monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", block)
+    r, p, p_b, a, b = GROWTH_RULES[name]
+    u0, ref = _growth_case(name)
+    out = K.evolve_half(u0, np.array(a), np.array(b), r, p, p_b, GROWTH_N)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert _no_subnormal(out)
+    # the case is real: every front was flushed below its support edge
+    # (row J + r n + r - 1), and the columns' live tops stay far apart
+    tops = [int(np.flatnonzero(out[:, c])[-1])
+            for c in range(len(GROWTH_JS))]
+    edges = [J + r * GROWTH_N + r - 1 for J in GROWTH_JS]
+    assert all(t < e for t, e in zip(tops, edges))
+    assert all(hi - lo > 5 for lo, hi in zip(tops, tops[1:]))
+
+
+@pytest.mark.parametrize("r,p,p_b,a,b", [
+    (1, 1, 1, [0.125, 0.25, 0.625], [[0.25]]),
+    # u_0 = u_1 / 4 flushes where u_-1 = 4 u_1 does not
+    (2, 1, 2, [0.03125, 0.0625, 0.25, 0.65625], [[0.25, 0.0], [4.0, 0.0]]),
+], ids=["r1", "r2"])
+def test_ghosts_flush_in_some_columns(r, p, p_b, a, b):
+    # columns of tiny, normal and zero data: after one step some ghosts of
+    # a row fall below tiny and are stored as +0.0 while the others of
+    # that row stay, and the run is bitwise the loops', split or not
+    a, b = np.array(a), np.array(b)
+    u0 = np.zeros((16, 5))
+    u0[r, :] = [8 * TINY, 1.0, -8 * TINY, 0.0, 8 * TINY]
+    u0[r + 1, 4] = 8 * TINY
+    step = K.evolve_half(u0, a, b, r, p, p_b, 1)
+    # each ghost before its flush, row i for u_-i, ascending k
+    raw = b[:, :1] * step[r]
+    for k in range(1, p_b):
+        raw = raw + b[:, k:k + 1] * step[r + k]
+    flushed = (raw != 0.0) & (np.abs(raw) < TINY)
+    assert flushed[0].any() and not flushed.all(axis=1).any()
+    ghosts = step[r - 1::-1]             # row i holds u_-i
+    assert np.all(ghosts[flushed] == 0.0)
+    assert np.array_equal(ghosts[~flushed], raw[~flushed])
+    assert _no_subnormal(step)
+    ref = _evolve_half_loops(u0, a, b, r, p, p_b, 1)
+    assert np.array_equal(step.view(np.uint64), ref.view(np.uint64))
+    one = K.evolve_half(u0, a, b, r, p, p_b, 6)
+    split = K.evolve_half(step, a, b, r, p, p_b, 5)
+    ref = _evolve_half_loops(u0, a, b, r, p, p_b, 6)
+    assert np.array_equal(one.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(split.view(np.uint64), one.view(np.uint64))
 
 
 def _flush_bound(a, b, r, p, p_b, N, nsteps, scale):
