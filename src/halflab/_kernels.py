@@ -82,8 +82,7 @@ __all__ = ["HAVE_NUMBA", "evolve_half", "evolve_whole"]
 HAVE_NUMBA = False
 
 
-_TINY = np.finfo(float).tiny
-_TINY_F = float(_TINY)
+_TINY = float(np.finfo(float).tiny)
 
 # steps that share one window and one set of views (see the module notes)
 _BLOCK = 64
@@ -106,7 +105,7 @@ def _refill(u, b, r, p_b):
             val = bi[0] * col[0]
             for k in range(1, p_b):
                 val += bi[k] * col[k]
-            ghost.append(0.0 if abs(val) < _TINY_F else val)
+            ghost.append(0.0 if abs(val) < _TINY else val)
         u[r - 1 - i] = ghost[0] if u.ndim == 1 else ghost
 
 

@@ -398,6 +398,9 @@ def _growth_case(name):
         u0[r:r + J, c] = 1.0
     ref = _evolve_half_loops(u0, np.array(a), np.array(b), r, p, p_b,
                              GROWTH_N)
+    # shared by every block length's case: read-only
+    u0.setflags(write=False)
+    ref.setflags(write=False)
     return u0, ref
 
 
