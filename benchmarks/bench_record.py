@@ -13,11 +13,11 @@ directions and bounds come from BENCHMARK.json.
 
 --compare prints, for each workload and metric of a BENCH file, both
 medians and quartiles, the change of the median (absolute and relative to
-the parent's), the pairs won and the metric's BENCHMARK.json bound.
+the parent's), the parent's IQR, the pairs won and the metric's
+BENCHMARK.json bound.
 
 Run:  python3 benchmarks/bench_record.py PARENT CHANGE --label NAME \\
-          [--seed 7] [--seconds 8] [--pairs 10] [--workloads paper ...] \\
-          [--scratch DIR]
+          [--seed 7] [--seconds 8] [--pairs 10] [--scratch DIR]
       python3 benchmarks/bench_record.py --compare BENCH_NAME.json
 (PARENT and CHANGE are commits of this repository; BENCH_NAME.json is
 written at the repository root; the exports are deleted afterwards)
@@ -94,8 +94,8 @@ def summarize(runs: list, spec: dict) -> dict:
         if not pairs:
             continue
         sign = 1.0 if meta["better"] == "lower" else -1.0
-        won = sum(1 for i in pairs
-                  if sign * (per_side["change"][i] - per_side["parent"][i]) < 0)
+        change, parent = per_side["change"], per_side["parent"]
+        won = sum(1 for i in pairs if sign * (change[i] - parent[i]) < 0)
         out[name] = {**meta, "pairs": len(pairs), "change_won": won,
                      **{side: _quartiles([per_side[side][i] for i in pairs])
                         for side in SIDES}}
@@ -103,10 +103,10 @@ def summarize(runs: list, spec: dict) -> dict:
 
 
 def record(parent: str, change: str, label: str, seed: int, seconds: int,
-           pairs: int, workloads, scratch=None) -> pathlib.Path:
+           pairs: int, scratch=None) -> pathlib.Path:
     """Runs the paired protocol and writes ROOT/BENCH_<label>.json."""
     spec = _spec()
-    runs = {w: [] for w in workloads}
+    runs = {w: [] for w in WORKLOADS}
     env = None
     with tempfile.TemporaryDirectory(dir=scratch) as tmp:
         dirs = {side: pathlib.Path(tmp, side) for side in SIDES}
@@ -114,7 +114,7 @@ def record(parent: str, change: str, label: str, seed: int, seconds: int,
                    for side, commit in zip(SIDES, (parent, change))}
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for w in workloads:
+            for w in WORKLOADS:
                 for side in order:
                     run_env, result = run_once(dirs[side], w, seed, seconds)
                     env = env or {k: v for k, v in run_env.items()
@@ -132,14 +132,15 @@ def record(parent: str, change: str, label: str, seed: int, seconds: int,
     doc = {"label": label, "env": env, "commits": commits, "seed": seed,
            "seconds": seconds, "pairs": pairs,
            "workloads": {w: {"summary": summarize(runs[w], spec),
-                             "runs": runs[w]} for w in workloads}}
+                             "runs": runs[w]} for w in WORKLOADS}}
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return path
 
 
-def compare_lines(doc: dict, spec: dict) -> list:
-    """One line per workload and metric of a BENCH document."""
+def compare_lines(doc: dict) -> list:
+    """One line per workload and metric of a BENCH document, with the bound
+    BENCHMARK.json gave when it was recorded."""
     lines = [f"{doc['label']}: parent {doc['commits']['parent'][:12]} -> "
              f"change {doc['commits']['change'][:12]}, seed {doc['seed']}, "
              f"{doc['seconds']} s runs, {doc['pairs']} pairs"]
@@ -151,7 +152,6 @@ def compare_lines(doc: dict, spec: dict) -> list:
             a, b = s["parent"], s["change"]
             diff = b["median"] - a["median"]
             rel = diff / a["median"] if a["median"] else float("nan")
-            bound = spec.get(name, {}).get("bound", s.get("bound"))
             lines.append(
                 f"  {name:12s} parent {a['median']:.4g} "
                 f"[{a['q1']:.4g}, {a['q3']:.4g}]  change {b['median']:.4g} "
@@ -159,7 +159,7 @@ def compare_lines(doc: dict, spec: dict) -> list:
                 f"({rel:+.1%}), parent IQR {a['q3'] - a['q1']:.4g}  "
                 f"change better in {s['change_won']}/{s['pairs']} pairs  "
                 f"(lower is {'better' if s['better'] == 'lower' else 'worse'}"
-                f"; bound {bound})")
+                f"; bound {s['bound']})")
     return lines
 
 
@@ -171,8 +171,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=int, default=8)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     parser.add_argument("--scratch", help="directory for the two exports")
     parser.add_argument("--compare", metavar="BENCH",
                         help="print a BENCH file against the bounds")
@@ -180,14 +178,14 @@ def main(argv=None) -> int:
     if args.compare:
         doc = json.loads(pathlib.Path(args.compare).read_text(
             encoding="utf-8"))
-        print("\n".join(compare_lines(doc, _spec())))
+        print("\n".join(compare_lines(doc)))
         return 0
     if len(args.commits) != 2 or not args.label or args.pairs < 2 \
             or args.seconds < 1:
         parser.error("give PARENT CHANGE, --label, --pairs >= 2 and "
                      "--seconds >= 1")
     path = record(*args.commits, args.label, args.seed, args.seconds,
-                  args.pairs, args.workloads, args.scratch)
+                  args.pairs, args.scratch)
     print(path)
     return 0
 

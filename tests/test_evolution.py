@@ -47,7 +47,7 @@ def test_ghost_contract_enforced(lfr):
 def test_apply_refuses_non_finite_values(lfr, values, where):
     # a NaN ghost used to pass the ghost check (NaN > tol is false) and a
     # NaN interior cell to give all-NaN values without an error
-    with pytest.raises(ValueError, match="values must be finite, got " + where):
+    with pytest.raises(ValueError, match="must be finite, got " + where):
         hl.apply_half_line(lfr, values, 2)
 
 

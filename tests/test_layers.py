@@ -331,8 +331,8 @@ def test_err_bound_fit_refuses_bad_trial_rates(lfr, c0_list):
 @pytest.mark.parametrize("growth_tol", [math.nan, math.inf, -1.0, 0.0],
                          ids=["nan", "inf", "negative", "zero"])
 def test_err_bound_fit_refuses_bad_growth_tol(lfr, growth_tol):
-    # nan and -1.0 used to give best_c0 0.0 as a verdict, where the default
-    # tolerance gives 0.05; no tolerance is read as "every rate grows"
+    # nan and -1.0 used to give best_c0 0.0 as a verdict (every rate read
+    # as growing), where the default tolerance gives 0.05
     with pytest.raises(ValueError, match="growth_tol"):
         err_bound_fit(lfr, n_list=(50, 100), j0_list=(10, 20), j_list=(1,),
                       c0_list=(0.01, 0.05), growth_tol=growth_tol)
