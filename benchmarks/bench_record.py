@@ -5,8 +5,11 @@ under one scratch directory, and `perfbench/run.py --trace 0` runs from
 each export on every workload: k pairs of one parent and one change run,
 the side that runs first swapped from pair to pair, the workloads
 interleaved inside each pair.  So slow drift of the machine falls on both
-sides alike.  The file records the `perfbench: env` line, both commits,
-the seed and seconds, every run's end-to-end metrics, `correct` and
+sides alike.  The file records the `perfbench: env` line, with the
+`PYTHONDONTWRITEBYTECODE` setting the runs inherit (`setup_s` counts
+compiling when bytecode cannot be written) and the two export directories
+(`peak_rss_mb` moves with their names), both commits, the seed and
+seconds, every run's end-to-end metrics, `correct` and
 `failed`, and per workload and metric each side's median and quartiles
 and the number of pairs in which the change did better.  Metric
 directions and bounds come from BENCHMARK.json.
@@ -26,6 +29,7 @@ written at the repository root; the exports are deleted afterwards)
 import argparse
 import io
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -117,8 +121,11 @@ def record(parent: str, change: str, label: str, seed: int, seconds: int,
             for w in WORKLOADS:
                 for side in order:
                     run_env, result = run_once(dirs[side], w, seed, seconds)
-                    env = env or {k: v for k, v in run_env.items()
-                                  if k != "commit"}
+                    env = env or {
+                        **{k: v for k, v in run_env.items() if k != "commit"},
+                        "PYTHONDONTWRITEBYTECODE":
+                            os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                        "exports": {s: str(d) for s, d in dirs.items()}}
                     runs[w].append({
                         "pair": i, "side": side, "first": side == order[0],
                         "correct": result["correct"],

@@ -11,11 +11,12 @@ are zero on both sides.
 Each step updates and flushes (below) the interior rows r .. top, keeps the
 top p rows of the buffer at zero, then refills the ghosts from the new
 interior and flushes them.  A single column steps as a 1-D buffer.  The
-window is fixed for a block of at most _BLOCK = 64 steps, so that its
-slices and stencil views are built once per block for each of the two
-buffers: with hi the highest row that is nonzero at entry (-1 if none)
-and e the last step of the block, every step of the block updates rows up
-to min(hi + r e, N - p - 1).  The support grows by at most r rows a step,
+window is fixed for the whole call, so that its slices and stencil views
+are built once per call for each of the two buffers: with hi the highest
+row that is nonzero at entry (-1 if none), every step updates rows up to
+min(hi + r nsteps, N - p - 1).  The caller sets how many steps a call
+takes (`evolution._recorded`, at most `evolution._CHUNK`), so that the
+window follows the live top.  The support grows by at most r rows a step,
 so at step s every row above hi + r s is zero, and a full sweep would
 write +0.0 there.  The kernel stores +0.0 there too: the rows above
 hi + r s that it updates read only rows above hi + r (s - 1), which hold
@@ -84,9 +85,6 @@ HAVE_NUMBA = False
 
 _TINY = float(np.finfo(float).tiny)
 
-# steps that share one window and one set of views (see the module notes)
-_BLOCK = 64
-
 
 def _refill(u, b, r, p_b):
     # ghost rows from the interior rows above them in Python floats, b
@@ -112,46 +110,39 @@ def _refill(u, b, r, p_b):
 def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
     # Vectorized over the rows of the window and the columns of a 1-D or
     # 2-D buffer; each cell accumulates in ascending k, then is flushed.
-    # The window and its views are fixed for a block of steps, one set for
-    # each of the two buffer parities.
+    # The window and its views are fixed for the call, one set for each of
+    # the two buffer parities.
     N = cur.shape[0]
     entry, nxt = cur, np.zeros_like(cur)
-    scratch = np.empty_like(cur)
-    small = np.empty(cur.shape, dtype=bool)
+    top = min(hi + r * nsteps, N - p - 1)
+    term = np.empty_like(cur[r:top + 1])
+    flush = np.empty(term.shape, dtype=bool)
     # 0-d arrays: the same products as scalars, with cheaper ufunc dispatch
     w = [np.array(x, dtype=float) for x in a]
     tiny = np.array(_TINY)
     # the ghost weights as Python floats, converted once per call
     rule = np.asarray(b, dtype=float).tolist()
-    for s0 in range(1, nsteps + 1, _BLOCK):
-        e = min(s0 + _BLOCK - 1, nsteps)
-        top = min(hi + r * e, N - p - 1)
-        term, flush = scratch[r:top + 1], small[r:top + 1]
-        views = []
-        for src, dst in ((cur, nxt), (nxt, cur)):
-            st = [src[r + k:top + 1 + k] for k in range(-r, p + 1)]
-            views.append((dst, dst[r:top + 1], st[0],
-                          list(zip(w[1:], st[1:]))))
-        for s in range(s0, e + 1):
-            dst, core, first, terms = views[(s - s0) % 2]
-            np.multiply(w[0], first, out=core)
-            for wk, uk in terms:
-                np.multiply(wk, uk, out=term)
-                core += term
-            np.abs(core, out=term)
-            np.less(term, tiny, out=flush)
-            np.putmask(core, flush, 0.0)
-            if s == 2:
-                # the only buffer whose top p rows can be nonzero (a full
-                # sweep never writes them)
-                entry[N - p:] = 0.0
-            if p_b:
-                # the zero rule's ghosts stay as _evolve stored them
-                _refill(dst, rule, r, p_b)
-        if (e - s0) % 2 == 0:
-            # an odd number of steps: the block ends in the other buffer
-            cur, nxt = nxt, cur
-    return cur
+    views = []
+    for src, dst in ((cur, nxt), (nxt, cur)):
+        st = [src[r + k:top + 1 + k] for k in range(-r, p + 1)]
+        views.append((dst, dst[r:top + 1], st[0], list(zip(w[1:], st[1:]))))
+    for s in range(1, nsteps + 1):
+        dst, core, first, terms = views[(s - 1) % 2]
+        np.multiply(w[0], first, out=core)
+        for wk, uk in terms:
+            np.multiply(wk, uk, out=term)
+            core += term
+        np.abs(core, out=term)
+        np.less(term, tiny, out=flush)
+        np.putmask(core, flush, 0.0)
+        if s == 2:
+            # the only buffer whose top p rows can be nonzero (a full
+            # sweep never writes them)
+            entry[N - p:] = 0.0
+        if p_b:
+            # the zero rule's ghosts stay as _evolve stored them
+            _refill(dst, rule, r, p_b)
+    return (cur, nxt)[nsteps % 2]
 
 
 def _evolve(sweep, u0, a, b, r, p, p_b, nsteps):

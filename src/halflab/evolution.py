@@ -20,14 +20,15 @@ with one column per source (j0 or J).  A cell's value does not depend on
 the buffer size, the other columns or the chunking (see `_kernels`), so
 every value a sweep returns is bitwise that of the scalar per-cell loops
 (acc = 0.0, the stencil terms in ascending k, the flush) run on that
-source alone.  `_recorded` is the one driver: `growth_experiment` reads
-whole columns, so each of its views is the whole buffer and one kernel
-call takes each recorded time, while `temporal_green_sweep`,
-`temporal_green_rows` and `temporal_green_whole_sweep` take the cells
-their caller reads, step only the views those cells depend on (the domain
-of dependence, bounded by the finite support above), and return exactly
-those values.  Times, sources and cells are integers: a non-integral one
-is refused, not truncated (`scheme._indices`).
+source alone.  `_recorded` is the one driver, and every kernel call takes
+at most `_CHUNK` steps: `growth_experiment` and `apply_half_line` read
+whole columns, so each of their views is the whole buffer, while
+`temporal_green_sweep`, `temporal_green_rows` and
+`temporal_green_whole_sweep` take the cells their caller reads, step only
+the views those cells depend on (the domain of dependence, bounded by the
+finite support above), and return exactly those values.  Times, sources
+and cells are integers: a non-integral one is refused, not truncated
+(`scheme._indices`).
 
 Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
 is the j0 entry of (T^T)^n delta_j, and the transpose T^T is itself a
@@ -104,13 +105,17 @@ def apply_half_line(scheme: SchemeDefinition, values,
     # the kernel zeroes the top p rows, which the support never reaches
     buf = np.zeros(size + p)
     buf[:values.size] = values
-    return _kernels.evolve_half(buf, scheme.a, scheme.b, r, p, scheme.p_b,
-                                nsteps)[:size]
+    # the ghosts from the rule, as the kernel fills them, also at 0 steps
+    _kernels._refill(buf, scheme.b, r, scheme.p_b)
+    *_, out = _recorded(buf, [nsteps], _half_step(scheme), r, p,
+                        reads=(0, buf.size - 1))
+    return out[:size]
 
 
-# the most steps one kernel call takes on a narrowed view: the view is the
-# domain of dependence at the chunk's start, so a longer chunk sweeps more
-# rows no read needs, and a shorter one makes more calls.  The optimum is
+# the most steps one kernel call takes: the kernel's window is the live top
+# at entry plus r rows a step, and a narrowed view is the domain of
+# dependence at the chunk's start, so a longer chunk sweeps more rows no
+# read needs, and a shorter one makes more calls.  The optimum is
 # flat: the four o3 sweeps of a default err-map and layers job took 139 /
 # 134 / 151, 156 / 153 / 157 and 127 / 122 / 137 ms in all at 32 / 64 / 128
 # steps in three runs of `benchmarks/bench_kernels.py` on a 2-core VM
@@ -120,7 +125,10 @@ _CHUNK = 64
 def _recorded(buf, ns, step, r, p, reads, source=None):
     """Advance buf through the ascending times ns by step(view, nsteps), one
     kernel call on a view of buf's leading axis, yielding buf at each time,
-    where the rows reads = (lo, hi) are exact.
+    where the rows reads = (lo, hi) are exact.  This is the one place that
+    sets how many steps a kernel call takes: at most _CHUNK, so that the
+    kernel's window, fixed for a call, follows the live top and the view
+    narrows as t grows.
 
     A row at time n depends on the rows at most r below and p above it per
     step back, so the rows exact at time t are those of the reads carried
@@ -135,10 +143,7 @@ def _recorded(buf, ns, step, r, p, reads, source=None):
     A view clipped at the buffer's top, where the support never reaches,
     zeroes true zeros; on the whole line (source: the row of the unit
     source) the bottom rises to the support's lower edge source - p t - r,
-    where the zero rule is exact, with no scan.  A chunk takes at most
-    _CHUNK steps, so that the view narrows as t grows, unless every view up
-    to the next time is the whole buffer (reads = (0, len - 1) in
-    `growth_experiment`): one call then takes all its steps.
+    where the zero rule is exact, with no scan.
     """
     size = buf.shape[0]
 
@@ -151,8 +156,7 @@ def _recorded(buf, ns, step, r, p, reads, source=None):
     for n in ns:
         while done < n:
             lo, hi = view(done)
-            c = n - done if view(n - 1) == (0, size - 1) else \
-                min(_CHUNK, n - done)
+            c = min(_CHUNK, n - done)
             if source is not None:
                 lo = max(lo, source - p * (done + c) - r)
             buf[lo:hi + 1] = step(buf[lo:hi + 1], c)

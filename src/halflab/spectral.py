@@ -445,22 +445,6 @@ class ProjectorSet:
     central: complex | None
     e: np.ndarray
 
-    def power_apply(self, n: int, vec: np.ndarray,
-                    which: str | None = None) -> np.ndarray:
-        """M(z)^n vec through the eigenbasis, optionally restricted to one
-        spectral class; n may be negative when the class avoids zero."""
-        coeffs = self.Vinv @ np.asarray(vec, dtype=complex)
-        lam = np.asarray(self.roots)
-        mask = np.zeros(lam.size, dtype=bool)
-        if which is None:
-            mask[:] = True
-        else:
-            mask[list(self.classes[which])] = True
-        out = np.zeros(self.V.shape[0], dtype=complex)
-        for k in np.nonzero(mask)[0]:
-            out += coeffs[k] * lam[k] ** n * self.V[:, k]
-        return out
-
 
 def projector_set(scheme: SchemeDefinition, z: complex) -> ProjectorSet:
     nodes = _evaluate(scheme, [complex(z)])
@@ -574,6 +558,10 @@ def check_hypothesis_two(scheme: SchemeDefinition,
     radii = tuple(radii)
     if not radii:
         raise ValueError("need at least one radius")
+    for rho in radii:
+        # not <=, so that NaN is refused too
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"radii must be finite and > 0, got {rho!r}")
     # nodes built in Python arithmetic, one per (radius, angle), so each
     # witness is bitwise the point a pointwise sweep would name
     zs = [rho * complex(math.cos(th), math.sin(th))

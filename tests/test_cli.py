@@ -106,6 +106,21 @@ def test_check_finds_off_grid_lopatinskii_zero(tmp_path, capsys):
     assert abs(witness - z) < 1e-6
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: no exclusion window covers the circle of radius "
+    "1.0000001, and |Delta| at its node z = 1.0000001 is 2e-7, below "
+    "_SWEEP_ZERO_TOL, so the default lfr's boundary zero at z = 1 is "
+    "named as a violation"))
+def test_check_near_unit_circle_keeps_marginal_verdict(tmp_path, capsys):
+    # the default lfr's only zero is the boundary zero at z = 1, so every
+    # admissible sweep must give its marginal verdict
+    code, out = run(tmp_path, "check", {"scheme": {"builtin": "lfr"},
+                                        "radii": [1.0000001]})
+    assert VERDICT_LFR in capsys.readouterr().out
+    assert code == 0
+    assert read_json(out, "report.json")["verdict"] == VERDICT_LFR
+
+
 def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
     code, out = run(tmp_path, "simulate", {"scheme": {"inline": BAD_INLINE}})
     assert code == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from halflab import _kernels as K
+from halflab import evolution
 
 TINY = np.finfo(float).tiny
 
@@ -104,8 +105,8 @@ def loop_green_whole_sweep(scheme, ns, js):
 
 @pytest.fixture
 def rng(request):
-    # a stream of its own for each test and case, the same at every block
-    # length, so that each block length steps the same data
+    # a stream of its own for each test and case, the same at every call
+    # length, so that each call length steps the same data
     case = re.sub(r"-block\d+", "", request.node.name)
     return np.random.default_rng([20240817, zlib.crc32(case.encode())])
 
@@ -118,20 +119,34 @@ CASES = [
 ]
 
 
-# block lengths besides the default: odd and even, so that blocks end on
-# either buffer parity and most runs end in a partial block
+# call lengths besides the driver's chunk: odd and even, so that calls end
+# on either buffer parity and most runs end in a partial call
 BLOCKS = (1, 2, 5)
 
 
 def blocks(argnames, cases):
-    """Parametrize argnames over cases and a block length: each case at the
-    default block under its plain id, then at each of BLOCKS; the test
-    sets `_kernels._BLOCK` to it."""
+    """Parametrize argnames over cases and a call length: each case in
+    calls of `evolution._CHUNK` steps, as the driver makes them, under its
+    plain id, then in calls of each of BLOCKS steps; the test splits its
+    runs with `_split`."""
     ids = ["-".join(map(str, c)) for c in cases]
-    params = [pytest.param(*c, K._BLOCK, id=i) for c, i in zip(cases, ids)]
+    params = [pytest.param(*c, evolution._CHUNK, id=i)
+              for c, i in zip(cases, ids)]
     params += [pytest.param(*c, n, id=f"{i}-block{n}")
                for n in BLOCKS for c, i in zip(cases, ids)]
     return pytest.mark.parametrize(argnames + ",block", params)
+
+
+def _split(kernel, block):
+    """kernel(u0, ..., nsteps) run as calls of at most block steps, each
+    on the last one's result: the kernel fixes one window per call."""
+    def run(u, *args):
+        *args, nsteps = args
+        u = kernel(u, *args, min(block, nsteps))
+        for done in range(block, nsteps, block):
+            u = kernel(u, *args, min(block, nsteps - done))
+        return u
+    return run
 
 
 def _coeffs(rng, r, p, p_b):
@@ -143,27 +158,27 @@ def _coeffs(rng, r, p, p_b):
 
 
 @blocks("r,p,p_b", CASES)
-def test_half_kernel_paths_bitwise_equal(rng, r, p, p_b, block, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_half_kernel_paths_bitwise_equal(rng, r, p, p_b, block):
+    half = _split(K.evolve_half, block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 37
     u0 = np.zeros(60 + r * nsteps + p + r)
     u0[r + 3:r + 23] = rng.standard_normal(20)
     ref = _evolve_half_loops(u0.copy(), a, b, r, p, p_b, nsteps)
-    out = K.evolve_half(u0.copy(), a, b, r, p, p_b, nsteps)
+    out = half(u0.copy(), a, b, r, p, p_b, nsteps)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 @blocks("r,p", [(1, 1), (1, 2), (2, 3)])
-def test_whole_kernel_paths_bitwise_equal(rng, r, p, block, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_whole_kernel_paths_bitwise_equal(rng, r, p, block):
+    whole = _split(K.evolve_whole, block)
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     nsteps = 41
     u0 = np.zeros(40 + (r + p) * nsteps + r + p)
     mid = u0.size // 2
     u0[mid:mid + 9] = rng.standard_normal(9)
     ref = _evolve_whole_loops(u0.copy(), a, r, p, nsteps)
-    out = K.evolve_whole(u0.copy(), a, r, p, nsteps)
+    out = whole(u0.copy(), a, r, p, nsteps)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
@@ -217,15 +232,15 @@ def _sources(rng, N, m, lo, hi):
 
 @pytest.mark.parametrize("m", [1, 5])
 @blocks("r,p,p_b", CASES_2D)
-def test_half_kernel_columns_bitwise(rng, r, p, p_b, block, m, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_half_kernel_columns_bitwise(rng, r, p, p_b, block, m):
+    half = _split(K.evolve_half, block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 24
     N = 40 + r * nsteps + p + r + 150      # rows far above the support
     u0 = _sources(rng, N, m, r, 40)
     u0[:r] = rng.standard_normal((r, m))  # garbage ghosts, refilled
     u0[-60:-30] = -0.0                    # a full sweep writes +0.0 here
-    out = K.evolve_half(u0, a, b, r, p, p_b, nsteps)
+    out = half(u0, a, b, r, p, p_b, nsteps)
     assert out.shape == u0.shape
     for c in range(m):
         ref = _evolve_half_loops(u0[:, c].copy(), a, b, r, p, p_b, nsteps)
@@ -236,13 +251,13 @@ def test_half_kernel_columns_bitwise(rng, r, p, p_b, block, m, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 4])
 @blocks("r,p,p_b", CASES_2D)
-def test_whole_kernel_columns_bitwise(rng, r, p, p_b, block, m, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_whole_kernel_columns_bitwise(rng, r, p, p_b, block, m):
+    whole = _split(K.evolve_whole, block)
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     nsteps = 19
     N = 30 + (r + p) * nsteps + r + p + 120
     u0 = _sources(rng, N, m, r + p * nsteps, r + p * nsteps + 30)
-    out = K.evolve_whole(u0, a, r, p, nsteps)
+    out = whole(u0, a, r, p, nsteps)
     no_rule = np.zeros((r, 0))
     for c in range(m):
         ref = _evolve_whole_loops(u0[:, c].copy(), a, r, p, nsteps)
@@ -252,32 +267,32 @@ def test_whole_kernel_columns_bitwise(rng, r, p, p_b, block, m, monkeypatch):
 
 
 @blocks("r,p,p_b", CASES_2D)
-def test_half_kernel_chunks_bitwise(rng, r, p, p_b, block, monkeypatch):
+def test_half_kernel_chunks_bitwise(rng, r, p, p_b, block):
     # advancing in chunks (the recorded sweeps) equals one call
-    monkeypatch.setattr(K, "_BLOCK", block)
+    half = _split(K.evolve_half, block)
     a, b = _coeffs(rng, r, p, p_b)
     u0 = _sources(rng, 40 + r * 30 + p + r + 50, 3, r, 40)
     one = K.evolve_half(u0, a, b, r, p, p_b, 30)
     buf = u0
     for chunk in (7, 0, 11, 12):
-        buf = K.evolve_half(buf, a, b, r, p, p_b, chunk)
+        buf = half(buf, a, b, r, p, p_b, chunk)
     assert np.array_equal(buf.view(np.uint64), one.view(np.uint64))
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @blocks("r,p,p_b", CASES_2D)
-def test_half_kernel_crosses_blocks(rng, r, p, p_b, block, m, monkeypatch):
-    # 135 steps: at the default block two full blocks and a partial one of
+def test_half_kernel_crosses_blocks(rng, r, p, p_b, block, m):
+    # 135 steps: in calls of 64 steps two full calls and a partial one of
     # 7 steps.  The buffer is short, so the window reaches N - p - 1 within
-    # the run and the later blocks' tops are clipped there.
-    monkeypatch.setattr(K, "_BLOCK", block)
+    # the run and the later calls' tops are clipped there.
+    half = _split(K.evolve_half, block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 135
     N = 40 + r * 60 + p + r
     u0 = _sources(rng, N, m, r, 40)
     hi = np.flatnonzero(u0.any(axis=1))[-1]
     assert hi + r * nsteps > N - p - 1
-    out = K.evolve_half(u0, a, b, r, p, p_b, nsteps)
+    out = half(u0, a, b, r, p, p_b, nsteps)
     ref = _evolve_half_loops(u0, a, b, r, p, p_b, nsteps)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
@@ -291,12 +306,12 @@ def _underflowing(rng, N, m, lo, hi, scale=2.0 ** -1000):
 
 @pytest.mark.parametrize("m", [1, 3])
 @blocks("r,p,p_b", CASES)
-def test_half_kernel_underflow_bitwise(rng, r, p, p_b, block, m, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_half_kernel_underflow_bitwise(rng, r, p, p_b, block, m):
+    half = _split(K.evolve_half, block)
     a, b = _coeffs(rng, r, p, p_b)
     nsteps = 37
     u0 = _underflowing(rng, 40 + r * nsteps + p + r, m, r, 30)
-    out = K.evolve_half(u0, a, b, r, p, p_b, nsteps)
+    out = half(u0, a, b, r, p, p_b, nsteps)
     ref = _evolve_half_loops(u0, a, b, r, p, p_b, nsteps)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert _no_subnormal(out)
@@ -306,20 +321,20 @@ def test_half_kernel_underflow_bitwise(rng, r, p, p_b, block, m, monkeypatch):
     assert not _no_subnormal(ieee)
     buf = u0
     for chunk in (1, 0, 13, 23):
-        buf = K.evolve_half(buf, a, b, r, p, p_b, chunk)
+        buf = half(buf, a, b, r, p, p_b, chunk)
         assert chunk == 0 or _no_subnormal(buf)
     assert np.array_equal(buf.view(np.uint64), out.view(np.uint64))
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @blocks("r,p", [(1, 1), (1, 2), (2, 3)])
-def test_whole_kernel_underflow_bitwise(rng, r, p, block, m, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_whole_kernel_underflow_bitwise(rng, r, p, block, m):
+    whole = _split(K.evolve_whole, block)
     a = rng.uniform(-0.5, 0.5, size=p + r + 1)
     nsteps = 29
     N = 40 + (r + p) * nsteps + r + p
     u0 = _underflowing(rng, N, m, r + p * nsteps, r + p * nsteps + 30)
-    out = K.evolve_whole(u0, a, r, p, nsteps)
+    out = whole(u0, a, r, p, nsteps)
     ref = _evolve_whole_loops(u0, a, r, p, nsteps)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert _no_subnormal(out)
@@ -398,7 +413,7 @@ def _growth_case(name):
         u0[r:r + J, c] = 1.0
     ref = _evolve_half_loops(u0, np.array(a), np.array(b), r, p, p_b,
                              GROWTH_N)
-    # shared by every block length's case: read-only
+    # shared by every call length's case: read-only
     u0.setflags(write=False)
     ref.setflags(write=False)
     return u0, ref
@@ -406,11 +421,11 @@ def _growth_case(name):
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 @pytest.mark.parametrize("name", sorted(GROWTH_RULES))
-def test_half_kernel_growth_columns_bitwise(name, block, monkeypatch):
-    monkeypatch.setattr(K, "_BLOCK", block)
+def test_half_kernel_growth_columns_bitwise(name, block):
+    half = _split(K.evolve_half, block)
     r, p, p_b, a, b = GROWTH_RULES[name]
     u0, ref = _growth_case(name)
-    out = K.evolve_half(u0, np.array(a), np.array(b), r, p, p_b, GROWTH_N)
+    out = half(u0, np.array(a), np.array(b), r, p, p_b, GROWTH_N)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert _no_subnormal(out)
     # the case is real: every front was flushed below its support edge
