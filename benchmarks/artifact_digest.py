@@ -12,7 +12,11 @@ Run:  PYTHONPATH=src python3 benchmarks/artifact_digest.py > digests.json
       PYTHONPATH=src python3 benchmarks/artifact_digest.py --keep DIR
       PYTHONPATH=src python3 benchmarks/artifact_digest.py --compare A B
       PYTHONPATH=src python3 benchmarks/artifact_digest.py --values A B
+      PYTHONPATH=src python3 benchmarks/artifact_digest.py --manifest \
+          > tests/artifact_manifest.json
 (--keep also writes the artifacts to DIR/<workload>/<job>/<file>;
+--manifest prints the digests with each job's exit code and report.json
+verdict, the manifest `tests/test_artifacts.py` checks every job against;
 --compare prints the keys whose digests differ or that one map lacks;
 --values reads two kept trees and prints, for each CSV column that differs,
 the changed cells and their largest absolute and relative change, each
@@ -64,27 +68,40 @@ def _files(root: pathlib.Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def run_jobs(root: pathlib.Path) -> None:
-    """Runs every seed-7 job, its artifacts in root/<workload>/<job>/."""
+def run_jobs(root: pathlib.Path) -> dict:
+    """Runs every seed-7 job, its artifacts in root/<workload>/<job>/, and
+    returns {"<workload>/<job>": exit code}."""
     sys.path.insert(0, str(PERFBENCH))
     import workloads
+    codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             for job in workloads.build(workload, SEED):
                 cfg = pathlib.Path(tmp, f"{workload}-{job.name}.json")
                 cfg.write_text(json.dumps(job.config), encoding="utf-8")
                 with contextlib.redirect_stdout(io.StringIO()):
-                    cli_main([job.command, "--config", str(cfg), "--out",
-                              str(root / workload / job.name)])
+                    codes[f"{workload}/{job.name}"] = cli_main(
+                        [job.command, "--config", str(cfg), "--out",
+                         str(root / workload / job.name)])
+    return codes
+
+
+def manifest(root: pathlib.Path) -> dict:
+    """The digests of every seed-7 artifact ("digests"), and each job's
+    exit code ("exit_codes") and report.json verdict ("verdicts"), from
+    the jobs run in root."""
+    codes = run_jobs(root)
+    return {"digests": {k: _digest(p) for k, p in _files(root).items()},
+            "exit_codes": codes,
+            "verdicts": {job: _report(root / job / "report.json")["verdict"]
+                         for job in codes}}
 
 
 def digests(keep=None) -> dict:
     """{"<workload>/<job>/<file>": sha256} over every seed-7 job; the
     artifacts stay in the directory keep when it is given."""
     with tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(keep or tmp)
-        run_jobs(root)
-        return {k: _digest(p) for k, p in _files(root).items()}
+        return manifest(pathlib.Path(keep or tmp))["digests"]
 
 
 def compare(a: dict, b: dict) -> list:
@@ -179,6 +196,8 @@ def main(argv=None) -> int:
                       help="two digest maps to compare")
     mode.add_argument("--values", nargs=2, metavar=("A", "B"),
                       help="two kept artifact trees to compare by value")
+    mode.add_argument("--manifest", action="store_true",
+                      help="also print each job's exit code and verdict")
     args = parser.parse_args(argv)
     if args.compare or args.values:
         if args.compare:
@@ -189,7 +208,12 @@ def main(argv=None) -> int:
             diff = values(*map(pathlib.Path, args.values))
         print("\n".join(diff) if diff else "no artifact differs")
         return 1 if diff else 0
-    print(json.dumps(digests(args.keep), indent=2, sort_keys=True))
+    if args.manifest:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = manifest(pathlib.Path(tmp))
+    else:
+        doc = digests(args.keep)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 

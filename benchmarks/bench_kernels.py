@@ -1,25 +1,27 @@
 """Timings of the evolution kernel (`halflab._kernels.evolve_*`).
 
-Cell updates count the cells the kernel computes: each step updates the
-rows of its block's window (see `halflab._kernels`) in every column.  Each
-time is also given per kernel step (us/st), which shows the per-step
-overhead of the narrow 1-D sweeps.  The fifth and sixth cases are the two
-routes to the err-map rows G(n, ., 1) of o3: the forward sweep with one
-column per source j0, and one column of the transposed scheme
-(`halflab.evolution.adjoint_scheme`) from delta_1, which is what err-map
-runs.  The last two rows replay the kernel calls of the default growth
-jobs on lfr and o3 (one column per J = 125, 250, 500, 1000; 160 recorded
-times up to n = 2000, as `halflab.cli` records them) through
-`halflab.evolution._recorded`.  The last column counts the cells in
-(0, tiny) of the final buffer, tiny = 2^-1022: the kernel flushes
-underflowed cells to +0.0, so it reads 0.
+Every case runs in kernel calls of at most `evolution._CHUNK` steps, as
+`halflab.evolution._recorded` makes them in the jobs.  Cell updates count
+the cells the kernel computes: each step updates the rows of its call's
+window (see `halflab._kernels`) in every column.  Each time is also given
+per kernel step (us/st), which shows the per-step overhead of the narrow
+1-D sweeps.  The fifth and sixth cases are the two routes to the err-map
+rows G(n, ., 1) of o3: the forward sweep with one column per source j0,
+and one column of the transposed scheme (`halflab.evolution.adjoint_scheme`)
+from delta_1, which is what err-map runs.  The last two rows replay the
+kernel calls of the default growth jobs on lfr and o3 (one column per
+J = 125, 250, 500, 1000; 160 recorded times up to n = 2000, as
+`halflab.cli` records them) through `halflab.evolution._recorded`.  The
+last column counts the cells in (0, tiny) of the final buffer,
+tiny = 2^-1022: the kernel flushes underflowed cells to +0.0, so it reads
+0.
 
 The second table replays the four o3 sweeps of a default err-map and
-layers job through `halflab.evolution._recorded`: whole, one kernel call
-per recorded time on the whole buffer, and windowed, chunk by chunk on the
-rows the read cells depend on, which is what the jobs run.  It prints the
-time, time per step and cell updates of each route, the windowed one at
-several chunk lengths (`evolution._CHUNK`, 64 in the jobs).
+layers job through `halflab.evolution._recorded`: whole, on the whole
+buffer, and windowed, on the rows the read cells depend on, which is what
+the jobs run; both chunk by chunk.  It prints the time, time per step and
+cell updates of each route, the windowed one at several chunk lengths
+(`evolution._CHUNK`, 64 in the jobs).
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -29,7 +31,6 @@ import time
 import numpy as np
 
 from halflab import _kernels, cli, evolution
-from halflab._kernels import evolve_half, evolve_whole
 from halflab.evolution import (adjoint_scheme, growth_experiment,
                                temporal_green_rows, temporal_green_sweep,
                                temporal_green_whole_sweep)
@@ -80,15 +81,26 @@ def _subnormal_cells(u):
 
 
 def _cell_updates(u0, r, p, steps):
-    # rows r .. min(hi + r e, N - p - 1) at each step, e the last step of
-    # its block, in every column
+    # rows r .. min(hi + r steps, N - p - 1) at every step of one call, in
+    # every column
     N = u0.shape[0]
     m = u0.size // N
-    hi = int(np.flatnonzero(u0.reshape(N, m).any(axis=1))[-1])
-    block = _kernels._BLOCK
-    ends = np.minimum(np.arange(steps) // block * block + block, steps)
-    tops = np.minimum(hi + r * ends, N - p - 1)
-    return int(np.maximum(tops - r + 1, 0).sum()) * m
+    live = np.flatnonzero(u0.reshape(N, m).any(axis=1))
+    hi = int(live[-1]) if live.size else -1
+    top = min(hi + r * steps, N - p - 1)
+    return max(top - r + 1, 0) * steps * m
+
+
+def _in_chunks(kernel, u0, *args):
+    """kernel(u0, *args), its last argument the step count, run as calls of
+    at most `evolution._CHUNK` steps; kernel is a name of `_kernels`, looked
+    up at each call, where `_counted` may wrap it."""
+    *args, steps = args
+    u = u0
+    for done in range(0, steps, evolution._CHUNK):
+        u = getattr(_kernels, kernel)(u, *args,
+                                      min(evolution._CHUNK, steps - done))
+    return u
 
 
 # the default err-map grid (with the o3 activation fronts) and layers job
@@ -205,11 +217,11 @@ def case_rows():
         a, b, r, p, p_b = sch.a, sch.b, sch.r, sch.p, sch.p_b
         u0 = _sources(N, m, src)
         if half:
-            fn = lambda: evolve_half(u0, a, b, r, p, p_b, steps)
+            fn = lambda: _in_chunks("evolve_half", u0, a, b, r, p, p_b, steps)
         else:
-            fn = lambda: evolve_whole(u0, a, r, p, steps)
-        rows.append((label, _best_of(fn), _cell_updates(u0, r, p, steps),
-                     steps, _subnormal_cells(fn())))
+            fn = lambda: _in_chunks("evolve_whole", u0, a, r, p, steps)
+        rows.append((label, _best_of(fn), *_counted(fn),
+                     _subnormal_cells(fn())))
     for name in ("lfr", "o3"):
         run = _growth_sweep(name)
         rows.append((f"growth {name} m=4 n={GROWTH_N}", _best_of(run),

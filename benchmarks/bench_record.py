@@ -9,9 +9,9 @@ sides alike.  The file records the `perfbench: env` line, with the
 `PYTHONDONTWRITEBYTECODE` setting the runs inherit (`setup_s` counts
 compiling when bytecode cannot be written) and the two export directories
 (`peak_rss_mb` moves with their names), both commits, the seed and
-seconds, every run's end-to-end metrics, `correct` and
-`failed`, and per workload and metric each side's median and quartiles
-and the number of pairs in which the change did better.  Metric
+seconds, every run's end-to-end metrics, `correct` and `failed`, and per
+workload and metric each side's median and quartiles and the number of
+pairs in which the change did better.  Metric
 directions and bounds come from BENCHMARK.json.
 
 --compare prints, for each workload and metric of a BENCH file, both

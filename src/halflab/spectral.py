@@ -543,7 +543,8 @@ class StabilityReport:
 def check_hypothesis_two(scheme: SchemeDefinition,
                          annulus_samples: int = _SWEEP_SAMPLES,
                          radii=_SWEEP_RADII) -> StabilityReport:
-    """Sweep |Delta(z)| over circles of the given radii and classify.
+    """Sweep |Delta(z)| over circles of the given radii, each finite and
+    > 0, and classify.
 
     On the unit radius an angular window |theta| < _SWEEP_EXCLUSION is
     skipped: the symbol curve touches z = 1 there and a marginal boundary
@@ -559,8 +560,7 @@ def check_hypothesis_two(scheme: SchemeDefinition,
     if not radii:
         raise ValueError("need at least one radius")
     for rho in radii:
-        # not <=, so that NaN is refused too
-        if not 0.0 < rho < math.inf:
+        if not (math.isfinite(rho) and rho > 0.0):
             raise ValueError(f"radii must be finite and > 0, got {rho!r}")
     # nodes built in Python arithmetic, one per (radius, angle), so each
     # witness is bitwise the point a pointwise sweep would name

@@ -51,6 +51,31 @@ def test_apply_refuses_non_finite_values(lfr, values, where):
         hl.apply_half_line(lfr, values, 2)
 
 
+def test_apply_steps_in_driver_chunks(o3, monkeypatch):
+    # apply_half_line steps through `_recorded`: kernel calls of at most
+    # _CHUNK steps, bitwise the scalar loops; ghosts that miss the rule
+    # within _GHOST_TOL come back as the rule gives them, also at 0 steps
+    from test_kernels import _evolve_half_loops
+    values = make_half_field(o3, [1.0, -2.0, 0.5, 3.0])
+    values[:o3.r] += 1e-12
+    steps = []
+
+    def counted(u, *args):
+        steps.append(args[-1])
+        return kernel(u, *args)
+    kernel = _kernels.evolve_half
+    monkeypatch.setattr(_kernels, "evolve_half", counted)
+    r, p, n = o3.r, o3.p, 130
+    buf = np.zeros(values.size + r * n + p)
+    buf[:values.size] = values
+    for nsteps, calls in ((0, []), (n, [64, 64, 2])):
+        steps.clear()
+        got = hl.apply_half_line(o3, values, nsteps)
+        ref = _evolve_half_loops(buf, o3.a, o3.b, r, p, o3.p_b, nsteps)
+        assert steps == calls
+        assert got.tobytes() == ref[:values.size + r * nsteps].tobytes()
+
+
 def test_ghost_check_fails_on_nan_miss(lfr):
     # the check itself, behind the finiteness test: a NaN miss fails it
     with pytest.raises(GhostConsistencyError, match="ghost value at j=0"):
