@@ -10,7 +10,8 @@ from halflab import _kernels, evolution
 from halflab.evolution import GhostConsistencyError, loglog_slope
 
 from conftest import make_half_field, o3_marginal_pair
-from test_kernels import loop_green_sweep, loop_green_whole_sweep
+from test_kernels import (_evolve_half_loops, loop_green_sweep,
+                          loop_green_whole_sweep)
 
 
 def test_lfr_one_step_frozen(lfr):
@@ -55,7 +56,6 @@ def test_apply_steps_in_driver_chunks(o3, monkeypatch):
     # apply_half_line steps through `_recorded`: kernel calls of at most
     # _CHUNK steps, bitwise the scalar loops; ghosts that miss the rule
     # within _GHOST_TOL come back as the rule gives them, also at 0 steps
-    from test_kernels import _evolve_half_loops
     values = make_half_field(o3, [1.0, -2.0, 0.5, 3.0])
     values[:o3.r] += 1e-12
     steps = []
