@@ -34,6 +34,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -68,11 +69,22 @@ def _files(root: pathlib.Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _workloads():
+    """perfbench/workloads.py, loaded from its path under a name of its
+    own, so that sys.path and what `import workloads` finds stay as they
+    were (its dataclasses look the module up in sys.modules)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_jobs(root: pathlib.Path) -> dict:
     """Runs every seed-7 job, its artifacts in root/<workload>/<job>/, and
     returns {"<workload>/<job>": exit code}."""
-    sys.path.insert(0, str(PERFBENCH))
-    import workloads
+    workloads = _workloads()
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:

@@ -1,9 +1,13 @@
 """Timing of the first-hypothesis check (`check_hypothesis_one`, whose
 dissipativity margin comes from the critical points of |F|^2) against the
 100k-point circle sampling it replaced, which stays here as the reference,
-and of the second-hypothesis check (`check_hypothesis_two`, the Lopatinskii
-sweep of 4 x 64 nodes at the default radii plus z = 1) on the same schemes
-("-" where the first hypothesis fails: the CLI then skips the second).
+and of the second-hypothesis check (`check_hypothesis_two`: for r = 1 the
+roots of the ghost polynomial plus the z = 1 solve) on the same schemes
+("-" where the first hypothesis fails: the CLI then skips the second),
+beside its root route alone (`spectral._ghost_zeros`) and the Lopatinskii
+sweep the root route replaced for r = 1 (Delta at the 4 x 64 nodes of the
+default radii less the window at z = 1, from one batched evaluation; the
+r >= 2 check still sweeps them).
 
 Cases: the default lfr and o3 builtins, and one scheme of each class of the
 seeded stability scan: marginal, unstable and stable lfr (the ghost weight
@@ -31,9 +35,17 @@ import numpy as np  # noqa: E402
 from halflab.scheme import (SchemeDefinition, _SERIES_RADIUS,  # noqa: E402
                             builtin_lfr, builtin_o3, check_hypothesis_one,
                             symbol_eval)
-from halflab.spectral import check_hypothesis_two  # noqa: E402
+from halflab.spectral import (_SWEEP_EXCLUSION, _SWEEP_RADII,  # noqa: E402
+                              _SWEEP_SAMPLES, _ghost_zeros,
+                              check_hypothesis_two, lopatinskii_values)
 
 GRID = 100_000
+# the nodes of the default sweep, as check_hypothesis_two builds them
+SWEEP = [rho * complex(math.cos(th), math.sin(th)) for rho in _SWEEP_RADII
+         for th in np.linspace(0.0, 2.0 * np.pi, _SWEEP_SAMPLES,
+                               endpoint=False)
+         if not (rho == 1.0 and abs(math.remainder(th, 2.0 * math.pi))
+                 < _SWEEP_EXCLUSION)]
 
 
 def _o3_marginal(alpha: float) -> SchemeDefinition:
@@ -86,22 +98,28 @@ def _per_call(fn, repeats: int) -> tuple[float, object]:
 def main():
     header = (f"{'case':18s} {'check ms':>9s} {'sampled ms':>11s}"
               f" {'certified margin':>17s} {'sampled margin':>15s}"
-              f" {'gap / bound':>12s} {'hyp2 ms':>8s}")
+              f" {'gap / bound':>12s} {'hyp2 ms':>8s} {'roots ms':>9s}"
+              f" {'sweep ms':>9s}")
     print(header)
     print("-" * len(header))
     for name, scheme in CASES.items():
         t_check, rep = _per_call(lambda: check_hypothesis_one(scheme), 200)
         t_sample, sampled = _per_call(lambda: sampled_margin(scheme), 10)
-        two = "-"
+        two = roots = sweep = "-"
         if rep.satisfied:
-            t_two, _ = _per_call(lambda: check_hypothesis_two(scheme), 20)
-            two = f"{t_two * 1e3:.3f}"
+            t_two, _ = _per_call(lambda: check_hypothesis_two(scheme), 200)
+            t_roots, _ = _per_call(lambda: _ghost_zeros(scheme), 200)
+            t_sweep, _ = _per_call(lambda: lopatinskii_values(scheme, SWEEP),
+                                   20)
+            two, roots, sweep = (f"{t * 1e3:.3f}"
+                                 for t in (t_two, t_roots, t_sweep))
         certified = rep.dissipativity_margin
         ks = np.arange(-scheme.r, scheme.p + 1)
         bound = 2.0 * math.pi / GRID * float(np.sum(np.abs(ks * scheme.a)))
         print(f"{name:18s} {t_check * 1e3:9.3f} {t_sample * 1e3:11.3f}"
               f" {certified:17.6e} {sampled:15.6e}"
-              f" {(sampled - certified) / bound:12.2e} {two:>8s}")
+              f" {(sampled - certified) / bound:12.2e} {two:>8s}"
+              f" {roots:>9s} {sweep:>9s}")
 
 
 if __name__ == "__main__":

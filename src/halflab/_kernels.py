@@ -66,12 +66,19 @@ masks of a 2-D buffer are interleaved: each column's front ends at its own
 row, so a row's mask can be true in some columns only.  On a 1400 x 4
 window with growth's four fronts it took 9.3-14.8 us a store against
 4.5-6.4 us for putmask (two runs, best of 7, one core of a 2-core VM).
-The ghosts are refilled in Python floats from the new interior rows (one
-`tolist` per step, b converted once per call), the same IEEE products and
-sums in the same order, each flushed as a scalar: a ghost is a row of m
-cells, too short for numpy's per-call cost, so no ghost array is allocated
-per step.  Their cost grows with m and passes that of numpy rows near
-m = 10 (o3's rule, same machine); the default jobs step at most 5 columns.
+The ghosts are refilled in Python floats from the new interior rows, the
+same IEEE products and sums in the same order, each flushed as a scalar: a
+ghost is a row of m cells, too short for numpy's per-call cost, so no
+ghost array is allocated per step.  The rule is written once (`_ghost`,
+through `_refiller`), for the entry fill and every step alike; per call, b
+is converted and each parity's view of the rows the ghosts read is built
+once, each step reads it with one `tolist`, and a 1-D buffer stores each
+ghost as one Python float.  Their cost grows with m and passes that of
+numpy rows near m = 10 (o3's rule, same machine); the default jobs step at
+most 5 columns.  The step's ufuncs take their output positionally, which
+numpy parses faster than `out=`: with the ghost view built once, a 1-D
+step of about 350 rows went 5.3-5.4 -> 4.9-5.0 us (lfr) and 6.3 -> 5.8 us
+(o3), interleaved best of 15, same machine.
 """
 
 import numpy as np
@@ -86,32 +93,50 @@ HAVE_NUMBA = False
 _TINY = float(np.finfo(float).tiny)
 
 
+def _ghost(bi, col):
+    # one ghost cell from the interior values col = (u_1, ..., u_{p_b})
+    # above it, in Python floats: val = b_i1 u_1, val += b_ik u_k in
+    # ascending k, then the flush (see the module notes)
+    val = bi[0] * col[0]
+    for k in range(1, len(bi)):
+        val += bi[k] * col[k]
+    return 0.0 if abs(val) < _TINY else val
+
+
+def _refiller(u, b, r, p_b):
+    """The ghost refill of buffer u (p_b >= 1) as a function of no
+    arguments: the view of the interior rows the ghosts read and b as
+    Python floats are built once, the rows are read with one `tolist` per
+    refill, and a 1-D buffer stores each ghost as one Python float."""
+    rule = np.asarray(b, dtype=float).tolist()
+    src = u[r:r + p_b]
+    if u.ndim == 1:
+        def refill():
+            col = src.tolist()
+            for i, bi in enumerate(rule):
+                u[r - 1 - i] = _ghost(bi, col)
+    else:
+        def refill():
+            cols = src.T.tolist()
+            for i, bi in enumerate(rule):
+                u[r - 1 - i] = [_ghost(bi, col) for col in cols]
+    return refill
+
+
 def _refill(u, b, r, p_b):
-    # ghost rows from the interior rows above them in Python floats, b
-    # indexed as b[i][k]: per cell val = b_i1 u_1, val += b_ik u_k in
-    # ascending k, then the flush (see the module notes); the zero rule
-    # (p_b = 0) stores zeros
-    if p_b == 0:
+    """Fill u's ghost rows once from its interior rows; the zero rule
+    (p_b = 0) stores zeros."""
+    if p_b:
+        _refiller(u, b, r, p_b)()
+    else:
         u[:r] = 0.0
-        return
-    rows = u[r:r + p_b].tolist()
-    cols = [rows] if u.ndim == 1 else list(zip(*rows))
-    for i in range(r):
-        bi = b[i]
-        ghost = []
-        for col in cols:
-            val = bi[0] * col[0]
-            for k in range(1, p_b):
-                val += bi[k] * col[k]
-            ghost.append(0.0 if abs(val) < _TINY else val)
-        u[r - 1 - i] = ghost[0] if u.ndim == 1 else ghost
 
 
 def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
     # Vectorized over the rows of the window and the columns of a 1-D or
     # 2-D buffer; each cell accumulates in ascending k, then is flushed.
-    # The window and its views are fixed for the call, one set for each of
-    # the two buffer parities.
+    # The window, its views and the ghost refill are fixed for the call,
+    # one set for each of the two buffer parities.
     N = cur.shape[0]
     entry, nxt = cur, np.zeros_like(cur)
     top = min(hi + r * nsteps, N - p - 1)
@@ -120,28 +145,28 @@ def _sweep_numpy(cur, a, b, r, p, p_b, nsteps, hi):
     # 0-d arrays: the same products as scalars, with cheaper ufunc dispatch
     w = [np.array(x, dtype=float) for x in a]
     tiny = np.array(_TINY)
-    # the ghost weights as Python floats, converted once per call
-    rule = np.asarray(b, dtype=float).tolist()
     views = []
     for src, dst in ((cur, nxt), (nxt, cur)):
         st = [src[r + k:top + 1 + k] for k in range(-r, p + 1)]
-        views.append((dst, dst[r:top + 1], st[0], list(zip(w[1:], st[1:]))))
+        # the zero rule's ghosts stay as _evolve stored them
+        refill = _refiller(dst, b, r, p_b) if p_b else None
+        views.append((dst[r:top + 1], st[0], list(zip(w[1:], st[1:])),
+                      refill))
     for s in range(1, nsteps + 1):
-        dst, core, first, terms = views[(s - 1) % 2]
-        np.multiply(w[0], first, out=core)
+        core, first, terms, refill = views[(s - 1) % 2]
+        np.multiply(w[0], first, core)
         for wk, uk in terms:
-            np.multiply(wk, uk, out=term)
-            core += term
-        np.abs(core, out=term)
-        np.less(term, tiny, out=flush)
+            np.multiply(wk, uk, term)
+            np.add(core, term, core)
+        np.abs(core, term)
+        np.less(term, tiny, flush)
         np.putmask(core, flush, 0.0)
         if s == 2:
             # the only buffer whose top p rows can be nonzero (a full
             # sweep never writes them)
             entry[N - p:] = 0.0
-        if p_b:
-            # the zero rule's ghosts stay as _evolve stored them
-            _refill(dst, rule, r, p_b)
+        if refill:
+            refill()
     return (cur, nxt)[nsteps % 2]
 
 

@@ -291,11 +291,12 @@ def _hypothesis_block(scheme, opts: dict):
     rep1 = check_hypothesis_one(scheme)
     at_one = _AtOne(scheme, rep1)
     if not rep1.satisfied:
-        # the annulus sampling behind the second hypothesis presumes the
-        # dissipativity geometry, so it is skipped entirely here
+        # the second hypothesis presumes the dissipativity geometry, so it
+        # is skipped entirely here
         return 2, f"hypothesis failure: {rep1.failure}", at_one, None
+    # one z = 1 solve per run: the layers read the same one
     rep2 = check_hypothesis_two(scheme, opts["annulus_samples"],
-                                opts["radii"])
+                                opts["radii"], one=at_one.lop1)
     return (0 if rep2.satisfied else 2), rep2.verdict, at_one, rep2
 
 
@@ -309,7 +310,7 @@ def _run_check(scheme, out_dir, rep1, rep2, verdict):
                    xlabel="t", ylabel="|F(e^{it})|")
     if rep2 is not None:
         # the profile starts at z = 1, where the root split presumes the
-        # first hypothesis, as the annulus sweep does
+        # first hypothesis, as the second hypothesis's check does
         zs = 1.0 + np.linspace(0.0, 1.0, 51)
         # Python abs per node: the array abs can differ in the last bit
         dets = np.array([abs(complex(v))

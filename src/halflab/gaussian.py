@@ -14,6 +14,9 @@ exp(-x^2 / (4 beta)).
 All integrals are uniform trapezoid sums on truncated windows chosen so the
 dropped tails are below 1e-17 of the mass, doubled by the nested rule of
 `resolvent._trapezoid` (new midpoints only) until two agree within 1e-11.
+Each value of x starts from its own node count and settles on its own, so
+a call over many x gives each bitwise its scalar call (`layers` takes
+every activation E of an err-map grid from one call).
 F is summed on the line at height s, or, where the integrand would grow
 past e^4 on that line, on the highest line where it does not: the same
 integral, without the cancellation.
@@ -33,10 +36,10 @@ __all__ = ["GaussianParams", "gaussian_h", "gaussian_e", "appendix_f"]
 _NODE_CAP = 2 ** 20
 # a quadrature starts from at least this many nodes
 _START_FLOOR = 2048
-# one quadrature block holds at most _CHUNK rows of x and _BLOCK_ENTRIES
-# complex entries (64 MiB) in all
-_CHUNK = 256
-_BLOCK_ENTRIES = 2 ** 22
+# one quadrature block holds at most this many entries (256 KiB complex),
+# at least one row of x: at 2^16, one gaussian_e call over a default
+# err-map grid raised `paper`'s peak RSS by 0.9 MB, at 2^22 by 3 MB
+_BLOCK_ENTRIES = 2 ** 14
 # appendix_f widens its window by this factor until the cuts decay ...
 _WIDEN = 1.125
 # ... on a line where the integrand grows by at most e^this, placed from
@@ -79,45 +82,57 @@ class GaussianParams:
         return cls(mu=report.mu, beta=report.beta)
 
 
-def _start_nodes(U: float, xmax: float) -> int:
-    osc = int(np.ceil(16.0 * U * xmax / (2.0 * np.pi)))
-    n = _START_FLOOR
-    while n < osc:
-        n *= 2
+def _start_nodes(U: float, ax: np.ndarray) -> np.ndarray:
+    """The first node count of each |x| of ax: _START_FLOOR doubled until
+    the rule has 16 nodes per period of cos(x u) on [0, U]."""
+    osc = np.ceil(16.0 * U * ax / (2.0 * np.pi))
+    n = np.full(ax.shape, _START_FLOOR)
+    while np.any(n < osc):
+        n = np.where(n < osc, 2 * n, n)
     return n
 
 
 def _quadrature(x, what: str, start, points, weight, kernel, div=None,
                 finish=None):
-    """The sums h sum'' kernel(xb, v) weight(v) / div, settled by
-    `_trapezoid` from n = start(max|x|), at every value of x, in its shape;
-    points(n) gives the n + 1 nodes v and the spacing h of the n-interval
-    rule, and kernel runs on blocks of at most _CHUNK rows xb of x and
-    _BLOCK_ENTRIES entries.  finish(xs, sums) maps the settled sums over
-    the flattened x to the values returned."""
+    """The sums h sum'' kernel(xb, v) weight(v) / div at every value of x,
+    in its shape, each settled by `_trapezoid` on its own from
+    n = start(|x|), so that a value does not depend on the others of x.
+    The values that share a start settle in one `_trapezoid` call, each
+    row leaving it when its own sums agree.  points(n) gives the n + 1
+    nodes v and the spacing h of the n-interval rule, start(ax) the first
+    n for every |x| of ax, and kernel runs on blocks of rows xb of x of at
+    most _BLOCK_ENTRIES entries (one row at least).  finish(xs, sums) maps
+    the settled sums over the flattened x to the values returned."""
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
 
-    def rule(n: int, nodes: slice, end: float):
+    def rule(xg: np.ndarray, n: int, nodes: slice, end: float):
         v, h = points(n)
         v = v[nodes]
         w = weight(v)
         w[[0, -1]] *= end
-        out = np.empty(xs.size, dtype=complex)
+        out = np.empty(xg.size, dtype=complex)
         # each row is summed on its own, so the block size leaves the sums
         # bitwise unchanged
-        rows = max(1, min(_CHUNK, _BLOCK_ENTRIES // v.size))
-        for lo in range(0, xs.size, rows):
-            out[lo:lo + rows] = h * (kernel(xs[lo:lo + rows, None], v)
+        rows = max(1, _BLOCK_ENTRIES // v.size)
+        for lo in range(0, xg.size, rows):
+            out[lo:lo + rows] = h * (kernel(xg[lo:lo + rows, None], v)
                                      * w).sum(axis=-1)
         return out if div is None else out / div
 
-    n = start(float(np.max(np.abs(xs))) if xs.size else 0.0)
-    # the first rule, its end weights halved, then each doubled rule's
-    # new odd nodes
-    sums, _ = _trapezoid(what, n, _NODE_CAP, _TOL,
-                         lambda n: rule(n, slice(None), 0.5),
-                         lambda n: rule(2 * n, slice(1, None, 2), 1.0))
+    sums = np.empty(xs.size, dtype=complex)
+    starts = start(np.abs(xs))
+    # sorted, not np.unique, which would load numpy's SIMD sort (0.4 MB of
+    # peak RSS)
+    for n in sorted(set(starts.tolist())):
+        group = np.flatnonzero(starts == n)
+        xg = xs[group]
+        # the first rule, its end weights halved, then each doubled rule's
+        # new odd nodes at the rows still settling
+        sums[group], _ = _trapezoid(
+            what, n, _NODE_CAP, _TOL,
+            lambda n: rule(xg, n, slice(None), 0.5),
+            lambda n, live: rule(xg[live], 2 * n, slice(1, None, 2), 1.0))
     vals = sums if finish is None else finish(xs, sums)
     return vals[0] if scalar else vals.reshape(np.shape(x))
 
@@ -133,7 +148,7 @@ def _half_axis(x, params: GaussianParams, what: str, kernel, finish):
         vals = finish(xs, sums)
         return vals.real if params.real_valued else vals
 
-    return _quadrature(x, what, lambda xmax: _start_nodes(U, xmax),
+    return _quadrature(x, what, lambda ax: _start_nodes(U, ax),
                        lambda n: (np.linspace(0.0, U, n + 1), U / n),
                        lambda u: np.exp(-beta * u ** (2 * mu)),
                        kernel, div=np.pi, finish=real_if)
@@ -208,12 +223,14 @@ def appendix_f(x, s: float, params: GaussianParams):
     mu, beta = params.mu, params.beta
     s, U = _contour_line(s, params)
 
-    def start(xmax: float) -> int:
-        n0 = _start_nodes(2.0 * U, xmax)
-        # Pole scale: keep the node spacing at or below s/4.
-        while 2.0 * U / n0 > s / 4.0 and n0 < _NODE_CAP:
-            n0 *= 2
-        return n0
+    def start(ax: np.ndarray) -> np.ndarray:
+        n0 = _start_nodes(2.0 * U, ax)
+        while True:
+            # Pole scale: keep the node spacing at or below s/4.
+            coarse = (2.0 * U / n0 > s / 4.0) & (n0 < _NODE_CAP)
+            if not coarse.any():
+                return n0
+            n0 = np.where(coarse, 2 * n0, n0)
 
     return _quadrature(x, "contour", start,
                        lambda n: (np.linspace(-U, U, n + 1) + 1j * s,

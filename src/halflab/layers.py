@@ -273,14 +273,18 @@ class _Terms:
 def _layer_terms(at_one: _AtOne, ns, j0s, js) -> _Terms:
     """The layer terms on the grid ns x j0s x js; both layers are zero off
     the marginal regime.  The Ru rows come from one `ru_analytic` call over
-    1..max j0s, and E is one scalar `gaussian_e` per (n, j0) cell, taken
-    in Python ints and floats."""
+    1..max j0s, and E from one `gaussian_e` call over the cells with n >= 1,
+    each x taken in Python ints and floats (a value of gaussian_e does not
+    depend on the others of its call)."""
     scheme, rep = at_one.scheme, at_one.rep1
     ns, j0s, js = (np.asarray(v, dtype=int) for v in (ns, j0s, js))
-    params = GaussianParams(rep.mu, rep.beta)
-    act = np.array([[0.0 if n == 0 else float(gaussian_e(
-        (j0 + n * rep.alpha) / n ** (1.0 / (2 * rep.mu)), params))
-        for j0 in j0s.tolist()] for n in ns.tolist()])
+    act = np.zeros((ns.size, j0s.size))
+    moving = ns > 0
+    xs = [(j0 + n * rep.alpha) / n ** (1.0 / (2 * rep.mu))
+          for n in ns[moving].tolist() for j0 in j0s.tolist()]
+    if xs:
+        act[moving] = gaussian_e(np.array(xs), GaussianParams(
+            rep.mu, rep.beta)).reshape(-1, j0s.size)
     if at_one.marginal:
         ru = ru_analytic(scheme, int(j0s.max()), int(js.max()),
                          at_one=at_one).values[np.ix_(j0s - 1, js - 1)]

@@ -83,21 +83,32 @@ class QuadratureError(RuntimeError):
 
 
 def _trapezoid(what: str, n: int, cap: int, tol: float, first, odd):
-    """A trapezoid sum doubled in its node count n until two sums agree
-    within tol, and the n that settled; QuadratureError past cap nodes.
+    """Trapezoid sums doubled in their node count n, each row until its two
+    sums agree within tol; QuadratureError past cap nodes.
 
-    first(n) is the n-node rule T_n.  Node k of the n rule is node 2k of
-    the 2n rule, so T_2n = T_n / 2 + odd(n), odd(n) the 2n rule's spacing
-    times its sum over the nodes it adds, and each node is evaluated once
-    (Trefethen and Weideman, SIAM Review 56, 2014)."""
+    first(n) is the n-node rule T_n, an array whose leading axis holds the
+    rows (a row may be a whole table, settled by its largest change).  Node
+    k of the n rule is node 2k of the 2n rule, so T_2n = T_n / 2 + odd(n,
+    live), odd the 2n rule's spacing times its sum over the nodes it adds
+    at the rows `live` (an index array), and each node is evaluated once
+    (Trefethen and Weideman, SIAM Review 56, 2014).  A row that settles
+    keeps its sum and leaves `live`, so later odd calls skip it.  Returns
+    the sums and, per row, the n that settled it."""
     cur = first(n)
-    while n < cap:
-        prev, cur = cur, cur / 2 + odd(n)
+    live = np.arange(cur.shape[0])
+    settled = np.zeros(live.size, dtype=int)
+    while n < cap and live.size:
+        prev = cur[live]
+        new = prev / 2 + odd(n, live)
         n *= 2
-        if float(np.max(np.abs(cur - prev))) < tol:
-            return cur, n
-    raise QuadratureError(f"{what} quadrature did not settle below {tol:g} "
-                          f"within {cap} nodes")
+        cur[live] = new
+        done = np.abs(new - prev).reshape(live.size, -1).max(axis=1) < tol
+        settled[live[done]] = n
+        live = live[~done]
+    if live.size:
+        raise QuadratureError(f"{what} quadrature did not settle below "
+                              f"{tol:g} within {cap} nodes")
+    return cur, settled
 
 
 @dataclass(frozen=True)
@@ -483,20 +494,21 @@ def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
         # 2 Re(sum of the open half) plus the m = 0, N/2 terms
         weights = np.full(N // 2 + 1, 2.0)
         weights[[0, N // 2]] = 1.0
-        return ring_sum(_ring(r0, N)[:N // 2 + 1], weights) / N
+        return ring_sum(_ring(r0, N)[:N // 2 + 1], weights)[None] / N
 
-    def odd(N: int):
+    def odd(N: int, live):
         # the 2N ring adds its odd nodes, none self-conjugate: spacing
         # 1/(2N) times twice the real part of their upper half's sum
-        return ring_sum(_ring(r0, 2 * N)[1:N:2], np.ones(N // 2)) / N
+        return ring_sum(_ring(r0, 2 * N)[1:N:2], np.ones(N // 2))[None] / N
 
     # N stays a power of two, so every ring holds the self-conjugate nodes
     # m = 0 and m = N/2, and node m of the N ring is node 2m of the 2N ring
     N = 64
     while N < 4 * (n_max + scheme.p + scheme.r):
         N *= 2
-    real, N = _trapezoid("contour", N, _CONTOUR_CAP, tol, first, odd)
-    return real, imag / N, N
+    # the table is one row of the settle, so it settles as a whole
+    real, (N,) = _trapezoid("contour", N, _CONTOUR_CAP, tol, first, odd)
+    return real[0], imag / N, int(N)
 
 
 def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,

@@ -22,8 +22,8 @@ their derivatives and Jacobi's formula that of det(B V)
 (lopatinskii_derivative_at_one).
 
 One evaluator serves a single node and a batch of nodes alike (the annulus
-sweep of check_hypothesis_two, the CLI's real-axis profile, the contour
-guard of `resolvent`).  The roots of all nodes are the eigenvalues of the
+sweep of check_hypothesis_two for r >= 2, the CLI's real-axis profile, the
+contour guard of `resolvent`).  The roots of all nodes are the eigenvalues of the
 stacked companion matrices, from one LAPACK call, polished by three
 elementwise Newton steps.  numpy factors each matrix of a stack on its
 own, so a batch gives bitwise the one-node results (and those of np.roots
@@ -41,7 +41,8 @@ share.  `_char_values` gives P(kappa; z), its kappa-derivatives (their
 coefficients stacked once by `_char_stack`) and the rounding scale
 S = sum_k |c_k| |kappa|^k, so that a root is off by about eps S / |dP/dkappa|:
 the root polish and residual test, the collision test, kappa'(1) in
-Delta'(1) and the residue sums of `resolvent` with their bounds all read it.
+Delta'(1), the residue sums of `resolvent` with their bounds and, for
+r = 1, the ghost polynomial Q and the symbol F at Q's roots all read it.
 `_lopatinskii_matrix` builds B V(kappa), whose determinant at the stable
 roots is Delta, for Delta, Delta'(1), the residue condition, the ghost-row
 solve of the half-line Green's function and the layer coefficients.  Only
@@ -50,9 +51,10 @@ solve of the half-line Green's function and the layer coefficients.  Only
 The tolerances are fixed module constants, each defined once here and read
 by every module that applies it: the unit-circle width 1e-8 of the root
 classes (also the CLI's o3 marginal pair), the near-curve distance 1e-6
-(also the resolvent guards'), the on-curve distance 1e-7, the sweep zero
-1e-6, the boundary zero |Delta(1)| < 1e-8 (also the layers' marginal test)
-and the default sweep circles and samples (also the CLI's defaults).
+(also the resolvent guards'), the on-curve distance 1e-7, the r = 1 zero
+slack of 100 rounding errors, the r >= 2 sweep zero 1e-6, the boundary
+zero |Delta(1)| < 1e-8 (also the layers' marginal test) and the default
+sweep circles and samples (also the CLI's defaults).
 """
 
 from __future__ import annotations
@@ -82,7 +84,12 @@ _UNIT_TOL = 1e-8
 _NEAR_CURVE = 1e-6
 # a node not certified this far from the symbol curve lies on it
 _ON_CURVE = 1e-7
-# |Delta| below this on a sweep circle is a Lopatinskii zero
+# r = 1: a computed z* = F(kappa0) is off by about eps (|F'| S_Q / |Q'| +
+# S_F) (see check_hypothesis_two); within this many such errors of 1 it is
+# the boundary zero at z = 1, and |z*| within as many of 1 is on the unit
+# circle (the rounding scales S as in _char_values)
+_ZERO_SLACK = 100.0
+# r >= 2: |Delta| below this on a sweep circle is a Lopatinskii zero
 _SWEEP_ZERO_TOL = 1e-6
 # the window |theta| < this skipped on the unit sweep circle, where the
 # symbol curve touches z = 1
@@ -98,8 +105,8 @@ _RESIDUE_TOL = 1e-10
 
 
 def _boundary_zero(delta1: complex) -> bool:
-    """Whether Delta(1) vanishes: the one test behind the sweep's verdict
-    and the layers' marginal regime."""
+    """Whether Delta(1) vanishes: the one test behind the second
+    hypothesis's marginal verdict and the layers' marginal regime."""
     return abs(delta1) < _BOUNDARY_ZERO_TOL
 
 
@@ -151,15 +158,18 @@ def _char_stack(c: np.ndarray, order: int) -> list:
     layout (degree, node, 1)."""
     stack = [c.T[:, :, None]]
     for _ in range(order):
-        stack.append(npoly.polyder(stack[-1]))
+        # polyder's products j c_j (bitwise), without its argument handling
+        cs = stack[-1]
+        stack.append(cs[1:] * np.arange(1, cs.shape[0])[:, None, None])
     return stack
 
 
 def _char_values(stack: list, kappas: np.ndarray, scale: bool = False):
-    """The one evaluator of P(kappa; z) and its derivatives: the value of
-    each polynomial of `stack` (from _char_stack) at kappas (node, k), then,
-    with `scale`, S = sum_k |c_k| |kappa|^k, the size of P's rounding at
-    kappa (a root's error is about eps S / |dP/dkappa|)."""
+    """The one evaluator of P(kappa; z) (and of Q and kappa^r F for r = 1)
+    and its derivatives: the value of each polynomial of `stack` (from
+    _char_stack) at kappas (node, k), then, with `scale`,
+    S = sum_k |c_k| |kappa|^k, the size of P's rounding at kappa (a root's
+    error is about eps S / |dP/dkappa|)."""
     vals = [npoly.polyval(kappas, cs, tensor=False) for cs in stack]
     if scale:
         vals.append(npoly.polyval(np.abs(kappas), np.abs(stack[0]),
@@ -526,11 +536,22 @@ def _residue_ok(scheme: SchemeDefinition, kappas) -> bool:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the Lopatinskii condition sweep on annuli around the
-    unit circle, plus the boundary-layer dichotomy at z = 1."""
+    """Outcome of the second hypothesis, plus the boundary-layer dichotomy
+    at z = 1.
+
+    For r = 1, zeros lists every zero of Delta with |z| >= 1 off z = 1 as
+    {"z", "kappa", "margin", "bound"}: z = F(kappa), kappa the root of the
+    ghost polynomial it comes from, margin |z| - 1 and bound the rounding
+    slack the tests applied; largest |z| first, and min_modulus is None.
+    For r >= 2, min_modulus is the least |Delta| over the sweep and zeros is
+    None.  witness_z is the first zero (the sweep's node below
+    _SWEEP_ZERO_TOL for r >= 2), None when there is none.  radii and
+    samples_per_radius are the sweep's arguments, validated for every r
+    and read only for r >= 2.
+    """
 
     satisfied: bool
-    min_modulus: float
+    min_modulus: float | None
     witness_z: complex | None
     delta_at_one: complex
     boundary_zero: bool
@@ -538,21 +559,86 @@ class StabilityReport:
     verdict: str
     radii: tuple
     samples_per_radius: int
+    zeros: tuple | None
+
+
+def _ghost_zeros(scheme: SchemeDefinition) -> tuple:
+    """For r = 1, the zeros z* = F(kappa0) of Delta with |z*| >= 1 off
+    z = 1, from the roots kappa0 of Q(kappa) = 1 - sum_k b_k kappa^k in the
+    open unit disk (check_hypothesis_two), largest |z*| first, then the
+    upper half plane first."""
+    # the roots mu = 1/kappa0 of the monic reversal R(mu) = mu^p_b Q(1/mu),
+    # ascending coefficients -b_p_b, ..., -b_1, 1: no division by a weight,
+    # so a tiny last weight gives a tiny mu (a root far outside the disk)
+    # where Q's companion matrix would overflow; kappa0 in the open disk
+    # is |mu| > 1
+    rev = np.concatenate((-scheme.b[0][::-1], [1.0])).astype(complex)
+    if rev.size == 1:
+        return ()
+    roots, errors = _roots(rev[None])
+    _raise_first(errors)
+    mus = roots[:, np.abs(roots[0]) > 1.0]
+    ks = 1.0 / mus
+    _, dR, SR = _char_values(_char_stack(rev[None], 1), mus, scale=True)
+    # kappa F = A = sum_i a_i kappa^i, so F = A / kappa and
+    # F' = (A' - F) / kappa = mu (A' - F); kappa0 is off by about
+    # eps S_R / (|R'| |mu|^2), which moves z* by about that times |F'|
+    A, dA, SA = _char_values(_char_stack(scheme.a[None].astype(complex), 1),
+                             ks, scale=True)
+    F = A[0] / ks[0]
+    bound = _ZERO_SLACK * np.finfo(float).eps * (
+        np.abs(dA[0] - F) * SR[0] / (np.abs(dR[0]) * np.abs(mus[0]))
+        + SA[0] * np.abs(mus[0]))
+    # + 0.0 clears a negative zero, so a real z* prints as +0j
+    zeros = [{"z": complex(z) + 0.0, "kappa": complex(k),
+              "margin": float(abs(z) - 1.0), "bound": float(e)}
+             for z, k, e in zip(F.tolist(), ks[0].tolist(), bound.tolist())
+             if abs(z - 1.0) > e and abs(z) >= 1.0 - e]
+    return tuple(sorted(zeros, key=lambda w: (-abs(w["z"]), -w["z"].imag)))
 
 
 def check_hypothesis_two(scheme: SchemeDefinition,
                          annulus_samples: int = _SWEEP_SAMPLES,
-                         radii=_SWEEP_RADII) -> StabilityReport:
-    """Sweep |Delta(z)| over circles of the given radii, each finite and
-    > 0, and classify.
+                         radii=_SWEEP_RADII, *,
+                         one: LopatinskiiValue | None = None
+                         ) -> StabilityReport:
+    """Whether Delta vanishes anywhere on |z| >= 1 off z = 1, and the
+    dichotomy at z = 1; the scheme must satisfy the first hypothesis.
 
-    On the unit radius an angular window |theta| < _SWEEP_EXCLUSION is
-    skipped: the symbol curve touches z = 1 there and a marginal boundary
-    zero of Delta would otherwise shadow the sweep.  A modulus below
-    _SWEEP_ZERO_TOL anywhere else is a genuine Lopatinskii violation.  When
-    the sweep is clean the verdict follows the z = 1 dichotomy: a boundary
+    For r = 1 the ghost rule u_0 = sum_k b_k u_k gives
+    Delta(z) = Q(kappa_s(z)), Q(kappa) = 1 - sum_k b_k kappa^k.  For
+    |z| >= 1, z != 1, the first hypothesis puts z outside the symbol curve,
+    where kappa_s(z) is the one root of P(.; z) in the open unit disk, and
+    P(kappa; z) = 0 means z = F(kappa).  So the zeros of Delta there are
+    the z* = F(kappa0) with kappa0 a root of Q in the open disk and
+    |z*| >= 1: one root solve of degree p_b, with no mesh, and the witness
+    is a computed F(kappa0), not a node.  This is the Godunov-Ryabenkii
+    eigenvalue search done from the kappa side (Gustafsson, Kreiss and
+    Oliger, Time-Dependent Problems and Difference Methods; Trefethen, Comm.
+    Pure Appl. Math. 37, 1984).  Rounding moves a computed z* by about
+    eps (|F'| S_Q / |Q'| + S_F) (the root's error, carried by F', and F's
+    own; S the rounding scales of _char_values), and the tests allow
+    _ZERO_SLACK such errors:
+      - z* that close to 1 is the boundary zero (the marginal rules have
+        kappa0 = kappa_s(1), where F = 1 up to rounding), and so is a root
+        at kappa0 = 1 (a rule with sum_k b_k = 1), where F(1) = 1 although
+        kappa = 1 is not the stable root there: |Delta(1)| alone decides
+        the boundary zero;
+      - otherwise |z*| >= 1 minus that slack is a violation, zeros on the
+        unit circle included.
+    The verdict names the zero of largest |z*|.
+
+    For r >= 2, |Delta| is swept over circles of the given radii, each
+    finite and > 0, with annulus_samples nodes on each.  On the unit radius
+    an angular window |theta| < _SWEEP_EXCLUSION is skipped: the symbol
+    curve touches z = 1 there and a marginal boundary zero of Delta would
+    otherwise shadow the sweep.  A modulus below _SWEEP_ZERO_TOL anywhere
+    else is a Lopatinskii violation, and zeros between the nodes go unseen.
+
+    With no violation the verdict follows the z = 1 dichotomy: a boundary
     zero with a nonvanishing residue gives the marginal verdict, anything
-    else is uniformly stable.
+    else is uniformly stable.  one is lopatinskii(scheme, 1.0) when the
+    caller holds it.
     """
     annulus_samples, = _indices([annulus_samples], 8,
                                 "samples per radius").tolist()
@@ -562,26 +648,33 @@ def check_hypothesis_two(scheme: SchemeDefinition,
     for rho in radii:
         if not (math.isfinite(rho) and rho > 0.0):
             raise ValueError(f"radii must be finite and > 0, got {rho!r}")
-    # nodes built in Python arithmetic, one per (radius, angle), so each
-    # witness is bitwise the point a pointwise sweep would name
-    zs = [rho * complex(math.cos(th), math.sin(th))
-          for rho in radii
-          for th in np.linspace(0.0, 2.0 * np.pi, annulus_samples,
-                                endpoint=False)
-          if not (abs(rho - 1.0) < 1e-12
-                  and abs(math.remainder(th, 2.0 * math.pi))
-                  < _SWEEP_EXCLUSION)]
-    min_mod = math.inf
-    witness = None
-    for zval, delta in zip(zs, lopatinskii_values(scheme, zs)):
-        val = abs(complex(delta))
-        if val < min_mod:
-            min_mod = val
-            if val < _SWEEP_ZERO_TOL:
-                witness = zval
+    min_mod, zeros, witness = None, None, None
+    if scheme.r == 1:
+        zeros = _ghost_zeros(scheme)
+        if zeros:
+            witness = zeros[0]["z"]
+    else:
+        # nodes built in Python arithmetic, one per (radius, angle), so
+        # each witness is bitwise the point a pointwise sweep would name
+        zs = [rho * complex(math.cos(th), math.sin(th))
+              for rho in radii
+              for th in np.linspace(0.0, 2.0 * np.pi, annulus_samples,
+                                    endpoint=False)
+              if not (abs(rho - 1.0) < 1e-12
+                      and abs(math.remainder(th, 2.0 * math.pi))
+                      < _SWEEP_EXCLUSION)]
+        min_mod = math.inf
+        for zval, delta in zip(zs, lopatinskii_values(scheme, zs)):
+            val = abs(complex(delta))
+            if val < min_mod:
+                min_mod = val
+                if val < _SWEEP_ZERO_TOL:
+                    witness = zval
+        min_mod = float(min_mod)
     satisfied = witness is None
 
-    one = lopatinskii(scheme, 1.0)
+    if one is None:
+        one = lopatinskii(scheme, 1.0)
     delta1 = one.value
     boundary_zero = _boundary_zero(delta1)
     residue_ok = _residue_ok(scheme, one.kappas) if boundary_zero else None
@@ -593,8 +686,8 @@ def check_hypothesis_two(scheme: SchemeDefinition,
         verdict = "ℓ¹-stable, ℓ^q-unstable for q>1"
     else:
         verdict = "ℓ^q-stable for all q"
-    return StabilityReport(satisfied=satisfied, min_modulus=float(min_mod),
+    return StabilityReport(satisfied=satisfied, min_modulus=min_mod,
                            witness_z=witness, delta_at_one=delta1,
                            boundary_zero=boundary_zero, residue_ok=residue_ok,
                            verdict=verdict, radii=radii,
-                           samples_per_radius=annulus_samples)
+                           samples_per_radius=annulus_samples, zeros=zeros)

@@ -29,12 +29,13 @@ def _artifact_digest():
 
 
 def test_seed7_jobs_match_manifest(tmp_path, monkeypatch):
-    # the script pins BLAS threads in os.environ and puts perfbench/ on
-    # sys.path when it runs the jobs; neither outlives the test
+    # the script pins BLAS threads in os.environ, which does not outlive
+    # the test; it loads perfbench's job lists by path, so sys.path stays
     monkeypatch.setattr(os, "environ", dict(os.environ))
-    monkeypatch.setattr(sys, "path", list(sys.path))
     digest = _artifact_digest()
+    path = list(sys.path)
     got = digest.manifest(tmp_path)
+    assert sys.path == path
     want = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert sorted(got) == sorted(want)
     diff = [f"{part} {key}: {want[part].get(key)!r} -> "

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, verdict strings, artifacts, reproducibility."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,11 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -29,6 +32,21 @@ KS2 = (14.0 - math.sqrt(176.0)) / 10.0
 
 BAD_INLINE = {"r": 1, "p": 2, "a": ["0.125", "0.1", "0.925", "-0.15"],
               "p_b": 0, "b": [], "name": "bad"}
+
+# the default lfr stencil convolved with itself: r = p = 2, so the second
+# hypothesis is swept
+_LFR2_INLINE = {"r": 2, "p": 2, "p_b": 2, "b": [[0.3, -0.2], [0.5, 0.1]],
+                "a": ["1/64", "1/16", "7/32", "5/16", "25/64"],
+                "name": "lfr2"}
+
+
+def _lfr2_zero_at_two() -> dict:
+    # the ghost rule u_0 = b1 u_1 + b2 u_2, u_-1 = 0 vanishes on both stable
+    # roots k1, k2 at z = 2 for b1 = 1/k1 + 1/k2, b2 = -1/(k1 k2): Delta(2) = 0
+    k1, k2 = spectral.lopatinskii(
+        scheme.scheme_from_json(json.dumps(_LFR2_INLINE)), 2.0).kappas
+    return {**_LFR2_INLINE, "b": [[(1.0 / k1 + 1.0 / k2).real,
+                                   (-1.0 / (k1 * k2)).real], [0.0, 0.0]]}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -84,9 +102,6 @@ def test_check_violating_rule_exits_2(tmp_path, capsys):
     assert rep["verdict"].startswith("unstable")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: the sweep samples |Delta| on the circles 1, 1.05, "
-    "1.25 and 2.5 only, so the zero at z = 1.1 between them goes unseen"))
 def test_check_finds_off_grid_lopatinskii_zero(tmp_path, capsys):
     # Delta = 1 - b kappa_s vanishes at z = 1.1 for b = 1/kappa_s(1.1),
     # kappa_s the small root of the default lfr quadratic
@@ -106,19 +121,41 @@ def test_check_finds_off_grid_lopatinskii_zero(tmp_path, capsys):
     assert abs(witness - z) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: no exclusion window covers the circle of radius "
-    "1.0000001, and |Delta| at its node z = 1.0000001 is 2e-7, below "
-    "_SWEEP_ZERO_TOL, so the default lfr's boundary zero at z = 1 is "
-    "named as a violation"))
 def test_check_near_unit_circle_keeps_marginal_verdict(tmp_path, capsys):
     # the default lfr's only zero is the boundary zero at z = 1, so every
-    # admissible sweep must give its marginal verdict
+    # admissible radius must give its marginal verdict (a sweep named the
+    # boundary zero as a violation here: |Delta(1.0000001)| = 2e-7)
     code, out = run(tmp_path, "check", {"scheme": {"builtin": "lfr"},
                                         "radii": [1.0000001]})
     assert VERDICT_LFR in capsys.readouterr().out
     assert code == 0
     assert read_json(out, "report.json")["verdict"] == VERDICT_LFR
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6),
+       z0=st.floats(1.0 + 1e-9, 4.0))
+@example(alpha=-0.5, slack=0.5, z0=-1.0)
+@example(alpha=-0.5, slack=0.5, z0=-2.5)
+def test_check_names_a_planted_lfr_zero(alpha, slack, z0):
+    # b = 1/kappa_s(z0) puts the one zero of Delta = 1 - b kappa_s at z0
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
+    ks = spectral.characteristic_roots(scheme.builtin_lfr(alpha, D, 0.0),
+                                       z0)[0]
+    doc = {"scheme": {"builtin": "lfr", "alpha": alpha, "D": D,
+                      "b": 1.0 / ks.real}}
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code, out = run(pathlib.Path(tmp), "check", doc)
+        rep = read_json(out, "report.json")
+    assert code == 2
+    h2 = rep["hypothesis_two"]
+    assert [complex(*w["z"]) for w in h2["zeros"]] == \
+        [complex(*h2["witness_z"])]
+    assert abs(complex(*h2["witness_z"]) - z0) < 1e-9
+    assert rep["verdict"].startswith(
+        "unstable: Lopatinskii determinant vanishes at z = ")
 
 
 def test_hypothesis_failure_short_circuits_experiments(tmp_path, capsys):
@@ -697,9 +734,14 @@ def test_oracle_cells_off_the_domain_are_config_errors(tmp_path, capsys, key,
 
 
 def test_report_tolerances_are_the_applied_constants(tmp_path):
+    # r = 1 rules (the zeros from the ghost polynomial) and an r = 2 one
+    # (the sweep); the last config of each kind has a Lopatinskii zero
     docs = [{"scheme": {"builtin": "lfr"}}, {"scheme": {"builtin": "o3"}},
-            {"scheme": {"builtin": "lfr", "b": 1.0 / KS2},
+            {"scheme": {"builtin": "lfr", "b": 1.0 / KS2}},
+            {"scheme": {"inline": _LFR2_INLINE}},
+            {"scheme": {"inline": _lfr2_zero_at_two()},
              "radii": [1.0, 1.05, 1.25, 2.0, 2.5]}]
+    satisfied = []
     for i, doc in enumerate(docs):
         _, out = run(tmp_path, "check", doc, out=f"out{i}")
         rep = read_json(out, "report.json")
@@ -719,9 +761,20 @@ def test_report_tolerances_are_the_applied_constants(tmp_path):
         h2 = rep["hypothesis_two"]
         assert h2["boundary_zero"] == (
             abs(complex(*h2["delta_at_one"])) < tol["boundary_zero_tol"])
-        assert h2["satisfied"] == (h2["min_modulus"] >= tol["hyp2_zero_tol"])
-    # the last config puts a Lopatinskii zero on the sweep
-    assert h2["satisfied"] is False
+        if rep["scheme"]["r"] == 1:
+            # each zero is off z = 1 and |z| >= 1 beyond its own bound
+            for w in h2["zeros"]:
+                z = complex(*w["z"])
+                assert abs(z - 1.0) > w["bound"] > 0.0
+                assert w["margin"] == abs(z) - 1.0 >= -w["bound"]
+            assert h2["satisfied"] == (not h2["zeros"])
+            assert h2["min_modulus"] is None
+        else:
+            assert h2["satisfied"] == (
+                h2["min_modulus"] >= tol["hyp2_zero_tol"])
+            assert h2["zeros"] is None
+        satisfied.append(h2["satisfied"])
+    assert satisfied == [True, True, False, True, False]
 
 
 def test_unknown_subcommand(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Generalized Gaussian profiles: closed forms, tail identities, contour rep."""
 
+import math
+
 import numpy as np
 import pytest
 
 from halflab import gaussian
 from halflab.gaussian import GaussianParams, appendix_f, gaussian_e, gaussian_h
 from halflab.resolvent import QuadratureError
+from halflab.scheme import check_hypothesis_one
 
 P_HEAT = GaussianParams(mu=1, beta=0.25)
 P_QUARTIC = GaussianParams(mu=2, beta=3.0 / 128.0)
@@ -147,19 +150,20 @@ def test_contour_line_cuts_where_the_integrand_decays(params, s):
 
 
 def _record_settle(monkeypatch):
-    """Spies on the quadratures: "nodes" lists the nodes of every kernel
-    call, "rule" holds the last quadrature's (points, weight, kernel, div)
-    and "settled" every (sums, n) that `_trapezoid` returned."""
+    """Spies on the quadratures: "nodes" lists the rows and nodes of every
+    kernel call, "rule" holds the last quadrature's (x, start, points,
+    weight, kernel, div) and "settled" every (sums, n per row) that
+    `_trapezoid` returned, one per start count in ascending order."""
     rec = {"nodes": [], "settled": []}
     quadrature, trapezoid = gaussian._quadrature, gaussian._trapezoid
 
     def spy(x, what, start, points, weight, kernel, div=None, finish=None):
         def recording(xb, v):
             out = kernel(xb, v)
-            rec["nodes"].append((xb.shape[0], v.copy()))
+            rec["nodes"].append((xb[:, 0].copy(), v.copy()))
             return out
 
-        rec["rule"] = points, weight, kernel, div
+        rec["rule"] = x, start, points, weight, kernel, div
         return quadrature(x, what, start, points, weight, recording, div,
                           finish)
 
@@ -173,6 +177,19 @@ def _record_settle(monkeypatch):
     return rec
 
 
+def _settled_rows(rec):
+    """(x, sum, n) of every value of the last quadrature: the settles run
+    one per start count, ascending, over the values with that start."""
+    x, start, *_ = rec["rule"]
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    starts = start(np.abs(xs))
+    rows = []
+    for n0, (sums, ns) in zip(np.unique(starts), rec["settled"]):
+        rows += zip(xs[starts == n0], sums, ns)
+    assert len(rows) == xs.size
+    return rows
+
+
 def test_quadrature_blocks_are_capped(monkeypatch):
     # 601 x values: each kernel block holds at most _BLOCK_ENTRIES entries,
     # and the block size leaves every row's sum bitwise unchanged
@@ -183,9 +200,9 @@ def test_quadrature_blocks_are_capped(monkeypatch):
     rec = _record_settle(monkeypatch)
     monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", cap)
     got = appendix_f(xs, 0.7, p)
-    sizes = [(rows, v.size) for rows, v in rec["nodes"]]
+    sizes = [(rows.size, v.size) for rows, v in rec["nodes"]]
     assert max(rows * cols for rows, cols in sizes) <= cap
-    assert min(rows for rows, _ in sizes) < gaussian._CHUNK
+    assert min(rows for rows, _ in sizes) < xs.size
     np.testing.assert_array_equal(got, want)
 
 
@@ -200,16 +217,20 @@ _SETTLES = [("e-mu1", lambda x: gaussian_e(x, P_HEAT)),
 @pytest.mark.parametrize("fn", [f for _, f in _SETTLES],
                          ids=[i for i, _ in _SETTLES])
 def test_settle_evaluates_each_node_once(fn, monkeypatch):
-    # the nested rule asks the kernel for n + 1 columns over a whole settle,
-    # the final n-interval rule's nodes, each once
+    # x = 400 starts from more nodes than the others, so the values settle
+    # in two calls, one per start count; the nested rule asks the kernel,
+    # at each value, for the n + 1 nodes of the n-interval rule that settled
+    # that value, each once, so a settled row is asked for nothing more
     rec = _record_settle(monkeypatch)
-    fn(np.array([-2.0, 0.0, 0.5, 3.0]))
-    (_, n), = rec["settled"]
-    assert all(rows == 4 for rows, _ in rec["nodes"])
-    assert sum(v.size for _, v in rec["nodes"]) == n + 1
-    points = rec["rule"][0]
-    seen = np.sort_complex(np.concatenate([v for _, v in rec["nodes"]]))
-    np.testing.assert_array_equal(seen, np.sort_complex(points(n)[0]))
+    fn(np.array([-2.0, 0.0, 0.5, 3.0, 400.0]))
+    assert len(rec["settled"]) == 2
+    points = rec["rule"][2]
+    for x, _, n in _settled_rows(rec):
+        seen = np.concatenate([v for rows, v in rec["nodes"]
+                               for _ in range(np.count_nonzero(rows == x))])
+        assert seen.size == n + 1
+        np.testing.assert_array_equal(np.sort_complex(seen),
+                                      np.sort_complex(points(n)[0]))
 
 
 def _direct_rule(xs, n, points, weight, kernel, div):
@@ -239,10 +260,43 @@ def test_nested_sums_match_the_full_rule(fn, monkeypatch):
     rec = _record_settle(monkeypatch)
     xs = np.linspace(-4.0, 4.0, 9)
     fn(xs)
-    (sums, n), = rec["settled"]
-    direct, mass = _direct_rule(xs, n, *rec["rule"])
-    bound = 2.0 * (n + 4) * np.finfo(float).eps * mass
-    assert np.all(np.abs(sums - direct) <= bound)
+    _, _, *rule = rec["rule"]
+    for x, got, n in _settled_rows(rec):
+        direct, mass = _direct_rule(np.array([x]), n, *rule)
+        bound = 2.0 * (n + 4) * np.finfo(float).eps * mass
+        assert np.all(np.abs(got - direct) <= bound)
+
+
+def _err_map_xs(scheme) -> np.ndarray:
+    # the activation arguments of the default err-map grid
+    # (`layers.err_bound_fit`), in the Python floats `layers._layer_terms`
+    # takes them in
+    rep = check_hypothesis_one(scheme)
+    ns = (250, 500, 1000, 2000)
+    j0s = sorted(set(range(50, 1001, 50))
+                 | {math.ceil(n * abs(rep.alpha)) for n in ns})
+    return np.array([(j0 + n * rep.alpha) / n ** (1.0 / (2 * rep.mu))
+                     for n in ns for j0 in j0s])
+
+
+@pytest.mark.parametrize("name, complex_beta", [("lfr", False),
+                                                ("o3", False),
+                                                ("o3", True)],
+                         ids=["lfr", "o3", "o3-grid-complex-beta"])
+def test_batched_e_is_bitwise_the_scalar_calls(name, complex_beta, request,
+                                               monkeypatch):
+    # one call over many x gives each x bitwise its own scalar call: each
+    # value starts from its own node count and settles on its own.  The o3
+    # err-map grid holds both 2048- and 4096-node starts
+    scheme = request.getfixturevalue(name)
+    params = (GaussianParams(2, 0.5 + 0.4j) if complex_beta
+              else GaussianParams.of_scheme(scheme))
+    xs = np.concatenate([_err_map_xs(scheme), [0.0, -0.0, 400.0]])
+    want = np.array([gaussian_e(x, params) for x in xs.tolist()])
+    rec = _record_settle(monkeypatch)
+    got = gaussian_e(xs, params)
+    assert got.tobytes() == want.tobytes()
+    assert len(rec["settled"]) >= 2
 
 
 def test_sinc_with_and_without_a_zero_node():

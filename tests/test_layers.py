@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from halflab import evolution, layers
+from halflab import evolution, gaussian, layers
 from halflab.evolution import (adjoint_scheme, temporal_green_rows,
                                temporal_green_sweep,
                                temporal_green_whole_sweep)
@@ -284,6 +284,27 @@ def test_err_bound_fit_matches_the_cell_loop(lfr, case):
                                     fit.j_values, fit.c0_values)
         assert fit.heat.tobytes() == heat.tobytes()
         assert fit.sups.tobytes() == sups.tobytes()
+
+
+def test_err_bound_fit_takes_e_from_one_call(o3, monkeypatch):
+    # the default o3 grid: one gaussian_e call over its 4 x 21 cells, which
+    # settles once per start count (2048 and 4096 nodes), not once a cell
+    calls, settles = [], []
+    gaussian_e, trapezoid = layers.gaussian_e, gaussian._trapezoid
+
+    def counted_e(x, params):
+        calls.append(np.size(x))
+        return gaussian_e(x, params)
+
+    def counted_settle(*args):
+        settles.append(args[1])
+        return trapezoid(*args)
+
+    monkeypatch.setattr(layers, "gaussian_e", counted_e)
+    monkeypatch.setattr(gaussian, "_trapezoid", counted_settle)
+    fit = err_bound_fit(o3)
+    assert calls == [fit.n_values.size * fit.j0_values.size] == [84]
+    assert settles == [2048, 4096]
 
 
 @pytest.mark.parametrize("name", ["lfr", "o3"])

@@ -347,8 +347,8 @@ def test_table_solves_each_nested_node_once(lfr):
 
 
 def test_nested_ring_matches_the_full_ring(lfr, monkeypatch):
-    # the default oracle's lfr table at r0 = 0.05: T_2N = T_N / 2 + odd(N)
-    # against the full settled N ring, folded by conjugate symmetry onto
+    # the default oracle's lfr table at r0 = 0.05, settled as one row:
+    # T_2N = T_N / 2 + odd(N) against the full settled N ring, folded by conjugate symmetry onto
     # its upper half (weight 2/N, and 1/N at m = 0 and N/2) and summed at
     # once.  Each route sums N/2 + 1 terms; the nested one takes each real
     # part as two real sums of as many products.  In any order a sum of k
@@ -367,7 +367,8 @@ def test_nested_ring_matches_the_full_ring(lfr, monkeypatch):
     j0s, js = np.array([1, 5, 10, 20, 30]), np.array([1, 3, 7, 15, 30])
     n_max = 50
     table = inverse_laplace_table(lfr, n_max, j0s, js, r0=0.05)
-    (real, N), = settled
+    (rows, (N,)), = settled
+    real = rows[0]
     assert N == table.nodes
     zs = resolvent._ring(0.05, N)[:N // 2 + 1]
     G = resolvent._green(lfr, zs, j0s, js)[0]

@@ -326,6 +326,99 @@ def test_hypothesis_two_violation_witness():
     assert rep.verdict.startswith("unstable")
 
 
+def _stable_root(scheme, z):
+    # kappa_s(z): the one root of P(.; z) in the open unit disk (r = 1)
+    return hl.characteristic_roots(scheme, z)[0]
+
+
+def _assert_zeros_vanish(scheme, rep):
+    # the second route: Delta from the stable root at each named zero
+    for w in rep.zeros:
+        assert w["margin"] == abs(w["z"]) - 1.0 >= -w["bound"]
+        assert abs(w["z"] - 1.0) > w["bound"]
+        assert abs(hl.lopatinskii(scheme, w["z"]).value) < 1e-12 * max(
+            1.0, float(np.abs(scheme.b).sum()))
+
+
+@pytest.mark.parametrize("b2, want", [
+    (59.0, []), (73.0, [1.0298084]), (579.0, [2.0429165]),
+    (707.0, [2.2030986, -1.0782754])])
+def test_root_route_counts_the_o3_zeros(b2, want):
+    # along o3 b1 = 0 zeros enter |z| > 1 at b2 ~ 66 and ~ 643; the zero
+    # at 1.0298 (b2 = 73) lies between the default sweep circles
+    s = hl.builtin_o3(-0.5, 0.0, b2)
+    rep = hl.check_hypothesis_two(s)
+    got = [w["z"] for w in rep.zeros]
+    np.testing.assert_allclose(got, want, atol=1e-7)
+    assert all(z.imag == 0.0 for z in got)
+    assert rep.satisfied is not want
+    _assert_zeros_vanish(s, rep)
+
+
+@settings(max_examples=20)
+@given(modulus=st.floats(1.02, 3.0), angle=st.floats(0.05, math.pi - 0.05))
+@example(modulus=1.2, angle=0.9).via("a pair of ROADMAP item 1")
+@example(modulus=1.05, angle=2.5).via("a pair of ROADMAP item 1")
+@example(modulus=3.0, angle=0.3).via("a pair of ROADMAP item 1")
+def test_root_route_lists_a_planted_complex_pair(o3, modulus, angle):
+    # b1 = 2 Re(1/k1), b2 = -1/|k1|^2 make Q(kappa) = (1 - kappa/k1)
+    # (1 - kappa/conj(k1)), k1 = kappa_s(z1): zeros at z1 and conj(z1)
+    z1 = modulus * complex(math.cos(angle), math.sin(angle))
+    k1 = _stable_root(o3, z1)
+    s = hl.builtin_o3(-0.5, 2.0 * (1.0 / k1).real, -1.0 / abs(k1) ** 2)
+    rep = hl.check_hypothesis_two(s)
+    # the two moduli differ by rounding, so either may come first
+    got = sorted((w["z"] for w in rep.zeros), key=lambda z: -z.imag)
+    assert len(got) == 2
+    for w, z in zip(got, (z1, z1.conjugate())):
+        assert abs(w - z) < 1e-9 * modulus
+    assert rep.witness_z == rep.zeros[0]["z"] and not rep.satisfied
+    _assert_zeros_vanish(s, rep)
+
+
+@settings(max_examples=20)
+@given(alpha=st.floats(-0.9, -0.1), c=st.floats(-0.9, 0.9))
+@example(alpha=-0.5, c=0.0).via("the default o3 pair")
+def test_root_route_counts_no_zero_on_marginal_and_perturbed_o3(alpha, c):
+    # the marginal pairs (kappa0 = kappa_s(1), where F = 1 up to rounding)
+    # and the rules u_0 = (1 + c) u_1 - c u_2 with sum b = 1, whose Q has
+    # the root kappa = 1 (Delta = (1 - kappa_s)(1 - c kappa_s)): the
+    # boundary zero, or none, but no zero off z = 1
+    marginal = hl.builtin_o3(alpha, *o3_marginal_pair(alpha))
+    for s in (marginal, hl.builtin_o3(alpha, 1.0 + c, -c)):
+        rep = hl.check_hypothesis_two(s)
+        assert rep.zeros == () and rep.satisfied
+    assert rep.boundary_zero is False
+    assert hl.check_hypothesis_two(marginal).boundary_zero
+
+
+@settings(max_examples=20)
+@given(alpha=st.floats(-0.85, -0.15), slack=st.floats(0.05, 0.6))
+def test_root_route_keeps_the_marginal_lfr_verdict(alpha, slack):
+    # b = (D - alpha)/(D + alpha) = 1/kappa_s(1): F(1/b) = 1 up to rounding
+    D = alpha * alpha + slack * (1.0 - alpha * alpha)
+    assume(D != -alpha)
+    rep = hl.check_hypothesis_two(
+        hl.builtin_lfr(alpha, D, (D - alpha) / (D + alpha)))
+    assert rep.zeros == () and rep.boundary_zero
+    assert rep.verdict == "ℓ¹-stable, ℓ^q-unstable for q>1"
+
+
+def test_root_route_makes_no_sweep(lfr, o3, monkeypatch):
+    # for r = 1 only the z = 1 node is evaluated, whatever the radii
+    nodes = []
+    evaluate = spectral._evaluate
+
+    def counted(scheme, zs):
+        nodes.append(np.size(zs))
+        return evaluate(scheme, zs)
+
+    monkeypatch.setattr(spectral, "_evaluate", counted)
+    for s in (lfr, o3):
+        hl.check_hypothesis_two(s, radii=(1.0, 1.5, 3.0), annulus_samples=512)
+    assert nodes == [1, 1]
+
+
 def test_eigen_conditioning_guard():
     # the symmetric stencil has a double root kappa = 1 at z = 1; the
     # projector builder must refuse rather than return garbage
@@ -412,17 +505,19 @@ def _assert_batch_matches_pointwise(scheme, radii=(1.0, 1.05, 1.25, 2.5),
     one = np.array([hl.lopatinskii(scheme, z).value for z in zs])
     assert np.array_equal(got.view(float), want.view(float))
     assert np.array_equal(got.view(float), one.view(float))
-    min_mod, witness = math.inf, None
-    for z, v in zip(sweep, one):
-        if abs(complex(v)) < min_mod:
-            min_mod = abs(complex(v))
-            if min_mod < 1e-6:
-                witness = z
     rep = hl.check_hypothesis_two(scheme, annulus_samples=samples,
                                   radii=radii)
-    assert rep.min_modulus == min_mod
-    assert rep.witness_z == witness
     assert rep.delta_at_one == _delta_scalar(scheme, 1.0, curve)
+    if scheme.r >= 2:
+        # the sweep (r >= 2) redone from the one-node values
+        min_mod, witness = math.inf, None
+        for z, v in zip(sweep, one):
+            if abs(complex(v)) < min_mod:
+                min_mod = abs(complex(v))
+                if min_mod < 1e-6:
+                    witness = z
+        assert rep.min_modulus == min_mod
+        assert rep.witness_z == witness
     return rep
 
 
@@ -431,17 +526,40 @@ def _lfr_b_zero_at_two():
     return hl.builtin_lfr(-0.5, 0.75, 1.0 / ks)
 
 
+def _lfr2(b):
+    # the lfr stencil convolved with itself: r = p = 2, dissipative, two
+    # stable roots at z = 1
+    return hl.SchemeDefinition(r=2, p=2,
+                               a=np.convolve(_LFR_STENCIL, _LFR_STENCIL),
+                               p_b=2, b=np.array(b))
+
+
+LFR2 = _lfr2([[0.3, -0.2], [0.5, 0.1]])
+
+
+def _lfr2_zero_at_two():
+    # the ghost rule u_0 = b1 u_1 + b2 u_2, u_-1 = 0: row 0 of B V(kappa) is
+    # kappa (1 - b1 kappa - b2 kappa^2), which vanishes at both stable
+    # roots at z = 2 for b1 = 1/k1 + 1/k2 and b2 = -1/(k1 k2), so
+    # Delta(2) = 0
+    k1, k2 = hl.lopatinskii(LFR2, 2.0).kappas
+    return _lfr2([[(1.0 / k1 + 1.0 / k2).real, (-1.0 / (k1 * k2)).real],
+                  [0.0, 0.0]])
+
+
 def test_batched_lopatinskii_bitwise_builtins(lfr, o3):
-    for s in (lfr, o3):
+    for s in (lfr, o3, LFR2):
         _assert_batch_matches_pointwise(s)
 
 
 def test_batched_lopatinskii_bitwise_failing_rules():
-    # the violating lfr rule (zero of Delta at z = 2, on the swept circle)
+    # the violating rules (a zero of Delta at z = 2, on the swept circle)
     # and l1-only o3 rules on the marginal line Delta(1) = 0
-    rep = _assert_batch_matches_pointwise(
-        _lfr_b_zero_at_two(), radii=(1.0, 1.05, 1.25, 2.0, 2.5), samples=32)
-    assert not rep.satisfied
+    for bad in (_lfr_b_zero_at_two(), _lfr2_zero_at_two()):
+        rep = _assert_batch_matches_pointwise(
+            bad, radii=(1.0, 1.05, 1.25, 2.0, 2.5), samples=32)
+        assert not rep.satisfied
+        assert abs(rep.witness_z - 2.0) < 1e-12
     k = KAPPA_S_O3
     for delta in (-0.8, 0.3):
         b2 = -1.0 / k + delta
@@ -477,18 +595,23 @@ def test_batched_roots_match_scalar_iteration(o3):
 
 
 def test_sweep_inside_curve_names_first_node(lfr):
-    # the circle of radius 2 lies outside the lfr ellipse, the one of radius
-    # 0.9 enters it; the first node inside is z = 0.9, node 64 of the sweep
+    # the circle of radius 2 lies outside the symbol curve, the one of
+    # radius 0.9 enters it at its first node z = 0.9, node 64; the batched
+    # evaluator (lfr) and the r >= 2 sweep (LFR2) raise that node's error
     zs = _sweep_nodes((2.0, 0.9), 64)
-    inside = [i for i, z in enumerate(zs)
-              if hl.spectral_split(lfr, z).region == "inside"]
-    assert inside[0] == 64 and len(inside) > 1
-    with pytest.raises(MultiplicityError) as point:
-        hl.lopatinskii(lfr, zs[64])
-    with pytest.raises(MultiplicityError) as batch:
-        hl.check_hypothesis_two(lfr, radii=(2.0, 0.9))
-    assert str(batch.value) == str(point.value)
-    assert repr(zs[64]) in str(batch.value)
+    for s in (lfr, LFR2):
+        inside = [i for i, z in enumerate(zs)
+                  if hl.spectral_split(s, z).region == "inside"]
+        assert inside[0] == 64 and len(inside) > 1
+        with pytest.raises(MultiplicityError) as point:
+            hl.lopatinskii(s, zs[64])
+        with pytest.raises(MultiplicityError) as batch:
+            if s.r == 1:
+                hl.lopatinskii_values(s, zs)
+            else:
+                hl.check_hypothesis_two(s, radii=(2.0, 0.9))
+        assert str(batch.value) == str(point.value)
+        assert repr(zs[64]) in str(batch.value)
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -504,9 +627,11 @@ def test_sweep_inside_curve_names_first_node(lfr):
 def test_sweep_refuses_bad_arguments(lfr, kw, match):
     # an empty sweep would return a verdict with min_modulus inf; the
     # circle of radius -1 passes through z = 1 at theta = pi, outside the
-    # exclusion window, and would name the boundary zero as a violation
-    with pytest.raises(ValueError, match=match):
-        hl.check_hypothesis_two(lfr, **kw)
+    # exclusion window, and would name the boundary zero as a violation.
+    # The arguments are checked for every r, though only r >= 2 sweeps
+    for s in (lfr, LFR2):
+        with pytest.raises(ValueError, match=match):
+            hl.check_hypothesis_two(s, **kw)
 
 
 def test_sweep_takes_integral_float_samples(lfr):
