@@ -23,8 +23,8 @@ their derivatives and Jacobi's formula that of det(B V)
 
 One evaluator serves a single node and a batch of nodes alike (the annulus
 sweep of check_hypothesis_two for r >= 2, the CLI's real-axis profile, the
-contour guard of `resolvent`).  The roots of all nodes are the eigenvalues of the
-stacked companion matrices, from one LAPACK call, polished by three
+contour guard of `resolvent`).  The roots of all nodes are the eigenvalues
+of the stacked companion matrices, from one LAPACK call, polished by three
 elementwise Newton steps.  numpy factors each matrix of a stack on its
 own, so a batch gives bitwise the one-node results (and those of np.roots
 with the same polish).  The roots also place the node against the curve.  On

@@ -348,9 +348,9 @@ def test_table_solves_each_nested_node_once(lfr):
 
 def test_nested_ring_matches_the_full_ring(lfr, monkeypatch):
     # the default oracle's lfr table at r0 = 0.05, settled as one row:
-    # T_2N = T_N / 2 + odd(N) against the full settled N ring, folded by conjugate symmetry onto
-    # its upper half (weight 2/N, and 1/N at m = 0 and N/2) and summed at
-    # once.  Each route sums N/2 + 1 terms; the nested one takes each real
+    # T_2N = T_N / 2 + odd(N) against the full settled N ring, folded by
+    # conjugate symmetry onto its upper half (weight 2/N, and 1/N at m = 0
+    # and N/2) and summed at once.  Each route sums N/2 + 1 terms; the nested one takes each real
     # part as two real sums of as many products.  In any order a sum of k
     # terms errs by at most (k - 1) eps sum |terms| (Higham, Accuracy and
     # Stability of Numerical Algorithms, sec. 4.2), so the two agree within
