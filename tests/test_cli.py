@@ -859,6 +859,8 @@ def _instrument(monkeypatch):
                      "lopatinskii_derivative_at_one")
         _count_calls(monkeypatch, calls, "proj", mod, "projector_set",
                      lambda scheme, z, *rest: complex(z))
+        _count_calls(monkeypatch, calls, "lop", mod, "lopatinskii",
+                     lambda scheme, z: complex(z))
     for mod in (cli, layers):
         _count_calls(monkeypatch, calls, "ru", mod, "ru_analytic",
                      lambda scheme, j0_max, j_max: (j0_max, j_max))
@@ -884,6 +886,9 @@ def test_layers_run_computes_each_quantity_once(tmp_path, monkeypatch,
     assert tags.count("hyp1") == 1
     assert tags.count("dprime") == 1
     assert [z for tag, z in calls if tag == "proj"] == [1.0]
+    # one Lopatinskii solve at z = 1, shared by the second hypothesis and
+    # the layers
+    assert [z for tag, z in calls if tag == "lop" and z == 1.0] == [1.0]
     # the layer_ru.csv grid, and the transmitted row at j0 once for n, 2n
     assert sorted(g for tag, g in calls if tag == "ru") == [(2, 6), (20, 6)]
     # one half-line and one whole-line sweep recorded at n and 2n, each

@@ -395,6 +395,45 @@ def _record_core_nodes(monkeypatch):
     return nodes
 
 
+def _nested_rule(fs, asked):
+    """The nested trapezoid rule on [0, 1] of each function of fs, one row
+    each, as the (first, odd) pair `_trapezoid` doubles; asked lists the
+    rows of every odd call."""
+    def first(n):
+        v = np.linspace(0.0, 1.0, n + 1)
+        w = np.ones(n + 1)
+        w[[0, -1]] = 0.5
+        return np.array([(f(v) * w).sum() / n for f in fs])
+
+    def odd(n, live):
+        asked.append(live.tolist())
+        v = (2.0 * np.arange(n) + 1.0) / (2 * n)
+        return np.array([fs[i](v).sum() / (2 * n) for i in live])
+
+    return first, odd
+
+
+def test_trapezoid_retires_each_row_on_its_own():
+    # the rule is exact on the linear row, which settles at the first
+    # doubling, and the others need more nodes: a settled row keeps its
+    # sum and is asked for no more, so each row's sum and n are bitwise
+    # those of its own one-row settle
+    fs = [lambda v: 1.0 + v, lambda v: np.cos(3.0 * v), np.exp]
+    asked = []
+    sums, ns = resolvent._trapezoid("test", 8, 2 ** 16, 1e-9,
+                                    *_nested_rule(fs, asked))
+    assert ns[0] == 16 and ns[0] < ns[1] < ns[2]
+    assert asked[0] == [0, 1, 2] and asked[1] == [1, 2] and asked[-1] == [2]
+    for i, f in enumerate(fs):
+        one, (n,) = resolvent._trapezoid("test", 8, 2 ** 16, 1e-9,
+                                         *_nested_rule([f], []))
+        assert one.tobytes() == sums[i:i + 1].tobytes() and n == ns[i]
+    # a row left unsettled at the cap raises, whatever the others did
+    with pytest.raises(QuadratureError, match="test quadrature did not "
+                       "settle below 1e-09 within 64 nodes"):
+        resolvent._trapezoid("test", 8, 64, 1e-9, *_nested_rule(fs, []))
+
+
 def test_reconstruct_is_one_table_solve_per_node(lfr, o3, monkeypatch):
     # the default tables take every node from the residue sums: one
     # evaluation per node of the settled half-ring and not one core solve
