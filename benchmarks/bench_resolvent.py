@@ -13,6 +13,12 @@ and the residue sums with the coefficient solve (`_root_values`).  The
 last column is the largest distance between the two routes over the ring,
 in units of max |G|.
 
+Settle table: best-of-five wall time of the default oracle's three rings
+of one scheme (default j0 and j grids, n_max = 50) as one
+`inverse_laplace_table` call, every ring a row of one settle with one
+`_green` batch per doubling, against one call per ring, with each side's
+batch count and whether the two give the same tables bit for bit.
+
 Pointwise table: best-of-five wall time of one call of each public
 evaluator, including the double unstable root z* of the o3 scheme, where
 the whole line sums the root pair on a circle and the half line takes the
@@ -59,9 +65,9 @@ def rings():
     rows = []
     for name in ("lfr", "o3"):
         scheme = _load_scheme({"scheme": {"builtin": name}})
-        for r0 in R0S:
-            N = resolvent.inverse_laplace_table(scheme, N_MAX, J0S, JS,
-                                                r0=r0).nodes
+        tables = resolvent.inverse_laplace_table(scheme, N_MAX, J0S, JS,
+                                                 r0=list(R0S))
+        for r0, N in zip(R0S, (t.nodes for t in tables)):
             zs = resolvent._ring(r0, N)[:N // 2 + 1]
             t_guard, nodes = _best_of(
                 lambda: resolvent._guard_ring(scheme, zs))
@@ -84,6 +90,47 @@ def rings():
               f" {n / t_root / 1e3:11.1f} {t_core * 1e3:8.2f}"
               f" {n / t_core / 1e3:10.1f} {t_core / t_root:7.1f}x"
               f" {diff:9.1e}")
+
+
+def _batches(fn):
+    """fn's result and the number of `_green` batches it ran."""
+    sizes, guard = [], resolvent._guard_ring
+
+    def counted(scheme, zs):
+        sizes.append(zs.size)
+        return guard(scheme, zs)
+
+    resolvent._guard_ring = counted
+    try:
+        return fn(), len(sizes)
+    finally:
+        resolvent._guard_ring = guard
+
+
+def settle():
+    header = (f"{'scheme':6s} {'one call ms':>12s} {'batches':>8s}"
+              f" {'per ring ms':>12s} {'batches':>8s} {'bitwise':>8s}")
+    print(header)
+    print("-" * len(header))
+    for name in ("lfr", "o3"):
+        scheme = _load_scheme({"scheme": {"builtin": name}})
+
+        def one():
+            return resolvent.inverse_laplace_table(scheme, N_MAX, J0S, JS,
+                                                   r0=list(R0S))
+
+        def per_ring():
+            return [resolvent.inverse_laplace_table(scheme, N_MAX, J0S, JS,
+                                                    r0=r0) for r0 in R0S]
+
+        (rows, n_rows), (alone, n_alone) = _batches(one), _batches(per_ring)
+        same = all(a.values.tobytes() == b.values.tobytes()
+                   and a.imag.tobytes() == b.imag.tobytes()
+                   and (a.nodes, a.solves) == (b.nodes, b.solves)
+                   for a, b in zip(rows, alone))
+        t_one, t_per = _best_of(one, 5)[0], _best_of(per_ring, 5)[0]
+        print(f"{name:6s} {t_one * 1e3:12.2f} {n_rows:8d} {t_per * 1e3:12.2f}"
+              f" {n_alone:8d} {str(same):>8s}")
 
 
 def pointwise():
@@ -130,5 +177,7 @@ def pointwise():
 
 if __name__ == "__main__":
     rings()
+    print()
+    settle()
     print()
     pointwise()

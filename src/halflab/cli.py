@@ -461,8 +461,8 @@ def _run_oracle(scheme, opts, out_dir, at_one):
     ts = temporal_green_sweep(scheme, range(n_max + 1), j0s,
                               js).transpose(1, 0, 2)
     r0s = sorted(set(opts["r0_list"]))
-    tabs = [inverse_laplace_table(scheme, n_max, j0s, js, r0=r0)
-            for r0 in r0s]
+    # every ring a row of one settle
+    tabs = inverse_laplace_table(scheme, n_max, j0s, js, r0=r0s)
     recon = np.stack([tab.values for tab in tabs])
     err = np.abs(recon - ts)
     per_r0 = {repr(r0): {"max_err_vs_timestep": float(e.max()),

@@ -66,6 +66,8 @@ _CONTOUR_TOL = 1e-9
 _ROOT_ROUTE_TOL = 1e-12
 # complex entries per block of the residue sums' power tables (8 MB)
 _POWER_BLOCK = 2 ** 19
+# complex entries per chunk of the core solve's systems and solutions
+_CORE_BLOCK = 2 ** 19
 # nodes on a cluster circle at most
 _CLUSTER_CAP = 2 ** 10
 # |Delta| at most this at a node is a Lopatinskii zero: the guard refuses it
@@ -322,7 +324,26 @@ def _core_solve(scheme: SchemeDefinition, zs: np.ndarray,
     which solves every row past J exactly; the r ghost rows and the rows
     1..J give one (J+r) x (J+r) system per node, singular exactly where
     Delta(z) = 0.  A node whose system is singular, or whose solution
-    leaves a residual over _RESIDUAL_TOL on the cells 1..J+p, is refused."""
+    leaves a residual over _RESIDUAL_TOL on the cells 1..J+p, is refused.
+    The nodes are solved in chunks of at most _CORE_BLOCK complex entries
+    of systems and solutions (one node at least), each node's G bitwise
+    the same in any chunk; the first chunk holding a refused node raises."""
+    r, p, J = scheme.r, scheme.p, int(j0s[-1])
+    n, top = J + r, max(int(js[-1]), J + 2 * p)
+    # op (A is a view of it) and A's LU factors, then rhs, x and w, of one
+    # node
+    entries = n * (2 * n + p) + j0s.size * (2 * n + top + r)
+    step = max(1, _CORE_BLOCK // entries)
+    G = np.empty((zs.size, j0s.size, js.size), dtype=complex)
+    for lo in range(0, zs.size, step):
+        G[lo:lo + step] = _core_chunk(scheme, zs[lo:lo + step],
+                                      kappas[lo:lo + step], j0s, js)
+    return G
+
+
+def _core_chunk(scheme: SchemeDefinition, zs: np.ndarray,
+                kappas: np.ndarray, j0s: np.ndarray, js: np.ndarray):
+    """`_core_solve` at the nodes zs, their systems stacked in one array."""
     r, p, J = scheme.r, scheme.p, int(j0s[-1])
     d, n, top = p + r, J + r, max(int(js[-1]), J + 2 * p)
     # the ghost rows, then the rows 1..J, on the cells 1-r..J+p
@@ -334,9 +355,9 @@ def _core_solve(scheme: SchemeDefinition, zs: np.ndarray,
     op[:, r + rows, rows + r] += zs[:, None]
     # powers[:, s, m] = kappa_s^m: the tail cells J-r+1..top
     powers = kappas[:, :, None] ** np.arange(top - J + r)
-    A = np.concatenate(
-        [op[:, :, :J], op[:, :, J:] @ powers[:, :, :d].transpose(0, 2, 1)],
-        axis=2)
+    # A: the tail weights' r columns in place of the first tail cells'
+    op[:, :, J:n] = op[:, :, J:] @ powers[:, :, :d].transpose(0, 2, 1)
+    A = op[:, :, :n]
     rhs = np.zeros((zs.size, n, j0s.size), dtype=complex)
     rhs[:, r + j0s - 1, np.arange(j0s.size)] = 1.0
     try:
@@ -379,15 +400,15 @@ def _grid(scheme: SchemeDefinition, j0_list, j_list):
 
 def _green(scheme: SchemeDefinition, zs: np.ndarray, j0s: np.ndarray,
            js: np.ndarray):
-    """G at the nodes zs, shape (zs.size, j0s.size, js.size), and the
-    number of core solves: `_root_values` at every node its bound accepts,
-    `_core_solve` at every node it refuses."""
+    """G at the nodes zs, shape (zs.size, j0s.size, js.size), and the mask
+    of the nodes that took the core solve: `_root_values` at every node its
+    bound accepts, `_core_solve` at every node it refuses."""
     nodes = _guard_ring(scheme, zs)
     G, bound = _root_values(scheme, zs, nodes.roots, j0s, js)
     far = _refused(G, bound)
     if far.any():
         G[far] = _core_solve(scheme, zs[far], nodes.kappas[far], j0s, js)
-    return G, int(far.sum())
+    return G, far
 
 
 def _whole(scheme: SchemeDefinition, zs: np.ndarray, offs: np.ndarray):
@@ -460,55 +481,75 @@ def _ring(r0: float, N: int) -> np.ndarray:
     return rho * np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _contour_sum(scheme: SchemeDefinition, n_max: int, r0: float,
-                 tol: float, values):
+def _contour_sum(scheme: SchemeDefinition, n_max: int, r0s, tol: float,
+                 values):
     """The trapezoid sums (1/N) sum_m z_m^(n+1) g(z_m), n <= n_max, over the
-    ring z_m = e^{r0} e^{2 pi i m/N}, doubled until two rings agree within
-    tol.  values(zs) returns g at the nodes zs, shape (zs.size, a, b); it is
-    only asked for the upper half-ring, since g(conj z) = conj g(z).  Returns
-    the real and imaginary parts, each of shape (a, n_max + 1, b), and N;
-    n_max is an int >= 0 (its callers check it)."""
-    if not math.isfinite(r0):
-        raise ValueError("non-finite contour exponent r0")
-    if r0 <= 0:
-        raise ValueError("contour exponent r0 must be positive")
-    imag = None
+    rings z_m = e^{r0} e^{2 pi i m/N}, one for each exponent of r0s, each
+    doubled until two of its rings agree within tol.
 
-    def ring_sum(zs: np.ndarray, weights: np.ndarray):
-        """Re sum_m weights_m z_m^(n+1) g(z_m) over the nodes zs, as two
-        real matrix products.  The first ring's self-conjugate nodes m = 0
-        and N/2, its first and last, give the only imaginary parts."""
-        nonlocal imag
-        powers = zs[:, None] ** (np.arange(n_max + 1)[None, :] + 1)
-        G = values(zs)
-        if imag is None:
-            imag = sum(np.einsum("n,ij->inj", powers[m].imag, G[m].real)
-                       + np.einsum("n,ij->inj", powers[m].real, G[m].imag)
-                       for m in (0, -1))
-        wp, flat = powers * weights[:, None], G.reshape(zs.size, -1)
-        out = wp.real.T @ flat.real - wp.imag.T @ flat.imag
-        return out.reshape((n_max + 1,) + G.shape[1:]).transpose(1, 0, 2)
+    Every ring is one row of one `_trapezoid` settle: each doubling asks
+    values(zs, ring) once for the new nodes of every live ring, zs
+    concatenated in r0s order and ring[k] the row of node k, and gets g at
+    them, shape (zs.size, a, b).  It is only asked for upper half-rings,
+    since g(conj z) = conj g(z).  Each row keeps its own powers, terms and
+    sums, so its sums are bitwise those of its ring settled alone.  Returns
+    the real and imaginary parts, each of shape (len(r0s), a, n_max + 1, b),
+    and the N that settled each ring; n_max is an int >= 0 (its callers
+    check it), and every r0 is checked before any node is evaluated."""
+    if not len(r0s):
+        raise ValueError("no contour exponent r0")
+    for r0 in r0s:
+        if not math.isfinite(r0):
+            raise ValueError("non-finite contour exponent r0")
+        if r0 <= 0:
+            raise ValueError("contour exponent r0 must be positive")
+    imag = [None] * len(r0s)
+
+    def ring_sums(rows, zs_of, weights: np.ndarray):
+        """Re sum_m weights_m z_m^(n+1) g(z_m) over the nodes zs_of(r0) of
+        the ring of each row, as two real matrix products per row, from one
+        values call.  The first ring's self-conjugate nodes m = 0 and N/2,
+        its first and last, give the only imaginary parts."""
+        parts = [zs_of(r0s[row]) for row in rows]
+        sizes = [zs.size for zs in parts]
+        G = values(np.concatenate(parts), np.repeat(rows, sizes))
+        out = []
+        for row, zs, g in zip(rows, parts,
+                              np.split(G, np.cumsum(sizes)[:-1])):
+            powers = zs[:, None] ** (np.arange(n_max + 1)[None, :] + 1)
+            if imag[row] is None:
+                imag[row] = sum(
+                    np.einsum("n,ij->inj", powers[m].imag, g[m].real)
+                    + np.einsum("n,ij->inj", powers[m].real, g[m].imag)
+                    for m in (0, -1))
+            wp, flat = powers * weights[:, None], g.reshape(zs.size, -1)
+            sums = wp.real.T @ flat.real - wp.imag.T @ flat.imag
+            out.append(sums.reshape((n_max + 1,) + g.shape[1:])
+                       .transpose(1, 0, 2))
+        return np.stack(out)
 
     def first(N: int):
         # conjugate reflection: m and N - m pair up, so the ring total is
         # 2 Re(sum of the open half) plus the m = 0, N/2 terms
         weights = np.full(N // 2 + 1, 2.0)
         weights[[0, N // 2]] = 1.0
-        return ring_sum(_ring(r0, N)[:N // 2 + 1], weights)[None] / N
+        return ring_sums(range(len(r0s)),
+                         lambda r0: _ring(r0, N)[:N // 2 + 1], weights) / N
 
     def odd(N: int, live):
         # the 2N ring adds its odd nodes, none self-conjugate: spacing
         # 1/(2N) times twice the real part of their upper half's sum
-        return ring_sum(_ring(r0, 2 * N)[1:N:2], np.ones(N // 2))[None] / N
+        return ring_sums(live, lambda r0: _ring(r0, 2 * N)[1:N:2],
+                         np.ones(N // 2)) / N
 
     # N stays a power of two, so every ring holds the self-conjugate nodes
     # m = 0 and m = N/2, and node m of the N ring is node 2m of the 2N ring
     N = 64
     while N < 4 * (n_max + scheme.p + scheme.r):
         N *= 2
-    # the table is one row of the settle, so it settles as a whole
-    real, (N,) = _trapezoid("contour", N, _CONTOUR_CAP, tol, first, odd)
-    return real[0], imag / N, int(N)
+    # a table is one row of the settle, so it settles as a whole
+    real, Ns = _trapezoid("contour", N, _CONTOUR_CAP, tol, first, odd)
+    return real, np.stack(imag) / Ns[:, None, None, None], Ns
 
 
 def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
@@ -524,18 +565,20 @@ def inverse_laplace_reconstruct(scheme: SchemeDefinition, n: int, j0: int,
         return complex(table.values[0, n, 0], table.imag[0, n, 0])
     offs = _indices([j], -math.inf, "cells")
     real, imag, _ = _contour_sum(
-        scheme, n, r0, _CONTOUR_TOL,
-        lambda zs: _whole(scheme, zs, offs).reshape(-1, 1, 1))
-    return complex(real[0, n, 0], imag[0, n, 0])
+        scheme, n, [r0], _CONTOUR_TOL,
+        lambda zs, _: _whole(scheme, zs, offs).reshape(-1, 1, 1))
+    return complex(real[0, 0, n, 0], imag[0, 0, n, 0])
 
 
 @dataclass(frozen=True)
 class ReconstructionTable:
-    """Batch contour reconstruction: values[i0, n, i] approximates the
-    temporal Green's function at (n, j0_values[i0], j_values[i]); imag holds
-    the imaginary parts, from the self-conjugate nodes only.  nodes is the
-    ring size that settled; solves counts the node evaluations, nodes // 2 +
-    1 (nested rings, conjugate symmetry) plus one per core solve."""
+    """Batch contour reconstruction on one ring: values[i0, n, i]
+    approximates the temporal Green's function at (n, j0_values[i0],
+    j_values[i]); imag holds the imaginary parts, from the self-conjugate
+    nodes only.  nodes is the size of the ring that settled this table, which
+    the other rings of its call do not move; solves counts the evaluations
+    of this ring's nodes, nodes // 2 + 1 (nested rings, conjugate symmetry)
+    plus one per core solve at them."""
 
     r0: float
     n_values: np.ndarray
@@ -552,21 +595,31 @@ class ReconstructionTable:
 
 
 def inverse_laplace_table(scheme: SchemeDefinition, n_max: int, j0_list,
-                          j_list, r0: float = 0.05) -> ReconstructionTable:
+                          j_list, r0=0.05):
     """All reconstructions n <= n_max on a (j0, j) grid, each contour node
     from `_green` (conjugate symmetry halves the ring, and each doubled
-    ring evaluates only its new odd nodes)."""
+    ring evaluates only its new odd nodes).
+
+    r0 is one contour exponent, giving one ReconstructionTable, or a list
+    of them, giving one table per ring in list order.  The rings of a list
+    settle as rows of one `_contour_sum`, so every doubling takes the new
+    nodes of all its live rings in one `_green` batch; each table is
+    bitwise that of its ring alone.  Every r0 is checked before any node is
+    evaluated.  When rings fail, the error of the earliest batch wins, and
+    within a batch that of the ring first in the list."""
     n_max, = _indices([n_max], 0, "time horizons").tolist()
     j0s, js = _grid(scheme, j0_list, j_list)
-    core = 0
+    r0s = [r0] if np.ndim(r0) == 0 else list(r0)
+    core = np.zeros(len(r0s), dtype=int)
 
-    def values(zs: np.ndarray) -> np.ndarray:
-        nonlocal core
-        G, solves = _green(scheme, zs, j0s, js)
-        core += solves
+    def values(zs: np.ndarray, ring: np.ndarray) -> np.ndarray:
+        G, far = _green(scheme, zs, j0s, js)
+        core[:] += np.bincount(ring[far], minlength=len(r0s))
         return G
 
-    real, imag, N = _contour_sum(scheme, n_max, r0, _CONTOUR_TOL, values)
-    return ReconstructionTable(r0=r0, n_values=np.arange(n_max + 1),
-                               j0_values=j0s, j_values=js, values=real,
-                               imag=imag, nodes=N, solves=N // 2 + 1 + core)
+    real, imag, Ns = _contour_sum(scheme, n_max, r0s, _CONTOUR_TOL, values)
+    tables = [ReconstructionTable(
+        r0=r, n_values=np.arange(n_max + 1), j0_values=j0s, j_values=js,
+        values=real[i], imag=imag[i], nodes=int(Ns[i]),
+        solves=int(Ns[i] // 2 + 1 + core[i])) for i, r in enumerate(r0s)]
+    return tables[0] if np.ndim(r0) == 0 else tables

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from halflab import _kernels, cli, gaussian, layers, scheme, spectral, svg
+from halflab import (_kernels, cli, gaussian, layers, resolvent, scheme,
+                     spectral, svg)
 from halflab.cli import main
 
 from conftest import NEAR_TOUCH_INLINE
@@ -718,6 +719,29 @@ def test_oracle_artifacts(tmp_path):
         assert block["max_err_vs_timestep"] < 1e-8
         assert block["solves"] == block["nodes"] // 2 + 1
     assert rep["r0_spread"] < 1e-8
+
+
+def test_oracle_job_is_one_settle(tmp_path, monkeypatch):
+    # the default lfr job settles its three rings in one
+    # `inverse_laplace_table` call (the name the benchmark traces), one
+    # `_green` batch per doubling: 5, where a call per ring took 10
+    calls, batches = [], []
+    table, green = cli.inverse_laplace_table, resolvent._green
+
+    def counted_table(*args, **kw):
+        calls.append(kw["r0"])
+        return table(*args, **kw)
+
+    def counted_green(*args):
+        batches.append(args[1].size)
+        return green(*args)
+
+    monkeypatch.setattr(cli, "inverse_laplace_table", counted_table)
+    monkeypatch.setattr(resolvent, "_green", counted_green)
+    code, _ = run(tmp_path, "oracle", {"scheme": {"builtin": "lfr"}})
+    assert code == 0
+    assert calls == [[0.02, 0.05, 0.2]]
+    assert batches == [387, 384, 512, 512, 1024]
 
 
 @pytest.mark.parametrize("key, grid", [("j_list", [-1, 3]),

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,99 @@ def test_cross_split_table_nodes_take_core_solve(monkeypatch):
     assert np.max(np.abs(table.values - stepped.transpose(1, 0, 2))) < 1e-12
 
 
+ORACLE_J0S, ORACLE_JS = [1, 5, 10, 20, 30], [1, 3, 7, 15, 30]
+ORACLE_R0S = [0.02, 0.05, 0.2]
+
+
+def _assert_same_table(got, want):
+    for name in ("n_values", "j0_values", "j_values", "values", "imag"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.r0, got.nodes, got.solves) == (want.r0, want.nodes,
+                                                want.solves)
+
+
+@pytest.mark.parametrize("name, j0s, js", [
+    ("lfr", ORACLE_J0S, ORACLE_JS), ("o3", ORACLE_J0S, ORACLE_JS),
+    ("o3", [250], [1, 3])], ids=["lfr", "o3", "o3-core"])
+def test_ring_list_is_bitwise_one_call_per_ring(lfr, o3, monkeypatch, name,
+                                                j0s, js):
+    # the default oracle rings as rows of one settle: each table, its
+    # nodes and its solves are those of its ring alone.  With j0 = 250 the
+    # o3 rings r0 = 0.02 and 0.05 take core solves and r0 = 0.2 takes none,
+    # so each ring's count holds only its own nodes
+    scheme = {"lfr": lfr, "o3": o3}[name]
+    core = _record_core_nodes(monkeypatch)
+    tables = inverse_laplace_table(scheme, 50, j0s, js, r0=ORACLE_R0S)
+    assert [t.r0 for t in tables] == ORACLE_R0S
+    batched = len(core)
+    for table, r0 in zip(tables, ORACLE_R0S):
+        _assert_same_table(table, inverse_laplace_table(scheme, 50, j0s, js,
+                                                        r0=r0))
+    assert len(core) == 2 * batched
+    extra = [t.solves - t.nodes // 2 - 1 for t in tables]
+    assert sum(extra) == batched
+    if name == "o3" and j0s == [250]:
+        assert extra[0] > 0 and extra[1] > 0 and extra[2] == 0
+
+
+def test_settled_ring_is_never_evaluated_again(lfr, monkeypatch):
+    # the default lfr rings start at 256 nodes and settle at 4096, 1024 and
+    # 512: one `_green` batch per doubling, each holding the new nodes of
+    # the live rings alone, in list order
+    batches = []
+    guard = resolvent._guard_ring
+
+    def recording(scheme, zs):
+        batches.append(zs.copy())
+        return guard(scheme, zs)
+
+    monkeypatch.setattr(resolvent, "_guard_ring", recording)
+    tables = inverse_laplace_table(lfr, 50, ORACLE_J0S, ORACLE_JS,
+                                   r0=ORACLE_R0S)
+    assert [t.nodes for t in tables] == [4096, 1024, 512]
+    assert [b.size for b in batches] == [387, 384, 512, 512, 1024]
+    rings = [np.round(np.log(np.abs(b)), 12).tolist() for b in batches]
+    assert rings == [[0.02] * 129 + [0.05] * 129 + [0.2] * 129,
+                     [0.02] * 128 + [0.05] * 128 + [0.2] * 128,
+                     [0.02] * 256 + [0.05] * 256,
+                     [0.02] * 512, [0.02] * 1024]
+
+
+def test_core_solve_chunks_are_bitwise(o3, monkeypatch):
+    # one node a chunk gives the tables of the default budget, which holds
+    # four j0 = 250 systems a chunk
+    chunks = []
+    chunk = resolvent._core_chunk
+
+    def recording(scheme, zs, *args):
+        chunks.append(zs.size)
+        return chunk(scheme, zs, *args)
+
+    monkeypatch.setattr(resolvent, "_core_chunk", recording)
+    want = inverse_laplace_table(o3, 50, [250], [1, 3], r0=ORACLE_R0S)
+    assert max(chunks) == 4
+    chunks.clear()
+    monkeypatch.setattr(resolvent, "_CORE_BLOCK", 1)
+    got = inverse_laplace_table(o3, 50, [250], [1, 3], r0=ORACLE_R0S)
+    assert set(chunks) == {1} and len(chunks) > 1
+    for a, b in zip(got, want):
+        _assert_same_table(a, b)
+
+
+def test_core_solve_memory_is_bounded(o3):
+    # the three default o3 rings at j0 = 250 send each of their 251-square
+    # systems (1 MiB of complex entries) through the core solve: one settle
+    # per ring peaked at 11.8 MiB and one stack of every batch's systems at
+    # 10.9 MiB, while chunks of at most 2^19 entries peak at 4.1 MiB
+    tracemalloc.start()
+    try:
+        inverse_laplace_table(o3, 50, [250], [1, 3], r0=ORACLE_R0S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 # P(kappa; z*) of the default o3 scheme has the double unstable root
 # kappa* = 4.524425481014917
 Z_STAR = 1.814273803656083
@@ -567,7 +661,7 @@ def _root_route_errors(scheme, r0, j0s, js, step):
                              int(max(j0s[-1] + 200, js[-1] + 50)),
                              js + scheme.r - 1)
     err = np.abs(G - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
-    return err, core
+    return err, int(core.sum())
 
 
 @pytest.mark.parametrize("name", ["o3", "wide"])
@@ -847,3 +941,40 @@ def test_non_finite_input_raises():
     for r0 in (math.inf, math.nan):
         with pytest.raises(ValueError, match="non-finite"):
             inverse_laplace_table(lfr, 4, [1], [1], r0=r0)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_bad_ring_in_a_list_raises_as_alone(lfr, monkeypatch):
+    # a ring that fails alone fails a list with the same typed error: every
+    # r0 is checked before any node is evaluated, and within one batch the
+    # ring first in the list wins
+    probe = builtin_lfr(-0.5, 0.75, 5.0)
+    zero = builtin_lfr(-0.5, 0.75,
+                       1.0 / _stable_root(probe, math.exp(0.05)).real)
+    for scheme, bad in ((lfr, 1e-9), (zero, 0.05), (lfr, math.nan),
+                        (lfr, -0.1)):
+        alone = _raised(lambda: inverse_laplace_table(scheme, 4, [1], [1],
+                                                      r0=bad))
+        assert issubclass(alone[0], (NearSpectrumError, ValueError))
+        for r0s in ([bad, 0.2], [0.02, bad], [0.02, bad, 0.2]):
+            assert _raised(lambda: inverse_laplace_table(
+                scheme, 4, [1], [1], r0=r0s)) == alone
+    batches = _record_batches(monkeypatch)
+    for bad in (math.inf, 0.0):
+        with pytest.raises(ValueError):
+            inverse_laplace_table(lfr, 4, [1], [1], r0=[0.05, 0.2, bad])
+    with pytest.raises(ValueError, match="no contour exponent"):
+        inverse_laplace_table(lfr, 4, [1], [1], r0=[])
+    assert batches == []
+    # both rings fail in the first batch: the first of the list wins
+    assert _raised(lambda: inverse_laplace_table(
+        zero, 4, [1], [1], r0=[1e-9, 0.05]))[1] == _raised(
+        lambda: inverse_laplace_table(zero, 4, [1], [1], r0=1e-9))[1]
+    assert _raised(lambda: inverse_laplace_table(
+        zero, 4, [1], [1], r0=[0.05, 1e-9]))[1] == _raised(
+        lambda: inverse_laplace_table(zero, 4, [1], [1], r0=0.05))[1]
