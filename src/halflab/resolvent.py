@@ -22,14 +22,19 @@ raises QuadratureError.  The half line (`_green`, shared by
 `spatial_green_half`, `r_function` and `inverse_laplace_table`) adds the
 rank-r correction from one batched r x r solve, and a refused node takes
 the exact core-plus-tail solve `_core_solve`, which reads the r stable
-roots alone and divides by no P'(kappa), so neither collision affects it.
+roots alone and divides by no P'(kappa), so neither collision affects it;
+it solves its nodes in chunks of bounded memory.
 
 Temporal kernels come from the Cauchy integral G(n, j0, j) = (1/2pi i)
 oint z^n G(z, j0, j) dz on the circle e^{r0} S^1: a trapezoid sum, an
 independent oracle for time stepping, on a ring doubled until two rings
 agree.  Node k of N is node 2k of 2N (bitwise), so the nested rule
 `_trapezoid` (shared with the Gaussian profiles) halves the previous sum
-and adds only the new odd nodes; no node value is kept.
+and adds only the new odd nodes; no node value is kept.  Several rings
+(one per r0) are rows of one settle: each doubling evaluates the new nodes
+of every live ring in one `_green` batch, and a settled ring drops out.
+A node's G does not depend on the nodes that share its batch, so each
+ring's table is bitwise the one it gives alone.
 
 Times, sources, cells, windows and truncation bounds are integers: a
 non-integral one is refused, not truncated (`scheme._indices`, the check
@@ -330,8 +335,7 @@ def _core_solve(scheme: SchemeDefinition, zs: np.ndarray,
     the same in any chunk; the first chunk holding a refused node raises."""
     r, p, J = scheme.r, scheme.p, int(j0s[-1])
     n, top = J + r, max(int(js[-1]), J + 2 * p)
-    # op (A is a view of it) and A's LU factors, then rhs, x and w, of one
-    # node
+    # one node's entries: op (A is a view of it), A's LU factors, rhs, x, w
     entries = n * (2 * n + p) + j0s.size * (2 * n + top + r)
     step = max(1, _CORE_BLOCK // entries)
     G = np.empty((zs.size, j0s.size, js.size), dtype=complex)
@@ -547,7 +551,7 @@ def _contour_sum(scheme: SchemeDefinition, n_max: int, r0s, tol: float,
     N = 64
     while N < 4 * (n_max + scheme.p + scheme.r):
         N *= 2
-    # a table is one row of the settle, so it settles as a whole
+    # each ring's table is one row, so it settles as a whole
     real, Ns = _trapezoid("contour", N, _CONTOUR_CAP, tol, first, odd)
     return real, np.stack(imag) / Ns[:, None, None, None], Ns
 
