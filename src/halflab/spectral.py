@@ -102,6 +102,9 @@ _BOUNDARY_ZERO_TOL = 1e-8
 # relative residual of B(ones) off the stable traces that still counts as
 # in their span
 _RESIDUE_TOL = 1e-10
+# residual of a polished root, relative to S = sum |c_k| |kappa|^k, that
+# the root solve still accepts
+_ROOT_RESIDUAL = 1e-13
 
 
 def _boundary_zero(delta1: complex) -> bool:
@@ -180,7 +183,8 @@ def _char_values(stack: list, kappas: np.ndarray, scale: bool = False):
 def _roots(c: np.ndarray):
     """The roots of every row of c (ascending coefficients): the eigenvalues
     of the stacked companion matrices from one LAPACK call, then three
-    Newton polish steps and a residual test.
+    Newton polish steps and a residual test.  Rows that fail the test are
+    polished again from the eigenvalues by _guarded_polish.
 
     numpy factors each matrix of the stack on its own and the polish is
     elementwise, so a row's roots do not depend on the other rows.  Returns
@@ -194,22 +198,50 @@ def _roots(c: np.ndarray):
         for i in np.flatnonzero(~finite)}
     rows = np.flatnonzero(finite)
     x = np.full((n, d), np.nan, dtype=complex)
-    xr = np.linalg.eigvals(_companions(c[rows]))
+    xr = eig = np.linalg.eigvals(_companions(c[rows]))
     # the derivative is built once, outside the polish
     stack = _char_stack(c[rows], 1)
     for _ in range(3):
         P, Pp = _char_values(stack, xr)
         good = Pp != 0
         xr = np.where(good, xr - P / np.where(good, Pp, 1.0), xr)
-    x[rows] = xr
     P, scale = _char_values(stack[:1], xr, scale=True)
     res = np.abs(P)
-    bad = np.any(res > 1e-13 * np.maximum(scale, 1e-300), axis=1)
+    bad = np.any(res > _ROOT_RESIDUAL * np.maximum(scale, 1e-300), axis=1)
+    if bad.any():
+        sub = [cs[:, bad] for cs in stack]
+        xr[bad] = _guarded_polish(sub, eig[bad])
+        P, scale[bad] = _char_values(sub[:1], xr[bad], scale=True)
+        res[bad] = np.abs(P)
+        bad = np.any(res > _ROOT_RESIDUAL * np.maximum(scale, 1e-300),
+                     axis=1)
+    x[rows] = xr
     for k in np.flatnonzero(bad):
         errors[int(rows[k])] = RootSolveError(
             f"root residuals {res[k]!r} exceed 1e-13 of coefficient scale "
             f"{scale[k]!r} after Newton polish")
     return x, errors
+
+
+def _guarded_polish(stack: list, xr: np.ndarray) -> np.ndarray:
+    """Three Newton steps from the roots xr of the rows of stack (from
+    _char_stack with order 1), each kept only where it does not raise the
+    residual above both the one before it and what _roots accepts.
+
+    At a double root P and dP/dkappa are both rounding noise, and their
+    ratio can throw a root far off: an lfr whose double root the eigenvalue
+    solve returns twice to the last bit lost one copy that way.
+    """
+    P, Pp, scale = _char_values(stack, xr, scale=True)
+    accepted = _ROOT_RESIDUAL * scale
+    for _ in range(3):
+        good = Pp != 0
+        step = np.where(good, xr - P / np.where(good, Pp, 1.0), xr)
+        Ps, Pps = _char_values(stack, step)
+        keep = (np.abs(Ps) <= np.abs(P)) | (np.abs(Ps) <= accepted)
+        xr, P, Pp = (np.where(keep, a, b)
+                     for a, b in ((step, xr), (Ps, P), (Pps, Pp)))
+    return xr
 
 
 def _sort_rows(roots: np.ndarray) -> np.ndarray:

@@ -675,6 +675,23 @@ def test_nan_row_raises_alone(lfr):
     assert np.array_equal(roots[[0, 2]].view(float), alone.view(float))
 
 
+def test_polish_keeps_exact_double_root():
+    # this lfr (slack 0.5, b = 0) has a double root -a_0 / 2a_1 at z = 0,
+    # and the eigenvalue solve returns it twice to the last bit: P and
+    # dP/dkappa there are both rounding noise, and an unguarded Newton step
+    # threw one copy to -0.587, which then failed the residual test
+    alpha = -0.21270143506800698
+    s = hl.builtin_lfr(alpha, alpha * alpha + 0.5 * (1.0 - alpha * alpha),
+                       0.0)
+    double = -s.a[1] / (2.0 * s.a[2])
+    roots, errors = spectral._roots(spectral._char_coeffs(s, np.array([0j])))
+    assert not errors
+    assert np.all(np.abs(roots[0] - double) < 1e-7)
+    nodes = _assert_roots_place_nodes(s, [0.0])
+    assert nodes.dist[0] == pytest.approx(s.a[2] * (1.0 + double) ** 2,
+                                          rel=1e-7)
+
+
 def _assert_roots_place_nodes(scheme, zs):
     # the region from the roots against the sampled route: the same winding
     # number wherever a node lies 1e-6 clear of the samples, and a distance
