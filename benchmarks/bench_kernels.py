@@ -17,15 +17,26 @@ tiny = 2^-1022: the kernel flushes underflowed cells to +0.0, so it reads
 0.
 
 The second table replays the four o3 sweeps of a default err-map and
-layers job through `halflab.evolution._recorded`: whole, on the whole
-buffer, and windowed, on the rows the read cells depend on, which is what
-the jobs run; both chunk by chunk.  It prints the time, time per step and
-cell updates of each route, the windowed one at several chunk lengths
+layers job through `halflab.evolution._recorded`: whole, reading the whole
+buffer (each view still stops p rows above the support's top), and
+windowed, on the rows the read cells depend on, which is what the jobs
+run; both chunk by chunk.  It prints the time, time per step and cell
+updates of each route, the windowed one at several chunk lengths
 (`evolution._CHUNK`, 64 in the jobs).
+
+The third table times the q = inf and q = 2 norms of the default growth
+jobs on lfr and o3 on the snapshots of one replay: one math.fsum per
+column over its nonzero span, as growth took them before, against one
+block of |u| with a row per J, its row max and `evolution._exact_sums`,
+as `growth_experiment` takes them.  Each route's time is summed over the
+records (the 116 distinct times of the 160-point grid; best of 3), with
+its time per record and whether the two routes agree bitwise.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
 
+import inspect
+import math
 import time
 
 import numpy as np
@@ -123,19 +134,29 @@ SWEEPS = [
 
 
 def _recorded_calls(sweep):
-    """The arguments of every `_recorded` call sweep() makes, its buffer
-    copied before the run."""
+    """The arguments of every `_recorded` call sweep() makes, by name as
+    `_recorded`'s signature binds them, its buffer copied before the run."""
     seen, orig = [], evolution._recorded
+    sig = inspect.signature(orig)
 
-    def capture(buf, ns, step, r, p, reads, source=None):
-        seen.append((buf.copy(), ns, step, r, p, reads, source))
-        return orig(buf, ns, step, r, p, reads, source)
+    def capture(*args, **kwargs):
+        call = sig.bind(*args, **kwargs)
+        call.apply_defaults()
+        seen.append({**call.arguments, "buf": call.arguments["buf"].copy()})
+        return orig(*args, **kwargs)
     evolution._recorded = capture
     try:
         sweep()
     finally:
         evolution._recorded = orig
     return seen
+
+
+def _replay(call, **change):
+    """The snapshots of a captured `_recorded` call on a fresh copy of its
+    buffer, with the arguments in change replaced."""
+    return evolution._recorded(**{**call, "buf": call["buf"].copy(),
+                                  **change})
 
 
 def _counted(run):
@@ -165,19 +186,70 @@ GROWTH_RECORD = sorted(set(np.geomspace(1, GROWTH_N, 160).astype(int)
                            .tolist()) | {GROWTH_N})
 
 
+def _growth_call(name):
+    """The `_recorded` call of the default growth job on the builtin name,
+    and the scheme."""
+    sch = cli._load_scheme({"scheme": {"builtin": name}})
+    call, = _recorded_calls(
+        lambda: growth_experiment(sch, [np.inf], GROWTH_JS, GROWTH_N,
+                                  record=GROWTH_RECORD))
+    return call, sch
+
+
 def _growth_sweep(name):
     """The kernel calls of the default growth job on the builtin name, as
     a callable returning the final buffer."""
-    sch = cli._load_scheme({"scheme": {"builtin": name}})
-    (buf, ns, step, r, p, reads, _), = _recorded_calls(
-        lambda: growth_experiment(sch, [np.inf], GROWTH_JS, GROWTH_N,
-                                  record=GROWTH_RECORD))
+    call, _ = _growth_call(name)
 
     def run():
-        for snap in evolution._recorded(buf.copy(), ns, step, r, p, reads):
+        for snap in _replay(call):
             pass
         return snap
     return run
+
+
+def _column_norms(snap, r, n, q):
+    # one fsum per column over its nonzero span, as growth took them
+    # before the block sums
+    out = []
+    for c, J in enumerate(GROWTH_JS):
+        col = snap[r:r + J + r * n, c]
+        nz = np.flatnonzero(col)
+        col = np.abs(col[nz[0]:nz[-1] + 1] if nz.size else col[:0])
+        out.append(math.fsum((col ** q).tolist()) ** (1.0 / q)
+                   if q != math.inf else
+                   float(np.max(col)) if col.size else 0.0)
+    return out
+
+
+def _block_norms(snap, r, n, q):
+    # one block of |u| with a row per J, as growth_experiment takes it
+    block = np.abs(snap[r:r + max(GROWTH_JS) + r * n].T, order="C")
+    return evolution._row_norms(block, q)
+
+
+def growth_norm_rows(repeats=3):
+    """(label, per-column fsum s, block sum s, records, bitwise?) for the
+    q = inf and q = 2 norms of the default growth job on lfr and o3: both
+    routes timed on the same snapshots, summed over the records."""
+    rows = []
+    for name in ("lfr", "o3"):
+        call, sch = _growth_call(name)
+        r, ns = sch.r, call["ns"]
+        best, same = [np.inf, np.inf], True
+        for _ in range(repeats):
+            spent = [0.0, 0.0]
+            for n, snap in zip(ns, _replay(call)):
+                outs = []
+                for k, route in enumerate((_column_norms, _block_norms)):
+                    t0 = time.perf_counter()
+                    outs.append([route(snap, r, n, q) for q in (math.inf, 2)])
+                    spent[k] += time.perf_counter() - t0
+                same &= np.array(outs[0]).tobytes() == \
+                    np.array(outs[1]).tobytes()
+            best = [min(b, t) for b, t in zip(best, spent)]
+        rows.append((f"growth norms {name}", *best, len(ns), same))
+    return rows
 
 
 CHUNKS = (32, 64, 128)
@@ -198,12 +270,10 @@ def sweep_rows():
     each chunk length of CHUNKS)."""
     out = []
     for label, sweep in SWEEPS:
-        (buf, ns, step, r, p, reads, source), = _recorded_calls(sweep)
-        whole = (0, len(buf) - 1)
-        routes = [lambda: list(evolution._recorded(buf.copy(), ns, step,
-                                                   r, p, whole))]
-        routes += [_chunked(lambda: list(evolution._recorded(
-            buf.copy(), ns, step, r, p, reads, source)), c) for c in CHUNKS]
+        call, = _recorded_calls(sweep)
+        whole = (0, len(call["buf"]) - 1)
+        routes = [lambda: list(_replay(call, reads=whole, source=None))]
+        routes += [_chunked(lambda: list(_replay(call)), c) for c in CHUNKS]
         out.append((label, *[(_best_of(run), *_counted(run))
                              for run in routes]))
     return out
@@ -249,6 +319,16 @@ def main():
         print(f"{label:28s}" + "".join(
             f" {t * 1e3:9.2f} {t / steps * 1e6:7.2f} {cells / 1e6:8.2f}"
             for t, cells, steps in routes))
+
+    print()
+    header = (f"{'norms':28s} {'fsum ms':>9s} {'us/rec':>7s} {'block ms':>9s}"
+              f" {'us/rec':>7s} {'bitwise':>8s}")
+    print(header)
+    print("-" * len(header))
+    for label, column, block, records, same in growth_norm_rows():
+        print(f"{label:28s} {column * 1e3:9.2f} {column / records * 1e6:7.1f}"
+              f" {block * 1e3:9.2f} {block / records * 1e6:7.1f}"
+              f" {'yes' if same else 'NO':>8s}")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,17 @@ the buffer size, the other columns or the chunking (see `_kernels`), so
 every value a sweep returns is bitwise that of the scalar per-cell loops
 (acc = 0.0, the stencil terms in ascending k, the flush) run on that
 source alone.  `_recorded` is the one driver, and every kernel call takes
-at most `_CHUNK` steps: `growth_experiment` and `apply_half_line` read
-whole columns, so each of their views is the whole buffer, while
-`temporal_green_sweep`, `temporal_green_rows` and
+at most `_CHUNK` steps on a view that stops p rows above the support's top
+at the chunk's end: `growth_experiment` and `apply_half_line` read whole
+columns, so each of their views runs from the buffer's bottom to that
+cap, while `temporal_green_sweep`, `temporal_green_rows` and
 `temporal_green_whole_sweep` take the cells their caller reads, step only
 the views those cells depend on (the domain of dependence, bounded by the
-finite support above), and return exactly those values.  Times, sources
-and cells are integers: a non-integral one is refused, not truncated
+finite support above), and return exactly those values.  Growth takes
+each recorded snapshot's norms as one block, a row per J: the row max for
+q = inf, and for a finite q one exactly rounded sum of |u|^q per row
+(`_exact_sums`, bitwise math.fsum) before the root.  Times, sources and
+cells are integers: a non-integral one is refused, not truncated
 (`scheme._indices`).
 
 Rows of G in the source come from the adjoint: G(n, j0, j) = (T^n)_{j,j0}
@@ -144,8 +148,23 @@ def _recorded(buf, ns, step, r, p, reads, source=None):
     zeroes true zeros; on the whole line (source: the row of the unit
     source) the bottom rises to the support's lower edge source - p t - r,
     where the zero rule is exact, with no scan.
+
+    The support's top is read once, as the highest row top0 of buf holding
+    any bit at entry; it rises at most r rows a step.  So every view stops
+    at top0 + r t + p for a chunk ending at t: the rows above that hold
+    +0.0 at every step of the chunk (the kernel never writes them, and
+    rows above a live top are +0.0), and the top p rows the kernel zeroes
+    are true zeros.  A view of at most r + p rows, empty included, makes
+    no kernel call: its rows above the r bottom ones lie above the
+    support's top at t, and its bottom rows are margin, the zero rule's or
+    (at the buffer's bottom) those of a buffer that is all zero, so every
+    row D(t) holds there is already its exact zero.
     """
     size = buf.shape[0]
+    # the highest row holding any bit at entry, -1 if none: a -0.0 counts,
+    # so the kernel clears it to +0.0 as a call on the whole buffer did
+    live = np.flatnonzero(buf.view(np.uint64))
+    top0 = int(live[-1]) // (buf.size // size) if live.size else -1
 
     def view(t):
         # D at time t widened by the rows one step below and above it
@@ -159,7 +178,9 @@ def _recorded(buf, ns, step, r, p, reads, source=None):
             c = min(_CHUNK, n - done)
             if source is not None:
                 lo = max(lo, source - p * (done + c) - r)
-            buf[lo:hi + 1] = step(buf[lo:hi + 1], c)
+            hi = min(hi, top0 + r * (done + c) + p)
+            if hi - lo >= r + p:
+                buf[lo:hi + 1] = step(buf[lo:hi + 1], c)
             done += c
         yield buf
 
@@ -267,11 +288,60 @@ def temporal_green_whole_sweep(scheme: SchemeDefinition, ns, js) -> np.ndarray:
     return np.array([snap[rows] for snap in snaps])
 
 
-def _interior_lq(values: np.ndarray, q: float) -> float:
+# the row maxima _exact_sums splits; other rows go to fsum
+_SPLIT_MIN, _SPLIT_MAX = 2.0 ** -900, 2.0 ** 900
+
+
+def _exact_sums(x: np.ndarray) -> list:
+    """math.fsum(row.tolist()) for each row of x, a 2-D array of
+    nonnegative doubles, as Python floats, from a few vectorized passes.
+
+    With M < 2^e the row's max and sigma = 2^(e + ceil(log2 n) + 1) for
+    rows of n doubles, hi = (x + sigma) - sigma and lo = x - hi are exact
+    (Rump, Ogita and Oishi's ExtractScalar).  Every hi is a multiple of
+    u = ulp(sigma) and their sum is below sigma, so T = sum hi is exact in
+    any order; R = sum lo is within E = n^2 u 2^-53 >= gamma_{n-1} n u / 2
+    of its exact value.  TwoSum splits T + R into D + delta exactly, and D
+    is the correctly rounded sum, fsum's value, when |delta| + E is below
+    half the gap from D to its nearer neighbour: a rounded sum is below
+    that power of two only when the exact one is, and the test is strict,
+    so a tie fails it.  A row that fails it, or whose M is zero, not
+    finite, below 2^-900 or above 2^900 (sigma near overflow), and every
+    row of more than 2^26 doubles (where n^2 is no longer exact) goes to
+    fsum, which keeps fsum's inf, nan and OverflowError."""
+    k, n = x.shape
+    tops = x.max(axis=1).tolist()
+    out = [None] * k
+    rows = [i for i, m in enumerate(tops) if _SPLIT_MIN <= m <= _SPLIT_MAX]
+    if rows and n <= 2 ** 26:
+        grow = (n - 1).bit_length() + 1
+        es = [math.frexp(tops[i])[1] + grow for i in rows]
+        y = x if len(rows) == k else x[rows]
+        sigma = np.array([math.ldexp(1.0, e) for e in es])[:, None]
+        # the high parts and their exact sums, then the low parts in place
+        part = y + sigma
+        part -= sigma
+        highs = part.sum(axis=1).tolist()
+        np.subtract(y, part, part)
+        for i, e, t, s in zip(rows, es, highs, part.sum(axis=1).tolist()):
+            d = t + s
+            bp = d - t
+            delta = abs((t - (d - bp)) + (s - bp))
+            half = min(d - math.nextafter(d, 0.0),
+                       math.nextafter(d, math.inf) - d) * 0.5
+            if delta + math.ldexp(float(n * n), e - 105) < half:
+                out[i] = d
+    return [math.fsum(x[i].tolist()) if v is None else v
+            for i, v in enumerate(out)]
+
+
+def _row_norms(block: np.ndarray, q: float) -> list:
+    """The l^q norm of each row of block, a 2-D array of |u|: the row max
+    for q = inf, else the exactly rounded sum of |u|^q, then the root, as
+    Python floats."""
     if q == math.inf:
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    # fsum is exact, so it reads Python floats in any order
-    return math.fsum((np.abs(values) ** q).tolist()) ** (1.0 / q)
+        return block.max(axis=1).tolist()
+    return [s ** (1.0 / q) for s in _exact_sums(block ** q)]
 
 
 @dataclass(frozen=True)
@@ -297,12 +367,15 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
     """Evolve u_J = sum_{j0=1}^{J} delta_{j0} and record the norm ratios,
     one GrowthResult per exponent of q_list.
 
-    All J evolve in one sweep (a column each) and every exponent reads the
-    same snapshots.  The ratios lower-bound the operator norm of T^n on the
-    j >= 1 space; they are never claimed as the exact norm.
+    All distinct J evolve in one sweep (a column each, a repeated J
+    steps once) and every exponent reads the same snapshots: per snapshot,
+    one block of |u| with a row per J, whose row max is the q = inf norm
+    and whose exact row sums of |u|^q (`_exact_sums`) give the finite ones.
+    The ratios lower-bound the operator norm of T^n on the j >= 1 space;
+    they are never claimed as the exact norm.
     """
     n_max, = _indices([n_max], 1, "time horizons").tolist()
-    Js = _indices(J_list, 1, "J sizes").tolist()
+    Js = list(dict.fromkeys(_indices(J_list, 1, "J sizes").tolist()))
     qs = [float(q) for q in q_list]
     if not qs or not all(q >= 1 for q in qs):
         raise ValueError("need at least one norm exponent, each q >= 1")
@@ -311,25 +384,24 @@ def growth_experiment(scheme: SchemeDefinition, q_list, J_list,
                               .tolist())), dtype=int)
     if ns[-1] > n_max:
         raise ValueError("recording times must lie in 1..n_max")
-    r = scheme.r
-    buf = np.zeros((max(Js) + r * n_max + scheme.p + r, len(Js)))
-    denoms = np.empty((len(qs), len(Js)))
+    r, J_top = scheme.r, max(Js)
+    buf = np.zeros((J_top + r * n_max + scheme.p + r, len(Js)))
     for c, J in enumerate(Js):
         buf[r:r + J, c] = 1.0
-        for a, q in enumerate(qs):
-            denoms[a, c] = _interior_lq(np.ones(J), q)
+    # ||u_J||_q = fsum of J ones, then the root
+    denoms = [[1.0 if q == math.inf else float(J) ** (1.0 / q) for J in Js]
+              for q in qs]
     vals = np.empty((len(qs), len(Js), ns.size))
     snaps = _recorded(buf, ns.tolist(), _half_step(scheme), r, scheme.p,
                       reads=(0, buf.shape[0] - 1))
-    for pos, (n, snap) in enumerate(zip(ns, snaps)):
-        for c, J in enumerate(Js):
-            # the interior's nonzero span: the zeros around it (the
-            # underflowed front) change neither the sup nor the exact fsum
-            col = snap[r:r + J + r * int(n), c]
-            nz = np.flatnonzero(col)
-            col = col[nz[0]:nz[-1] + 1] if nz.size else col[:0]
-            for a, q in enumerate(qs):
-                vals[a, c, pos] = _interior_lq(col, q) / denoms[a, c]
+    for pos, (n, snap) in enumerate(zip(ns.tolist(), snaps)):
+        # a row per J over the interior up to the widest support; the rows
+        # past a column's own support hold +0.0, which changes neither the
+        # sup nor the exact sum
+        block = np.abs(snap[r:r + J_top + r * n].T, order="C")
+        for a, q in enumerate(qs):
+            vals[a, :, pos] = [v / d for v, d in
+                               zip(_row_norms(block, q), denoms[a])]
     results = []
     for a, q in enumerate(qs):
         ratios = {J: vals[a, c] for c, J in enumerate(Js)}

@@ -6,7 +6,10 @@ import importlib.util
 import os
 import pathlib
 
+import numpy as np
 import pytest
+
+from halflab import evolution
 
 BENCHMARKS = sorted((pathlib.Path(__file__).parent.parent
                      / "benchmarks").glob("*.py"))
@@ -43,3 +46,39 @@ def test_bench_record_summary():
     assert out["wall_s"]["pairs"] == 5 and out["wall_s"]["bound"] == 0.25
     assert out["wall_s"]["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.1}
     assert out["wall_s"]["change"] == {"median": 1.0, "q1": 0.9, "q3": 1.0}
+
+
+def _load(name):
+    path = BENCHMARKS[0].parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_kernels_replays_on_a_tiny_grid(monkeypatch):
+    # the script's captures and replays of `_recorded` calls, run on small
+    # grids: a change to `_recorded`'s signature fails here
+    bench = _load("bench_kernels")
+    monkeypatch.setattr(bench, "GROWTH_JS", [3, 7])
+    monkeypatch.setattr(bench, "GROWTH_N", 12)
+    monkeypatch.setattr(bench, "GROWTH_RECORD", [1, 2, 3, 7, 12])
+    monkeypatch.setattr(bench, "SWEEPS", [
+        ("half", lambda: bench.temporal_green_sweep(bench.O3, [5, 9], [3],
+                                                    [1, 2])),
+        ("whole", lambda: bench.temporal_green_whole_sweep(bench.O3, [9],
+                                                           [-4, 0, 2]))])
+    monkeypatch.setattr(bench, "CHUNKS", (4,))
+    final = bench._growth_sweep("lfr")()
+    assert final.shape == (7 + 12 + 1 + 1, 2)
+    res, = evolution.growth_experiment(bench.LFR, [np.inf], [3, 7], 12,
+                                       record=[12])
+    assert np.max(np.abs(final[1:]), axis=0).tolist() == \
+        [res.ratios[3][0], res.ratios[7][0]]
+    rows = bench.growth_norm_rows(repeats=1)
+    assert [row[0] for row in rows] == ["growth norms lfr", "growth norms o3"]
+    assert all(records == 5 and same for *_, records, same in rows)
+    # each route's steps: 9 in chunks of at most 4
+    assert [(label, whole[2], windowed[2])
+            for label, whole, windowed in bench.sweep_rows()] == \
+        [("half", 9, 9), ("whole", 9, 9)]

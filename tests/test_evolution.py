@@ -135,11 +135,106 @@ def test_green_superposition_identity(o3):
         assert got == pytest.approx(total, abs=1e-12)
 
 
-def test_interior_lq_values():
-    x = np.array([3.0, -4.0])
-    assert evolution._interior_lq(x, math.inf) == 4.0
-    assert evolution._interior_lq(x, 2) == pytest.approx(5.0, abs=1e-14)
-    assert evolution._interior_lq(x, 1) == pytest.approx(7.0, abs=1e-14)
+def test_exact_sums_values():
+    # one exactly rounded sum per row: small integers, a row of zeros, and
+    # the tie 1 + 2^-53, which rounds to even
+    x = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0 ** -53, 0.0]])
+    assert evolution._exact_sums(x) == [7.0, 0.0, 1.0]
+    assert evolution._exact_sums(np.array([[0.1] * 10])) == \
+        [math.fsum([0.1] * 10)] != [sum([0.1] * 10)]
+    # the norms growth takes from them, a row per column
+    block = np.abs(np.array([[3.0, -4.0], [0.0, 0.0]]))
+    assert evolution._row_norms(block, math.inf) == [4.0, 0.0]
+    assert evolution._row_norms(block, 2) == [5.0, 0.0]
+    assert evolution._row_norms(block, 1) == [7.0, 0.0]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _rows(seed, k, n, lo, hi, zeros, repeats):
+    # k rows of n nonnegative doubles, log-uniform over [10^lo, 10^hi]
+    # (the lowest ones subnormal), a share of zeros, and a share of cells
+    # that repeat an earlier cell of their row
+    rng = np.random.default_rng(seed)
+    x = rng.random((k, n)) * 10.0 ** rng.uniform(lo, hi, (k, n))
+    x[rng.random((k, n)) < zeros] = 0.0
+    for row in x:
+        again = np.flatnonzero(rng.random(n) < repeats)
+        row[again] = row[rng.integers(0, n, again.size)]
+    return x
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5000),
+       st.floats(-320, 300), st.floats(0, 620), st.sampled_from([0, 0.3, 0.9]),
+       st.sampled_from([0, 0.5]))
+def test_exact_sums_equal_fsum_bitwise(seed, k, n, lo, span, zeros, repeats):
+    x = _rows(seed, k, n, lo, min(lo + span, 300.0), zeros, repeats)
+    want = [math.fsum(row.tolist()) for row in x]
+    assert _bits(evolution._exact_sums(x)) == _bits(want)
+
+
+@given(st.floats(1e-250, 1e250), st.integers(0, 3), st.integers(0, 40),
+       st.randoms(use_true_random=False))
+def test_exact_sums_on_constructed_ties(a, tips, zeros, rnd):
+    # a + ulp(a) / 2 is a tie, which rounds to even; a term far below the
+    # half ulp tips it up, and zeros change nothing
+    half = math.ulp(a) / 2
+    row = [a, half] + [half * 2.0 ** -60] * tips + [0.0] * zeros
+    rnd.shuffle(row)
+    x = np.array([row, row[::-1]])
+    assert _bits(evolution._exact_sums(x)) == _bits([math.fsum(row)] * 2)
+
+
+def _counted_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counted(values):
+        calls.append(len(values))
+        return fsum(values)
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -200],
+    [1.0, 2.0 ** -54, 2.0 ** -54], [2.0 ** 52, 0.5], [2.0 ** 52, 0.5, 1e-30],
+    [1.0 + 2.0 ** -52, 2.0 ** -53], [2.0 ** -53, 1.0, 2.0 ** -53, 2.0 ** -53],
+    [1.0, 1.5 * 2.0 ** -52 - 2.0 ** -104] + [0.45 * 2.0 ** -104] * 3,
+    [5e-324, 1e-310], [0.0, 0.0], [2.0 ** 901, 1.0],
+], ids=["tie", "near-tie", "split-tie", "big-tie", "big-near-tie", "odd-tie",
+        "three-halves", "lo-roundoff", "subnormal", "zeros", "huge"])
+def test_exact_sums_fall_back_to_fsum(monkeypatch, row):
+    # ties and the rows the split cannot tell from one (those within
+    # roundoff of a tie), rows whose max is zero or below 2^-900, and rows
+    # whose max is above 2^900 go to fsum and still equal it bitwise; a
+    # row with no rounding beside them takes the split sum.  In lo-roundoff
+    # the low parts' rounded sum lies below the midpoint 1 + 1.5 ulp(1) and
+    # the exact one above it, which the bound E on that rounding catches
+    want = math.fsum(row)
+    ordinary = [0.75 ** i for i in range(len(row))]
+    calls = _counted_fsum(monkeypatch)
+    got = evolution._exact_sums(np.array([ordinary, row]))
+    assert calls == [len(row)]
+    assert _bits(got) == _bits([math.fsum(ordinary), want])
+
+
+@pytest.mark.parametrize("row", [[1.0, math.inf, 2.0], [math.nan, 1.0],
+                                 [math.inf, math.nan], [math.inf]])
+def test_exact_sums_keep_fsum_on_inf_and_nan(row):
+    got, = evolution._exact_sums(np.array([row]))
+    want = math.fsum(row)
+    assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+def test_exact_sums_raise_as_fsum_on_overflow():
+    row = [1.7e308, 1.7e308]
+    with pytest.raises(OverflowError):
+        math.fsum(row)
+    with pytest.raises(OverflowError):
+        evolution._exact_sums(np.array([[1.0, 2.0], row]))
 
 
 def test_growth_ratio_ignores_ghosts(lfr):
@@ -188,13 +283,14 @@ def _lq(x, q):
 
 
 def test_growth_experiment_q_list_bitwise(lfr, o3):
-    # one sweep for all J and both q against one-q runs, one-J runs and the
-    # per-(J, n) evolution of the norm-ratio definition
+    # one sweep for all J and every q against one-q runs, one-J runs and
+    # the per-(J, n) evolution of the norm-ratio definition
     rec = [1, 4, 17, 40]
+    qs = [math.inf, 2, 1, 1.5, 3]
     for scheme, Js in ((lfr, [9, 1, 30]), (o3, [12, 3])):
-        both = hl.growth_experiment(scheme, [math.inf, 2], Js, 40, record=rec)
-        assert [res.q for res in both] == [math.inf, 2]
-        for q, res in zip([math.inf, 2], both):
+        every = hl.growth_experiment(scheme, qs, Js, 40, record=rec)
+        assert [res.q for res in every] == qs
+        for q, res in zip(qs, every):
             one_q, = hl.growth_experiment(scheme, [q], Js, 40, record=rec)
             assert one_q.max_ratio.tobytes() == res.max_ratio.tobytes()
             for J in Js:
@@ -206,6 +302,58 @@ def test_growth_experiment_q_list_bitwise(lfr, o3):
                 want = [_lq(hl.apply_half_line(scheme, start, n)
                             [scheme.r:], q) / _lq(np.ones(J), q)
                         for n in rec]
+                assert np.array(want).tobytes() == res.ratios[J].tobytes()
+
+
+def test_growth_experiment_steps_each_J_once(lfr, monkeypatch):
+    # a repeated J steps one column, and the results are those of the
+    # list without the repeat
+    widths = []
+
+    def counted(u, *args):
+        widths.append(u.shape[1])
+        return kernel(u, *args)
+    kernel = _kernels.evolve_half
+    monkeypatch.setattr(_kernels, "evolve_half", counted)
+    got = hl.growth_experiment(lfr, [math.inf, 2], [9, 1, 9, 1], 30)
+    assert set(widths) == {2}
+    want = hl.growth_experiment(lfr, [math.inf, 2], [9, 1], 30)
+    for g, w in zip(got, want):
+        assert list(g.ratios) == [9, 1]
+        assert g.max_ratio.tobytes() == w.max_ratio.tobytes()
+        assert all(g.ratios[J].tobytes() == w.ratios[J].tobytes()
+                   for J in (9, 1))
+
+
+def test_growth_views_stop_at_the_support(lfr, o3, monkeypatch):
+    # every kernel call steps a view from the buffer's bottom to at most p
+    # rows above the support's top at the chunk's end, J_max + r t; the
+    # early records are one step each
+    record = list(range(1, 9)) + [20, 100, 150]
+    for scheme in (lfr, o3):
+        r, p, Js = scheme.r, scheme.p, [40, 7]
+        calls, done = [], [0]
+
+        def spied(u, *args):
+            done[0] += args[-1]
+            calls.append((_view_rows(u), done[0]))
+            return kernel(u, *args)
+        kernel = _kernels.evolve_half
+        monkeypatch.setattr(_kernels, "evolve_half", spied)
+        got = hl.growth_experiment(scheme, [math.inf, 2], Js, 150,
+                                   record=record)
+        monkeypatch.undo()
+        assert [t for _, t in calls] == [1, 2, 3, 4, 5, 6, 7, 8, 20, 84,
+                                         100, 150]
+        for (lo, hi, size), t in calls:
+            # the support's top row is r - 1 + J_max + r t
+            assert lo == 0 and hi <= r - 1 + max(Js) + r * t + p
+        assert calls[0][0][1] < calls[0][0][2] / 2
+        for q, res in zip([math.inf, 2], got):
+            for J in Js:
+                start = make_half_field(scheme, np.ones(J))
+                want = [_lq(hl.apply_half_line(scheme, start, n)
+                            [r:], q) / _lq(np.ones(J), q) for n in record]
                 assert np.array(want).tobytes() == res.ratios[J].tobytes()
 
 
@@ -280,28 +428,43 @@ def _view_rows(u):
 
 def _poisoned(kernel, r, p, source=None):
     """kernel, except that after each call on a view every row the margin
-    argument of `evolution._recorded` calls possibly wrong comes back NaN:
-    the top p (c + 1) rows of a view below the buffer's top, and the bottom
-    r (c + 1) rows of a view above the buffer's bottom or, on the whole
-    line, above the support's lower edge minus r at the chunk's end."""
-    done = [0]
+    argument of `evolution._recorded` calls possibly wrong comes back NaN,
+    and every row above the support's top must come back +0.0.
+
+    The support's top at the end t of a chunk of c steps is top0 + r t,
+    with top0 the highest row of the buffer holding any bit at the first
+    call, and `_recorded` stops each view p rows above it.  The rows of a
+    view above that top are true zeros that later views read, so they are
+    asserted +0.0, not poisoned.  Poisoned are the top p (c + 1) rows of a
+    view whose top lies below both the buffer's top and that cap (a view
+    the domain of dependence clips), and the bottom r (c + 1) rows of a
+    view above the buffer's bottom or, on the whole line, above the
+    support's lower edge minus r at t.  t counts the steps of the calls
+    seen (run.steps), so a caller checks that no chunk went without one."""
+    top0 = []
 
     def run(u0, *args):
         c = args[-1]
+        buf = u0 if u0.base is None else u0.base
+        view = _view_rows(u0) or (0, len(buf) - 1, len(buf))
+        if not top0:
+            live = np.flatnonzero(buf.view(np.uint64))
+            top0.append(int(live[-1]) // (buf.size // len(buf))
+                        if live.size else -1)
         out = kernel(u0, *args)
-        done[0] += c
-        view = _view_rows(u0)
+        run.steps.append(c)
         run.views.append(view)
-        if view is None:
-            return out
+        t = sum(run.steps)
         lo, hi, size = view
-        if hi < size - 1:
+        above = out[max(top0[0] + r * t + 1 - lo, 0):]
+        assert not above.any() and not np.signbit(above).any()
+        if hi < min(size - 1, top0[0] + r * t + p):
             out[-p * (c + 1):] = np.nan
-        edge = 0 if source is None else source - p * done[0] - r
+        edge = 0 if source is None else source - p * t - r
         if lo > edge:
             out[:r * (c + 1)] = np.nan
         return out
-    run.views = []
+    run.views, run.steps = [], []
     return run
 
 
@@ -358,7 +521,7 @@ def test_windowed_sweeps_never_read_the_margins(lfr, o3, monkeypatch,
     monkeypatch.setattr(_kernels, "evolve_half", poisoned)
     got = hl.temporal_green_sweep(scheme, ns, j0s, half)
     assert got.tobytes() == want.tobytes()
-    assert _narrower(poisoned.views)
+    assert _narrower(poisoned.views) and sum(poisoned.steps) == n
     # the whole line's source row: the buffer starts at -p n - r, or lower
     # to hold every read offset
     source = max(p * n + r, -min(whole))
@@ -366,7 +529,7 @@ def test_windowed_sweeps_never_read_the_margins(lfr, o3, monkeypatch,
     monkeypatch.setattr(_kernels, "evolve_whole", poisoned)
     got = hl.temporal_green_whole_sweep(scheme, ns, whole)
     assert got.tobytes() == want_whole.tobytes()
-    assert _narrower(poisoned.views)
+    assert _narrower(poisoned.views) and sum(poisoned.steps) == n
 
 
 @pytest.mark.parametrize("scheme", ["lfr", "o3", "r2p3"])
@@ -410,7 +573,14 @@ def test_recorded_windows_1d_half_and_2d_whole_buffers(lfr, o3, scheme,
         got = [snap[lo:hi + 1].copy() for snap in evolution._recorded(
             buf.copy(), ns, step(poisoned), r, p, reads=reads, source=src)]
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert not np.isnan(want).any() and _narrower(poisoned.views)
+        assert not np.isnan(want).any()
+        if poisoned.views:
+            assert _narrower(poisoned.views) and sum(poisoned.steps) == ns[-1]
+        else:
+            # a view above the support makes no kernel call: here every
+            # read row lies above the support's top at the last time
+            top = np.flatnonzero(buf.reshape(len(buf), -1).any(axis=1))[-1]
+            assert lo > top + r * ns[-1] and not np.any(want)
 
 
 # inline schemes of every shape the adjoint changes: no ghost rule, a full
