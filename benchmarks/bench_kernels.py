@@ -10,11 +10,11 @@ rows G(n, ., 1) of o3: the forward sweep with one column per source j0,
 and one column of the transposed scheme (`halflab.evolution.adjoint_scheme`)
 from delta_1, which is what err-map runs.  The last two rows replay the
 kernel calls of the default growth jobs on lfr and o3 (one column per
-J = 125, 250, 500, 1000; 160 recorded times up to n = 2000, as
-`halflab.cli` records them) through `halflab.evolution._recorded`.  The
-last column counts the cells in (0, tiny) of the final buffer,
-tiny = 2^-1022: the kernel flushes underflowed cells to +0.0, so it reads
-0.
+J = 125, 250, 500, 1000; the 116 distinct times of a 160-point log grid
+up to n = 2000, as `halflab.cli` records them) through
+`halflab.evolution._recorded`.  The last column counts the cells in
+(0, tiny) of the final buffer, tiny = 2^-1022: the kernel flushes
+underflowed cells to +0.0, so it reads 0.
 
 The second table replays the four o3 sweeps of a default err-map and
 layers job through `halflab.evolution._recorded`: whole, reading the whole
@@ -29,8 +29,8 @@ jobs on lfr and o3 on the snapshots of one replay: one math.fsum per
 column over its nonzero span, as growth took them before, against one
 block of |u| with a row per J, its row max and `evolution._exact_sums`,
 as `growth_experiment` takes them.  Each route's time is summed over the
-records (the 116 distinct times of the 160-point grid; best of 3), with
-its time per record and whether the two routes agree bitwise.
+116 records (best of 3), with its time per record and whether the two
+routes agree bitwise.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
