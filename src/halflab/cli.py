@@ -237,6 +237,13 @@ _FLOAT_FORMAT = "%.17g"
 _CSV_CHUNK = 4096
 
 
+def _any_positive(values) -> bool:
+    """Whether some finite value is positive, so that a log y axis has a
+    point to draw; a chart with none is drawn on a linear one."""
+    v = np.asarray(values, dtype=float)
+    return bool(np.any(np.isfinite(v) & (v > 0)))
+
+
 def _csv(out_dir: str, name: str, header, columns) -> str:
     """Write header and the equal-length columns (arrays or lists) as CSV.
 
@@ -420,7 +427,8 @@ def _run_err_map(scheme, opts, out_dir, at_one):
                    [(f"n={int(n)}", fit.c0_values, fit.sups[:, k])
                     for k, n in enumerate(fit.n_values)],
                    title="weighted suprema against the trial rate",
-                   xlabel="c0", ylabel="sup", logx=True, logy=True)
+                   xlabel="c0", ylabel="sup", logx=True,
+                   logy=_any_positive(fit.sups))
     return {"mu": fit.mu, "best_c0": fit.best_c0,
             "bound_holds": fit.best_c0 > 0.0, "growth_tol": fit.growth_tol,
             "adjoint_residual": fit.adjoint_residual,
@@ -479,11 +487,13 @@ def _run_oracle(scheme, opts, out_dir, at_one):
           np.tile(ts.ravel(), len(r0s)), err.ravel()))
     spread = max([0.0] + [float(np.max(np.abs(a - b)))
                           for a, b in combinations(recon, 2)])
+    curves = [e.max(axis=(0, 2)) for e in err]
     svg.line_chart(os.path.join(out_dir, "oracle_err.svg"),
-                   [(f"r0={r0}", np.arange(n_max + 1), e.max(axis=(0, 2)))
-                    for r0, e in zip(r0s, err)],
+                   [(f"r0={r0}", np.arange(n_max + 1), c)
+                    for r0, c in zip(r0s, curves)],
                    title="reconstruction error against time stepping",
-                   xlabel="n", ylabel="max abs err", logy=True)
+                   xlabel="n", ylabel="max abs err",
+                   logy=_any_positive(curves))
     return {"n_max": n_max, "j0_list": j0s, "j_list": js, "per_r0": per_r0,
             "r0_spread": spread}
 

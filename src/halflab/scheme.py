@@ -117,18 +117,25 @@ class HypothesisReport:
     witness_t: float | None = None
 
 
+def _horner(c, x):
+    """sum_k c[k] x^k by Horner's rule: the library's one polynomial
+    evaluator.  c holds the ascending coefficients on its leading axis;
+    its further axes broadcast against x."""
+    v = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        v = c[k] + v * x
+    return v
+
+
 def symbol_eval(scheme: SchemeDefinition, kappa):
     """Evaluate F(kappa) = sum a_k kappa^k; kappa may be a scalar or array.
 
-    Horner evaluation of kappa^r F(kappa), divided back by kappa^r.
+    _horner's value of kappa^r F(kappa), divided back by kappa^r.
     """
     kappa = np.asarray(kappa, dtype=complex)
     if np.any(kappa == 0):
         raise ValueError("symbol is a Laurent polynomial; kappa = 0 not allowed")
-    out = np.zeros_like(kappa)
-    for c in scheme.a[::-1]:
-        out = out * kappa + c
-    out = out * kappa ** (-scheme.r)
+    out = _horner(scheme.a, kappa) * kappa ** (-scheme.r)
     if out.ndim == 0:
         return complex(out)
     return out

@@ -43,6 +43,8 @@ S = sum_k |c_k| |kappa|^k, so that a root is off by about eps S / |dP/dkappa|:
 the root polish and residual test, the collision test, kappa'(1) in
 Delta'(1), the residue sums of `resolvent` with their bounds and, for
 r = 1, the ghost polynomial Q and the symbol F at Q's roots all read it.
+Each of its values comes from `scheme._horner`, the library's one
+polynomial evaluator, which also gives `symbol_eval` its F.
 `_lopatinskii_matrix` builds B V(kappa), whose determinant at the stable
 roots is Delta, for Delta, Delta'(1), the residue condition, the ghost-row
 solve of the half-line Green's function and the layer coefficients.  Only
@@ -63,9 +65,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
-from .scheme import SchemeDefinition, _indices, boundary_matrix
+from .scheme import SchemeDefinition, _horner, _indices, boundary_matrix
 
 __all__ = [
     "RootSolveError", "MultiplicityError", "EigenConditioningError",
@@ -157,26 +158,26 @@ def companion_matrix(scheme: SchemeDefinition, z: complex) -> np.ndarray:
 
 def _char_stack(c: np.ndarray, order: int) -> list:
     """The rows of c (ascending coefficients of P, one row per node) and
-    those of P's first `order` kappa-derivatives, each in polyval's stacked
-    layout (degree, node, 1)."""
+    those of P's first `order` kappa-derivatives, each stacked as
+    (degree, node, 1): coefficients on the leading axis, as _horner takes
+    them, and one node per row of the (node, k) kappas."""
     stack = [c.T[:, :, None]]
     for _ in range(order):
-        # polyder's products j c_j (bitwise), without its argument handling
+        # the products j c_j, bitwise those of numpy's polyder
         cs = stack[-1]
         stack.append(cs[1:] * np.arange(1, cs.shape[0])[:, None, None])
     return stack
 
 
 def _char_values(stack: list, kappas: np.ndarray, scale: bool = False):
-    """The one evaluator of P(kappa; z) (and of Q and kappa^r F for r = 1)
-    and its derivatives: the value of each polynomial of `stack` (from
-    _char_stack) at kappas (node, k), then, with `scale`,
-    S = sum_k |c_k| |kappa|^k, the size of P's rounding at kappa (a root's
-    error is about eps S / |dP/dkappa|)."""
-    vals = [npoly.polyval(kappas, cs, tensor=False) for cs in stack]
+    """The one evaluator of P(kappa; z) (and of Q's reversal R and
+    kappa F for r = 1) and its derivatives: _horner's value of each
+    polynomial of `stack` (from _char_stack) at kappas (node, k), then,
+    with `scale`, S = sum_k |c_k| |kappa|^k, the size of P's rounding at
+    kappa (a root's error is about eps S / |dP/dkappa|)."""
+    vals = [_horner(cs, kappas) for cs in stack]
     if scale:
-        vals.append(npoly.polyval(np.abs(kappas), np.abs(stack[0]),
-                                  tensor=False))
+        vals.append(_horner(np.abs(stack[0]), np.abs(kappas)))
     return vals
 
 

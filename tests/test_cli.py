@@ -568,6 +568,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stderr == ""
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # _horner is the one polynomial evaluator, so numpy.polynomial is a
+    # test reference only
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, halflab.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('numpy.polynomial')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_export_resolves():
     # a name left in an __all__ after its definition is gone fails only at
     # `from ... import *`: check the package's list and each submodule's
@@ -613,6 +625,40 @@ def test_err_map_artifacts(tmp_path):
     assert rep["mu"] == 1
     assert "best_c0" in rep and "bound_holds" in rep
     assert 0.0 <= rep["adjoint_residual"] <= 1e-15
+
+
+@pytest.mark.parametrize("command, doc, names, zeros", [
+    # the boundary is out of reach of j0 = 900, so every sup is 0
+    ("err-map", {"scheme": {"builtin": "o3"}, "n_list": [100, 200],
+                 "j0_list": [900]},
+     ("err_map.csv", "err_map.svg", "err_c0.csv", "err_c0.svg"), "sup_n"),
+    # the one-ring reconstruction of n = 0 is exact
+    ("oracle", {"scheme": {"builtin": "lfr"}, "n_max": 0, "j0_list": [1],
+                "j_list": [1], "r0_list": [0.05]},
+     ("oracle.csv", "oracle_err.svg"), "abs_err"),
+])
+def test_log_chart_with_no_positive_value_is_drawn_linear(tmp_path, command,
+                                                          doc, names, zeros):
+    # both runs exited 1 with "nothing finite to plot" and no report.json
+    code, out = run(tmp_path, command, doc)
+    assert code == 0
+    for name in names:
+        assert os.path.exists(os.path.join(out, name))
+    csv_name, svg_name = names[-2:]
+    with open(os.path.join(out, csv_name), encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    cols = [i for i, h in enumerate(header) if h.startswith(zeros)]
+    assert cols and all(float(row[i]) == 0.0 for row in rows for i in cols)
+    # a linear axis labels no power of ten
+    assert "1e" not in "".join(
+        t.text or "" for t in ET.parse(os.path.join(out, svg_name)).iter()
+        if t.tag.endswith("text") and t.get("text-anchor") == "end")
+    rep = read_json(out, "report.json")
+    assert rep["command"] == command
+    if command == "err-map":
+        # no sup grows, so the bound holds vacuously
+        assert rep["bound_holds"] is True
 
 
 def test_err_map_o3_default_grid_bound_holds(tmp_path):

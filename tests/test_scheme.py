@@ -11,7 +11,7 @@ import halflab as hl
 from halflab import scheme
 from halflab.scheme import scheme_from_json, scheme_to_json
 
-from conftest import NEAR_TOUCH_INLINE, o3_marginal_pair
+from conftest import NEAR_TOUCH_INLINE, WIDE, o3_marginal_pair
 
 # the sampled reference for the dissipativity margin: |F| on GRID uniform
 # circle points with |t| <= the series radius left out
@@ -44,6 +44,32 @@ def test_symbol_laurent_values(lfr):
     for kappa in (2.0, -0.5, 0.3 + 0.4j):
         want = 0.125 / kappa + 0.25 + 0.625 * kappa
         assert abs(hl.symbol_eval(lfr, kappa) - want) < 1e-14
+
+
+def _symbol_zero_start(scheme, kappa):
+    # symbol_eval's Horner loop before _horner: started from a zero array
+    kappa = np.asarray(kappa, dtype=complex)
+    out = np.zeros_like(kappa)
+    for c in scheme.a[::-1]:
+        out = out * kappa + c
+    out = out * kappa ** (-scheme.r)
+    return complex(out) if out.ndim == 0 else out
+
+
+def test_symbol_bitwise_matches_zero_start_horner(lfr, o3):
+    # _horner starts from c[-1] + 0 kappa, polyval's order; the values keep
+    # every bit, signed zeros included, on check's circle, on scalars and
+    # on random kappa
+    rng = np.random.default_rng(38)
+    t = np.linspace(-math.pi, math.pi, 720, endpoint=False)
+    nodes = [np.exp(1j * t), 1.0, -0.5, 0.3 + 0.4j, 2j, np.complex128(-3.0),
+             rng.standard_normal(200) + 1j * rng.standard_normal(200),
+             rng.standard_normal((4, 5)), np.exp(2j * t[::7]) * 1e-3]
+    for s in (lfr, o3, WIDE):
+        for kappa in nodes:
+            got, want = hl.symbol_eval(s, kappa), _symbol_zero_start(s, kappa)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_symbol_rejects_zero(lfr):

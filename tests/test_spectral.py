@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import halflab as hl
 from halflab import spectral
-from halflab.scheme import boundary_matrix
+from halflab.scheme import _horner, boundary_matrix
 from halflab.spectral import (EigenConditioningError, MultiplicityError,
                               RootSolveError, companion_matrix, projector_set)
 
@@ -771,17 +771,62 @@ def test_char_values_bitwise_per_row_polyval(lfr, o3):
     for s in (lfr, o3, two):
         c = spectral._char_coeffs(s, zs)
         roots = np.stack([hl.characteristic_roots(s, z) for z in zs])
-        stack = spectral._char_stack(c, 2)
-        batch = spectral._char_values(stack, roots, scale=True)
-        subset = spectral._char_values(stack, roots[:, :s.r], scale=True)
-        for i, row in enumerate(c):
-            want = [npoly.polyval(roots[i], npoly.polyder(row, m))
-                    for m in range(3)]
-            want.append(npoly.polyval(np.abs(roots[i]), np.abs(row)))
-            one = spectral._char_values(spectral._char_stack(c[i:i + 1], 2),
-                                        roots[i:i + 1], scale=True)
-            for w, b, sub, o in zip(want, batch, subset, one):
-                assert np.array_equal(b[i], w)
-                assert np.array_equal(o[0], w)
-                assert np.array_equal(sub[i], w[:s.r])
+        batch = _assert_char_values_per_row_polyval(c, roots, 2)
+        subset = spectral._char_values(spectral._char_stack(c, 2),
+                                       roots[:, :s.r], scale=True)
+        for w, sub in zip(batch, subset):
+            assert _bits(sub) == _bits(w[:, :s.r])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _assert_char_values_per_row_polyval(c, kappas, order):
+    # _char_values on the stack of c, and on each row's own one-row stack,
+    # is bitwise the 1-D polyval of each row and of its polyder, with S the
+    # polyval of |c| at |kappa|; numpy.polynomial is the reference only.
+    # Returns the batch values
+    batch = spectral._char_values(spectral._char_stack(c, order), kappas,
+                                  scale=True)
+    assert len(batch) == order + 2
+    for i, row in enumerate(c):
+        want = [npoly.polyval(kappas[i], npoly.polyder(row, m))
+                for m in range(order + 1)]
+        want.append(npoly.polyval(np.abs(kappas[i]), np.abs(row)))
+        one = spectral._char_values(
+            spectral._char_stack(c[i:i + 1], order), kappas[i:i + 1],
+            scale=True)
+        for w, b, o in zip(want, batch, one):
+            assert b.shape == (len(c),) + w.shape
+            assert o.shape == (1,) + w.shape
+            assert _bits(b[i]) == _bits(w)
+            assert _bits(o[0]) == _bits(w)
+    return batch
+
+
+def _values(dtype, size):
+    part = st.floats(-1e3, 1e3, allow_subnormal=False)
+    if dtype is complex:
+        part = st.builds(complex, part, part)
+    return st.lists(part, min_size=size, max_size=size)
+
+
+@given(data=st.data(), degree=st.integers(0, 6), rows=st.integers(1, 4),
+       per_row=st.integers(1, 5), c_dtype=st.sampled_from([float, complex]),
+       k_dtype=st.sampled_from([float, complex]))
+def test_char_values_bitwise_on_drawn_stacks(data, degree, rows, per_row,
+                                             c_dtype, k_dtype):
+    # real and complex stacks of degree 0-6 on (node, k) grids of several
+    # shapes; P'' needs degree 2, so the stack goes as far as the degree
+    c = np.array(data.draw(_values(c_dtype, rows * (degree + 1))),
+                 dtype=c_dtype).reshape(rows, degree + 1)
+    kappas = np.array(data.draw(_values(k_dtype, rows * per_row)),
+                      dtype=k_dtype).reshape(rows, per_row)
+    _assert_char_values_per_row_polyval(c, kappas, min(degree, 2))
+    # _horner of one coefficient vector on any node array is polyval's
+    # tensor evaluation
+    for x in (kappas, kappas[0], kappas[0, 0], kappas[..., None]):
+        assert _bits(_horner(c[0], x)) == \
+            _bits(npoly.polyval(x, c[0]))
 
